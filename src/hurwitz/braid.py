@@ -15,7 +15,6 @@ the width.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, ValidationError
@@ -120,13 +119,12 @@ class BraidOrbit:
         return out
 
 
-def braid_orbits(ni: NielsenClassSet, workers: int = 1,
+def braid_orbits(ni: NielsenClassSet,
                  orbit_cap: int | None = None) -> tuple[BraidOrbit, ...]:
     """Partition of the Nielsen set into ⟨q2, sh⟩ orbits.
 
     Orbits come back sorted by (size, least canonical member) and labeled
-    "O1", "O2", ...; the partition does not depend on seed order or worker
-    count.
+    "O1", "O2", ...; the partition does not depend on seed order.
     """
     group = ni.group
     canon = _canonicalizer(ni)
@@ -139,17 +137,18 @@ def braid_orbits(ni: NielsenClassSet, workers: int = 1,
         members = {seed}
         frontier = [seed]
         while frontier:
-            images = _expand_frontier(group, canon, frontier, workers)
-            frontier = []
-            for v in images:
-                if v not in members:
-                    if v not in rep_set:
-                        raise ValidationError(
-                            "braid move left the enumerated Nielsen set; "
-                            "canonicalization and enumeration disagree"
-                        )
-                    members.add(v)
-                    frontier.append(v)
+            nxt = []
+            for t in frontier:
+                for v in (canon(_qi(group, t, 2)), canon(_sh(group, t))):
+                    if v not in members:
+                        if v not in rep_set:
+                            raise ValidationError(
+                                "braid move left the enumerated Nielsen set; "
+                                "canonicalization and enumeration disagree"
+                            )
+                        members.add(v)
+                        nxt.append(v)
+            frontier = nxt
             if orbit_cap is not None and len(members) > orbit_cap:
                 raise BudgetError(f"braid orbit exceeded cap {orbit_cap}")
         unseen -= members
@@ -159,18 +158,6 @@ def braid_orbits(ni: NielsenClassSet, workers: int = 1,
         BraidOrbit(index=i + 1, label=f"O{i + 1}", members=tuple(sorted(s)), ni=ni)
         for i, s in enumerate(raw_orbits)
     )
-
-
-def _expand_frontier(group, canon, frontier, workers):
-    def expand(t):
-        return (canon(_qi(group, t, 2)), canon(_sh(group, t)))
-
-    if workers > 1 and len(frontier) > 2 * workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(expand, frontier))
-    else:
-        pairs = [expand(t) for t in frontier]
-    return [v for pair in pairs for v in pair]
 
 
 def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
@@ -232,11 +219,6 @@ class PropertyReport:
                 for c in self.checks
             ],
         }
-
-
-def _conj_tuple(group, t, a):
-    ainv = group.inv(a)
-    return tuple(group.mul(group.mul(ainv, g), a) for g in t)
 
 
 def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
@@ -305,7 +287,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
             u = _qi(group, u, i)
         for i in range(r - 1, 0, -1):
             u = _qi(group, u, i)
-        if not any(_conj_tuple(group, t, a) == u for a in group.elements):
+        if not any(tuple(group.conj(g, a) for g in t) == u for a in group.elements):
             fails.append(f"R_H is not a conjugation on {t}")
     record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", fails)
 

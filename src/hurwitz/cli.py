@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 
@@ -34,12 +33,9 @@ from .lift import (
 )
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
-WORKERS_ENV = "HURWITZ_WORKERS"
-
 _DEFAULTS = {
     "mode": "inner-reduced",
     "format": "text",
-    "workers": None,  # resolved from the environment when absent
     "order_bound": None,
     "orbit_cap": None,
     "seed": 0,
@@ -65,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="format", help="text | json | csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--workers", type=int, help="worker threads")
         p.add_argument("--order-bound", type=int, dest="order_bound")
         p.add_argument("--orbit-cap", type=int, dest="orbit_cap")
 
@@ -103,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="property suites with witnesses")
     common(p)
-    p.add_argument("--suite", help="braid-relations | worker-determinism")
+    p.add_argument("--suite", help="braid-relations")
     p.add_argument("--sample-size", type=int, dest="sample_size")
     p.add_argument("--seed", type=int)
 
@@ -125,6 +120,9 @@ def _load_config(path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
+_INT_KEYS = ("order_bound", "orbit_cap", "k_max", "t", "ell", "seed", "sample_size")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Apply precedence: explicit flag > config file > default."""
     config = _load_config(getattr(args, "config", None))
@@ -142,11 +140,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             out[key] = config[key]
         else:
             out[key] = _DEFAULTS.get(key, flag_value)
-    if out.get("workers") is None:
-        env = os.environ.get(WORKERS_ENV, "")
-        out["workers"] = int(env) if env.isdigit() and int(env) > 0 else 1
-    if out["workers"] < 1:
-        raise ValidationError("worker count must be positive")
+    for key in _INT_KEYS:
+        value = out.get(key)
+        if value is not None and type(value) is not int:
+            raise ValidationError(
+                f"{key.replace('_', '-')} must be an integer, got {value!r}"
+            )
     if out.get("format") not in (None, "text", "json", "csv"):
         raise ValidationError(f"unknown format: {out['format']!r}")
     for key in ("order_bound", "orbit_cap"):
@@ -225,12 +224,12 @@ def _csv_provenance(cfg: dict, keys) -> list[list]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_BASE_KEYS = ("command", "group", "classes", "mode", "workers")
+_BASE_KEYS = ("command", "group", "classes", "mode")
 
 
 def _cmd_enumerate(cfg: dict) -> None:
     group, cv, mode = _group_and_classes(cfg)
-    ni = enumerate_nielsen(group, cv, mode, workers=cfg["workers"])
+    ni = enumerate_nielsen(group, cv, mode)
     if cfg["format"] == "json":
         emit_report(_envelope(cfg, _BASE_KEYS, ni.to_dict()), "json", cfg["out"])
     elif cfg["format"] == "csv":
@@ -249,8 +248,8 @@ def _cmd_enumerate(cfg: dict) -> None:
 
 def _orbit_payload(cfg: dict):
     group, cv, mode = _group_and_classes(cfg)
-    ni = enumerate_nielsen(group, cv, mode, workers=cfg["workers"])
-    orbits = braid_orbits(ni, workers=cfg["workers"], orbit_cap=cfg["orbit_cap"])
+    ni = enumerate_nielsen(group, cv, mode)
+    orbits = braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
     return group, cv, mode, ni, orbits
 
 
@@ -355,7 +354,7 @@ def _cmd_genus(cfg: dict) -> None:
 _COVER_RE = re.compile(r"heis\((\d+)\)")
 
 
-def _make_cover(sel: str, order_bound: int | None) -> CentralExtension:
+def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
     if sel == "spin4":
         return spin_cover(4)
     if sel == "spin5":
@@ -363,7 +362,10 @@ def _make_cover(sel: str, order_bound: int | None) -> CentralExtension:
     m = _COVER_RE.fullmatch(sel)
     if m:
         ell = int(m.group(1))
-        return extend_action_to_heisenberg(ell, ((0, -1), (1, -1)))
+        action = ((0, -1), (1, -1))
+        if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
+            action = group.action
+        return extend_action_to_heisenberg(ell, action)
     if sel.startswith("hom:"):
         path = sel[4:]
         try:
@@ -387,8 +389,11 @@ def _make_cover(sel: str, order_bound: int | None) -> CentralExtension:
 
 def _cmd_lift(cfg: dict) -> None:
     group, cv, mode, ni, orbits = _orbit_payload(cfg)
-    ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"))
-    if ext.base.order != group.order or set(ext.base.elements) != set(group.elements):
+    ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"), group)
+    same = ext.base.element_set == group.element_set and all(
+        ext.base.mul(x, g) == group.mul(x, g) for x in group.elements for g in group.gens
+    )
+    if not same:
         raise ValidationError(
             "cover base group does not match --group "
             f"({ext.base.name} vs {group.name})"
@@ -438,14 +443,14 @@ def _cmd_lift(cfg: dict) -> None:
 
 def _tower_spec(cfg: dict) -> TowerSpec:
     family = _need(cfg, "family", "vector or dihedral")
-    ell = int(_need(cfg, "ell", "tower prime"))
+    ell = _need(cfg, "ell", "tower prime")
     action = cfg.get("action")
     if isinstance(action, str):
         try:
             action = json.loads(action)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--action is not valid JSON: {exc}") from exc
-    return TowerSpec(family, ell, t=int(cfg.get("t") or 2), action=action)
+    return TowerSpec(family, ell, t=cfg.get("t") or 2, action=action)
 
 
 def _cmd_tower(cfg: dict) -> None:
@@ -453,16 +458,14 @@ def _cmd_tower(cfg: dict) -> None:
     g0 = spec.level_group(0)
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
     mode = Mode.parse(cfg["mode"])
-    tree = component_tree(
-        spec, cv, int(cfg["k_max"]), mode=mode, workers=cfg["workers"]
-    )
+    tree = component_tree(spec, cv, cfg["k_max"], mode=mode)
     data = tree.to_dict()
     if cfg.get("frattini"):
         data["frattini_steps"] = [
-            s.to_dict() for s in eventually_frattini_report(spec, int(cfg["k_max"]))
+            s.to_dict() for s in eventually_frattini_report(spec, cfg["k_max"])
         ]
     keys = ("command", "family", "ell", "t", "action", "k_max", "classes",
-            "mode", "workers")
+            "mode")
     if cfg["format"] == "json":
         emit_report(_envelope(cfg, keys, data), "json", cfg["out"])
     elif cfg["format"] == "csv":
@@ -541,35 +544,13 @@ def _cmd_bcl(cfg: dict) -> None:
 
 def _cmd_check(cfg: dict) -> None:
     suite = cfg["suite"]
-    group, cv, mode = _group_and_classes(cfg)
+    group, cv, _mode = _group_and_classes(cfg)
     keys = _BASE_KEYS + ("suite", "seed", "sample_size")
-    if suite == "braid-relations":
-        report = verify_braid_relations(
-            group, cv, sample_size=int(cfg["sample_size"]), seed=int(cfg["seed"])
-        )
-        data = report.to_dict()
-    elif suite == "worker-determinism":
-        one = enumerate_nielsen(group, cv, mode, workers=1)
-        many = enumerate_nielsen(group, cv, mode, workers=max(2, cfg["workers"]))
-        same_reps = one.reps == many.reps
-        o_one = braid_orbits(one)
-        o_many = braid_orbits(many, workers=max(2, cfg["workers"]))
-        same_orbits = [
-            (a.label, a.members) for a in o_one
-        ] == [(b.label, b.members) for b in o_many]
-        data = {
-            "passed": same_reps and same_orbits,
-            "checks": [
-                {"name": "enumeration independent of worker count",
-                 "passed": same_reps, "details": ""},
-                {"name": "braid orbits independent of worker count",
-                 "passed": same_orbits, "details": ""},
-            ],
-        }
-    else:
-        raise ValidationError(
-            f"unknown suite {suite!r}; use braid-relations or worker-determinism"
-        )
+    if suite != "braid-relations":
+        raise ValidationError(f"unknown suite {suite!r}; use braid-relations")
+    data = verify_braid_relations(
+        group, cv, sample_size=cfg["sample_size"], seed=cfg["seed"]
+    ).to_dict()
     if cfg["format"] == "json":
         emit_report(_envelope(cfg, keys, data), "json", cfg["out"])
     elif cfg["format"] == "csv":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .groups import cycle_type, riemann_hurwitz
 from .braid import BraidOrbit, CuspOrbit
 from .nielsen import Mode, _get_action, _qi, _reduction_orbit, _sh
 
@@ -51,21 +52,6 @@ def _gamma_maps(orbit: BraidOrbit):
         return tuple(out)
 
     return perm_of((1, 2)), perm_of((1, 2, 1)), perm_of((2,))
-
-
-def _cycles(perm: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(perm)
-    lengths = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        n, j = 0, s
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        lengths.append(n)
-    return sorted(lengths, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -107,12 +93,8 @@ def genus_of_component(orbit: BraidOrbit) -> GenusReport:
     _require_reduced_four(orbit, "genus_of_component")
     n = orbit.size
     perms = _gamma_maps(orbit)
-    types = tuple(tuple(_cycles(p)) for p in perms)
-    indices = tuple(n - len(t) for t in types)
-    total = sum(indices)
-    if total % 2:
-        raise ValidationError("non-integer genus: odd total index signals an action bug")
-    genus = total // 2 - n + 1
+    types = tuple(cycle_type(p) for p in perms)
+    indices, genus = riemann_hurwitz(types, n)
     if genus < 0:
         raise ValidationError("negative genus signals an action bug")
     fixed = tuple(sum(1 for i, j in enumerate(p) if i == j) for p in perms[:2])

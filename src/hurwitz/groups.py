@@ -114,6 +114,21 @@ def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def riemann_hurwitz(types, n: int) -> tuple[tuple[int, ...], int]:
+    """Indices and genus of a connected degree-n cover from the cycle types
+    of its branch cycles: 2(n + g - 1) is the sum of the indices, and the
+    index of a cycle type is n minus its number of cycles.
+
+    >>> riemann_hurwitz([(3,), (3,), (3,)], 3)
+    ((2, 2, 2), 1)
+    """
+    indices = tuple(n - len(t) for t in types)
+    total = sum(indices)
+    if total % 2:
+        raise ValidationError("odd total ramification index; not a valid branch-cycle tuple")
+    return indices, total // 2 - n + 1
+
+
 _CYCLE_RE = re.compile(r"\(\s*([0-9,\s]*)\)")
 
 
@@ -231,14 +246,17 @@ class FiniteGroup:
         self.elements
         return g in self._index
 
-    def close(self, seed) -> set:
-        """Closure of ``seed`` (plus the identity) under multiplication."""
+    def close(self, seed, stop_above: int | None = None) -> set:
+        """Closure of ``seed`` (plus the identity) under multiplication.
+
+        Stops early, returning a partial closure, once it holds more than
+        ``stop_above`` elements: a seed generates a group of order n exactly
+        when its closure exceeds n // 2, since no proper subgroup is larger.
+        """
         mul = self.mul
-        e = self.identity
-        seen = {e}
-        seen.update(seed)
+        gens = set(seed)
+        seen = {self.identity} | gens
         frontier = list(seen)
-        gens = [g for g in seed]
         bound = self.order_bound
         while frontier:
             nxt = []
@@ -252,6 +270,8 @@ class FiniteGroup:
                 raise BudgetError(
                     f"group closure for {self.name} exceeded order bound {bound}"
                 )
+            if stop_above is not None and len(seen) > stop_above:
+                break
             frontier = nxt
         return seen
 
@@ -262,6 +282,18 @@ class FiniteGroup:
 
     def subgroup_order(self, seed) -> int:
         return len(self.close(seed))
+
+    def power(self, g, m: int):
+        """g^m for any integer m, by repeated squaring."""
+        if m < 0:
+            g, m = self.inv(g), -m
+        out = self.identity
+        while m:
+            if m & 1:
+                out = self.mul(out, g)
+            g = self.mul(g, g)
+            m >>= 1
+        return out
 
     def element_order(self, g) -> int:
         got = self._orders.get(g)
@@ -373,18 +405,12 @@ class PermutationGroup(FiniteGroup):
         self.degree = n
         super().__init__(gens, name, **kw)
 
-    def mul(self, a, b):
-        return tuple(b[i] for i in a)
-
-    def inv(self, a):
-        out = [0] * len(a)
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
+    mul = staticmethod(perm_mul)
+    inv = staticmethod(perm_inv)
 
     @property
     def identity(self):
-        return tuple(range(self.degree))
+        return identity_perm(self.degree)
 
     def _spawn(self, gens, name):
         return PermutationGroup(gens, self.degree, name)
@@ -552,7 +578,7 @@ class VectorSemidirectGroup(FiniteGroup):
         basis = tuple(
             (tuple(1 if i == j else 0 for i in range(t)), 0) for j in range(t)
         )
-        gens = basis + ((zero, 1),)
+        gens = basis + ((zero, 1 % q),)
         super().__init__(gens, name or f"V({t},{m})", **kw)
 
     def mul(self, a, b):
@@ -597,23 +623,24 @@ class VectorSemidirectGroup(FiniteGroup):
 
 
 def _det_mod(mat, m):
+    """Determinant by cofactor expansion along the first row, reduced mod m."""
     n = len(mat)
     if n == 1:
         return mat[0][0] % m
-    if n == 2:
-        return (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) % m
     total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= mat[i][perm[i]]
-        total += term
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * _det_mod(minor, m)
     return total % m
+
+
+def _smallest_prime_factor(n: int) -> int:
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
 
 
 class HeisenbergSemidirectGroup(FiniteGroup):
@@ -766,11 +793,7 @@ def class_power(cv: ClassVector, m: int) -> ClassVector:
         d = classes[i].element_order
         if gcd(m, d) != 1:
             raise ValidationError(f"power {m} is not prime to class order {d}")
-        rep = classes[i].rep
-        x = group.identity
-        for _ in range(m % d):
-            x = group.mul(x, rep)
-        out.append(group.class_index_of(x))
+        out.append(group.class_index_of(group.power(classes[i].rep, m % d)))
     return ClassVector(group, tuple(out))
 
 
@@ -916,11 +939,7 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
             f"brute-force limit {brute_force_limit}"
         )
     els = group.element_set
-    good = []
-    for s in candidates:
-        s_inv = perm_inv(s)
-        if all(perm_mul(perm_mul(s_inv, g), s) in els for g in group.gens):
-            good.append(s)
+    good = [s for s in candidates if all(group.conj(g, s) in els for g in group.gens)]
     if cv is not None:
         good = [s for s in good if _preserves_class_multiset(group, cv, s)]
     result = PermutationGroup(tuple(good), n, f"N_Sym({group.name})")
@@ -931,11 +950,9 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
 
 def _preserves_class_multiset(group: PermutationGroup, cv: ClassVector, s) -> bool:
     mult = cv.multiset()
-    s_inv = perm_inv(s)
     classes = group.conjugacy_classes()
     for i, m in mult.items():
-        img = perm_mul(perm_mul(s_inv, classes[i].rep), s)
-        j = group.class_index_of(img)
+        j = group.class_index_of(group.conj(classes[i].rep, s))
         if mult.get(j) != m:
             return False
     return True

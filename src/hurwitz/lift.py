@@ -28,6 +28,8 @@ from .groups import (
     HeisenbergSemidirectGroup,
     Sl2Group,
     VectorSemidirectGroup,
+    _mat_mul,
+    _smallest_prime_factor,
     alternating,
 )
 
@@ -216,11 +218,7 @@ def same_order_lift(ext: CentralExtension, g):
     h = ext.projection.preimage(g)
     if n == 1:
         return h
-    t = n * pow(n, -1, d)
-    out = cover.identity
-    for _ in range(t):
-        out = cover.mul(out, h)
-    return out
+    return cover.power(h, n * pow(n, -1, d))
 
 
 def lift_invariant(ext: CentralExtension, t: tuple) -> LiftInvariant:
@@ -251,15 +249,6 @@ def is_obstructed(ext: CentralExtension, orbit_or_tuple) -> bool:
     return not lift_invariant(ext, t).trivial
 
 
-def _smallest_prime_factor(n: int) -> int:
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
-
-
 def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> bool:
     """Whether every lift of a generating set of the target generates the source.
 
@@ -284,33 +273,14 @@ def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> boo
     lifts = [hom.preimage(g) for g in gens]
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
-    # it must be everything.
+    # it must be everything.  A trivial kernel leaves no proper value
+    # (threshold = |source|), and every translate generates.
     threshold = tgt.order * (len(kernel) // _smallest_prime_factor(len(kernel)))
-    full = src.order
     for ks in product(kernel, repeat=len(gens)):
         seeds = [src.mul(h, k) for h, k in zip(lifts, ks)]
-        if _closure_size(src, seeds, threshold) < full:
+        if len(src.close(seeds, stop_above=threshold)) <= threshold < src.order:
             return False
     return True
-
-
-def _closure_size(group: FiniteGroup, seeds, threshold: int) -> int:
-    """|<seeds>|, except any value above threshold reports the full order."""
-    seen = {group.identity}
-    seen.update(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in seeds:
-                y = group.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if len(seen) > threshold:
-            return group.order
-        frontier = nxt
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +315,6 @@ def _normalize_matrix(m, ell: int) -> tuple:
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValidationError("Heisenberg extension needs a 2x2 matrix")
     return rows
-
-
-def _mat_mul2(a, b, ell):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) % ell for j in range(2))
-        for i in range(2)
-    )
 
 
 def _heisenberg_corrections(ell: int, m: tuple):
@@ -421,8 +384,8 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
         )
     m = _normalize_matrix(m, ell)
     ident = ((1, 0), (0, 1))
-    m2 = _mat_mul2(m, m, ell)
-    if _mat_mul2(m2, m, ell) != ident or m == ident:
+    m2 = _mat_mul(m, m, ell)
+    if _mat_mul(m2, m, ell) != ident or m == ident:
         raise ValidationError("action matrix must have order exactly 3")
 
     lam, act, q_base, corrections = _heisenberg_corrections(ell, m)

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ValidationError
-from .groups import ClassVector, FiniteGroup, normalizer_in_sym
+from .groups import ClassVector, FiniteGroup, cycle_type, normalizer_in_sym, riemann_hurwitz
 
 
 class Mode(Enum):
@@ -214,25 +213,8 @@ def canonicalize(group: FiniteGroup, t: tuple, mode, cv: ClassVector | None = No
 
 def _generates(group: FiniteGroup, elems) -> bool:
     """Closure test with early exit once no proper subgroup can contain it."""
-    mul = group.mul
-    order = group.order
-    half = order // 2
-    seen = {group.identity}
-    seen.update(elems)
-    gens = [g for g in set(elems)]
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        if len(seen) > half:
-            return True
-        frontier = nxt
-    return len(seen) == order
+    half = group.order // 2
+    return len(group.close(elems, stop_above=half)) > half
 
 
 def is_nielsen_tuple(group: FiniteGroup, cv: ClassVector, t: tuple) -> bool:
@@ -280,15 +262,13 @@ class NielsenClassSet:
         }
 
 
-def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUCED,
-                      workers: int = 1) -> NielsenClassSet:
+def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
+                      mode=Mode.INNER_REDUCED) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
     The search fixes the first entry (to each class representative in raw
     mode, to each orbit minimum otherwise), walks the remaining class
-    multiset for positions 2..r-1 and solves for the last entry.  Workers
-    only partition that search; the merged, sorted result is identical for
-    every worker count.
+    multiset for positions 2..r-1 and solves for the last entry.
     """
     mode = Mode.parse(mode)
     r = cv.r
@@ -320,19 +300,11 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                     starts.append((m, group.class_index_of(m)))
         starts.sort()
 
-    def job(start) -> list[tuple]:
-        g1, cls1 = start
+    raw = []
+    for g1, cls1 in starts:
         remaining = multiset.copy()
         remaining[cls1] -= 1
-        return _complete(group, cv, members, remaining, g1)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, starts))
-    else:
-        chunks = [job(s) for s in starts]
-
-    raw = [t for chunk in chunks for t in chunk]
+        raw += _complete(group, cv, members, remaining, g1)
     if mode is Mode.RAW:
         reps = sorted(raw)
     else:
@@ -409,24 +381,6 @@ class CoverGenus:
     genus: int
 
 
-def perm_index(p: tuple[int, ...]) -> int:
-    """Degree minus number of cycles, counting fixed points as cycles.
-
-    >>> perm_index((1, 2, 0, 3))
-    2
-    """
-    seen = [False] * len(p)
-    cycles = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-    return len(p) - cycles
-
-
 def tuple_cover_genus(group: FiniteGroup, t: tuple, embedding=None) -> CoverGenus:
     """Genus of the cover with branch cycles t, via Riemann-Hurwitz:
     2(n + g - 1) = sum of indices.  Entries must act transitively.
@@ -457,9 +411,5 @@ def tuple_cover_genus(group: FiniteGroup, t: tuple, embedding=None) -> CoverGenu
         frontier = nxt
     if len(reached) != n:
         raise ValidationError("branch cycles are not transitive; the cover is disconnected")
-    indices = tuple(perm_index(p) for p in perms)
-    total = sum(indices)
-    if total % 2:
-        raise ValidationError("odd total ramification index; not a valid branch-cycle tuple")
-    genus = total // 2 - n + 1
+    indices, genus = riemann_hurwitz([cycle_type(p) for p in perms], n)
     return CoverGenus(degree=n, entry_indices=indices, genus=genus)

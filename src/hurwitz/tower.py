@@ -23,7 +23,14 @@ from itertools import combinations
 from math import gcd
 
 from .errors import BudgetError, ValidationError
-from .groups import ClassVector, FiniteGroup, VectorSemidirectGroup, dihedral
+from .groups import (
+    ClassVector,
+    FiniteGroup,
+    VectorSemidirectGroup,
+    _det_mod,
+    _smallest_prime_factor,
+    dihedral,
+)
 from .nielsen import Mode, NielsenClassSet, _reduction_orbit, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, _canonicalizer, braid_orbits
 from .geometry import GenusReport, genus_of_component
@@ -42,36 +49,11 @@ O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
 _COMPANION = ((0, -1), (1, -1))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def _int_matrix(action, t: int) -> tuple:
     rows = tuple(tuple(int(v) for v in row) for row in action)
     if len(rows) != t or any(len(r) != t for r in rows):
         raise ValidationError(f"tower action must be a {t}x{t} integer matrix")
     return rows
-
-
-def _det_mod2(m, p):
-    # determinant for small integer matrices, reduced mod p
-    n = len(m)
-    if n == 1:
-        return m[0][0] % p
-    if n == 2:
-        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_mod2(minor, p)
-    return total % p
 
 
 @dataclass(frozen=True)
@@ -91,7 +73,7 @@ class TowerSpec:
     def __post_init__(self):
         if self.family not in ("vector", "dihedral"):
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
-        if not _is_prime(self.ell):
+        if self.ell < 2 or _smallest_prime_factor(self.ell) != self.ell:
             raise ValidationError(f"tower prime expected, got {self.ell}")
         if self.family == "vector":
             if self.ell == 3:
@@ -101,7 +83,7 @@ class TowerSpec:
                 )
             action = self.action if self.action is not None else _COMPANION
             object.__setattr__(self, "action", _int_matrix(action, self.t))
-            if _det_mod2([
+            if _det_mod([
                 [(1 if i == j else 0) - self.action[i][j] for j in range(self.t)]
                 for i in range(self.t)
             ], self.ell) == 0:
@@ -400,11 +382,11 @@ class TowerLevel:
 
 
 def build_level(spec: TowerSpec, c0: ClassVector, k: int,
-                mode: Mode = Mode.INNER_REDUCED, workers: int = 1) -> TowerLevel:
+                mode: Mode = Mode.INNER_REDUCED) -> TowerLevel:
     """Construct level k: group, lifted classes, Nielsen set, braid orbits."""
     cv = lift_classes_to_level(spec, c0, k)
-    ni = enumerate_nielsen(spec.level_group(k), cv, mode, workers=workers)
-    orbits = braid_orbits(ni, workers=workers)
+    ni = enumerate_nielsen(spec.level_group(k), cv, mode)
+    orbits = braid_orbits(ni)
     return TowerLevel(spec, k, cv, ni, orbits)
 
 
@@ -449,18 +431,19 @@ class ComponentTree:
 
 
 def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
-                   mode: Mode = Mode.INNER_REDUCED,
-                   workers: int = 1) -> ComponentTree:
+                   mode: Mode = Mode.INNER_REDUCED) -> ComponentTree:
     """Levels 0..k_max and the projection edges between their braid orbits.
 
     If some level exceeds the order bound the tree is returned truncated,
     with ``truncated_at`` naming the first level that could not be built.
     """
+    if k_max < 0:
+        raise ValidationError(f"k-max must be non-negative, got {k_max}")
     levels: list[TowerLevel] = []
     truncated = None
     for k in range(k_max + 1):
         try:
-            levels.append(build_level(spec, c0, k, mode=mode, workers=workers))
+            levels.append(build_level(spec, c0, k, mode=mode))
         except BudgetError:
             truncated = k
             break
@@ -519,18 +502,11 @@ def bcl(group: FiniteGroup, cv: ClassVector) -> BCLResult:
     q = []
     for m in units:
         powered = sorted(
-            group.class_index_of(_power(group, rep, m)) for rep in cv.reps()
+            group.class_index_of(group.power(rep, m)) for rep in cv.reps()
         )
         if powered == base:
             q.append(m)
     return BCLResult(n_c=n_c, q=tuple(q), rational_union=len(q) == len(units))
-
-
-def _power(group, g, m):
-    out = group.identity
-    for _ in range(m):
-        out = group.mul(out, g)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,6 @@ def test_orbit_cap(a4_ni):
         braid_orbits(a4_ni, orbit_cap=3)
 
 
-def test_worker_count_does_not_change_orbits(a4_ni):
-    one = braid_orbits(a4_ni, workers=1)
-    four = braid_orbits(a4_ni, workers=4)
-    assert [(o.label, o.members) for o in one] == [
-        (o.label, o.members) for o in four
-    ]
-
-
 def test_unreduced_orbits_project_onto_reduced(a4, a4_cv, a4_orbits):
     inner = enumerate_nielsen(a4, a4_cv, Mode.INNER)
     unreduced = braid_orbits(inner)

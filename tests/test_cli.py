@@ -67,14 +67,6 @@ def test_json_output_is_stable(capsys):
     assert [o["size"] for o in data["orbits"]] == [6, 9]
 
 
-def test_worker_flag_does_not_change_bytes(capsys):
-    assert run(["enumerate", *A4_ARGS, "--format", "json"]) == 0
-    one = json.loads(out_of(capsys))
-    assert run(["enumerate", *A4_ARGS, "--format", "json", "--workers", "3"]) == 0
-    three = json.loads(out_of(capsys))
-    assert one["reps"] == three["reps"]
-
-
 def test_csv_is_rfc4180(capsys):
     assert run(["orbits", *A4_ARGS, "--format", "csv"]) == 0
     out = out_of(capsys)
@@ -116,10 +108,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run(["enumerate", "--config", str(cfg), "--classes", "[3a,3a,3a]"]) == 2
 
 
-def test_workers_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("HURWITZ_WORKERS", "2")
-    assert run(["enumerate", *A4_ARGS, "--format", "json"]) == 0
-    assert json.loads(out_of(capsys))["inputs"]["workers"] == 2
+@pytest.mark.parametrize("command,key", [
+    ("tower", "order_bound"), ("tower", "orbit_cap"), ("tower", "k_max"),
+    ("tower", "t"), ("tower", "ell"), ("check", "seed"), ("check", "sample_size"),
+])
+def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key):
+    base = {"family": "vector", "ell": 2} if command == "tower" else {"group": "A4"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, "classes": "[3a,3a,3b,3b]", key: "x"}))
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key.replace("_", "-") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--group", "V(2,5):M=[[1,0],[0,1]]", "--classes", "[5a,5a,5a]"],
+    ["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
+     "--k-max", "-1"],
+])
+def test_degenerate_inputs_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_lift_subcommand(capsys):
@@ -132,6 +141,31 @@ def test_lift_subcommand(capsys):
 def test_lift_base_mismatch_exits_2():
     assert run(["lift", "--group", "A5", "--classes", "[3a,3a,3a,3a]",
                 "--cover", "spin4"]) == 2
+
+
+NON_COMPANION = "V(2,5):M=[[4,-7],[3,-5]]"
+
+
+def test_lift_heis_follows_the_group_action(capsys):
+    assert run(["lift", "--group", NON_COMPANION, "--classes", "[3a,3a,3b,3b]",
+                "--cover", "heis(5)", "--format", "json"]) == 0
+    entries = json.loads(out_of(capsys))["orbit_invariants"]
+    nontrivial = [e["invariant"] for e in entries if not e["trivial"]]
+    assert len(entries) == 5
+    assert len(nontrivial) == 4 and len(set(nontrivial)) == 4
+
+
+def test_lift_cover_with_other_multiplication_exits_2(tmp_path, capsys):
+    companion = "V(2,5):M=[[0,-1],[1,-1]]"
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps({
+        "source": companion,
+        "target": companion,
+        "images": ["[1,0|0]", "[0,1|0]", "[0,0|1]"],
+    }))
+    assert run(["lift", "--group", NON_COMPANION, "--classes", "[3a,3a,3b,3b]",
+                "--cover", f"hom:{hom}"]) == 2
+    assert "cover base group does not match" in capsys.readouterr().err
 
 
 def test_lift_hom_cover(tmp_path, capsys):
@@ -168,11 +202,6 @@ def test_members_file(tmp_path, capsys):
     assert all(o["members_file"] == str(members) for o in data["orbits"])
     blob = json.loads(members.read_text())
     assert {k: len(v) for k, v in blob.items()} == {"O1": 6, "O2": 9}
-
-
-def test_worker_determinism_suite(capsys):
-    assert run(["check", "--suite", "worker-determinism", *A4_ARGS]) == 0
-    assert "all passed" in out_of(capsys)
 
 
 def test_unknown_suite_exits_2():

@@ -1,5 +1,7 @@
 """Group catalog, conjugacy data, and class-vector parsing."""
 
+import random
+
 import pytest
 
 from hurwitz.errors import BudgetError, ValidationError
@@ -143,6 +145,12 @@ def test_make_group_vector_descriptor():
     assert g.order == 75
 
 
+def test_vector_group_with_trivial_action():
+    g = make_group("V(2,5):M=[[1,0],[0,1]]")
+    assert g.complement_order == 1
+    assert g.order == 25
+
+
 def test_make_group_explicit_gens():
     g = make_group("gens:[(1,2,3),(2,3,4)]")
     assert g.order == 12  # generates A4
@@ -167,3 +175,32 @@ def test_symmetric_and_alternating_consistency():
     a4 = alternating(4)
     assert set(a4.elements) <= set(s4.elements)
     assert s4.order == 2 * a4.order
+
+
+SMALL_GROUPS = ["A4", "D7", "V(2,5):M=[[0,-1],[1,-1]]"]
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS)
+def test_early_exit_closure_decides_generation(desc):
+    g = make_group(desc)
+    half = g.order // 2
+    rng = random.Random(3)
+    seen = set()
+    for size in (1, 2, 3):
+        for _ in range(20):
+            s = rng.sample(g.elements, size)
+            early = len(g.close(s, stop_above=half)) > half
+            assert early == (len(g.close(s)) == g.order), s
+            seen.add(early)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("desc", SMALL_GROUPS)
+def test_power_matches_repeated_multiplication(desc):
+    g = make_group(desc)
+    for x in random.Random(4).sample(g.elements, 4):
+        y = g.identity
+        for m in range(2 * g.order + 1):
+            assert g.power(x, m) == y, (x, m)
+            y = g.mul(y, x)
+        assert g.power(x, -1) == g.inv(x)

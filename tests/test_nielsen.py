@@ -78,12 +78,6 @@ def test_random_nielsen_tuple_is_valid(a4, a4_cv):
         assert is_nielsen_tuple(a4, a4_cv, t)
 
 
-def test_enumeration_is_deterministic_across_workers(a4, a4_cv):
-    one = enumerate_nielsen(a4, a4_cv, Mode.INNER_REDUCED, workers=1)
-    three = enumerate_nielsen(a4, a4_cv, Mode.INNER_REDUCED, workers=3)
-    assert one.reps == three.reps
-
-
 def test_cover_genus(a4, a4_ni):
     rep = a4_ni.reps[0]
     cg = tuple_cover_genus(a4, rep)

@@ -130,17 +130,6 @@ def test_cusp_type_is_a_cusp_invariant():
                 assert got.type == base.type
 
 
-def test_worker_determinism_on_dihedral():
-    g = make_group("D7")
-    cv = parse_class_vector(g, "[2a,2a,2a,2a]")
-    a = enumerate_nielsen(g, cv, Mode.ABSOLUTE_REDUCED, workers=1)
-    b = enumerate_nielsen(g, cv, Mode.ABSOLUTE_REDUCED, workers=4)
-    assert a.reps == b.reps
-    assert [o.members for o in braid_orbits(a)] == [
-        o.members for o in braid_orbits(b, workers=4)
-    ]
-
-
 def test_bcl_powers_fix_the_class_multiset():
     for desc, classes in (("A4", "[3a,3a,3b,3b]"), ("A5", "[3a,3a,3a,3a]"),
                           ("D5", "[2a,2a,2a,2a]")):
