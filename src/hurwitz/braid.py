@@ -50,6 +50,7 @@ def apply_sh(group: FiniteGroup, t: tuple) -> tuple:
 
 
 def _canonicalizer(ni: NielsenClassSet):
+    """Canonical form on index tuples of ``ni.group.indexed()``."""
     if ni.mode is Mode.RAW:
         return lambda t: t
     action = ni.action
@@ -126,12 +127,13 @@ def braid_orbits(ni: NielsenClassSet,
     Orbits come back sorted by (size, least canonical member) and labeled
     "O1", "O2", ...; the partition does not depend on seed order.
     """
-    group = ni.group
+    ix = ni.group.indexed()
     canon = _canonicalizer(ni)
-    rep_set = set(ni.reps)
-    unseen = set(ni.reps)
+    reps = [ix.to_index(t) for t in ni.reps]
+    rep_set = set(reps)
+    unseen = set(reps)
     raw_orbits: list[frozenset] = []
-    for seed in ni.reps:
+    for seed in reps:
         if seed not in unseen:
             continue
         members = {seed}
@@ -139,7 +141,7 @@ def braid_orbits(ni: NielsenClassSet,
         while frontier:
             nxt = []
             for t in frontier:
-                for v in (canon(_qi(group, t, 2)), canon(_sh(group, t))):
+                for v in (canon(_qi(ix, t, 2)), canon(_sh(ix, t))):
                     if v not in members:
                         if v not in rep_set:
                             raise ValidationError(
@@ -155,7 +157,8 @@ def braid_orbits(ni: NielsenClassSet,
         raw_orbits.append(frozenset(members))
     raw_orbits.sort(key=lambda s: (len(s), min(s)))
     return tuple(
-        BraidOrbit(index=i + 1, label=f"O{i + 1}", members=tuple(sorted(s)), ni=ni)
+        BraidOrbit(index=i + 1, label=f"O{i + 1}",
+                   members=tuple(ix.to_data(t) for t in sorted(s)), ni=ni)
         for i, s in enumerate(raw_orbits)
     )
 
@@ -163,17 +166,18 @@ def braid_orbits(ni: NielsenClassSet,
 def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
     """gamma_infinity = q2 orbits on the braid orbit's members."""
     ni = orbit.ni
-    group = ni.group
+    ix = ni.group.indexed()
     canon = _canonicalizer(ni)
-    unseen = set(orbit.members)
+    tuples = [ix.to_index(t) for t in orbit.members]
+    unseen = set(tuples)
     raw: list[frozenset] = []
-    for seed in orbit.members:
+    for seed in tuples:
         if seed not in unseen:
             continue
         members = {seed}
         t = seed
         while True:
-            t = canon(_qi(group, t, 2))
+            t = canon(_qi(ix, t, 2))
             if t in members:
                 break
             members.add(t)
@@ -184,7 +188,7 @@ def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
         CuspOrbit(
             label="O_{%d,%d}^%d" % (orbit.index, j + 1, len(s)),
             width=len(s),
-            members=tuple(sorted(s)),
+            members=tuple(ix.to_data(t) for t in sorted(s)),
             braid_label=orbit.label,
             ni=ni,
         )
@@ -291,40 +295,44 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
             fails.append(f"R_H is not a conjugation on {t}")
     record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", fails)
 
+    ix = group.indexed()
     if r == 4:
         ni = enumerate_nielsen(group, cv, Mode.INNER_REDUCED)
-        action = ni.action
-        rc = action.reduced_canonical_tuple
+        rc = ni.action.reduced_canonical_tuple
+        reps = [(x, ix.to_index(x)) for x in ni.reps]
 
-        def gamma0(x):
-            return rc(_qi(group, _qi(group, x, 1), 2))
+        def gamma0(u):
+            return rc(_qi(ix, _qi(ix, u, 1), 2))
 
-        def gamma1(x):
-            return rc(_qi(group, _qi(group, _qi(group, x, 1), 2), 1))
+        def gamma1(u):
+            return rc(_qi(ix, _qi(ix, _qi(ix, u, 1), 2), 1))
 
-        def gammainf(x):
-            return rc(_qi(group, x, 2))
+        def gammainf(u):
+            return rc(_qi(ix, u, 2))
 
         fails = []
-        for x in ni.reps:
-            if gamma0(gamma0(gamma0(x))) != x:
+        for x, u in reps:
+            if gamma0(gamma0(gamma0(u))) != u:
                 fails.append(f"gamma0^3 != id at {x}")
         record("gamma0^3 = 1 on reduced classes", fails)
 
         fails = []
-        for x in ni.reps:
-            if gammainf(gamma1(gamma0(x))) != x:
+        for x, u in reps:
+            if gammainf(gamma1(gamma0(u))) != u:
                 fails.append(f"gamma0 gamma1 gammainf != id at {x}")
         record("gamma0 gamma1 gammainf = 1 on reduced classes", fails)
 
         fails = []
-        for x in ni.reps:
-            if rc(_sh(group, _sh(group, x))) != x:
+        for x, u in reps:
+            if rc(_sh(ix, _sh(ix, u))) != u:
                 fails.append(f"sh^2 moved reduced class {x}")
         record("sh^2 fixes reduced classes", fails)
 
     inner = enumerate_nielsen(group, cv, Mode.INNER)
-    can = inner.action.canonical_tuple
+
+    def can(t):
+        return inner.action.canonical_tuple(ix.to_index(t))
+
     fails = []
     for t in sample:
         u = t

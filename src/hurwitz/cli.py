@@ -27,7 +27,6 @@ from .lift import (
     CentralExtension,
     GroupHom,
     extend_action_to_heisenberg,
-    is_obstructed,
     lift_invariant,
     spin_cover,
 )
@@ -388,7 +387,7 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
 
 
 def _cmd_lift(cfg: dict) -> None:
-    group, cv, mode, ni, orbits = _orbit_payload(cfg)
+    group, cv, mode = _group_and_classes(cfg)
     ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"), group)
     same = ext.base.element_set == group.element_set and all(
         ext.base.mul(x, g) == group.mul(x, g) for x in group.elements for g in group.gens
@@ -398,6 +397,7 @@ def _cmd_lift(cfg: dict) -> None:
             "cover base group does not match --group "
             f"({ext.base.name} vs {group.name})"
         )
+    orbits = braid_orbits(enumerate_nielsen(group, cv, mode), orbit_cap=cfg["orbit_cap"])
     entries = []
     for o in orbits:
         inv = lift_invariant(ext, o.rep)
@@ -406,7 +406,7 @@ def _cmd_lift(cfg: dict) -> None:
             "size": o.size,
             "invariant": inv.label,
             "trivial": inv.trivial,
-            "obstructed": is_obstructed(ext, o),
+            "obstructed": not inv.trivial,
         })
     keys = _BASE_KEYS + ("cover",)
     if cfg["format"] == "json":

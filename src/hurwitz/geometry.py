@@ -38,16 +38,17 @@ def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
 
 def _gamma_maps(orbit: BraidOrbit):
     """The three induced maps on reduced canonical members, as index arrays."""
-    group = orbit.ni.group
+    ix = orbit.ni.group.indexed()
     rc = orbit.ni.action.reduced_canonical_tuple
-    idx = orbit.member_index()
+    members = [ix.to_index(t) for t in orbit.members]
+    idx = {t: i for i, t in enumerate(members)}
 
     def perm_of(word):
         out = []
-        for t in orbit.members:
+        for t in members:
             u = t
             for i in word:
-                u = _qi(group, u, i)
+                u = _qi(ix, u, i)
             out.append(idx[rc(u)])
         return tuple(out)
 
@@ -174,7 +175,7 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
     for o in orbits:
         _require_reduced_four(o, "sh_incidence")
     ni = orbits[0].ni
-    group = ni.group
+    ix = ni.group.indexed()
     rc = ni.action.reduced_canonical_tuple
 
     cusps: list[CuspOrbit] = []
@@ -184,8 +185,8 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
         cusps.extend(o.cusps())
         spans.append((start, len(cusps), o))
 
-    sets = [frozenset(c.members) for c in cusps]
-    images = [frozenset(rc(_sh(group, t)) for t in c.members) for c in cusps]
+    sets = [frozenset(ix.to_index(t) for t in c.members) for c in cusps]
+    images = [frozenset(rc(_sh(ix, t)) for t in s) for s in sets]
     size = len(cusps)
     mat = np.zeros((size, size), dtype=int)
     for i in range(size):
@@ -235,9 +236,10 @@ def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     inner_fine = _center_is_trivial(group)
 
     inner = _get_action(group, Mode.INNER, None)
+    ix = inner.group
     b_fine = True
     for t in orbit.members:
-        classes = {inner.canonical_tuple(u) for u in _reduction_orbit(group, t)}
+        classes = {inner.canonical_tuple(u) for u in _reduction_orbit(ix, ix.to_index(t))}
         if len(classes) != 4:
             b_fine = False
             break

@@ -15,6 +15,19 @@ notation, e.g. ``"(1,2,3)(4,5)"``.
 Groups at this scale (a few thousand elements, bounded by ``order_bound``)
 are enumerated completely by breadth-first closure over the generators; no
 stabiliser-chain machinery is used or needed.
+
+Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
+returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
+lookup in the Cayley table, with an inverse list and the class of every
+index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
+conjugation and element orders run on it unchanged.  The Nielsen search,
+canonical forms and braid orbits work on index tuples and convert to data
+only at their public boundary.  Index order equals data order, so the
+least index tuple of a set is the index form of its least data tuple, and
+every sorted list and label comes out as it would on data.  The view is
+built on first use, only for groups whose Nielsen classes are computed;
+a view whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
+``BudgetError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,13 +35,19 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import gcd, lcm
 
 from .errors import BudgetError, ValidationError
 
 DEFAULT_ORDER_BOUND = 10**6
+
+# Entries (n^2 for a group of order n) an indexed view's Cayley table, or
+# the index permutations of a conjugation action, may hold: about 30 MB of
+# references at the cap.  It admits order 2000, enough for SL2(9) (720) and
+# the level-1 vector tower group at ell = 5 (1875).
+TABLE_ENTRY_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +224,9 @@ class FiniteGroup:
         self._orders: dict = {}
         self._classes = None
         self._class_of = None
+        self._indexed: IndexedGroup | None = None
+        # canonical-form tables of the Nielsen layer, one per equivalence
+        self._conj_actions: dict = {}
 
     # subclasses override these three
     def mul(self, a, b):
@@ -246,6 +268,12 @@ class FiniteGroup:
         self.elements
         return g in self._index
 
+    def indexed(self) -> "IndexedGroup":
+        """The indexed view of this group, built on first use."""
+        if self._indexed is None:
+            self._indexed = IndexedGroup(self)
+        return self._indexed
+
     def close(self, seed, stop_above: int | None = None) -> set:
         """Closure of ``seed`` (plus the identity) under multiplication.
 
@@ -266,12 +294,12 @@ class FiniteGroup:
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
+                if stop_above is not None and len(seen) > stop_above:
+                    return seen
             if len(seen) > bound:
                 raise BudgetError(
                     f"group closure for {self.name} exceeded order bound {bound}"
                 )
-            if stop_above is not None and len(seen) > stop_above:
-                break
             frontier = nxt
         return seen
 
@@ -396,6 +424,98 @@ class ConjugacyClass:
     size: int
     rep: tuple
     members: frozenset
+
+
+class IndexedGroup(FiniteGroup):
+    """A group whose elements are the positions 0..n-1 of ``data.elements``.
+
+    ``table[a][b]`` is the index of ``data.mul(elements[a], elements[b])``.
+    Each row is filled along a spanning tree of the generators, so building
+    the table takes n data products per generator and n^2 lookups.
+    """
+
+    kind = "indexed"
+
+    def __init__(self, data: FiniteGroup):
+        els = data.elements
+        n = len(els)
+        if n * n > TABLE_ENTRY_CAP:
+            raise BudgetError(
+                f"multiplication table of {data.name} needs {n * n} entries,"
+                f" above the cap {TABLE_ENTRY_CAP}"
+            )
+        index = data._index
+        super().__init__((index[g] for g in data.gens), data.name, data.order_bound)
+        self.data = data
+        self.descriptor = data.descriptor
+        self._identity = index[data.identity]
+        self._elements = tuple(range(n))
+        self._index = {i: i for i in self._elements}
+        right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
+        self._tree = []
+        seen = {self._identity}
+        frontier = [self._identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k, col in enumerate(right):
+                    y = col[x]
+                    if y not in seen:
+                        seen.add(y)
+                        self._tree.append((x, k, y))
+                        nxt.append(y)
+            frontier = nxt
+        self.table = tuple(self._along_tree(a, right) for a in self._elements)
+        self.inverse = tuple(index[data.inv(g)] for g in els)
+        self._classes = tuple(
+            replace(cl, rep=index[cl.rep], members=frozenset(index[g] for g in cl.members))
+            for cl in data.conjugacy_classes()
+        )
+        self._class_of = [data._class_of[g] for g in els]
+        self._orders = {index[g]: d for g, d in data._orders.items()}
+
+    def _along_tree(self, start: int, cols) -> tuple:
+        """The map f with f(identity) = start and f(x * gens[k]) = cols[k][f(x)]."""
+        out = [0] * len(self._elements)
+        out[self._identity] = start
+        for x, k, y in self._tree:
+            out[y] = cols[k][out[x]]
+        return tuple(out)
+
+    def automorphism(self, images) -> tuple:
+        """The index permutation of the automorphism sending gens[k] to images[k]."""
+        table = self.table
+        return self._along_tree(
+            self._identity, [tuple(row[h] for row in table) for h in images]
+        )
+
+    def mul(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self.inverse[a]
+
+    @property
+    def identity(self):
+        return self._identity
+
+    def to_index(self, t) -> tuple:
+        """Index tuple of a tuple of data elements (KeyError for non-members)."""
+        index = self.data._index
+        return tuple(index[g] for g in t)
+
+    def to_data(self, t) -> tuple:
+        els = self.data.elements
+        return tuple(els[i] for i in t)
+
+    def format(self, g):
+        return self.data.format(self.data.elements[g])
+
+    def parse(self, text):
+        g = self.data.parse(text)
+        if g not in self.data:
+            raise ValidationError(f"element {text!r} is not in {self.name}")
+        return self.data._index[g]
 
 
 class PermutationGroup(FiniteGroup):

@@ -22,6 +22,10 @@ conjugation acts entrywise, the least conjugate can be found by moving the
 first entry to the least element of its orbit and then minimising over the
 stabilizer of that element; the tables for this are precomputed once per
 (group, equivalence) pair.
+
+The search and the canonical forms run on index tuples of the group's
+indexed view (see the groups module), whose order is the data order; the
+public functions here take and return tuples of element data.
 """
 
 from __future__ import annotations
@@ -31,8 +35,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ValidationError
-from .groups import ClassVector, FiniteGroup, cycle_type, normalizer_in_sym, riemann_hurwitz
+from .errors import BudgetError, ValidationError
+from .groups import (
+    TABLE_ENTRY_CAP,
+    ClassVector,
+    FiniteGroup,
+    IndexedGroup,
+    cycle_type,
+    normalizer_in_sym,
+    riemann_hurwitz,
+)
 
 
 class Mode(Enum):
@@ -74,7 +86,8 @@ class Mode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# braid moves on plain tuples (re-exported with public names in braid.py)
+# braid moves on tuples of data or of indices: ``group`` may be a data group
+# or its indexed view (re-exported with public names in braid.py)
 
 
 def _qi(group: FiniteGroup, t: tuple, i: int) -> tuple:
@@ -113,28 +126,25 @@ def _reduction_orbit(group: FiniteGroup, t: tuple) -> list[tuple]:
 
 @dataclass
 class ConjAction:
-    """Precomputed conjugation tables: for each group element, the least
-    element of its orbit under the acting set, one transporter to it, and the
-    stabilizer of each orbit minimum."""
+    """Simultaneous conjugation on index tuples of an indexed view.
 
-    group: FiniteGroup
+    Every acting element is stored as the index permutation it induces.
+    For each element, ``orbit_min`` is the least element of its orbit and
+    ``transporter`` a permutation moving it there; ``stabilizer`` maps each
+    orbit minimum to the non-identity permutations fixing it.
+    """
+
+    group: IndexedGroup
     kind: str
-    orbit_min: dict = field(repr=False)
-    transporter: dict = field(repr=False)
+    orbit_min: tuple = field(repr=False)
+    transporter: tuple = field(repr=False)
     stabilizer: dict = field(repr=False)
 
     def canonical_tuple(self, t: tuple) -> tuple:
-        group = self.group
-        mul = group.mul
-        a = self.transporter[t[0]]
-        ainv = group.inv(a)
-        base = tuple(mul(mul(ainv, g), a) for g in t)
-        best = base
+        p = self.transporter[t[0]]
+        best = base = tuple(map(p.__getitem__, t))
         for z in self.stabilizer[base[0]]:
-            if z == group.identity:
-                continue
-            zinv = group.inv(z)
-            cand = tuple(mul(mul(zinv, g), z) for g in base)
+            cand = tuple(map(z.__getitem__, base))
             if cand < best:
                 best = cand
         return best
@@ -144,51 +154,47 @@ class ConjAction:
 
 
 def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> ConjAction:
+    """Inner mode acts by G itself, absolute mode by the Sym(n)-normalizer;
+    either way each acting element becomes the index permutation of G that
+    it induces, extended over G from its images of G's generators."""
     if kind == "inner":
-        gens = group.gens
         acting = group.elements
     elif kind == "absolute":
-        norm = normalizer_in_sym(group, cv)
-        acting = norm.elements
-        gens = acting
+        acting = normalizer_in_sym(group, cv).elements
     else:
         raise ValidationError(f"no conjugation action of kind {kind!r}")
-    conj, mul, inv = group.conj, group.mul, group.inv
-    orbit_min: dict = {}
+    ix = group.indexed()
+    n = ix.order
+    if len(acting) * n > TABLE_ENTRY_CAP:
+        raise BudgetError(
+            f"{kind} conjugation tables of {group.name} need {len(acting) * n}"
+            f" entries, above the cap {TABLE_ENTRY_CAP}"
+        )
+    index = group._index
+    perms = sorted({
+        ix.automorphism([index[group.conj(g, a)] for g in group.gens])
+        for a in acting
+    })
+    identity = tuple(range(n))
+    orbit_min = tuple(map(min, zip(*perms)))
     transporter: dict = {}
-    stabilizer: dict = {}
-    for x in group.elements:
-        if x in orbit_min:
-            continue
-        trans = {x: group.identity}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                ty = trans[y]
-                for a in gens:
-                    z = conj(y, a)
-                    if z not in trans:
-                        trans[z] = mul(ty, a)
-                        nxt.append(z)
-            frontier = nxt
-        m = min(trans)
-        tm = trans[m]
-        for y, ty in trans.items():
-            orbit_min[y] = m
-            transporter[y] = mul(inv(ty), tm)
-        stabilizer[m] = tuple(a for a in acting if conj(m, a) == m)
-    return ConjAction(group, kind, orbit_min, transporter, stabilizer)
+    for p in perms:
+        for y in range(n):
+            if p[y] == orbit_min[y]:
+                transporter.setdefault(y, p)
+    stabilizer = {
+        m: tuple(p for p in perms if p[m] == m and p != identity)
+        for m in set(orbit_min)
+    }
+    return ConjAction(ix, kind, orbit_min, tuple(transporter[y] for y in range(n)),
+                      stabilizer)
 
 
 def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjAction | None:
     if mode is Mode.RAW:
         return None
-    cache = getattr(group, "_conj_action_cache", None)
-    if cache is None:
-        cache = {}
-        group._conj_action_cache = cache
     key = (mode.conjugation, cv.indices if mode.conjugation == "absolute" else None)
+    cache = group._conj_actions
     if key not in cache:
         if mode.conjugation == "absolute" and cv is None:
             raise ValidationError("absolute equivalence needs the class vector")
@@ -202,9 +208,11 @@ def canonicalize(group: FiniteGroup, t: tuple, mode, cv: ClassVector | None = No
     if mode is Mode.RAW:
         return tuple(t)
     action = _get_action(group, mode, cv)
+    ix = action.group
+    u = ix.to_index(t)
     if mode.reduced:
-        return action.reduced_canonical_tuple(tuple(t))
-    return action.canonical_tuple(tuple(t))
+        return ix.to_data(action.reduced_canonical_tuple(u))
+    return ix.to_data(action.canonical_tuple(u))
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +225,39 @@ def _generates(group: FiniteGroup, elems) -> bool:
     return len(group.close(elems, stop_above=half)) > half
 
 
+def _product(ix: IndexedGroup, t) -> int:
+    table = ix.table
+    prod = ix.identity
+    for g in t:
+        prod = table[prod][g]
+    return prod
+
+
 def is_nielsen_tuple(group: FiniteGroup, cv: ClassVector, t: tuple) -> bool:
     """Product-one, class multiset equals C, and the entries generate."""
     if len(t) != cv.r:
         return False
-    prod = group.identity
-    for g in t:
-        prod = group.mul(prod, g)
-    if prod != group.identity:
-        return False
-    group.conjugacy_classes()
+    ix = group.indexed()
     try:
-        got = Counter(group.class_index_of(g) for g in t)
-    except ValidationError:
+        u = ix.to_index(t)
+    except KeyError:
         return False
-    if got != Counter(cv.indices):
+    if _product(ix, u) != ix.identity:
         return False
-    return _generates(group, t)
+    if Counter(ix._class_of[g] for g in u) != Counter(cv.indices):
+        return False
+    return _generates(ix, u)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+# Most search nodes ``enumerate_nielsen`` will predict and still run: the
+# predicted count bounds the tuples the search reaches before solving for
+# the last entry.  The largest case in the tests and the benchmark, raw mode
+# on V(2,5), predicts 125,000; the level-1 vector tower group at ell = 5
+# predicts 3.1 million.
+SEARCH_NODE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -266,84 +286,78 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
                       mode=Mode.INNER_REDUCED) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
-    The search fixes the first entry (to each class representative in raw
-    mode, to each orbit minimum otherwise), walks the remaining class
-    multiset for positions 2..r-1 and solves for the last entry.
+    The search fixes the first entry (to each class member in raw mode, to
+    each orbit minimum otherwise), walks the remaining class multiset for
+    positions 2..r-1 and solves for the last entry.  Generation is tested
+    once per canonical form (inner classes in raw mode).  Before the
+    search, ``len(starts) * w**(r-2)``, with w the number of elements in the
+    classes of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP``
+    it raises ``BudgetError``.
     """
     mode = Mode.parse(mode)
     r = cv.r
     if r < 3:
         raise ValidationError("Nielsen classes need at least 3 branch points")
-    classes = group.conjugacy_classes()
+    ix = group.indexed()
+    classes = ix.conjugacy_classes()
     support = sorted(set(cv.indices))
-    union = set()
-    for i in support:
-        union |= classes[i].members
-    if not _generates(group, union):
+    members = {i: sorted(classes[i].members) for i in support}
+    if not _generates(ix, [g for i in support for g in members[i]]):
         raise ValidationError(
             f"classes {cv} do not generate {group.name}; the Nielsen class is undefined"
         )
     action = _get_action(group, mode, cv)
-    multiset = Counter(cv.indices)
-    members = {i: sorted(classes[i].members) for i in support}
-
     if mode is Mode.RAW:
-        starts = [(g, i) for i in support for g in members[i]]
+        starts = [g for i in support for g in members[i]]
     else:
-        seen_min = set()
-        starts = []
-        for i in support:
-            for g in members[i]:
-                m = action.orbit_min[g]
-                if m not in seen_min:
-                    seen_min.add(m)
-                    starts.append((m, group.class_index_of(m)))
-        starts.sort()
+        starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
+    width = sum(len(m) for m in members.values())
+    if len(starts) * width ** (r - 2) > SEARCH_NODE_CAP:
+        raise BudgetError(
+            f"Nielsen search for {cv} in {group.name} ({len(starts)} starts,"
+            f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
+        )
 
-    raw = []
-    for g1, cls1 in starts:
-        remaining = multiset.copy()
-        remaining[cls1] -= 1
-        raw += _complete(group, cv, members, remaining, g1)
-    if mode is Mode.RAW:
-        reps = sorted(raw)
-    else:
-        unreduced = {action.canonical_tuple(t) for t in raw}
-        if mode.reduced and r == 4:
-            reps = sorted({action.reduced_canonical_tuple(t) for t in unreduced})
-        else:
-            reps = sorted(unreduced)
-    return NielsenClassSet(group, cv, mode, tuple(reps), action)
+    # conjugation preserves generation, so raw mode keys it by inner class
+    key = (action or _get_action(group, Mode.INNER, cv)).canonical_tuple
+    generates: dict = {}
+    found = set()
+    for g1 in starts:
+        remaining = Counter(cv.indices)
+        remaining[ix._class_of[g1]] -= 1
+        for t in _complete(ix, r, members, remaining, g1):
+            c = key(t)
+            ok = generates.get(c)
+            if ok is None:
+                ok = generates[c] = _generates(ix, c)
+            if ok:
+                found.add(t if action is None else c)
+    if mode.reduced and r == 4:
+        found = {action.reduced_canonical_tuple(t) for t in found}
+    reps = tuple(ix.to_data(t) for t in sorted(found))
+    return NielsenClassSet(group, cv, mode, reps, action)
 
 
-def _complete(group, cv, members, remaining, g1) -> list[tuple]:
-    r = cv.r
-    mul, inv = group.mul, group.inv
-    class_of = group._class_of
+def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int) -> list[tuple]:
+    """Product-one tuples (g1, ..., g_r) whose later entries use up the class
+    multiset ``remaining``, by depth-first search on an explicit stack."""
+    table, inverse, class_of = ix.table, ix.inverse, ix._class_of
     out: list[tuple] = []
-    stack = [g1]
-
-    def rec(prod):
-        if len(stack) == r - 1:
-            last = inv(prod)
-            i = class_of.get(last)
-            if i is not None and remaining.get(i, 0) == 1:
-                stack.append(last)
-                if _generates(group, stack):
-                    out.append(tuple(stack))
-                stack.pop()
-            return
-        for i in sorted(remaining):
-            if remaining[i] == 0:
-                continue
-            remaining[i] -= 1
-            for g in members[i]:
-                stack.append(g)
-                rec(mul(prod, g))
-                stack.pop()
-            remaining[i] += 1
-
-    rec(g1)
+    stack = [((g1,), g1, remaining)]
+    while stack:
+        prefix, prod, left = stack.pop()
+        if len(prefix) == r - 1:
+            last = inverse[prod]
+            if left.get(class_of[last]) == 1:
+                out.append(prefix + (last,))
+            continue
+        row = table[prod]
+        for i in sorted(left, reverse=True):
+            if left[i]:
+                rest = dict(left)
+                rest[i] -= 1
+                for g in reversed(members[i]):
+                    stack.append((prefix + (g,), row[g], rest))
     return out
 
 
@@ -352,21 +366,19 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
     """A uniform-ish random member of the raw Nielsen class, for property
     checks.  Draws the first r-1 entries from a shuffled class assignment and
     keeps the draw when the forced last entry fits and the tuple generates."""
-    classes = group.conjugacy_classes()
+    ix = group.indexed()
+    classes = ix.conjugacy_classes()
     members = {i: sorted(classes[i].members) for i in set(cv.indices)}
     idx = list(cv.indices)
     for _ in range(max_tries):
         rng.shuffle(idx)
         t = [rng.choice(members[i]) for i in idx[:-1]]
-        prod = group.identity
-        for g in t:
-            prod = group.mul(prod, g)
-        last = group.inv(prod)
-        if group._class_of.get(last) != idx[-1]:
+        last = ix.inverse[_product(ix, t)]
+        if ix._class_of[last] != idx[-1]:
             continue
         t.append(last)
-        if _generates(group, t):
-            return tuple(t)
+        if _generates(ix, t):
+            return ix.to_data(t)
     raise ValidationError(f"no Nielsen tuple found for {cv} after {max_tries} tries")
 
 

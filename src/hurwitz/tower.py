@@ -18,7 +18,7 @@ reports repeat that reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -62,13 +62,17 @@ class TowerSpec:
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: the order-3 companion matrix of x^2 + x + 1),
-    or "dihedral" for D_(l^(k+1)).
+    or "dihedral" for D_(l^(k+1)).  Level groups and projections are built
+    on first use and kept by the spec.
     """
 
     family: str
     ell: int
     t: int = 2
     action: tuple | None = None
+    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _projections: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
 
     def __post_init__(self):
         if self.family not in ("vector", "dihedral"):
@@ -101,7 +105,7 @@ class TowerSpec:
         return self.ell ** (k + 1)
 
     def level_group(self, k: int) -> FiniteGroup:
-        cache = _LEVEL_CACHE.setdefault(self, {})
+        cache = self._levels
         if k not in cache:
             m = self.modulus(k)
             if self.family == "vector":
@@ -135,7 +139,7 @@ class TowerSpec:
         """The level-k to level-(k-1) reduction homomorphism (k >= 1)."""
         if k < 1:
             raise ValidationError("projection needs k >= 1")
-        cache = _PROJ_CACHE.setdefault(self, {})
+        cache = self._projections
         if k not in cache:
             src = self.level_group(k)
             tgt = self.level_group(k - 1)
@@ -151,10 +155,6 @@ class TowerSpec:
             "t": self.t,
             "action": [list(r) for r in self.action] if self.action else None,
         }
-
-
-_LEVEL_CACHE: dict = {}
-_PROJ_CACHE: dict = {}
 
 
 def _project_element(spec: TowerSpec, k: int, g):
@@ -259,8 +259,8 @@ def _subgroup_order_prime_to(group, gens, ell) -> bool:
 
 def cusp_type(c: CuspOrbit, ell: int, hm_cap: int | None = None) -> CuspClassification:
     """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
-    group = c.ni.group
-    rep = c.rep
+    ix = c.ni.group.indexed()
+    rep = ix.to_index(c.rep)
     r = len(rep)
 
     searched_all = True
@@ -269,8 +269,9 @@ def cusp_type(c: CuspOrbit, ell: int, hm_cap: int | None = None) -> CuspClassifi
     members = c.members if hm_cap is None else c.members[:hm_cap]
     searched_all = len(members) == len(c.members)
     for t in members:
-        hm = hm or _class_has_hm(group, t)
-        dbl = dbl or _class_has_double_identity(group, t)
+        u = ix.to_index(t)
+        hm = hm or _class_has_hm(ix, u)
+        dbl = dbl or _class_has_double_identity(ix, u)
         if hm and dbl:
             break
     hm_flag: object = hm
@@ -280,16 +281,16 @@ def cusp_type(c: CuspOrbit, ell: int, hm_cap: int | None = None) -> CuspClassifi
     if r == 4:
         g1, g2, g3, g4 = rep
         if (
-            _subgroup_order_prime_to(group, (g1, g4), ell)
-            and _subgroup_order_prime_to(group, (g2, g3), ell)
+            _subgroup_order_prime_to(ix, (g1, g4), ell)
+            and _subgroup_order_prime_to(ix, (g2, g3), ell)
         ):
             kind = "g-ell-prime"
-        elif group.element_order(group.mul(g2, g3)) % ell != 0:
+        elif ix.element_order(ix.mul(g2, g3)) % ell != 0:
             kind = "o-ell-prime"
         else:
             kind = "ell-cusp"
     else:
-        kind = "g-ell-prime" if _gl_prime_partition(group, rep, ell) else "unclassified"
+        kind = "g-ell-prime" if _gl_prime_partition(ix, rep, ell) else "unclassified"
     return CuspClassification(type=kind, hm=hm_flag, double_identity=dbl)
 
 
@@ -454,12 +455,14 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
     for child_level in levels[1:]:
         parent_level = levels[child_level.k - 1]
         canon = _canonicalizer(parent_level.ni)
+        ix = parent_level.group.indexed()
         owner = {}
         for o in parent_level.orbits:
             for t in o.members:
                 owner[t] = o.label
         for o in child_level.orbits:
-            image = canon(project_tuple(spec, child_level.k, o.rep))
+            down = ix.to_index(project_tuple(spec, child_level.k, o.rep))
+            image = ix.to_data(canon(down))
             if image not in owner:
                 raise ValidationError(
                     "projected orbit representative missed every lower orbit"
@@ -539,7 +542,11 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
     abs_mode = Mode.ABSOLUTE_REDUCED if reduced else Mode.ABSOLUTE
     ni_in = enumerate_nielsen(group, cv, inner_mode)
     ni_abs = enumerate_nielsen(group, cv, abs_mode)
-    abs_canon = _canonicalizer(ni_abs)
+    ix = group.indexed()
+    canon = _canonicalizer(ni_abs)
+
+    def abs_canon(t):
+        return ix.to_data(canon(ix.to_index(t)))
 
     # class-level fibers: how many inner classes collapse to each absolute one
     coarse: dict[tuple, int] = {}

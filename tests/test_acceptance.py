@@ -158,7 +158,10 @@ def test_vector_level0_components(ell):
     assert time.monotonic() - start < 60.0
 
 
-@pytest.mark.parametrize("ell,genus", [(5, 0), (7, 0), (11, 1), (13, 0)])
+@pytest.mark.parametrize("ell,genus", [
+    (5, 0), (7, 0), (11, 1), (13, 0), (17, 1), (19, 1), (23, 2), (29, 2),
+    (31, 2), (37, 2),
+])
 def test_dihedral_components_match_modular_curves(ell, genus):
     start = time.monotonic()
     g = make_group(f"D{ell}")

@@ -54,6 +54,12 @@ def test_order_bound_exits_3():
                 "--order-bound", "50"]) == 3
 
 
+def test_search_budget_exits_3(capsys):
+    assert run(["enumerate", "--group", "A4", "--classes", "[3ax2000]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
 def test_json_output_is_stable(capsys):
     args = ["orbits", *A4_ARGS, "--format", "json"]
     assert run(args) == 0
@@ -166,6 +172,38 @@ def test_lift_cover_with_other_multiplication_exits_2(tmp_path, capsys):
     assert run(["lift", "--group", NON_COMPANION, "--classes", "[3a,3a,3b,3b]",
                 "--cover", f"hom:{hom}"]) == 2
     assert "cover base group does not match" in capsys.readouterr().err
+
+
+def test_lift_checks_the_cover_before_the_search(tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("enumerate_nielsen ran before the cover check")
+
+    monkeypatch.setattr("hurwitz.cli.enumerate_nielsen", no_search)
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps({
+        "source": "V(2,5):M=[[0,-1],[1,-1]]",
+        "target": "V(2,5):M=[[0,-1],[1,-1]]",
+        "images": ["[1,0|0]", "[0,1|0]", "[0,0|1]"],
+    }))
+    assert run(["lift", "--group", NON_COMPANION, "--classes", "[3a,3a,3b,3b]",
+                "--cover", f"hom:{hom}"]) == 2
+
+
+def test_lift_computes_each_invariant_once(monkeypatch, capsys):
+    import hurwitz.lift
+
+    calls = []
+    original = hurwitz.lift.lift_invariant
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("hurwitz.lift.lift_invariant", counted)
+    monkeypatch.setattr("hurwitz.cli.lift_invariant", counted)
+    assert run(["lift", *A4_ARGS, "--cover", "spin4"]) == 0
+    assert "O1 (size 6)" in out_of(capsys)
+    assert len(calls) == 2
 
 
 def test_lift_hom_cover(tmp_path, capsys):

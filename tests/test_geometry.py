@@ -38,7 +38,7 @@ def dihedral_component(ell):
     return g, orbits[0]
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_dihedral_matches_gamma0(ell):
     index, genus, nu2, nu3 = gamma0_oracle(ell)
     _, orbit = dihedral_component(ell)

@@ -6,6 +6,7 @@ import pytest
 
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
+    TABLE_ENTRY_CAP,
     Sl2Group,
     VectorSemidirectGroup,
     alternating,
@@ -20,6 +21,7 @@ from hurwitz.groups import (
     perm_mul,
     symmetric,
 )
+from hurwitz.lift import extend_action_to_heisenberg
 
 
 def sl2_order(m):
@@ -204,3 +206,41 @@ def test_power_matches_repeated_multiplication(desc):
             assert g.power(x, m) == y, (x, m)
             y = g.mul(y, x)
         assert g.power(x, -1) == g.inv(x)
+
+
+def _table_group(desc):
+    if desc == "Heis(5):3":
+        return extend_action_to_heisenberg(5, ((0, -1), (1, -1))).cover
+    return make_group(desc)
+
+
+@pytest.mark.parametrize(
+    "desc", ["A4", "D7", "SL2(3)", "Heis(3)", "V(2,5):M=[[0,-1],[1,-1]]", "Heis(5):3"]
+)
+def test_indexed_view_matches_data_arithmetic(desc):
+    g = _table_group(desc)
+    ix = g.indexed()
+    els = g.elements
+    index = {x: i for i, x in enumerate(els)}
+    assert ix.elements == tuple(range(g.order))
+    assert ix.identity == index[g.identity]
+    assert ix.gens == tuple(index[x] for x in g.gens)
+    for i, a in enumerate(els):
+        assert ix.table[i] == tuple(index[g.mul(a, b)] for b in els)
+        assert ix.inverse[i] == index[g.inv(a)]
+        assert ix.class_index_of(i) == g.class_index_of(a)
+    assert [(c.label, c.size, els[c.rep]) for c in ix.conjugacy_classes()] == [
+        (c.label, c.size, c.rep) for c in g.conjugacy_classes()
+    ]
+    assert g.indexed() is ix
+    last = g.order - 1
+    assert ix.format(last) == g.format(els[last])
+    if desc != "Heis(5):3":  # the semidirect kind has no parser
+        assert ix.parse(g.format(els[last])) == last
+
+
+def test_indexed_view_refuses_tables_above_the_cap():
+    s7 = make_group("S7")
+    assert s7.order ** 2 > TABLE_ENTRY_CAP
+    with pytest.raises(BudgetError):
+        s7.indexed()

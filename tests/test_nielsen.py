@@ -6,6 +6,7 @@ from hurwitz.errors import ValidationError
 from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.nielsen import (
     Mode,
+    _reduction_orbit,
     canonicalize,
     enumerate_nielsen,
     is_nielsen_tuple,
@@ -91,3 +92,30 @@ def test_to_dict_shape(a4_ni):
     assert d["count"] == 15
     assert d["mode"] == "inner-reduced"
     assert len(d["reps"]) == 15
+
+
+@pytest.mark.parametrize("desc,classes", [
+    ("A4", "[3a,3a,3b,3b]"),
+    ("D7", "[2a,2a,2a,2a]"),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]"),
+])
+def test_counting_identities(desc, classes):
+    g = make_group(desc)
+    cv = parse_class_vector(g, classes)
+    raw = enumerate_nielsen(g, cv, Mode.RAW).count
+    inner = enumerate_nielsen(g, cv, Mode.INNER).count
+    reduced = enumerate_nielsen(g, cv, Mode.INNER_REDUCED)
+    center = [a for a in g.elements if all(g.mul(a, x) == g.mul(x, a) for x in g.gens)]
+    # a generating tuple's centralizer is Z(G)
+    assert raw == inner * (g.order // len(center))
+    # each reduced class is the union of its reduction orbit's inner classes
+    assert inner == sum(
+        len({canonicalize(g, u, Mode.INNER, cv) for u in _reduction_orbit(g, t)})
+        for t in reduced.reps
+    )
+
+
+def test_search_is_iterative_on_long_tuples():
+    s2 = make_group("S2")
+    cv = parse_class_vector(s2, "[2ax1200]")
+    assert enumerate_nielsen(s2, cv, Mode.INNER).count == 1

@@ -40,6 +40,14 @@ def test_level_groups_vector():
     assert spec.modulus(1) == 4
 
 
+def test_each_spec_keeps_its_own_levels():
+    a, b = TowerSpec("vector", 2), TowerSpec("vector", 2)
+    assert a == b and hash(a) == hash(b)
+    assert a.level_group(1) is a.level_group(1)
+    assert a.projection(1) is a.projection(1)
+    assert a.level_group(1) is not b.level_group(1)
+
+
 def test_level_groups_dihedral():
     spec = TowerSpec("dihedral", 5)
     assert spec.level_group(0).order == 10
