@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
 from .braid import BraidOrbit, CuspOrbit
@@ -115,14 +113,14 @@ def genus_of_component(orbit: BraidOrbit) -> GenusReport:
 class ShIncidenceBlock:
     orbit_label: str
     cusp_labels: tuple[str, ...]
-    matrix: np.ndarray = field(compare=False)
+    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
     genus_report: GenusReport
 
     def to_dict(self) -> dict:
         return {
             "orbit": self.orbit_label,
             "cusps": list(self.cusp_labels),
-            "matrix": self.matrix.tolist(),
+            "matrix": [list(row) for row in self.matrix],
             "genus_report": self.genus_report.to_dict(),
         }
 
@@ -130,7 +128,7 @@ class ShIncidenceBlock:
 @dataclass(frozen=True)
 class ShIncidence:
     cusp_labels: tuple[str, ...]
-    matrix: np.ndarray = field(compare=False)
+    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
     blocks: tuple[ShIncidenceBlock, ...]
 
     def to_dict(self) -> dict:
@@ -146,7 +144,7 @@ class ShIncidence:
             )
             labels = block.cusp_labels
             width = max(len(s) for s in labels)
-            cells = [max(len(str(v)) for v in col) for col in block.matrix.T]
+            cells = [max(len(str(v)) for v in col) for col in zip(*block.matrix)]
             cells = [max(w, len(labels[j])) for j, w in enumerate(cells)]
             head = " " * width + "  " + "  ".join(
                 labels[j].rjust(cells[j]) for j in range(len(labels))
@@ -154,7 +152,7 @@ class ShIncidence:
             lines.append(head)
             for i, lab in enumerate(labels):
                 row = "  ".join(
-                    str(block.matrix[i, j]).rjust(cells[j]) for j in range(len(labels))
+                    str(block.matrix[i][j]).rjust(cells[j]) for j in range(len(labels))
                 )
                 lines.append(lab.ljust(width) + "  " + row)
             lines.append("")
@@ -163,7 +161,7 @@ class ShIncidence:
     def to_rows(self) -> list[list]:
         rows = [["cusp", *self.cusp_labels]]
         for i, lab in enumerate(self.cusp_labels):
-            rows.append([lab, *(int(v) for v in self.matrix[i])])
+            rows.append([lab, *self.matrix[i]])
         return rows
 
 
@@ -187,17 +185,13 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
 
     sets = [frozenset(ix.to_index(t) for t in c.members) for c in cusps]
     images = [frozenset(rc(_sh(ix, t)) for t in s) for s in sets]
-    size = len(cusps)
-    mat = np.zeros((size, size), dtype=int)
-    for i in range(size):
-        for j in range(size):
-            mat[i, j] = len(sets[i] & images[j])
+    mat = tuple(tuple(len(a & b) for b in images) for a in sets)
 
     blocks = tuple(
         ShIncidenceBlock(
             orbit_label=o.label,
             cusp_labels=tuple(c.label for c in cusps[a:b]),
-            matrix=mat[a:b, a:b].copy(),
+            matrix=tuple(row[a:b] for row in mat[a:b]),
             genus_report=genus_of_component(o),
         )
         for a, b, o in spans

@@ -71,7 +71,7 @@ def perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     >>> perm_mul(a, b)   # 0 -> 1 -> 2
     (2, 0, 1)
     """
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -955,12 +955,29 @@ def dihedral(n: int, **kw) -> PermutationGroup:
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((-i) % n for i in range(n))
     g = PermutationGroup([rot, refl], n, f"D{n}", **kw)
-    affine = [rot]
-    for a in range(2, n):
-        if gcd(a, n) == 1:
-            affine.append(tuple((a * i) % n for i in range(n)))
-    g.sym_normalizer_gens = affine
+    g.sym_normalizer_gens = [rot] + [tuple((a * i) % n for i in range(n))
+                                     for a in _unit_generators(n)]
     return g
+
+
+def _unit_generators(n: int) -> list[int]:
+    """Greedy generators of (Z/n)^*: each step adds the least unit that
+    enlarges the generated subgroup most, so a cyclic group gets one
+    primitive root.  A unit a is closed as diag(a, 1/a) in SL2(Z/n)."""
+    sl2 = Sl2Group(n)
+    diag = {a: (a, 0, 0, pow(a, -1, n)) for a in range(2, n) if gcd(a, n) == 1}
+    gens, sub = [], {sl2.identity}
+    while len(sub) <= len(diag):
+        best = sub
+        for a in diag:
+            span = sl2.close([diag[b] for b in gens] + [diag[a]])
+            if len(span) > len(best):
+                best, pick = span, a
+                if len(best) > len(diag):
+                    break
+        gens.append(pick)
+        sub = best
+    return gens
 
 
 _DESCRIPTOR_RES = [
@@ -1049,23 +1066,33 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
         raise ValidationError("normalizer_in_sym needs a permutation group")
     n = group.degree
     if group.sym_normalizer_gens is not None:
-        ambient = PermutationGroup(group.sym_normalizer_gens, n, f"N({group.name})")
-        candidates = ambient.elements
+        good = PermutationGroup(catalog_normalizer_gens(group), n, f"N({group.name})").elements
     elif n <= brute_force_limit:
-        candidates = [tuple(p) for p in itertools.permutations(range(n))]
+        good = [s for s in itertools.permutations(range(n)) if _normalizes(group, s)]
     else:
         raise BudgetError(
             f"no catalog normalizer for {group.name} and degree {n} exceeds "
             f"brute-force limit {brute_force_limit}"
         )
-    els = group.element_set
-    good = [s for s in candidates if all(group.conj(g, s) in els for g in group.gens)]
     if cv is not None:
         good = [s for s in good if _preserves_class_multiset(group, cv, s)]
     result = PermutationGroup(tuple(good), n, f"N_Sym({group.name})")
     result._elements = tuple(sorted(good))
     result._index = {g: i for i, g in enumerate(result._elements)}
     return result
+
+
+def catalog_normalizer_gens(group: PermutationGroup) -> list:
+    """The catalog generators of the Sym(n)-normalizer, each checked once."""
+    for s in group.sym_normalizer_gens:
+        if not _normalizes(group, s):
+            raise ValidationError(f"catalog generator {format_perm(s)} does not"
+                                  f" normalize {group.name}")
+    return group.sym_normalizer_gens
+
+
+def _normalizes(group: PermutationGroup, s) -> bool:
+    return all(group.conj(g, s) in group for g in group.gens)
 
 
 def _preserves_class_multiset(group: PermutationGroup, cv: ClassVector, s) -> bool:

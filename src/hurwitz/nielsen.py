@@ -41,6 +41,8 @@ from .groups import (
     ClassVector,
     FiniteGroup,
     IndexedGroup,
+    PermutationGroup,
+    catalog_normalizer_gens,
     cycle_type,
     normalizer_in_sym,
     riemann_hurwitz,
@@ -143,7 +145,12 @@ class ConjAction:
     def canonical_tuple(self, t: tuple) -> tuple:
         p = self.transporter[t[0]]
         best = base = tuple(map(p.__getitem__, t))
+        if len(base) < 2:
+            return base
         for z in self.stabilizer[base[0]]:
+            # z fixes base[0], so a larger second entry cannot win
+            if z[base[1]] > best[1]:
+                continue
             cand = tuple(map(z.__getitem__, base))
             if cand < best:
                 best = cand
@@ -154,27 +161,41 @@ class ConjAction:
 
 
 def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> ConjAction:
-    """Inner mode acts by G itself, absolute mode by the Sym(n)-normalizer;
-    either way each acting element becomes the index permutation of G that
-    it induces, extended over G from its images of G's generators."""
+    """Inner mode acts by G itself, absolute mode by the Sym(n)-normalizer
+    of (G, C), each acting element as the index permutation of G it induces.
+    The permutations of G's generators, or of the catalog normalizer
+    generators, are closed by ``FiniteGroup.close``, which stops past
+    ``TABLE_ENTRY_CAP // |G|`` of them; a brute-force normalizer comes
+    closed.  Absolute mode keeps those fixing the class multiset of C."""
+    closed = kind == "absolute" and group.sym_normalizer_gens is None
     if kind == "inner":
-        acting = group.elements
+        acting = group.gens
     elif kind == "absolute":
-        acting = normalizer_in_sym(group, cv).elements
+        acting = normalizer_in_sym(group).elements if closed else catalog_normalizer_gens(group)
     else:
         raise ValidationError(f"no conjugation action of kind {kind!r}")
     ix = group.indexed()
     n = ix.order
-    if len(acting) * n > TABLE_ENTRY_CAP:
+    cap = TABLE_ENTRY_CAP // n
+    perms: set = set()
+    if len(acting) <= cap:
+        index = group._index
+        perms = {
+            ix.automorphism([index[group.conj(g, a)] for g in group.gens])
+            for a in acting
+        }
+        if not closed:
+            perms = PermutationGroup((), n, group.name).close(perms, stop_above=cap)
+    if len(acting) > cap or len(perms) > cap:
         raise BudgetError(
-            f"{kind} conjugation tables of {group.name} need {len(acting) * n}"
-            f" entries, above the cap {TABLE_ENTRY_CAP}"
+            f"{kind} conjugation tables of {group.name} need more than the cap of"
+            f" {TABLE_ENTRY_CAP} entries"
         )
-    index = group._index
-    perms = sorted({
-        ix.automorphism([index[group.conj(g, a)] for g in group.gens])
-        for a in acting
-    })
+    if kind == "absolute":
+        mult = cv.multiset()
+        reps = [(ix.conjugacy_classes()[i].rep, m) for i, m in mult.items()]
+        perms = [p for p in perms if all(mult.get(ix._class_of[p[x]]) == m for x, m in reps)]
+    perms = sorted(perms)
     identity = tuple(range(n))
     orbit_min = tuple(map(min, zip(*perms)))
     transporter: dict = {}

@@ -61,11 +61,11 @@ def test_a4_orbit_tables():
     assert widths == [[4, 1, 1], [4, 3, 2]]
     minus, plus = sh_incidence(orbits).blocks
     assert blocks_agree(
-        minus.matrix.tolist(), [c.width for c in orbits[0].cusps()],
+        minus.matrix, [c.width for c in orbits[0].cusps()],
         [[2, 1, 1], [1, 0, 0], [1, 0, 0]], [4, 1, 1],
     )
     assert blocks_agree(
-        plus.matrix.tolist(), [c.width for c in orbits[1].cusps()],
+        plus.matrix, [c.width for c in orbits[1].cusps()],
         [[1, 1, 2], [1, 0, 1], [2, 1, 0]], [4, 2, 3],
     )
     assert time.monotonic() - start < 1.0

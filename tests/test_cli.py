@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.cli import run
+from hurwitz.groups import make_group
+from hurwitz.nielsen import Mode
 
 A4_ARGS = ["--group", "A4", "--classes", "[3a,3a,3b,3b]"]
 
@@ -58,6 +64,54 @@ def test_search_budget_exits_3(capsys):
     assert run(["enumerate", "--group", "A4", "--classes", "[3ax2000]"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+def test_action_budget_exits_3_before_the_work(capsys):
+    start = time.monotonic()
+    assert run(["genus", "--group", "D127", "--classes", "[2a,2a,2a,2a]",
+                "--mode", "abs-reduced"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert "D127" in err and "more than" in err
+    assert time.monotonic() - start < 5.0
+
+
+FUZZ_GROUPS = st.one_of(
+    st.integers(3, 5).map("A{}".format),
+    st.integers(2, 4).map("S{}".format),
+    st.integers(3, 12).map("D{}".format),
+    st.sampled_from(["gens:[(1,2,3),(2,3,4)]", "gens:[(1,2)(3,4),(1,3)]",
+                     "V(2,5):M=[[0,-1],[1,-1]]"]),
+)
+
+
+@st.composite
+def group_and_classes(draw):
+    """A group descriptor and a class vector drawn mostly from its own class
+    labels; at most four entries keep the largest search (raw mode on A5)
+    near 10^5 nodes."""
+    group = draw(FUZZ_GROUPS)
+    labels = [c.label for c in make_group(group).conjugacy_classes()]
+    items = draw(st.lists(st.sampled_from(labels * 4 + ["zz", "(1,2,3)"]),
+                          min_size=2, max_size=4))
+    return group, "[" + ",".join(items) + "]"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["enumerate", "orbits", "shinc", "genus", "bcl"]),
+    group_classes=group_and_classes(),
+    mode=st.sampled_from([m.value for m in Mode]),
+    fmt=st.sampled_from(["text", "json", "csv"]),
+)
+def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mode, fmt):
+    group, classes = group_classes
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([command, "--group", group, "--classes", classes,
+                    "--mode", mode, "--format", fmt])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
 
 
 def test_json_output_is_stable(capsys):

@@ -38,7 +38,7 @@ def dihedral_component(ell):
     return g, orbits[0]
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+@pytest.mark.parametrize("ell", [p for p in range(5, 98) if all(p % d for d in range(2, p))])
 def test_dihedral_matches_gamma0(ell):
     index, genus, nu2, nu3 = gamma0_oracle(ell)
     _, orbit = dihedral_component(ell)
@@ -96,10 +96,10 @@ def test_a4_sh_incidence_blocks(a4_orbits):
     assert len(table.blocks) == 2
     minus = table.blocks[0]  # orbit O1, size 6
     plus = table.blocks[1]
-    assert minus.matrix.tolist() == [[2, 1, 1], [1, 0, 0], [1, 0, 0]]
+    assert minus.matrix == ((2, 1, 1), (1, 0, 0), (1, 0, 0))
     widths = [c.width for c in a4_orbits[1].cusps()]
     assert same_block_up_to_width_alignment(
-        plus.matrix.tolist(), widths, [[1, 1, 2], [1, 0, 1], [2, 1, 0]], [4, 2, 3]
+        plus.matrix, widths, [[1, 1, 2], [1, 0, 1], [2, 1, 0]], [4, 2, 3]
     )
 
 
@@ -108,18 +108,17 @@ def test_sh_incidence_rows_sum_to_widths(a4_orbits, d5_orbits):
         table = sh_incidence(orbits)
         for block, orbit in zip(table.blocks, orbits):
             widths = [c.width for c in orbit.cusps()]
-            assert [sum(row) for row in block.matrix.tolist()] == widths
-            mat = block.matrix
-            assert (mat == mat.T).all()
+            assert [sum(row) for row in block.matrix] == widths
+            assert block.matrix == tuple(zip(*block.matrix))  # symmetric
 
 
 def test_off_block_entries_vanish(a4_orbits):
     table = sh_incidence(a4_orbits)
     full = table.matrix
-    assert int(full.sum()) == sum(o.size for o in a4_orbits)
+    assert sum(map(sum, full)) == sum(o.size for o in a4_orbits)
     n0 = len(a4_orbits[0].cusps())
-    assert not full[:n0, n0:].any()
-    assert not full[n0:, :n0].any()
+    assert not any(v for row in full[:n0] for v in row[n0:])
+    assert not any(v for row in full[n0:] for v in row[:n0])
 
 
 def test_sh_incidence_render(a4_orbits):

@@ -1,12 +1,14 @@
 """Group catalog, conjugacy data, and class-vector parsing."""
 
 import random
+from math import gcd
 
 import pytest
 
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
+    PermutationGroup,
     Sl2Group,
     VectorSemidirectGroup,
     alternating,
@@ -22,6 +24,7 @@ from hurwitz.groups import (
     symmetric,
 )
 from hurwitz.lift import extend_action_to_heisenberg
+from hurwitz.nielsen import Mode, enumerate_nielsen
 
 
 def sl2_order(m):
@@ -170,6 +173,27 @@ def test_normalizer_in_sym(a4, a4_cv):
     single = parse_class_vector(a4, "[3a,3a,3a,3a]")
     assert normalizer_in_sym(a4, single).order == 12
     assert normalizer_in_sym(a4).order == 24
+
+
+def test_catalog_generator_outside_the_normalizer_is_an_error():
+    d5 = make_group("D5")
+    d5.sym_normalizer_gens = d5.sym_normalizer_gens + [parse_perm("(1,2)", 5)]
+    cv = parse_class_vector(d5, "[2a,2a,2a,2a]")
+    with pytest.raises(ValidationError, match="does not normalize D5"):
+        normalizer_in_sym(d5)
+    with pytest.raises(ValidationError, match="does not normalize D5"):
+        enumerate_nielsen(d5, cv, Mode.ABSOLUTE_REDUCED)
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_dihedral_catalog_generates_the_affine_group(n):
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    gens = dihedral(n).sym_normalizer_gens
+    affine = [tuple((a * i + b) % n for i in range(n)) for a in units for b in range(n)]
+    assert sorted(PermutationGroup(gens, n, "N").elements) == sorted(affine)
+    # a single multiplier exactly when some unit has order phi(n)
+    cyclic = any(len({pow(a, k, n) for k in range(n)}) == len(units) for a in units)
+    assert (len(gens) == 2) == cyclic
 
 
 def test_symmetric_and_alternating_consistency():

@@ -1,11 +1,21 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
 from hurwitz.errors import ValidationError
-from hurwitz.groups import make_group, parse_class_vector
+from hurwitz.groups import (
+    ClassVector,
+    PermutationGroup,
+    _preserves_class_multiset,
+    make_group,
+    parse_class_vector,
+    perm_mul,
+)
 from hurwitz.nielsen import (
     Mode,
+    _build_action,
     _reduction_orbit,
     canonicalize,
     enumerate_nielsen,
@@ -65,6 +75,15 @@ def test_canonicalize_is_idempotent_and_constant_on_classes(a4, a4_cv):
         )
 
 
+def test_canonicalize_short_tuples(a4, a4_cv):
+    x = a4.parse("(1,2,3)")
+    least = min(a4.conj(x, a) for a in a4.elements)
+    assert canonicalize(a4, (x,), Mode.INNER) == (least,)
+    # the normalizer S4 swaps the two classes of 3-cycles in a4_cv
+    least = min(a4.conj(x, a) for a in make_group("S4").elements)
+    assert canonicalize(a4, (x, x), Mode.ABSOLUTE, a4_cv) == (least, least)
+
+
 def test_raw_mode_keeps_tuples(a4, a4_cv):
     raw = enumerate_nielsen(a4, a4_cv, Mode.RAW)
     inner = enumerate_nielsen(a4, a4_cv, Mode.INNER)
@@ -119,3 +138,79 @@ def test_search_is_iterative_on_long_tuples():
     s2 = make_group("S2")
     cv = parse_class_vector(s2, "[2ax1200]")
     assert enumerate_nielsen(s2, cv, Mode.INNER).count == 1
+
+
+# ---------------------------------------------------------------------------
+# conjugation actions built from generators, against one permutation per
+# acting element as the action was built before
+
+
+def action_perms(action):
+    """Every permutation of a conjugation action, read back from its tables:
+    a permutation moving y to its orbit minimum m is transporter[y] followed
+    by an element of the stabilizer of m."""
+    n = len(action.orbit_min)
+    identity = tuple(range(n))
+    return {
+        perm_mul(action.transporter[y], z)
+        for y in range(n)
+        for z in action.stabilizer[action.orbit_min[y]] + (identity,)
+    }
+
+
+def per_element_perms(group, acting):
+    """Index automorphism of every acting element, keyed by the element."""
+    ix = group.indexed()
+    return {
+        a: ix.automorphism([group._index[group.conj(g, a)] for g in group.gens])
+        for a in acting
+    }
+
+
+def preserving(group, perms, cv):
+    return {p for a, p in perms.items() if _preserves_class_multiset(group, cv, a)}
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_dihedral_absolute_action_matches_the_affine_group(n):
+    g = make_group(f"D{n}")
+    rot = tuple((i + 1) % n for i in range(n))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    affine = PermutationGroup(
+        [rot] + [tuple(a * i % n for i in range(n)) for a in units], n, "affine"
+    )
+    assert affine.order == n * len(units)
+    perms = per_element_perms(g, affine.elements)
+    rot_class = g.class_index_of(rot)
+    refl_class = g.class_index_of(tuple(-i % n for i in range(n)))
+    sq_class = g.class_index_of(perm_mul(rot, rot))
+    for indices in [(refl_class,) * 4, (rot_class, rot_class, sq_class)]:
+        cv = ClassVector(g, indices)
+        assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+
+
+@pytest.mark.parametrize("desc", ["A4", "A5", "S4", "gens:[(1,2,3,4),(1,3)]",
+                                  "gens:[(1,2,3),(4,5,6)]"])
+def test_absolute_action_matches_brute_force_normalizer(desc):
+    g = make_group(desc)
+    normalizer = [
+        s for s in itertools.permutations(range(g.degree))
+        if all(g.conj(x, s) in g for x in g.gens)
+    ]
+    perms = per_element_perms(g, normalizer)
+    k = len(g.conjugacy_classes())
+    for i in range(k):
+        for j in range(i, k):
+            cv = ClassVector(g, (i, i, j))
+            assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+
+
+@pytest.mark.parametrize("desc", ["A4", "A5", "S4", "D7", "D8", "SL2(3)", "Heis(3)",
+                                  "V(2,5):M=[[0,-1],[1,-1]]", "gens:[(1,2,3),(4,5,6)]"])
+def test_inner_action_matches_conjugation_by_every_element(desc):
+    g = make_group(desc)
+    els = g.elements
+    direct = {
+        tuple(g._index[g.conj(x, a)] for x in els) for a in els
+    }
+    assert action_perms(_build_action(g, "inner", None)) == direct
