@@ -3,7 +3,9 @@
 The Hurwitz monodromy group is generated by the twist q2 and the left
 rotation sh; the other twists are conjugates of q2 by powers of sh, so orbit
 closures only ever apply those two moves.  Everything acts on canonical
-representatives: apply a move to a representative, re-canonicalize, repeat.
+representatives: ``NielsenClassSet.moves()`` applies q1, q2 and sh to each
+representative once and canonicalizes the image, and orbits, cusps and the
+geometry module then follow those permutations of positions.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
@@ -49,16 +51,6 @@ def apply_sh(group: FiniteGroup, t: tuple) -> tuple:
     return _sh(group, t)
 
 
-def _canonicalizer(ni: NielsenClassSet):
-    """Canonical form on index tuples of ``ni.group.indexed()``."""
-    if ni.mode is Mode.RAW:
-        return lambda t: t
-    action = ni.action
-    if ni.mode.reduced:
-        return action.reduced_canonical_tuple
-    return action.canonical_tuple
-
-
 @dataclass(frozen=True)
 class CuspOrbit:
     label: str
@@ -66,6 +58,8 @@ class CuspOrbit:
     members: tuple
     braid_label: str
     ni: NielsenClassSet = field(compare=False, repr=False)
+    # the members' positions in ``ni.reps``, filled in by ``cusp_orbits``
+    positions: tuple = field(compare=False, repr=False, default=())
 
     @property
     def rep(self) -> tuple:
@@ -78,6 +72,8 @@ class BraidOrbit:
     label: str
     members: tuple
     ni: NielsenClassSet = field(compare=False, repr=False)
+    # the members' positions in ``ni.reps``
+    positions: tuple = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -127,38 +123,26 @@ def braid_orbits(ni: NielsenClassSet,
     Orbits come back sorted by (size, least canonical member) and labeled
     "O1", "O2", ...; the partition does not depend on seed order.
     """
-    ix = ni.group.indexed()
-    canon = _canonicalizer(ni)
-    reps = [ix.to_index(t) for t in ni.reps]
-    rep_set = set(reps)
-    unseen = set(reps)
-    raw_orbits: list[frozenset] = []
-    for seed in reps:
-        if seed not in unseen:
+    _, q2, sh = ni.moves()
+    seen = [False] * ni.count
+    raw_orbits: list[list[int]] = []
+    for seed in range(ni.count):
+        if seen[seed]:
             continue
-        members = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for v in (canon(_qi(ix, t, 2)), canon(_sh(ix, t))):
-                    if v not in members:
-                        if v not in rep_set:
-                            raise ValidationError(
-                                "braid move left the enumerated Nielsen set; "
-                                "canonicalization and enumeration disagree"
-                            )
-                        members.add(v)
-                        nxt.append(v)
-            frontier = nxt
+        seen[seed] = True
+        members = [seed]
+        for i in members:
+            for j in (q2[i], sh[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
             if orbit_cap is not None and len(members) > orbit_cap:
                 raise BudgetError(f"braid orbit exceeded cap {orbit_cap}")
-        unseen -= members
-        raw_orbits.append(frozenset(members))
-    raw_orbits.sort(key=lambda s: (len(s), min(s)))
+        raw_orbits.append(sorted(members))
+    raw_orbits.sort(key=lambda s: (len(s), s[0]))
     return tuple(
         BraidOrbit(index=i + 1, label=f"O{i + 1}",
-                   members=tuple(ix.to_data(t) for t in sorted(s)), ni=ni)
+                   members=tuple(ni.reps[p] for p in s), ni=ni, positions=tuple(s))
         for i, s in enumerate(raw_orbits)
     )
 
@@ -166,31 +150,26 @@ def braid_orbits(ni: NielsenClassSet,
 def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
     """gamma_infinity = q2 orbits on the braid orbit's members."""
     ni = orbit.ni
-    ix = ni.group.indexed()
-    canon = _canonicalizer(ni)
-    tuples = [ix.to_index(t) for t in orbit.members]
-    unseen = set(tuples)
-    raw: list[frozenset] = []
-    for seed in tuples:
-        if seed not in unseen:
+    _, q2, _ = ni.moves()
+    seen = set()
+    raw: list[list[int]] = []
+    for seed in orbit.positions:
+        if seed in seen:
             continue
-        members = {seed}
-        t = seed
-        while True:
-            t = canon(_qi(ix, t, 2))
-            if t in members:
-                break
-            members.add(t)
-        unseen -= members
-        raw.append(frozenset(members))
-    raw.sort(key=lambda s: (-len(s), min(s)))
+        cycle = [seed]
+        while q2[cycle[-1]] != seed:
+            cycle.append(q2[cycle[-1]])
+        seen.update(cycle)
+        raw.append(sorted(cycle))
+    raw.sort(key=lambda s: (-len(s), s[0]))
     return tuple(
         CuspOrbit(
             label="O_{%d,%d}^%d" % (orbit.index, j + 1, len(s)),
             width=len(s),
-            members=tuple(ix.to_data(t) for t in sorted(s)),
+            members=tuple(ni.reps[p] for p in s),
             braid_label=orbit.label,
             ni=ni,
+            positions=tuple(s),
         )
         for j, s in enumerate(raw)
     )
@@ -284,13 +263,14 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
             fails.append(f"sh^{r} != id on {t}")
     record("q_i q_i^-1 = id and sh^r = id", fails)
 
+    def r_h(t):
+        for i in [*range(1, r), *range(r - 1, 0, -1)]:
+            t = _qi(group, t, i)
+        return t
+
     fails = []
     for t in sample:
-        u = t
-        for i in range(1, r):
-            u = _qi(group, u, i)
-        for i in range(r - 1, 0, -1):
-            u = _qi(group, u, i)
+        u = r_h(t)
         if not any(tuple(group.conj(g, a) for g in t) == u for a in group.elements):
             fails.append(f"R_H is not a conjugation on {t}")
     record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", fails)
@@ -301,24 +281,20 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
         rc = ni.action.reduced_canonical_tuple
         reps = [(x, ix.to_index(x)) for x in ni.reps]
 
-        def gamma0(u):
-            return rc(_qi(ix, _qi(ix, u, 1), 2))
-
-        def gamma1(u):
-            return rc(_qi(ix, _qi(ix, _qi(ix, u, 1), 2), 1))
-
-        def gammainf(u):
-            return rc(_qi(ix, u, 2))
+        def gamma(u, *word):
+            for i in word:
+                u = _qi(ix, u, i)
+            return rc(u)
 
         fails = []
         for x, u in reps:
-            if gamma0(gamma0(gamma0(u))) != u:
+            if gamma(gamma(gamma(u, 1, 2), 1, 2), 1, 2) != u:
                 fails.append(f"gamma0^3 != id at {x}")
         record("gamma0^3 = 1 on reduced classes", fails)
 
         fails = []
         for x, u in reps:
-            if gammainf(gamma1(gamma0(u))) != u:
+            if gamma(gamma(gamma(u, 1, 2), 1, 2, 1), 2) != u:
                 fails.append(f"gamma0 gamma1 gammainf != id at {x}")
         record("gamma0 gamma1 gammainf = 1 on reduced classes", fails)
 
@@ -335,12 +311,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
 
     fails = []
     for t in sample:
-        u = t
-        for i in range(1, r):
-            u = _qi(group, u, i)
-        for i in range(r - 1, 0, -1):
-            u = _qi(group, u, i)
-        if can(u) != can(t):
+        if can(r_h(t)) != can(t):
             fails.append(f"R_H moved the inner class of {t}")
     record("R_H fixes inner classes", fails)
 

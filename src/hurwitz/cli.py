@@ -135,7 +135,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             continue
         if flag_value is not None and flag_value is not False:
             out[key] = flag_value
-        elif key in config:
+        elif config.get(key) is not None:  # a null value counts as unset
             out[key] = config[key]
         else:
             out[key] = _DEFAULTS.get(key, flag_value)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
 from .braid import BraidOrbit, CuspOrbit
-from .nielsen import Mode, _get_action, _qi, _reduction_orbit, _sh
+from .nielsen import Mode, _get_action, _reduction_orbit
 
 
 def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
@@ -35,22 +35,13 @@ def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
 
 
 def _gamma_maps(orbit: BraidOrbit):
-    """The three induced maps on reduced canonical members, as index arrays."""
-    ix = orbit.ni.group.indexed()
-    rc = orbit.ni.action.reduced_canonical_tuple
-    members = [ix.to_index(t) for t in orbit.members]
-    idx = {t: i for i, t in enumerate(members)}
-
-    def perm_of(word):
-        out = []
-        for t in members:
-            u = t
-            for i in word:
-                u = _qi(ix, u, i)
-            out.append(idx[rc(u)])
-        return tuple(out)
-
-    return perm_of((1, 2)), perm_of((1, 2, 1)), perm_of((2,))
+    """The three induced maps on the orbit's members, as index arrays."""
+    q1, q2, _ = orbit.ni.moves()
+    pos = orbit.positions
+    local = {p: i for i, p in enumerate(pos)}
+    gamma0 = tuple(local[q2[q1[p]]] for p in pos)
+    gamma1 = tuple(local[q1[q2[q1[p]]]] for p in pos)
+    return gamma0, gamma1, tuple(local[q2[p]] for p in pos)
 
 
 @dataclass(frozen=True)
@@ -172,9 +163,7 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
         raise ValidationError("sh_incidence needs at least one braid orbit")
     for o in orbits:
         _require_reduced_four(o, "sh_incidence")
-    ni = orbits[0].ni
-    ix = ni.group.indexed()
-    rc = ni.action.reduced_canonical_tuple
+    _, _, sh = orbits[0].ni.moves()
 
     cusps: list[CuspOrbit] = []
     spans: list[tuple[int, int, BraidOrbit]] = []
@@ -183,8 +172,8 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
         cusps.extend(o.cusps())
         spans.append((start, len(cusps), o))
 
-    sets = [frozenset(ix.to_index(t) for t in c.members) for c in cusps]
-    images = [frozenset(rc(_sh(ix, t)) for t in s) for s in sets]
+    sets = [frozenset(c.positions) for c in cusps]
+    images = [frozenset(sh[p] for p in s) for s in sets]
     mat = tuple(tuple(len(a & b) for b in images) for a in sets)
 
     blocks = tuple(

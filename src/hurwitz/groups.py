@@ -32,12 +32,12 @@ a view whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from math import gcd, lcm
+from itertools import permutations
+from math import factorial, gcd, lcm
 
 from .errors import BudgetError, ValidationError
 
@@ -1059,8 +1059,8 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
                       brute_force_limit: int = 9) -> PermutationGroup:
     """Subgroup of Sym(n) normalizing ``group`` and fixing the class multiset.
 
-    Uses catalog-attached generators when present; otherwise brute force over
-    Sym(n), which is only reasonable for n <= ``brute_force_limit``.
+    Uses catalog-attached generators when present; otherwise a search over
+    Sym(n) (``_sym_normalizer_search``) for n <= ``brute_force_limit``.
     """
     if group.kind != "permutation":
         raise ValidationError("normalizer_in_sym needs a permutation group")
@@ -1068,7 +1068,7 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
     if group.sym_normalizer_gens is not None:
         good = PermutationGroup(catalog_normalizer_gens(group), n, f"N({group.name})").elements
     elif n <= brute_force_limit:
-        good = [s for s in itertools.permutations(range(n)) if _normalizes(group, s)]
+        good = _sym_normalizer_search(group)
     else:
         raise BudgetError(
             f"no catalog normalizer for {group.name} and degree {n} exceeds "
@@ -1080,6 +1080,31 @@ def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
     result._elements = tuple(sorted(good))
     result._index = {g: i for i, g in enumerate(result._elements)}
     return result
+
+
+def _sym_normalizer_search(group: PermutationGroup) -> list:
+    """Every s in Sym(n) normalizing ``group``, assigning s(0), s(1), ... in
+    turn: h = s^-1 g s has h(s(y)) = s(g(y)) for a generator g, and a partial
+    s is dropped once some h agrees with no element of the group there."""
+    n, gens = group.degree, group.gens
+    if 2 * group.order >= factorial(n):  # A_n or S_n, both normal in Sym(n)
+        return list(permutations(range(n)))
+    # the facts (j, y) that s(k) completes: both y and gens[j][y] are <= k
+    facts = [[(j, y) for j, g in enumerate(gens) for y in {k, g.index(k)} if max(y, g[y]) <= k]
+             for k in range(n)]
+
+    def extend(s: list, cands: list):
+        if len(s) == n:
+            yield tuple(s)
+        for v in sorted(set(range(n)).difference(s)):
+            t, nxt = s + [v], list(cands)
+            for j, y in facts[len(s)]:
+                a, b = t[y], t[gens[j][y]]
+                nxt[j] = [h for h in nxt[j] if h[a] == b]
+            if all(nxt):
+                yield from extend(t, nxt)
+
+    return list(extend([], [group.elements] * len(gens)))
 
 
 def catalog_normalizer_gens(group: PermutationGroup) -> list:

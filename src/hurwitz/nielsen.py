@@ -34,6 +34,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from .errors import BudgetError, ValidationError
 from .groups import (
@@ -165,7 +166,7 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     of (G, C), each acting element as the index permutation of G it induces.
     The permutations of G's generators, or of the catalog normalizer
     generators, are closed by ``FiniteGroup.close``, which stops past
-    ``TABLE_ENTRY_CAP // |G|`` of them; a brute-force normalizer comes
+    ``TABLE_ENTRY_CAP // |G|`` of them; a searched normalizer comes
     closed.  Absolute mode keeps those fixing the class multiset of C."""
     closed = kind == "absolute" and group.sym_normalizer_gens is None
     if kind == "inner":
@@ -246,6 +247,17 @@ def _generates(group: FiniteGroup, elems) -> bool:
     return len(group.close(elems, stop_above=half)) > half
 
 
+def _generates_by_pairs(ix: IndexedGroup, t: tuple, pairs: dict) -> bool:
+    """Whether t generates: <t_i, t_j> <= <t>, so a generating pair (verdicts
+    cached in ``pairs``) settles it without a closure of all of t."""
+    for pair in combinations(sorted(t), 2):
+        if pair not in pairs:
+            pairs[pair] = _generates(ix, pair)
+        if pairs[pair]:
+            return True
+    return _generates(ix, t)
+
+
 def _product(ix: IndexedGroup, t) -> int:
     table = ix.table
     prod = ix.identity
@@ -293,6 +305,32 @@ class NielsenClassSet:
     def count(self) -> int:
         return len(self.reps)
 
+    def canonical(self, u: tuple) -> tuple:
+        """Canonical form of an index tuple of ``group.indexed()``."""
+        if self.action is None:
+            return u
+        if self.mode.reduced:
+            return self.action.reduced_canonical_tuple(u)
+        return self.action.canonical_tuple(u)
+
+    def moves(self) -> tuple[tuple, tuple, tuple]:
+        """q1, q2 and sh as permutations of rep positions, computed on first
+        use: ``q2[i]`` is the position in ``reps`` of the canonical form of
+        q2 applied to ``reps[i]``, and likewise for q1 and sh."""
+        if not hasattr(self, "_moves"):
+            ix = self.group.indexed()
+            tuples = [ix.to_index(t) for t in self.reps]
+            position = {u: i for i, u in enumerate(tuples)}
+            moved = ([_qi(ix, u, 1) for u in tuples], [_qi(ix, u, 2) for u in tuples],
+                     [_sh(ix, u) for u in tuples])
+            try:
+                perms = tuple(tuple(position[self.canonical(v)] for v in vs) for vs in moved)
+            except KeyError:
+                raise ValidationError("braid move left the enumerated Nielsen set; "
+                                      "canonicalization and enumeration disagree") from None
+            object.__setattr__(self, "_moves", perms)
+        return self._moves
+
     def to_dict(self) -> dict:
         return {
             "group": self.group.descriptor,
@@ -309,11 +347,13 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
 
     The search fixes the first entry (to each class member in raw mode, to
     each orbit minimum otherwise), walks the remaining class multiset for
-    positions 2..r-1 and solves for the last entry.  Generation is tested
-    once per canonical form (inner classes in raw mode).  Before the
-    search, ``len(starts) * w**(r-2)``, with w the number of elements in the
-    classes of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP``
-    it raises ``BudgetError``.
+    positions 2..r-1 and solves for the last entry.  Generation is settled
+    once per canonical form (inner classes in raw mode), or per Klein orbit
+    of them in a reduced mode with r = 4, whose least member is the reduced
+    form; any generating pair of entries settles it.  Before the search,
+    ``len(starts) * w**(r-2)``, with w the number of elements in the classes
+    of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP`` it
+    raises ``BudgetError``.
     """
     mode = Mode.parse(mode)
     r = cv.r
@@ -339,22 +379,26 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
             f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
         )
 
-    # conjugation preserves generation, so raw mode keys it by inner class
+    # conjugation and the reduction group preserve generation: raw mode keys
+    # it by inner class, a reduced mode (r = 4) by Klein orbit
     key = (action or _get_action(group, Mode.INNER, cv)).canonical_tuple
-    generates: dict = {}
+    pairs: dict = {}
+    verdict: dict = {}
     found = set()
     for g1 in starts:
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
         for t in _complete(ix, r, members, remaining, g1):
             c = key(t)
-            ok = generates.get(c)
+            ok = verdict.get(c)
             if ok is None:
-                ok = generates[c] = _generates(ix, c)
-            if ok:
-                found.add(t if action is None else c)
-    if mode.reduced and r == 4:
-        found = {action.reduced_canonical_tuple(t) for t in found}
+                orbit = [key(u) for u in _reduction_orbit(ix, c)] if mode.reduced else [c]
+                ok = _generates_by_pairs(ix, c, pairs)
+                verdict.update(dict.fromkeys(orbit, ok))
+                if ok and action is not None:
+                    found.add(min(orbit))
+            if ok and action is None:
+                found.add(t)
     reps = tuple(ix.to_data(t) for t in sorted(found))
     return NielsenClassSet(group, cv, mode, reps, action)
 

@@ -32,7 +32,7 @@ from .groups import (
     dihedral,
 )
 from .nielsen import Mode, NielsenClassSet, _reduction_orbit, enumerate_nielsen
-from .braid import BraidOrbit, CuspOrbit, _canonicalizer, braid_orbits
+from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
     FRATTINI_TUPLE_BUDGET,
@@ -454,7 +454,6 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
     edges = []
     for child_level in levels[1:]:
         parent_level = levels[child_level.k - 1]
-        canon = _canonicalizer(parent_level.ni)
         ix = parent_level.group.indexed()
         owner = {}
         for o in parent_level.orbits:
@@ -462,7 +461,7 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
                 owner[t] = o.label
         for o in child_level.orbits:
             down = ix.to_index(project_tuple(spec, child_level.k, o.rep))
-            image = ix.to_data(canon(down))
+            image = ix.to_data(parent_level.ni.canonical(down))
             if image not in owner:
                 raise ValidationError(
                     "projected orbit representative missed every lower orbit"
@@ -543,10 +542,9 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
     ni_in = enumerate_nielsen(group, cv, inner_mode)
     ni_abs = enumerate_nielsen(group, cv, abs_mode)
     ix = group.indexed()
-    canon = _canonicalizer(ni_abs)
 
     def abs_canon(t):
-        return ix.to_data(canon(ix.to_index(t)))
+        return ix.to_data(ni_abs.canonical(ix.to_index(t)))
 
     # class-level fibers: how many inner classes collapse to each absolute one
     coarse: dict[tuple, int] = {}

@@ -10,7 +10,7 @@ from hurwitz.braid import (
 )
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen
 
 
 def test_qi_roundtrip(a4, a4_ni):
@@ -96,3 +96,42 @@ def test_orbit_to_dict(a4_orbits):
     assert d["orbit_label"] == "O1"
     assert d["size"] == 6
     assert [c["width"] for c in d["cusps"]] == [4, 1, 1]
+
+
+PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("A4", "[3a,3a,3b,3b]", Mode.RAW),
+    ("A5", "[3a,3a,5a]", Mode.ABSOLUTE),
+    *((f"D{p}", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED) for p in PRIMES),
+])
+def test_moves_are_direct_moves_then_canonical_forms(desc, classes, mode):
+    g = make_group(desc)
+    cv = parse_class_vector(g, classes)
+    ni = enumerate_nielsen(g, cv, mode)
+    q1, q2, sh = ni.moves()
+    for i, t in enumerate(ni.reps):
+        assert ni.reps[q1[i]] == canonicalize(g, apply_qi(g, t, 1), mode, cv)
+        assert ni.reps[q2[i]] == canonicalize(g, apply_qi(g, t, 2), mode, cv)
+        assert ni.reps[sh[i]] == canonicalize(g, apply_sh(g, t), mode, cv)
+    if cv.r == 4 and mode.reduced:
+        # gamma0 = q1 q2, gamma1 = q1 q2 q1 and gammainf = q2, left factor
+        # first: gamma0^3 = 1 and gamma0 gamma1 gammainf = 1 on every member
+        def gamma0(i):
+            return q2[q1[i]]
+
+        def gamma1(i):
+            return q1[q2[q1[i]]]
+
+        for i in range(ni.count):
+            assert gamma0(gamma0(gamma0(i))) == i
+            assert q2[gamma1(gamma0(i))] == i
+
+
+def test_moves_outside_the_set_are_an_error(a4, a4_cv, a4_ni):
+    partial = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.reps[:1], a4_ni.action)
+    with pytest.raises(ValidationError, match="left the enumerated Nielsen set"):
+        partial.moves()

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.cli import run
@@ -97,21 +99,66 @@ def group_and_classes(draw):
     return group, "[" + ",".join(items) + "]"
 
 
+def config_values(integers):
+    return st.one_of(integers, st.booleans(), st.text(max_size=4), st.none())
+
+
+# config-file values of the integer keys: integers small enough to keep a run
+# short (k_max <= 1 keeps a tower at two levels), booleans, strings and nulls
+FUZZ_CONFIGS = st.fixed_dictionaries({}, optional={
+    **{key: config_values(st.integers(-3, 40))
+       for key in ("order_bound", "orbit_cap", "seed", "sample_size")},
+    "k_max": config_values(st.integers(-3, 1)),
+})
+
+
+def run_with_config(argv, config):
+    """Exit code and stderr of ``run(argv)`` with ``config`` as a config file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*argv, "--config", path])
+    return code, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    command=st.sampled_from(["enumerate", "orbits", "shinc", "genus", "bcl"]),
+    command=st.sampled_from(["enumerate", "orbits", "shinc", "genus", "bcl", "check"]),
     group_classes=group_and_classes(),
     mode=st.sampled_from([m.value for m in Mode]),
     fmt=st.sampled_from(["text", "json", "csv"]),
+    config=FUZZ_CONFIGS,
 )
-def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mode, fmt):
+# a null used to reach the command as None and end in a traceback
+@example(command="check", group_classes=("A4", "[3a,3a,3b,3b]"), mode="inner-reduced",
+         fmt="text", config={"sample_size": None, "seed": None})
+def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mode, fmt,
+                                                     config):
     group, classes = group_classes
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run([command, "--group", group, "--classes", classes,
-                    "--mode", mode, "--format", fmt])
+    code, err = run_with_config([command, "--group", group, "--classes", classes,
+                                 "--mode", mode, "--format", fmt], config)
     assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
+    assert err.count("\n") == (code != 0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    family_classes=st.sampled_from([("dihedral", "5", "[2a,2a,2a,2a]"),
+                                    ("vector", "2", "[3a,3a,3b,3b]")]),
+    mode=st.sampled_from(["inner-reduced", "absolute-reduced"]),
+    config=FUZZ_CONFIGS,
+)
+@example(family_classes=("dihedral", "5", "[2a,2a,2a,2a]"), mode="absolute-reduced",
+         config={"k_max": None, "order_bound": None})
+def test_fuzzed_tower_config_exits_0_2_or_3_with_one_line(family_classes, mode, config):
+    family, ell, classes = family_classes
+    code, err = run_with_config(["tower", "--family", family, "--ell", ell,
+                                 "--classes", classes, "--mode", mode], config)
+    assert code in (0, 2, 3)
+    assert err.count("\n") == (code != 0)
 
 
 def test_json_output_is_stable(capsys):

@@ -1,6 +1,8 @@
 """Group catalog, conjugacy data, and class-vector parsing."""
 
+import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -8,9 +10,11 @@ import pytest
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
+    ClassVector,
     PermutationGroup,
     Sl2Group,
     VectorSemidirectGroup,
+    _preserves_class_multiset,
     alternating,
     class_power,
     cycle_type,
@@ -173,6 +177,71 @@ def test_normalizer_in_sym(a4, a4_cv):
     single = parse_class_vector(a4, "[3a,3a,3a,3a]")
     assert normalizer_in_sym(a4, single).order == 12
     assert normalizer_in_sym(a4).order == 24
+
+
+# every ``gens:`` group of the tests, plus A5 and S5 as explicit generators
+GENS_GROUPS = {
+    "gens:[(1,2,3),(2,3,4)]": [[[1, 2, 3]], [[2, 3, 4]]],
+    "gens:[(1,2)(3,4),(1,3)]": [[[1, 2], [3, 4]], [[1, 3]]],
+    "gens:[(1,2,3,4),(1,3)]": [[[1, 2, 3, 4]], [[1, 3]]],
+    "gens:[(1,2,3),(4,5,6)]": [[[1, 2, 3]], [[4, 5, 6]]],
+    "gens:[(1,2,3),(4,5,6),(1,4)]": [[[1, 2, 3]], [[4, 5, 6]], [[1, 4]]],
+    "gens:[(1,2,3)]": [[[1, 2, 3]]],
+    "gens:[(1,2)]": [[[1, 2]]],
+    "gens:[(1,2,3),(3,4,5)]": [[[1, 2, 3]], [[3, 4, 5]]],
+    "gens:[(1,2,3,4,5),(1,2)]": [[[1, 2, 3, 4, 5]], [[1, 2]]],
+}
+
+
+@pytest.mark.parametrize("desc", GENS_GROUPS)
+def test_normalizer_search_matches_brute_force(desc):
+    g = make_group(desc)
+    brute = tuple(
+        s for s in itertools.permutations(range(g.degree))
+        if all(g.conj(x, s) in g for x in g.gens)
+    )
+    assert normalizer_in_sym(g).elements == brute
+    cv = ClassVector(g, (len(g.conjugacy_classes()) - 1,) * 3)
+    assert normalizer_in_sym(g, cv).elements == tuple(
+        s for s in brute if _preserves_class_multiset(g, cv, s)
+    )
+
+
+def test_normalizer_search_on_degree_nine():
+    g = make_group("gens:[(1,2,3),(4,5,6),(7,8,9)]")
+    start = time.monotonic()
+    # S3 on each block of three and S3 permuting the blocks: 6^3 * 3! = 1296
+    assert normalizer_in_sym(g).order == 1296
+    assert time.monotonic() - start < 1.0
+
+
+def class_profile(g):
+    return g.order, sorted((c.size, c.element_order) for c in g.conjugacy_classes())
+
+
+def sympy_profile(group):
+    return group.order(), sorted((len(c), next(iter(c)).order())
+                                 for c in group.conjugacy_classes())
+
+
+@pytest.mark.parametrize("desc,name,n", [
+    *((f"A{n}", "AlternatingGroup", n) for n in range(3, 7)),
+    *((f"S{n}", "SymmetricGroup", n) for n in range(2, 6)),
+    *((f"D{n}", "DihedralGroup", n) for n in (3, 4, 5, 6, 7, 12)),
+])
+def test_catalog_orders_and_class_sizes_match_sympy(desc, name, n):
+    named = pytest.importorskip("sympy.combinatorics.named_groups")
+    assert class_profile(make_group(desc)) == sympy_profile(getattr(named, name)(n))
+
+
+@pytest.mark.parametrize("desc", GENS_GROUPS)
+def test_gens_orders_and_class_sizes_match_sympy(desc):
+    comb = pytest.importorskip("sympy.combinatorics")
+    cycles = GENS_GROUPS[desc]
+    degree = max(x for gen in cycles for c in gen for x in c)
+    perms = [comb.Permutation([[x - 1 for x in c] for c in gen], size=degree)
+             for gen in cycles]
+    assert class_profile(make_group(desc)) == sympy_profile(comb.PermutationGroup(perms))
 
 
 def test_catalog_generator_outside_the_normalizer_is_an_error():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -16,6 +17,8 @@ from hurwitz.groups import (
 from hurwitz.nielsen import (
     Mode,
     _build_action,
+    _complete,
+    _get_action,
     _reduction_orbit,
     canonicalize,
     enumerate_nielsen,
@@ -214,3 +217,64 @@ def test_inner_action_matches_conjugation_by_every_element(desc):
         tuple(g._index[g.conj(x, a)] for x in els) for a in els
     }
     assert action_perms(_build_action(g, "inner", None)) == direct
+
+
+# ---------------------------------------------------------------------------
+# enumeration against a reference without its shortcuts (generation settled
+# by a generating pair, one reduction per Klein orbit)
+
+
+def reference_enumeration(g, cv, mode):
+    """Reps of every mode the slow way: every product-one tuple of the search
+    is canonicalized, every canonical form gets a closure of all its entries,
+    and in a reduced mode every class is reduced on its own.  Also counts the
+    canonical forms that do not generate and the generating ones whose first
+    two entries do not."""
+    ix = g.indexed()
+    half = ix.order // 2
+    classes = ix.conjugacy_classes()
+    members = {i: sorted(classes[i].members) for i in set(cv.indices)}
+    action = _get_action(g, mode, cv)
+    starts = {x for i in members for x in members[i]}
+    if action is not None:
+        starts = {action.orbit_min[x] for x in starts}
+    forms = set()
+    for g1 in sorted(starts):
+        remaining = Counter(cv.indices)
+        remaining[ix._class_of[g1]] -= 1
+        for t in _complete(ix, cv.r, members, remaining, g1):
+            forms.add(t if action is None else action.canonical_tuple(t))
+    found = {c for c in forms if len(ix.close(c, stop_above=half)) > half}
+    rejected = len(forms) - len(found)
+    weak_pairs = sum(len(ix.close(c[:2], stop_above=half)) <= half for c in found)
+    if mode.reduced:
+        found = {action.reduced_canonical_tuple(c) for c in found}
+    return tuple(ix.to_data(t) for t in sorted(found)), rejected, weak_pairs
+
+
+PERMUTATION_MODES = tuple(Mode)
+LATTICE_MODES = (Mode.INNER, Mode.INNER_REDUCED)
+
+
+@pytest.mark.parametrize("desc,classes,modes,rejects,weak_pairs", [
+    ("A4", "[3a,3a,3b,3b]", PERMUTATION_MODES, False, False),
+    ("A4", "[3a,3a,3a]", PERMUTATION_MODES, False, False),
+    # the search meets a non-least member of some Klein orbit first
+    ("A4", "[2a,3a,3a,3a]", PERMUTATION_MODES, False, False),
+    ("S4", "[2a,2b,2b,3a]", PERMUTATION_MODES, False, False),
+    ("S4", "[2b,2b,3a,3a]", PERMUTATION_MODES, True, True),
+    ("S4", "[3a,3a,4a,4a]", PERMUTATION_MODES, False, False),
+    ("D7", "[2a,2a,2a,2a]", PERMUTATION_MODES, True, False),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", LATTICE_MODES, False, False),
+    ("V(2,7):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", LATTICE_MODES, True, True),
+])
+def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_pairs):
+    g = make_group(desc)
+    cv = parse_class_vector(g, classes)
+    for mode in modes:
+        reps, rejected, weak = reference_enumeration(g, cv, mode)
+        assert enumerate_nielsen(g, cv, mode).reps == reps, mode
+        # where flagged, some product-one tuples do not generate, and some
+        # generating ones need the closure because their first pair does not
+        assert rejected > 0 or not rejects, mode
+        assert weak > 0 or not weak_pairs, mode
