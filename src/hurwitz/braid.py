@@ -83,13 +83,6 @@ class BraidOrbit:
     def rep(self) -> tuple:
         return self.members[0]
 
-    def member_index(self) -> dict:
-        idx = getattr(self, "_member_index", None)
-        if idx is None:
-            idx = {m: i for i, m in enumerate(self.members)}
-            object.__setattr__(self, "_member_index", idx)
-        return idx
-
     def cusps(self) -> tuple[CuspOrbit, ...]:
         got = getattr(self, "_cusps", None)
         if got is None:
@@ -97,9 +90,9 @@ class BraidOrbit:
             object.__setattr__(self, "_cusps", got)
         return got
 
-    def to_dict(self, with_members: bool = False) -> dict:
+    def to_dict(self) -> dict:
         group = self.ni.group
-        out = {
+        return {
             "orbit_label": self.label,
             "size": self.size,
             "cusps": [
@@ -111,9 +104,6 @@ class BraidOrbit:
                 for c in self.cusps()
             ],
         }
-        if with_members:
-            out["members"] = [[group.format(g) for g in t] for t in self.members]
-        return out
 
 
 def braid_orbits(ni: NielsenClassSet,

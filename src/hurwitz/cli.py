@@ -2,10 +2,13 @@
 
 Configuration precedence is flags over config-file values over defaults; the
 config file is JSON whose keys are the flag names (dashes or underscores).
-Reports are deterministic for fixed inputs and version: JSON is emitted with
-sorted keys, CSV with RFC-4180 quoting, and every report embeds the input
-description and the package version.  Exit codes: 0 success, 2 invalid
-input, 3 budget exceeded.
+Each command computes its results once and returns its report as a JSON
+body, CSV rows and text lines; ``emit_report`` alone writes it, in the chosen
+format, to ``--out`` or stdout.  Reports are deterministic for fixed inputs
+and version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
+every report embeds the input description and the package version.  Exit
+codes: 0 success, 2 invalid input (an unwritable output file included),
+3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .geometry import genus_of_component, moduli_flags, sh_incidence
 from .lift import (
     CentralExtension,
     GroupHom,
-    extend_action_to_heisenberg,
+    heisenberg_cover,
     lift_invariant,
     spin_cover,
 )
@@ -119,7 +122,16 @@ def _load_config(path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
-_INT_KEYS = ("order_bound", "orbit_cap", "k_max", "t", "ell", "seed", "sample_size")
+# the JSON type each config value must have; ``action`` may be a string or a
+# list of integer rows, which ``TowerSpec`` checks
+_KEY_TYPES = (
+    (int, "an integer",
+     ("order_bound", "orbit_cap", "k_max", "t", "ell", "seed", "sample_size")),
+    (str, "a string",
+     ("group", "classes", "mode", "format", "out", "members_file", "cover",
+      "family", "suite")),
+    (bool, "true or false", ("frattini",)),
+)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -139,12 +151,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             out[key] = config[key]
         else:
             out[key] = _DEFAULTS.get(key, flag_value)
-    for key in _INT_KEYS:
-        value = out.get(key)
-        if value is not None and type(value) is not int:
-            raise ValidationError(
-                f"{key.replace('_', '-')} must be an integer, got {value!r}"
-            )
+    for kind, word, keys in _KEY_TYPES:
+        for key in keys:
+            value = out.get(key)
+            if value is not None and type(value) is not kind:
+                raise ValidationError(
+                    f"{key.replace('_', '-')} must be {word}, got {value!r}"
+                )
     if out.get("format") not in (None, "text", "json", "csv"):
         raise ValidationError(f"unknown format: {out['format']!r}")
     for key in ("order_bound", "orbit_cap"):
@@ -169,91 +182,73 @@ def _group_and_classes(cfg: dict):
     return group, cv, mode
 
 
-def _inputs_block(cfg: dict, keys) -> dict:
-    return {
-        k: cfg[k]
-        for k in keys
-        if cfg.get(k) not in (None, False)
-    }
-
-
-def _envelope(cfg: dict, keys, data: dict) -> dict:
-    return {"version": __version__, "inputs": _inputs_block(cfg, keys), **data}
-
-
 # ---------------------------------------------------------------------------
-# output plumbing
+# the one report writer
 
 
-def emit_report(data, fmt: str, path: str | None) -> None:
-    """Serialize one report; identical inputs give identical bytes."""
-    if fmt == "json":
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
+def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
+    """Write one report in ``cfg["format"]`` to ``--out`` or stdout.
+
+    ``data`` is the JSON body, ``rows`` the CSV body and ``lines`` the text
+    body; each form gets the package version and the inputs named by ``keys``
+    in front.  CSV spells booleans as JSON does and None as an empty cell.
+    Identical inputs give identical bytes.
+    """
+    inputs = {k: cfg[k] for k in keys if cfg.get(k) not in (None, False)}
+    if cfg["format"] == "json":
+        report = {"version": __version__, "inputs": inputs, **data}
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    elif cfg["format"] == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        for row in data:
-            writer.writerow(row)
+        csv.writer(buf, lineterminator="\r\n").writerows([
+            ["version", __version__],
+            ["inputs", json.dumps(inputs, sort_keys=True)],
+            *([json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows),
+        ])
         text = buf.getvalue()
-    elif fmt == "text":
-        text = data if data.endswith("\n") else data + "\n"
     else:
-        raise ValidationError(f"unknown format: {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        header = " ".join(f"{k}={v}" for k, v in inputs.items())
+        text = "\n".join([f"# hurwitz {__version__}", f"# {header}", *lines]) + "\n"
+    if cfg.get("out"):
+        _write_file(cfg["out"], text, "report")
     else:
         sys.stdout.write(text)
 
 
-def _text_header(cfg: dict, keys) -> list[str]:
-    inputs = " ".join(
-        f"{k}={cfg[k]}" for k in keys if cfg.get(k) not in (None, False)
-    )
-    return [f"# hurwitz {__version__}", f"# {inputs}"]
-
-
-def _csv_provenance(cfg: dict, keys) -> list[list]:
-    return [
-        ["version", __version__],
-        ["inputs", json.dumps(_inputs_block(cfg, keys), sort_keys=True)],
-    ]
+def _write_file(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (input keys, JSON body, CSV rows, text lines)
 
 _BASE_KEYS = ("command", "group", "classes", "mode")
 
 
-def _cmd_enumerate(cfg: dict) -> None:
+def _cmd_enumerate(cfg: dict):
     group, cv, mode = _group_and_classes(cfg)
     ni = enumerate_nielsen(group, cv, mode)
-    if cfg["format"] == "json":
-        emit_report(_envelope(cfg, _BASE_KEYS, ni.to_dict()), "json", cfg["out"])
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, _BASE_KEYS)
-        rows.append(["index", *(f"g{i+1}" for i in range(cv.r))])
-        for i, t in enumerate(ni.reps):
-            rows.append([i, *(group.format(g) for g in t)])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, _BASE_KEYS)
-        lines.append(f"Ni({group.name}, {cv}) {mode.value}: {ni.count} classes")
-        for t in ni.reps:
-            lines.append("  " + " ".join(group.format(g) for g in t))
-        emit_report("\n".join(lines), "text", cfg["out"])
+    data = ni.to_dict()
+    rows = [["index", *(f"g{i+1}" for i in range(cv.r))]]
+    rows += [[i, *t] for i, t in enumerate(data["reps"])]
+    lines = [f"Ni({group.name}, {cv}) {mode.value}: {ni.count} classes"]
+    lines += ["  " + " ".join(t) for t in data["reps"]]
+    return _BASE_KEYS, data, rows, lines
 
 
 def _orbit_payload(cfg: dict):
     group, cv, mode = _group_and_classes(cfg)
     ni = enumerate_nielsen(group, cv, mode)
     orbits = braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
-    return group, cv, mode, ni, orbits
+    return group, ni, orbits
 
 
-def _cmd_orbits(cfg: dict) -> None:
-    group, cv, mode, ni, orbits = _orbit_payload(cfg)
+def _cmd_orbits(cfg: dict):
+    group, ni, orbits = _orbit_payload(cfg)
     dicts = [o.to_dict() for o in orbits]
     members_file = cfg.get("members_file")
     if members_file:
@@ -261,93 +256,56 @@ def _cmd_orbits(cfg: dict) -> None:
             o.label: [[group.format(g) for g in t] for t in o.members]
             for o in orbits
         }
-        with open(members_file, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_file(members_file, json.dumps(blob, sort_keys=True, indent=2) + "\n",
+                    "members file")
         for d in dicts:
             d["members_file"] = members_file
-    if cfg["format"] == "json":
-        emit_report(
-            _envelope(cfg, _BASE_KEYS, {"orbits": dicts}), "json", cfg["out"]
-        )
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, _BASE_KEYS)
-        rows.append(["orbit", "size", "cusp", "width", "rep"])
-        for o in orbits:
-            for c in o.cusps():
-                rows.append([
-                    o.label, o.size, c.label, c.width,
-                    " ".join(group.format(g) for g in c.rep),
-                ])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, _BASE_KEYS)
-        lines.append(f"{len(orbits)} braid orbit(s) on {ni.count} classes")
-        for o in orbits:
-            lines.append(f"{o.label}: size {o.size}")
-            for c in o.cusps():
-                rep = " ".join(group.format(g) for g in c.rep)
-                lines.append(f"  {c.label} width {c.width}  rep {rep}")
-        emit_report("\n".join(lines), "text", cfg["out"])
+    rows = [["orbit", "size", "cusp", "width", "rep"]]
+    lines = [f"{len(orbits)} braid orbit(s) on {ni.count} classes"]
+    for d in dicts:
+        lines.append(f"{d['orbit_label']}: size {d['size']}")
+        for c in d["cusps"]:
+            rep = " ".join(c["rep"])
+            rows.append([d["orbit_label"], d["size"], c["label"], c["width"], rep])
+            lines.append(f"  {c['label']} width {c['width']}  rep {rep}")
+    return _BASE_KEYS, {"orbits": dicts}, rows, lines
 
 
-def _cmd_shinc(cfg: dict) -> None:
-    group, cv, mode, ni, orbits = _orbit_payload(cfg)
-    table = sh_incidence(orbits)
-    if cfg["format"] == "json":
-        emit_report(
-            _envelope(cfg, _BASE_KEYS, table.to_dict()), "json", cfg["out"]
-        )
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, _BASE_KEYS) + table.to_rows()
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, _BASE_KEYS)
-        emit_report("\n".join(lines) + "\n" + table.render_text(), "text", cfg["out"])
+def _cmd_shinc(cfg: dict):
+    table = sh_incidence(_orbit_payload(cfg)[2])
+    return _BASE_KEYS, table.to_dict(), table.to_rows(), table.render_text().splitlines()
 
 
-def _cmd_genus(cfg: dict) -> None:
-    group, cv, mode, ni, orbits = _orbit_payload(cfg)
-    payload = []
-    for o in orbits:
-        entry = genus_of_component(o).to_dict()
-        entry["moduli"] = moduli_flags(group, o).to_dict()
-        payload.append(entry)
-    if cfg["format"] == "json":
-        emit_report(
-            _envelope(cfg, _BASE_KEYS, {"orbits": payload}), "json", cfg["out"]
-        )
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, _BASE_KEYS)
+def _cmd_genus(cfg: dict):
+    group, _ni, orbits = _orbit_payload(cfg)
+    payload = [
+        {**genus_of_component(o).to_dict(), "moduli": moduli_flags(group, o).to_dict()}
+        for o in orbits
+    ]
+    rows = [[
+        "orbit", "degree", "genus", "ind_gamma0", "ind_gamma1",
+        "ind_gammainf", "fixed_gamma0", "fixed_gamma1", "cusp_widths",
+    ]]
+    lines = []
+    for e in payload:
+        ind, fixed, flags = e["indices"], e["fixed_points"], e["moduli"]
         rows.append([
-            "orbit", "degree", "genus", "ind_gamma0", "ind_gamma1",
-            "ind_gammainf", "fixed_gamma0", "fixed_gamma1", "cusp_widths",
+            e["orbit"], e["degree"], e["genus"],
+            ind["gamma0"], ind["gamma1"], ind["gammainf"],
+            fixed["gamma0"], fixed["gamma1"],
+            " ".join(str(w) for w in e["cusp_widths"]),
         ])
-        for e in payload:
-            rows.append([
-                e["orbit"], e["degree"], e["genus"],
-                e["indices"]["gamma0"], e["indices"]["gamma1"],
-                e["indices"]["gammainf"], e["fixed_points"]["gamma0"],
-                e["fixed_points"]["gamma1"],
-                " ".join(str(w) for w in e["cusp_widths"]),
-            ])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, _BASE_KEYS)
-        for e in payload:
-            ind = e["indices"]
-            lines.append(
-                f"{e['orbit']}: degree {e['degree']}, genus {e['genus']}, "
-                f"ind(gamma0,1,inf) = ({ind['gamma0']},{ind['gamma1']},"
-                f"{ind['gammainf']}), cusp widths {e['cusp_widths']}"
-            )
-            flags = e["moduli"]
-            lines.append(
-                f"  moduli: inner_fine={flags['inner_fine']} "
-                f"b_fine_reduced={flags['b_fine_reduced']} "
-                f"fine_reduced={flags['fine_reduced']}"
-            )
-        emit_report("\n".join(lines), "text", cfg["out"])
+        lines.append(
+            f"{e['orbit']}: degree {e['degree']}, genus {e['genus']}, "
+            f"ind(gamma0,1,inf) = ({ind['gamma0']},{ind['gamma1']},"
+            f"{ind['gammainf']}), cusp widths {e['cusp_widths']}"
+        )
+        lines.append(
+            f"  moduli: inner_fine={flags['inner_fine']} "
+            f"b_fine_reduced={flags['b_fine_reduced']} "
+            f"fine_reduced={flags['fine_reduced']}"
+        )
+    return _BASE_KEYS, {"orbits": payload}, rows, lines
 
 
 _COVER_RE = re.compile(r"heis\((\d+)\)")
@@ -361,10 +319,9 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
     m = _COVER_RE.fullmatch(sel)
     if m:
         ell = int(m.group(1))
-        action = ((0, -1), (1, -1))
-        if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
-            action = group.action
-        return extend_action_to_heisenberg(ell, action)
+        same_lattice = (group.kind == "vector-semidirect" and group.dim == 2
+                        and group.modulus == ell)
+        return heisenberg_cover(ell, group.action if same_lattice else None)
     if sel.startswith("hom:"):
         path = sel[4:]
         try:
@@ -372,21 +329,28 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read cover file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError("cover file must hold a JSON object")
         for key in ("source", "target", "images"):
             if key not in data:
                 raise ValidationError(f"cover file misses {key!r}")
+        images = data["images"]
+        if not isinstance(images, list) or not all(
+            isinstance(v, str) for v in (data["source"], data["target"], *images)
+        ):
+            raise ValidationError("cover file needs strings for 'source', 'target'"
+                                  " and a list of strings for 'images'")
         kw = {"order_bound": order_bound} if order_bound else {}
         source = make_group(data["source"], **kw)
         target = make_group(data["target"], **kw)
-        images = [target.parse(s) for s in data["images"]]
-        hom = GroupHom.from_gen_images(source, target, images)
+        hom = GroupHom.from_gen_images(source, target, [target.parse(v) for v in images])
         return CentralExtension(source, target, hom, name=f"hom:{path}")
     raise ValidationError(
         f"unknown cover {sel!r}; use spin4, spin5, heis(<l>) or hom:<file>"
     )
 
 
-def _cmd_lift(cfg: dict) -> None:
+def _cmd_lift(cfg: dict):
     group, cv, mode = _group_and_classes(cfg)
     ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"), group)
     same = ext.base.element_set == group.element_set and all(
@@ -408,37 +372,22 @@ def _cmd_lift(cfg: dict) -> None:
             "trivial": inv.trivial,
             "obstructed": not inv.trivial,
         })
-    keys = _BASE_KEYS + ("cover",)
-    if cfg["format"] == "json":
-        data = {
-            "cover": ext.name,
-            "kernel_order": ext.kernel_order,
-            "kernel_exponent": ext.kernel_exponent,
-            "orbit_invariants": entries,
-        }
-        emit_report(_envelope(cfg, keys, data), "json", cfg["out"])
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, keys)
-        rows.append(["orbit", "size", "invariant", "trivial", "obstructed"])
-        for e in entries:
-            rows.append([
-                e["orbit"], e["size"], e["invariant"],
-                str(e["trivial"]).lower(), str(e["obstructed"]).lower(),
-            ])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, keys)
-        lines.append(
-            f"cover {ext.name}: kernel order {ext.kernel_order}, "
-            f"exponent {ext.kernel_exponent}"
-        )
-        for e in entries:
-            word = "obstructed" if e["obstructed"] else "unobstructed"
-            lines.append(
-                f"{e['orbit']} (size {e['size']}): invariant {e['invariant']}"
-                f" -> {word}"
-            )
-        emit_report("\n".join(lines), "text", cfg["out"])
+    data = {
+        "cover": ext.name,
+        "kernel_order": ext.kernel_order,
+        "kernel_exponent": ext.kernel_exponent,
+        "orbit_invariants": entries,
+    }
+    rows = [["orbit", "size", "invariant", "trivial", "obstructed"]]
+    rows += [[e[k] for k in rows[0]] for e in entries]
+    lines = [f"cover {ext.name}: kernel order {ext.kernel_order}, "
+             f"exponent {ext.kernel_exponent}"]
+    lines += [
+        f"{e['orbit']} (size {e['size']}): invariant {e['invariant']} -> "
+        f"{'obstructed' if e['obstructed'] else 'unobstructed'}"
+        for e in entries
+    ]
+    return _BASE_KEYS + ("cover",), data, rows, lines
 
 
 def _tower_spec(cfg: dict) -> TowerSpec:
@@ -453,7 +402,7 @@ def _tower_spec(cfg: dict) -> TowerSpec:
     return TowerSpec(family, ell, t=cfg.get("t") or 2, action=action)
 
 
-def _cmd_tower(cfg: dict) -> None:
+def _cmd_tower(cfg: dict):
     spec = _tower_spec(cfg)
     g0 = spec.level_group(0)
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
@@ -466,108 +415,67 @@ def _cmd_tower(cfg: dict) -> None:
         ]
     keys = ("command", "family", "ell", "t", "action", "k_max", "classes",
             "mode")
-    if cfg["format"] == "json":
-        emit_report(_envelope(cfg, keys, data), "json", cfg["out"])
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, keys)
-        rows.append(["level", "orbit", "size", "genus", "lift_invariant",
-                     "parent"])
-        parents = {tuple(edge[0]): edge[1] for edge in data["edges"]}
-        for lvl in data["levels"]:
-            for o in lvl["orbits"]:
-                par = parents.get((lvl["k"], o["label"]))
-                rows.append([
-                    lvl["k"], o["label"], o["size"],
-                    "" if o["genus"] is None else o["genus"],
-                    o["lift_invariant"] or "",
-                    "" if par is None else f"{par[0]}:{par[1]}",
-                ])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, keys)
-        for lvl in data["levels"]:
-            lines.append(
-                f"level {lvl['k']}: group order {lvl['group_order']}, "
-                f"{lvl['ni_count']} classes, {len(lvl['orbits'])} orbit(s)"
-            )
-            for o in lvl["orbits"]:
-                inv = o["lift_invariant"] or "-"
-                genus = "-" if o["genus"] is None else o["genus"]
-                lines.append(
-                    f"  {o['label']}: size {o['size']}, genus {genus}, "
-                    f"invariant {inv}"
-                )
-                for c in o["cusps"]:
-                    f = c["flags"]
-                    lines.append(
-                        f"    {c['label']} width {c['width']} {c['type']}"
-                        f" hm={f['hm']} double_identity={f['double_identity']}"
-                    )
-        for edge in data["edges"]:
-            lines.append(
-                f"edge: level {edge[0][0]} {edge[0][1]} -> "
-                f"level {edge[1][0]} {edge[1][1]}"
-            )
-        if data.get("truncated_at") is not None:
-            lines.append(f"truncated at level {data['truncated_at']}")
-        if "frattini_steps" in data:
-            for s in data["frattini_steps"]:
-                lines.append(
-                    f"frattini step {s['k']}: {s['frattini']} "
-                    f"(kernel {s['kernel_order']}, "
-                    f"ell-group={s['kernel_is_ell_group']})"
-                )
-        emit_report("\n".join(lines), "text", cfg["out"])
-
-
-def _cmd_bcl(cfg: dict) -> None:
-    group, cv, _mode = _group_and_classes(cfg)
-    res = bcl(group, cv)
-    if cfg["format"] == "json":
-        emit_report(_envelope(cfg, _BASE_KEYS, res.to_dict()), "json", cfg["out"])
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, _BASE_KEYS)
-        rows.append(["N_C", "Q", "rational_union"])
-        rows.append([
-            res.n_c, " ".join(str(m) for m in res.q),
-            str(res.rational_union).lower(),
-        ])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, _BASE_KEYS)
+    rows = [["level", "orbit", "size", "genus", "lift_invariant", "parent"]]
+    lines = []
+    parents = {tuple(edge[0]): edge[1] for edge in data["edges"]}
+    for lvl in data["levels"]:
         lines.append(
-            f"N_C = {res.n_c}; Q = {list(res.q)}; "
-            f"rational union: {res.rational_union}"
+            f"level {lvl['k']}: group order {lvl['group_order']}, "
+            f"{lvl['ni_count']} classes, {len(lvl['orbits'])} orbit(s)"
         )
-        emit_report("\n".join(lines), "text", cfg["out"])
+        for o in lvl["orbits"]:
+            par = parents.get((lvl["k"], o["label"]))
+            rows.append([lvl["k"], o["label"], o["size"], o["genus"], o["lift_invariant"],
+                         None if par is None else f"{par[0]}:{par[1]}"])
+            genus = "-" if o["genus"] is None else o["genus"]
+            lines.append(
+                f"  {o['label']}: size {o['size']}, genus {genus}, "
+                f"invariant {o['lift_invariant'] or '-'}"
+            )
+            for c in o["cusps"]:
+                f = c["flags"]
+                lines.append(
+                    f"    {c['label']} width {c['width']} {c['type']}"
+                    f" hm={f['hm']} double_identity={f['double_identity']}"
+                )
+    for child, par in data["edges"]:
+        lines.append(f"edge: level {child[0]} {child[1]} -> level {par[0]} {par[1]}")
+    if data["truncated_at"] is not None:
+        lines.append(f"truncated at level {data['truncated_at']}")
+    for s in data.get("frattini_steps", ()):
+        lines.append(
+            f"frattini step {s['k']}: {s['frattini']} "
+            f"(kernel {s['kernel_order']}, "
+            f"ell-group={s['kernel_is_ell_group']})"
+        )
+    return keys, data, rows, lines
 
 
-def _cmd_check(cfg: dict) -> None:
+def _cmd_bcl(cfg: dict):
+    data = bcl(*_group_and_classes(cfg)[:2]).to_dict()
+    rows = [["N_C", "Q", "rational_union"],
+            [data["N_C"], " ".join(str(m) for m in data["Q"]), data["rational_union"]]]
+    lines = [f"N_C = {data['N_C']}; Q = {data['Q']}; "
+             f"rational union: {data['rational_union']}"]
+    return _BASE_KEYS, data, rows, lines
+
+
+def _cmd_check(cfg: dict):
     suite = cfg["suite"]
     group, cv, _mode = _group_and_classes(cfg)
-    keys = _BASE_KEYS + ("suite", "seed", "sample_size")
     if suite != "braid-relations":
         raise ValidationError(f"unknown suite {suite!r}; use braid-relations")
     data = verify_braid_relations(
         group, cv, sample_size=cfg["sample_size"], seed=cfg["seed"]
     ).to_dict()
-    if cfg["format"] == "json":
-        emit_report(_envelope(cfg, keys, data), "json", cfg["out"])
-    elif cfg["format"] == "csv":
-        rows = _csv_provenance(cfg, keys)
-        rows.append(["check", "passed", "details"])
-        for c in data["checks"]:
-            rows.append([c["name"], str(c["passed"]).lower(), c["details"]])
-        emit_report(rows, "csv", cfg["out"])
-    else:
-        lines = _text_header(cfg, keys)
-        for c in data["checks"]:
-            status = "ok" if c["passed"] else f"FAIL {c['details']}"
-            lines.append(f"{c['name']}: {status}")
-        lines.append("all passed" if data["passed"] else "violations found")
-        emit_report("\n".join(lines), "text", cfg["out"])
-    if not data["passed"]:
-        raise ValidationError("property suite reported violations")
+    rows = [["check", "passed", "details"]]
+    lines = []
+    for c in data["checks"]:
+        rows.append([c["name"], c["passed"], c["details"]])
+        status = "ok" if c["passed"] else f"FAIL {c['details']}"
+        lines.append(f"{c['name']}: {status}")
+    lines.append("all passed" if data["passed"] else "violations found")
+    return _BASE_KEYS + ("suite", "seed", "sample_size"), data, rows, lines
 
 
 _COMMANDS = {
@@ -587,7 +495,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        _COMMANDS[args.command](cfg)
+        keys, data, rows, lines = _COMMANDS[args.command](cfg)
+        emit_report(cfg, keys, data, rows, lines)
+        if args.command == "check" and not data["passed"]:
+            raise ValidationError("property suite reported violations")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,9 +35,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .errors import BudgetError, ValidationError
 
@@ -207,8 +206,7 @@ def format_perm(p: tuple[int, ...]) -> str:
 class FiniteGroup:
     """Base class: a finite group of tuple data, enumerated on demand.
 
-    Subclasses supply ``mul``, ``inv`` and ``identity`` plus a ``_spawn``
-    hook so that subgroups stay inside the same kind.
+    Subclasses supply ``mul``, ``inv`` and ``identity``.
     """
 
     kind = "abstract"
@@ -237,9 +235,6 @@ class FiniteGroup:
 
     @property
     def identity(self):
-        raise NotImplementedError
-
-    def _spawn(self, gens, name: str) -> "FiniteGroup":
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -302,11 +297,6 @@ class FiniteGroup:
                 )
             frontier = nxt
         return seen
-
-    def generate_subgroup(self, seed) -> "FiniteGroup":
-        sub = self._spawn(tuple(seed), f"<{len(tuple(seed))} gens in {self.name}>")
-        sub.order_bound = self.order_bound
-        return sub
 
     def subgroup_order(self, seed) -> int:
         return len(self.close(seed))
@@ -532,9 +522,6 @@ class PermutationGroup(FiniteGroup):
     def identity(self):
         return identity_perm(self.degree)
 
-    def _spawn(self, gens, name):
-        return PermutationGroup(gens, self.degree, name)
-
     def format(self, g):
         return format_perm(g)
 
@@ -573,11 +560,6 @@ class Sl2Group(FiniteGroup):
     @property
     def identity(self):
         return (1, 0, 0, 1)
-
-    def _spawn(self, gens, name):
-        sub = Sl2Group(self.modulus, name)
-        sub.gens = tuple(gens)
-        return sub
 
     def format(self, g):
         a, b, c, d = g
@@ -624,11 +606,6 @@ class HeisenbergGroup(FiniteGroup):
     @property
     def identity(self):
         return (0, 0, 0)
-
-    def _spawn(self, gens, name):
-        sub = HeisenbergGroup(self.modulus, name)
-        sub.gens = tuple(gens)
-        return sub
 
     def format(self, g):
         return f"[{g[0]},{g[1]},{g[2]}]"
@@ -723,11 +700,6 @@ class VectorSemidirectGroup(FiniteGroup):
     def identity(self):
         return (tuple(0 for _ in range(self.dim)), 0)
 
-    def _spawn(self, gens, name):
-        sub = VectorSemidirectGroup(self.dim, self.modulus, self.action, name)
-        sub.gens = tuple(gens)
-        return sub
-
     def format(self, g):
         v, a = g
         return "[" + ",".join(str(x) for x in v) + "|" + str(a) + "]"
@@ -802,14 +774,6 @@ class HeisenbergSemidirectGroup(FiniteGroup):
     def identity(self):
         return (self.heis.identity, 0)
 
-    def _spawn(self, gens, name):
-        sub = HeisenbergSemidirectGroup.__new__(HeisenbergSemidirectGroup)
-        sub.heis = self.heis
-        sub.complement_order = self.complement_order
-        sub._alpha_pows = self._alpha_pows
-        FiniteGroup.__init__(sub, gens, name)
-        return sub
-
     def format(self, g):
         (x, y, z), a = g
         return f"[{x},{y},{z}|{a}]"
@@ -846,10 +810,6 @@ class ClassVector:
         for i in self.indices:
             out[i] = out.get(i, 0) + 1
         return out
-
-    def orders_lcm(self) -> int:
-        cls = self.group.conjugacy_classes()
-        return reduce(lcm, (cls[i].element_order for i in self.indices), 1)
 
     def __str__(self):
         return "[" + ",".join(self.labels()) + "]"

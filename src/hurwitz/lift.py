@@ -35,6 +35,10 @@ from .groups import (
 
 FRATTINI_TUPLE_BUDGET = 200_000
 
+# the companion matrix of x^2 + x + 1: the default order-3 action of vector
+# towers and Heisenberg covers
+COMPANION = ((0, -1), (1, -1))
+
 
 class GroupHom:
     """A verified homomorphism between finite groups, stored as a full map.
@@ -419,7 +423,5 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
 
 
 def heisenberg_cover(ell: int, m=None) -> CentralExtension:
-    """Heisenberg extension for the standard order-3 action x -> y -> -x-y."""
-    if m is None:
-        m = ((0, ell - 1), (1, ell - 1))
-    return extend_action_to_heisenberg(ell, m)
+    """Heisenberg extension for ``m``, by default the companion matrix."""
+    return extend_action_to_heisenberg(ell, COMPANION if m is None else m)

@@ -35,6 +35,7 @@ from .nielsen import Mode, NielsenClassSet, _reduction_orbit, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
+    COMPANION,
     FRATTINI_TUPLE_BUDGET,
     CentralExtension,
     GroupHom,
@@ -46,12 +47,15 @@ from .lift import (
 
 O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
 
-_COMPANION = ((0, -1), (1, -1))
-
 
 def _int_matrix(action, t: int) -> tuple:
-    rows = tuple(tuple(int(v) for v in row) for row in action)
-    if len(rows) != t or any(len(r) != t for r in rows):
+    try:
+        rows = tuple(tuple(row) for row in action)
+    except TypeError:
+        rows = ()
+    if len(rows) != t or any(
+        len(r) != t or any(type(v) is not int for v in r) for r in rows
+    ):
         raise ValidationError(f"tower action must be a {t}x{t} integer matrix")
     return rows
 
@@ -85,7 +89,7 @@ class TowerSpec:
                     "ell = 3 is excluded for the vector family (the complement"
                     " order collides with the prime; no canonical class lift)"
                 )
-            action = self.action if self.action is not None else _COMPANION
+            action = self.action if self.action is not None else COMPANION
             object.__setattr__(self, "action", _int_matrix(action, self.t))
             if _det_mod([
                 [(1 if i == j else 0) - self.action[i][j] for j in range(self.t)]
@@ -219,7 +223,7 @@ def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVect
 @dataclass(frozen=True)
 class CuspClassification:
     type: str
-    hm: object  # True / False / "unknown"
+    hm: bool  # some member of the cusp has Harbater-Mumford shape
     double_identity: bool
 
     def to_dict(self) -> dict:
@@ -257,26 +261,20 @@ def _subgroup_order_prime_to(group, gens, ell) -> bool:
     return group.subgroup_order(gens) % ell != 0
 
 
-def cusp_type(c: CuspOrbit, ell: int, hm_cap: int | None = None) -> CuspClassification:
+def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
     ix = c.ni.group.indexed()
     rep = ix.to_index(c.rep)
     r = len(rep)
 
-    searched_all = True
     hm = False
     dbl = False
-    members = c.members if hm_cap is None else c.members[:hm_cap]
-    searched_all = len(members) == len(c.members)
-    for t in members:
+    for t in c.members:
         u = ix.to_index(t)
         hm = hm or _class_has_hm(ix, u)
         dbl = dbl or _class_has_double_identity(ix, u)
         if hm and dbl:
             break
-    hm_flag: object = hm
-    if not hm and not searched_all:
-        hm_flag = "unknown"
 
     if r == 4:
         g1, g2, g3, g4 = rep
@@ -291,7 +289,7 @@ def cusp_type(c: CuspOrbit, ell: int, hm_cap: int | None = None) -> CuspClassifi
             kind = "ell-cusp"
     else:
         kind = "g-ell-prime" if _gl_prime_partition(ix, rep, ell) else "unclassified"
-    return CuspClassification(type=kind, hm=hm_flag, double_identity=dbl)
+    return CuspClassification(type=kind, hm=hm, double_identity=dbl)
 
 
 def _gl_prime_partition(group, t: tuple, ell: int) -> bool:

@@ -59,8 +59,6 @@ def test_cusp_orbits_partition_the_orbit(a4_orbits):
 
 def test_orbit_membership_index(a4_orbits):
     o = a4_orbits[0]
-    for t in o.members:
-        assert o.member_index()[t] is not None
     assert o.rep == o.members[0]
 
 

@@ -104,11 +104,29 @@ def config_values(integers):
 
 
 # config-file values of the integer keys: integers small enough to keep a run
-# short (k_max <= 1 keeps a tower at two levels), booleans, strings and nulls
-FUZZ_CONFIGS = st.fixed_dictionaries({}, optional={
+# short (k_max <= 1 keeps a tower at two levels), booleans, strings and nulls;
+# ``out`` gets anything but a string, so no run writes a file (its integers are
+# negative or far above any open descriptor: open() takes an int as one)
+FUZZ_KEYS = {
     **{key: config_values(st.integers(-3, 40))
        for key in ("order_bound", "orbit_cap", "seed", "sample_size")},
     "k_max": config_values(st.integers(-3, 1)),
+    "out": st.one_of(st.integers(-3, -1), st.just(10**6),
+                     st.lists(st.integers(0, 2), max_size=2), st.none()),
+}
+FUZZ_CONFIGS = st.fixed_dictionaries({}, optional=FUZZ_KEYS)
+# the tower also reads ``action`` (a JSON string or a list of integer rows) and
+# ``frattini`` (a boolean) from a config file
+FUZZ_TOWER_CONFIGS = st.fixed_dictionaries({}, optional={
+    **FUZZ_KEYS,
+    "action": st.one_of(
+        st.integers(-3, 3), st.none(),
+        st.sampled_from(["[[0,-1],[1,-1]]", "[[0,1],[1,1]]", "[[0,-1],[1,-1.0]]", "5", "x"]),
+        st.lists(st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=1), st.none()),
+                          max_size=3), max_size=3),
+    ),
+    "frattini": st.one_of(st.booleans(), st.integers(0, 2),
+                          st.lists(st.integers(0, 1), max_size=1), st.none()),
 })
 
 
@@ -135,6 +153,9 @@ def run_with_config(argv, config):
 # a null used to reach the command as None and end in a traceback
 @example(command="check", group_classes=("A4", "[3a,3a,3b,3b]"), mode="inner-reduced",
          fmt="text", config={"sample_size": None, "seed": None})
+# an int ``out`` used to reach open() as a file descriptor
+@example(command="bcl", group_classes=("A4", "[3a,3a,3b,3b]"), mode="inner-reduced",
+         fmt="json", config={"out": -1})
 def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mode, fmt,
                                                      config):
     group, classes = group_classes
@@ -149,7 +170,7 @@ def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mod
     family_classes=st.sampled_from([("dihedral", "5", "[2a,2a,2a,2a]"),
                                     ("vector", "2", "[3a,3a,3b,3b]")]),
     mode=st.sampled_from(["inner-reduced", "absolute-reduced"]),
-    config=FUZZ_CONFIGS,
+    config=FUZZ_TOWER_CONFIGS,
 )
 @example(family_classes=("dihedral", "5", "[2a,2a,2a,2a]"), mode="absolute-reduced",
          config={"k_max": None, "order_bound": None})
@@ -226,6 +247,47 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key):
     assert run([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key.replace("_", "-") in err
+
+
+# each used to end in a traceback (exit 1): a string function applied to an
+# int, open() taking an int for a file descriptor, int() on a matrix entry
+@pytest.mark.parametrize("argv,config", [
+    (["enumerate"], {"group": "A4", "classes": 5}),
+    (["enumerate"], {"group": 5, "classes": "[3a,3a,3b,3b]"}),
+    (["lift", *A4_ARGS], {"cover": 5}),
+    (["bcl", *A4_ARGS], {"out": 10**6}),
+    (["orbits", *A4_ARGS], {"members_file": 10**6}),
+    (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+      "--action", '[[0,"a"],[1,1]]'], {}),
+    (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+      "--action", "5"], {}),
+])
+def test_wrong_type_inputs_exit_2(argv, config):
+    code, err = run_with_config(argv, config)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cover", [
+    {"source": 5, "target": "A4", "images": ["(2,3,4)", "(1,2,3)"]},
+    {"source": "SL2(3)", "target": "A4", "images": [1, 2]},
+])
+def test_cover_file_with_wrong_types_exits_2(tmp_path, capsys, cover):
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps(cover))
+    assert run(["lift", *A4_ARGS, "--cover", f"hom:{hom}"]) == 2
+    assert capsys.readouterr().err.startswith("error: cover file needs strings")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bcl", *A4_ARGS, "--out"],
+    ["orbits", *A4_ARGS, "--members-file"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    assert run([*argv, str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
