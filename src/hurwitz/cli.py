@@ -399,7 +399,7 @@ def _tower_spec(cfg: dict) -> TowerSpec:
             action = json.loads(action)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--action is not valid JSON: {exc}") from exc
-    return TowerSpec(family, ell, t=cfg.get("t") or 2, action=action)
+    return TowerSpec(family, ell, t=cfg["t"], action=action)
 
 
 def _cmd_tower(cfg: dict):

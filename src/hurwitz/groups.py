@@ -298,9 +298,6 @@ class FiniteGroup:
             frontier = nxt
         return seen
 
-    def subgroup_order(self, seed) -> int:
-        return len(self.close(seed))
-
     def power(self, g, m: int):
         """g^m for any integer m, by repeated squaring."""
         if m < 0:
@@ -379,12 +376,6 @@ class FiniteGroup:
             return self._class_of[g]
         except KeyError:
             raise ValidationError(f"element {self.format(g)} is not in {self.name}") from None
-
-    def class_by_label(self, label: str) -> int:
-        for i, cl in enumerate(self.conjugacy_classes()):
-            if cl.label == label:
-                return i
-        raise ValidationError(f"no conjugacy class {label!r} in {self.name}")
 
     # -- formatting ----------------------------------------------------
     def format(self, g) -> str:

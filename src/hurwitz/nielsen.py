@@ -23,6 +23,11 @@ first entry to the least element of its orbit and then minimising over the
 stabilizer of that element; the tables for this are precomputed once per
 (group, equivalence) pair.
 
+A canonical form's second entry is least under the stabilizer of its first,
+so the search extends a first entry only by such entries (McKay's orderly
+search).  A reduced form is the least canonical form in its Klein orbit, so
+the enumeration keeps a map from canonical to reduced forms to look up.
+
 The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order; the
 public functions here take and return tuples of element data.
@@ -300,18 +305,22 @@ class NielsenClassSet:
     mode: Mode
     reps: tuple
     action: ConjAction | None = field(compare=False, repr=False, default=None)
+    # reduced modes: canonical -> reduced form on every Klein orbit met
+    klein: dict = field(compare=False, repr=False, default_factory=dict)
 
     @property
     def count(self) -> int:
         return len(self.reps)
 
     def canonical(self, u: tuple) -> tuple:
-        """Canonical form of an index tuple of ``group.indexed()``."""
+        """Canonical form of an index tuple of ``group.indexed()``; a reduced
+        mode looks it up in ``klein``, reducing afresh on a miss."""
         if self.action is None:
             return u
-        if self.mode.reduced:
-            return self.action.reduced_canonical_tuple(u)
-        return self.action.canonical_tuple(u)
+        c = self.action.canonical_tuple(u)
+        if not self.mode.reduced:
+            return c
+        return self.klein.get(c) or self.action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
         """q1, q2 and sh as permutations of rep positions, computed on first
@@ -347,13 +356,16 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
 
     The search fixes the first entry (to each class member in raw mode, to
     each orbit minimum otherwise), walks the remaining class multiset for
-    positions 2..r-1 and solves for the last entry.  Generation is settled
-    once per canonical form (inner classes in raw mode), or per Klein orbit
-    of them in a reduced mode with r = 4, whose least member is the reduced
-    form; any generating pair of entries settles it.  Before the search,
-    ``len(starts) * w**(r-2)``, with w the number of elements in the classes
-    of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP`` it
-    raises ``BudgetError``.
+    positions 2..r-1 and solves for the last entry; outside raw mode the
+    second entry is least under the first's stabilizer, as in every
+    canonical form, and when no other element of that stabilizer fixes it,
+    the tuple is its own canonical form.  Generation is settled once per
+    canonical form (inner classes in raw mode), or per Klein orbit of them
+    in a reduced mode with r = 4, whose least member is the reduced form and
+    which ``klein`` maps to it; any generating pair of entries settles it.
+    Before the search, ``len(starts) * w**(r-2)``, with w the number of
+    elements in the classes of C, bounds the tuples it will reach; above
+    ``SEARCH_NODE_CAP`` it raises ``BudgetError``.
     """
     mode = Mode.parse(mode)
     r = cv.r
@@ -383,29 +395,34 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
     # it by inner class, a reduced mode (r = 4) by Klein orbit
     key = (action or _get_action(group, Mode.INNER, cv)).canonical_tuple
     pairs: dict = {}
-    verdict: dict = {}
+    least: dict = {}  # canonical form -> least canonical form of its Klein orbit
+    good = set()  # the generating least forms
     found = set()
     for g1 in starts:
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
-        for t in _complete(ix, r, members, remaining, g1):
-            c = key(t)
-            ok = verdict.get(c)
-            if ok is None:
-                orbit = [key(u) for u in _reduction_orbit(ix, c)] if mode.reduced else [c]
-                ok = _generates_by_pairs(ix, c, pairs)
-                verdict.update(dict.fromkeys(orbit, ok))
-                if ok and action is not None:
-                    found.add(min(orbit))
-            if ok and action is None:
+        stab = action.stabilizer[g1] if action is not None else ()
+        seconds = {i: [g for g in gs if all(z[g] >= g for z in stab)] for i, gs in members.items()}
+        free = {g for gs in seconds.values() for g in gs if all(z[g] != g for z in stab)}
+        for t in _complete(ix, r, members, remaining, g1, seconds):
+            c = t if action is not None and t[1] in free else key(t)
+            m = least.get(c)
+            if m is None:
+                orbit = [c, *map(key, _reduction_orbit(ix, c)[1:])] if mode.reduced else [c]
+                m = min(orbit)
+                least.update(dict.fromkeys(orbit, m))
+                if _generates_by_pairs(ix, c, pairs):
+                    good.add(m)
+            if action is None and m in good:
                 found.add(t)
-    reps = tuple(ix.to_data(t) for t in sorted(found))
-    return NielsenClassSet(group, cv, mode, reps, action)
+    reps = tuple(ix.to_data(t) for t in sorted(good if action is not None else found))
+    return NielsenClassSet(group, cv, mode, reps, action, least if mode.reduced else {})
 
 
-def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int) -> list[tuple]:
+def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, seconds) -> list[tuple]:
     """Product-one tuples (g1, ..., g_r) whose later entries use up the class
-    multiset ``remaining``, by depth-first search on an explicit stack."""
+    multiset ``remaining``, by depth-first search on an explicit stack, the
+    second entry drawn from ``seconds`` (a sub-dict of ``members``)."""
     table, inverse, class_of = ix.table, ix.inverse, ix._class_of
     out: list[tuple] = []
     stack = [((g1,), g1, remaining)]
@@ -417,11 +434,12 @@ def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int) -> li
                 out.append(prefix + (last,))
             continue
         row = table[prod]
+        pool = seconds if len(prefix) == 1 else members
         for i in sorted(left, reverse=True):
             if left[i]:
                 rest = dict(left)
                 rest[i] -= 1
-                for g in reversed(members[i]):
+                for g in reversed(pool[i]):
                     stack.append((prefix + (g,), row[g], rest))
     return out
 

@@ -13,11 +13,13 @@ Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
 <g1, g4> and <g2, g3> are both l'-groups, otherwise o-l' when the middle
 product g2*g3 has order prime to l, otherwise an l-cusp.  "l does not
 divide g2*g3" is read as a statement about the order of the middle product;
-reports repeat that reading.
+reports repeat that reading.  An l' subgroup's order divides the l'-part of
+|G|, so the closure deciding "<g, h> is an l'-group" stops past that part.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
@@ -66,8 +68,9 @@ class TowerSpec:
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: the order-3 companion matrix of x^2 + x + 1),
-    or "dihedral" for D_(l^(k+1)).  Level groups and projections are built
-    on first use and kept by the spec.
+    or "dihedral" for D_(l^(k+1)), which takes no action matrix and sets t
+    to 1.  Level groups and projections are built on first use and kept by
+    the spec.
     """
 
     family: str
@@ -83,6 +86,8 @@ class TowerSpec:
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
         if self.ell < 2 or _smallest_prime_factor(self.ell) != self.ell:
             raise ValidationError(f"tower prime expected, got {self.ell}")
+        if type(self.t) is not int or self.t < 1:
+            raise ValidationError(f"tower lattice rank t must be at least 1, got {self.t!r}")
         if self.family == "vector":
             if self.ell == 3:
                 raise ValidationError(
@@ -102,7 +107,8 @@ class TowerSpec:
         else:
             if self.ell == 2:
                 raise ValidationError("dihedral towers need an odd prime")
-            object.__setattr__(self, "action", None)
+            if self.action is not None:
+                raise ValidationError("dihedral towers take no action matrix")
             object.__setattr__(self, "t", 1)
 
     def modulus(self, k: int) -> int:
@@ -246,19 +252,10 @@ def _has_adjacent_repeat(t: tuple) -> bool:
     return any(t[i] == t[(i + 1) % r] for i in range(r))
 
 
-def _class_has_hm(group, t) -> bool:
-    # HM shape is defined by entrywise equations invariant under simultaneous
-    # conjugation, so one representative decides it for the inner class; the
-    # reduced class is the union of the reduction orbit's inner classes.
-    return any(tuple_is_hm(group, u) for u in _reduction_orbit(group, t))
-
-
-def _class_has_double_identity(group, t) -> bool:
-    return any(_has_adjacent_repeat(u) for u in _reduction_orbit(group, t))
-
-
 def _subgroup_order_prime_to(group, gens, ell) -> bool:
-    return group.subgroup_order(gens) % ell != 0
+    part = _ell_prime_part(group.order, ell)
+    h = len(group.close(gens, stop_above=part))
+    return h <= part and h % ell != 0
 
 
 def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
@@ -267,12 +264,14 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     rep = ix.to_index(c.rep)
     r = len(rep)
 
-    hm = False
-    dbl = False
+    # both shapes are entrywise equations, invariant under simultaneous
+    # conjugation, so one representative decides them for its inner class;
+    # a reduced class is the union of its reduction orbit's inner classes
+    hm = dbl = False
     for t in c.members:
-        u = ix.to_index(t)
-        hm = hm or _class_has_hm(ix, u)
-        dbl = dbl or _class_has_double_identity(ix, u)
+        orbit = _reduction_orbit(ix, ix.to_index(t))
+        hm = hm or any(tuple_is_hm(ix, u) for u in orbit)
+        dbl = dbl or any(map(_has_adjacent_repeat, orbit))
         if hm and dbl:
             break
 
@@ -453,10 +452,7 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
     for child_level in levels[1:]:
         parent_level = levels[child_level.k - 1]
         ix = parent_level.group.indexed()
-        owner = {}
-        for o in parent_level.orbits:
-            for t in o.members:
-                owner[t] = o.label
+        owner = {t: o.label for o in parent_level.orbits for t in o.members}
         for o in child_level.orbits:
             down = ix.to_index(project_tuple(spec, child_level.k, o.rep))
             image = ix.to_data(parent_level.ni.canonical(down))
@@ -545,17 +541,12 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
         return ix.to_data(ni_abs.canonical(ix.to_index(t)))
 
     # class-level fibers: how many inner classes collapse to each absolute one
-    coarse: dict[tuple, int] = {}
-    for t in ni_in.reps:
-        coarse[abs_canon(t)] = coarse.get(abs_canon(t), 0) + 1
+    coarse = Counter(map(abs_canon, ni_in.reps))
     class_fibers = tuple(coarse[t] for t in ni_abs.reps)
 
     in_orbits = braid_orbits(ni_in)
     abs_orbits = braid_orbits(ni_abs)
-    owner = {}
-    for o in abs_orbits:
-        for t in o.members:
-            owner[t] = o.label
+    owner = {t: o.label for o in abs_orbits for t in o.members}
     fibers: dict[str, list[str]] = {o.label: [] for o in abs_orbits}
     for o in in_orbits:
         fibers[owner[abs_canon(o.rep)]].append(o.label)
@@ -603,7 +594,7 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int,
         kernel = hom.kernel()
         ell = spec.ell
         is_ell = all(
-            _is_ell_power(hom.source.element_order(x), ell) for x in kernel
+            _ell_prime_part(hom.source.element_order(x), ell) == 1 for x in kernel
         )
         n_tuples = len(kernel) ** len(hom.target.gens)
         if n_tuples > budget:
@@ -619,10 +610,10 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int,
     return tuple(steps)
 
 
-def _is_ell_power(n: int, ell: int) -> bool:
+def _ell_prime_part(n: int, ell: int) -> int:
     while n % ell == 0:
         n //= ell
-    return n == 1
+    return n
 
 
 def lift_partition_is_choice_independent(level: TowerLevel) -> bool | None:

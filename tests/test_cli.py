@@ -300,6 +300,25 @@ def test_degenerate_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+VECTOR_TOWER = ["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]"]
+DIHEDRAL_TOWER = ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]"]
+
+
+# --t 0 used to build the rank-2 tower, and a dihedral tower used to echo an
+# action it never used
+@pytest.mark.parametrize("argv,message", [
+    ([*VECTOR_TOWER, "--t", "0"], "rank t must be at least 1, got 0"),
+    ([*VECTOR_TOWER, "--t", "-1"], "rank t must be at least 1, got -1"),
+    ([*DIHEDRAL_TOWER, "--action", '[[0,"a"]]'], "no action matrix"),
+    ([*DIHEDRAL_TOWER, "--action", "[[0,-1],[1,-1]]"], "no action matrix"),
+])
+def test_tower_rejects_rank_below_one_and_a_dihedral_action(argv, message, capsys):
+    assert run([*argv, "--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_lift_subcommand(capsys):
     assert run(["lift", *A4_ARGS, "--cover", "spin4"]) == 0
     out = out_of(capsys)

@@ -102,7 +102,7 @@ def test_element_order(a4):
 
 def test_generate_subgroup(a4):
     assert len(a4.close([a4.parse("(1,2)(3,4)"), a4.parse("(1,3)(2,4)")])) == 4
-    assert a4.subgroup_order([a4.parse("(1,2,3)")]) == 3
+    assert len(a4.close([a4.parse("(1,2,3)")])) == 3
 
 
 def test_class_vector_parsing(a4, a4_cv):

@@ -15,6 +15,7 @@ from hurwitz.groups import (
     perm_mul,
 )
 from hurwitz.nielsen import (
+    ConjAction,
     Mode,
     _build_action,
     _complete,
@@ -242,7 +243,7 @@ def reference_enumeration(g, cv, mode):
     for g1 in sorted(starts):
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
-        for t in _complete(ix, cv.r, members, remaining, g1):
+        for t in _complete(ix, cv.r, members, remaining, g1, members):
             forms.add(t if action is None else action.canonical_tuple(t))
     found = {c for c in forms if len(ix.close(c, stop_above=half)) > half}
     rejected = len(forms) - len(found)
@@ -254,6 +255,7 @@ def reference_enumeration(g, cv, mode):
 
 PERMUTATION_MODES = tuple(Mode)
 LATTICE_MODES = (Mode.INNER, Mode.INNER_REDUCED)
+ABSOLUTE_MODES = (Mode.ABSOLUTE, Mode.ABSOLUTE_REDUCED)
 
 
 @pytest.mark.parametrize("desc,classes,modes,rejects,weak_pairs", [
@@ -267,6 +269,11 @@ LATTICE_MODES = (Mode.INNER, Mode.INNER_REDUCED)
     ("D7", "[2a,2a,2a,2a]", PERMUTATION_MODES, True, False),
     ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", LATTICE_MODES, False, False),
     ("V(2,7):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", LATTICE_MODES, True, True),
+    # the orderly search away from r = 4, under the Sym(n)-normalizer
+    ("S4", "[2b,3a,4a]", ABSOLUTE_MODES, False, False),
+    ("A5", "[2a,3a,5a]", ABSOLUTE_MODES, False, False),
+    ("S4", "[2b,2b,2b,2b,3a]", ABSOLUTE_MODES, True, True),
+    ("A5", "[3a,3a,3a,3a,3a]", ABSOLUTE_MODES, True, True),
 ])
 def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_pairs):
     g = make_group(desc)
@@ -274,7 +281,32 @@ def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_p
     for mode in modes:
         reps, rejected, weak = reference_enumeration(g, cv, mode)
         assert enumerate_nielsen(g, cv, mode).reps == reps, mode
+        # the search prunes second entries: some first entry has a
+        # nontrivial stabilizer
+        action = _get_action(g, mode, cv)
+        assert action is None or any(action.stabilizer[m] for m in set(action.orbit_min)), mode
         # where flagged, some product-one tuples do not generate, and some
         # generating ones need the closure because their first pair does not
         assert rejected > 0 or not rejects, mode
         assert weak > 0 or not weak_pairs, mode
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("D7", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("D11", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+])
+def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mode):
+    """q1, q2 and sh images of a reduced class are reduced by one canonical
+    form and a lookup in the enumeration's Klein map, never afresh."""
+    g = make_group(desc)
+    ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
+    calls = Counter()
+    for name in ("canonical_tuple", "reduced_canonical_tuple"):
+        def counted(self, t, _name=name, _method=getattr(ConjAction, name)):
+            calls[_name] += 1
+            return _method(self, t)
+        monkeypatch.setattr(ConjAction, name, counted)
+    ni.moves()
+    assert 0 < calls["canonical_tuple"] <= 3 * ni.count
+    assert calls["reduced_canonical_tuple"] == 0

@@ -1,5 +1,7 @@
 """Tower families: level groups, projections, cusps, trees, field data."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hurwitz.braid import apply_qi, braid_orbits, cusp_orbits
@@ -8,6 +10,7 @@ from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.nielsen import Mode, enumerate_nielsen
 from hurwitz.tower import (
     TowerSpec,
+    _subgroup_order_prime_to,
     bcl,
     build_level,
     component_tree,
@@ -31,6 +34,10 @@ def test_spec_validation():
         TowerSpec("cyclic", 5)
     with pytest.raises(ValidationError):
         TowerSpec("vector", 5, action=((1, 0), (0, 1)))  # has a Z/5 quotient
+    with pytest.raises(ValidationError, match="rank"):
+        TowerSpec("vector", 5, t=0)
+    with pytest.raises(ValidationError, match="no action matrix"):
+        TowerSpec("dihedral", 5, action=((0, -1), (1, -1)))
 
 
 def test_level_groups_vector():
@@ -111,6 +118,27 @@ def test_cusp_trichotomy_on_modular_curve():
         else:
             assert cls.type == "g-ell-prime"
     assert any(cls.double_identity for cls in types.values())
+
+
+@pytest.mark.parametrize("family,ell,k", [
+    ("vector", 2, 0), ("vector", 2, 1), ("vector", 2, 2), ("vector", 5, 0),
+    ("dihedral", 5, 0), ("dihedral", 5, 1),
+])
+def test_bounded_ell_prime_test_matches_full_closures(family, ell, k):
+    """The closure stopped at the ell'-part of |G| decides "<gens> is an
+    ell'-group" as the full closure does, on every pair of elements and on
+    the (g1, g4) and (g2, g3) pairs of every class at the level."""
+    spec = TowerSpec(family, ell)
+    c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
+    mode = Mode.INNER_REDUCED if family == "vector" else Mode.ABSOLUTE_REDUCED
+    lvl = build_level(spec, parse_class_vector(spec.level_group(0), c0), k, mode=mode)
+    ix = lvl.group.indexed()
+    pairs = set(combinations_with_replacement(range(ix.order), 2))
+    for t in lvl.ni.reps:
+        g1, g2, g3, g4 = ix.to_index(t)
+        pairs.update([(g1, g4), (g2, g3)])
+    for gens in pairs:
+        assert _subgroup_order_prime_to(ix, gens, ell) == (len(ix.close(gens)) % ell != 0), gens
 
 
 def test_cusp_type_constant_choice_of_representative(a4_orbits):
@@ -209,3 +237,16 @@ def test_tower_level_to_dict():
     assert {c["type"] for c in cusps} <= {
         "ell-cusp", "g-ell-prime", "o-ell-prime", "unclassified"
     }
+
+
+@pytest.mark.long
+def test_vector_tower_ell5_level1():
+    spec = TowerSpec("vector", 5)
+    cv = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
+    tree = component_tree(spec, cv, 1)
+    top = tree.levels[1]
+    assert top.ni.count == 195000
+    assert len(top.orbits) == 29
+    genera = sorted(top.genus_report(o).genus for o in top.orbits)
+    assert genera == [73] * 5 + [361] * 20 + [401] * 4
+    assert len(tree.edges) == 29
