@@ -43,68 +43,65 @@ _DEFAULTS = {
     "seed": 0,
     "sample_size": 25,
     "k_max": 1,
-    "t": 2,
     "suite": "braid-relations",
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMAND_HELP = {
+    "enumerate": "list Nielsen-class representatives",
+    "orbits": "braid orbits and their cusps",
+    "shinc": "sh-incidence matrix with genus data",
+    "genus": "genus reports and moduli flags per orbit",
+    "lift": "lift invariants of braid orbits under a cover",
+    "tower": "component tree of a modular-tower family",
+    "bcl": "Branch-Cycle-Lemma field data",
+    "check": "property suites with witnesses",
+}
+
+
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every command's shell, but flags only for the first command named in
+    argv (the top level has no options that take values)."""
     parser = argparse.ArgumentParser(
         prog="hurwitz",
         description="Nielsen classes, braid orbits, and Modular Tower levels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True):
-        if group:
-            p.add_argument("--group", help="group descriptor, e.g. A4, D5, SL2(3)")
-            p.add_argument("--classes", help="class vector, e.g. [3a,3a,3b,3b]")
-        p.add_argument("--mode", help="raw | inner | absolute | inner-reduced | absolute-reduced")
-        p.add_argument("--format", dest="format", help="text | json | csv")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--order-bound", type=int, dest="order_bound")
-        p.add_argument("--orbit-cap", type=int, dest="orbit_cap")
-
-    p = sub.add_parser("enumerate", help="list Nielsen-class representatives")
-    common(p)
-
-    p = sub.add_parser("orbits", help="braid orbits and their cusps")
-    common(p)
-    p.add_argument("--members-file", dest="members_file",
-                   help="also write full orbit membership to this JSON file")
-
-    p = sub.add_parser("shinc", help="sh-incidence matrix with genus data")
-    common(p)
-
-    p = sub.add_parser("genus", help="genus reports and moduli flags per orbit")
-    common(p)
-
-    p = sub.add_parser("lift", help="lift invariants of braid orbits under a cover")
-    common(p)
-    p.add_argument("--cover", help="spin4 | spin5 | heis(<l>) | hom:<file>")
-
-    p = sub.add_parser("tower", help="component tree of a modular-tower family")
-    common(p, group=False)
-    p.add_argument("--classes", help="level-0 class vector, e.g. [3a,3a,3b,3b]")
-    p.add_argument("--family", help="vector | dihedral")
-    p.add_argument("--ell", type=int, help="the tower prime")
-    p.add_argument("--t", type=int, dest="t", help="lattice rank (vector family)")
-    p.add_argument("--action", help="integer action matrix as JSON, e.g. [[0,-1],[1,-1]]")
-    p.add_argument("--k-max", type=int, dest="k_max", help="deepest level to build")
-    p.add_argument("--frattini", action="store_true",
-                   help="include per-step Frattini-cover results")
-
-    p = sub.add_parser("bcl", help="Branch-Cycle-Lemma field data")
-    common(p)
-
-    p = sub.add_parser("check", help="property suites with witnesses")
-    common(p)
-    p.add_argument("--suite", help="braid-relations")
-    p.add_argument("--sample-size", type=int, dest="sample_size")
-    p.add_argument("--seed", type=int)
-
+    shells = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
+    command = next((a for a in argv if a in shells), None)
+    if command is not None:
+        _add_flags(shells[command], command)
     return parser
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    if command != "tower":
+        p.add_argument("--group", help="group descriptor, e.g. A4, D5, SL2(3)")
+        p.add_argument("--classes", help="class vector, e.g. [3a,3a,3b,3b]")
+    p.add_argument("--mode", help="raw | inner | absolute | inner-reduced | absolute-reduced")
+    p.add_argument("--format", dest="format", help="text | json | csv")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--order-bound", type=int, dest="order_bound")
+    p.add_argument("--orbit-cap", type=int, dest="orbit_cap")
+    if command == "orbits":
+        p.add_argument("--members-file", dest="members_file",
+                       help="also write full orbit membership to this JSON file")
+    elif command == "lift":
+        p.add_argument("--cover", help="spin4 | spin5 | heis(<l>) | hom:<file>")
+    elif command == "tower":
+        p.add_argument("--classes", help="level-0 class vector, e.g. [3a,3a,3b,3b]")
+        p.add_argument("--family", help="vector | dihedral")
+        p.add_argument("--ell", type=int, help="the tower prime")
+        p.add_argument("--t", type=int, dest="t", help="lattice rank (vector family)")
+        p.add_argument("--action", help="integer action matrix as JSON, e.g. [[0,-1],[1,-1]]")
+        p.add_argument("--k-max", type=int, dest="k_max", help="deepest level to build")
+        p.add_argument("--frattini", action="store_true",
+                       help="include per-step Frattini-cover results")
+    elif command == "check":
+        p.add_argument("--suite", help="braid-relations")
+        p.add_argument("--sample-size", type=int, dest="sample_size")
+        p.add_argument("--seed", type=int)
 
 
 def _load_config(path: str | None) -> dict:
@@ -194,7 +191,7 @@ def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
     in front.  CSV spells booleans as JSON does and None as an empty cell.
     Identical inputs give identical bytes.
     """
-    inputs = {k: cfg[k] for k in keys if cfg.get(k) not in (None, False)}
+    inputs = {k: cfg[k] for k in keys if cfg.get(k) is not None and cfg[k] is not False}
     if cfg["format"] == "json":
         report = {"version": __version__, "inputs": inputs, **data}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -404,6 +401,7 @@ def _tower_spec(cfg: dict) -> TowerSpec:
 
 def _cmd_tower(cfg: dict):
     spec = _tower_spec(cfg)
+    cfg["t"] = spec.t if spec.family == "vector" else None  # echo the rank that ran
     g0 = spec.level_group(0)
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
     mode = Mode.parse(cfg["mode"])
@@ -491,8 +489,8 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         cfg = _resolve(args)
         keys, data, rows, lines = _COMMANDS[args.command](cfg)

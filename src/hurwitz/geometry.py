@@ -203,36 +203,19 @@ class ModuliFlags:
         }
 
 
-def _center_is_trivial(group) -> bool:
-    gens = group.gens
-    count = sum(
-        1
-        for a in group.elements
-        if all(group.mul(a, g) == group.mul(g, a) for g in gens)
-    )
-    return count == 1
-
-
 def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
-    """Fine-moduli tests: centerless G; Klein-4 action; no elliptic fixed points."""
+    """Fine-moduli tests: centerless G (the inner action is faithful); Klein-4
+    action; no elliptic fixed points."""
     _require_reduced_four(orbit, "moduli_flags")
-    inner_fine = _center_is_trivial(group)
-
     inner = _get_action(group, Mode.INNER, None)
     ix = inner.group
-    b_fine = True
-    for t in orbit.members:
-        classes = {inner.canonical_tuple(u) for u in _reduction_orbit(ix, ix.to_index(t))}
-        if len(classes) != 4:
-            b_fine = False
-            break
-
-    perms = _gamma_maps(orbit)
-    no_elliptic = all(
-        all(i != j for i, j in enumerate(p)) for p in perms[:2]
+    b_fine = all(
+        len({inner.canonical_tuple(u) for u in _reduction_orbit(ix, ix.to_index(t))}) == 4
+        for t in orbit.members
     )
+    no_elliptic = all(i != j for p in _gamma_maps(orbit)[:2] for i, j in enumerate(p))
     return ModuliFlags(
-        inner_fine=inner_fine,
+        inner_fine=inner.order == ix.order,
         b_fine_reduced=b_fine,
         fine_reduced=b_fine and no_elliptic,
     )

@@ -14,7 +14,9 @@ notation, e.g. ``"(1,2,3)(4,5)"``.
 
 Groups at this scale (a few thousand elements, bounded by ``order_bound``)
 are enumerated completely by breadth-first closure over the generators; no
-stabiliser-chain machinery is used or needed.
+stabiliser chain is built.  Only the conjugation actions of the Nielsen
+layer, whose acting groups can be much larger, keep one level of one: orbit
+transversals and point stabilizers.
 
 Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
@@ -36,16 +38,17 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import BudgetError, ValidationError
 
 DEFAULT_ORDER_BOUND = 10**6
 
-# Entries (n^2 for a group of order n) an indexed view's Cayley table, or
-# the index permutations of a conjugation action, may hold: about 30 MB of
-# references at the cap.  It admits order 2000, enough for SL2(9) (720) and
-# the level-1 vector tower group at ell = 5 (1875).
+# Entries an indexed view's Cayley table (n^2 for a group of order n), the
+# transporters of a conjugation action (n^2) or the permutations of one of
+# its stabilizers (n per permutation) may hold: about 30 MB of references at
+# the cap.  It admits order 2000, enough for SL2(9) (720), the level-1
+# vector tower group at ell = 5 (1875) and D625 (1250).
 TABLE_ENTRY_CAP = 4_000_000
 
 
@@ -331,17 +334,13 @@ class FiniteGroup:
             for x in els:
                 if x in seen:
                     continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for a in gens:
-                            z = self.conj(y, a)
-                            if z not in orbit:
-                                orbit.add(z)
-                                nxt.append(z)
-                    frontier = nxt
+                orbit, queue = {x}, [x]
+                for y in queue:
+                    for a in gens:
+                        z = self.conj(y, a)
+                        if z not in orbit:
+                            orbit.add(z)
+                            queue.append(z)
                 seen |= orbit
                 raw.append(orbit)
             # ordering: (element order, class size, least representative)
@@ -434,18 +433,14 @@ class IndexedGroup(FiniteGroup):
         self._index = {i: i for i in self._elements}
         right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
         self._tree = []
-        seen = {self._identity}
-        frontier = [self._identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for k, col in enumerate(right):
-                    y = col[x]
-                    if y not in seen:
-                        seen.add(y)
-                        self._tree.append((x, k, y))
-                        nxt.append(y)
-            frontier = nxt
+        seen, queue = {self._identity}, [self._identity]
+        for x in queue:
+            for k, col in enumerate(right):
+                y = col[x]
+                if y not in seen:
+                    seen.add(y)
+                    self._tree.append((x, k, y))
+                    queue.append(y)
         self.table = tuple(self._along_tree(a, right) for a in self._elements)
         self.inverse = tuple(index[data.inv(g)] for g in els)
         self._classes = tuple(
@@ -512,6 +507,9 @@ class PermutationGroup(FiniteGroup):
     @property
     def identity(self):
         return identity_perm(self.degree)
+
+    def element_order(self, g) -> int:
+        return self._orders.setdefault(g, lcm(*cycle_type(g)))
 
     def format(self, g):
         return format_perm(g)

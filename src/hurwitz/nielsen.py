@@ -20,8 +20,11 @@ The canonical form of a tuple is the lexicographically least member of its
 equivalence orbit, using the plain tuple order on element data.  Since
 conjugation acts entrywise, the least conjugate can be found by moving the
 first entry to the least element of its orbit and then minimising over the
-stabilizer of that element; the tables for this are precomputed once per
-(group, equivalence) pair.
+stabilizer of that element.  Each (group, equivalence) pair keeps, built
+from the acting generators alone, one transporter per element (a
+permutation moving it to its orbit's least element) and, closed on first
+use, the stabilizer of each orbit's least element (see ``ConjAction``); the
+acting group itself is never listed.
 
 A canonical form's second entry is least under the stabilizer of its first,
 so the search extends a first entry only by such entries (McKay's orderly
@@ -50,7 +53,10 @@ from .groups import (
     PermutationGroup,
     catalog_normalizer_gens,
     cycle_type,
+    identity_perm,
     normalizer_in_sym,
+    perm_inv,
+    perm_mul,
     riemann_hurwitz,
 )
 
@@ -132,21 +138,56 @@ def _reduction_orbit(group: FiniteGroup, t: tuple) -> list[tuple]:
 # canonical forms
 
 
+class _ClosedOnUse(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass
 class ConjAction:
-    """Simultaneous conjugation on index tuples of an indexed view.
+    """Simultaneous conjugation on index tuples of an indexed view, kept as
+    orbit transversals plus stabilizers (Sims's method; Seress, "Permutation
+    Group Algorithms", 2003).  The acting group A is generated by ``gens``.
 
-    Every acting element is stored as the index permutation it induces.
-    For each element, ``orbit_min`` is the least element of its orbit and
-    ``transporter`` a permutation moving it there; ``stabilizer`` maps each
-    orbit minimum to the non-identity permutations fixing it.
+    ``orbits`` maps the least element m of each A-orbit to the orbit; for y
+    in it, ``orbit_min[y]`` is m and ``transporter[y]`` some permutation in A
+    moving y to m.  ``stabilizer[m]``, closed on first use from Schreier
+    generators, holds the non-identity permutations of A fixing m; those
+    after ``transporter[y]`` are all that move y to m, so the canonical form
+    does not depend on the transporter.  ``order`` is |A| once known
+    (|G : Z(G)| when inner, else from the first stabilizer closed); later
+    closures stop at |A| / |orbit|.
     """
 
     group: IndexedGroup
     kind: str
+    gens: tuple = field(repr=False)
+    orbits: dict = field(repr=False)
     orbit_min: tuple = field(repr=False)
     transporter: tuple = field(repr=False)
-    stabilizer: dict = field(repr=False)
+    order: int | None = None
+    stabilizer: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stabilizer = _ClosedOnUse(self._close_stabilizer)
+
+    def _close_stabilizer(self, m: int) -> tuple:
+        orbit, tr = self.orbits[m], self.transporter
+        # t_y^-1 g t_g(y) fixes m, and these generate its stabilizer (Schreier's
+        # lemma); t_y is inverted only when the closure gets that far
+        schreier = (perm_mul(perm_mul(back, g), tr[g[y]])
+                    for y, back in zip(orbit, map(perm_inv, map(tr.__getitem__, orbit)))
+                    for g in self.gens)
+        size = self.order // len(orbit) if self.order else None
+        span = _span(schreier, len(tr), f"{self.kind} stabilizers of {self.group.name}", size)[1]
+        self.order = self.order or len(span) * len(orbit)
+        return tuple(sorted(span - {tr[m]}))
 
     def canonical_tuple(self, t: tuple) -> tuple:
         p = self.transporter[t[0]]
@@ -166,55 +207,86 @@ class ConjAction:
         return min(self.canonical_tuple(u) for u in _reduction_orbit(self.group, t))
 
 
+def _span(perms, n: int, name: str, size: int | None = None) -> tuple[list, set]:
+    """Generators picked from ``perms`` (of n points) and the group they
+    generate: each one outside the group so far is added and the group
+    closed again, until it holds ``size`` elements.  More than
+    ``TABLE_ENTRY_CAP // n`` elements raise ``BudgetError``."""
+    cap = TABLE_ENTRY_CAP // n
+    if (size or 0) > cap:
+        raise BudgetError(f"{name} need {size} permutations, above the cap of {cap}")
+    sym = PermutationGroup((), n, name)
+    gens, span = [], {identity_perm(n)}
+    for p in perms:
+        if len(span) == size:
+            break
+        if p not in span:
+            gens.append(p)
+            span = sym.close(gens, stop_above=cap if size is None else size - 1)
+            if len(span) > cap:
+                raise BudgetError(f"{name} need more than the cap of {cap} permutations")
+    return gens, span
+
+
+def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
+    """Schreier generators of the subgroup of <perms> fixing C's class
+    multiset, over that multiset's orbit."""
+    reps = [cl.rep for cl in ix.conjugacy_classes()]
+
+    def image(ms: tuple, p: tuple) -> tuple:
+        return tuple(sorted(ix._class_of[p[reps[i]]] for i in ms))
+
+    orbit = [tuple(sorted(cv.indices))]
+    word = {orbit[0]: identity_perm(ix.order)}  # a permutation moving C to the key
+    for ms in orbit:
+        for p in perms:
+            if (nxt := image(ms, p)) not in word:
+                word[nxt] = perm_mul(word[ms], p)
+                orbit.append(nxt)
+    back = {ms: perm_inv(w) for ms, w in word.items()}
+    return {perm_mul(perm_mul(w, p), back[image(ms, p)]) for ms, w in word.items() for p in perms}
+
+
 def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> ConjAction:
-    """Inner mode acts by G itself, absolute mode by the Sym(n)-normalizer
-    of (G, C), each acting element as the index permutation of G it induces.
-    The permutations of G's generators, or of the catalog normalizer
-    generators, are closed by ``FiniteGroup.close``, which stops past
-    ``TABLE_ENTRY_CAP // |G|`` of them; a searched normalizer comes
-    closed.  Absolute mode keeps those fixing the class multiset of C."""
-    closed = kind == "absolute" and group.sym_normalizer_gens is None
+    """Inner mode acts by G's generators, absolute mode by the checked
+    catalog generators of the Sym(n)-normalizer (or some of the searched
+    one), cut down to the subgroup fixing C's class multiset.  One
+    breadth-first search per orbit, from its least element, gives
+    ``orbit_min`` and the transporters."""
+    ix = group.indexed()
+    n = ix.order
     if kind == "inner":
         acting = group.gens
     elif kind == "absolute":
-        acting = normalizer_in_sym(group).elements if closed else catalog_normalizer_gens(group)
+        searched = group.sym_normalizer_gens is None
+        acting = normalizer_in_sym(group).elements if searched else catalog_normalizer_gens(group)
     else:
         raise ValidationError(f"no conjugation action of kind {kind!r}")
-    ix = group.indexed()
-    n = ix.order
-    cap = TABLE_ENTRY_CAP // n
-    perms: set = set()
-    if len(acting) <= cap:
-        index = group._index
-        perms = {
-            ix.automorphism([index[group.conj(g, a)] for g in group.gens])
-            for a in acting
-        }
-        if not closed:
-            perms = PermutationGroup((), n, group.name).close(perms, stop_above=cap)
-    if len(acting) > cap or len(perms) > cap:
-        raise BudgetError(
-            f"{kind} conjugation tables of {group.name} need more than the cap of"
-            f" {TABLE_ENTRY_CAP} entries"
-        )
+    if len(acting) > TABLE_ENTRY_CAP // n:
+        raise BudgetError(f"{kind} conjugation tables of {group.name} are above the cap")
+    index = group._index
+    perms = [ix.automorphism([index[group.conj(g, a)] for g in group.gens]) for a in acting]
     if kind == "absolute":
-        mult = cv.multiset()
-        reps = [(ix.conjugacy_classes()[i].rep, m) for i, m in mult.items()]
-        perms = [p for p in perms if all(mult.get(ix._class_of[p[x]]) == m for x, m in reps)]
-    perms = sorted(perms)
-    identity = tuple(range(n))
-    orbit_min = tuple(map(min, zip(*perms)))
-    transporter: dict = {}
-    for p in perms:
-        for y in range(n):
-            if p[y] == orbit_min[y]:
-                transporter.setdefault(y, p)
-    stabilizer = {
-        m: tuple(p for p in perms if p[m] == m and p != identity)
-        for m in set(orbit_min)
-    }
-    return ConjAction(ix, kind, orbit_min, tuple(transporter[y] for y in range(n)),
-                      stabilizer)
+        if searched:
+            perms = _span(sorted(perms), n, f"N_Sym({group.name})")[0]
+        perms = _multiset_stabilizer(ix, perms, cv)
+    identity = identity_perm(n)
+    gens = sorted(set(perms) - {identity})
+    inverses = [perm_inv(g) for g in gens]
+    orbit_min, transporter, orbits = [None] * n, [None] * n, {}
+    for m in range(n):
+        if orbit_min[m] is None:
+            orbit_min[m], transporter[m], orbits[m] = m, identity, [m]
+            for x in orbits[m]:
+                for g, g_inv in zip(gens, inverses):
+                    y = g[x]
+                    if orbit_min[y] is None:
+                        orbit_min[y], transporter[y] = m, perm_mul(g_inv, transporter[x])
+                        orbits[m].append(y)
+    # the inner action's kernel is Z(G), the union of its one-point orbits
+    order = n // sum(len(o) == 1 for o in orbits.values()) if kind == "inner" else None
+    return ConjAction(ix, kind, tuple(gens), orbits, tuple(orbit_min), tuple(transporter),
+                      order)
 
 
 def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjAction | None:
@@ -384,6 +456,8 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
         starts = [g for i in support for g in members[i]]
     else:
         starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
+    # closed before the search, so an over-cap stabilizer stops it first
+    stabs = {g1: action.stabilizer[g1] if action is not None else () for g1 in starts}
     width = sum(len(m) for m in members.values())
     if len(starts) * width ** (r - 2) > SEARCH_NODE_CAP:
         raise BudgetError(
@@ -401,7 +475,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
     for g1 in starts:
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
-        stab = action.stabilizer[g1] if action is not None else ()
+        stab = stabs[g1]
         seconds = {i: [g for g in gs if all(z[g] >= g for z in stab)] for i, gs in members.items()}
         free = {g for gs in seconds.values() for g in gs if all(z[g] != g for z in stab)}
         for t in _complete(ix, r, members, remaining, g1, seconds):
@@ -493,17 +567,12 @@ def tuple_cover_genus(group: FiniteGroup, t: tuple, embedding=None) -> CoverGenu
     else:
         raise ValidationError("tuple_cover_genus needs a permutation image; pass an embedding")
     # transitivity
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in perms:
-                y = p[x]
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    reached, queue = {0}, [0]
+    for x in queue:
+        for p in perms:
+            if p[x] not in reached:
+                reached.add(p[x])
+                queue.append(p[x])
     if len(reached) != n:
         raise ValidationError("branch cycles are not transitive; the cover is disconnected")
     indices, genus = riemann_hurwitz([cycle_type(p) for p in perms], n)

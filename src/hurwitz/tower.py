@@ -67,15 +67,15 @@ class TowerSpec:
     """A tower family: which groups sit at each level.
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
-    ``action`` matrix (default: the order-3 companion matrix of x^2 + x + 1),
-    or "dihedral" for D_(l^(k+1)), which takes no action matrix and sets t
-    to 1.  Level groups and projections are built on first use and kept by
-    the spec.
+    ``action`` matrix (default: t = 2 and the order-3 companion matrix of
+    x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
+    matrix and no rank, and sets t to 1.  Level groups and projections are
+    built on first use and kept by the spec.
     """
 
     family: str
     ell: int
-    t: int = 2
+    t: int | None = None
     action: tuple | None = None
     _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _projections: dict = field(default_factory=dict, init=False, compare=False,
@@ -86,6 +86,10 @@ class TowerSpec:
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
         if self.ell < 2 or _smallest_prime_factor(self.ell) != self.ell:
             raise ValidationError(f"tower prime expected, got {self.ell}")
+        if self.t is None:
+            object.__setattr__(self, "t", 2 if self.family == "vector" else 1)
+        elif self.family == "dihedral":
+            raise ValidationError("dihedral towers take no lattice rank t")
         if type(self.t) is not int or self.t < 1:
             raise ValidationError(f"tower lattice rank t must be at least 1, got {self.t!r}")
         if self.family == "vector":
@@ -109,7 +113,6 @@ class TowerSpec:
                 raise ValidationError("dihedral towers need an odd prime")
             if self.action is not None:
                 raise ValidationError("dihedral towers take no action matrix")
-            object.__setattr__(self, "t", 1)
 
     def modulus(self, k: int) -> int:
         return self.ell ** (k + 1)
@@ -294,17 +297,11 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
 def _gl_prime_partition(group, t: tuple, ell: int) -> bool:
     """Is there a cyclic split into >= 2 consecutive arcs, all l' subgroups?"""
     r = len(t)
-    for n_cuts in range(2, r + 1):
-        for cuts in combinations(range(r), n_cuts):
-            ok = True
-            for a, b in zip(cuts, cuts[1:] + (cuts[0] + r,)):
-                arc = tuple(t[i % r] for i in range(a, b))
-                if not _subgroup_order_prime_to(group, arc, ell):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    return any(
+        all(_subgroup_order_prime_to(group, tuple(t[i % r] for i in range(a, b)), ell)
+            for a, b in zip(cuts, cuts[1:] + (cuts[0] + r,)))
+        for n_cuts in range(2, r + 1) for cuts in combinations(range(r), n_cuts)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,20 @@ def test_search_budget_exits_3(capsys):
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
-def test_action_budget_exits_3_before_the_work(capsys):
-    start = time.monotonic()
+def test_d127_abs_reduced_is_x0_127(capsys):
     assert run(["genus", "--group", "D127", "--classes", "[2a,2a,2a,2a]",
+                "--mode", "abs-reduced", "--format", "json"]) == 0
+    (orbit,) = json.loads(out_of(capsys))["orbits"]
+    assert (orbit["degree"], orbit["genus"], orbit["cusp_widths"]) == (128, 10, [127, 1])
+
+
+def test_table_budget_exits_3_before_the_work(capsys):
+    start = time.monotonic()
+    assert run(["genus", "--group", "D1009", "--classes", "[2a,2a,2a,2a]",
                 "--mode", "abs-reduced"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
-    assert "D127" in err and "more than" in err
+    assert "D1009" in err and "above the cap" in err
     assert time.monotonic() - start < 5.0
 
 
@@ -305,18 +312,30 @@ DIHEDRAL_TOWER = ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[
 
 
 # --t 0 used to build the rank-2 tower, and a dihedral tower used to echo an
-# action it never used
+# action and a rank it never used
 @pytest.mark.parametrize("argv,message", [
     ([*VECTOR_TOWER, "--t", "0"], "rank t must be at least 1, got 0"),
     ([*VECTOR_TOWER, "--t", "-1"], "rank t must be at least 1, got -1"),
     ([*DIHEDRAL_TOWER, "--action", '[[0,"a"]]'], "no action matrix"),
     ([*DIHEDRAL_TOWER, "--action", "[[0,-1],[1,-1]]"], "no action matrix"),
+    ([*DIHEDRAL_TOWER, "--t", "5"], "no lattice rank"),
+    ([*DIHEDRAL_TOWER, "--t", "1"], "no lattice rank"),
 ])
 def test_tower_rejects_rank_below_one_and_a_dihedral_action(argv, message, capsys):
     assert run([*argv, "--k-max", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+      "--k-max", "0"], "t=2 k_max=0 classes="),
+    (["check", *A4_ARGS, "--sample-size", "2"], "seed=0 sample_size=2"),
+])
+def test_inputs_echo_integer_zero(argv, header, capsys):
+    assert run(argv) == 0
+    assert header in out_of(capsys).splitlines()[1]
 
 
 def test_lift_subcommand(capsys):

@@ -1,9 +1,11 @@
 """Genus reports and sh-incidence, checked against classical modular data.
 
-The dihedral covers here are the standard degree ell+1 modular-curve
-pictures, so Gamma_0(ell) supplies an independent oracle: index, cusp
-widths, elliptic point counts, and genus.
+The dihedral covers of D_N here are the modular curves X_0(N), so
+Gamma_0(N) supplies an independent oracle: index, cusp widths, elliptic
+point counts, and genus.
 """
+
+from math import gcd, prod
 
 import pytest
 
@@ -19,14 +21,31 @@ def legendre(a, p):
     return v - p if v > 1 else v
 
 
-def gamma0_oracle(ell):
-    """(index, genus, nu2, nu3) of Gamma_0(ell) for an odd prime ell."""
-    index = ell + 1
-    nu2 = 1 + legendre(-1, ell)
-    nu3 = 1 + legendre(-3, ell)
-    genus_12 = 12 + index - 3 * nu2 - 4 * nu3 - 12  # two cusps
-    assert genus_12 % 12 == 0
-    return index, genus_12 // 12, nu2, nu3
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def x0_oracle(n):
+    """(index, genus, nu2, nu3, cusp widths) of Gamma_0(N), N odd, from the
+    classical formulas: index psi(N) = N prod(1 + 1/p), one cusp of width
+    N / gcd(d^2, N) for each of the phi(gcd(d, N/d)) cusps over a divisor d,
+    nu2 = prod(1 + (-1/p)), nu3 = prod(1 + (-3/p)) unless 9 | N,
+    and genus 1 + psi/12 - nu2/4 - nu3/3 - cusps/2."""
+    assert n % 2
+    primes = [p for p in range(3, n + 1) if n % p == 0 and is_prime(p)]
+    index = n
+    for p in primes:
+        index = index * (p + 1) // p
+    nu2 = prod(1 + legendre(-1, p) for p in primes)
+    nu3 = 0 if n % 9 == 0 else prod(1 + legendre(-3, p) for p in primes)
+    widths = []
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        e = gcd(d, n // d)
+        phi = sum(gcd(a, e) == 1 for a in range(1, e + 1))
+        widths += [n // gcd(d * d, n)] * phi
+    genus_12 = 12 + index - 3 * nu2 - 4 * nu3 - 6 * len(widths)
+    assert genus_12 % 12 == 0 and sum(widths) == index
+    return index, genus_12 // 12, nu2, nu3, sorted(widths)
 
 
 def dihedral_component(ell):
@@ -38,14 +57,19 @@ def dihedral_component(ell):
     return g, orbits[0]
 
 
-@pytest.mark.parametrize("ell", [p for p in range(5, 98) if all(p % d for d in range(2, p))])
+# D_N abs-reduced against X_0(N) for every prime N up to 251 and some prime
+# powers; D625 takes about 2.5 s and is marked long
+@pytest.mark.parametrize("ell", [
+    *(p for p in range(5, 252) if is_prime(p)), 25, 27, 49, 125, 343,
+    pytest.param(625, marks=pytest.mark.long),
+])
 def test_dihedral_matches_gamma0(ell):
-    index, genus, nu2, nu3 = gamma0_oracle(ell)
+    index, genus, nu2, nu3, widths = x0_oracle(ell)
     _, orbit = dihedral_component(ell)
     report = genus_of_component(orbit)
     assert report.degree == index
     assert report.genus == genus
-    assert sorted(report.cusp_widths) == [1, ell]
+    assert sorted(report.cusp_widths) == widths
     assert report.fixed_points == (nu3, nu2)  # gamma0 has order 3, gamma1 order 2
 
 

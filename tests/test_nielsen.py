@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from hurwitz.errors import ValidationError
+from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     ClassVector,
     PermutationGroup,
@@ -218,6 +218,49 @@ def test_inner_action_matches_conjugation_by_every_element(desc):
         tuple(g._index[g.conj(x, a)] for x in els) for a in els
     }
     assert action_perms(_build_action(g, "inner", None)) == direct
+
+
+@pytest.mark.parametrize("desc,kind,classes", [
+    ("A5", "absolute", "[5a,5a,5b]"),  # the multiset has an orbit of size 2
+    ("A5", "absolute", "[5a,5a,5b,5b]"),
+    # (Z/12)^* and (Z/15)^* are not cyclic
+    ("D12", "absolute", "[2b,2b,2b,2c]"),
+    ("D12", "absolute", "[2b,2b,2c,2c]"),
+    ("D15", "absolute", "[2a,2a,2a,2a]"),
+    ("D15", "absolute", "[5a,15a,15b]"),
+    ("SL2(3)", "inner", None),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "inner", None),
+])
+def test_canonical_tuple_is_least_over_every_permutation(desc, kind, classes):
+    """Transporter and stabilizer give the least image under every permutation
+    of the action, and |A| = |orbit| * |stabilizer| on every orbit."""
+    g = make_group(desc)
+    action = _build_action(g, kind, classes and parse_class_vector(g, classes))
+    perms = action_perms(action)
+    assert len(perms) == action.order
+    rng = random.Random(desc)
+    for _ in range(60):
+        t = tuple(rng.randrange(g.order) for _ in range(4))
+        assert action.canonical_tuple(t) == min(tuple(p[x] for x in t) for p in perms)
+
+
+@pytest.mark.parametrize("p", [7, 37, 127])
+def test_dihedral_enumeration_leaves_the_identity_stabilizer_unbuilt(p):
+    """Only the reflections' stabilizer is closed; the identity's is all of
+    the affine group, above the cap from D127 on."""
+    g = make_group(f"D{p}")
+    cv = parse_class_vector(g, "[2a,2a,2a,2a]")
+    ni = enumerate_nielsen(g, cv, Mode.ABSOLUTE_REDUCED)
+    ni.moves()
+    action = ni.action
+    identity = g.indexed().identity
+    assert identity not in action.stabilizer
+    assert action.order == p * (p - 1)
+    for m, stab in action.stabilizer.items():
+        assert (len(stab) + 1) * len(action.orbits[m]) == action.order
+    if p == 127:
+        with pytest.raises(BudgetError):
+            action.stabilizer[identity]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ def test_spec_validation():
         TowerSpec("vector", 5, t=0)
     with pytest.raises(ValidationError, match="no action matrix"):
         TowerSpec("dihedral", 5, action=((0, -1), (1, -1)))
+    with pytest.raises(ValidationError, match="no lattice rank"):
+        TowerSpec("dihedral", 5, t=1)
+    assert (TowerSpec("vector", 5).t, TowerSpec("dihedral", 5).t) == (2, 1)
 
 
 def test_level_groups_vector():
@@ -250,3 +253,23 @@ def test_vector_tower_ell5_level1():
     genera = sorted(top.genus_report(o).genus for o in top.orbits)
     assert genera == [73] * 5 + [361] * 20 + [401] * 4
     assert len(tree.edges) == 29
+
+
+@pytest.mark.parametrize("ell,genera", [
+    (5, [0, 0, 8]),
+    pytest.param(5, [0, 0, 8, 48], marks=pytest.mark.long),  # about 3 s
+    (7, [0, 1, 26]),
+])
+def test_dihedral_tower_levels_are_modular_curves(ell, genera):
+    """Level k of the abs-reduced dihedral tower is one component, X_0(ell^(k+1)):
+    degree ell^k (ell + 1) and the classical genus."""
+    spec = TowerSpec("dihedral", ell)
+    cv = parse_class_vector(spec.level_group(0), "[2a,2a,2a,2a]")
+    tree = component_tree(spec, cv, len(genera) - 1, mode=Mode.ABSOLUTE_REDUCED)
+    assert tree.truncated_at is None
+    assert len(tree.edges) == len(genera) - 1
+    for k, lvl in enumerate(tree.levels):
+        (orbit,) = lvl.orbits
+        report = lvl.genus_report(orbit)
+        assert report.degree == ell**k * (ell + 1)
+        assert report.genus == genera[k]
