@@ -169,11 +169,16 @@ def _need(cfg: dict, key: str, hint: str):
     return cfg[key]
 
 
-def _group_and_classes(cfg: dict):
+def _group_and_classes(cfg: dict, nielsen: bool = True):
+    """The group, class vector and mode of a command.  For the commands that
+    compute Nielsen classes (``nielsen``), the group's indexed view is built
+    first, so a table above the cap exits before the classes are computed."""
     group_kw = {}
     if cfg.get("order_bound"):
         group_kw["order_bound"] = cfg["order_bound"]
     group = make_group(_need(cfg, "group", "group descriptor"), **group_kw)
+    if nielsen:
+        group.indexed()
     cv = parse_class_vector(group, _need(cfg, "classes", "class vector"))
     mode = Mode.parse(cfg["mode"])
     return group, cv, mode
@@ -450,7 +455,7 @@ def _cmd_tower(cfg: dict):
 
 
 def _cmd_bcl(cfg: dict):
-    data = bcl(*_group_and_classes(cfg)[:2]).to_dict()
+    data = bcl(*_group_and_classes(cfg, nielsen=False)[:2]).to_dict()
     rows = [["N_C", "Q", "rational_union"],
             [data["N_C"], " ".join(str(m) for m in data["Q"]), data["rational_union"]]]
     lines = [f"N_C = {data['N_C']}; Q = {data['Q']}; "

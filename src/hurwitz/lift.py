@@ -22,6 +22,7 @@ from math import gcd, lcm
 
 from .errors import ValidationError
 from .groups import (
+    TABLE_ENTRY_CAP,
     ClassVector,
     FiniteGroup,
     HeisenbergGroup,
@@ -45,14 +46,17 @@ class GroupHom:
 
     Construction checks map(x * g) == map(x) * map(g) for every element x
     and generator g; by induction on word length that forces the map to be
-    multiplicative everywhere.
+    multiplicative everywhere.  ``from_gen_images`` makes that check as it
+    goes, and a composite of verified homomorphisms is one.
     """
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict,
+                 verified: bool = False):
         self.source = source
         self.target = target
         self.mapping = mapping
-        self._verify()
+        if not verified:
+            self._verify()
         self._kernel = None
         self._least_preimage = None
 
@@ -67,23 +71,19 @@ class GroupHom:
             )
         gen_images = dict(zip(source.gens, images))
         mapping = {source.identity: target.identity}
-        frontier = [source.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in gen_images.items():
-                    y = source.mul(x, g)
-                    v = target.mul(mapping[x], img)
-                    got = mapping.get(y)
-                    if got is None:
-                        mapping[y] = v
-                        nxt.append(y)
-                    elif got != v:
-                        raise ValidationError(
-                            "generator images do not define a homomorphism"
-                        )
-            frontier = nxt
-        return cls(source, target, mapping)
+        queue = [source.identity]
+        for x in queue:
+            for g, img in gen_images.items():
+                y = source.mul(x, g)
+                v = target.mul(mapping[x], img)
+                got = mapping.get(y)
+                if got is None:
+                    mapping[y] = v
+                    queue.append(y)
+                elif got != v:
+                    raise ValidationError("generator images do not define a homomorphism")
+        # every pair (x, g) has been checked on the way
+        return cls(source, target, mapping, verified=True)
 
     @classmethod
     def from_callable(cls, source: FiniteGroup, target: FiniteGroup,
@@ -146,7 +146,7 @@ class GroupHom:
             raise ValidationError("composition needs matching middle group")
         return GroupHom(
             self.source, other.target,
-            {x: other.mapping[y] for x, y in self.mapping.items()},
+            {x: other.mapping[y] for x, y in self.mapping.items()}, verified=True,
         )
 
 
@@ -258,8 +258,10 @@ def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> boo
 
     Exhaustive over kernel translates of one fixed lift tuple: any proper
     subgroup surjecting onto the target contains some translate tuple, so
-    this is sound and complete.  Emits a cost warning (and keeps going) when
-    the number of translate tuples exceeds the budget.
+    this is sound and complete.  The closures run on the source's indexed
+    view when its table fits under ``TABLE_ENTRY_CAP``, else on data.  Emits
+    a cost warning (and keeps going) when the number of translate tuples
+    exceeds the budget.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
@@ -275,6 +277,10 @@ def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> boo
             stacklevel=2,
         )
     lifts = [hom.preimage(g) for g in gens]
+    if src.order ** 2 <= TABLE_ENTRY_CAP:
+        index = src._index
+        src, kernel, lifts = (src.indexed(), [index[k] for k in kernel],
+                              [index[h] for h in lifts])
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
     # it must be everything.  A trivial kernel leaves no proper value

@@ -379,6 +379,13 @@ class NielsenClassSet:
     action: ConjAction | None = field(compare=False, repr=False, default=None)
     # reduced modes: canonical -> reduced form on every Klein orbit met
     klein: dict = field(compare=False, repr=False, default_factory=dict)
+    # ``reps`` as index tuples of ``group.indexed()``, derived when not given
+    index_reps: tuple | None = field(compare=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.index_reps is None:
+            ix = self.group.indexed()
+            object.__setattr__(self, "index_reps", tuple(map(ix.to_index, self.reps)))
 
     @property
     def count(self) -> int:
@@ -400,7 +407,7 @@ class NielsenClassSet:
         q2 applied to ``reps[i]``, and likewise for q1 and sh."""
         if not hasattr(self, "_moves"):
             ix = self.group.indexed()
-            tuples = [ix.to_index(t) for t in self.reps]
+            tuples = self.index_reps
             position = {u: i for i, u in enumerate(tuples)}
             moved = ([_qi(ix, u, 1) for u in tuples], [_qi(ix, u, 2) for u in tuples],
                      [_sh(ix, u) for u in tuples])
@@ -422,8 +429,8 @@ class NielsenClassSet:
         }
 
 
-def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
-                      mode=Mode.INNER_REDUCED) -> NielsenClassSet:
+def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUCED,
+                      quotient: tuple | None = None) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
     The search fixes the first entry (to each class member in raw mode, to
@@ -438,16 +445,26 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
     Before the search, ``len(starts) * w**(r-2)``, with w the number of
     elements in the classes of C, bounds the tuples it will reach; above
     ``SEARCH_NODE_CAP`` it raises ``BudgetError``.
+
+    ``quotient`` is a pair (Q, down): an indexed view Q and a tuple sending
+    each index of ``group.indexed()`` to its image in Q under a surjection
+    G -> Q whose kernel K lies in the Frattini subgroup of G.  Then a subset
+    generates G if and only if its image generates Q: if it generates H
+    with H K = G, then H = G, since the elements of the Frattini subgroup
+    are non-generators.  Generation is then tested on images in Q, with the
+    pair verdicts keyed on Q's indices.  The default is G itself under the
+    identity map.
     """
     mode = Mode.parse(mode)
     r = cv.r
     if r < 3:
         raise ValidationError("Nielsen classes need at least 3 branch points")
     ix = group.indexed()
+    quotient, down = quotient or (ix, range(ix.order))
     classes = ix.conjugacy_classes()
     support = sorted(set(cv.indices))
     members = {i: sorted(classes[i].members) for i in support}
-    if not _generates(ix, [g for i in support for g in members[i]]):
+    if not _generates(quotient, {down[g] for i in support for g in members[i]}):
         raise ValidationError(
             f"classes {cv} do not generate {group.name}; the Nielsen class is undefined"
         )
@@ -485,12 +502,13 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
                 orbit = [c, *map(key, _reduction_orbit(ix, c)[1:])] if mode.reduced else [c]
                 m = min(orbit)
                 least.update(dict.fromkeys(orbit, m))
-                if _generates_by_pairs(ix, c, pairs):
+                if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):
                     good.add(m)
             if action is None and m in good:
                 found.add(t)
-    reps = tuple(ix.to_data(t) for t in sorted(good if action is not None else found))
-    return NielsenClassSet(group, cv, mode, reps, action, least if mode.reduced else {})
+    index_reps = tuple(sorted(good if action is not None else found))
+    return NielsenClassSet(group, cv, mode, tuple(map(ix.to_data, index_reps)), action,
+                           least if mode.reduced else {}, index_reps)
 
 
 def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, seconds) -> list[tuple]:

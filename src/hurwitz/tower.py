@@ -9,6 +9,17 @@ invariants (through the Heisenberg extension when the modulus is prime to
 6), cusp classifications, and a component tree whose edges record which
 level-k orbit each level-(k+1) orbit projects onto.
 
+Frattini lemma: the kernel K of G_k -> G_0 lies in the Frattini subgroup
+Phi(G_k), so a level-k tuple generates G_k if and only if its image
+generates G_0 (M. Fried, "Introduction to Modular Towers", 1995).  Proof:
+K is Phi(N) for a normal subgroup N, namely l*L = Phi(L) for the lattice L
+of the vector family and <r^l> = Phi(<r>) for the rotations of
+D_(l^(k+1)); and Phi(N) <= Phi(G) for N normal in G.  If a subgroup H maps
+onto G_0 then H K = G_k, and since Phi(G_k) consists of non-generators,
+H = G_k.  So level k tests generation on its images in level 0, through the
+index map of the composed verified projections (``TowerSpec.quotient``);
+``is_frattini_cover`` remains the small-case check of the lemma.
+
 Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
 <g1, g4> and <g2, g3> are both l'-groups, otherwise o-l' when the middle
 product g2*g3 has order prime to l, otherwise an l-cusp.  "l does not
@@ -20,7 +31,8 @@ reports repeat that reading.  An l' subgroup's order divides the l'-part of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -33,7 +45,7 @@ from .groups import (
     _smallest_prime_factor,
     dihedral,
 )
-from .nielsen import Mode, NielsenClassSet, _reduction_orbit, enumerate_nielsen
+from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
@@ -161,6 +173,19 @@ class TowerSpec:
             )
         return cache[k]
 
+    def quotient(self, k: int) -> tuple | None:
+        """Level 0 as the Frattini quotient of level k, in the form
+        ``enumerate_nielsen`` takes: the level-0 indexed view and, for each
+        level-k index, the index of its image under the composed verified
+        projections.  None at level 0."""
+        if k < 1:
+            return None
+        hom = self.projection(k)
+        for j in range(k - 1, 0, -1):
+            hom = hom.compose(self.projection(j))
+        g0 = self.level_group(0)
+        return g0.indexed(), tuple(g0._index[hom(x)] for x in hom.source.elements)
+
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -182,10 +207,8 @@ def _project_element(spec: TowerSpec, k: int, g):
 
 
 def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
-    """Entrywise reduction of a level-k tuple to level k-1."""
-    if k < 1:
-        raise ValidationError("project_tuple needs k >= 1")
-    return tuple(_project_element(spec, k, g) for g in t)
+    """Entrywise reduction of a level-k tuple to level k-1 (k >= 1)."""
+    return tuple(map(spec.projection(k), t))
 
 
 def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVector:
@@ -267,16 +290,13 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     rep = ix.to_index(c.rep)
     r = len(rep)
 
-    # both shapes are entrywise equations, invariant under simultaneous
-    # conjugation, so one representative decides them for its inner class;
-    # a reduced class is the union of its reduction orbit's inner classes
-    hm = dbl = False
-    for t in c.members:
-        orbit = _reduction_orbit(ix, ix.to_index(t))
-        hm = hm or any(tuple_is_hm(ix, u) for u in orbit)
-        dbl = dbl or any(map(_has_adjacent_repeat, orbit))
-        if hm and dbl:
-            break
+    # Both shapes are entrywise, so kept by conjugation; at r = 4 also by sh^2
+    # (a rotation) and by q1*q3^-1: its image (g1 g2 g1^-1, g1, g4, g3^g4) is HM
+    # iff g2 = g1^-1 and g3 = g4^-1, and repeats iff g1 = g2, g1 = g4, g3 = g4
+    # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class.
+    reps = c.ni.index_reps
+    hm = any(tuple_is_hm(ix, reps[p]) for p in c.positions)
+    dbl = any(_has_adjacent_repeat(reps[p]) for p in c.positions)
 
     if r == 4:
         g1, g2, g3, g4 = rep
@@ -319,24 +339,18 @@ class TowerLevel:
         self.cv = cv
         self.ni = ni
         self.orbits = orbits
-        self._extension: CentralExtension | None | str = "unset"
 
-    @property
+    @cached_property
     def extension(self) -> CentralExtension | None:
         """Heisenberg central extension carrying this level's lift invariant."""
-        if self._extension == "unset":
-            ext = None
-            if self.spec.family == "vector" and self.spec.ell >= 5 and self.spec.t == 2:
-                m = self.spec.modulus(self.k)
-                mat = tuple(
-                    tuple(v % m for v in row) for row in self.spec.action
-                )
-                try:
-                    ext = extend_action_to_heisenberg(m, mat)
-                except (BudgetError, ValidationError):
-                    ext = None
-            self._extension = ext
-        return self._extension
+        if not (self.spec.family == "vector" and self.spec.ell >= 5 and self.spec.t == 2):
+            return None
+        m = self.spec.modulus(self.k)
+        try:
+            return extend_action_to_heisenberg(
+                m, tuple(tuple(v % m for v in row) for row in self.spec.action))
+        except (BudgetError, ValidationError):
+            return None
 
     def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
         ext = self.extension
@@ -378,9 +392,12 @@ class TowerLevel:
 
 def build_level(spec: TowerSpec, c0: ClassVector, k: int,
                 mode: Mode = Mode.INNER_REDUCED) -> TowerLevel:
-    """Construct level k: group, lifted classes, Nielsen set, braid orbits."""
+    """Construct level k: group, lifted classes, Nielsen set, braid orbits;
+    generation is tested on level-0 images (see the module docstring)."""
+    group = spec.level_group(k)
+    group.indexed()  # over the table cap, stop before classes and projections
     cv = lift_classes_to_level(spec, c0, k)
-    ni = enumerate_nielsen(spec.level_group(k), cv, mode)
+    ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
     orbits = braid_orbits(ni)
     return TowerLevel(spec, k, cv, ni, orbits)
 
@@ -569,12 +586,7 @@ class FrattiniStep:
     kernel_is_ell_group: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "frattini": self.frattini,
-            "kernel_order": self.kernel_order,
-            "kernel_is_ell_group": self.kernel_is_ell_group,
-        }
+        return asdict(self)
 
 
 def eventually_frattini_report(spec: TowerSpec, k_max: int,
@@ -583,27 +595,16 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int,
     """For each step G_k -> G_(k-1), is it a Frattini cover?
 
     Steps whose kernel-translate count exceeds the budget are marked
-    "skipped" rather than attempted.
+    "skipped" rather than attempted.  The kernel is an l-group exactly when
+    its order is a power of l (Cauchy).
     """
     steps = []
     for k in range(1, k_max + 1):
         hom = spec.projection(k)
-        kernel = hom.kernel()
-        ell = spec.ell
-        is_ell = all(
-            _ell_prime_part(hom.source.element_order(x), ell) == 1 for x in kernel
-        )
-        n_tuples = len(kernel) ** len(hom.target.gens)
-        if n_tuples > budget:
-            verdict: object = "skipped"
-        else:
-            verdict = is_frattini_cover(hom, budget=budget)
-        steps.append(FrattiniStep(
-            k=k,
-            frattini=verdict,
-            kernel_order=len(kernel),
-            kernel_is_ell_group=is_ell,
-        ))
+        n = len(hom.kernel())
+        skipped = n ** len(hom.target.gens) > budget
+        steps.append(FrattiniStep(k, "skipped" if skipped else is_frattini_cover(hom, budget),
+                                  n, _ell_prime_part(n, spec.ell) == 1))
     return tuple(steps)
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.cli import run
-from hurwitz.groups import make_group
+from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
 
 A4_ARGS = ["--group", "A4", "--classes", "[3a,3a,3b,3b]"]
@@ -83,6 +83,20 @@ def test_table_budget_exits_3_before_the_work(capsys):
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
     assert "D1009" in err and "above the cap" in err
     assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["orbits"], ["shinc"], ["genus"],
+                                     ["check"], ["lift", "--cover", "spin4"]])
+def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):
+    def no_classes(self):
+        raise AssertionError("conjugacy classes computed before the table cap")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", no_classes)
+    assert run([*command, "--group", "D1009", "--classes", "[2a,2a,2a,2a]",
+                "--mode", "abs-reduced"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: multiplication table of D1009")
+    assert err.count("\n") == 1
 
 
 FUZZ_GROUPS = st.one_of(

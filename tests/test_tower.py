@@ -1,13 +1,16 @@
 """Tower families: level groups, projections, cusps, trees, field data."""
 
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 
+import hurwitz.lift
 from hurwitz.braid import apply_qi, braid_orbits, cusp_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.lift import is_frattini_cover
+from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen
 from hurwitz.tower import (
     TowerSpec,
     _subgroup_order_prime_to,
@@ -20,6 +23,7 @@ from hurwitz.tower import (
     lift_classes_to_level,
     lift_partition_is_choice_independent,
     project_tuple,
+    tuple_is_hm,
 )
 
 
@@ -142,6 +146,75 @@ def test_bounded_ell_prime_test_matches_full_closures(family, ell, k):
         pairs.update([(g1, g4), (g2, g3)])
     for gens in pairs:
         assert _subgroup_order_prime_to(ix, gens, ell) == (len(ix.close(gens)) % ell != 0), gens
+
+
+@pytest.mark.parametrize("family,ell,k_max,modes", [
+    ("vector", 2, 2, (Mode.INNER_REDUCED, Mode.INNER)),
+    ("dihedral", 5, 2, (Mode.ABSOLUTE_REDUCED, Mode.INNER_REDUCED)),
+    ("dihedral", 7, 1, (Mode.ABSOLUTE_REDUCED, Mode.INNER_REDUCED)),
+])
+def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes,
+                                                       monkeypatch):
+    """The Frattini lemma behind ``build_level``: testing generation on
+    level-0 images finds the classes that closing in G_k finds, and each
+    step G_k -> G_(k-1) is a Frattini cover, checked on the indexed view and
+    on data."""
+    spec = TowerSpec(family, ell)
+    c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
+    cv0 = parse_class_vector(spec.level_group(0), c0)
+    for k in range(1, k_max + 1):
+        group, cv = spec.level_group(k), lift_classes_to_level(spec, cv0, k)
+        for mode in modes:
+            direct = enumerate_nielsen(group, cv, mode)
+            through = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
+            assert through.reps == direct.reps
+            assert through.klein == direct.klein
+        hom = spec.projection(k)
+        assert is_frattini_cover(hom) is True
+        with monkeypatch.context() as m:
+            m.setattr(hurwitz.lift, "TABLE_ENTRY_CAP", group.order ** 2 - 1)
+            m.setattr(type(group), "indexed", _no_view)
+            assert is_frattini_cover(hom) is True
+
+
+def _no_view(group):
+    raise AssertionError(f"the data path built the indexed view of {group.name}")
+
+
+def _shapes(group, tuples):
+    """HM shape and a cyclically adjacent repeat, each on any of ``tuples``."""
+    return (any(tuple_is_hm(group, u) for u in tuples),
+            any(u[i] == u[(i + 1) % len(u)] for u in tuples for i in range(len(u))))
+
+
+@pytest.mark.parametrize("family,ell,k_max,mode", [
+    (family, ell, k_max, mode)
+    for family, ell, k_max in (("vector", 2, 2), ("vector", 5, 0), ("dihedral", 5, 1))
+    for mode in (Mode.INNER_REDUCED, Mode.INNER, Mode.ABSOLUTE_REDUCED)
+    if family == "dihedral" or mode is not Mode.ABSOLUTE_REDUCED  # needs permutations
+])
+def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
+    """``cusp_type`` reads the shape flags off each member's rep alone; the
+    reference reads them on data off all four images of the member under the
+    Klein reduction group, in every mode."""
+    spec = TowerSpec(family, ell)
+    c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
+    cv0 = parse_class_vector(spec.level_group(0), c0)
+    seen = set()
+    for k in range(k_max + 1):
+        lvl = build_level(spec, cv0, k, mode=mode)
+        reference = [_shapes(lvl.group, _reduction_orbit(lvl.group, t)) for t in lvl.ni.reps]
+        assert [_shapes(lvl.group, [t]) for t in lvl.ni.reps] == reference
+        seen.update(reference)
+        for o in lvl.orbits:
+            for c in o.cusps():
+                members = [reference[p] for p in c.positions]
+                # members in reverse too: the flags must not hang on the first
+                for cusp in c, replace(c, members=c.members[::-1], positions=c.positions[::-1]):
+                    got = cusp_type(cusp, ell)
+                    assert got.hm == any(hm for hm, _ in members)
+                    assert got.double_identity == any(dbl for _, dbl in members)
+    assert len({hm for hm, _ in seen}) == 2 and len({dbl for _, dbl in seen}) == 2
 
 
 def test_cusp_type_constant_choice_of_representative(a4_orbits):
