@@ -58,8 +58,8 @@ class CuspOrbit:
     members: tuple
     braid_label: str
     ni: NielsenClassSet = field(compare=False, repr=False)
-    # the members' positions in ``ni.reps``, filled in by ``cusp_orbits``
-    positions: tuple = field(compare=False, repr=False, default=())
+    # the members' positions in ``ni.reps``
+    positions: tuple = field(compare=False, repr=False)
 
     @property
     def rep(self) -> tuple:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from math import factorial, gcd, lcm
@@ -346,15 +345,28 @@ class FiniteGroup:
                 raw.append(orbit)
             # ordering: (element order, class size, least representative)
             raw.sort(key=lambda orb: (self.element_order(min(orb)), len(orb), min(orb)))
-            classes, per_order = [], Counter()
+            classes = []
+            per_order: dict[int, int] = {}
             for orb in raw:
                 rep = min(orb)
                 d = self.element_order(rep)
-                label = f"{d}{_letters(per_order[d])}"
-                per_order[d] += 1
-                classes.append(ConjugacyClass(label, d, len(orb), rep, frozenset(orb)))
+                idx = per_order.get(d, 0)
+                per_order[d] = idx + 1
+                label = f"{d}{_letters(idx)}"
+                classes.append(
+                    ConjugacyClass(
+                        label=label,
+                        element_order=d,
+                        size=len(orb),
+                        rep=rep,
+                        members=frozenset(orb),
+                    )
+                )
             self._classes = tuple(classes)
-            self._class_of = {g: i for i, cl in enumerate(classes) for g in cl.members}
+            self._class_of = {}
+            for i, cl in enumerate(self._classes):
+                for g in cl.members:
+                    self._class_of[g] = i
         return self._classes
 
     def class_index_of(self, g) -> int:

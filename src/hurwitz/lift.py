@@ -46,17 +46,14 @@ class GroupHom:
 
     Construction checks map(x * g) == map(x) * map(g) for every element x
     and generator g; by induction on word length that forces the map to be
-    multiplicative everywhere.  ``from_gen_images`` makes that check as it
-    goes, and a composite of verified homomorphisms is one.
+    multiplicative everywhere.
     """
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict,
-                 verified: bool = False):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict):
         self.source = source
         self.target = target
         self.mapping = mapping
-        if not verified:
-            self._verify()
+        self._verify()
         self._kernel = None
         self._least_preimage = None
 
@@ -71,19 +68,23 @@ class GroupHom:
             )
         gen_images = dict(zip(source.gens, images))
         mapping = {source.identity: target.identity}
-        queue = [source.identity]
-        for x in queue:
-            for g, img in gen_images.items():
-                y = source.mul(x, g)
-                v = target.mul(mapping[x], img)
-                got = mapping.get(y)
-                if got is None:
-                    mapping[y] = v
-                    queue.append(y)
-                elif got != v:
-                    raise ValidationError("generator images do not define a homomorphism")
-        # every pair (x, g) has been checked on the way
-        return cls(source, target, mapping, verified=True)
+        frontier = [source.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, img in gen_images.items():
+                    y = source.mul(x, g)
+                    v = target.mul(mapping[x], img)
+                    got = mapping.get(y)
+                    if got is None:
+                        mapping[y] = v
+                        nxt.append(y)
+                    elif got != v:
+                        raise ValidationError(
+                            "generator images do not define a homomorphism"
+                        )
+            frontier = nxt
+        return cls(source, target, mapping)
 
     @classmethod
     def from_callable(cls, source: FiniteGroup, target: FiniteGroup,
@@ -146,7 +147,7 @@ class GroupHom:
             raise ValidationError("composition needs matching middle group")
         return GroupHom(
             self.source, other.target,
-            {x: other.mapping[y] for x, y in self.mapping.items()}, verified=True,
+            {x: other.mapping[y] for x, y in self.mapping.items()},
         )
 
 

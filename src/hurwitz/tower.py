@@ -17,7 +17,7 @@ of the vector family and <r^l> = Phi(<r>) for the rotations of
 D_(l^(k+1)); and Phi(N) <= Phi(G) for N normal in G.  If a subgroup H maps
 onto G_0 then H K = G_k, and since Phi(G_k) consists of non-generators,
 H = G_k.  So level k tests generation on its images in level 0, through the
-index map of the composed verified projections (``TowerSpec.quotient``);
+composite of the verified projections (``TowerSpec.quotient``);
 ``is_frattini_cover`` remains the small-case check of the lemma.
 
 Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
@@ -31,8 +31,7 @@ reports repeat that reading.  An l' subgroup's order divides the l'-part of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -176,15 +175,15 @@ class TowerSpec:
     def quotient(self, k: int) -> tuple | None:
         """Level 0 as the Frattini quotient of level k, in the form
         ``enumerate_nielsen`` takes: the level-0 indexed view and, for each
-        level-k index, the index of its image under the composed verified
-        projections.  None at level 0."""
+        level-k index, the index of its image under the composite of the
+        verified projections, chained as index maps.  None at level 0."""
         if k < 1:
             return None
-        hom = self.projection(k)
-        for j in range(k - 1, 0, -1):
-            hom = hom.compose(self.projection(j))
-        g0 = self.level_group(0)
-        return g0.indexed(), tuple(g0._index[hom(x)] for x in hom.source.elements)
+        down = range(self.level_group(0).order)
+        for j in range(1, k + 1):
+            hom, index = self.projection(j), self.level_group(j - 1)._index
+            down = tuple(down[index[hom(x)]] for x in hom.source.elements)
+        return self.level_group(0).indexed(), down
 
     def to_dict(self) -> dict:
         return {
@@ -339,18 +338,24 @@ class TowerLevel:
         self.cv = cv
         self.ni = ni
         self.orbits = orbits
+        self._extension: CentralExtension | None | str = "unset"
 
-    @cached_property
+    @property
     def extension(self) -> CentralExtension | None:
         """Heisenberg central extension carrying this level's lift invariant."""
-        if not (self.spec.family == "vector" and self.spec.ell >= 5 and self.spec.t == 2):
-            return None
-        m = self.spec.modulus(self.k)
-        try:
-            return extend_action_to_heisenberg(
-                m, tuple(tuple(v % m for v in row) for row in self.spec.action))
-        except (BudgetError, ValidationError):
-            return None
+        if self._extension == "unset":
+            ext = None
+            if self.spec.family == "vector" and self.spec.ell >= 5 and self.spec.t == 2:
+                m = self.spec.modulus(self.k)
+                mat = tuple(
+                    tuple(v % m for v in row) for row in self.spec.action
+                )
+                try:
+                    ext = extend_action_to_heisenberg(m, mat)
+                except (BudgetError, ValidationError):
+                    ext = None
+            self._extension = ext
+        return self._extension
 
     def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
         ext = self.extension
@@ -586,7 +591,12 @@ class FrattiniStep:
     kernel_is_ell_group: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "k": self.k,
+            "frattini": self.frattini,
+            "kernel_order": self.kernel_order,
+            "kernel_is_ell_group": self.kernel_is_ell_group,
+        }
 
 
 def eventually_frattini_report(spec: TowerSpec, k_max: int,
@@ -595,16 +605,27 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int,
     """For each step G_k -> G_(k-1), is it a Frattini cover?
 
     Steps whose kernel-translate count exceeds the budget are marked
-    "skipped" rather than attempted.  The kernel is an l-group exactly when
-    its order is a power of l (Cauchy).
+    "skipped" rather than attempted.
     """
     steps = []
     for k in range(1, k_max + 1):
         hom = spec.projection(k)
-        n = len(hom.kernel())
-        skipped = n ** len(hom.target.gens) > budget
-        steps.append(FrattiniStep(k, "skipped" if skipped else is_frattini_cover(hom, budget),
-                                  n, _ell_prime_part(n, spec.ell) == 1))
+        kernel = hom.kernel()
+        ell = spec.ell
+        is_ell = all(
+            _ell_prime_part(hom.source.element_order(x), ell) == 1 for x in kernel
+        )
+        n_tuples = len(kernel) ** len(hom.target.gens)
+        if n_tuples > budget:
+            verdict: object = "skipped"
+        else:
+            verdict = is_frattini_cover(hom, budget=budget)
+        steps.append(FrattiniStep(
+            k=k,
+            frattini=verdict,
+            kernel_order=len(kernel),
+            kernel_is_ell_group=is_ell,
+        ))
     return tuple(steps)
 
 

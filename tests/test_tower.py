@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import hurwitz.lift
-from hurwitz.braid import apply_qi, braid_orbits, cusp_orbits
+from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.lift import is_frattini_cover
@@ -208,6 +208,7 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
         seen.update(reference)
         for o in lvl.orbits:
             for c in o.cusps():
+                assert c.members == tuple(lvl.ni.reps[p] for p in c.positions)
                 members = [reference[p] for p in c.positions]
                 # members in reverse too: the flags must not hang on the first
                 for cusp in c, replace(c, members=c.members[::-1], positions=c.positions[::-1]):
@@ -215,6 +216,14 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                     assert got.hm == any(hm for hm, _ in members)
                     assert got.double_identity == any(dbl for _, dbl in members)
     assert len({hm for hm, _ in seen}) == 2 and len({dbl for _, dbl in seen}) == 2
+
+
+def test_cusp_orbit_needs_its_positions(a4_orbits):
+    """``cusp_type`` reads the shape flags at ``positions``, so a cusp orbit
+    cannot be built without them."""
+    c = a4_orbits[0].cusps()[0]
+    with pytest.raises(TypeError, match="positions"):
+        CuspOrbit(c.label, c.width, c.members, c.braid_label, c.ni)
 
 
 def test_cusp_type_constant_choice_of_representative(a4_orbits):
