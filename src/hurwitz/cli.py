@@ -345,7 +345,7 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
         kw = {"order_bound": order_bound} if order_bound else {}
         source = make_group(data["source"], **kw)
         target = make_group(data["target"], **kw)
-        hom = GroupHom.from_gen_images(source, target, [target.parse(v) for v in images])
+        hom = GroupHom(source, target, [target.parse(v) for v in images])
         return CentralExtension(source, target, hom, name=f"hom:{path}")
     raise ValidationError(
         f"unknown cover {sel!r}; use spin4, spin5, heis(<l>) or hom:<file>"

@@ -51,6 +51,10 @@ DEFAULT_ORDER_BOUND = 10**6
 # vector tower group at ell = 5 (1875) and D625 (1250).
 TABLE_ENTRY_CAP = 4_000_000
 
+# largest degree whose Sym(n)-normalizer is searched when no catalog
+# generators are attached
+SYM_SEARCH_DEGREE_LIMIT = 9
+
 
 # ---------------------------------------------------------------------------
 # permutation words
@@ -968,7 +972,7 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
     m = re.fullmatch(r"gens:(\[.*\])", desc)
     if m:
         body = m.group(1)[1:-1]
-        parts = _split_gen_list(body)
+        parts = _split_top_level(body)
         syms = [int(s) for p in parts for s in re.findall(r"\d+", p)]
         if not syms:
             raise ValidationError(f"no symbols in generator list {desc!r}")
@@ -981,47 +985,28 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
     raise ValidationError(f"cannot parse group descriptor {descriptor!r}")
 
 
-def _split_gen_list(body: str) -> list[str]:
-    # generators are runs of ()-groups; commas separate them at depth 0
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
-
-
 # ---------------------------------------------------------------------------
 # normalizers in the symmetric group
 
 
-def normalizer_in_sym(group: PermutationGroup, cv: ClassVector | None = None,
-                      brute_force_limit: int = 9) -> PermutationGroup:
+def normalizer_in_sym(group: PermutationGroup,
+                      cv: ClassVector | None = None) -> PermutationGroup:
     """Subgroup of Sym(n) normalizing ``group`` and fixing the class multiset.
 
     Uses catalog-attached generators when present; otherwise a search over
-    Sym(n) (``_sym_normalizer_search``) for n <= ``brute_force_limit``.
+    Sym(n) (``_sym_normalizer_search``) for n <= ``SYM_SEARCH_DEGREE_LIMIT``.
     """
     if group.kind != "permutation":
         raise ValidationError("normalizer_in_sym needs a permutation group")
     n = group.degree
     if group.sym_normalizer_gens is not None:
         good = PermutationGroup(catalog_normalizer_gens(group), n, f"N({group.name})").elements
-    elif n <= brute_force_limit:
+    elif n <= SYM_SEARCH_DEGREE_LIMIT:
         good = _sym_normalizer_search(group)
     else:
         raise BudgetError(
             f"no catalog normalizer for {group.name} and degree {n} exceeds "
-            f"brute-force limit {brute_force_limit}"
+            f"brute-force limit {SYM_SEARCH_DEGREE_LIMIT}"
         )
     if cv is not None:
         good = [s for s in good if _preserves_class_multiset(group, cv, s)]

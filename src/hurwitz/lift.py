@@ -10,7 +10,9 @@ obstructs the tuple's orbit from lifting through psi.
 The built-in covers are the two binary double covers SL2(Z/3) -> A4 and
 SL2(Z/5) -> A5 (the n = 4, 5 spin covers of the alternating groups), and
 the small-Heisenberg extensions Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained
-by extending an order-3 matrix action to the Heisenberg group.
+by extending an order-3 matrix action to the Heisenberg group.  Every
+homomorphism is a ``GroupHom`` given by generator images, which must lie in
+the target; it is checked on every element and generator as it is built.
 """
 
 from __future__ import annotations
@@ -44,69 +46,52 @@ COMPANION = ((0, -1), (1, -1))
 class GroupHom:
     """A verified homomorphism between finite groups, stored as a full map.
 
-    Construction checks map(x * g) == map(x) * map(g) for every element x
-    and generator g; by induction on word length that forces the map to be
-    multiplicative everywhere.
+    ``images[i]`` is the image of ``source.gens[i]`` and must be an element
+    of the target.  One breadth-first search from the identity extends the
+    images over the source and checks map(x * g) == map(x) * map(g) at every
+    element x and generator g; by induction on word length that forces the
+    map to be multiplicative everywhere.
+
+    >>> from hurwitz.groups import make_group
+    >>> c2, v4 = make_group("gens:[(1,2)]"), make_group("gens:[(1,2)(3,4)]")
+    >>> GroupHom(c2, v4, [v4.parse("(1,3)")])
+    Traceback (most recent call last):
+    ...
+    hurwitz.errors.ValidationError: image of generator 1 is not an element of gens:[(1,2)(3,4)]
     """
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        self._verify()
-        self._kernel = None
-        self._least_preimage = None
-
-    @classmethod
-    def from_gen_images(cls, source: FiniteGroup, target: FiniteGroup,
-                        images) -> "GroupHom":
-        """Propagate generator images over the whole source by word closure."""
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         images = tuple(images)
         if len(images) != len(source.gens):
             raise ValidationError(
                 f"need {len(source.gens)} generator images, got {len(images)}"
             )
-        gen_images = dict(zip(source.gens, images))
+        for i, img in enumerate(images, 1):
+            if img not in target:
+                raise ValidationError(
+                    f"image of generator {i} is not an element of {target.name}"
+                )
+        pairs = tuple(zip(source.gens, images))
         mapping = {source.identity: target.identity}
-        frontier = [source.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in gen_images.items():
-                    y = source.mul(x, g)
-                    v = target.mul(mapping[x], img)
-                    got = mapping.get(y)
-                    if got is None:
-                        mapping[y] = v
-                        nxt.append(y)
-                    elif got != v:
-                        raise ValidationError(
-                            "generator images do not define a homomorphism"
-                        )
-            frontier = nxt
-        return cls(source, target, mapping)
-
-    @classmethod
-    def from_callable(cls, source: FiniteGroup, target: FiniteGroup,
-                      fn) -> "GroupHom":
-        return cls(source, target, {x: fn(x) for x in source.elements})
-
-    def _verify(self) -> None:
-        src, tgt, m = self.source, self.target, self.mapping
-        if len(m) != src.order:
-            raise ValidationError("homomorphism map does not cover the source")
-        if m[src.identity] != tgt.identity:
-            raise ValidationError("homomorphism must send identity to identity")
-        for x in src.elements:
-            mx = m[x]
-            for g in src.gens:
-                if m[src.mul(x, g)] != tgt.mul(mx, m[g]):
+        queue = [source.identity]
+        for x in queue:  # breadth first: the queue grows while it is read
+            mx = mapping[x]
+            for g, img in pairs:
+                y = source.mul(x, g)
+                v = target.mul(mx, img)
+                got = mapping.get(y)
+                if got is None:
+                    mapping[y] = v
+                    queue.append(y)
+                elif got != v:
                     raise ValidationError(
-                        "map is not multiplicative on a generator pair"
+                        "generator images do not define a homomorphism"
                     )
-
-    def apply(self, x):
-        return self.mapping[x]
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+        self._kernel = None
+        self._least_preimage = None
 
     def __call__(self, x):
         return self.mapping[x]
@@ -115,40 +100,25 @@ class GroupHom:
         if self._kernel is None:
             e = self.target.identity
             self._kernel = tuple(
-                sorted(x for x in self.source.elements if self.mapping[x] == e)
+                sorted(x for x, y in self.mapping.items() if y == e)
             )
         return self._kernel
 
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
     @property
     def is_surjective(self) -> bool:
-        return len(self.image()) == self.target.order
+        return len(set(self.mapping.values())) == self.target.order
 
     def preimage(self, y):
         """The least preimage of y (deterministic section)."""
         if self._least_preimage is None:
             least: dict = {}
-            for x in self.source.elements:  # sorted, so first hit is least
+            for x in sorted(self.mapping):  # so the first hit is least
                 least.setdefault(self.mapping[x], x)
             self._least_preimage = least
         try:
             return self._least_preimage[y]
         except KeyError:
             raise ValidationError("element has no preimage") from None
-
-    def preimages(self, y) -> tuple:
-        return tuple(x for x in self.source.elements if self.mapping[x] == y)
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """other after self: source --self--> mid --other--> far."""
-        if other.source is not self.target:
-            raise ValidationError("composition needs matching middle group")
-        return GroupHom(
-            self.source, other.target,
-            {x: other.mapping[y] for x, y in self.mapping.items()},
-        )
 
 
 class CentralExtension:
@@ -314,7 +284,7 @@ def spin_cover(n: int) -> CentralExtension:
     cover = Sl2Group(3 if n == 4 else 5)
     base = alternating(n)
     images = tuple(base.parse(s) for s in _SPIN_GEN_IMAGES[n])
-    hom = GroupHom.from_gen_images(cover, base, images)
+    hom = GroupHom(cover, base, images)
     ext = CentralExtension(cover, base, hom, name=f"spin{n}")
     if ext.kernel_order != 2:
         raise ValidationError("spin cover must have kernel of order 2")
@@ -414,9 +384,8 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
         cover = HeisenbergSemidirectGroup(
             heis, alpha, 3, name=f"Heis({ell}):3"
         )
-        hom = GroupHom.from_callable(
-            cover, base, lambda e: ((e[0][0], e[0][1]), e[1])
-        )
+        # both groups list the two lattice generators, then the complement
+        hom = GroupHom(cover, base, base.gens)
         return CentralExtension(cover, base, hom, name=f"heis({ell})[{s},{t}]")
 
     first = next(corrections, None)

@@ -572,12 +572,13 @@ def tuple_cover_genus(group: FiniteGroup, t: tuple, embedding=None) -> CoverGenu
     """Genus of the cover with branch cycles t, via Riemann-Hurwitz:
     2(n + g - 1) = sum of indices.  Entries must act transitively.
 
-    ``embedding`` maps a non-permutation group into a permutation group; it
-    needs ``target`` and ``apply`` attributes (a group homomorphism object
-    works).  Fixed points count as length-1 cycles throughout.
+    ``embedding`` is a ``GroupHom`` from ``group`` to a permutation group;
+    each entry is replaced by its image, which the homomorphism checked lies
+    in ``embedding.target`` when it was built.  Fixed points count as
+    length-1 cycles throughout.
     """
     if embedding is not None:
-        perms = tuple(embedding.apply(g) for g in t)
+        perms = tuple(embedding(g) for g in t)
         n = embedding.target.degree
     elif group.kind == "permutation":
         perms = tuple(t)

@@ -160,16 +160,17 @@ class TowerSpec:
         return f"V({self.t},{m}):M=[{rows}]"
 
     def projection(self, k: int) -> GroupHom:
-        """The level-k to level-(k-1) reduction homomorphism (k >= 1)."""
+        """The level-k to level-(k-1) reduction homomorphism (k >= 1).
+
+        Reduction mod l^k sends generators to generators: the basis vectors
+        and the complement (vector family), the rotation and the reflection
+        (dihedral family)."""
         if k < 1:
             raise ValidationError("projection needs k >= 1")
         cache = self._projections
         if k not in cache:
-            src = self.level_group(k)
             tgt = self.level_group(k - 1)
-            cache[k] = GroupHom.from_callable(
-                src, tgt, lambda g: _project_element(self, k, g)
-            )
+            cache[k] = GroupHom(self.level_group(k), tgt, tgt.gens)
         return cache[k]
 
     def quotient(self, k: int) -> tuple | None:
@@ -192,17 +193,6 @@ class TowerSpec:
             "t": self.t,
             "action": [list(r) for r in self.action] if self.action else None,
         }
-
-
-def _project_element(spec: TowerSpec, k: int, g):
-    m2 = spec.modulus(k - 1)
-    if spec.family == "vector":
-        v, a = g
-        return (tuple(c % m2 for c in v), a)
-    # dihedral permutations encode x -> sign*x + b on Z/(l^(k+1))
-    b = g[0]
-    sign = 1 if g[1] == (b + 1) % len(g) else -1
-    return tuple((b + sign * i) % m2 for i in range(m2))
 
 
 def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:

@@ -436,6 +436,21 @@ def test_lift_hom_cover(tmp_path, capsys):
     assert by_label == {"O1": False, "O2": True}
 
 
+@pytest.mark.parametrize("source,group,classes,images,message", [
+    ("gens:[(1,2)]", "gens:[(1,2)(3,4)]", "[2a,2a,2a,2a]", ["(1,3)"],
+     "image of generator 1 is not an element of gens:[(1,2)(3,4)]"),
+    ("gens:[(1,2,3),(1,2,3)]", "gens:[(1,2,3),(1,2,3)]", "[3a,3a,3b]",
+     ["(1,2,3)", "(1,3,2)"], "generator images do not define a homomorphism"),
+])
+def test_lift_hom_cover_with_bad_images_exits_2(tmp_path, capsys, source, group,
+                                                classes, images, message):
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps({"source": source, "target": group, "images": images}))
+    assert run(["lift", "--group", group, "--classes", classes,
+                "--cover", f"hom:{hom}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_tower_subcommand_json(capsys):
     assert run(["tower", "--family", "vector", "--ell", "2",
                 "--classes", "[3a,3a,3b,3b]", "--k-max", "1",

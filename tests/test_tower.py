@@ -79,6 +79,35 @@ def test_projection_is_a_hom():
             assert proj(g1.mul(a, b)) == g0.mul(proj(a), proj(b))
 
 
+def _reduce_vector(g, m):
+    return (tuple(c % m for c in g[0]), g[1])
+
+
+def _reduce_dihedral(g, m):
+    # a level permutation is x -> sign*x + b on Z/(l^(k+1)), read off 0 and 1
+    b = g[0]
+    sign = 1 if g[1] == (b + 1) % len(g) else -1
+    return tuple((b + sign * i) % m for i in range(m))
+
+
+@pytest.mark.parametrize("family,ell,reduce", [
+    ("vector", 2, _reduce_vector),
+    ("dihedral", 5, _reduce_dihedral),
+])
+def test_projection_is_reduction_mod_ell_k(family, ell, reduce):
+    spec = TowerSpec(family, ell)
+    for k in (1, 2):
+        proj = spec.projection(k)
+        for g in spec.level_group(k).elements:
+            assert proj(g) == reduce(g, ell ** k)
+
+
+def test_heisenberg_projection_forgets_the_center():
+    ext = hurwitz.lift.heisenberg_cover(5)
+    assert all(ext.projection(e) == ((e[0][0], e[0][1]), e[1])
+               for e in ext.cover.elements)
+
+
 def test_projection_commutes_with_braiding():
     spec = TowerSpec("dihedral", 5)
     g1 = spec.level_group(1)
