@@ -2,8 +2,10 @@
 runs in text, JSON and CSV, against ``golden_reports.json``.
 
 The set is the README tour, the ``V(2,5)`` lattice jobs of the benchmark
-with the companion action, a vector tower with Frattini steps, and one
-invalid and one over-budget input.  To regenerate the file after a
+with the companion action, a vector tower with Frattini steps, one
+invalid and one over-budget input, and the Heisenberg lift invariants of
+level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
+action of determinant 4 mod 7 whose cover is refused.  To regenerate the file after a
 deliberate change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -41,6 +43,15 @@ COMMANDS = [
      "--k-max", "1", "--frattini"],
     ["genus", *A4, "--mode", "inner"],
     ["enumerate", "--group", "A4", "--classes", "[3ax2000]"],
+    ["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
+     "--k-max", "0"],
+    ["lift", "--group", "V(2,5):M=[[4,-7],[3,-5]]", "--classes", "[3a,3a,3b,3b]",
+     "--mode", "inner-reduced", "--cover", "heis(5)"],
+    # det 4 mod 7: the Heisenberg kernel is not central, so no invariant
+    ["tower", "--family", "vector", "--ell", "7", "--action", "[[2,0],[0,2]]",
+     "--classes", "[3a,3a,3b,3b]", "--k-max", "0"],
+    ["lift", "--group", "V(2,7):M=[[2,0],[0,2]]", "--classes", "[3a,3a,3b,3b]",
+     "--cover", "heis(7)"],
 ]
 CASES = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in ("text", "json", "csv")]
 
