@@ -46,9 +46,8 @@ def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return _qi_inv(group, t, i)
 
 
-def apply_sh(group: FiniteGroup, t: tuple) -> tuple:
-    """Left rotation (g_2, ..., g_r, g_1)."""
-    return _sh(group, t)
+# the rotation takes no index to check, so the public name is the move itself
+apply_sh = _sh
 
 
 @dataclass(frozen=True)

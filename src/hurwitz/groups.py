@@ -728,50 +728,6 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-class HeisenbergSemidirectGroup(FiniteGroup):
-    """Heis(m) semidirect Z/q via an automorphism given as an explicit map.
-
-    The automorphism is supplied as a dict on Heisenberg data; its powers are
-    precomputed.  Elements are ``(h, a)`` and multiply like the vector case:
-    ``(h1, a)(h2, b) = (alpha^b(h1) * h2, a + b)``.
-    """
-
-    kind = "heisenberg-semidirect"
-
-    def __init__(self, heis: HeisenbergGroup, alpha: dict, q: int, name: str, **kw):
-        self.heis = heis
-        self.complement_order = q
-        self._alpha_pows = [{g: g for g in heis.elements}]
-        for _ in range(q - 1):
-            prev = self._alpha_pows[-1]
-            self._alpha_pows.append({g: alpha[prev[g]] for g in heis.elements})
-        ident = self._alpha_pows[0]
-        check = {g: alpha[self._alpha_pows[-1][g]] for g in heis.elements}
-        if check != ident:
-            raise ValidationError(f"automorphism does not have order dividing {q}")
-        gens = ((heis.gens[0], 0), (heis.gens[1], 0), (heis.identity, 1))
-        super().__init__(gens, name, **kw)
-
-    def mul(self, a, b):
-        h1, a1 = a
-        h2, b1 = b
-        return (self.heis.mul(self._alpha_pows[b1][h1], h2), (a1 + b1) % self.complement_order)
-
-    def inv(self, a):
-        h, k = a
-        q = self.complement_order
-        b = (-k) % q
-        return (self.heis.inv(self._alpha_pows[b][h]), b)
-
-    @property
-    def identity(self):
-        return (self.heis.identity, 0)
-
-    def format(self, g):
-        (x, y, z), a = g
-        return f"[{x},{y},{z}|{a}]"
-
-
 # ---------------------------------------------------------------------------
 # class vectors
 

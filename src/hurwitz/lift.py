@@ -10,15 +10,22 @@ obstructs the tuple's orbit from lifting through psi.
 The built-in covers are the two binary double covers SL2(Z/3) -> A4 and
 SL2(Z/5) -> A5 (the n = 4, 5 spin covers of the alternating groups), and
 the small-Heisenberg extensions Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained
-by extending an order-3 matrix action to the Heisenberg group.  Every
-homomorphism is a ``GroupHom`` given by generator images, which must lie in
-the target; it is checked on every element and generator as it is built.
+by extending an order-3 matrix action to the Heisenberg group.  The spin
+and ``hom:`` covers are ``GroupHom``s given by generator images, which must
+lie in the target; each is checked on every element and generator as it is
+built.  A Heisenberg cover is instead a 2-cocycle on its base: an element
+is the base element plus a central coordinate, the base part of a product
+is computed by the base group's own ``mul`` and the central part adds the
+cocycle.  Dropping the central coordinate is then a homomorphism by
+construction, so its kernel and its section v -> (v, 0) are read off the
+formula, and the cover is never enumerated or walked.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
@@ -27,8 +34,6 @@ from .groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
     FiniteGroup,
-    HeisenbergGroup,
-    HeisenbergSemidirectGroup,
     Sl2Group,
     VectorSemidirectGroup,
     _mat_mul,
@@ -122,36 +127,44 @@ class GroupHom:
 
 
 class CentralExtension:
-    """A surjection psi: cover -> base whose kernel is central in the cover."""
+    """A surjection psi: cover -> base whose kernel is central in the cover.
 
-    def __init__(self, cover: FiniteGroup, base: FiniteGroup,
-                 projection: GroupHom, name: str = ""):
-        if projection.source is not cover or projection.target is not base:
-            raise ValidationError("projection must map the cover onto the base")
-        if not projection.is_surjective:
+    ``projection`` is a ``GroupHom``, whose kernel and least preimages are
+    read off its map; or a map that is a homomorphism by construction, given
+    with its ``section`` (one preimage of each base element) and ``kernel``.
+    Such a projection is onto when the section splits it on the base's
+    generators, since its image is a subgroup.  Either way each kernel
+    element must commute with the cover's generators.
+    """
+
+    def __init__(self, cover: FiniteGroup, base: FiniteGroup, projection,
+                 name: str = "", section=None, kernel=None):
+        if section is None:
+            if projection.source is not cover or projection.target is not base:
+                raise ValidationError("projection must map the cover onto the base")
+            if not projection.is_surjective:
+                raise ValidationError("central extension projection must be onto")
+            section, kernel = projection.preimage, projection.kernel()
+        elif any(projection(section(g)) != g for g in base.gens):
             raise ValidationError("central extension projection must be onto")
         self.cover = cover
         self.base = base
         self.projection = projection
+        self.section = section
         self.name = name or f"{cover.name}->{base.name}"
-        self.kernel = projection.kernel()
+        self.kernel = tuple(kernel)
         for k in self.kernel:
             for g in cover.gens:
                 if cover.mul(k, g) != cover.mul(g, k):
                     raise ValidationError("extension kernel is not central")
-        self.kernel_exponent = lcm(
-            *(cover.element_order(k) for k in self.kernel)
-        ) if len(self.kernel) > 1 else 1
-        self._alt_thunks = None
+        self.kernel_exponent = lcm(*map(cover.element_order, self.kernel))
+        self._rest_of_search = ((), None)  # (remaining choices, builder)
 
-    @property
+    @cached_property
     def alternatives(self) -> tuple["CentralExtension", ...]:
         """Other extensions found by the same search, built on first access."""
-        if self._alt_thunks is not None:
-            rest, build = self._alt_thunks
-            self._alt_built = tuple(build(st) for st in rest)
-            self._alt_thunks = None
-        return getattr(self, "_alt_built", ())
+        rest, build = self._rest_of_search
+        return tuple(map(build, rest))
 
     @property
     def kernel_order(self) -> int:
@@ -190,7 +203,7 @@ def same_order_lift(ext: CentralExtension, g):
         raise ValidationError(
             f"element order {d} is not coprime to the kernel exponent {n}"
         )
-    h = ext.projection.preimage(g)
+    h = ext.section(g)
     if n == 1:
         return h
     return cover.power(h, n * pow(n, -1, d))
@@ -291,13 +304,6 @@ def spin_cover(n: int) -> CentralExtension:
     return ext
 
 
-def _normalize_matrix(m, ell: int) -> tuple:
-    rows = tuple(tuple(int(v) % ell for v in row) for row in m)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValidationError("Heisenberg extension needs a 2x2 matrix")
-    return rows
-
-
 def _heisenberg_corrections(ell: int, m: tuple):
     """Valid linear corrections (s, t) to the cocycle term, plus helpers.
 
@@ -321,31 +327,77 @@ def _heisenberg_corrections(ell: int, m: tuple):
         w = act(v)
         return ((w[0] * w[1] - lam * v[0] * v[1]) % ell * inv2) % ell
 
-    lam2 = (lam * lam) % ell
-    vecs = [(x, y) for x in range(ell) for y in range(ell)]
-    # residual obligation at each v once the base cocycle is in place
-    base_tot = {}
-    coeff = {}
-    for v in vecs:
+    # alpha^3 shifts the center over each v by c + a*s + b*t, which must vanish
+    lam2 = lam * lam
+    residuals = []
+    for v in ((x, y) for x in range(ell) for y in range(ell)):
         mv = act(v)
         mmv = act(mv)
-        base_tot[v] = (lam2 * q_base(v) + lam * q_base(mv) + q_base(mmv)) % ell
-        coeff[v] = (
-            (lam2 * v[0] + lam * mv[0] + mmv[0]) % ell,
-            (lam2 * v[1] + lam * mv[1] + mmv[1]) % ell,
-        )
+        residuals.append((lam2 * q_base(v) + lam * q_base(mv) + q_base(mmv),
+                          lam2 * v[0] + lam * mv[0] + mmv[0],
+                          lam2 * v[1] + lam * mv[1] + mmv[1]))
 
     def valid(s, t):
-        for v in vecs:
-            a, b = coeff[v]
-            if (base_tot[v] + a * s + b * t) % ell:
-                return False
-        return True
+        return all((c + a * s + b * t) % ell == 0 for c, a, b in residuals)
 
     corrections = (
         (s, t) for s in range(ell) for t in range(ell) if valid(s, t)
     )
     return lam, act, q_base, corrections
+
+
+class HeisenbergCover(FiniteGroup):
+    """Heis(m) x| Z/3 for the automorphism alpha(v, z) = (v*M, lam*z + q(v)),
+    built over its base (Z/m)^2 x| Z/3 (row vectors v, M the base's action).
+
+    Elements are ``((x, y, z), a)``.  The product of (v1, z1, a) and
+    (v2, z2, b) is alpha^b(v1, z1) * (v2, z2) in Heis(m), next to a + b:
+    its lattice part (v1*M^b + v2, a + b) is the base's own product, and
+    its central part is lam^b*z1 + Q_b(v1) + z2 + (v1*M^b)_x * y2, where
+    Q_0 = 0 and Q_{b+1}(v) = lam*Q_b(v) + q(v*M^b).  Dropping z is thus a
+    homomorphism onto the base, with kernel {((0, 0, z), 0)} and section
+    (v, a) -> ((v, 0), a).  The kernel is central exactly when lam = 1.
+    """
+
+    def __init__(self, base: VectorSemidirectGroup, lam: int, act, q, name: str):
+        self.base = base
+        self.modulus = base.modulus
+        self._lam, self._act, self._q = lam, act, q
+        self.kernel = tuple(((0, 0, z), 0) for z in range(base.modulus))
+        # the two lattice generators, then the complement, as in the base
+        super().__init__(map(self.section, base.gens), name)
+
+    def mul(self, g, h):
+        (x1, y1, z1), a = g
+        (x2, y2, z2), b = h
+        (x, y), c = self.base.mul(((x1, y1), a), ((x2, y2), b))
+        v = (x1, y1)
+        for _ in range(b):  # alpha^b(v1, z1) = (v, z1) when it ends
+            z1 = self._lam * z1 + self._q(v)
+            v = self._act(v)
+        return ((x, y, (z1 + z2 + v[0] * y2) % self.modulus), c)
+
+    def inv(self, g):
+        (x, y), b = self.base.inv(self.project(g))
+        # the central part of a product is z2 plus terms free of z2
+        z = self.mul(g, ((x, y, 0), b))[0][2]
+        return ((x, y, -z % self.modulus), b)
+
+    @property
+    def identity(self):
+        return ((0, 0, 0), 0)
+
+    @staticmethod
+    def project(g):
+        return (g[0][:2], g[1])
+
+    @staticmethod
+    def section(g):
+        return ((*g[0], 0), g[1])
+
+    def format(self, g):
+        (x, y, z), a = g
+        return f"[{x},{y},{z}|{a}]"
 
 
 def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
@@ -360,33 +412,23 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
     level-k cover over Z/ell^(k+1).
     """
     if ell < 2 or ell % 2 == 0 or ell % 3 == 0:
-        raise ValidationError(
-            "Heisenberg extension needs an odd modulus prime to 3"
-        )
-    m = _normalize_matrix(m, ell)
+        raise ValidationError("Heisenberg extension needs an odd modulus prime to 3")
+    m = tuple(tuple(int(v) % ell for v in row) for row in m)
+    if len(m) != 2 or any(len(r) != 2 for r in m):
+        raise ValidationError("Heisenberg extension needs a 2x2 matrix")
     ident = ((1, 0), (0, 1))
-    m2 = _mat_mul(m, m, ell)
-    if _mat_mul(m2, m, ell) != ident or m == ident:
+    if m == ident or _mat_mul(_mat_mul(m, m, ell), m, ell) != ident:
         raise ValidationError("action matrix must have order exactly 3")
 
     lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
     base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
-    heis = HeisenbergGroup(ell)
 
     def build(st):
         s, t = st
-        alpha = {}
-        for h in heis.elements:
-            v = (h[0], h[1])
-            w = act(v)
-            z = (lam * h[2] + q_base(v) + s * v[0] + t * v[1]) % ell
-            alpha[h] = (w[0], w[1], z)
-        cover = HeisenbergSemidirectGroup(
-            heis, alpha, 3, name=f"Heis({ell}):3"
-        )
-        # both groups list the two lattice generators, then the complement
-        hom = GroupHom(cover, base, base.gens)
-        return CentralExtension(cover, base, hom, name=f"heis({ell})[{s},{t}]")
+        cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
+                                name=f"Heis({ell}):3")
+        return CentralExtension(cover, base, cover.project, f"heis({ell})[{s},{t}]",
+                                section=cover.section, kernel=cover.kernel)
 
     first = next(corrections, None)
     if first is None:
@@ -394,7 +436,7 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
             "no order-3 extension of the action to the Heisenberg group exists"
         )
     primary = build(first)
-    primary._alt_thunks = (corrections, build)
+    primary._rest_of_search = (corrections, build)
     return primary
 
 

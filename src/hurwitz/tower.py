@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -328,24 +329,17 @@ class TowerLevel:
         self.cv = cv
         self.ni = ni
         self.orbits = orbits
-        self._extension: CentralExtension | None | str = "unset"
 
-    @property
+    @cached_property
     def extension(self) -> CentralExtension | None:
         """Heisenberg central extension carrying this level's lift invariant."""
-        if self._extension == "unset":
-            ext = None
-            if self.spec.family == "vector" and self.spec.ell >= 5 and self.spec.t == 2:
-                m = self.spec.modulus(self.k)
-                mat = tuple(
-                    tuple(v % m for v in row) for row in self.spec.action
-                )
-                try:
-                    ext = extend_action_to_heisenberg(m, mat)
-                except (BudgetError, ValidationError):
-                    ext = None
-            self._extension = ext
-        return self._extension
+        spec = self.spec
+        if spec.family != "vector" or spec.ell < 5 or spec.t != 2:
+            return None
+        try:
+            return extend_action_to_heisenberg(spec.modulus(self.k), spec.action)
+        except ValidationError:
+            return None
 
     def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
         ext = self.extension

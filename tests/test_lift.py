@@ -1,16 +1,20 @@
+import random
 import warnings
+from itertools import product
 
 import pytest
 
 from hurwitz.braid import braid_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.groups import (
+    HeisenbergGroup,
     Sl2Group,
     VectorSemidirectGroup,
     make_group,
     parse_class_vector,
 )
 from hurwitz.lift import (
+    COMPANION,
     CentralExtension,
     GroupHom,
     extend_action_to_heisenberg,
@@ -21,6 +25,7 @@ from hurwitz.lift import (
     lift_invariant,
     same_order_lift,
     spin_cover,
+    _heisenberg_corrections,
 )
 from hurwitz.nielsen import Mode, enumerate_nielsen, tuple_cover_genus
 
@@ -156,6 +161,52 @@ def test_heisenberg_alternative_corrections():
     alts = ext.alternatives
     assert len(alts) == 24  # all 25 linear corrections work for this action
     assert all(a.kernel_order == 5 for a in alts[:3])
+
+
+def _alpha_from_formula(m):
+    """alpha(v, z) = (v*M, z + q(v)) for the companion M and the least valid
+    correction (s, t), as an automorphism of Heis(m) checked on every element
+    by ``GroupHom``."""
+    _, act, q_base, corrections = _heisenberg_corrections(m, COMPANION)
+    s, t = next(corrections)
+    heis = HeisenbergGroup(m)
+    images = [(*act(v), (q_base(v) + s * v[0] + t * v[1]) % m)
+              for v in ((1, 0), (0, 1))]
+    return heis, GroupHom(heis, heis, images), (s, t)
+
+
+@pytest.mark.parametrize("m", [5, 7, 11, 25])
+def test_heisenberg_cocycle_is_the_semidirect_product(m):
+    heis, alpha, (s, t) = _alpha_from_formula(m)
+    assert alpha.is_surjective  # so alpha is an automorphism
+    pows = [{h: h for h in heis.elements}]
+    for _ in range(3):
+        pows.append({h: alpha(pows[-1][h]) for h in heis.elements})
+    assert pows[3] == pows[0]
+
+    ext = extend_action_to_heisenberg(m, COMPANION)
+    assert ext.name == f"heis({m})[{s},{t}]"
+    cover = ext.cover
+    elements = [(h, a) for h in heis.elements for a in range(3)]
+    if m == 5:
+        pairs = list(product(elements, repeat=2))
+    else:
+        rng = random.Random(m)
+        pairs = [(x, g) for x in elements for g in cover.gens]
+        pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+    for (h1, a), (h2, b) in pairs:
+        want = (heis.mul(pows[b][h1], h2), (a + b) % 3)
+        assert cover.mul((h1, a), (h2, b)) == want
+    assert all(cover.mul(x, cover.inv(x)) == cover.identity for x in elements)
+
+    assert ext.kernel == tuple(((0, 0, z), 0) for z in range(m))
+    assert ext.kernel_order == ext.kernel_exponent == m
+    assert all(cover.mul(k, g) == cover.mul(g, k)
+               for k in ext.kernel for g in cover.gens)
+    # the lattice generators commute in the base, but no lifts of them do
+    l1, l2 = (ext.section(g) for g in ext.base.gens[:2])
+    comm = cover.mul(cover.mul(cover.inv(l1), cover.inv(l2)), cover.mul(l1, l2))
+    assert comm in ext.kernel and comm != cover.identity
 
 
 def test_heisenberg_rejects_bad_modulus():

@@ -9,7 +9,7 @@ import hurwitz.lift
 from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.lift import is_frattini_cover
+from hurwitz.lift import is_frattini_cover, lift_invariant
 from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen
 from hurwitz.tower import (
     TowerSpec,
@@ -305,6 +305,27 @@ def test_level0_heisenberg_invariants_ell5(ell5_level0):
     assert lift_partition_is_choice_independent(lvl) is True
 
 
+@pytest.mark.parametrize("ell", [5, 7])
+def test_heisenberg_invariants_are_braid_invariant(ell):
+    spec = TowerSpec("vector", ell)
+    lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
+    ext = lvl.extension
+    # every valid correction at ell = 5, the least one at ell = 7
+    exts = [ext, *ext.alternatives] if ell == 5 else [ext]
+    assert len(exts) == (25 if ell == 5 else 1)
+    for e in exts:
+        for o in lvl.orbits:
+            want = lift_invariant(e, o.rep).value
+            assert all(lift_invariant(e, t).value == want for t in o.members)
+
+
+def test_tower_level_never_enumerates_the_heisenberg_cover():
+    spec = TowerSpec("vector", 5)
+    lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
+    lvl.to_dict()
+    assert lvl.extension.cover._elements is None
+
+
 def test_genus_at_level0_ell5(ell5_level0):
     lvl = ell5_level0
     assert {lvl.genus_report(o).genus for o in lvl.orbits} == {1}
@@ -364,6 +385,19 @@ def test_vector_tower_ell5_level1():
     genera = sorted(top.genus_report(o).genus for o in top.orbits)
     assert genera == [73] * 5 + [361] * 20 + [401] * 4
     assert len(tree.edges) == 29
+
+
+@pytest.mark.long
+def test_vector_tower_ell5_level1_heisenberg_invariants():
+    spec = TowerSpec("vector", 5)
+    cv = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
+    top = component_tree(spec, cv, 1).levels[1]
+    labels = [top.orbit_invariant(o).label for o in top.orbits]
+    # O1-O5 (genus 73) lift; O6-O25 (genus 361) carry a unit of Z/25 and
+    # O26-O29 (genus 401) a nonzero multiple of 5
+    zs = [17, 18, 3, 22, 12, 8, 13, 2, 7, 23, 1, 19, 21, 6, 16, 11, 4, 9, 14, 24,
+          5, 20, 10, 15]
+    assert labels == ["1"] * 5 + [f"[0,0,{z}|0]" for z in zs]
 
 
 @pytest.mark.parametrize("ell,genera", [
