@@ -24,6 +24,7 @@ from .groups import ClassVector, FiniteGroup
 from .nielsen import (
     Mode,
     NielsenClassSet,
+    _get_action,
     _qi,
     _qi_inv,
     _sh,
@@ -293,10 +294,10 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
                 fails.append(f"sh^2 moved reduced class {x}")
         record("sh^2 fixes reduced classes", fails)
 
-    inner = enumerate_nielsen(group, cv, Mode.INNER)
+    inner = _get_action(group, Mode.INNER, cv)
 
     def can(t):
-        return inner.action.canonical_tuple(ix.to_index(t))
+        return inner.canonical_tuple(ix.to_index(t))
 
     fails = []
     for t in sample:

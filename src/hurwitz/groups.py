@@ -945,31 +945,48 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
 # normalizers in the symmetric group
 
 
-def normalizer_in_sym(group: PermutationGroup,
-                      cv: ClassVector | None = None) -> PermutationGroup:
-    """Subgroup of Sym(n) normalizing ``group`` and fixing the class multiset.
-
-    Uses catalog-attached generators when present; otherwise a search over
-    Sym(n) (``_sym_normalizer_search``) for n <= ``SYM_SEARCH_DEGREE_LIMIT``.
+def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
+    """The normalizer of ``group`` in Sym(n), given by generators and listed
+    only on demand: the catalog-attached generators, each checked, or else
+    generators picked by ``_span`` from a search over Sym(n)
+    (``_sym_normalizer_search``) for n <= ``SYM_SEARCH_DEGREE_LIMIT``.  The
+    Nielsen layer cuts it down to the subgroup fixing a class multiset.
     """
     if group.kind != "permutation":
         raise ValidationError("normalizer_in_sym needs a permutation group")
-    n = group.degree
+    n, name = group.degree, f"N_Sym({group.name})"
     if group.sym_normalizer_gens is not None:
-        good = PermutationGroup(catalog_normalizer_gens(group), n, f"N({group.name})").elements
+        gens = catalog_normalizer_gens(group)
     elif n <= SYM_SEARCH_DEGREE_LIMIT:
-        good = _sym_normalizer_search(group)
+        found = _sym_normalizer_search(group)
+        gens = _span(found, n, name, len(found))[0]
     else:
         raise BudgetError(
             f"no catalog normalizer for {group.name} and degree {n} exceeds "
             f"brute-force limit {SYM_SEARCH_DEGREE_LIMIT}"
         )
-    if cv is not None:
-        good = [s for s in good if _preserves_class_multiset(group, cv, s)]
-    result = PermutationGroup(tuple(good), n, f"N_Sym({group.name})")
-    result._elements = tuple(sorted(good))
-    result._index = {g: i for i, g in enumerate(result._elements)}
-    return result
+    return PermutationGroup(gens, n, name)
+
+
+def _span(perms, n: int, name: str, size: int | None = None) -> tuple[list, set]:
+    """Generators picked from ``perms`` (of n points) and the group they
+    generate: each one outside the group so far is added and the group
+    closed again, until it holds ``size`` elements.  More than
+    ``TABLE_ENTRY_CAP // n`` elements raise ``BudgetError``."""
+    cap = TABLE_ENTRY_CAP // n
+    if (size or 0) > cap:
+        raise BudgetError(f"{name} need {size} permutations, above the cap of {cap}")
+    sym = PermutationGroup((), n, name)
+    gens, span = [], {identity_perm(n)}
+    for p in perms:
+        if len(span) == size:
+            break
+        if p not in span:
+            gens.append(p)
+            span = sym.close(gens, stop_above=cap if size is None else size - 1)
+            if len(span) > cap:
+                raise BudgetError(f"{name} need more than the cap of {cap} permutations")
+    return gens, span
 
 
 def _sym_normalizer_search(group: PermutationGroup) -> list:
@@ -1008,13 +1025,3 @@ def catalog_normalizer_gens(group: PermutationGroup) -> list:
 
 def _normalizes(group: PermutationGroup, s) -> bool:
     return all(group.conj(g, s) in group for g in group.gens)
-
-
-def _preserves_class_multiset(group: PermutationGroup, cv: ClassVector, s) -> bool:
-    mult = cv.multiset()
-    classes = group.conjugacy_classes()
-    for i, m in mult.items():
-        j = group.class_index_of(group.conj(classes[i].rep, s))
-        if mult.get(j) != m:
-            return False
-    return True

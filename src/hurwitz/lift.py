@@ -41,6 +41,8 @@ from .groups import (
     alternating,
 )
 
+# kernel-translate tuples a Frattini check enumerates without a warning;
+# tower reports mark a step above it "skipped"
 FRATTINI_TUPLE_BUDGET = 200_000
 
 # the companion matrix of x^2 + x + 1: the default order-3 action of vector
@@ -237,7 +239,7 @@ def is_obstructed(ext: CentralExtension, orbit_or_tuple) -> bool:
     return not lift_invariant(ext, t).trivial
 
 
-def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> bool:
+def is_frattini_cover(hom: GroupHom) -> bool:
     """Whether every lift of a generating set of the target generates the source.
 
     Exhaustive over kernel translates of one fixed lift tuple: any proper
@@ -245,7 +247,7 @@ def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> boo
     this is sound and complete.  The closures run on the source's indexed
     view when its table fits under ``TABLE_ENTRY_CAP``, else on data.  Emits
     a cost warning (and keeps going) when the number of translate tuples
-    exceeds the budget.
+    exceeds ``FRATTINI_TUPLE_BUDGET``.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
@@ -253,10 +255,10 @@ def is_frattini_cover(hom: GroupHom, budget: int = FRATTINI_TUPLE_BUDGET) -> boo
     kernel = hom.kernel()
     gens = tgt.gens
     n_tuples = len(kernel) ** len(gens)
-    if n_tuples > budget:
+    if n_tuples > FRATTINI_TUPLE_BUDGET:
         warnings.warn(
             f"Frattini check enumerates {n_tuples} kernel-translate tuples "
-            f"(budget {budget}); this may take a while",
+            f"(budget {FRATTINI_TUPLE_BUDGET}); this may take a while",
             RuntimeWarning,
             stacklevel=2,
         )

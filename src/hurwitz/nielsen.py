@@ -6,7 +6,10 @@ G, and the multiset of conjugacy classes of the entries equals C.  The sets
 here are always stored as canonical representatives under one of five
 equivalences:
 
-* raw            -- no identification at all;
+* raw            -- no identification at all: the action of the trivial
+                    group.  The raw class is the union of the inner
+                    classes, so its reps are the conjugates of the inner
+                    reps by every element of G;
 * inner          -- simultaneous conjugation by G;
 * absolute       -- simultaneous conjugation by the Sym(n)-normalizer of
                     (G, C), permutation groups only;
@@ -46,12 +49,10 @@ from itertools import combinations
 
 from .errors import BudgetError, ValidationError
 from .groups import (
-    TABLE_ENTRY_CAP,
     ClassVector,
     FiniteGroup,
     IndexedGroup,
-    PermutationGroup,
-    catalog_normalizer_gens,
+    _span,
     cycle_type,
     identity_perm,
     normalizer_in_sym,
@@ -160,9 +161,9 @@ class ConjAction:
     moving y to m.  ``stabilizer[m]``, closed on first use from Schreier
     generators, holds the non-identity permutations of A fixing m; those
     after ``transporter[y]`` are all that move y to m, so the canonical form
-    does not depend on the transporter.  ``order`` is |A| once known
-    (|G : Z(G)| when inner, else from the first stabilizer closed); later
-    closures stop at |A| / |orbit|.
+    does not depend on the transporter.  ``order`` is |A| once known (1 when
+    trivial, |G : Z(G)| when inner, else from the first stabilizer closed);
+    later closures stop at |A| / |orbit|.
     """
 
     group: IndexedGroup
@@ -207,27 +208,6 @@ class ConjAction:
         return min(self.canonical_tuple(u) for u in _reduction_orbit(self.group, t))
 
 
-def _span(perms, n: int, name: str, size: int | None = None) -> tuple[list, set]:
-    """Generators picked from ``perms`` (of n points) and the group they
-    generate: each one outside the group so far is added and the group
-    closed again, until it holds ``size`` elements.  More than
-    ``TABLE_ENTRY_CAP // n`` elements raise ``BudgetError``."""
-    cap = TABLE_ENTRY_CAP // n
-    if (size or 0) > cap:
-        raise BudgetError(f"{name} need {size} permutations, above the cap of {cap}")
-    sym = PermutationGroup((), n, name)
-    gens, span = [], {identity_perm(n)}
-    for p in perms:
-        if len(span) == size:
-            break
-        if p not in span:
-            gens.append(p)
-            span = sym.close(gens, stop_above=cap if size is None else size - 1)
-            if len(span) > cap:
-                raise BudgetError(f"{name} need more than the cap of {cap} permutations")
-    return gens, span
-
-
 def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
     """Schreier generators of the subgroup of <perms> fixing C's class
     multiset, over that multiset's orbit."""
@@ -248,27 +228,20 @@ def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
 
 
 def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> ConjAction:
-    """Inner mode acts by G's generators, absolute mode by the checked
-    catalog generators of the Sym(n)-normalizer (or some of the searched
-    one), cut down to the subgroup fixing C's class multiset.  One
-    breadth-first search per orbit, from its least element, gives
-    ``orbit_min`` and the transporters."""
+    """Raw mode acts by the trivial group, inner mode by G's generators and
+    absolute mode by the generators of the Sym(n)-normalizer, cut down to
+    the subgroup fixing C's class multiset.  One breadth-first search per
+    orbit, from its least element, gives ``orbit_min`` and the
+    transporters."""
     ix = group.indexed()
     n = ix.order
-    if kind == "inner":
-        acting = group.gens
-    elif kind == "absolute":
-        searched = group.sym_normalizer_gens is None
-        acting = normalizer_in_sym(group).elements if searched else catalog_normalizer_gens(group)
+    if kind == "absolute":
+        acting = normalizer_in_sym(group).gens
     else:
-        raise ValidationError(f"no conjugation action of kind {kind!r}")
-    if len(acting) > TABLE_ENTRY_CAP // n:
-        raise BudgetError(f"{kind} conjugation tables of {group.name} are above the cap")
+        acting = group.gens if kind == "inner" else ()
     index = group._index
     perms = [ix.automorphism([index[group.conj(g, a)] for g in group.gens]) for a in acting]
     if kind == "absolute":
-        if searched:
-            perms = _span(sorted(perms), n, f"N_Sym({group.name})")[0]
         perms = _multiset_stabilizer(ix, perms, cv)
     identity = identity_perm(n)
     gens = sorted(set(perms) - {identity})
@@ -283,15 +256,14 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
                     if orbit_min[y] is None:
                         orbit_min[y], transporter[y] = m, perm_mul(g_inv, transporter[x])
                         orbits[m].append(y)
-    # the inner action's kernel is Z(G), the union of its one-point orbits
-    order = n // sum(len(o) == 1 for o in orbits.values()) if kind == "inner" else None
+    # the kernel of the trivial or inner action is the union of its one-point
+    # orbits (all of G, or Z(G))
+    order = n // sum(len(o) == 1 for o in orbits.values()) if kind != "absolute" else None
     return ConjAction(ix, kind, tuple(gens), orbits, tuple(orbit_min), tuple(transporter),
                       order)
 
 
-def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjAction | None:
-    if mode is Mode.RAW:
-        return None
+def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjAction:
     key = (mode.conjugation, cv.indices if mode.conjugation == "absolute" else None)
     cache = group._conj_actions
     if key not in cache:
@@ -304,14 +276,9 @@ def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjA
 def canonicalize(group: FiniteGroup, t: tuple, mode, cv: ClassVector | None = None) -> tuple:
     """Canonical representative of t under the given equivalence mode."""
     mode = Mode.parse(mode)
-    if mode is Mode.RAW:
-        return tuple(t)
     action = _get_action(group, mode, cv)
-    ix = action.group
-    u = ix.to_index(t)
-    if mode.reduced:
-        return ix.to_data(action.reduced_canonical_tuple(u))
-    return ix.to_data(action.canonical_tuple(u))
+    canonical = action.reduced_canonical_tuple if mode.reduced else action.canonical_tuple
+    return action.group.to_data(canonical(action.group.to_index(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +343,7 @@ class NielsenClassSet:
     cv: ClassVector = field(compare=False)
     mode: Mode
     reps: tuple
-    action: ConjAction | None = field(compare=False, repr=False, default=None)
+    action: ConjAction = field(compare=False, repr=False)
     # reduced modes: canonical -> reduced form on every Klein orbit met
     klein: dict = field(compare=False, repr=False, default_factory=dict)
     # ``reps`` as index tuples of ``group.indexed()``, derived when not given
@@ -394,8 +361,6 @@ class NielsenClassSet:
     def canonical(self, u: tuple) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``; a reduced
         mode looks it up in ``klein``, reducing afresh on a miss."""
-        if self.action is None:
-            return u
         c = self.action.canonical_tuple(u)
         if not self.mode.reduced:
             return c
@@ -433,18 +398,21 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                       quotient: tuple | None = None) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
-    The search fixes the first entry (to each class member in raw mode, to
-    each orbit minimum otherwise), walks the remaining class multiset for
-    positions 2..r-1 and solves for the last entry; outside raw mode the
-    second entry is least under the first's stabilizer, as in every
-    canonical form, and when no other element of that stabilizer fixes it,
-    the tuple is its own canonical form.  Generation is settled once per
-    canonical form (inner classes in raw mode), or per Klein orbit of them
-    in a reduced mode with r = 4, whose least member is the reduced form and
-    which ``klein`` maps to it; any generating pair of entries settles it.
-    Before the search, ``len(starts) * w**(r-2)``, with w the number of
-    elements in the classes of C, bounds the tuples it will reach; above
-    ``SEARCH_NODE_CAP`` it raises ``BudgetError``.
+    The search fixes the first entry to each orbit minimum, walks the
+    remaining class multiset for positions 2..r-1 and solves for the last
+    entry; the second entry is least under the first's stabilizer, as in
+    every canonical form, and when no other element of that stabilizer fixes
+    it, the tuple is its own canonical form.  Generation is settled once per
+    canonical form, or per Klein orbit of them in a reduced mode with r = 4,
+    whose least member is the reduced form and which ``klein`` maps to it;
+    any generating pair of entries settles it.  Before the search,
+    ``len(starts) * w**(r-2)``, with w the number of elements in the classes
+    of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP`` it
+    raises ``BudgetError``.
+
+    Raw mode acts by the trivial group, so every class member is a start of
+    that bound.  The raw class is the union of the inner classes, so its
+    reps are the conjugates of the inner reps by every element of G.
 
     ``quotient`` is a pair (Q, down): an indexed view Q and a tuple sending
     each index of ``group.indexed()`` to its image in Q under a surjection
@@ -469,26 +437,31 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             f"classes {cv} do not generate {group.name}; the Nielsen class is undefined"
         )
     action = _get_action(group, mode, cv)
-    if mode is Mode.RAW:
-        starts = [g for i in support for g in members[i]]
-    else:
-        starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
+    starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
     # closed before the search, so an over-cap stabilizer stops it first
-    stabs = {g1: action.stabilizer[g1] if action is not None else () for g1 in starts}
+    stabs = {g1: action.stabilizer[g1] for g1 in starts}
     width = sum(len(m) for m in members.values())
     if len(starts) * width ** (r - 2) > SEARCH_NODE_CAP:
         raise BudgetError(
             f"Nielsen search for {cv} in {group.name} ({len(starts)} starts,"
             f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
         )
+    if mode is Mode.RAW:
+        # conjugation by each element of G, as index permutations: each is
+        # one element of G/Z(G), whose action is free on generating tuples
+        table, inverse, n = ix.table, ix.inverse, ix.order
+        perms = {tuple(table[table[inverse[a]][x]][a] for x in range(n)) for a in range(n)}
+        inner = enumerate_nielsen(group, cv, Mode.INNER, (quotient, down)).index_reps
+        index_reps = tuple(sorted(tuple(map(p.__getitem__, u)) for u in inner for p in perms))
+        return NielsenClassSet(group, cv, mode, tuple(map(ix.to_data, index_reps)), action,
+                               {}, index_reps)
 
-    # conjugation and the reduction group preserve generation: raw mode keys
-    # it by inner class, a reduced mode (r = 4) by Klein orbit
-    key = (action or _get_action(group, Mode.INNER, cv)).canonical_tuple
+    # conjugation and the reduction group preserve generation: a reduced
+    # mode (r = 4) keys it by Klein orbit
+    key = action.canonical_tuple
     pairs: dict = {}
     least: dict = {}  # canonical form -> least canonical form of its Klein orbit
     good = set()  # the generating least forms
-    found = set()
     for g1 in starts:
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
@@ -496,7 +469,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
         seconds = {i: [g for g in gs if all(z[g] >= g for z in stab)] for i, gs in members.items()}
         free = {g for gs in seconds.values() for g in gs if all(z[g] != g for z in stab)}
         for t in _complete(ix, r, members, remaining, g1, seconds):
-            c = t if action is not None and t[1] in free else key(t)
+            c = t if t[1] in free else key(t)
             m = least.get(c)
             if m is None:
                 orbit = [c, *map(key, _reduction_orbit(ix, c)[1:])] if mode.reduced else [c]
@@ -504,9 +477,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                 least.update(dict.fromkeys(orbit, m))
                 if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):
                     good.add(m)
-            if action is None and m in good:
-                found.add(t)
-    index_reps = tuple(sorted(good if action is not None else found))
+    index_reps = tuple(sorted(good))
     return NielsenClassSet(group, cv, mode, tuple(map(ix.to_data, index_reps)), action,
                            least if mode.reduced else {}, index_reps)
 
@@ -536,8 +507,11 @@ def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, secon
     return out
 
 
-def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random,
-                         max_tries: int = 20000) -> tuple:
+# draws ``random_nielsen_tuple`` makes before it gives up
+RANDOM_TUPLE_TRIES = 20000
+
+
+def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random) -> tuple:
     """A uniform-ish random member of the raw Nielsen class, for property
     checks.  Draws the first r-1 entries from a shuffled class assignment and
     keeps the draw when the forced last entry fits and the tuple generates."""
@@ -545,7 +519,7 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
     classes = ix.conjugacy_classes()
     members = {i: sorted(classes[i].members) for i in set(cv.indices)}
     idx = list(cv.indices)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TUPLE_TRIES):
         rng.shuffle(idx)
         t = [rng.choice(members[i]) for i in idx[:-1]]
         last = ix.inverse[_product(ix, t)]
@@ -554,7 +528,7 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
         t.append(last)
         if _generates(ix, t):
             return ix.to_data(t)
-    raise ValidationError(f"no Nielsen tuple found for {cv} after {max_tries} tries")
+    raise ValidationError(f"no Nielsen tuple found for {cv} after {RANDOM_TUPLE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------

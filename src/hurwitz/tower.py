@@ -332,14 +332,16 @@ class TowerLevel:
 
     @cached_property
     def extension(self) -> CentralExtension | None:
-        """Heisenberg central extension carrying this level's lift invariant."""
-        spec = self.spec
-        if spec.family != "vector" or spec.ell < 5 or spec.t != 2:
+        """Heisenberg central extension carrying this level's lift invariant.
+
+        It exists for the vector family with t = 2, ell >= 5, complement
+        order 3 and det M = 1 mod the level's modulus; otherwise the level
+        has none (with det M != 1 the Heisenberg kernel is not central)."""
+        spec, m = self.spec, self.spec.modulus(self.k)
+        if (spec.family != "vector" or spec.t != 2 or spec.ell < 5
+                or self.group.complement_order != 3 or _det_mod(spec.action, m) != 1):
             return None
-        try:
-            return extend_action_to_heisenberg(spec.modulus(self.k), spec.action)
-        except ValidationError:
-            return None
+        return extend_action_to_heisenberg(m, spec.action)
 
     def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
         ext = self.extension
@@ -583,13 +585,11 @@ class FrattiniStep:
         }
 
 
-def eventually_frattini_report(spec: TowerSpec, k_max: int,
-                               budget: int = FRATTINI_TUPLE_BUDGET
-                               ) -> tuple[FrattiniStep, ...]:
+def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniStep, ...]:
     """For each step G_k -> G_(k-1), is it a Frattini cover?
 
-    Steps whose kernel-translate count exceeds the budget are marked
-    "skipped" rather than attempted.
+    Steps whose kernel-translate count exceeds ``FRATTINI_TUPLE_BUDGET`` are
+    marked "skipped" rather than attempted.
     """
     steps = []
     for k in range(1, k_max + 1):
@@ -600,10 +600,10 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int,
             _ell_prime_part(hom.source.element_order(x), ell) == 1 for x in kernel
         )
         n_tuples = len(kernel) ** len(hom.target.gens)
-        if n_tuples > budget:
+        if n_tuples > FRATTINI_TUPLE_BUDGET:
             verdict: object = "skipped"
         else:
-            verdict = is_frattini_cover(hom, budget=budget)
+            verdict = is_frattini_cover(hom)
         steps.append(FrattiniStep(
             k=k,
             frattini=verdict,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hurwitz.nielsen
 from hurwitz.cli import run
 from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
@@ -66,6 +67,23 @@ def test_search_budget_exits_3(capsys):
     assert run(["enumerate", "--group", "A4", "--classes", "[3ax2000]"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+def test_raw_search_budget_exits_3_before_the_inner_classes(capsys, monkeypatch):
+    """Raw mode predicts every class member as a start: 8 * 8^2 = 512 nodes
+    on A4 [3a,3a,3b,3b], against 2 * 8^2 = 128 in inner mode, and it checks
+    that before it enumerates the inner classes it conjugates."""
+    monkeypatch.setattr(hurwitz.nielsen, "SEARCH_NODE_CAP", 200)
+    assert run(["enumerate", *A4_ARGS, "--mode", "inner"]) == 0
+    capsys.readouterr()
+    inner_calls = []
+    enumerate_nielsen = hurwitz.nielsen.enumerate_nielsen
+    monkeypatch.setattr(hurwitz.nielsen, "enumerate_nielsen",
+                        lambda *args: inner_calls.append(args) or enumerate_nielsen(*args))
+    assert run(["enumerate", *A4_ARGS, "--mode", "raw"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: Nielsen search") and "(8 starts" in err
+    assert inner_calls == []
 
 
 def test_d127_abs_reduced_is_x0_127(capsys):

@@ -8,9 +8,10 @@ import pytest
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     ClassVector,
+    IndexedGroup,
     PermutationGroup,
-    _preserves_class_multiset,
     make_group,
+    normalizer_in_sym,
     parse_class_vector,
     perm_mul,
 )
@@ -93,6 +94,9 @@ def test_raw_mode_keeps_tuples(a4, a4_cv):
     inner = enumerate_nielsen(a4, a4_cv, Mode.INNER)
     # raw classes refine inner classes by the (trivial-center) group order
     assert raw.count == inner.count * a4.order
+    # raw mode is the action of the trivial group: every tuple is canonical
+    assert raw.action.order == 1 and inner.action.order == a4.order
+    assert all(raw.canonical(u) == u for u in raw.index_reps)
 
 
 def test_random_nielsen_tuple_is_valid(a4, a4_cv):
@@ -171,8 +175,16 @@ def per_element_perms(group, acting):
     }
 
 
+def preserves_class_multiset(group, cv, s):
+    """Whether conjugation by s maps C's class multiset to itself, on data."""
+    mult = cv.multiset()
+    classes = group.conjugacy_classes()
+    return all(mult.get(group.class_index_of(group.conj(classes[i].rep, s))) == m
+               for i, m in mult.items())
+
+
 def preserving(group, perms, cv):
-    return {p for a, p in perms.items() if _preserves_class_multiset(group, cv, a)}
+    return {p for a, p in perms.items() if preserves_class_multiset(group, cv, a)}
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -193,20 +205,43 @@ def test_dihedral_absolute_action_matches_the_affine_group(n):
         assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
 
 
-@pytest.mark.parametrize("desc", ["A4", "A5", "S4", "gens:[(1,2,3,4),(1,3)]",
-                                  "gens:[(1,2,3),(4,5,6)]"])
+@pytest.mark.parametrize("desc", [
+    "A4", "A5", "S4", "gens:[(1,2,3),(2,3,4)]", "gens:[(1,2)(3,4),(1,3)]",
+    "gens:[(1,2,3,4),(1,3)]", "gens:[(1,2,3),(4,5,6)]", "gens:[(1,2,3),(4,5,6),(1,4)]",
+    "gens:[(1,2,3)]", "gens:[(1,2)]", "gens:[(1,2,3),(3,4,5)]", "gens:[(1,2,3,4,5),(1,2)]",
+])
 def test_absolute_action_matches_brute_force_normalizer(desc):
+    """Catalog and searched normalizers, cut down to the subgroup fixing one
+    class multiset (three entries from the last class), against every
+    element of Sym(n) that normalizes G and fixes that multiset."""
     g = make_group(desc)
     normalizer = [
         s for s in itertools.permutations(range(g.degree))
         if all(g.conj(x, s) in g for x in g.gens)
     ]
     perms = per_element_perms(g, normalizer)
-    k = len(g.conjugacy_classes())
-    for i in range(k):
-        for j in range(i, k):
-            cv = ClassVector(g, (i, i, j))
-            assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+    cv = ClassVector(g, (len(g.conjugacy_classes()) - 1,) * 3)
+    assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+
+
+def test_absolute_action_fixes_the_class_multiset(a4, a4_cv):
+    # swapping the two 3-cycle classes preserves the multiset {3a,3a,3b,3b},
+    # so all of S4 acts; the single-class vector pins the classes down
+    assert len(action_perms(_build_action(a4, "absolute", a4_cv))) == 24
+    single = parse_class_vector(a4, "[3a,3a,3a,3a]")
+    assert len(action_perms(_build_action(a4, "absolute", single))) == 12
+
+
+def test_absolute_action_converts_only_normalizer_generators(monkeypatch):
+    g = make_group("gens:[(1,2,3),(4,5,6),(7,8,9)]")
+    calls = []
+    automorphism = IndexedGroup.automorphism
+    monkeypatch.setattr(IndexedGroup, "automorphism",
+                        lambda self, images: calls.append(1) or automorphism(self, images))
+    action = _build_action(g, "absolute", ClassVector(g, (1, 1, 1)))
+    # the normalizer has order 1296, but only its generators are converted
+    assert len(calls) == len(normalizer_in_sym(g).gens) < 10
+    assert len(action_perms(action)) > 1
 
 
 @pytest.mark.parametrize("desc", ["A4", "A5", "S4", "D7", "D8", "SL2(3)", "Heis(3)",
@@ -279,15 +314,13 @@ def reference_enumeration(g, cv, mode):
     classes = ix.conjugacy_classes()
     members = {i: sorted(classes[i].members) for i in set(cv.indices)}
     action = _get_action(g, mode, cv)
-    starts = {x for i in members for x in members[i]}
-    if action is not None:
-        starts = {action.orbit_min[x] for x in starts}
+    starts = {action.orbit_min[x] for i in members for x in members[i]}
     forms = set()
     for g1 in sorted(starts):
         remaining = Counter(cv.indices)
         remaining[ix._class_of[g1]] -= 1
         for t in _complete(ix, cv.r, members, remaining, g1, members):
-            forms.add(t if action is None else action.canonical_tuple(t))
+            forms.add(action.canonical_tuple(t))
     found = {c for c in forms if len(ix.close(c, stop_above=half)) > half}
     rejected = len(forms) - len(found)
     weak_pairs = sum(len(ix.close(c[:2], stop_above=half)) <= half for c in found)
@@ -324,10 +357,10 @@ def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_p
     for mode in modes:
         reps, rejected, weak = reference_enumeration(g, cv, mode)
         assert enumerate_nielsen(g, cv, mode).reps == reps, mode
-        # the search prunes second entries: some first entry has a
-        # nontrivial stabilizer
+        # outside raw mode (the trivial action), the search prunes second
+        # entries: some first entry has a nontrivial stabilizer
         action = _get_action(g, mode, cv)
-        assert action is None or any(action.stabilizer[m] for m in set(action.orbit_min)), mode
+        assert mode is Mode.RAW or any(action.stabilizer[m] for m in set(action.orbit_min)), mode
         # where flagged, some product-one tuples do not generate, and some
         # generating ones need the closure because their first pair does not
         assert rejected > 0 or not rejects, mode

@@ -1,15 +1,16 @@
 """Tower families: level groups, projections, cusps, trees, field data."""
 
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 import hurwitz.lift
+import hurwitz.tower
 from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits
 from hurwitz.errors import ValidationError
-from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.lift import is_frattini_cover, lift_invariant
+from hurwitz.groups import _mat_mul, make_group, parse_class_vector
+from hurwitz.lift import extend_action_to_heisenberg, is_frattini_cover, lift_invariant
 from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen
 from hurwitz.tower import (
     TowerSpec,
@@ -324,6 +325,39 @@ def test_tower_level_never_enumerates_the_heisenberg_cover():
     lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
     lvl.to_dict()
     assert lvl.extension.cover._elements is None
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_order_3_actions_extend_exactly_when_det_is_1(ell):
+    """The rule ``TowerLevel.extension`` applies: an order-3 action extends
+    to Heis(ell) when det M = 1 mod ell, and otherwise the build finds the
+    kernel not central."""
+    ident = ((1, 0), (0, 1))
+    seen = set()
+    for a, b, c, d in product(range(ell), repeat=4):
+        m = ((a, b), (c, d))
+        if m == ident or _mat_mul(_mat_mul(m, m, ell), m, ell) != ident:
+            continue
+        det = (a * d - b * c) % ell
+        seen.add(det)
+        if det == 1:
+            assert extend_action_to_heisenberg(ell, m).kernel_order == ell
+        else:
+            with pytest.raises(ValidationError, match="extension kernel is not central"):
+                extend_action_to_heisenberg(ell, m)
+    # det^3 = 1: only 1 mod 5, while 2 and 4 occur mod 7
+    assert seen == ({1} if ell == 5 else {1, 2, 4})
+
+
+def test_level_without_extension_never_builds_one(monkeypatch):
+    def fail(*args):
+        raise AssertionError("extend_action_to_heisenberg called")
+
+    monkeypatch.setattr(hurwitz.tower, "extend_action_to_heisenberg", fail)
+    spec = TowerSpec("vector", 7, action=((2, 0), (0, 2)))  # det 4 mod 7
+    lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
+    assert lvl.extension is None
+    assert all(o["lift_invariant"] is None for o in lvl.to_dict()["orbits"])
 
 
 def test_genus_at_level0_ell5(ell5_level0):
