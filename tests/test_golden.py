@@ -5,8 +5,10 @@ The set is the README tour, the ``V(2,5)`` lattice jobs of the benchmark
 with the companion action, a vector tower with Frattini steps, one
 invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
-action of determinant 4 mod 7 whose cover is refused.  To regenerate the file after a
-deliberate change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
+action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
+and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
+catalog generators.  To regenerate the file after a deliberate change of
+output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
@@ -52,6 +54,9 @@ COMMANDS = [
      "--classes", "[3a,3a,3b,3b]", "--k-max", "0"],
     ["lift", "--group", "V(2,7):M=[[2,0],[0,2]]", "--classes", "[3a,3a,3b,3b]",
      "--cover", "heis(7)"],
+    ["enumerate", "--group", "A4", "--classes", "[3a,3a,3b,3b]", "--mode", "raw"],
+    ["genus", "--group", "gens:[(1,2,3,4,5),(1,2,3)]", "--classes", "[3a,3a,3a,3a]",
+     "--mode", "abs-reduced"],
 ]
 CASES = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in ("text", "json", "csv")]
 
