@@ -5,7 +5,8 @@ rotation sh; the other twists are conjugates of q2 by powers of sh, so orbit
 closures only ever apply those two moves.  Everything acts on canonical
 representatives: ``NielsenClassSet.moves()`` applies q1, q2 and sh to each
 representative once and canonicalizes the image, and orbits, cusps and the
-geometry module then follow those permutations of positions.
+geometry module then follow those permutations of positions.  An orbit or a
+cusp stores only the positions of its members in ``NielsenClassSet.tuples``.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
@@ -51,37 +52,44 @@ def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
 apply_sh = _sh
 
 
-@dataclass(frozen=True)
-class CuspOrbit:
-    label: str
-    width: int
-    members: tuple
-    braid_label: str
-    ni: NielsenClassSet = field(compare=False, repr=False)
-    # the members' positions in ``ni.reps``
-    positions: tuple = field(compare=False, repr=False)
+class _Members:
+    """``positions`` locate the members in ``ni.tuples``, the one stored
+    form; ``members`` and ``rep`` (the first member, the least as built)
+    convert them to element data when read."""
+
+    @property
+    def members(self) -> tuple:
+        to_data, tuples = self.ni.group.indexed().to_data, self.ni.tuples
+        return tuple(to_data(tuples[p]) for p in self.positions)
 
     @property
     def rep(self) -> tuple:
-        return self.members[0]
+        return self.ni.group.indexed().to_data(self.ni.tuples[self.positions[0]])
 
 
 @dataclass(frozen=True)
-class BraidOrbit:
+class CuspOrbit(_Members):
+    """A q2 orbit of a braid orbit, ``width`` members at ``positions``."""
+
+    label: str
+    width: int
+    braid_label: str
+    ni: NielsenClassSet = field(compare=False, repr=False)
+    positions: tuple
+
+
+@dataclass(frozen=True)
+class BraidOrbit(_Members):
+    """A ⟨q2, sh⟩ orbit of ``ni``, its members at ``positions``."""
+
     index: int
     label: str
-    members: tuple
     ni: NielsenClassSet = field(compare=False, repr=False)
-    # the members' positions in ``ni.reps``
-    positions: tuple = field(compare=False, repr=False)
+    positions: tuple
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def rep(self) -> tuple:
-        return self.members[0]
+        return len(self.positions)
 
     def cusps(self) -> tuple[CuspOrbit, ...]:
         got = getattr(self, "_cusps", None)
@@ -91,7 +99,6 @@ class BraidOrbit:
         return got
 
     def to_dict(self) -> dict:
-        group = self.ni.group
         return {
             "orbit_label": self.label,
             "size": self.size,
@@ -99,7 +106,7 @@ class BraidOrbit:
                 {
                     "label": c.label,
                     "width": c.width,
-                    "rep": [group.format(g) for g in c.rep],
+                    "rep": self.ni.formatted(c.positions[0]),
                 }
                 for c in self.cusps()
             ],
@@ -131,8 +138,7 @@ def braid_orbits(ni: NielsenClassSet,
         raw_orbits.append(sorted(members))
     raw_orbits.sort(key=lambda s: (len(s), s[0]))
     return tuple(
-        BraidOrbit(index=i + 1, label=f"O{i + 1}",
-                   members=tuple(ni.reps[p] for p in s), ni=ni, positions=tuple(s))
+        BraidOrbit(index=i + 1, label=f"O{i + 1}", ni=ni, positions=tuple(s))
         for i, s in enumerate(raw_orbits)
     )
 
@@ -156,7 +162,6 @@ def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
         CuspOrbit(
             label="O_{%d,%d}^%d" % (orbit.index, j + 1, len(s)),
             width=len(s),
-            members=tuple(ni.reps[p] for p in s),
             braid_label=orbit.label,
             ni=ni,
             positions=tuple(s),
@@ -209,100 +214,72 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
     sample = [random_nielsen_tuple(group, cv, rng) for _ in range(sample_size)]
     checks: list[PropertyCheck] = []
 
-    def record(name: str, failures: list[str]):
+    def record(name: str, failures):
+        failures = list(failures)
         checks.append(PropertyCheck(name, not failures, "; ".join(failures[:3])))
 
-    fails = []
-    for t in sample:
-        for i in range(1, r):
-            u = _qi(group, t, i)
-            if not is_nielsen_tuple(group, cv, u):
-                fails.append(f"q{i} broke invariants on {t}")
-        if not is_nielsen_tuple(group, cv, _sh(group, t)):
-            fails.append(f"sh broke invariants on {t}")
-    record("moves preserve product-one, classes, generation", fails)
+    def q(t, *word):
+        for i in word:
+            t = _qi(group, t, i)
+        return t
 
-    fails = []
-    for t in sample:
-        for i in range(1, r - 1):
-            lhs = _qi(group, _qi(group, _qi(group, t, i), i + 1), i)
-            rhs = _qi(group, _qi(group, _qi(group, t, i + 1), i), i + 1)
-            if lhs != rhs:
-                fails.append(f"braid relation failed at i={i} on {t}")
-    record("q_i q_{i+1} q_i = q_{i+1} q_i q_{i+1}", fails)
+    def sh_conj(t, i):  # sh q_i sh^-1, with sh^-1 the right rotation
+        v = q(_sh(group, t), i)
+        return v[-1:] + v[:-1]
 
-    fails = []
-    for t in sample:
-        for i in range(1, r - 1):
-            via = _sh(group, t)
-            via = _qi(group, via, i)
-            via = tuple(via[-1:] + via[:-1])  # sh^-1 is the right rotation
-            if via != _qi(group, t, i + 1):
-                fails.append(f"sh-conjugation failed at i={i} on {t}")
-    record("sh q_i sh^-1 = q_{i+1}", fails)
-
-    fails = []
-    for t in sample:
-        for i in range(1, r):
-            if _qi_inv(group, _qi(group, t, i), i) != t:
-                fails.append(f"q{i} inverse failed on {t}")
+    def inverse_failures(t):
+        yield from (f"q{i} inverse failed on {t}" for i in range(1, r)
+                    if _qi_inv(group, q(t, i), i) != t)
         u = t
         for _ in range(r):
             u = _sh(group, u)
         if u != t:
-            fails.append(f"sh^{r} != id on {t}")
-    record("q_i q_i^-1 = id and sh^r = id", fails)
+            yield f"sh^{r} != id on {t}"
 
-    def r_h(t):
-        for i in [*range(1, r), *range(r - 1, 0, -1)]:
-            t = _qi(group, t, i)
-        return t
+    record("moves preserve product-one, classes, generation", (
+        f"{move} broke invariants on {t}" for t in sample
+        for move, u in [*((f"q{i}", q(t, i)) for i in range(1, r)), ("sh", _sh(group, t))]
+        if not is_nielsen_tuple(group, cv, u)))
+    record("q_i q_{i+1} q_i = q_{i+1} q_i q_{i+1}", (
+        f"braid relation failed at i={i} on {t}" for t in sample for i in range(1, r - 1)
+        if q(t, i, i + 1, i) != q(t, i + 1, i, i + 1)))
+    record("sh q_i sh^-1 = q_{i+1}", (
+        f"sh-conjugation failed at i={i} on {t}" for t in sample for i in range(1, r - 1)
+        if sh_conj(t, i) != q(t, i + 1)))
+    record("q_i q_i^-1 = id and sh^r = id", (f for t in sample for f in inverse_failures(t)))
 
-    fails = []
-    for t in sample:
-        u = r_h(t)
-        if not any(tuple(group.conj(g, a) for g in t) == u for a in group.elements):
-            fails.append(f"R_H is not a conjugation on {t}")
-    record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", fails)
+    # R_H = q_1..q_{r-1} q_{r-1}..q_1 applied to each sample tuple
+    r_h = [q(t, *range(1, r), *range(r - 1, 0, -1)) for t in sample]
+    record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", (
+        f"R_H is not a conjugation on {t}" for t, u in zip(sample, r_h)
+        if not any(tuple(group.conj(g, a) for g in t) == u for a in group.elements)))
 
     ix = group.indexed()
     if r == 4:
         ni = enumerate_nielsen(group, cv, Mode.INNER_REDUCED)
         rc = ni.action.reduced_canonical_tuple
-        reps = [(x, ix.to_index(x)) for x in ni.reps]
 
-        def gamma(u, *word):
-            for i in word:
-                u = _qi(ix, u, i)
-            return rc(u)
+        def words(u, *ws):
+            """Each word of twists in turn, canonicalizing after each."""
+            for w in ws:
+                for i in w:
+                    u = _qi(ix, u, i)
+                u = rc(u)
+            return u
 
-        fails = []
-        for x, u in reps:
-            if gamma(gamma(gamma(u, 1, 2), 1, 2), 1, 2) != u:
-                fails.append(f"gamma0^3 != id at {x}")
-        record("gamma0^3 = 1 on reduced classes", fails)
+        for name, fail, move in (
+            ("gamma0^3 = 1 on reduced classes", "gamma0^3 != id at",
+             lambda u: words(u, (1, 2), (1, 2), (1, 2))),
+            ("gamma0 gamma1 gammainf = 1 on reduced classes", "gamma0 gamma1 gammainf != id at",
+             lambda u: words(u, (1, 2), (1, 2, 1), (2,))),
+            ("sh^2 fixes reduced classes", "sh^2 moved reduced class",
+             lambda u: rc(_sh(ix, _sh(ix, u)))),
+        ):
+            record(name, (f"{fail} {ix.to_data(u)}" for u in ni.tuples if move(u) != u))
 
-        fails = []
-        for x, u in reps:
-            if gamma(gamma(gamma(u, 1, 2), 1, 2, 1), 2) != u:
-                fails.append(f"gamma0 gamma1 gammainf != id at {x}")
-        record("gamma0 gamma1 gammainf = 1 on reduced classes", fails)
-
-        fails = []
-        for x, u in reps:
-            if rc(_sh(ix, _sh(ix, u))) != u:
-                fails.append(f"sh^2 moved reduced class {x}")
-        record("sh^2 fixes reduced classes", fails)
-
-    inner = _get_action(group, Mode.INNER, cv)
-
-    def can(t):
-        return inner.canonical_tuple(ix.to_index(t))
-
-    fails = []
-    for t in sample:
-        if can(r_h(t)) != can(t):
-            fails.append(f"R_H moved the inner class of {t}")
-    record("R_H fixes inner classes", fails)
+    inner = _get_action(group, Mode.INNER, cv).canonical_tuple
+    record("R_H fixes inner classes", (
+        f"R_H moved the inner class of {t}" for t, u in zip(sample, r_h)
+        if inner(ix.to_index(u)) != inner(ix.to_index(t))))
 
     return PropertyReport(tuple(checks))

@@ -250,14 +250,11 @@ def _orbit_payload(cfg: dict):
 
 
 def _cmd_orbits(cfg: dict):
-    group, ni, orbits = _orbit_payload(cfg)
+    _group, ni, orbits = _orbit_payload(cfg)
     dicts = [o.to_dict() for o in orbits]
     members_file = cfg.get("members_file")
     if members_file:
-        blob = {
-            o.label: [[group.format(g) for g in t] for t in o.members]
-            for o in orbits
-        }
+        blob = {o.label: [ni.formatted(p) for p in o.positions] for o in orbits}
         _write_file(members_file, json.dumps(blob, sort_keys=True, indent=2) + "\n",
                     "members file")
         for d in dicts:

@@ -30,8 +30,8 @@ from .nielsen import Mode, _get_action, _reduction_orbit
 def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
     if not orbit.ni.mode.reduced:
         raise ValidationError(f"{what} needs a reduced-mode orbit")
-    if len(orbit.rep) != 4:
-        raise ValidationError(f"{what} needs r = 4, got r = {len(orbit.rep)}")
+    if orbit.ni.cv.r != 4:
+        raise ValidationError(f"{what} needs r = 4, got r = {orbit.ni.cv.r}")
 
 
 def _gamma_maps(orbit: BraidOrbit):
@@ -208,10 +208,10 @@ def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     action; no elliptic fixed points."""
     _require_reduced_four(orbit, "moduli_flags")
     inner = _get_action(group, Mode.INNER, None)
-    ix = inner.group
+    ix, tuples = inner.group, orbit.ni.tuples
     b_fine = all(
-        len({inner.canonical_tuple(u) for u in _reduction_orbit(ix, ix.to_index(t))}) == 4
-        for t in orbit.members
+        len({inner.canonical_tuple(u) for u in _reduction_orbit(ix, tuples[p])}) == 4
+        for p in orbit.positions
     )
     no_elliptic = all(i != j for p in _gamma_maps(orbit)[:2] for i, j in enumerate(p))
     return ModuliFlags(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import permutations
 from math import factorial, gcd, lcm
 
 from .errors import BudgetError, ValidationError
@@ -410,6 +409,16 @@ class ConjugacyClass:
     members: frozenset
 
 
+def check_table_budget(name: str, n: int) -> None:
+    """Raise ``BudgetError`` when the Cayley table of an order-n group would
+    exceed ``TABLE_ENTRY_CAP`` entries."""
+    if n * n > TABLE_ENTRY_CAP:
+        raise BudgetError(
+            f"multiplication table of {name} needs {n * n} entries,"
+            f" above the cap {TABLE_ENTRY_CAP}"
+        )
+
+
 class IndexedGroup(FiniteGroup):
     """A group whose elements are the positions 0..n-1 of ``data.elements``.
 
@@ -423,11 +432,7 @@ class IndexedGroup(FiniteGroup):
     def __init__(self, data: FiniteGroup):
         els = data.elements
         n = len(els)
-        if n * n > TABLE_ENTRY_CAP:
-            raise BudgetError(
-                f"multiplication table of {data.name} needs {n * n} entries,"
-                f" above the cap {TABLE_ENTRY_CAP}"
-            )
+        check_table_budget(data.name, n)
         index = data._index
         super().__init__((index[g] for g in data.gens), data.name, data.order_bound)
         self.data = data
@@ -848,8 +853,8 @@ def symmetric(n: int, **kw) -> PermutationGroup:
 
 
 def _symmetric_gens(n: int):
-    if n == 2:
-        return [perm_from_cycles([(0, 1)], 2)]
+    if n <= 2:
+        return [perm_from_cycles([(0, 1)], 2)] if n == 2 else []
     return [perm_from_cycles([(0, 1)], n), perm_from_cycles([tuple(range(n))], n)]
 
 
@@ -947,8 +952,9 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
 
 def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
     """The normalizer of ``group`` in Sym(n), given by generators and listed
-    only on demand: the catalog-attached generators, each checked, or else
-    generators picked by ``_span`` from a search over Sym(n)
+    only on demand: the catalog-attached generators, each checked; Sym(n)'s
+    two generators when ``group`` has index at most 2 (A_n or S_n, both
+    normal); or else generators picked by ``_span`` from a search over Sym(n)
     (``_sym_normalizer_search``) for n <= ``SYM_SEARCH_DEGREE_LIMIT``.  The
     Nielsen layer cuts it down to the subgroup fixing a class multiset.
     """
@@ -957,6 +963,8 @@ def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
     n, name = group.degree, f"N_Sym({group.name})"
     if group.sym_normalizer_gens is not None:
         gens = catalog_normalizer_gens(group)
+    elif 2 * group.order >= factorial(n):
+        gens = _symmetric_gens(n)
     elif n <= SYM_SEARCH_DEGREE_LIMIT:
         found = _sym_normalizer_search(group)
         gens = _span(found, n, name, len(found))[0]
@@ -994,8 +1002,6 @@ def _sym_normalizer_search(group: PermutationGroup) -> list:
     turn: h = s^-1 g s has h(s(y)) = s(g(y)) for a generator g, and a partial
     s is dropped once some h agrees with no element of the group there."""
     n, gens = group.degree, group.gens
-    if 2 * group.order >= factorial(n):  # A_n or S_n, both normal in Sym(n)
-        return list(permutations(range(n)))
     # the facts (j, y) that s(k) completes: both y and gens[j][y] are <= k
     facts = [[(j, y) for j, g in enumerate(gens) for y in {k, g.index(k)} if max(y, g[y]) <= k]
              for k in range(n)]

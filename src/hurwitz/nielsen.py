@@ -35,8 +35,10 @@ search).  A reduced form is the least canonical form in its Klein orbit, so
 the enumeration keeps a map from canonical to reduced forms to look up.
 
 The search and the canonical forms run on index tuples of the group's
-indexed view (see the groups module), whose order is the data order; the
-public functions here take and return tuples of element data.
+indexed view (see the groups module), whose order is the data order.  A
+``NielsenClassSet`` stores only those index tuples, which orbits, cusps and
+tower edges read by position; its ``reps`` is a view as element data, built
+when first read.  The other public functions take and return element data.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetError, ValidationError
@@ -339,24 +342,34 @@ SEARCH_NODE_CAP = 10**8
 
 @dataclass(frozen=True)
 class NielsenClassSet:
+    """Canonical forms stored once, as the sorted index tuples ``tuples`` of
+    ``group.indexed()``; ``reps`` is their element data, built when read."""
+
     group: FiniteGroup = field(compare=False)
     cv: ClassVector = field(compare=False)
     mode: Mode
-    reps: tuple
+    tuples: tuple
     action: ConjAction = field(compare=False, repr=False)
     # reduced modes: canonical -> reduced form on every Klein orbit met
     klein: dict = field(compare=False, repr=False, default_factory=dict)
-    # ``reps`` as index tuples of ``group.indexed()``, derived when not given
-    index_reps: tuple | None = field(compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        if self.index_reps is None:
-            ix = self.group.indexed()
-            object.__setattr__(self, "index_reps", tuple(map(ix.to_index, self.reps)))
 
     @property
     def count(self) -> int:
-        return len(self.reps)
+        return len(self.tuples)
+
+    @cached_property
+    def reps(self) -> tuple:
+        return tuple(map(self.group.indexed().to_data, self.tuples))
+
+    @cached_property
+    def position(self) -> dict:
+        """Each index tuple's position in ``tuples``."""
+        return {u: i for i, u in enumerate(self.tuples)}
+
+    def formatted(self, p: int) -> list[str]:
+        """The form at position p in the group's element notation."""
+        ix = self.group.indexed()
+        return [ix.format(g) for g in self.tuples[p]]
 
     def canonical(self, u: tuple) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``; a reduced
@@ -367,13 +380,12 @@ class NielsenClassSet:
         return self.klein.get(c) or self.action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
-        """q1, q2 and sh as permutations of rep positions, computed on first
-        use: ``q2[i]`` is the position in ``reps`` of the canonical form of
-        q2 applied to ``reps[i]``, and likewise for q1 and sh."""
+        """q1, q2 and sh as permutations of positions, computed on first
+        use: ``q2[i]`` is the position in ``tuples`` of the canonical form of
+        q2 applied to ``tuples[i]``, and likewise for q1 and sh."""
         if not hasattr(self, "_moves"):
             ix = self.group.indexed()
-            tuples = self.index_reps
-            position = {u: i for i, u in enumerate(tuples)}
+            tuples, position = self.tuples, self.position
             moved = ([_qi(ix, u, 1) for u in tuples], [_qi(ix, u, 2) for u in tuples],
                      [_sh(ix, u) for u in tuples])
             try:
@@ -390,7 +402,7 @@ class NielsenClassSet:
             "classes": list(self.cv.labels()),
             "mode": self.mode.value,
             "count": self.count,
-            "reps": [[self.group.format(g) for g in t] for t in self.reps],
+            "reps": [self.formatted(p) for p in range(self.count)],
         }
 
 
@@ -451,10 +463,9 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
         # one element of G/Z(G), whose action is free on generating tuples
         table, inverse, n = ix.table, ix.inverse, ix.order
         perms = {tuple(table[table[inverse[a]][x]][a] for x in range(n)) for a in range(n)}
-        inner = enumerate_nielsen(group, cv, Mode.INNER, (quotient, down)).index_reps
-        index_reps = tuple(sorted(tuple(map(p.__getitem__, u)) for u in inner for p in perms))
-        return NielsenClassSet(group, cv, mode, tuple(map(ix.to_data, index_reps)), action,
-                               {}, index_reps)
+        inner = enumerate_nielsen(group, cv, Mode.INNER, (quotient, down)).tuples
+        tuples = tuple(sorted(tuple(map(p.__getitem__, u)) for u in inner for p in perms))
+        return NielsenClassSet(group, cv, mode, tuples, action)
 
     # conjugation and the reduction group preserve generation: a reduced
     # mode (r = 4) keys it by Klein orbit
@@ -477,9 +488,8 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                 least.update(dict.fromkeys(orbit, m))
                 if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):
                     good.add(m)
-    index_reps = tuple(sorted(good))
-    return NielsenClassSet(group, cv, mode, tuple(map(ix.to_data, index_reps)), action,
-                           least if mode.reduced else {}, index_reps)
+    return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action,
+                           least if mode.reduced else {})
 
 
 def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, seconds) -> list[tuple]:

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetError, ValidationError
 from .groups import (
@@ -43,6 +43,7 @@ from .groups import (
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
+    check_table_budget,
     dihedral,
 )
 from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
@@ -92,6 +93,8 @@ class TowerSpec:
     _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _projections: dict = field(default_factory=dict, init=False, compare=False,
                                repr=False)
+    _index_maps: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         if self.family not in ("vector", "dihedral"):
@@ -174,6 +177,15 @@ class TowerSpec:
             cache[k] = GroupHom(self.level_group(k), tgt, tgt.gens)
         return cache[k]
 
+    def index_map(self, k: int) -> tuple:
+        """``projection(k)`` on indexed views: for each level-k index, the
+        level-(k-1) index of its image."""
+        cache = self._index_maps
+        if k not in cache:
+            hom, index = self.projection(k), self.level_group(k - 1)._index
+            cache[k] = tuple(index[hom(x)] for x in hom.source.elements)
+        return cache[k]
+
     def quotient(self, k: int) -> tuple | None:
         """Level 0 as the Frattini quotient of level k, in the form
         ``enumerate_nielsen`` takes: the level-0 indexed view and, for each
@@ -183,8 +195,7 @@ class TowerSpec:
             return None
         down = range(self.level_group(0).order)
         for j in range(1, k + 1):
-            hom, index = self.projection(j), self.level_group(j - 1)._index
-            down = tuple(down[index[hom(x)]] for x in hom.source.elements)
+            down = tuple(map(down.__getitem__, self.index_map(j)))
         return self.level_group(0).indexed(), down
 
     def to_dict(self) -> dict:
@@ -276,17 +287,16 @@ def _subgroup_order_prime_to(group, gens, ell) -> bool:
 
 def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
-    ix = c.ni.group.indexed()
-    rep = ix.to_index(c.rep)
+    ix, tuples = c.ni.group.indexed(), c.ni.tuples
+    rep = tuples[c.positions[0]]
     r = len(rep)
 
     # Both shapes are entrywise, so kept by conjugation; at r = 4 also by sh^2
     # (a rotation) and by q1*q3^-1: its image (g1 g2 g1^-1, g1, g4, g3^g4) is HM
     # iff g2 = g1^-1 and g3 = g4^-1, and repeats iff g1 = g2, g1 = g4, g3 = g4
     # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class.
-    reps = c.ni.index_reps
-    hm = any(tuple_is_hm(ix, reps[p]) for p in c.positions)
-    dbl = any(_has_adjacent_repeat(reps[p]) for p in c.positions)
+    hm = any(tuple_is_hm(ix, tuples[p]) for p in c.positions)
+    dbl = any(_has_adjacent_repeat(tuples[p]) for p in c.positions)
 
     if r == 4:
         g1, g2, g3, g4 = rep
@@ -386,7 +396,11 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     """Construct level k: group, lifted classes, Nielsen set, braid orbits;
     generation is tested on level-0 images (see the module docstring)."""
     group = spec.level_group(k)
-    group.indexed()  # over the table cap, stop before classes and projections
+    # |G_k| in closed form, so a level over the table cap stops before its
+    # elements are listed
+    m = spec.modulus(k)
+    check_table_budget(group.name, 2 * m if spec.family == "dihedral"
+                       else m ** spec.t * group.complement_order)
     cv = lift_classes_to_level(spec, c0, k)
     ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
     orbits = braid_orbits(ni)
@@ -454,19 +468,17 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
         raise BudgetError("level 0 already exceeds the order bound")
 
     edges = []
-    for child_level in levels[1:]:
-        parent_level = levels[child_level.k - 1]
-        ix = parent_level.group.indexed()
-        owner = {t: o.label for o in parent_level.orbits for t in o.members}
-        for o in child_level.orbits:
-            down = ix.to_index(project_tuple(spec, child_level.k, o.rep))
-            image = ix.to_data(parent_level.ni.canonical(down))
-            if image not in owner:
+    for child in levels[1:]:
+        parent = levels[child.k - 1]
+        down, position = spec.index_map(child.k), parent.ni.position
+        owner = {p: o.label for o in parent.orbits for p in o.positions}
+        for o in child.orbits:
+            image = parent.ni.canonical(tuple(down[g] for g in child.ni.tuples[o.positions[0]]))
+            if image not in position:
                 raise ValidationError(
                     "projected orbit representative missed every lower orbit"
                 )
-            edges.append(((child_level.k, o.label),
-                          (child_level.k - 1, owner[image])))
+            edges.append(((child.k, o.label), (parent.k, owner[position[image]])))
     return ComponentTree(
         spec=spec,
         levels=tuple(levels),
@@ -495,8 +507,6 @@ class BCLResult:
 
 def bcl(group: FiniteGroup, cv: ClassVector) -> BCLResult:
     """Q_{G,C} = exponents rescuing the class multiset, and rationality."""
-    from math import lcm
-
     n_c = lcm(*(group.element_order(rep) for rep in cv.reps()))
     units = [m for m in range(1, n_c + 1) if gcd(m, n_c) == 1]
     base = sorted(cv.indices)
@@ -540,21 +550,19 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
     abs_mode = Mode.ABSOLUTE_REDUCED if reduced else Mode.ABSOLUTE
     ni_in = enumerate_nielsen(group, cv, inner_mode)
     ni_abs = enumerate_nielsen(group, cv, abs_mode)
-    ix = group.indexed()
-
-    def abs_canon(t):
-        return ix.to_data(ni_abs.canonical(ix.to_index(t)))
+    # the position in ni_abs of each inner class's absolute class
+    up = [ni_abs.position[ni_abs.canonical(u)] for u in ni_in.tuples]
 
     # class-level fibers: how many inner classes collapse to each absolute one
-    coarse = Counter(map(abs_canon, ni_in.reps))
-    class_fibers = tuple(coarse[t] for t in ni_abs.reps)
+    coarse = Counter(up)
+    class_fibers = tuple(coarse[p] for p in range(ni_abs.count))
 
     in_orbits = braid_orbits(ni_in)
     abs_orbits = braid_orbits(ni_abs)
-    owner = {t: o.label for o in abs_orbits for t in o.members}
+    owner = {p: o.label for o in abs_orbits for p in o.positions}
     fibers: dict[str, list[str]] = {o.label: [] for o in abs_orbits}
     for o in in_orbits:
-        fibers[owner[abs_canon(o.rep)]].append(o.label)
+        fibers[owner[up[o.positions[0]]]].append(o.label)
     return FiberReport(
         absolute_count=ni_abs.count,
         inner_count=ni_in.count,

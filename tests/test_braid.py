@@ -129,7 +129,28 @@ def test_moves_are_direct_moves_then_canonical_forms(desc, classes, mode):
             assert q2[gamma1(gamma0(i))] == i
 
 
+@pytest.mark.parametrize("mode", [Mode.RAW, Mode.INNER, Mode.ABSOLUTE_REDUCED])
+def test_reports_never_build_the_data_view(a4, a4_cv, mode):
+    """Reports format the stored index tuples; the data view ``reps`` is
+    built only when a caller reads it."""
+    ni = enumerate_nielsen(a4, a4_cv, mode)
+    ni.to_dict()
+    for o in braid_orbits(ni):
+        o.to_dict()
+    assert "reps" not in ni.__dict__
+
+
+def test_members_are_the_data_at_their_positions(a4, a4_cv):
+    ni = enumerate_nielsen(a4, a4_cv, Mode.INNER)
+    ix = a4.indexed()
+    for o in braid_orbits(ni):
+        for x in (o, *o.cusps()):
+            assert x.members == tuple(map(ix.to_data, (ni.tuples[p] for p in x.positions)))
+            assert x.members == tuple(ni.reps[p] for p in x.positions)
+            assert x.rep == x.members[0]
+
+
 def test_moves_outside_the_set_are_an_error(a4, a4_cv, a4_ni):
-    partial = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.reps[:1], a4_ni.action)
+    partial = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.tuples[:1], a4_ni.action)
     with pytest.raises(ValidationError, match="left the enumerated Nielsen set"):
         partial.moves()

@@ -3,7 +3,7 @@
 import itertools
 import random
 import time
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -203,6 +203,27 @@ def test_normalizer_search_on_degree_nine():
     # S3 on each block of three and S3 permuting the blocks: 6^3 * 3! = 1296
     assert normalizer_in_sym(g).order == 1296
     assert time.monotonic() - start < 1.0
+
+
+def test_normalizer_of_an_index_two_subgroup_is_sym_n_by_two_generators():
+    """A_n and S_n are normal in Sym(n), so their normalizer comes back as
+    Sym(n)'s generators without a search; degrees 1 and 2 still work."""
+    n = normalizer_in_sym(make_group("gens:[(1,2,3,4,5,6,7,8),(1,2)]"))
+    assert len(n.gens) == 2 and n.order == factorial(8)
+    for desc, classes, count in (("gens:[(1)]", "[1a,1a,1a]", 1),
+                                 ("gens:[(1,2)]", "[2a,2a,1a]", 3)):
+        g = make_group(desc)
+        assert normalizer_in_sym(g).order == g.degree
+        assert enumerate_nielsen(g, parse_class_vector(g, classes), Mode.ABSOLUTE).count == count
+
+
+def test_gens_and_catalog_a5_have_the_same_absolute_reduced_reps():
+    sets = []
+    for desc in ("gens:[(1,2,3,4,5),(1,2,3)]", "A5"):
+        g = make_group(desc)
+        cv = parse_class_vector(g, "[3a,3a,3a,3a]")
+        sets.append(enumerate_nielsen(g, cv, Mode.ABSOLUTE_REDUCED).reps)
+    assert sets[0] == sets[1] and sets[0]
 
 
 def class_profile(g):

@@ -96,7 +96,7 @@ def test_raw_mode_keeps_tuples(a4, a4_cv):
     assert raw.count == inner.count * a4.order
     # raw mode is the action of the trivial group: every tuple is canonical
     assert raw.action.order == 1 and inner.action.order == a4.order
-    assert all(raw.canonical(u) == u for u in raw.index_reps)
+    assert all(raw.canonical(u) == u for u in raw.tuples)
 
 
 def test_random_nielsen_tuple_is_valid(a4, a4_cv):

@@ -241,7 +241,7 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                 assert c.members == tuple(lvl.ni.reps[p] for p in c.positions)
                 members = [reference[p] for p in c.positions]
                 # members in reverse too: the flags must not hang on the first
-                for cusp in c, replace(c, members=c.members[::-1], positions=c.positions[::-1]):
+                for cusp in c, replace(c, positions=c.positions[::-1]):
                     got = cusp_type(cusp, ell)
                     assert got.hm == any(hm for hm, _ in members)
                     assert got.double_identity == any(dbl for _, dbl in members)
@@ -253,7 +253,7 @@ def test_cusp_orbit_needs_its_positions(a4_orbits):
     cannot be built without them."""
     c = a4_orbits[0].cusps()[0]
     with pytest.raises(TypeError, match="positions"):
-        CuspOrbit(c.label, c.width, c.members, c.braid_label, c.ni)
+        CuspOrbit(c.label, c.width, c.braid_label, c.ni)
 
 
 def test_cusp_type_constant_choice_of_representative(a4_orbits):
@@ -276,6 +276,16 @@ def test_vector_tree_level1_covers_both_components(a4_cv):
     targets = {edge[1] for edge in tree.edges}
     assert targets == {(0, "O1"), (0, "O2")}  # neither component is obstructed
     assert tree.truncated_at is None
+
+
+def test_a_level_over_the_table_cap_is_never_listed():
+    """Level orders are known in closed form, so D3125 (order 6250) stops at
+    the table cap before its elements are enumerated."""
+    spec = TowerSpec("dihedral", 5)
+    cv0 = parse_class_vector(spec.level_group(0), "[2a,2a,2a,2a]")
+    tree = component_tree(spec, cv0, 4, mode=Mode.ABSOLUTE_REDUCED)
+    assert tree.truncated_at == 4 and len(tree.levels) == 4
+    assert spec.level_group(4)._elements is None
 
 
 def test_tree_chains_reach_level_zero():
