@@ -7,15 +7,19 @@ invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
-catalog generators.  To regenerate the file after a deliberate change of
-output, run ``PYTHONPATH=src python tests/test_golden.py``.
+catalog generators.  ``USAGE`` pins the argument parser's help, usage and
+error output, at a fixed terminal width of 80 columns.  To regenerate the
+file after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
+import os
 import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import pytest
 
@@ -58,13 +62,31 @@ COMMANDS = [
     ["genus", "--group", "gens:[(1,2,3,4,5),(1,2,3)]", "--classes", "[3a,3a,3a,3a]",
      "--mode", "abs-reduced"],
 ]
+# help, usage and argument errors, written by argparse before any command runs
+USAGE = [
+    ["--help"],
+    [],
+    ["frobnicate"],
+    ["genus", "--help"],
+    ["tower", "--help"],
+    ["genus", "--bogus", "1"],
+    ["tower", "--k-max", "x"],
+    ["--group", "A4", "genus"],
+]
 CASES = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in ("text", "json", "csv")]
+CASES += USAGE
 
 
 def capture(argv) -> dict:
+    """Exit code, stdout and stderr of one run; a ``SystemExit`` from the
+    argument parser counts as the run's exit code."""
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -73,7 +95,7 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_report_bytes_match_the_golden_file(golden, argv):
     assert capture(argv) == golden[" ".join(argv)]
 
