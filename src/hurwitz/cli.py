@@ -9,6 +9,12 @@ and version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
 every report embeds the input description and the package version.  Exit
 codes: 0 success, 2 invalid input (an unwritable output file included),
 3 budget exceeded.
+
+A run builds one argument parser, that of the command its first argument
+names.  The full parser, with every command, is built only for top-level
+help, a first argument that is no command, or arguments the command's
+parser does not know; it writes the usage or error text and exits 2 (0 for
+help), so every help and error byte is the full parser's.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetError, ValidationError
-from .groups import make_group, parse_class_vector
+from .groups import TABLE_ENTRY_CAP, make_group, parse_class_vector
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
 from .geometry import genus_of_component, moduli_flags, sh_incidence
@@ -72,6 +78,20 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
     if command is not None:
         _add_flags(shells[command], command)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse argv with the parser of the command it starts with, the one the
+    full parser would hand the rest of argv to; anything else goes to the
+    full parser, which writes the usage or error and exits."""
+    command = argv[0] if argv else None
+    if command in _COMMAND_HELP:
+        parser = argparse.ArgumentParser(prog=f"hurwitz {command}")
+        _add_flags(parser, command)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+        if not extras:
+            return args
+    return _build_parser(argv).parse_args(argv)
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -405,6 +425,8 @@ def _cmd_tower(cfg: dict):
     spec = _tower_spec(cfg)
     cfg["t"] = spec.t if spec.family == "vector" else None  # echo the rank that ran
     g0 = spec.level_group(0)
+    if g0.order ** 2 <= TABLE_ENTRY_CAP:  # else component_tree reports level 0
+        g0.indexed()
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
     mode = Mode.parse(cfg["mode"])
     tree = component_tree(spec, cv, cfg["k_max"], mode=mode)
@@ -492,7 +514,7 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = _resolve(args)
         keys, data, rows, lines = _COMMANDS[args.command](cfg)

@@ -22,21 +22,28 @@ Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
 lookup in the Cayley table, with an inverse list and the class of every
 index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
-conjugation and element orders run on it unchanged.  The Nielsen search,
-canonical forms and braid orbits work on index tuples and convert to data
-only at their public boundary.  Index order equals data order, so the
-least index tuple of a set is the index form of its least data tuple, and
-every sorted list and label comes out as it would on data.  The view is
-built on first use, only for groups whose Nielsen classes are computed;
-a view whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
+conjugation and element orders run on it unchanged.  Data products are
+spent only on the table: inverses are read off it, and conjugacy classes
+and element orders are computed on indices, then copied into the data
+group's caches.  Only groups that never get a view (covers, groups over
+the table cap, the ``bcl`` command's) compute classes on data.  The
+Nielsen search, canonical forms and braid orbits work on index tuples and
+convert to data only at their public boundary.  Index order equals data
+order, so the least index tuple of a set is the index form of its least
+data tuple, and every sorted list and class label comes out as it would on
+data.  The view is built on first use, before the classes are read, by
+every command that computes Nielsen classes and by every tower level; a
+view whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
 ``BudgetError`` before anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, gcd, lcm
 
 from .errors import BudgetError, ValidationError
@@ -423,8 +430,13 @@ class IndexedGroup(FiniteGroup):
     """A group whose elements are the positions 0..n-1 of ``data.elements``.
 
     ``table[a][b]`` is the index of ``data.mul(elements[a], elements[b])``.
-    Each row is filled along a spanning tree of the generators, so building
-    the table takes n data products per generator and n^2 lookups.
+    Each column is a composite of generator columns along a spanning tree
+    of the generators, so building the table takes n data products per
+    generator and n^2 lookups; those are the only data products the view
+    spends.  Inverses are read off the table, and conjugacy classes and
+    element orders are computed on indices by the inherited
+    ``conjugacy_classes``; the data group's empty class and order caches are
+    then filled from them.
     """
 
     kind = "indexed"
@@ -437,12 +449,12 @@ class IndexedGroup(FiniteGroup):
         super().__init__((index[g] for g in data.gens), data.name, data.order_bound)
         self.data = data
         self.descriptor = data.descriptor
-        self._identity = index[data.identity]
+        self._identity = e = index[data.identity]
         self._elements = tuple(range(n))
         self._index = {i: i for i in self._elements}
         right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
         self._tree = []
-        seen, queue = {self._identity}, [self._identity]
+        seen, queue = {e}, [e]
         for x in queue:
             for k, col in enumerate(right):
                 y = col[x]
@@ -450,14 +462,25 @@ class IndexedGroup(FiniteGroup):
                     seen.add(y)
                     self._tree.append((x, k, y))
                     queue.append(y)
-        self.table = tuple(self._along_tree(a, right) for a in self._elements)
-        self.inverse = tuple(index[data.inv(g)] for g in els)
-        self._classes = tuple(
-            replace(cl, rep=index[cl.rep], members=frozenset(index[g] for g in cl.members))
-            for cl in data.conjugacy_classes()
-        )
-        self._class_of = [data._class_of[g] for g in els]
-        self._orders = {index[g]: d for g, d in data._orders.items()}
+        # column y is right multiplication by y, and y = x * gens[k] composes
+        # column x with right[k]; the rows are the transpose
+        cols = [None] * n
+        cols[e] = self._elements
+        for x, k, y in self._tree:
+            cols[y] = operator.itemgetter(*cols[x])(right[k])
+        self.table = tuple(zip(*cols))
+        self.inverse = tuple(row.index(e) for row in self.table)
+        classes = self.conjugacy_classes()
+        class_of = self._class_of = [self._class_of[i] for i in self._elements]
+        self._orders = {i: cl.element_order for cl in classes for i in cl.members}
+        if data._classes is None:
+            data._classes = tuple(
+                ConjugacyClass(cl.label, cl.element_order, cl.size, els[cl.rep],
+                               frozenset(map(els.__getitem__, cl.members)))
+                for cl in classes
+            )
+            data._class_of = dict(zip(els, class_of))
+        data._orders.update((els[i], d) for i, d in self._orders.items())
 
     def _along_tree(self, start: int, cols) -> tuple:
         """The map f with f(identity) = start and f(x * gens[k]) = cols[k][f(x)]."""
@@ -480,6 +503,21 @@ class IndexedGroup(FiniteGroup):
     def inv(self, a):
         return self.inverse[a]
 
+    def conj(self, g, a):
+        table = self.table
+        return table[table[self.inverse[a]][g]][a]
+
+    def element_order(self, g) -> int:
+        got = self._orders.get(g)
+        if got is None:
+            row, e = self.table[g], self._identity
+            k, x = 1, g
+            while x != e:  # g^(k+1) = g * g^k
+                x = row[x]
+                k += 1
+            self._orders[g] = got = k
+        return got
+
     @property
     def identity(self):
         return self._identity
@@ -493,8 +531,13 @@ class IndexedGroup(FiniteGroup):
         els = self.data.elements
         return tuple(els[i] for i in t)
 
+    @cached_property
+    def element_strings(self) -> tuple[str, ...]:
+        """Every element in the data group's notation, by index."""
+        return tuple(map(self.data.format, self.data.elements))
+
     def format(self, g):
-        return self.data.format(self.data.elements[g])
+        return self.element_strings[g]
 
     def parse(self, text):
         g = self.data.parse(text)
@@ -629,10 +672,6 @@ def _mat_identity(t):
     return tuple(tuple(1 if i == j else 0 for j in range(t)) for i in range(t))
 
 
-def _vec_mat(v, mat, m):
-    return tuple(sum(v[k] * mat[k][j] for k in range(len(v))) % m for j in range(len(v)))
-
-
 def _mat_order(mat, m, cap=10_000):
     ident = _mat_identity(len(mat))
     x, k = mat, 1
@@ -666,9 +705,12 @@ class VectorSemidirectGroup(FiniteGroup):
         self.action = mat
         q = _mat_order(mat, m)
         self.complement_order = q
-        self._powers = [_mat_identity(t)]
-        for _ in range(q - 1):
-            self._powers.append(_mat_mul(self._powers[-1], mat, m))
+        power = _mat_identity(t)
+        # column j of M^b, for each b: v * M^b has entry j = v . columns[b][j]
+        self._columns = []
+        for _ in range(q):
+            self._columns.append(tuple(zip(*power)))
+            power = _mat_mul(power, mat, m)
         zero = tuple(0 for _ in range(t))
         basis = tuple(
             (tuple(1 if i == j else 0 for i in range(t)), 0) for j in range(t)
@@ -680,19 +722,14 @@ class VectorSemidirectGroup(FiniteGroup):
         m = self.modulus
         v1, a1 = a
         v2, b1 = b
-        mat = self._powers[b1]
-        v = tuple(
-            (sum(v1[k] * mat[k][j] for k in range(self.dim)) + v2[j]) % m
-            for j in range(self.dim)
-        )
+        v = tuple((sum(map(operator.mul, v1, col)) + x) % m
+                  for col, x in zip(self._columns[b1], v2))
         return (v, (a1 + b1) % self.complement_order)
 
     def inv(self, a):
         v, k = a
-        q = self.complement_order
-        mat = self._powers[(-k) % q]
-        u = tuple(-x % self.modulus for x in _vec_mat(v, mat, self.modulus))
-        return (u, (-k) % q)
+        m, k = self.modulus, -k % self.complement_order
+        return (tuple(-sum(map(operator.mul, v, col)) % m for col in self._columns[k]), k)
 
     @property
     def identity(self):

@@ -368,8 +368,7 @@ class NielsenClassSet:
 
     def formatted(self, p: int) -> list[str]:
         """The form at position p in the group's element notation."""
-        ix = self.group.indexed()
-        return [ix.format(g) for g in self.tuples[p]]
+        return list(map(self.group.indexed().element_strings.__getitem__, self.tuples[p]))
 
     def canonical(self, u: tuple) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``; a reduced
@@ -397,12 +396,13 @@ class NielsenClassSet:
         return self._moves
 
     def to_dict(self) -> dict:
+        strings = self.group.indexed().element_strings
         return {
             "group": self.group.descriptor,
             "classes": list(self.cv.labels()),
             "mode": self.mode.value,
             "count": self.count,
-            "reps": [self.formatted(p) for p in range(self.count)],
+            "reps": [list(map(strings.__getitem__, u)) for u in self.tuples],
         }
 
 

@@ -401,6 +401,7 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     m = spec.modulus(k)
     check_table_budget(group.name, 2 * m if spec.family == "dihedral"
                        else m ** spec.t * group.complement_order)
+    group.indexed()  # classes on the view, before the lift looks them up
     cv = lift_classes_to_level(spec, c0, k)
     ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
     orbits = braid_orbits(ni)

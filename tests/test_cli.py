@@ -117,6 +117,25 @@ def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]",
+     "--mode", "abs-reduced", "--k-max", "1"],
+])
+def test_classes_are_computed_on_the_indexed_view_only(argv, capsys, monkeypatch):
+    computed = []
+    on_any_group = FiniteGroup.conjugacy_classes
+
+    def recorded(self):
+        if self._classes is None:
+            computed.append(type(self).__name__)
+        return on_any_group(self)
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", recorded)
+    assert run([*argv, "--format", "json"]) == 0
+    assert computed and set(computed) == {"IndexedGroup"}
+
+
 FUZZ_GROUPS = st.one_of(
     st.integers(3, 5).map("A{}".format),
     st.integers(2, 4).map("S{}".format),

@@ -343,6 +343,62 @@ def test_indexed_view_matches_data_arithmetic(desc):
         assert ix.parse(g.format(els[last])) == last
 
 
+VIEW_GROUPS = ["A4", "S4", "A5", "D7", "D37", "SL2(3)", "SL2(5)", "Heis(3)",
+               "V(2,5):M=[[0,-1],[1,-1]]", "V(2,7):M=[[0,-1],[1,-1]]",
+               "gens:[(1,2,3,4,5),(1,2,3)]"]
+
+
+@pytest.mark.parametrize("desc", VIEW_GROUPS)
+def test_view_classes_orders_and_inverses_match_a_group_without_a_view(desc):
+    """The view computes them on indices and fills its data group's caches;
+    a copy of the group that never gets a view computes them on data."""
+    g, fresh = make_group(desc), make_group(desc)
+    ix = g.indexed()
+    els = g.elements
+
+    def on_data(c, to_data):
+        return (c.label, c.element_order, c.size, to_data(c.rep),
+                frozenset(map(to_data, c.members)))
+
+    expected = [on_data(c, lambda x: x) for c in fresh.conjugacy_classes()]
+    assert [on_data(c, lambda x: x) for c in g.conjugacy_classes()] == expected
+    assert [on_data(c, els.__getitem__) for c in ix.conjugacy_classes()] == expected
+    for i, x in enumerate(els):
+        assert g.element_order(x) == ix.element_order(i) == fresh.element_order(x)
+        assert g.class_index_of(x) == ix.class_index_of(i) == fresh.class_index_of(x)
+        assert els[ix.inv(i)] == fresh.inv(x)
+    assert fresh._indexed is None
+
+
+def _old_semidirect_mul(g, a, b):
+    """The product by nested sums over the complement's matrix power."""
+    m = g.modulus
+    v1, a1 = a
+    v2, b1 = b
+    mat = g.action
+    power = tuple(tuple(int(i == j) for j in range(g.dim)) for i in range(g.dim))
+    for _ in range(b1):
+        power = tuple(tuple(sum(row[k] * mat[k][j] for k in range(g.dim)) % m
+                            for j in range(g.dim)) for row in power)
+    v = tuple((sum(v1[k] * power[k][j] for k in range(g.dim)) + v2[j]) % m
+              for j in range(g.dim))
+    return (v, (a1 + b1) % g.complement_order)
+
+
+@pytest.mark.parametrize("t,m,action", [
+    (2, 5, [[0, -1], [1, -1]]),
+    (2, 7, [[0, -1], [1, -1]]),
+    (3, 2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
+])
+def test_vector_semidirect_products_match_the_matrix_power_formula(t, m, action):
+    g = VectorSemidirectGroup(t, m, action)
+    els = g.elements
+    for a in els:
+        assert g.mul(a, g.inv(a)) == g.identity == g.mul(g.inv(a), a)
+        for b in els:
+            assert g.mul(a, b) == _old_semidirect_mul(g, a, b)
+
+
 def test_indexed_view_refuses_tables_above_the_cap():
     s7 = make_group("S7")
     assert s7.order ** 2 > TABLE_ENTRY_CAP
