@@ -10,11 +10,8 @@ every report embeds the input description and the package version.  Exit
 codes: 0 success, 2 invalid input (an unwritable output file included),
 3 budget exceeded.
 
-A run builds one argument parser, that of the command its first argument
-names.  The full parser, with every command, is built only for top-level
-help, a first argument that is no command, or arguments the command's
-parser does not know; it writes the usage or error text and exits 2 (0 for
-help), so every help and error byte is the full parser's.
+A run builds one argument parser, that of the command it names first; the
+full parser is built only to write top-level help, usage and errors.
 """
 
 from __future__ import annotations
@@ -425,7 +422,7 @@ def _cmd_tower(cfg: dict):
     spec = _tower_spec(cfg)
     cfg["t"] = spec.t if spec.family == "vector" else None  # echo the rank that ran
     g0 = spec.level_group(0)
-    if g0.order ** 2 <= TABLE_ENTRY_CAP:  # else component_tree reports level 0
+    if g0.order ** 2 <= TABLE_ENTRY_CAP:  # else component_tree reports level 0 too large
         g0.indexed()
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
     mode = Mode.parse(cfg["mode"])

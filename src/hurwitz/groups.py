@@ -22,18 +22,17 @@ Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
 lookup in the Cayley table, with an inverse list and the class of every
 index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
-conjugation and element orders run on it unchanged.  Data products are
-spent only on the table: inverses are read off it, and conjugacy classes
-and element orders are computed on indices, then copied into the data
-group's caches.  Only groups that never get a view (covers, groups over
-the table cap, the ``bcl`` command's) compute classes on data.  The
-Nielsen search, canonical forms and braid orbits work on index tuples and
-convert to data only at their public boundary.  Index order equals data
-order, so the least index tuple of a set is the index form of its least
-data tuple, and every sorted list and class label comes out as it would on
-data.  The view is built on first use, before the classes are read, by
-every command that computes Nielsen classes and by every tower level; a
-view whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
+conjugation, conjugacy classes and element orders run on it unchanged; data
+products are spent only on the table, and the classes and orders found on
+indices fill the data group's caches.  Only groups that never get a view
+(covers, groups over the table cap, ``bcl``'s) compute classes on data.
+The Nielsen search, canonical forms and braid orbits work on index tuples
+and convert to data only at their public boundary.  Index order equals
+data order, so the least index tuple of a set is the index form of its
+least data tuple, and every sorted list and label comes out as it would on
+data.  The view is built on first use: by the commands that compute Nielsen
+classes and by every tower level, before their classes are read.  A view
+whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
 ``BudgetError`` before anything is allocated.
 """
 
@@ -430,13 +429,9 @@ class IndexedGroup(FiniteGroup):
     """A group whose elements are the positions 0..n-1 of ``data.elements``.
 
     ``table[a][b]`` is the index of ``data.mul(elements[a], elements[b])``.
-    Each column is a composite of generator columns along a spanning tree
-    of the generators, so building the table takes n data products per
-    generator and n^2 lookups; those are the only data products the view
-    spends.  Inverses are read off the table, and conjugacy classes and
-    element orders are computed on indices by the inherited
-    ``conjugacy_classes``; the data group's empty class and order caches are
-    then filled from them.
+    Its columns are composed along a spanning tree of the generators, so the
+    table takes n data products per generator and no other; inverses are
+    read off it, and classes and orders are computed on indices.
     """
 
     kind = "indexed"
@@ -506,17 +501,6 @@ class IndexedGroup(FiniteGroup):
     def conj(self, g, a):
         table = self.table
         return table[table[self.inverse[a]][g]][a]
-
-    def element_order(self, g) -> int:
-        got = self._orders.get(g)
-        if got is None:
-            row, e = self.table[g], self._identity
-            k, x = 1, g
-            while x != e:  # g^(k+1) = g * g^k
-                x = row[x]
-                k += 1
-            self._orders[g] = got = k
-        return got
 
     @property
     def identity(self):
@@ -705,12 +689,11 @@ class VectorSemidirectGroup(FiniteGroup):
         self.action = mat
         q = _mat_order(mat, m)
         self.complement_order = q
-        power = _mat_identity(t)
-        # column j of M^b, for each b: v * M^b has entry j = v . columns[b][j]
-        self._columns = []
-        for _ in range(q):
-            self._columns.append(tuple(zip(*power)))
-            power = _mat_mul(power, mat, m)
+        powers = [_mat_identity(t)]
+        for _ in range(q - 1):
+            powers.append(_mat_mul(powers[-1], mat, m))
+        # entry j of v * M^b is the dot product of v with column j of M^b
+        self._columns = [tuple(zip(*p)) for p in powers]
         zero = tuple(0 for _ in range(t))
         basis = tuple(
             (tuple(1 if i == j else 0 for i in range(t)), 0) for j in range(t)
