@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetError, ValidationError
-from .groups import TABLE_ENTRY_CAP, make_group, parse_class_vector
+from .groups import make_group, parse_class_vector
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
 from .geometry import genus_of_component, moduli_flags, sh_incidence
@@ -422,8 +422,7 @@ def _cmd_tower(cfg: dict):
     spec = _tower_spec(cfg)
     cfg["t"] = spec.t if spec.family == "vector" else None  # echo the rank that ran
     g0 = spec.level_group(0)
-    if g0.order ** 2 <= TABLE_ENTRY_CAP:  # else component_tree reports level 0 too large
-        g0.indexed()
+    g0.indexed()  # the table cap fires here, and the classes are computed on the view
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
     mode = Mode.parse(cfg["mode"])
     tree = component_tree(spec, cv, cfg["k_max"], mode=mode)

@@ -2,12 +2,15 @@
 
 Two built-in families.  The vector family has level-k group
 (Z/l^(k+1))^t x| Z/q with a fixed integer action matrix reduced at every
-level; the dihedral family has level-k group D_(l^(k+1)).  Conjugacy classes
-of order prime to l lift canonically level to level, so a level-0 class
-vector determines the whole tower.  Levels carry braid orbits, lift
-invariants (through the Heisenberg extension when the modulus is prime to
-6), cusp classifications, and a component tree whose edges record which
-level-k orbit each level-(k+1) orbit projects onto.
+level; the dihedral family has level-k group D_(l^(k+1)).  Tower mechanics
+read only the level groups and their verified projections.  A level-0 class
+of order d prime to l lifts to the one level-k class of order-d elements
+over it, since the kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
+``lift_classes_to_level``).  So a level-0 class vector determines the whole
+tower.  Levels carry braid orbits, lift invariants (through the Heisenberg
+extension when the modulus is prime to 6), cusp classifications, and a
+component tree whose edges record which level-k orbit each level-(k+1) orbit
+projects onto.
 
 Frattini lemma: the kernel K of G_k -> G_0 lies in the Frattini subgroup
 Phi(G_k), so a level-k tuple generates G_k if and only if its image
@@ -31,7 +34,7 @@ reports repeat that reading.  An l' subgroup's order divides the l'-part of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -137,9 +140,7 @@ class TowerSpec:
         if k not in cache:
             m = self.modulus(k)
             if self.family == "vector":
-                g = VectorSemidirectGroup(
-                    self.t, m, self.action, name=f"(Z/{m})^{self.t}:Z/q"
-                )
+                g = VectorSemidirectGroup(self.t, m, self.action)
                 g.name = f"(Z/{m})^{self.t}:Z/{g.complement_order}"
                 if k > 0:
                     q0 = self.level_group(0).complement_order
@@ -213,39 +214,34 @@ def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
 
 
 def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVector:
-    """The canonical lift of a level-0 class vector: same complement part.
+    """The canonical lift of a level-0 class vector to level k.
 
-    Every class of order prime to l contains an element with trivial lattice
-    part, and those elements stay in one class at every level, so the lifted
-    class is the class of the complement-coordinate representative.
+    A level-0 class of order d prime to l lifts to the one level-k class of
+    order-d elements that ``spec.quotient(k)`` maps into it.  The kernel K of
+    G_k -> G_0 is an l-group.  For order-d preimages y, y' of one element,
+    <y> and <y'> complement K in K<y>, so by Schur-Zassenhaus <y>^c = <y'>
+    for some c in K, and y^c = y' as both lie over one element; a power of
+    any preimage has order d.  The rule checks that the class is unique, and
+    finds the reps of ``c0`` in G_0 by their data.
     """
-    g0 = spec.level_group(0)
-    gk = spec.level_group(k)
-    if c0.group.order != g0.order:
-        raise ValidationError("class vector does not live on the level-0 group")
-    ell = spec.ell
+    g0, gk = spec.level_group(0), spec.level_group(k)
+    view, down = spec.quotient(k) or (g0.indexed(), range(g0.order))
+    over: dict = {}
+    for j, cl in enumerate(gk.indexed().conjugacy_classes()):
+        over.setdefault((view.class_index_of(down[cl.rep]), cl.element_order), []).append(j)
     idx = []
     for rep in c0.reps():
-        if c0.group.element_order(rep) % ell == 0:
+        if c0.group.order != g0.order or rep not in g0:
+            raise ValidationError("class vector does not live on the level-0 group")
+        d = g0.element_order(rep)
+        if d % spec.ell == 0:
             raise ValidationError("tower classes must have order prime to ell")
-        if spec.family == "vector":
-            if (
-                not isinstance(rep, tuple) or len(rep) != 2
-                or not isinstance(rep[0], tuple) or len(rep[0]) != spec.t
-            ):
-                raise ValidationError(
-                    "class vector entries are not lattice-group elements"
-                )
-            zero = tuple(0 for _ in range(spec.t))
-            target = (zero, rep[1])
-        else:
-            if rep == c0.group.identity:
-                target = gk.identity
-            else:
-                # the only l' non-identity classes of an odd dihedral group
-                # are the reflections, all conjugate
-                target = gk.gens[1]
-        idx.append(gk.class_index_of(target))
+        found = over.get((g0.class_index_of(rep), d), ())
+        if len(found) != 1:
+            raise ValidationError(
+                f"no single level-{k} class of order {d} lies over {g0.format(rep)}"
+            )
+        idx.append(found[0])
     return ClassVector(gk, tuple(idx))
 
 
@@ -396,12 +392,9 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     """Construct level k: group, lifted classes, Nielsen set, braid orbits;
     generation is tested on level-0 images (see the module docstring)."""
     group = spec.level_group(k)
-    # |G_k| in closed form, so a level over the table cap stops before its
-    # elements are listed
-    m = spec.modulus(k)
-    check_table_budget(group.name, 2 * m if spec.family == "dihedral"
-                       else m ** spec.t * group.complement_order)
-    group.indexed()  # classes on the view, before the lift looks them up
+    # |G_k| = |G_0| * l^(t*k) (t = 1 for the dihedral family), so a level
+    # over the table cap stops before its elements are listed
+    check_table_budget(group.name, spec.level_group(0).order * spec.ell ** (spec.t * k))
     cv = lift_classes_to_level(spec, c0, k)
     ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
     orbits = braid_orbits(ni)
@@ -439,10 +432,7 @@ class ComponentTree:
         return {
             "spec": self.spec.to_dict(),
             "levels": [lvl.to_dict() for lvl in self.levels],
-            "edges": [
-                [[child[0], child[1]], [par[0], par[1]]]
-                for child, par in self.edges
-            ],
+            "edges": [[list(child), list(par)] for child, par in self.edges],
             "truncated_at": self.truncated_at,
             "conventions": {"o_ell_prime": O_ELL_PRIME_READING},
         }
@@ -452,21 +442,20 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
                    mode: Mode = Mode.INNER_REDUCED) -> ComponentTree:
     """Levels 0..k_max and the projection edges between their braid orbits.
 
-    If some level exceeds the order bound the tree is returned truncated,
-    with ``truncated_at`` naming the first level that could not be built.
+    If some level above 0 exceeds a budget the tree is returned truncated,
+    with ``truncated_at`` naming the first level that could not be built;
+    level 0's ``BudgetError`` propagates.
     """
     if k_max < 0:
         raise ValidationError(f"k-max must be non-negative, got {k_max}")
-    levels: list[TowerLevel] = []
+    levels = [build_level(spec, c0, 0, mode=mode)]
     truncated = None
-    for k in range(k_max + 1):
+    for k in range(1, k_max + 1):
         try:
             levels.append(build_level(spec, c0, k, mode=mode))
         except BudgetError:
             truncated = k
             break
-    if not levels:
-        raise BudgetError("level 0 already exceeds the order bound")
 
     edges = []
     for child in levels[1:]:
@@ -480,12 +469,7 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
                     "projected orbit representative missed every lower orbit"
                 )
             edges.append(((child.k, o.label), (parent.k, owner[position[image]])))
-    return ComponentTree(
-        spec=spec,
-        levels=tuple(levels),
-        edges=tuple(edges),
-        truncated_at=truncated,
-    )
+    return ComponentTree(spec, tuple(levels), tuple(edges), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +570,7 @@ class FrattiniStep:
     kernel_is_ell_group: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "frattini": self.frattini,
-            "kernel_order": self.kernel_order,
-            "kernel_is_ell_group": self.kernel_is_ell_group,
-        }
+        return asdict(self)
 
 
 def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniStep, ...]:

@@ -117,12 +117,9 @@ def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
-    ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]",
-     "--mode", "abs-reduced", "--k-max", "1"],
-])
-def test_classes_are_computed_on_the_indexed_view_only(argv, capsys, monkeypatch):
+@pytest.fixture
+def classes_computed(monkeypatch):
+    """The kind of every group whose conjugacy classes get computed."""
     computed = []
     on_any_group = FiniteGroup.conjugacy_classes
 
@@ -132,8 +129,27 @@ def test_classes_are_computed_on_the_indexed_view_only(argv, capsys, monkeypatch
         return on_any_group(self)
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", recorded)
+    return computed
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]",
+     "--mode", "abs-reduced", "--k-max", "1"],
+])
+def test_classes_are_computed_on_the_indexed_view_only(argv, capsys, classes_computed):
     assert run([*argv, "--format", "json"]) == 0
-    assert computed and set(computed) == {"IndexedGroup"}
+    assert classes_computed and set(classes_computed) == {"IndexedGroup"}
+
+
+def test_tower_level_zero_over_the_table_cap_exits_3_before_the_classes(capsys,
+                                                                      classes_computed):
+    assert run(["tower", "--family", "dihedral", "--ell", "1009", "--classes",
+                "[2a,2a,2a,2a]", "--k-max", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: multiplication table of D1009")
+    assert "above the cap" in err and err.count("\n") == 1
+    assert set(classes_computed) <= {"IndexedGroup"}
 
 
 FUZZ_GROUPS = st.one_of(

@@ -8,8 +8,14 @@ import pytest
 import hurwitz.lift
 import hurwitz.tower
 from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits
-from hurwitz.errors import ValidationError
-from hurwitz.groups import _mat_mul, make_group, parse_class_vector
+from hurwitz.errors import BudgetError, ValidationError
+from hurwitz.groups import (
+    TABLE_ENTRY_CAP,
+    ClassVector,
+    _mat_mul,
+    make_group,
+    parse_class_vector,
+)
 from hurwitz.lift import extend_action_to_heisenberg, is_frattini_cover, lift_invariant
 from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen
 from hurwitz.tower import (
@@ -130,6 +136,59 @@ def test_class_lift_requires_prime_to_ell_order():
     rot = parse_class_vector(g0, "[5a,5a,5b,5b]")
     with pytest.raises(ValidationError):
         lift_classes_to_level(spec, rot, 1)
+
+
+def test_class_lift_rejects_a_class_vector_off_level_zero():
+    spec = TowerSpec("vector", 2)
+    a4_cv = parse_class_vector(make_group("A4"), "[3a,3a,3b,3b]")
+    with pytest.raises(ValidationError, match="level-0 group"):
+        lift_classes_to_level(spec, a4_cv, 1)
+    with pytest.raises(ValidationError, match="prime to ell"):
+        lift_classes_to_level(spec, parse_class_vector(spec.level_group(0), "[2a,3a,3b]"), 1)
+
+
+@pytest.mark.parametrize("family,ell,descriptor", [
+    ("dihedral", 7, "D7"), ("vector", 5, "V(2,5):M=[[0,-1],[1,-1]]"),
+])
+def test_class_lift_finds_reps_by_their_data(family, ell, descriptor):
+    """A class vector on an equal group built from its own descriptor lifts
+    as the same vector on the level group does."""
+    spec = TowerSpec(family, ell)
+    c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
+    on_level = parse_class_vector(spec.level_group(0), c0)
+    on_copy = parse_class_vector(make_group(descriptor), c0)
+    assert lift_classes_to_level(spec, on_copy, 1) == lift_classes_to_level(spec, on_level, 1)
+
+
+def _layout_lift(spec, rep, gk):
+    """The per-family rule the generic lift replaced: the zero vector with the
+    complement coordinate of ``rep``, or the reflection ``gens[1]`` over any
+    non-identity class of a dihedral level."""
+    if spec.family == "vector":
+        return ((0,) * spec.t, rep[1])
+    return gk.identity if rep == spec.level_group(0).identity else gk.gens[1]
+
+
+@pytest.mark.parametrize("family,ell,action", [
+    ("vector", 2, None), ("vector", 5, None),
+    ("vector", 2, ((4, -7), (3, -5))), ("vector", 5, ((4, -7), (3, -5))),
+    ("dihedral", 3, None), ("dihedral", 5, None), ("dihedral", 7, None),
+    ("dihedral", 11, None),
+])
+def test_generic_class_lift_matches_the_layout_rule(family, ell, action):
+    """Every level-0 class of order prime to l lifts, at every level up to 3
+    under the table cap, to the class the element-layout rule picks."""
+    spec = TowerSpec(family, ell, action=action)
+    g0 = spec.level_group(0)
+    classes = g0.conjugacy_classes()
+    for k in range(4):
+        if (g0.order * ell ** (spec.t * k)) ** 2 > TABLE_ENTRY_CAP:
+            break
+        gk = spec.level_group(k)
+        for i, cl in enumerate(classes):
+            if cl.element_order % ell:
+                (lifted,) = lift_classes_to_level(spec, ClassVector(g0, (i,)), k).indices
+                assert lifted == gk.class_index_of(_layout_lift(spec, cl.rep, gk)), (k, cl.label)
 
 
 def test_lifted_reflections_stay_reflections():
@@ -286,6 +345,13 @@ def test_a_level_over_the_table_cap_is_never_listed():
     tree = component_tree(spec, cv0, 4, mode=Mode.ABSOLUTE_REDUCED)
     assert tree.truncated_at == 4 and len(tree.levels) == 4
     assert spec.level_group(4)._elements is None
+
+
+def test_a_level_zero_over_the_table_cap_raises_the_cap():
+    spec = TowerSpec("dihedral", 1009)
+    cv0 = ClassVector(spec.level_group(0), (1, 1, 1, 1))
+    with pytest.raises(BudgetError, match="multiplication table of D1009 .* above the cap"):
+        component_tree(spec, cv0, 0, mode=Mode.ABSOLUTE_REDUCED)
 
 
 def test_tree_chains_reach_level_zero():
