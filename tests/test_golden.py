@@ -72,6 +72,19 @@ USAGE = [
     ["genus", "--bogus", "1"],
     ["tower", "--k-max", "x"],
     ["--group", "A4", "genus"],
+    # argv outside the exact-flag form: abbreviations, "=" values, a value
+    # that looks like a negative number, a repeated flag, a stray value, a
+    # missing value, help after valid flags and "--"
+    ["genus", "--gro", "D5", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["genus", "--group=D5", "--classes=[2a,2a,2a,2a]", "--mode=abs-reduced"],
+    ["tower", "--family", "dihedral", "--ell", "-5", "--classes", "[2a,2a,2a,2a]"],
+    ["genus", "--group", "D5", "--classes", "[2a,2a,2a,2a]", "--mode", "inner",
+     "--mode", "abs-reduced"],
+    ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+     "--frattini", "yes"],
+    ["genus", "--group", "D5", "--classes"],
+    ["genus", "--group", "D5", "-h"],
+    ["genus", "--", "--group", "D5"],
 ]
 CASES = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in ("text", "json", "csv")]
 CASES += USAGE
