@@ -10,13 +10,12 @@ every report embeds the input description and the package version.  Exit
 codes: 0 success, 2 invalid input (an unwritable output file included),
 3 budget exceeded.
 
-A run builds one argument parser, that of the command it names first; the
-full parser is built only to write top-level help, usage and errors.
+A command followed by its exact flags is read by a scan of the flag table;
+other argv goes to argparse, which reads it or writes help, usage or errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -62,9 +61,43 @@ _COMMAND_HELP = {
 }
 
 
-def _build_parser(argv: list) -> argparse.ArgumentParser:
+# (flag, type, help) of every option in --help order, type bool for a switch;
+# help output is generated from this table, and each dest is the flag's name
+_SHARED_FLAGS = (  # tower has its own --classes and no --group
+    ("--group", str, "group descriptor, e.g. A4, D5, SL2(3)"),
+    ("--classes", str, "class vector, e.g. [3a,3a,3b,3b]"),
+    ("--mode", str, "raw | inner | absolute | inner-reduced | absolute-reduced"),
+    ("--format", str, "text | json | csv"),
+    ("--out", str, "output path (default: stdout)"),
+    ("--config", str, "JSON config file; flags override it"),
+    ("--order-bound", int, None),
+    ("--orbit-cap", int, None),
+)
+_OWN_FLAGS = {
+    "orbits": (("--members-file", str, "also write full orbit membership to this JSON file"),),
+    "lift": (("--cover", str, "spin4 | spin5 | heis(<l>) | hom:<file>"),),
+    "tower": (
+        ("--classes", str, "level-0 class vector, e.g. [3a,3a,3b,3b]"),
+        ("--family", str, "vector | dihedral"),
+        ("--ell", int, "the tower prime"),
+        ("--t", int, "lattice rank (vector family)"),
+        ("--action", str, "integer action matrix as JSON, e.g. [[0,-1],[1,-1]]"),
+        ("--k-max", int, "deepest level to build"),
+        ("--frattini", bool, "include per-step Frattini-cover results"),
+    ),
+    "check": (("--suite", str, "braid-relations"), ("--sample-size", int, None),
+              ("--seed", int, None)),
+}
+_FLAGS = {c: {flag: (flag[2:].replace("-", "_"), kind, text) for flag, kind, text in
+              _SHARED_FLAGS[2 if c == "tower" else 0:] + _OWN_FLAGS.get(c, ())}
+          for c in _COMMAND_HELP}  # command -> {flag: (dest, type, help)}
+
+
+def _build_parser(argv: list):
     """Every command's shell, but flags only for the first command named in
     argv (the top level has no options that take values)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hurwitz",
         description="Nielsen classes, braid orbits, and Modular Tower levels",
@@ -72,53 +105,33 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shells = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
     command = next((a for a in argv if a in shells), None)
-    if command is not None:
-        _add_flags(shells[command], command)
+    for flag, (_dest, kind, text) in _FLAGS.get(command, {}).items():
+        kw = {"action": "store_true"} if kind is bool else {"type": kind}
+        shells[command].add_argument(flag, help=text, **kw)
     return parser
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse argv with the parser of the command it starts with, the one the
-    full parser would hand the rest of argv to; anything else goes to the
-    full parser, which writes the usage or error and exits."""
-    command = argv[0] if argv else None
-    if command in _COMMAND_HELP:
-        parser = argparse.ArgumentParser(prog=f"hurwitz {command}")
-        _add_flags(parser, command)
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
-        if not extras:
-            return args
-    return _build_parser(argv).parse_args(argv)
-
-
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    if command != "tower":
-        p.add_argument("--group", help="group descriptor, e.g. A4, D5, SL2(3)")
-        p.add_argument("--classes", help="class vector, e.g. [3a,3a,3b,3b]")
-    p.add_argument("--mode", help="raw | inner | absolute | inner-reduced | absolute-reduced")
-    p.add_argument("--format", dest="format", help="text | json | csv")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--order-bound", type=int, dest="order_bound")
-    p.add_argument("--orbit-cap", type=int, dest="orbit_cap")
-    if command == "orbits":
-        p.add_argument("--members-file", dest="members_file",
-                       help="also write full orbit membership to this JSON file")
-    elif command == "lift":
-        p.add_argument("--cover", help="spin4 | spin5 | heis(<l>) | hom:<file>")
-    elif command == "tower":
-        p.add_argument("--classes", help="level-0 class vector, e.g. [3a,3a,3b,3b]")
-        p.add_argument("--family", help="vector | dihedral")
-        p.add_argument("--ell", type=int, help="the tower prime")
-        p.add_argument("--t", type=int, dest="t", help="lattice rank (vector family)")
-        p.add_argument("--action", help="integer action matrix as JSON, e.g. [[0,-1],[1,-1]]")
-        p.add_argument("--k-max", type=int, dest="k_max", help="deepest level to build")
-        p.add_argument("--frattini", action="store_true",
-                       help="include per-step Frattini-cover results")
-    elif command == "check":
-        p.add_argument("--suite", help="braid-relations")
-        p.add_argument("--sample-size", type=int, dest="sample_size")
-        p.add_argument("--seed", type=int)
+def _parse_args(argv: list) -> dict:
+    """``command``, then every dest of the command.  A command followed by its
+    exact flags, each value of its type and not starting with "-" (argparse
+    may read "-5" as one), is scanned here; other argv goes to the full
+    parser, which reads it or writes help, usage or errors and exits."""
+    try:
+        flags = _FLAGS[argv[0]]
+        args = {"command": argv[0]}
+        args.update((dest, False if kind is bool else None) for dest, kind, _ in flags.values())
+        tokens = iter(argv[1:])
+        for token in tokens:
+            dest, kind, _ = flags[token]
+            if kind is bool:
+                args[dest] = True
+            elif (value := next(tokens, "-")).startswith("-"):
+                raise ValueError(f"{token} {value}")
+            else:
+                args[dest] = kind(value)
+        return args
+    except (LookupError, ValueError):
+        return vars(_build_parser(argv).parse_args(argv))
 
 
 def _load_config(path: str | None) -> dict:
@@ -148,15 +161,15 @@ _KEY_TYPES = (
 )
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: dict) -> dict:
     """Apply precedence: explicit flag > config file > default."""
-    config = _load_config(getattr(args, "config", None))
-    known = set(vars(args)) | set(_DEFAULTS)
+    config = _load_config(args.get("config"))
+    known = set(args) | set(_DEFAULTS)
     for key in config:
         if key not in known:
             raise ValidationError(f"unknown config key: {key!r}")
     out = {}
-    for key, flag_value in vars(args).items():
+    for key, flag_value in args.items():
         if key == "config":
             continue
         if flag_value is not None and flag_value is not False:
@@ -513,9 +526,9 @@ def run(argv=None) -> int:
     args = _parse_args(argv)
     try:
         cfg = _resolve(args)
-        keys, data, rows, lines = _COMMANDS[args.command](cfg)
+        keys, data, rows, lines = _COMMANDS[args["command"]](cfg)
         emit_report(cfg, keys, data, rows, lines)
-        if args.command == "check" and not data["passed"]:
+        if args["command"] == "check" and not data["passed"]:
             raise ValidationError("property suite reported violations")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ Groups at this scale (a few thousand elements, bounded by ``order_bound``)
 are enumerated completely by breadth-first closure over the generators; no
 stabiliser chain is built.  Only the conjugation actions of the Nielsen
 layer, whose acting groups can be much larger, keep one level of one: orbit
-transversals and point stabilizers.
+transversals and point stabilizers.  Dihedral, SL2, Heisenberg and vector
+groups know their order in closed form, so bound and cap precede listing.
 
 Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
@@ -43,7 +44,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import BudgetError, ValidationError
 
@@ -223,12 +224,14 @@ class FiniteGroup:
 
     kind = "abstract"
 
-    def __init__(self, gens, name: str, order_bound: int = DEFAULT_ORDER_BOUND):
+    def __init__(self, gens, name: str, order_bound: int = DEFAULT_ORDER_BOUND,
+                 order: int | None = None):
         self.gens = tuple(gens)
         self.name = name
         self.descriptor = name
         self.order_bound = order_bound
         self.sym_normalizer_gens = None
+        self._order = order  # a closed form, known before the group is listed
         self._elements: tuple | None = None
         self._index: dict | None = None
         self._orders: dict = {}
@@ -269,7 +272,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self._order is None else self._order
 
     def __contains__(self, g) -> bool:
         self.elements
@@ -292,7 +295,6 @@ class FiniteGroup:
         gens = set(seed)
         seen = {self.identity} | gens
         frontier = list(seen)
-        bound = self.order_bound
         while frontier:
             nxt = []
             for a in frontier:
@@ -303,12 +305,15 @@ class FiniteGroup:
                         nxt.append(b)
                 if stop_above is not None and len(seen) > stop_above:
                     return seen
-            if len(seen) > bound:
-                raise BudgetError(
-                    f"group closure for {self.name} exceeded order bound {bound}"
-                )
+            self.check_order_bound(len(seen))
             frontier = nxt
         return seen
+
+    def check_order_bound(self, n: int) -> None:
+        if n > self.order_bound:
+            raise BudgetError(
+                f"group closure for {self.name} exceeded order bound {self.order_bound}"
+            )
 
     def power(self, g, m: int):
         """g^m for any integer m, by repeated squaring."""
@@ -437,9 +442,9 @@ class IndexedGroup(FiniteGroup):
     kind = "indexed"
 
     def __init__(self, data: FiniteGroup):
+        check_table_budget(data.name, data.order)
         els = data.elements
         n = len(els)
-        check_table_budget(data.name, n)
         index = data._index
         super().__init__((index[g] for g in data.gens), data.name, data.order_bound)
         self.data = data
@@ -563,8 +568,10 @@ class Sl2Group(FiniteGroup):
         if m < 2:
             raise ValidationError("SL2 modulus must be at least 2")
         self.modulus = m
-        gens = ((1, 1, 0, 1), (1, 0, 1, 1))
-        super().__init__(gens, name or f"SL2({m})", **kw)
+        gens = ((1, 1, 0, 1), (1, 0, 1, 1))  # they generate SL2(Z), which maps onto SL2(Z/m)
+        primes = [p for p in range(2, m + 1) if m % p == 0 and _smallest_prime_factor(p) == p]
+        order = m**3 * prod(p * p - 1 for p in primes) // prod(p * p for p in primes)
+        super().__init__(gens, name or f"SL2({m})", order=order, **kw)
 
     def mul(self, x, y):
         m = self.modulus
@@ -615,7 +622,7 @@ class HeisenbergGroup(FiniteGroup):
             raise ValidationError("Heisenberg modulus must be at least 2")
         self.modulus = m
         gens = ((1, 0, 0), (0, 1, 0))
-        super().__init__(gens, name or f"Heis({m})", **kw)
+        super().__init__(gens, name or f"Heis({m})", order=m**3, **kw)
 
     def mul(self, a, b):
         m = self.modulus
@@ -699,7 +706,7 @@ class VectorSemidirectGroup(FiniteGroup):
             (tuple(1 if i == j else 0 for i in range(t)), 0) for j in range(t)
         )
         gens = basis + ((zero, 1 % q),)
-        super().__init__(gens, name or f"V({t},{m})", **kw)
+        super().__init__(gens, name or f"V({t},{m})", order=m**t * q, **kw)
 
     def mul(self, a, b):
         m = self.modulus
@@ -888,7 +895,7 @@ def dihedral(n: int, **kw) -> PermutationGroup:
         raise ValidationError("dihedral group needs n >= 3")
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((-i) % n for i in range(n))
-    g = PermutationGroup([rot, refl], n, f"D{n}", **kw)
+    g = PermutationGroup([rot, refl], n, f"D{n}", order=2 * n, **kw)
     g.sym_normalizer_gens = [rot] + [tuple((a * i) % n for i in range(n))
                                      for a in _unit_generators(n)]
     return g
@@ -937,7 +944,7 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
         if m:
             g = build(m, kw)
             g.descriptor = desc
-            g.order  # force enumeration so the bound is enforced up front
+            g.check_order_bound(g.order)  # lists g unless its order has a closed form
             return g
     m = re.fullmatch(r"V\((\d+),(\d+)\):M=(\[.*\])", desc)
     if m:
@@ -948,7 +955,7 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
             raise ValidationError(f"bad action matrix in {desc!r}") from None
         g = VectorSemidirectGroup(t, mod, mat, **kw)
         g.descriptor = desc
-        g.order
+        g.check_order_bound(g.order)
         return g
     m = re.fullmatch(r"gens:(\[.*\])", desc)
     if m:
@@ -961,7 +968,7 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
         gens = [parse_perm(p, n) for p in parts]
         g = PermutationGroup(gens, n, desc, **kw)
         g.descriptor = desc
-        g.order
+        g.check_order_bound(g.order)
         return g
     raise ValidationError(f"cannot parse group descriptor {descriptor!r}")
 

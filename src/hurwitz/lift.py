@@ -264,9 +264,8 @@ def is_frattini_cover(hom: GroupHom) -> bool:
         )
     lifts = [hom.preimage(g) for g in gens]
     if src.order ** 2 <= TABLE_ENTRY_CAP:
-        index = src._index
-        src, kernel, lifts = (src.indexed(), [index[k] for k in kernel],
-                              [index[h] for h in lifts])
+        src = src.indexed()
+        kernel, lifts = src.to_index(kernel), src.to_index(lifts)
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
     # it must be everything.  A trivial kernel leaves no proper value

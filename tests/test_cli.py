@@ -1,16 +1,21 @@
 import csv
 import io
 import json
+import argparse
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurwitz.nielsen
+from hurwitz import cli
 from hurwitz.cli import run
 from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
@@ -150,6 +155,105 @@ def test_tower_level_zero_over_the_table_cap_exits_3_before_the_classes(capsys,
     assert err.startswith("budget exceeded: multiplication table of D1009")
     assert "above the cap" in err and err.count("\n") == 1
     assert set(classes_computed) <= {"IndexedGroup"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "--group", "D1009", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["tower", "--family", "dihedral", "--ell", "1009", "--classes", "[2a,2a,2a,2a]",
+     "--k-max", "0"],
+])
+def test_a_group_over_the_table_cap_is_never_listed(argv, capsys, monkeypatch):
+    on_any_group = FiniteGroup.close
+
+    def close(self, seed, stop_above=None):
+        # D1009's normalizer generators close units in an SL2 group: allowed
+        if self.kind == "permutation":
+            raise AssertionError(f"{self.name} listed before the table cap")
+        return on_any_group(self, seed, stop_above)
+
+    monkeypatch.setattr(FiniteGroup, "close", close)
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "budget exceeded: multiplication table of D1009")
+
+
+class _Declined(Exception):
+    pass
+
+
+def scanned(argv):
+    """``_parse_args``'s own reading of argv, or None where it hands argv to
+    argparse."""
+    def declined(argv):
+        raise _Declined
+
+    with mock.patch.object(cli, "_build_parser", declined):
+        try:
+            return cli._parse_args(argv)
+        except _Declined:
+            return None
+
+
+SCAN_VALUES = ["A4", "", "-", "--", "-5", "x", "3"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its exact flags, each value flag mostly with a value the
+    scan takes, and at most one odd token anywhere: a flag prefix, an ``=``
+    form, a bare value or ``-h``."""
+    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+    flags = cli._FLAGS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(list(flags)), max_size=5)):
+        kind = flags[flag][1]
+        fitting = ["3"] if kind is int else ["A4", "", "x", "3"]
+        argv += [flag] if kind is bool else [flag, draw(st.sampled_from(
+            fitting * 3 + SCAN_VALUES))]
+    odd = st.one_of(
+        st.sampled_from(list(flags)).flatmap(
+            lambda f: st.integers(3, len(f)).map(lambda n: f[:n])),
+        st.tuples(st.sampled_from(list(flags)), st.sampled_from(SCAN_VALUES)).map("=".join),
+        st.sampled_from([*SCAN_VALUES, "-h"]),
+    )
+    for token in draw(st.lists(odd, max_size=1)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=["tower", "--ell", "3", "--frattini", "--t", "x", "--frattini"])
+@example(argv=["genus", "--mode", "A4", "--mode", "", "--orbit-cap", "3"])
+@example(argv=["check"])
+def test_the_scan_reads_argv_as_argparse_does(argv):
+    got = scanned(argv)
+    if got is not None:
+        expected = vars(cli._build_parser(argv).parse_args(argv))
+        assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]",
+     "--mode", "abs-reduced", "--k-max", "1"],
+    ["tower", "--family", "vector", "--ell", "2", "--action", "[[1,-3],[1,-2]]",
+     "--classes", "[3a,3a,3b,3b]", "--k-max", "1", "--frattini"],
+])
+def test_exact_flags_build_no_parser(argv, capsys, monkeypatch):
+    def no_parser(self, *args, **kwargs):
+        raise AssertionError("an argument parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    assert run([*argv, "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["inputs"]["command"] == argv[0]
+
+
+def test_importing_the_cli_loads_no_argparse():
+    code = "import sys, hurwitz.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "[]\n"
 
 
 FUZZ_GROUPS = st.one_of(

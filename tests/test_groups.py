@@ -68,6 +68,20 @@ def test_sl2_orders(m):
     assert Sl2Group(m).order == sl2_order(m)
 
 
+# dihedral n up to 40 takes in every prime of the benchmark's genus sweep
+@pytest.mark.parametrize("desc", [
+    *(f"D{n}" for n in range(3, 41)),
+    *(f"SL2({m})" for m in range(2, 13)),
+    *(f"Heis({m})" for m in range(2, 8)),
+    "V(2,5):M=[[0,-1],[1,-1]]", "V(2,4):M=[[0,-1],[1,-1]]", "V(2,7):M=[[2,0],[0,2]]",
+    "V(1,7):M=[[3]]", "V(3,2):M=[[0,0,1],[1,0,1],[0,1,0]]", "V(2,6):M=[[1,0],[0,1]]",
+])
+def test_closed_form_orders_match_the_listed_orders(desc):
+    group = make_group(desc)
+    assert group._elements is None  # the order bound was checked without a listing
+    assert group.order == len(group.elements)
+
+
 def test_order_bound_is_enforced():
     with pytest.raises(BudgetError):
         make_group("SL2(9)", order_bound=100)
