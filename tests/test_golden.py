@@ -8,7 +8,8 @@ level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
 catalog generators.  ``USAGE`` pins the argument parser's help, usage and
-error output, at a fixed terminal width of 80 columns.  To regenerate the
+error output, and runs whose argv only the argument parser reads, at a
+fixed terminal width of 80 columns.  To regenerate the
 file after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
