@@ -18,10 +18,10 @@ the width.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
-from .groups import ClassVector, FiniteGroup
+from .groups import ClassVector, FiniteGroup, Frozen
 from .nielsen import (
     Mode,
     NielsenClassSet,
@@ -52,7 +52,7 @@ def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
 apply_sh = _sh
 
 
-class _Members:
+class _Members(Frozen):
     """``positions`` locate the members in ``ni.tuples``, the one stored
     form; ``members`` and ``rep`` (the first member, the least as built)
     convert them to element data when read."""
@@ -67,25 +67,20 @@ class _Members:
         return self.ni.group.indexed().to_data(self.ni.tuples[self.positions[0]])
 
 
-@dataclass(frozen=True)
 class CuspOrbit(_Members):
     """A q2 orbit of a braid orbit, ``width`` members at ``positions``."""
 
-    label: str
-    width: int
-    braid_label: str
-    ni: NielsenClassSet = field(compare=False, repr=False)
-    positions: tuple
+    def __init__(self, label: str, width: int, braid_label: str, ni: NielsenClassSet,
+                 positions: tuple):
+        vars(self).update(label=label, width=width, braid_label=braid_label, ni=ni,
+                          positions=positions)
 
 
-@dataclass(frozen=True)
 class BraidOrbit(_Members):
     """A ⟨q2, sh⟩ orbit of ``ni``, its members at ``positions``."""
 
-    index: int
-    label: str
-    ni: NielsenClassSet = field(compare=False, repr=False)
-    positions: tuple
+    def __init__(self, index: int, label: str, ni: NielsenClassSet, positions: tuple):
+        vars(self).update(index=index, label=label, ni=ni, positions=positions)
 
     @property
     def size(self) -> int:
@@ -174,15 +169,13 @@ def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
 # relation checking
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     checks: tuple[PropertyCheck, ...]
 
     @property

@@ -16,7 +16,6 @@ other argv goes to argparse, which reads it or writes help, usage or errors.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -231,6 +230,7 @@ def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
         report = {"version": __version__, "inputs": inputs, **data}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     elif cfg["format"] == "csv":
+        import csv  # only CSV runs load the module
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerows([
             ["version", __version__],

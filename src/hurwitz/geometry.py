@@ -19,7 +19,7 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
@@ -44,8 +44,7 @@ def _gamma_maps(orbit: BraidOrbit):
     return gamma0, gamma1, tuple(local[q2[p]] for p in pos)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     orbit_label: str
     degree: int
     indices: tuple[int, int, int]
@@ -100,11 +99,10 @@ def genus_of_component(orbit: BraidOrbit) -> GenusReport:
     )
 
 
-@dataclass(frozen=True)
-class ShIncidenceBlock:
+class ShIncidenceBlock(NamedTuple):
     orbit_label: str
     cusp_labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
+    matrix: tuple[tuple[int, ...], ...]
     genus_report: GenusReport
 
     def to_dict(self) -> dict:
@@ -116,10 +114,9 @@ class ShIncidenceBlock:
         }
 
 
-@dataclass(frozen=True)
-class ShIncidence:
+class ShIncidence(NamedTuple):
     cusp_labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...] = field(compare=False)
+    matrix: tuple[tuple[int, ...], ...]
     blocks: tuple[ShIncidenceBlock, ...]
 
     def to_dict(self) -> dict:
@@ -189,8 +186,7 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
     return ShIncidence(cusp_labels=labels, matrix=mat, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class ModuliFlags:
+class ModuliFlags(NamedTuple):
     inner_fine: bool
     b_fine_reduced: bool
     fine_reduced: bool

@@ -42,9 +42,9 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
 
@@ -411,8 +411,7 @@ def _letters(idx: int) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     label: str
     element_order: int
     size: int
@@ -764,15 +763,32 @@ def _smallest_prime_factor(n: int) -> int:
 # class vectors
 
 
-@dataclass(frozen=True)
-class ClassVector:
-    """A multiset of conjugacy classes, stored as sorted class indices."""
+class Frozen:
+    """Attributes set once, by ``__init__`` through ``vars(self)``.
 
-    group: FiniteGroup = field(compare=False)
-    indices: tuple[int, ...]
+    Records in this package are NamedTuples or subclasses of this one, not
+    dataclasses: ``dataclasses`` generates and compiles every class's methods
+    at import, which each command-line launch would pay for again.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class ClassVector(Frozen):
+    """A multiset of conjugacy classes, stored as sorted class indices; two
+    are equal when their indices are."""
+
+    def __init__(self, group: FiniteGroup, indices: tuple[int, ...]):
+        vars(self).update(group=group, indices=tuple(sorted(indices)))
+
+    def __eq__(self, other):
+        return self.indices == other.indices if other.__class__ is ClassVector else NotImplemented
+
+    def __hash__(self):
+        return hash(self.indices)
 
     @property
     def r(self) -> int:
@@ -904,20 +920,22 @@ def dihedral(n: int, **kw) -> PermutationGroup:
 def _unit_generators(n: int) -> list[int]:
     """Greedy generators of (Z/n)^*: each step adds the least unit that
     enlarges the generated subgroup most, so a cyclic group gets one
-    primitive root.  A unit a is closed as diag(a, 1/a) in SL2(Z/n)."""
-    sl2 = Sl2Group(n)
-    diag = {a: (a, 0, 0, pow(a, -1, n)) for a in range(2, n) if gcd(a, n) == 1}
-    gens, sub = [], {sl2.identity}
-    while len(sub) <= len(diag):
-        best = sub
-        for a in diag:
-            span = sl2.close([diag[b] for b in gens] + [diag[a]])
-            if len(span) > len(best):
-                best, pick = span, a
-                if len(best) > len(diag):
+    primitive root.  A unit a multiplies the order of a subgroup S by the
+    least k >= 1 with a^k in S."""
+    units = [a for a in range(2, n) if gcd(a, n) == 1]
+    gens, sub = [], {1}
+    while len(sub) <= len(units):
+        best = 1
+        for a in units:
+            k, x = 1, a
+            while x not in sub:
+                k, x = k + 1, x * a % n
+            if k > best:
+                best, pick = k, a
+                if k * len(sub) > len(units):
                     break
         gens.append(pick)
-        sub = best
+        sub = {s * pow(pick, j, n) % n for s in sub for j in range(best)}
     return gens
 
 

@@ -24,10 +24,10 @@ formula, and the cover is never enumerated or walked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .groups import (
@@ -176,8 +176,7 @@ class CentralExtension:
         return f"CentralExtension({self.name}, kernel order {self.kernel_order})"
 
 
-@dataclass(frozen=True)
-class LiftInvariant:
+class LiftInvariant(NamedTuple):
     value: object
     trivial: bool
     extension: CentralExtension

@@ -45,15 +45,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
 from .groups import (
     ClassVector,
     FiniteGroup,
+    Frozen,
     IndexedGroup,
     _span,
     cycle_type,
@@ -153,7 +154,6 @@ class _ClosedOnUse(dict):
         return value
 
 
-@dataclass
 class ConjAction:
     """Simultaneous conjugation on index tuples of an indexed view, kept as
     orbit transversals plus stabilizers (Sims's method; Seress, "Permutation
@@ -169,16 +169,10 @@ class ConjAction:
     later closures stop at |A| / |orbit|.
     """
 
-    group: IndexedGroup
-    kind: str
-    gens: tuple = field(repr=False)
-    orbits: dict = field(repr=False)
-    orbit_min: tuple = field(repr=False)
-    transporter: tuple = field(repr=False)
-    order: int | None = None
-    stabilizer: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, group: IndexedGroup, kind: str, gens: tuple, orbits: dict,
+                 orbit_min: tuple, transporter: tuple, order: int | None = None):
+        self.group, self.kind, self.gens, self.orbits = group, kind, gens, orbits
+        self.orbit_min, self.transporter, self.order = orbit_min, transporter, order
         self.stabilizer = _ClosedOnUse(self._close_stabilizer)
 
     def _close_stabilizer(self, m: int) -> tuple:
@@ -340,18 +334,16 @@ def is_nielsen_tuple(group: FiniteGroup, cv: ClassVector, t: tuple) -> bool:
 SEARCH_NODE_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class NielsenClassSet:
+class NielsenClassSet(Frozen):
     """Canonical forms stored once, as the sorted index tuples ``tuples`` of
-    ``group.indexed()``; ``reps`` is their element data, built when read."""
+    ``group.indexed()``; ``reps`` is their element data, built when read.
+    Reduced modes keep in ``klein`` the reduced form of each canonical form
+    on every Klein orbit met."""
 
-    group: FiniteGroup = field(compare=False)
-    cv: ClassVector = field(compare=False)
-    mode: Mode
-    tuples: tuple
-    action: ConjAction = field(compare=False, repr=False)
-    # reduced modes: canonical -> reduced form on every Klein orbit met
-    klein: dict = field(compare=False, repr=False, default_factory=dict)
+    def __init__(self, group: FiniteGroup, cv: ClassVector, mode: Mode, tuples: tuple,
+                 action: ConjAction, klein: dict | None = None):
+        vars(self).update(group=group, cv=cv, mode=mode, tuples=tuples, action=action,
+                          klein={} if klein is None else klein)
 
     @property
     def count(self) -> int:
@@ -545,8 +537,7 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
 # Riemann-Hurwitz for a branch-cycle tuple
 
 
-@dataclass(frozen=True)
-class CoverGenus:
+class CoverGenus(NamedTuple):
     degree: int
     entry_indices: tuple[int, ...]
     genus: int

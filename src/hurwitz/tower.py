@@ -34,15 +34,16 @@ reports repeat that reading.  An l' subgroup's order divides the l'-part of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
 from .groups import (
     ClassVector,
     FiniteGroup,
+    Frozen,
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
@@ -78,59 +79,59 @@ def _int_matrix(action, t: int) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Frozen):
     """A tower family: which groups sit at each level.
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: t = 2 and the order-3 companion matrix of
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
     matrix and no rank, and sets t to 1.  Level groups and projections are
-    built on first use and kept by the spec.
+    built on first use and kept by the spec; two specs are equal when their
+    family, ell, t and action are.
     """
 
-    family: str
-    ell: int
-    t: int | None = None
-    action: tuple | None = None
-    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _projections: dict = field(default_factory=dict, init=False, compare=False,
-                               repr=False)
-    _index_maps: dict = field(default_factory=dict, init=False, compare=False,
-                              repr=False)
-
-    def __post_init__(self):
-        if self.family not in ("vector", "dihedral"):
+    def __init__(self, family: str, ell: int, t: int | None = None,
+                 action: tuple | None = None):
+        if family not in ("vector", "dihedral"):
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
-        if self.ell < 2 or _smallest_prime_factor(self.ell) != self.ell:
-            raise ValidationError(f"tower prime expected, got {self.ell}")
-        if self.t is None:
-            object.__setattr__(self, "t", 2 if self.family == "vector" else 1)
-        elif self.family == "dihedral":
+        if ell < 2 or _smallest_prime_factor(ell) != ell:
+            raise ValidationError(f"tower prime expected, got {ell}")
+        if t is None:
+            t = 2 if family == "vector" else 1
+        elif family == "dihedral":
             raise ValidationError("dihedral towers take no lattice rank t")
-        if type(self.t) is not int or self.t < 1:
-            raise ValidationError(f"tower lattice rank t must be at least 1, got {self.t!r}")
-        if self.family == "vector":
-            if self.ell == 3:
+        if type(t) is not int or t < 1:
+            raise ValidationError(f"tower lattice rank t must be at least 1, got {t!r}")
+        if family == "vector":
+            if ell == 3:
                 raise ValidationError(
                     "ell = 3 is excluded for the vector family (the complement"
                     " order collides with the prime; no canonical class lift)"
                 )
-            action = self.action if self.action is not None else COMPANION
-            object.__setattr__(self, "action", _int_matrix(action, self.t))
+            action = _int_matrix(action if action is not None else COMPANION, t)
             if _det_mod([
-                [(1 if i == j else 0) - self.action[i][j] for j in range(self.t)]
-                for i in range(self.t)
-            ], self.ell) == 0:
+                [(1 if i == j else 0) - action[i][j] for j in range(t)] for i in range(t)
+            ], ell) == 0:
                 raise ValidationError(
                     "level-0 group has a Z/ell quotient (action fixes a line);"
                     " tower groups must be ell-perfect"
                 )
         else:
-            if self.ell == 2:
+            if ell == 2:
                 raise ValidationError("dihedral towers need an odd prime")
-            if self.action is not None:
+            if action is not None:
                 raise ValidationError("dihedral towers take no action matrix")
+        vars(self).update(family=family, ell=ell, t=t, action=action, _levels={},
+                          _projections={}, _index_maps={})
+
+    def _key(self) -> tuple:
+        return self.family, self.ell, self.t, self.action
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is TowerSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def modulus(self, k: int) -> int:
         return self.ell ** (k + 1)
@@ -249,8 +250,7 @@ def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVect
 # cusp classification
 
 
-@dataclass(frozen=True)
-class CuspClassification:
+class CuspClassification(NamedTuple):
     type: str
     hm: bool  # some member of the cusp has Harbater-Mumford shape
     double_identity: bool
@@ -401,8 +401,7 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     return TowerLevel(spec, k, cv, ni, orbits)
 
 
-@dataclass(frozen=True)
-class ComponentTree:
+class ComponentTree(NamedTuple):
     spec: TowerSpec
     levels: tuple[TowerLevel, ...]
     edges: tuple[tuple[tuple[int, str], tuple[int, str]], ...]
@@ -476,8 +475,7 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
 # Branch Cycle Lemma
 
 
-@dataclass(frozen=True)
-class BCLResult:
+class BCLResult(NamedTuple):
     n_c: int
     q: tuple[int, ...]
     rational_union: bool
@@ -509,8 +507,7 @@ def bcl(group: FiniteGroup, cv: ClassVector) -> BCLResult:
 # inner/absolute fibers
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     absolute_count: int
     inner_count: int
     orbit_fibers: tuple[tuple[str, tuple[str, ...]], ...]
@@ -562,15 +559,14 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
 # eventually-Frattini data
 
 
-@dataclass(frozen=True)
-class FrattiniStep:
+class FrattiniStep(NamedTuple):
     k: int
     frattini: object  # True / False / "skipped"
     kernel_order: int
     kernel_is_ell_group: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniStep, ...]:

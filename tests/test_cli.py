@@ -249,8 +249,9 @@ def test_exact_flags_build_no_parser(argv, capsys, monkeypatch):
     assert json.loads(out_of(capsys))["inputs"]["command"] == argv[0]
 
 
-def test_importing_the_cli_loads_no_argparse():
-    code = "import sys, hurwitz.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+def test_importing_the_cli_loads_no_argparse_dataclasses_or_csv():
+    unused = {"argparse", "gettext", "dataclasses", "inspect", "csv"}
+    code = f"import sys, hurwitz.cli; print(sorted({unused!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout == "[]\n"

@@ -279,12 +279,35 @@ def test_catalog_generator_outside_the_normalizer_is_an_error():
         enumerate_nielsen(d5, cv, Mode.ABSOLUTE_REDUCED)
 
 
-@pytest.mark.parametrize("n", range(3, 61))
+def _greedy_unit_generators(n):
+    """Each step adds the least unit that enlarges the generated subgroup of
+    (Z/n)^* most; every candidate subgroup is closed by multiplication mod n."""
+    units = [a for a in range(2, n) if gcd(a, n) == 1]
+
+    def span(gens):
+        seen, todo = {1}, [1]
+        for x in todo:
+            for g in gens:
+                if (y := x * g % n) not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    gens = []
+    while len(span(gens)) <= len(units):
+        gens.append(max(units, key=lambda a: (len(span([*gens, a])), -a)))
+    return gens
+
+
+@pytest.mark.parametrize("n", [*range(3, 200), 625, 840, 1000, 1009])
 def test_dihedral_catalog_generates_the_affine_group(n):
     units = [a for a in range(1, n) if gcd(a, n) == 1]
     gens = dihedral(n).sym_normalizer_gens
-    affine = [tuple((a * i + b) % n for i in range(n)) for a in units for b in range(n)]
-    assert sorted(PermutationGroup(gens, n, "N").elements) == sorted(affine)
+    # the multiplier x -> ax sends 1 to a
+    assert [g[1] for g in gens[1:]] == _greedy_unit_generators(n)
+    if n <= 60:  # the affine group has n * phi(n) elements to list
+        affine = [tuple((a * i + b) % n for i in range(n)) for a in units for b in range(n)]
+        assert sorted(PermutationGroup(gens, n, "N").elements) == sorted(affine)
     # a single multiplier exactly when some unit has order phi(n)
     cyclic = any(len({pow(a, k, n) for k in range(n)}) == len(units) for a in units)
     assert (len(gens) == 2) == cyclic

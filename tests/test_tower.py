@@ -1,14 +1,14 @@
 """Tower families: level groups, projections, cusps, trees, field data."""
 
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 import hurwitz.lift
 import hurwitz.tower
-from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits
+from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits, verify_braid_relations
 from hurwitz.errors import BudgetError, ValidationError
+from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
@@ -16,8 +16,13 @@ from hurwitz.groups import (
     make_group,
     parse_class_vector,
 )
-from hurwitz.lift import extend_action_to_heisenberg, is_frattini_cover, lift_invariant
-from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen
+from hurwitz.lift import (
+    extend_action_to_heisenberg,
+    is_frattini_cover,
+    lift_invariant,
+    spin_cover,
+)
+from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen, tuple_cover_genus
 from hurwitz.tower import (
     TowerSpec,
     _subgroup_order_prime_to,
@@ -67,6 +72,38 @@ def test_each_spec_keeps_its_own_levels():
     assert a.level_group(1) is a.level_group(1)
     assert a.projection(1) is a.projection(1)
     assert a.level_group(1) is not b.level_group(1)
+
+
+@pytest.fixture(scope="module")
+def records(a4, a4_cv, a4_ni, a4_orbits):
+    """One instance of each record type, from the A4 and ell = 2 fixtures."""
+    orbit, spec, inc = a4_orbits[0], TowerSpec("vector", 2), sh_incidence(a4_orbits)
+    tree = component_tree(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
+    report = verify_braid_relations(a4, a4_cv, sample_size=2)
+    return {r.__class__.__name__: r for r in (
+        a4.conjugacy_classes()[0], a4_cv, a4_ni, orbit, orbit.cusps()[0], report,
+        report.checks[0], tuple_cover_genus(a4, a4_ni.reps[0]), genus_of_component(orbit),
+        inc, inc.blocks[0], moduli_flags(a4, orbit), lift_invariant(spin_cover(4), orbit.rep),
+        spec, cusp_type(orbit.cusps()[0], 2), tree, bcl(a4, a4_cv),
+        inner_absolute_fibers(a4, a4_cv), eventually_frattini_report(spec, 1)[0],
+    )}
+
+
+@pytest.mark.parametrize("name, field", [
+    ("ConjugacyClass", "label"), ("ClassVector", "indices"), ("NielsenClassSet", "tuples"),
+    ("BraidOrbit", "positions"), ("CuspOrbit", "width"), ("PropertyReport", "checks"),
+    ("PropertyCheck", "passed"), ("CoverGenus", "genus"), ("GenusReport", "genus"),
+    ("ShIncidence", "matrix"), ("ShIncidenceBlock", "matrix"), ("ModuliFlags", "inner_fine"),
+    ("LiftInvariant", "trivial"), ("TowerSpec", "ell"), ("CuspClassification", "type"),
+    ("ComponentTree", "edges"), ("BCLResult", "q"), ("FiberReport", "inner_count"),
+    ("FrattiniStep", "frattini"),
+])
+def test_records_are_read_only(records, name, field):
+    record = records[name]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
 
 
 def test_level_groups_dihedral():
@@ -300,7 +337,8 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                 assert c.members == tuple(lvl.ni.reps[p] for p in c.positions)
                 members = [reference[p] for p in c.positions]
                 # members in reverse too: the flags must not hang on the first
-                for cusp in c, replace(c, positions=c.positions[::-1]):
+                for cusp in c, CuspOrbit(c.label, c.width, c.braid_label, c.ni,
+                                         c.positions[::-1]):
                     got = cusp_type(cusp, ell)
                     assert got.hm == any(hm for hm, _ in members)
                     assert got.double_identity == any(dbl for _, dbl in members)
