@@ -7,7 +7,9 @@ invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
-catalog generators.  ``USAGE`` pins the argument parser's help, usage and
+catalog generators.  Braid orbits in inner mode at r = 4, in absolute modes
+at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
+moves in every mode and the reduced search.  ``USAGE`` pins the argument parser's help, usage and
 error output, and runs whose argv only the argument parser reads, at a
 fixed terminal width of 80 columns.  To regenerate the
 file after a deliberate change of output, run
@@ -62,6 +64,17 @@ COMMANDS = [
     ["enumerate", "--group", "A4", "--classes", "[3a,3a,3b,3b]", "--mode", "raw"],
     ["genus", "--group", "gens:[(1,2,3,4,5),(1,2,3)]", "--classes", "[3a,3a,3a,3a]",
      "--mode", "abs-reduced"],
+    # reduced r = 4 searches from one start, with sh filled as an involution;
+    # the other modes and tuple lengths derive q1 from q2 and sh
+    ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+     "--k-max", "2", "--frattini"],
+    ["tower", "--family", "vector", "--ell", "7", "--classes", "[3a,3a,3b,3b]",
+     "--k-max", "0"],
+    ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    ["orbits", *A4, "--mode", "inner"],
+    ["orbits", "--group", "S4", "--classes", "[2b,2b,2b,2b,3a]", "--mode",
+     "absolute-reduced"],
+    ["orbits", "--group", "A5", "--classes", "[3a,3a,5a]", "--mode", "absolute"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [
