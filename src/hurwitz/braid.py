@@ -3,10 +3,11 @@
 The Hurwitz monodromy group is generated by the twist q2 and the left
 rotation sh; the other twists are conjugates of q2 by powers of sh, so orbit
 closures only ever apply those two moves.  Everything acts on canonical
-representatives: ``NielsenClassSet.moves()`` applies q1, q2 and sh to each
-representative once and canonicalizes the image, and orbits, cusps and the
-geometry module then follow those permutations of positions.  An orbit or a
-cusp stores only the positions of its members in ``NielsenClassSet.tuples``.
+representatives: ``NielsenClassSet.moves()`` applies q2 and sh to each
+representative once, canonicalizes the image and derives q1 = sh(q2(sh^-1));
+orbits, cusps and the geometry module then follow those permutations of
+positions.  An orbit or a cusp stores only the positions of its members in
+``NielsenClassSet.tuples``.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid

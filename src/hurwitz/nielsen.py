@@ -31,8 +31,10 @@ acting group itself is never listed.
 
 A canonical form's second entry is least under the stabilizer of its first,
 so the search extends a first entry only by such entries (McKay's orderly
-search).  A reduced form is the least canonical form in its Klein orbit, so
-the enumeration keeps a map from canonical to reduced forms to look up.
+search).  A reduced form is the least canonical form in its Klein orbit.
+The Klein images of a 4-tuple start with conjugates of its four entries, so
+only those paired with an entry of least orbit minimum mu can give it, and
+a reduced search at r = 4 starts from mu alone.
 
 The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order.  A
@@ -47,7 +49,7 @@ import random
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
@@ -134,9 +136,7 @@ def _reduction_orbit(group: FiniteGroup, t: tuple) -> list[tuple]:
     if len(t) != 4:
         return [t]
     a = _qi(group, _qi_inv(group, t, 3), 1)
-    s = _sh(group, _sh(group, t))
-    sa = _sh(group, _sh(group, a))
-    return [t, a, s, sa]
+    return [t, a, t[2:] + t[:2], a[2:] + a[:2]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +201,24 @@ class ConjAction:
                 best = cand
         return best
 
+    def _least_images(self, t: tuple):
+        """Yields, in ``_reduction_orbit`` order and built only when asked
+        for, the images of t that can give its reduced form under an action
+        joining conjugates (inner or absolute); just t when r != 4."""
+        if len(t) != 4:
+            yield t
+            return
+        mins = [self.orbit_min[x] for x in t]
+        least, a = min(mins), None
+        for k, m in enumerate(mins):
+            if m == least:
+                if k % 2 and a is None:
+                    a = _qi(self.group, _qi_inv(self.group, t, 3), 1)
+                u = a if k % 2 else t
+                yield u[2:] + u[:2] if k > 1 else u
+
     def reduced_canonical_tuple(self, t: tuple) -> tuple:
-        return min(self.canonical_tuple(u) for u in _reduction_orbit(self.group, t))
+        return min(map(self.canonical_tuple, self._least_images(t)))
 
 
 def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
@@ -338,7 +354,7 @@ class NielsenClassSet(Frozen):
     """Canonical forms stored once, as the sorted index tuples ``tuples`` of
     ``group.indexed()``; ``reps`` is their element data, built when read.
     Reduced modes keep in ``klein`` the reduced form of each canonical form
-    on every Klein orbit met."""
+    met that starts with the one search start (each one met when r != 4)."""
 
     def __init__(self, group: FiniteGroup, cv: ClassVector, mode: Mode, tuples: tuple,
                  action: ConjAction, klein: dict | None = None):
@@ -364,27 +380,36 @@ class NielsenClassSet(Frozen):
 
     def canonical(self, u: tuple) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``; a reduced
-        mode looks it up in ``klein``, reducing afresh on a miss."""
-        c = self.action.canonical_tuple(u)
+        mode looks up that of u's first least image in ``klein``, or reduces u."""
         if not self.mode.reduced:
-            return c
+            return self.action.canonical_tuple(u)
+        c = self.action.canonical_tuple(next(self.action._least_images(u)))
         return self.klein.get(c) or self.action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
         """q1, q2 and sh as permutations of positions, computed on first
         use: ``q2[i]`` is the position in ``tuples`` of the canonical form of
-        q2 applied to ``tuples[i]``, and likewise for q1 and sh."""
+        q2 applied to ``tuples[i]``, likewise for sh, and q1(t) = sh(q2(sh^-1(t))).
+        sh^2 is in the reduction group, so a reduced mode with r = 4 fills sh
+        as an involution, one canonical form per 2-cycle."""
         if not hasattr(self, "_moves"):
-            ix = self.group.indexed()
-            tuples, position = self.tuples, self.position
-            moved = ([_qi(ix, u, 1) for u in tuples], [_qi(ix, u, 2) for u in tuples],
-                     [_sh(ix, u) for u in tuples])
+            ix, tuples, position = self.group.indexed(), self.tuples, self.position
+            involution = self.mode.reduced and self.cv.r == 4
+            sh = [None] * self.count
             try:
-                perms = tuple(tuple(position[self.canonical(v)] for v in vs) for vs in moved)
+                q2 = tuple(position[self.canonical(_qi(ix, u, 2))] for u in tuples)
+                for i, u in enumerate(tuples):
+                    if sh[i] is None:
+                        sh[i] = j = position[self.canonical(_sh(ix, u))]
+                        if involution and sh[j] not in (None, i):
+                            raise ValidationError("sh is not an involution on reduced classes")
+                        if involution:
+                            sh[j] = i
             except KeyError:
                 raise ValidationError("braid move left the enumerated Nielsen set; "
                                       "canonicalization and enumeration disagree") from None
-            object.__setattr__(self, "_moves", perms)
+            q1 = tuple(sh[q2[k]] for k in sorted(range(self.count), key=sh.__getitem__))
+            object.__setattr__(self, "_moves", (q1, q2, tuple(sh)))
         return self._moves
 
     def to_dict(self) -> dict:
@@ -402,16 +427,17 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                       quotient: tuple | None = None) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
-    The search fixes the first entry to each orbit minimum, walks the
-    remaining class multiset for positions 2..r-1 and solves for the last
-    entry; the second entry is least under the first's stabilizer, as in
-    every canonical form, and when no other element of that stabilizer fixes
-    it, the tuple is its own canonical form.  Generation is settled once per
-    canonical form, or per Klein orbit of them in a reduced mode with r = 4,
-    whose least member is the reduced form and which ``klein`` maps to it;
-    any generating pair of entries settles it.  Before the search,
-    ``len(starts) * w**(r-2)``, with w the number of elements in the classes
-    of C, bounds the tuples it will reach; above ``SEARCH_NODE_CAP`` it
+    The search fixes the first entry to each orbit minimum (the least one
+    alone in a reduced mode with r = 4), walks the remaining class multiset
+    for positions 2..r-1 and solves for the last entry; the second entry is
+    least under the first's stabilizer, as in every canonical form, and when
+    no other element of that stabilizer fixes it, the tuple is its own
+    canonical form.  Generation is settled once per canonical form, or per
+    Klein orbit of them in a reduced mode with r = 4, whose least member is
+    the reduced form and which ``klein`` maps to it; any generating pair of
+    entries settles it.  Before the search, ``len(starts) * w**(r-2)``, with
+    w the number of elements in the classes of C, bounds the tuples it will
+    reach (one start when reduced with r = 4); above ``SEARCH_NODE_CAP`` it
     raises ``BudgetError``.
 
     Raw mode acts by the trivial group, so every class member is a start of
@@ -442,6 +468,8 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
         )
     action = _get_action(group, mode, cv)
     starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
+    if mode.reduced and r == 4:
+        starts = starts[:1]
     # closed before the search, so an over-cap stabilizer stops it first
     stabs = {g1: action.stabilizer[g1] for g1 in starts}
     width = sum(len(m) for m in members.values())
@@ -475,7 +503,9 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             c = t if t[1] in free else key(t)
             m = least.get(c)
             if m is None:
-                orbit = [c, *map(key, _reduction_orbit(ix, c)[1:])] if mode.reduced else [c]
+                # c, canonical, is its own first least image
+                rest = islice(action._least_images(c), 1, None) if mode.reduced else ()
+                orbit = [c, *map(key, rest)]
                 m = min(orbit)
                 least.update(dict.fromkeys(orbit, m))
                 if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):

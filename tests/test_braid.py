@@ -105,6 +105,10 @@ PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     ("A4", "[3a,3a,3b,3b]", Mode.RAW),
     ("A5", "[3a,3a,5a]", Mode.ABSOLUTE),
     *((f"D{p}", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED) for p in PRIMES),
+    # q1 is derived from q2 and sh in every mode
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER),
+    ("S4", "[2b,2b,2b,2b,3a]", Mode.ABSOLUTE_REDUCED),
+    ("A5", "[3a,3a,3a,3a,3a]", Mode.ABSOLUTE),
 ])
 def test_moves_are_direct_moves_then_canonical_forms(desc, classes, mode):
     g = make_group(desc)
@@ -154,3 +158,14 @@ def test_moves_outside_the_set_are_an_error(a4, a4_cv, a4_ni):
     partial = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.tuples[:1], a4_ni.action)
     with pytest.raises(ValidationError, match="left the enumerated Nielsen set"):
         partial.moves()
+
+
+def test_sh_that_is_not_an_involution_is_an_error(a4, a4_cv, a4_ni):
+    """sh^2 lies in the reduction group, so a reduced r = 4 set whose sh
+    images are not paired off is inconsistent; here a Klein map sending
+    every form to the first makes sh send the first two members to the
+    first."""
+    collapsed = dict.fromkeys(a4_ni.klein, a4_ni.tuples[0])
+    broken = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.tuples, a4_ni.action, collapsed)
+    with pytest.raises(ValidationError, match="sh is not an involution"):
+        broken.moves()

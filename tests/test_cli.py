@@ -91,6 +91,17 @@ def test_raw_search_budget_exits_3_before_the_inner_classes(capsys, monkeypatch)
     assert inner_calls == []
 
 
+def test_reduced_search_budget_counts_one_start(capsys, monkeypatch):
+    """A reduced search at r = 4 starts only from the least orbit minimum:
+    on A4 [3a,3a,3b,3b] inner mode predicts 2 * 8^2 = 128 nodes and the
+    inner-reduced mode 8^2 = 64."""
+    monkeypatch.setattr(hurwitz.nielsen, "SEARCH_NODE_CAP", 100)
+    assert run(["enumerate", *A4_ARGS, "--mode", "inner"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: Nielsen search") and "(2 starts" in err
+    assert run(["enumerate", *A4_ARGS, "--mode", "inner-reduced"]) == 0
+
+
 def test_d127_abs_reduced_is_x0_127(capsys):
     assert run(["genus", "--group", "D127", "--classes", "[2a,2a,2a,2a]",
                 "--mode", "abs-reduced", "--format", "json"]) == 0

@@ -28,6 +28,7 @@ from hurwitz.nielsen import (
     random_nielsen_tuple,
     tuple_cover_genus,
 )
+from hurwitz.tower import TowerSpec, lift_classes_to_level
 
 
 def test_mode_parsing():
@@ -371,10 +372,15 @@ def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_p
     ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
     ("D7", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
     ("D11", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER),
+    ("S4", "[2b,2b,2b,2b,3a]", Mode.ABSOLUTE_REDUCED),
+    ("A5", "[3a,3a,5a]", Mode.ABSOLUTE),
 ])
 def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mode):
-    """q1, q2 and sh images of a reduced class are reduced by one canonical
-    form and a lookup in the enumeration's Klein map, never afresh."""
+    """Only q2 and sh images are canonicalized, q1 being derived from them;
+    a reduced image takes one canonical form and a lookup in the
+    enumeration's Klein map, never a reduction afresh.  In a reduced mode
+    with r = 4, sh is an involution and each of its cycles takes one."""
     g = make_group(desc)
     ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
     calls = Counter()
@@ -383,6 +389,50 @@ def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mod
             calls[_name] += 1
             return _method(self, t)
         monkeypatch.setattr(ConjAction, name, counted)
-    ni.moves()
-    assert 0 < calls["canonical_tuple"] <= 3 * ni.count
+    _, _, sh = ni.moves()
+    if mode.reduced and ni.cv.r == 4:
+        assert all(sh[sh[i]] == i for i in range(ni.count))
+        expected = ni.count + sum(sh[i] >= i for i in range(ni.count))
+    else:
+        expected = 2 * ni.count
+    assert calls["canonical_tuple"] == expected
     assert calls["reduced_canonical_tuple"] == 0
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    *((desc, classes, mode) for desc, classes in (("A4", "[3a,3a,3b,3b]"),
+                                                  ("A4", "[2a,3a,3a,3a]"),
+                                                  ("S4", "[2b,2b,3a,3a]"))
+      for mode in (Mode.INNER_REDUCED, Mode.ABSOLUTE_REDUCED)),
+    ("D7", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("D11", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("V(2,7):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("vector l=2 level 2", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+])
+def test_pruned_reduced_form_is_the_least_over_all_four_images(desc, classes, mode):
+    """The reduced form takes canonical forms of the least images only; the
+    reference takes them of all four images under the reduction group, on
+    random Nielsen tuples and on random tuples of group elements.  Every
+    stored reduced form and every key of the Klein map starts with the
+    least orbit minimum over the classes of C, the one search start."""
+    if desc == "vector l=2 level 2":
+        spec = TowerSpec("vector", 2)
+        g = spec.level_group(2)
+        cv = lift_classes_to_level(spec, parse_class_vector(spec.level_group(0), classes), 2)
+    else:
+        g = make_group(desc)
+        cv = parse_class_vector(g, classes)
+    ix = g.indexed()
+    action = _get_action(g, mode, cv)
+    rng = random.Random(11)
+    samples = [ix.to_index(random_nielsen_tuple(g, cv, rng)) for _ in range(40)]
+    samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(60)]
+    for t in samples:
+        reference = min(map(action.canonical_tuple, _reduction_orbit(ix, t)))
+        assert action.reduced_canonical_tuple(t) == reference, t
+    classes_of_c = ix.conjugacy_classes()
+    mu = min(action.orbit_min[x] for i in cv.indices for x in classes_of_c[i].members)
+    ni = enumerate_nielsen(g, cv, mode)
+    assert ni.count and all(u[0] == mu for u in ni.tuples)
+    assert ni.klein and all(c[0] == mu for c in ni.klein)
