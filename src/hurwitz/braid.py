@@ -3,11 +3,12 @@
 The Hurwitz monodromy group is generated by the twist q2 and the left
 rotation sh; the other twists are conjugates of q2 by powers of sh, so orbit
 closures only ever apply those two moves.  Everything acts on canonical
-representatives: ``NielsenClassSet.moves()`` applies q2 and sh to each
-representative once, canonicalizes the image and derives q1 = sh(q2(sh^-1));
-orbits, cusps and the geometry module then follow those permutations of
-positions.  An orbit or a cusp stores only the positions of its members in
-``NielsenClassSet.tuples``.
+representatives: ``NielsenClassSet.moves()`` builds the q2 and sh images of
+each representative once, from the Cayley table, looks up their canonical
+forms (in the Klein map when reduced with r = 4) and derives q1 =
+sh(q2(sh^-1)); orbits, cusps and the geometry module then follow those
+permutations of positions.  An orbit or a cusp stores only the positions
+of its members in ``NielsenClassSet.tuples``.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
@@ -29,7 +30,6 @@ from .nielsen import (
     _get_action,
     _qi,
     _qi_inv,
-    _sh,
     enumerate_nielsen,
     is_nielsen_tuple,
     random_nielsen_tuple,
@@ -49,8 +49,9 @@ def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return _qi_inv(group, t, i)
 
 
-# the rotation takes no index to check, so the public name is the move itself
-apply_sh = _sh
+def apply_sh(group: FiniteGroup, t: tuple) -> tuple:
+    """Left rotation (g_2, ..., g_r, g_1)."""
+    return t[1:] + t[:1]
 
 
 class _Members(Frozen):
@@ -203,6 +204,8 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
     on inner classes); and for r = 4 the reduced relations γ0³ = 1 and
     γ0 γ1 γ∞ = 1 on reduced canonical forms.
     """
+    if sample_size <= 0:
+        raise ValidationError(f"sample_size must be positive, got {sample_size}")
     r = cv.r
     rng = random.Random(seed)
     sample = [random_nielsen_tuple(group, cv, rng) for _ in range(sample_size)]
@@ -218,7 +221,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
         return t
 
     def sh_conj(t, i):  # sh q_i sh^-1, with sh^-1 the right rotation
-        v = q(_sh(group, t), i)
+        v = q(apply_sh(group, t), i)
         return v[-1:] + v[:-1]
 
     def inverse_failures(t):
@@ -226,13 +229,13 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
                     if _qi_inv(group, q(t, i), i) != t)
         u = t
         for _ in range(r):
-            u = _sh(group, u)
+            u = apply_sh(group, u)
         if u != t:
             yield f"sh^{r} != id on {t}"
 
     record("moves preserve product-one, classes, generation", (
         f"{move} broke invariants on {t}" for t in sample
-        for move, u in [*((f"q{i}", q(t, i)) for i in range(1, r)), ("sh", _sh(group, t))]
+        for move, u in [*((f"q{i}", q(t, i)) for i in range(1, r)), ("sh", apply_sh(group, t))]
         if not is_nielsen_tuple(group, cv, u)))
     record("q_i q_{i+1} q_i = q_{i+1} q_i q_{i+1}", (
         f"braid relation failed at i={i} on {t}" for t in sample for i in range(1, r - 1)
@@ -267,7 +270,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
             ("gamma0 gamma1 gammainf = 1 on reduced classes", "gamma0 gamma1 gammainf != id at",
              lambda u: words(u, (1, 2), (1, 2, 1), (2,))),
             ("sh^2 fixes reduced classes", "sh^2 moved reduced class",
-             lambda u: rc(_sh(ix, _sh(ix, u)))),
+             lambda u: rc(apply_sh(ix, apply_sh(ix, u)))),
         ):
             record(name, (f"{fail} {ix.to_data(u)}" for u in ni.tuples if move(u) != u))
 

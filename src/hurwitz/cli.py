@@ -186,7 +186,7 @@ def _resolve(args: dict) -> dict:
                 )
     if out.get("format") not in (None, "text", "json", "csv"):
         raise ValidationError(f"unknown format: {out['format']!r}")
-    for key in ("order_bound", "orbit_cap"):
+    for key in ("order_bound", "orbit_cap", "sample_size"):
         if out.get(key) is not None and out[key] <= 0:
             raise ValidationError(f"{key.replace('_', '-')} must be positive")
     return out

@@ -34,7 +34,9 @@ so the search extends a first entry only by such entries (McKay's orderly
 search).  A reduced form is the least canonical form in its Klein orbit.
 The Klein images of a 4-tuple start with conjugates of its four entries, so
 only those paired with an entry of least orbit minimum mu can give it, and
-a reduced search at r = 4 starts from mu alone.
+a reduced search at r = 4 starts from mu alone.  One helper reads the
+twisted image q1*q3^-1 off the Cayley table.  A lookup builds only the first
+least image, since the Klein map keys every member starting with mu.
 
 The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order.  A
@@ -49,7 +51,7 @@ import random
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
@@ -125,11 +127,6 @@ def _qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return t[:j] + (b, group.mul(group.mul(group.inv(b), a), b)) + t[j + 2:]
 
 
-def _sh(group: FiniteGroup, t: tuple) -> tuple:
-    """Left rotation (g_2, ..., g_r, g_1)."""
-    return t[1:] + t[:1]
-
-
 def _reduction_orbit(group: FiniteGroup, t: tuple) -> list[tuple]:
     """The four images of t under the rank-4 reduction group {1, q1*q3^-1,
     sh^2, both}; just [t] when r != 4."""
@@ -201,24 +198,36 @@ class ConjAction:
                 best = cand
         return best
 
-    def _least_images(self, t: tuple):
-        """Yields, in ``_reduction_orbit`` order and built only when asked
-        for, the images of t that can give its reduced form under an action
-        joining conjugates (inner or absolute); just t when r != 4."""
+    def _klein_image(self, t: tuple) -> tuple:
+        """q1*q3^-1 of a 4-tuple, (g1 g2 g1^-1, g1, g4, g4^-1 g3 g4), read off
+        the Cayley table: the one place the reduction reads group elements."""
+        table, inverse = self.group.table, self.group.inverse
+        g1, g2, g3, g4 = t
+        return table[table[g1][g2]][inverse[g1]], g1, g4, table[table[inverse[g4]][g3]][g4]
+
+    def first_least_image(self, t: tuple) -> tuple:
+        """The first of ``least_images(t)`` for a 4-tuple, built alone."""
+        om = self.orbit_min
+        mins = (om[t[0]], om[t[1]], om[t[2]], om[t[3]])
+        k = mins.index(min(mins))
+        u = self._klein_image(t) if k % 2 else t
+        return u[2:] + u[:2] if k > 1 else u
+
+    def least_images(self, t: tuple) -> list:
+        """The images of t, in ``_reduction_orbit`` order, paired with an
+        entry of least orbit minimum: under an action joining conjugates, only
+        they can give its reduced form.  Just [t] when r != 4."""
         if len(t) != 4:
-            yield t
-            return
-        mins = [self.orbit_min[x] for x in t]
-        least, a = min(mins), None
-        for k, m in enumerate(mins):
-            if m == least:
-                if k % 2 and a is None:
-                    a = _qi(self.group, _qi_inv(self.group, t, 3), 1)
-                u = a if k % 2 else t
-                yield u[2:] + u[:2] if k > 1 else u
+            return [t]
+        om = self.orbit_min
+        mins = (om[t[0]], om[t[1]], om[t[2]], om[t[3]])
+        least = min(mins)
+        a = self._klein_image(t) if least in mins[1::2] else t
+        return list(compress((t, a, t[2:] + t[:2], a[2:] + a[:2]), map(least.__eq__, mins)))
 
     def reduced_canonical_tuple(self, t: tuple) -> tuple:
-        return min(map(self.canonical_tuple, self._least_images(t)))
+        """The least canonical form over ``least_images(t)``."""
+        return min(map(self.canonical_tuple, self.least_images(t)))
 
 
 def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
@@ -354,12 +363,14 @@ class NielsenClassSet(Frozen):
     """Canonical forms stored once, as the sorted index tuples ``tuples`` of
     ``group.indexed()``; ``reps`` is their element data, built when read.
     Reduced modes keep in ``klein`` the reduced form of each canonical form
-    met that starts with the one search start (each one met when r != 4)."""
+    met that starts with the one search start (each one met when r != 4).
+    ``klein_reduced``: the mode is reduced and r = 4, so the Klein group acts."""
 
     def __init__(self, group: FiniteGroup, cv: ClassVector, mode: Mode, tuples: tuple,
                  action: ConjAction, klein: dict | None = None):
         vars(self).update(group=group, cv=cv, mode=mode, tuples=tuples, action=action,
-                          klein={} if klein is None else klein)
+                          klein={} if klein is None else klein,
+                          klein_reduced=mode.reduced and cv.r == 4)
 
     @property
     def count(self) -> int:
@@ -379,28 +390,33 @@ class NielsenClassSet(Frozen):
         return list(map(self.group.indexed().element_strings.__getitem__, self.tuples[p]))
 
     def canonical(self, u: tuple) -> tuple:
-        """Canonical form of an index tuple of ``group.indexed()``; a reduced
-        mode looks up that of u's first least image in ``klein``, or reduces u."""
-        if not self.mode.reduced:
-            return self.action.canonical_tuple(u)
-        c = self.action.canonical_tuple(next(self.action._least_images(u)))
-        return self.klein.get(c) or self.action.reduced_canonical_tuple(u)
+        """Canonical form of an index tuple of ``group.indexed()``.  With the
+        Klein group acting, it looks up the canonical form of u's first least
+        image in ``klein``, which keys every member starting with mu, so that
+        image alone is built; a miss reduces u."""
+        action = self.action
+        if not self.klein_reduced:
+            return action.canonical_tuple(u)
+        c = action.canonical_tuple(action.first_least_image(u))
+        return self.klein.get(c) or action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
         """q1, q2 and sh as permutations of positions, computed on first
         use: ``q2[i]`` is the position in ``tuples`` of the canonical form of
         q2 applied to ``tuples[i]``, likewise for sh, and q1(t) = sh(q2(sh^-1(t))).
-        sh^2 is in the reduction group, so a reduced mode with r = 4 fills sh
-        as an involution, one canonical form per 2-cycle."""
+        q2 images are read off the Cayley table, with the lookup bound once.
+        sh^2 is in the reduction group, so with the Klein group acting sh is
+        filled as an involution, one canonical form per 2-cycle."""
         if not hasattr(self, "_moves"):
-            ix, tuples, position = self.group.indexed(), self.tuples, self.position
-            involution = self.mode.reduced and self.cv.r == 4
+            ix, canonical, involution = self.group.indexed(), self.canonical, self.klein_reduced
+            table, inverse, tuples, position = ix.table, ix.inverse, self.tuples, self.position
             sh = [None] * self.count
             try:
-                q2 = tuple(position[self.canonical(_qi(ix, u, 2))] for u in tuples)
+                q2 = tuple(position[canonical(u[:1] + (table[table[u[1]][u[2]]][inverse[u[1]]],
+                                                       u[1]) + u[3:])] for u in tuples)
                 for i, u in enumerate(tuples):
                     if sh[i] is None:
-                        sh[i] = j = position[self.canonical(_sh(ix, u))]
+                        sh[i] = j = position[canonical(u[1:] + u[:1])]
                         if involution and sh[j] not in (None, i):
                             raise ValidationError("sh is not an involution on reduced classes")
                         if involution:
@@ -441,8 +457,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     raises ``BudgetError``.
 
     Raw mode acts by the trivial group, so every class member is a start of
-    that bound.  The raw class is the union of the inner classes, so its
-    reps are the conjugates of the inner reps by every element of G.
+    that bound; its reps are the inner reps conjugated by every element of G.
 
     ``quotient`` is a pair (Q, down): an indexed view Q and a tuple sending
     each index of ``group.indexed()`` to its image in Q under a surjection
@@ -489,7 +504,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
 
     # conjugation and the reduction group preserve generation: a reduced
     # mode (r = 4) keys it by Klein orbit
-    key = action.canonical_tuple
+    key, least_images, reduced = action.canonical_tuple, action.least_images, mode.reduced
     pairs: dict = {}
     least: dict = {}  # canonical form -> least canonical form of its Klein orbit
     good = set()  # the generating least forms
@@ -504,8 +519,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             m = least.get(c)
             if m is None:
                 # c, canonical, is its own first least image
-                rest = islice(action._least_images(c), 1, None) if mode.reduced else ()
-                orbit = [c, *map(key, rest)]
+                orbit = [c, *map(key, least_images(c)[1:])] if reduced else [c]
                 m = min(orbit)
                 least.update(dict.fromkeys(orbit, m))
                 if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):

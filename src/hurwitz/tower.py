@@ -291,10 +291,11 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     # (a rotation) and by q1*q3^-1: its image (g1 g2 g1^-1, g1, g4, g3^g4) is HM
     # iff g2 = g1^-1 and g3 = g4^-1, and repeats iff g1 = g2, g1 = g4, g3 = g4
     # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class.
-    hm = any(tuple_is_hm(ix, tuples[p]) for p in c.positions)
-    dbl = any(_has_adjacent_repeat(tuples[p]) for p in c.positions)
-
     if r == 4:
+        inverse, hm, dbl = ix.inverse, False, False
+        for g1, g2, g3, g4 in map(tuples.__getitem__, c.positions):
+            hm = hm or (g2 == inverse[g1] and g4 == inverse[g3])
+            dbl = dbl or g1 == g2 or g2 == g3 or g3 == g4 or g4 == g1
         g1, g2, g3, g4 = rep
         if (
             _subgroup_order_prime_to(ix, (g1, g4), ell)
@@ -306,6 +307,8 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
         else:
             kind = "ell-cusp"
     else:
+        hm = any(tuple_is_hm(ix, tuples[p]) for p in c.positions)
+        dbl = any(_has_adjacent_repeat(tuples[p]) for p in c.positions)
         kind = "g-ell-prime" if _gl_prime_partition(ix, rep, ell) else "unclassified"
     return CuspClassification(type=kind, hm=hm, double_identity=dbl)
 

@@ -3,6 +3,7 @@ import pytest
 from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.nielsen import Mode, enumerate_nielsen
 from hurwitz.braid import braid_orbits
+from hurwitz.tower import TowerSpec, lift_classes_to_level
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +33,18 @@ def d5_orbits():
     cv = parse_class_vector(d5, "[2a,2a,2a,2a]")
     ni = enumerate_nielsen(d5, cv, Mode.ABSOLUTE_REDUCED)
     return braid_orbits(ni)
+
+
+@pytest.fixture(scope="session")
+def group_and_classes():
+    """(group, class vector) for a group descriptor and class labels; the
+    name "vector l=2 level 2" stands for the level-2 group of the vector
+    tower at ell = 2 and the lift of the classes from its level 0."""
+    def build(desc, classes):
+        if desc == "vector l=2 level 2":
+            spec = TowerSpec("vector", 2)
+            cv0 = parse_class_vector(spec.level_group(0), classes)
+            return spec.level_group(2), lift_classes_to_level(spec, cv0, 2)
+        g = make_group(desc)
+        return g, parse_class_vector(g, classes)
+    return build

@@ -89,6 +89,13 @@ def test_braid_relations(desc, classes):
     assert report.passed, failing
 
 
+@pytest.mark.parametrize("sample_size", [0, -1])
+def test_braid_relations_refuse_an_empty_sample(a4, a4_cv, sample_size):
+    """No sampled tuple would make every relation pass vacuously."""
+    with pytest.raises(ValidationError, match="sample_size must be positive"):
+        verify_braid_relations(a4, a4_cv, sample_size=sample_size)
+
+
 def test_orbit_to_dict(a4_orbits):
     d = a4_orbits[0].to_dict()
     assert d["orbit_label"] == "O1"
@@ -109,11 +116,14 @@ PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     ("A4", "[3a,3a,3b,3b]", Mode.INNER),
     ("S4", "[2b,2b,2b,2b,3a]", Mode.ABSOLUTE_REDUCED),
     ("A5", "[3a,3a,3a,3a,3a]", Mode.ABSOLUTE),
+    # the Klein-map lookups at 1,920 classes, and X_1(13) beside X_0(13)
+    ("vector l=2 level 2", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("D13", "[2a,2a,2a,2a]", Mode.INNER_REDUCED),
 ])
-def test_moves_are_direct_moves_then_canonical_forms(desc, classes, mode):
-    g = make_group(desc)
-    cv = parse_class_vector(g, classes)
+def test_moves_are_direct_moves_then_canonical_forms(group_and_classes, desc, classes, mode):
+    g, cv = group_and_classes(desc, classes)
     ni = enumerate_nielsen(g, cv, mode)
+    assert desc != "vector l=2 level 2" or ni.count == 1920
     q1, q2, sh = ni.moves()
     for i, t in enumerate(ni.reps):
         assert ni.reps[q1[i]] == canonicalize(g, apply_qi(g, t, 1), mode, cv)

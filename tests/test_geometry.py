@@ -2,7 +2,8 @@
 
 The dihedral covers of D_N here are the modular curves X_0(N), so
 Gamma_0(N) supplies an independent oracle: index, cusp widths, elliptic
-point counts, and genus.
+point counts, and genus.  Inner-reduced, they are X_1(N), checked against
+the degree, cusp count and genus of Gamma_1(N).
 """
 
 from math import gcd, prod
@@ -14,6 +15,7 @@ from hurwitz.errors import ValidationError
 from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.tower import inner_absolute_fibers
 
 
 def legendre(a, p):
@@ -48,6 +50,27 @@ def x0_oracle(n):
     return index, genus_12 // 12, nu2, nu3, sorted(widths)
 
 
+def phi(n):
+    return sum(gcd(a, n) == 1 for a in range(1, n + 1))
+
+
+def x1_oracle(n):
+    """(degree, cusps, genus) of X_1(N), N >= 5 odd: the index of +-Gamma_1(N)
+    in PSL2(Z), N^2 prod(1 - 1/p^2) / 2, its (1/2) sum over d | N of
+    phi(d) phi(N/d) cusps, and genus 1 + index/12 - cusps/2, as Gamma_1(N)
+    has no elliptic points for N >= 4 (Diamond-Shurman, ch. 3)."""
+    assert n % 2 and n >= 5
+    primes = [p for p in range(3, n + 1) if n % p == 0 and is_prime(p)]
+    degree = n * n
+    for p in primes:
+        degree = degree * (p * p - 1) // (p * p)
+    degree //= 2
+    cusps, odd = divmod(sum(phi(d) * phi(n // d) for d in range(1, n + 1) if n % d == 0), 2)
+    genus_12 = 12 + degree - 6 * cusps
+    assert not odd and genus_12 % 12 == 0
+    return degree, cusps, genus_12 // 12
+
+
 def dihedral_component(ell):
     g = make_group(f"D{ell}")
     cv = parse_class_vector(g, "[2a,2a,2a,2a]")
@@ -71,6 +94,37 @@ def test_dihedral_matches_gamma0(ell):
     assert report.genus == genus
     assert sorted(report.cusp_widths) == widths
     assert report.fixed_points == (nu3, nu2)  # gamma0 has order 3, gamma1 order 2
+
+
+# the classical values of X_1(N), pinned against the oracle itself
+X1_DEGREE_GENUS = {5: (12, 0), 7: (24, 0), 9: (36, 0), 11: (60, 1), 13: (84, 2),
+                   25: (300, 12), 27: (324, 13), 49: (1176, 69)}
+
+
+@pytest.mark.parametrize("n", sorted(X1_DEGREE_GENUS))
+def test_dihedral_inner_reduced_matches_gamma1(n):
+    """D_N inner-reduced is X_1(N): one braid orbit with the degree, cusp
+    count and genus of X_1(N).  The search, the q2 and sh lookups in the
+    Klein map and the cusps all feed this count."""
+    degree, cusps, genus = x1_oracle(n)
+    assert (degree, genus) == X1_DEGREE_GENUS[n]
+    g = make_group(f"D{n}")
+    ni = enumerate_nielsen(g, parse_class_vector(g, "[2a,2a,2a,2a]"), Mode.INNER_REDUCED)
+    orbits = braid_orbits(ni)
+    assert len(orbits) == 1
+    report = genus_of_component(orbits[0])
+    assert (report.degree, len(report.cusp_widths), report.genus) == (degree, cusps, genus)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 25, 27, 49])
+def test_inner_classes_cover_absolute_ones_with_the_degree_of_x1_over_x0(n):
+    """Each absolute-reduced class of D_N has phi(N)/2 inner-reduced classes
+    over it, the degree of X_1(N) -> X_0(N); each inner class is placed by an
+    abs-reduced ``canonical`` lookup."""
+    g = make_group(f"D{n}")
+    report = inner_absolute_fibers(g, parse_class_vector(g, "[2a,2a,2a,2a]"))
+    assert set(report.class_fibers) == {phi(n) // 2}
+    assert report.inner_count == x1_oracle(n)[0]
 
 
 def test_a4_genus_reports(a4_orbits):

@@ -10,8 +10,8 @@ and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
 catalog generators.  Braid orbits in inner mode at r = 4, in absolute modes
 at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
 moves in every mode and the reduced search.  ``USAGE`` pins the argument parser's help, usage and
-error output, and runs whose argv only the argument parser reads, at a
-fixed terminal width of 80 columns.  To regenerate the
+error output, runs whose argv only the argument parser reads, and two
+refused sample sizes, at a fixed terminal width of 80 columns.  To regenerate the
 file after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -99,6 +99,9 @@ USAGE = [
     ["genus", "--group", "D5", "--classes"],
     ["genus", "--group", "D5", "-h"],
     ["genus", "--", "--group", "D5"],
+    # a sample of no tuples would pass every check vacuously
+    ["check", "--group", "A4", "--classes", "[3a,3a,3b,3b]", "--sample-size", "-1"],
+    ["check", "--group", "A4", "--classes", "[3a,3a,3b,3b]", "--sample-size", "0"],
 ]
 CASES = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in ("text", "json", "csv")]
 CASES += USAGE

@@ -28,7 +28,6 @@ from hurwitz.nielsen import (
     random_nielsen_tuple,
     tuple_cover_genus,
 )
-from hurwitz.tower import TowerSpec, lift_classes_to_level
 
 
 def test_mode_parsing():
@@ -406,31 +405,40 @@ def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mod
       for mode in (Mode.INNER_REDUCED, Mode.ABSOLUTE_REDUCED)),
     ("D7", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
     ("D11", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("D13", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("D13", "[2a,2a,2a,2a]", Mode.INNER_REDUCED),
     ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
     ("V(2,7):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
     ("vector l=2 level 2", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
 ])
-def test_pruned_reduced_form_is_the_least_over_all_four_images(desc, classes, mode):
+def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes, desc,
+                                                               classes, mode):
     """The reduced form takes canonical forms of the least images only; the
     reference takes them of all four images under the reduction group, on
-    random Nielsen tuples and on random tuples of group elements.  Every
+    random Nielsen tuples and on random tuples of group elements.  The least
+    images, read off the Cayley table, are the images of ``_reduction_orbit``
+    whose first entry has the least orbit minimum, ties at several positions
+    included, and a lookup's first least image is the first of them.  Every
     stored reduced form and every key of the Klein map starts with the
     least orbit minimum over the classes of C, the one search start."""
-    if desc == "vector l=2 level 2":
-        spec = TowerSpec("vector", 2)
-        g = spec.level_group(2)
-        cv = lift_classes_to_level(spec, parse_class_vector(spec.level_group(0), classes), 2)
-    else:
-        g = make_group(desc)
-        cv = parse_class_vector(g, classes)
+    g, cv = group_and_classes(desc, classes)
     ix = g.indexed()
     action = _get_action(g, mode, cv)
     rng = random.Random(11)
     samples = [ix.to_index(random_nielsen_tuple(g, cv, rng)) for _ in range(40)]
     samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(60)]
+    ties, first_at = Counter(), Counter()
     for t in samples:
-        reference = min(map(action.canonical_tuple, _reduction_orbit(ix, t)))
+        images = _reduction_orbit(ix, t)
+        reference = min(map(action.canonical_tuple, images))
         assert action.reduced_canonical_tuple(t) == reference, t
+        firsts = [action.orbit_min[u[0]] for u in images]
+        least = [u for u, m in zip(images, firsts) if m == min(firsts)]
+        assert action.least_images(t) == least, t
+        assert action.first_least_image(t) == least[0], t
+        ties[len(least)] += 1
+        first_at[firsts.index(min(firsts))] += 1
+    assert max(ties) >= 2 and len(first_at) >= 2, (ties, first_at)
     classes_of_c = ix.conjugacy_classes()
     mu = min(action.orbit_min[x] for i in cv.indices for x in classes_of_c[i].members)
     ni = enumerate_nielsen(g, cv, mode)

@@ -25,6 +25,7 @@ from hurwitz.lift import (
 from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen, tuple_cover_genus
 from hurwitz.tower import (
     TowerSpec,
+    _has_adjacent_repeat,
     _subgroup_order_prime_to,
     bcl,
     build_level,
@@ -315,14 +316,17 @@ def _shapes(group, tuples):
 
 @pytest.mark.parametrize("family,ell,k_max,mode", [
     (family, ell, k_max, mode)
-    for family, ell, k_max in (("vector", 2, 2), ("vector", 5, 0), ("dihedral", 5, 1))
+    for family, ell, k_max in (("vector", 2, 2), ("vector", 5, 0), ("vector", 7, 0),
+                               ("dihedral", 5, 1))
     for mode in (Mode.INNER_REDUCED, Mode.INNER, Mode.ABSOLUTE_REDUCED)
     if family == "dihedral" or mode is not Mode.ABSOLUTE_REDUCED  # needs permutations
 ])
 def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
-    """``cusp_type`` reads the shape flags off each member's rep alone; the
-    reference reads them on data off all four images of the member under the
-    Klein reduction group, in every mode."""
+    """``cusp_type`` reads the shape flags off each member's rep alone, at
+    r = 4 in one pass over the inverse table.  They equal ``tuple_is_hm``
+    and ``_has_adjacent_repeat`` over the members' stored forms, and the
+    reference reads them on data off all four images of each member under
+    the Klein reduction group, in every mode."""
     spec = TowerSpec(family, ell)
     c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
     cv0 = parse_class_vector(spec.level_group(0), c0)
@@ -342,6 +346,9 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                     got = cusp_type(cusp, ell)
                     assert got.hm == any(hm for hm, _ in members)
                     assert got.double_identity == any(dbl for _, dbl in members)
+                stored = [lvl.ni.tuples[p] for p in c.positions]
+                assert got.hm == any(tuple_is_hm(lvl.group.indexed(), u) for u in stored)
+                assert got.double_identity == any(map(_has_adjacent_repeat, stored))
     assert len({hm for hm, _ in seen}) == 2 and len({dbl for _, dbl in seen}) == 2
 
 
