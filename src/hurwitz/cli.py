@@ -442,7 +442,7 @@ def _cmd_tower(cfg: dict):
     data = tree.to_dict()
     if cfg.get("frattini"):
         data["frattini_steps"] = [
-            s.to_dict() for s in eventually_frattini_report(spec, cfg["k_max"])
+            s.to_dict() for s in eventually_frattini_report(spec, tree.levels[-1].k)
         ]
     keys = ("command", "family", "ell", "t", "action", "k_max", "classes",
             "mode")

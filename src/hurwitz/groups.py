@@ -451,7 +451,7 @@ class IndexedGroup(FiniteGroup):
         self._identity = e = index[data.identity]
         self._elements = tuple(range(n))
         self._index = {i: i for i in self._elements}
-        right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
+        self._right = right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
         self._tree = []
         seen, queue = {e}, [e]
         for x in queue:
@@ -481,20 +481,22 @@ class IndexedGroup(FiniteGroup):
             data._class_of = dict(zip(els, class_of))
         data._orders.update((els[i], d) for i, d in self._orders.items())
 
-    def _along_tree(self, start: int, cols) -> tuple:
-        """The map f with f(identity) = start and f(x * gens[k]) = cols[k][f(x)]."""
+    def hom_to(self, target: "IndexedGroup", images) -> tuple:
+        """The index map of the homomorphism to the view ``target`` sending
+        gens[k] to images[k], built along the spanning tree.  It is checked
+        as ``GroupHom`` is: f(x * gens[k]) == f(x) * images[k] at every x and
+        k, which by induction on word length makes f multiplicative."""
+        if len(images) != len(self.gens) or any(h not in target._index for h in images):
+            raise ValidationError(f"need {len(self.gens)} generator images in {target.name}")
+        right = [tuple(row[h] for row in target.table) for h in images]
         out = [0] * len(self._elements)
-        out[self._identity] = start
+        out[self._identity] = target.identity
         for x, k, y in self._tree:
-            out[y] = cols[k][out[x]]
+            out[y] = right[k][out[x]]
+        for col_g, col_h in zip(self._right, right):
+            if operator.itemgetter(*col_g)(out) != operator.itemgetter(*out)(col_h):
+                raise ValidationError("generator images do not define a homomorphism")
         return tuple(out)
-
-    def automorphism(self, images) -> tuple:
-        """The index permutation of the automorphism sending gens[k] to images[k]."""
-        table = self.table
-        return self._along_tree(
-            self._identity, [tuple(row[h] for row in table) for h in images]
-        )
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -939,12 +941,31 @@ def _unit_generators(n: int) -> list[int]:
     return gens
 
 
+def _vector_group(m, kw) -> VectorSemidirectGroup:
+    try:
+        mat = json.loads(m.group(3))
+    except json.JSONDecodeError:
+        raise ValidationError(f"bad action matrix in {m.group(0)!r}") from None
+    return VectorSemidirectGroup(int(m.group(1)), int(m.group(2)), mat, **kw)
+
+
+def _generated_group(m, kw) -> PermutationGroup:
+    parts = _split_top_level(m.group(1)[1:-1])
+    syms = [int(s) for p in parts for s in re.findall(r"\d+", p)]
+    if not syms:
+        raise ValidationError(f"no symbols in generator list {m.group(0)!r}")
+    n = max(syms)
+    return PermutationGroup([parse_perm(p, n) for p in parts], n, m.group(0), **kw)
+
+
 _DESCRIPTOR_RES = [
     (re.compile(r"A(\d+)$"), lambda m, kw: alternating(int(m.group(1)), **kw)),
     (re.compile(r"S(\d+)$"), lambda m, kw: symmetric(int(m.group(1)), **kw)),
     (re.compile(r"D(\d+)$"), lambda m, kw: dihedral(int(m.group(1)), **kw)),
     (re.compile(r"SL2\((\d+)\)$"), lambda m, kw: Sl2Group(int(m.group(1)), **kw)),
     (re.compile(r"Heis\((\d+)\)$"), lambda m, kw: HeisenbergGroup(int(m.group(1)), **kw)),
+    (re.compile(r"V\((\d+),(\d+)\):M=(\[.*\])$"), _vector_group),
+    (re.compile(r"gens:(\[.*\])$"), _generated_group),
 ]
 
 
@@ -964,30 +985,6 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
             g.descriptor = desc
             g.check_order_bound(g.order)  # lists g unless its order has a closed form
             return g
-    m = re.fullmatch(r"V\((\d+),(\d+)\):M=(\[.*\])", desc)
-    if m:
-        t, mod = int(m.group(1)), int(m.group(2))
-        try:
-            mat = json.loads(m.group(3))
-        except json.JSONDecodeError:
-            raise ValidationError(f"bad action matrix in {desc!r}") from None
-        g = VectorSemidirectGroup(t, mod, mat, **kw)
-        g.descriptor = desc
-        g.check_order_bound(g.order)
-        return g
-    m = re.fullmatch(r"gens:(\[.*\])", desc)
-    if m:
-        body = m.group(1)[1:-1]
-        parts = _split_top_level(body)
-        syms = [int(s) for p in parts for s in re.findall(r"\d+", p)]
-        if not syms:
-            raise ValidationError(f"no symbols in generator list {desc!r}")
-        n = max(syms)
-        gens = [parse_perm(p, n) for p in parts]
-        g = PermutationGroup(gens, n, desc, **kw)
-        g.descriptor = desc
-        g.check_order_bound(g.order)
-        return g
     raise ValidationError(f"cannot parse group descriptor {descriptor!r}")
 
 

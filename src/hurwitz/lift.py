@@ -243,10 +243,11 @@ def is_frattini_cover(hom: GroupHom) -> bool:
 
     Exhaustive over kernel translates of one fixed lift tuple: any proper
     subgroup surjecting onto the target contains some translate tuple, so
-    this is sound and complete.  The closures run on the source's indexed
-    view when its table fits under ``TABLE_ENTRY_CAP``, else on data.  Emits
-    a cost warning (and keeps going) when the number of translate tuples
-    exceeds ``FRATTINI_TUPLE_BUDGET``.
+    this is sound and complete.  The closures (``translates_generate``, which
+    tower steps run on their level views) run on the source's indexed view
+    when its table fits under ``TABLE_ENTRY_CAP``, else on data, as for
+    SL2(27).  Emits a cost warning (and keeps going) when the number of
+    translate tuples exceeds ``FRATTINI_TUPLE_BUDGET``.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
@@ -265,12 +266,17 @@ def is_frattini_cover(hom: GroupHom) -> bool:
     if src.order ** 2 <= TABLE_ENTRY_CAP:
         src = src.indexed()
         kernel, lifts = src.to_index(kernel), src.to_index(lifts)
+    return translates_generate(src, tgt.order, kernel, lifts)
+
+
+def translates_generate(src: FiniteGroup, target_order: int, kernel, lifts) -> bool:
+    """Whether every translate (h_1 k_1, ..., h_n k_n) of ``lifts`` by ``kernel`` generates."""
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
     # it must be everything.  A trivial kernel leaves no proper value
     # (threshold = |source|), and every translate generates.
-    threshold = tgt.order * (len(kernel) // _smallest_prime_factor(len(kernel)))
-    for ks in product(kernel, repeat=len(gens)):
+    threshold = target_order * (len(kernel) // _smallest_prime_factor(len(kernel)))
+    for ks in product(kernel, repeat=len(lifts)):
         seeds = [src.mul(h, k) for h, k in zip(lifts, ks)]
         if len(src.close(seeds, stop_above=threshold)) <= threshold < src.order:
             return False

@@ -262,7 +262,7 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     else:
         acting = group.gens if kind == "inner" else ()
     index = group._index
-    perms = [ix.automorphism([index[group.conj(g, a)] for g in group.gens]) for a in acting]
+    perms = [ix.hom_to(ix, [index[group.conj(g, a)] for g in group.gens]) for a in acting]
     if kind == "absolute":
         perms = _multiset_stabilizer(ix, perms, cv)
     identity = identity_perm(n)

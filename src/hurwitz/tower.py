@@ -3,9 +3,10 @@
 Two built-in families.  The vector family has level-k group
 (Z/l^(k+1))^t x| Z/q with a fixed integer action matrix reduced at every
 level; the dihedral family has level-k group D_(l^(k+1)).  Tower mechanics
-read only the level groups and their verified projections.  A level-0 class
-of order d prime to l lifts to the one level-k class of order-d elements
-over it, since the kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
+read only the level groups and the checked index maps between their indexed
+views (``TowerSpec.index_map``).  A level-0 class of order d prime to l
+lifts to the one level-k class of order-d elements over it, since the
+kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
 ``lift_classes_to_level``).  So a level-0 class vector determines the whole
 tower.  Levels carry braid orbits, lift invariants (through the Heisenberg
 extension when the modulus is prime to 6), cusp classifications, and a
@@ -20,8 +21,8 @@ of the vector family and <r^l> = Phi(<r>) for the rotations of
 D_(l^(k+1)); and Phi(N) <= Phi(G) for N normal in G.  If a subgroup H maps
 onto G_0 then H K = G_k, and since Phi(G_k) consists of non-generators,
 H = G_k.  So level k tests generation on its images in level 0, through the
-composite of the verified projections (``TowerSpec.quotient``);
-``is_frattini_cover`` remains the small-case check of the lemma.
+composite of the level maps (``TowerSpec.quotient``);
+``eventually_frattini_report`` checks each step of the lemma on the views.
 
 Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
 <g1, g4> and <g2, g3> are both l'-groups, otherwise o-l' when the middle
@@ -47,7 +48,6 @@ from .groups import (
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
-    check_table_budget,
     dihedral,
 )
 from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
@@ -57,11 +57,10 @@ from .lift import (
     COMPANION,
     FRATTINI_TUPLE_BUDGET,
     CentralExtension,
-    GroupHom,
     LiftInvariant,
     extend_action_to_heisenberg,
-    is_frattini_cover,
     lift_invariant,
+    translates_generate,
 )
 
 O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
@@ -85,9 +84,9 @@ class TowerSpec(Frozen):
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: t = 2 and the order-3 companion matrix of
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
-    matrix and no rank, and sets t to 1.  Level groups and projections are
-    built on first use and kept by the spec; two specs are equal when their
-    family, ell, t and action are.
+    matrix and no rank, and sets t to 1.  Level groups and the index maps
+    between their views are built on first use and kept by the spec; two
+    specs are equal when their family, ell, t and action are.
     """
 
     def __init__(self, family: str, ell: int, t: int | None = None,
@@ -122,7 +121,7 @@ class TowerSpec(Frozen):
             if action is not None:
                 raise ValidationError("dihedral towers take no action matrix")
         vars(self).update(family=family, ell=ell, t=t, action=action, _levels={},
-                          _projections={}, _index_maps={})
+                          _index_maps={})
 
     def _key(self) -> tuple:
         return self.family, self.ell, self.t, self.action
@@ -165,40 +164,30 @@ class TowerSpec(Frozen):
         )
         return f"V({self.t},{m}):M=[{rows}]"
 
-    def projection(self, k: int) -> GroupHom:
-        """The level-k to level-(k-1) reduction homomorphism (k >= 1).
-
-        Reduction mod l^k sends generators to generators: the basis vectors
-        and the complement (vector family), the rotation and the reflection
-        (dihedral family)."""
-        if k < 1:
-            raise ValidationError("projection needs k >= 1")
-        cache = self._projections
-        if k not in cache:
-            tgt = self.level_group(k - 1)
-            cache[k] = GroupHom(self.level_group(k), tgt, tgt.gens)
-        return cache[k]
-
     def index_map(self, k: int) -> tuple:
-        """``projection(k)`` on indexed views: for each level-k index, the
-        level-(k-1) index of its image."""
+        """The level-k to level-(k-1) reduction on indexed views (k >= 1): for
+        each level-k index, the level-(k-1) index of its image.  It sends
+        generators to generators, the basis vectors and the complement or the
+        rotation and the reflection, checked by ``IndexedGroup.hom_to``."""
+        if k < 1:
+            raise ValidationError(f"a level map needs k >= 1, got {k}")
         cache = self._index_maps
         if k not in cache:
-            hom, index = self.projection(k), self.level_group(k - 1)._index
-            cache[k] = tuple(index[hom(x)] for x in hom.source.elements)
+            source = self.level_group(k).indexed()
+            target = self.level_group(k - 1).indexed()
+            cache[k] = source.hom_to(target, target.gens)
         return cache[k]
 
-    def quotient(self, k: int) -> tuple | None:
+    def quotient(self, k: int) -> tuple:
         """Level 0 as the Frattini quotient of level k, in the form
         ``enumerate_nielsen`` takes: the level-0 indexed view and, for each
         level-k index, the index of its image under the composite of the
-        verified projections, chained as index maps.  None at level 0."""
-        if k < 1:
-            return None
-        down = range(self.level_group(0).order)
+        level maps; at level 0 the identity map."""
+        view = self.level_group(0).indexed()
+        down = range(view.order)
         for j in range(1, k + 1):
             down = tuple(map(down.__getitem__, self.index_map(j)))
-        return self.level_group(0).indexed(), down
+        return view, down
 
     def to_dict(self) -> dict:
         return {
@@ -211,7 +200,11 @@ class TowerSpec(Frozen):
 
 def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
     """Entrywise reduction of a level-k tuple to level k-1 (k >= 1)."""
-    return tuple(map(spec.projection(k), t))
+    down, gk = spec.index_map(k), spec.level_group(k)
+    try:
+        return tuple(spec.level_group(k - 1).elements[down[gk._index[g]]] for g in t)
+    except (KeyError, TypeError):
+        raise ValidationError(f"tuple entries must be elements of level {k}, {gk.name}") from None
 
 
 def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVector:
@@ -226,7 +219,7 @@ def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVect
     finds the reps of ``c0`` in G_0 by their data.
     """
     g0, gk = spec.level_group(0), spec.level_group(k)
-    view, down = spec.quotient(k) or (g0.indexed(), range(g0.order))
+    view, down = spec.quotient(k)
     over: dict = {}
     for j, cl in enumerate(gk.indexed().conjugacy_classes()):
         over.setdefault((view.class_index_of(down[cl.rep]), cl.element_order), []).append(j)
@@ -395,9 +388,6 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     """Construct level k: group, lifted classes, Nielsen set, braid orbits;
     generation is tested on level-0 images (see the module docstring)."""
     group = spec.level_group(k)
-    # |G_k| = |G_0| * l^(t*k) (t = 1 for the dihedral family), so a level
-    # over the table cap stops before its elements are listed
-    check_table_budget(group.name, spec.level_group(0).order * spec.ell ** (spec.t * k))
     cv = lift_classes_to_level(spec, c0, k)
     ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
     orbits = braid_orbits(ni)
@@ -442,7 +432,7 @@ class ComponentTree(NamedTuple):
 
 def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
                    mode: Mode = Mode.INNER_REDUCED) -> ComponentTree:
-    """Levels 0..k_max and the projection edges between their braid orbits.
+    """Levels 0..k_max and the edges the level maps draw between their braid orbits.
 
     If some level above 0 exceeds a budget the tree is returned truncated,
     with ``truncated_at`` naming the first level that could not be built;
@@ -575,28 +565,24 @@ class FrattiniStep(NamedTuple):
 def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniStep, ...]:
     """For each step G_k -> G_(k-1), is it a Frattini cover?
 
-    Steps whose kernel-translate count exceeds ``FRATTINI_TUPLE_BUDGET`` are
-    marked "skipped" rather than attempted.
+    Each step is read off ``spec.index_map(k)`` on the level views: its
+    kernel, whether that is an l-group, and whether every kernel translate
+    of the least lifts of G_(k-1)'s generators generates G_k.  Steps whose
+    kernel-translate count exceeds ``FRATTINI_TUPLE_BUDGET`` are marked
+    "skipped" rather than attempted.  A level over the table cap raises
+    ``BudgetError`` before its elements are listed.
     """
     steps = []
     for k in range(1, k_max + 1):
-        hom = spec.projection(k)
-        kernel = hom.kernel()
-        ell = spec.ell
-        is_ell = all(
-            _ell_prime_part(hom.source.element_order(x), ell) == 1 for x in kernel
-        )
-        n_tuples = len(kernel) ** len(hom.target.gens)
-        if n_tuples > FRATTINI_TUPLE_BUDGET:
-            verdict: object = "skipped"
-        else:
-            verdict = is_frattini_cover(hom)
-        steps.append(FrattiniStep(
-            k=k,
-            frattini=verdict,
-            kernel_order=len(kernel),
-            kernel_is_ell_group=is_ell,
-        ))
+        down = spec.index_map(k)
+        source, target = spec.level_group(k).indexed(), spec.level_group(k - 1).indexed()
+        kernel = [x for x, y in enumerate(down) if y == target.identity]
+        is_ell = all(_ell_prime_part(source.element_order(x), spec.ell) == 1 for x in kernel)
+        verdict: object = "skipped"
+        if len(kernel) ** len(target.gens) <= FRATTINI_TUPLE_BUDGET:
+            lifts = [down.index(h) for h in target.gens]  # the least preimages
+            verdict = translates_generate(source, target.order, kernel, lifts)
+        steps.append(FrattiniStep(k, verdict, len(kernel), is_ell))
     return tuple(steps)
 
 

@@ -6,12 +6,14 @@ oracles (classical modular-curve data, lift-invariant laws) for the rest.
 """
 
 import itertools
+import json
 import time
 import warnings
 
 import pytest
 
 from hurwitz.braid import apply_qi, braid_orbits, verify_braid_relations
+from hurwitz.cli import run
 from hurwitz.geometry import _gamma_maps, genus_of_component, sh_incidence
 from hurwitz.groups import Sl2Group, VectorSemidirectGroup, make_group, parse_class_vector
 from hurwitz.lift import (
@@ -195,6 +197,20 @@ def test_frattini_modular_step():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert is_frattini_cover(hom) is True
+
+
+def test_frattini_steps_stop_at_the_deepest_built_level(capsys):
+    """``tower --frattini`` reads each step off the level maps of the built
+    levels only, so a tower truncated at the table cap costs about what it
+    costs without the flag."""
+    start = time.monotonic()
+    assert run(["tower", "--family", "vector", "--ell", "2", "--classes",
+                "[3a,3a,3b,3b]", "--k-max", "6", "--frattini", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["truncated_at"] == 4
+    assert [(s["k"], s["frattini"]) for s in data["frattini_steps"]] == \
+        [(1, True), (2, True), (3, True)]
+    assert time.monotonic() - start < 5.0
 
 
 def test_property_suites_zero_violations():

@@ -2,8 +2,8 @@
 runs in text, JSON and CSV, against ``golden_reports.json``.
 
 The set is the README tour, the ``V(2,5)`` lattice jobs of the benchmark
-with the companion action, a vector tower with Frattini steps, one
-invalid and one over-budget input, and the Heisenberg lift invariants of
+with the companion action, vector towers with Frattini steps, one of them
+truncated at the table cap, one invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
@@ -70,6 +70,9 @@ COMMANDS = [
      "--k-max", "2", "--frattini"],
     ["tower", "--family", "vector", "--ell", "7", "--classes", "[3a,3a,3b,3b]",
      "--k-max", "0"],
+    # Frattini steps stop at the deepest built level, 3 here
+    ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+     "--k-max", "4", "--frattini"],
     ["genus", "--group", "D37", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
     ["orbits", *A4, "--mode", "inner"],
     ["orbits", "--group", "S4", "--classes", "[2b,2b,2b,2b,3a]", "--mode",

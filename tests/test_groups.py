@@ -176,9 +176,15 @@ def test_make_group_explicit_gens():
     assert g.order == 12  # generates A4
 
 
-def test_make_group_rejects_garbage():
-    with pytest.raises(ValidationError):
-        make_group("Q8")
+@pytest.mark.parametrize("desc, message", [
+    ("Q8", "cannot parse group descriptor ' Q8 '"),
+    ("V(2,5):M=[[0,-1],[1,-1]", "bad action matrix in 'V(2,5):M=[[0,-1],[1,-1]'"),
+    ("gens:[()]", "no symbols in generator list 'gens:[()]'"),
+])
+def test_make_group_rejects_garbage(desc, message):
+    with pytest.raises(ValidationError) as err:
+        make_group(f" {desc} ")
+    assert str(err.value) == message
 
 
 def test_normalizer_in_sym(a4):

@@ -170,7 +170,7 @@ def per_element_perms(group, acting):
     """Index automorphism of every acting element, keyed by the element."""
     ix = group.indexed()
     return {
-        a: ix.automorphism([group._index[group.conj(g, a)] for g in group.gens])
+        a: ix.hom_to(ix, [group._index[group.conj(g, a)] for g in group.gens])
         for a in acting
     }
 
@@ -235,9 +235,9 @@ def test_absolute_action_fixes_the_class_multiset(a4, a4_cv):
 def test_absolute_action_converts_only_normalizer_generators(monkeypatch):
     g = make_group("gens:[(1,2,3),(4,5,6),(7,8,9)]")
     calls = []
-    automorphism = IndexedGroup.automorphism
-    monkeypatch.setattr(IndexedGroup, "automorphism",
-                        lambda self, images: calls.append(1) or automorphism(self, images))
+    hom_to = IndexedGroup.hom_to
+    monkeypatch.setattr(IndexedGroup, "hom_to", lambda self, target, images:
+                        calls.append(1) or hom_to(self, target, images))
     action = _build_action(g, "absolute", ClassVector(g, (1, 1, 1)))
     # the normalizer has order 1296, but only its generators are converted
     assert len(calls) == len(normalizer_in_sym(g).gens) < 10

@@ -1,4 +1,4 @@
-"""Tower families: level groups, projections, cusps, trees, field data."""
+"""Tower families: level groups, level maps, cusps, trees, field data."""
 
 from itertools import combinations_with_replacement, product
 
@@ -17,6 +17,7 @@ from hurwitz.groups import (
     parse_class_vector,
 )
 from hurwitz.lift import (
+    GroupHom,
     extend_action_to_heisenberg,
     is_frattini_cover,
     lift_invariant,
@@ -71,8 +72,9 @@ def test_each_spec_keeps_its_own_levels():
     a, b = TowerSpec("vector", 2), TowerSpec("vector", 2)
     assert a == b and hash(a) == hash(b)
     assert a.level_group(1) is a.level_group(1)
-    assert a.projection(1) is a.projection(1)
+    assert a.index_map(1) is a.index_map(1)
     assert a.level_group(1) is not b.level_group(1)
+    assert a.index_map(1) == b.index_map(1) and a.index_map(1) is not b.index_map(1)
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +116,25 @@ def test_level_groups_dihedral():
     assert spec.level_group(2).order == 250
 
 
-def test_projection_is_a_hom():
+def _walked_map(spec, k):
+    """The level-k map as a ``GroupHom`` walked over the listed data, read on
+    indices: the independent reference for ``spec.index_map(k)``."""
+    source, target = spec.level_group(k), spec.level_group(k - 1)
+    hom = GroupHom(source, target, target.gens)
+    return tuple(target._index[hom(x)] for x in source.elements)
+
+
+def test_index_map_is_a_hom():
     spec = TowerSpec("vector", 2)
-    proj = spec.projection(1)
-    g1, g0 = spec.level_group(1), spec.level_group(0)
-    assert proj.is_surjective
-    for a in g1.elements[:8]:
-        for b in g1.gens:
-            assert proj(g1.mul(a, b)) == g0.mul(proj(a), proj(b))
+    down = spec.index_map(1)
+    v1, v0 = spec.level_group(1).indexed(), spec.level_group(0).indexed()
+    assert set(down) == set(range(v0.order))
+    for a in range(v1.order):
+        for b in range(v1.order):
+            assert down[v1.mul(a, b)] == v0.mul(down[a], down[b])
+    view, identity = spec.quotient(0)
+    assert view is v0 and tuple(identity) == tuple(range(v0.order))
+    assert spec.quotient(1) == (v0, down)
 
 
 def _reduce_vector(g, m):
@@ -139,12 +152,39 @@ def _reduce_dihedral(g, m):
     ("vector", 2, _reduce_vector),
     ("dihedral", 5, _reduce_dihedral),
 ])
-def test_projection_is_reduction_mod_ell_k(family, ell, reduce):
+def test_index_map_is_reduction_mod_ell_k(family, ell, reduce):
     spec = TowerSpec(family, ell)
     for k in (1, 2):
-        proj = spec.projection(k)
-        for g in spec.level_group(k).elements:
-            assert proj(g) == reduce(g, ell ** k)
+        down, below = spec.index_map(k), spec.level_group(k - 1).elements
+        for i, g in enumerate(spec.level_group(k).elements):
+            assert below[down[i]] == reduce(g, ell ** k)
+
+
+@pytest.mark.parametrize("family,ell,k_max", [
+    ("vector", 2, 2), ("vector", 5, 1), ("dihedral", 5, 3), ("dihedral", 7, 2),
+])
+def test_index_maps_match_the_walked_group_hom(family, ell, k_max):
+    spec = TowerSpec(family, ell)
+    for k in range(1, k_max + 1):
+        assert spec.index_map(k) == _walked_map(spec, k), k
+
+
+@pytest.mark.parametrize("family,ell,swap", [("dihedral", 5, (1, 0)), ("vector", 2, (1, 0, 2))])
+def test_wrong_generator_images_are_refused(family, ell, swap):
+    """Swapped generator images (rotation and reflection; the two basis
+    vectors, which the action matrix does not commute with) define no
+    homomorphism, and the view routine refuses them as ``GroupHom`` does."""
+    spec = TowerSpec(family, ell)
+    g1, g0 = spec.level_group(1), spec.level_group(0)
+    v1, v0 = g1.indexed(), g0.indexed()
+    with pytest.raises(ValidationError, match="do not define a homomorphism"):
+        v1.hom_to(v0, [v0.gens[i] for i in swap])
+    with pytest.raises(ValidationError, match="do not define a homomorphism"):
+        GroupHom(g1, g0, [g0.gens[i] for i in swap])
+    with pytest.raises(ValidationError, match="generator images in"):
+        v1.hom_to(v0, v0.gens[:-1])
+    with pytest.raises(ValidationError, match="generator images in"):
+        v1.hom_to(v0, (*v0.gens[:-1], v0.order))
 
 
 def test_heisenberg_projection_forgets_the_center():
@@ -166,6 +206,16 @@ def test_projection_commutes_with_braiding():
             )
             twist_then_down = project_tuple(spec, 1, apply_qi(g1, t, i))
             assert down_then_twist == twist_then_down
+
+
+def test_project_tuple_refuses_entries_off_level_k_and_k_below_one():
+    spec = TowerSpec("dihedral", 5)
+    g1, g0 = spec.level_group(1), spec.level_group(0)
+    assert project_tuple(spec, 1, g1.gens) == g0.gens
+    with pytest.raises(ValidationError, match="elements of level 1, D25"):
+        project_tuple(spec, 1, (g1.gens[0], g0.gens[1]))
+    with pytest.raises(ValidationError, match="k >= 1"):
+        project_tuple(spec, 0, g0.gens)
 
 
 def test_class_lift_requires_prime_to_ell_order():
@@ -284,11 +334,13 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
                                                        monkeypatch):
     """The Frattini lemma behind ``build_level``: testing generation on
     level-0 images finds the classes that closing in G_k finds, and each
-    step G_k -> G_(k-1) is a Frattini cover, checked on the indexed view and
-    on data."""
+    step G_k -> G_(k-1) is a Frattini cover, checked through a ``GroupHom``
+    on the indexed view and on data, with the verdicts and kernels that
+    ``eventually_frattini_report`` reads off the level maps."""
     spec = TowerSpec(family, ell)
     c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
     cv0 = parse_class_vector(spec.level_group(0), c0)
+    steps = []
     for k in range(1, k_max + 1):
         group, cv = spec.level_group(k), lift_classes_to_level(spec, cv0, k)
         for mode in modes:
@@ -296,12 +348,17 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
             through = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
             assert through.reps == direct.reps
             assert through.klein == direct.klein
-        hom = spec.projection(k)
+        below = spec.level_group(k - 1)
+        hom = GroupHom(group, below, below.gens)
         assert is_frattini_cover(hom) is True
         with monkeypatch.context() as m:
             m.setattr(hurwitz.lift, "TABLE_ENTRY_CAP", group.order ** 2 - 1)
             m.setattr(type(group), "indexed", _no_view)
             assert is_frattini_cover(hom) is True
+        kernel = hom.kernel()
+        is_ell = {group.element_order(x) for x in kernel} <= {ell ** i for i in range(k + 2)}
+        steps.append((k, True, len(kernel), is_ell))
+    assert [tuple(s) for s in eventually_frattini_report(spec, k_max)] == steps
 
 
 def _no_view(group):
@@ -384,11 +441,15 @@ def test_vector_tree_level1_covers_both_components(a4_cv):
 
 def test_a_level_over_the_table_cap_is_never_listed():
     """Level orders are known in closed form, so D3125 (order 6250) stops at
-    the table cap before its elements are enumerated."""
+    the table cap before its elements are enumerated, in the tree and in the
+    Frattini steps."""
     spec = TowerSpec("dihedral", 5)
     cv0 = parse_class_vector(spec.level_group(0), "[2a,2a,2a,2a]")
     tree = component_tree(spec, cv0, 4, mode=Mode.ABSOLUTE_REDUCED)
     assert tree.truncated_at == 4 and len(tree.levels) == 4
+    assert [s.k for s in eventually_frattini_report(spec, 3)] == [1, 2, 3]
+    with pytest.raises(BudgetError, match="multiplication table of D3125"):
+        eventually_frattini_report(spec, 4)
     assert spec.level_group(4)._elements is None
 
 
