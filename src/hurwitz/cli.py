@@ -1,7 +1,14 @@
 """Command-line frontend: enumeration, orbits, geometry, lifts, towers.
 
-Configuration precedence is flags over config-file values over defaults; the
-config file is JSON whose keys are the flag names (dashes or underscores).
+Each flag's type, default and help, and each command's help, echoed inputs
+and runner, are declared once, in one row.  Configuration precedence is flags
+over config-file values over defaults.  The config file is a JSON object whose
+keys are flag names (dashes or underscores).  Each key must name a flag of
+some command other than ``--config``, so ``command`` and ``config`` are
+refused; each non-null value must have that flag's type (``action`` may also
+be a list of integer rows); a value for a flag the running command lacks is
+ignored, so one config file can serve every command.
+
 Each command computes its results once and returns its report as a JSON
 body, CSV rows and text lines; ``emit_report`` alone writes it, in the chosen
 format, to ``--out`` or stdout.  Reports are deterministic for fixed inputs
@@ -36,60 +43,36 @@ from .lift import (
 )
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
-_DEFAULTS = {
-    "mode": "inner-reduced",
-    "format": "text",
-    "order_bound": None,
-    "orbit_cap": None,
-    "seed": 0,
-    "sample_size": 25,
-    "k_max": 1,
-    "suite": "braid-relations",
-}
-
-
-_COMMAND_HELP = {
-    "enumerate": "list Nielsen-class representatives",
-    "orbits": "braid orbits and their cusps",
-    "shinc": "sh-incidence matrix with genus data",
-    "genus": "genus reports and moduli flags per orbit",
-    "lift": "lift invariants of braid orbits under a cover",
-    "tower": "component tree of a modular-tower family",
-    "bcl": "Branch-Cycle-Lemma field data",
-    "check": "property suites with witnesses",
-}
-
-
-# (flag, type, help) of every option in --help order, type bool for a switch;
-# help output is generated from this table, and each dest is the flag's name
+# (flag, type, default, help) of every option in --help order, type bool for a
+# switch; help output is generated from these rows, each dest and config key
+# is the flag's name, and each config value must have the flag's type.  The
+# per-command ``_FLAGS`` map is derived from them and the command rows below.
 _SHARED_FLAGS = (  # tower has its own --classes and no --group
-    ("--group", str, "group descriptor, e.g. A4, D5, SL2(3)"),
-    ("--classes", str, "class vector, e.g. [3a,3a,3b,3b]"),
-    ("--mode", str, "raw | inner | absolute | inner-reduced | absolute-reduced"),
-    ("--format", str, "text | json | csv"),
-    ("--out", str, "output path (default: stdout)"),
-    ("--config", str, "JSON config file; flags override it"),
-    ("--order-bound", int, None),
-    ("--orbit-cap", int, None),
+    ("--group", str, None, "group descriptor, e.g. A4, D5, SL2(3)"),
+    ("--classes", str, None, "class vector, e.g. [3a,3a,3b,3b]"),
+    ("--mode", str, "inner-reduced", "raw | inner | absolute | inner-reduced | absolute-reduced"),
+    ("--format", str, "text", "text | json | csv"),
+    ("--out", str, None, "output path (default: stdout)"),
+    ("--config", str, None, "JSON config file; flags override it"),
+    ("--order-bound", int, None, None),
+    ("--orbit-cap", int, None, None),
 )
 _OWN_FLAGS = {
-    "orbits": (("--members-file", str, "also write full orbit membership to this JSON file"),),
-    "lift": (("--cover", str, "spin4 | spin5 | heis(<l>) | hom:<file>"),),
+    "orbits": (("--members-file", str, None,
+                "also write full orbit membership to this JSON file"),),
+    "lift": (("--cover", str, None, "spin4 | spin5 | heis(<l>) | hom:<file>"),),
     "tower": (
-        ("--classes", str, "level-0 class vector, e.g. [3a,3a,3b,3b]"),
-        ("--family", str, "vector | dihedral"),
-        ("--ell", int, "the tower prime"),
-        ("--t", int, "lattice rank (vector family)"),
-        ("--action", str, "integer action matrix as JSON, e.g. [[0,-1],[1,-1]]"),
-        ("--k-max", int, "deepest level to build"),
-        ("--frattini", bool, "include per-step Frattini-cover results"),
+        ("--classes", str, None, "level-0 class vector, e.g. [3a,3a,3b,3b]"),
+        ("--family", str, None, "vector | dihedral"),
+        ("--ell", int, None, "the tower prime"),
+        ("--t", int, None, "lattice rank (vector family)"),
+        ("--action", str, None, "integer action matrix as JSON, e.g. [[0,-1],[1,-1]]"),
+        ("--k-max", int, 1, "deepest level to build"),
+        ("--frattini", bool, False, "include per-step Frattini-cover results"),
     ),
-    "check": (("--suite", str, "braid-relations"), ("--sample-size", int, None),
-              ("--seed", int, None)),
+    "check": (("--suite", str, "braid-relations", "braid-relations"),
+              ("--sample-size", int, 25, None), ("--seed", int, 0, None)),
 }
-_FLAGS = {c: {flag: (flag[2:].replace("-", "_"), kind, text) for flag, kind, text in
-              _SHARED_FLAGS[2 if c == "tower" else 0:] + _OWN_FLAGS.get(c, ())}
-          for c in _COMMAND_HELP}  # command -> {flag: (dest, type, help)}
 
 
 def _build_parser(argv: list):
@@ -102,9 +85,9 @@ def _build_parser(argv: list):
         description="Nielsen classes, braid orbits, and Modular Tower levels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shells = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
+    shells = {name: sub.add_parser(name, help=row[0]) for name, row in _COMMANDS.items()}
     command = next((a for a in argv if a in shells), None)
-    for flag, (_dest, kind, text) in _FLAGS.get(command, {}).items():
+    for flag, (_dest, kind, _default, text) in _FLAGS.get(command, {}).items():
         kw = {"action": "store_true"} if kind is bool else {"type": kind}
         shells[command].add_argument(flag, help=text, **kw)
     return parser
@@ -118,10 +101,10 @@ def _parse_args(argv: list) -> dict:
     try:
         flags = _FLAGS[argv[0]]
         args = {"command": argv[0]}
-        args.update((dest, False if kind is bool else None) for dest, kind, _ in flags.values())
+        args.update((dest, False if kind is bool else None) for dest, kind, *_ in flags.values())
         tokens = iter(argv[1:])
         for token in tokens:
-            dest, kind, _ = flags[token]
+            dest, kind, *_ = flags[token]
             if kind is bool:
                 args[dest] = True
             elif (value := next(tokens, "-")).startswith("-"):
@@ -148,43 +131,32 @@ def _load_config(path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
-# the JSON type each config value must have; ``action`` may be a string or a
-# list of integer rows, which ``TowerSpec`` checks
-_KEY_TYPES = (
-    (int, "an integer",
-     ("order_bound", "orbit_cap", "k_max", "t", "ell", "seed", "sample_size")),
-    (str, "a string",
-     ("group", "classes", "mode", "format", "out", "members_file", "cover",
-      "family", "suite")),
-    (bool, "true or false", ("frattini",)),
-)
+_TYPE_WORDS = {int: "an integer", str: "a string", bool: "true or false"}
 
 
 def _resolve(args: dict) -> dict:
-    """Apply precedence: explicit flag > config file > default."""
-    config = _load_config(args.get("config"))
-    known = set(args) | set(_DEFAULTS)
-    for key in config:
-        if key not in known:
+    """Apply precedence: explicit flag > config file > default, once each
+    config key passes the rule in the module docstring."""
+    config = _load_config(args["config"])
+    for key, value in config.items():
+        if key not in _CONFIG_TYPES:
             raise ValidationError(f"unknown config key: {key!r}")
-    out = {}
-    for key, flag_value in args.items():
-        if key == "config":
+        kind = _CONFIG_TYPES[key]
+        if key == "action" and isinstance(value, list) and all(
+                isinstance(row, list) and all(type(v) is int for v in row) for row in value):
             continue
-        if flag_value is not None and flag_value is not False:
-            out[key] = flag_value
-        elif config.get(key) is not None:  # a null value counts as unset
-            out[key] = config[key]
+        if value is not None and type(value) is not kind:
+            word = _TYPE_WORDS[kind] + (" or a list of integer rows" if key == "action" else "")
+            raise ValidationError(f"{key.replace('_', '-')} must be {word}, got {value!r}")
+    out = {"command": args["command"]}
+    for dest, _kind, default, _text in _FLAGS[args["command"]].values():
+        if args[dest] is not None and args[dest] is not False:
+            out[dest] = args[dest]
+        elif config.get(dest) is not None:  # a null value counts as unset
+            out[dest] = config[dest]
         else:
-            out[key] = _DEFAULTS.get(key, flag_value)
-    for kind, word, keys in _KEY_TYPES:
-        for key in keys:
-            value = out.get(key)
-            if value is not None and type(value) is not kind:
-                raise ValidationError(
-                    f"{key.replace('_', '-')} must be {word}, got {value!r}"
-                )
-    if out.get("format") not in (None, "text", "json", "csv"):
+            out[dest] = default
+    if out["format"] not in ("text", "json", "csv"):
         raise ValidationError(f"unknown format: {out['format']!r}")
     for key in ("order_bound", "orbit_cap", "sample_size"):
         if out.get(key) is not None and out[key] <= 0:
@@ -256,7 +228,7 @@ def _write_file(path: str, text: str, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (input keys, JSON body, CSV rows, text lines)
+# subcommands: each returns (JSON body, CSV rows, text lines)
 
 _BASE_KEYS = ("command", "group", "classes", "mode")
 
@@ -269,7 +241,7 @@ def _cmd_enumerate(cfg: dict):
     rows += [[i, *t] for i, t in enumerate(data["reps"])]
     lines = [f"Ni({group.name}, {cv}) {mode.value}: {ni.count} classes"]
     lines += ["  " + " ".join(t) for t in data["reps"]]
-    return _BASE_KEYS, data, rows, lines
+    return data, rows, lines
 
 
 def _orbit_payload(cfg: dict):
@@ -297,12 +269,12 @@ def _cmd_orbits(cfg: dict):
             rep = " ".join(c["rep"])
             rows.append([d["orbit_label"], d["size"], c["label"], c["width"], rep])
             lines.append(f"  {c['label']} width {c['width']}  rep {rep}")
-    return _BASE_KEYS, {"orbits": dicts}, rows, lines
+    return {"orbits": dicts}, rows, lines
 
 
 def _cmd_shinc(cfg: dict):
     table = sh_incidence(_orbit_payload(cfg)[2])
-    return _BASE_KEYS, table.to_dict(), table.to_rows(), table.render_text().splitlines()
+    return table.to_dict(), table.to_rows(), table.render_text().splitlines()
 
 
 def _cmd_genus(cfg: dict):
@@ -334,7 +306,7 @@ def _cmd_genus(cfg: dict):
             f"b_fine_reduced={flags['b_fine_reduced']} "
             f"fine_reduced={flags['fine_reduced']}"
         )
-    return _BASE_KEYS, {"orbits": payload}, rows, lines
+    return {"orbits": payload}, rows, lines
 
 
 _COVER_RE = re.compile(r"heis\((\d+)\)")
@@ -416,7 +388,7 @@ def _cmd_lift(cfg: dict):
         f"{'obstructed' if e['obstructed'] else 'unobstructed'}"
         for e in entries
     ]
-    return _BASE_KEYS + ("cover",), data, rows, lines
+    return data, rows, lines
 
 
 def _tower_spec(cfg: dict) -> TowerSpec:
@@ -444,8 +416,6 @@ def _cmd_tower(cfg: dict):
         data["frattini_steps"] = [
             s.to_dict() for s in eventually_frattini_report(spec, tree.levels[-1].k)
         ]
-    keys = ("command", "family", "ell", "t", "action", "k_max", "classes",
-            "mode")
     rows = [["level", "orbit", "size", "genus", "lift_invariant", "parent"]]
     lines = []
     parents = {tuple(edge[0]): edge[1] for edge in data["edges"]}
@@ -479,7 +449,7 @@ def _cmd_tower(cfg: dict):
             f"(kernel {s['kernel_order']}, "
             f"ell-group={s['kernel_is_ell_group']})"
         )
-    return keys, data, rows, lines
+    return data, rows, lines
 
 
 def _cmd_bcl(cfg: dict):
@@ -488,7 +458,7 @@ def _cmd_bcl(cfg: dict):
             [data["N_C"], " ".join(str(m) for m in data["Q"]), data["rational_union"]]]
     lines = [f"N_C = {data['N_C']}; Q = {data['Q']}; "
              f"rational union: {data['rational_union']}"]
-    return _BASE_KEYS, data, rows, lines
+    return data, rows, lines
 
 
 def _cmd_check(cfg: dict):
@@ -506,27 +476,40 @@ def _cmd_check(cfg: dict):
         status = "ok" if c["passed"] else f"FAIL {c['details']}"
         lines.append(f"{c['name']}: {status}")
     lines.append("all passed" if data["passed"] else "violations found")
-    return _BASE_KEYS + ("suite", "seed", "sample_size"), data, rows, lines
+    return data, rows, lines
 
 
+# command -> (help, the inputs its report echoes, runner), in --help order
 _COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "orbits": _cmd_orbits,
-    "shinc": _cmd_shinc,
-    "genus": _cmd_genus,
-    "lift": _cmd_lift,
-    "tower": _cmd_tower,
-    "bcl": _cmd_bcl,
-    "check": _cmd_check,
+    "enumerate": ("list Nielsen-class representatives", _BASE_KEYS, _cmd_enumerate),
+    "orbits": ("braid orbits and their cusps", _BASE_KEYS, _cmd_orbits),
+    "shinc": ("sh-incidence matrix with genus data", _BASE_KEYS, _cmd_shinc),
+    "genus": ("genus reports and moduli flags per orbit", _BASE_KEYS, _cmd_genus),
+    "lift": ("lift invariants of braid orbits under a cover", (*_BASE_KEYS, "cover"),
+             _cmd_lift),
+    "tower": ("component tree of a modular-tower family",
+              ("command", "family", "ell", "t", "action", "k_max", "classes", "mode"),
+              _cmd_tower),
+    "bcl": ("Branch-Cycle-Lemma field data", _BASE_KEYS, _cmd_bcl),
+    "check": ("property suites with witnesses",
+              (*_BASE_KEYS, "suite", "seed", "sample_size"), _cmd_check),
 }
+_FLAGS = {c: {flag: (flag[2:].replace("-", "_"), kind, default, text)
+              for flag, kind, default, text in
+              _SHARED_FLAGS[2 if c == "tower" else 0:] + _OWN_FLAGS.get(c, ())}
+          for c in _COMMANDS}  # command -> {flag: (dest, type, default, help)}
+# config key -> the type of the flag it names; --config itself is no key
+_CONFIG_TYPES = {dest: kind for flags in _FLAGS.values()
+                 for dest, kind, _default, _text in flags.values() if dest != "config"}
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
+    _help, keys, runner = _COMMANDS[args["command"]]
     try:
         cfg = _resolve(args)
-        keys, data, rows, lines = _COMMANDS[args["command"]](cfg)
+        data, rows, lines = runner(cfg)
         emit_report(cfg, keys, data, rows, lines)
         if args["command"] == "check" and not data["passed"]:
             raise ValidationError("property suite reported violations")

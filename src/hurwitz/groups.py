@@ -884,7 +884,7 @@ def alternating(n: int, **kw) -> PermutationGroup:
     if n < 3:
         raise ValidationError("alternating group needs n >= 3")
     gens = [perm_from_cycles([(i, i + 1, i + 2)], n) for i in range(n - 2)]
-    g = PermutationGroup(gens, n, f"A{n}", **kw)
+    g = PermutationGroup(gens, n, f"A{n}", order=factorial(n) // 2, **kw)
     g.sym_normalizer_gens = _symmetric_gens(n)
     return g
 
@@ -892,7 +892,7 @@ def alternating(n: int, **kw) -> PermutationGroup:
 def symmetric(n: int, **kw) -> PermutationGroup:
     if n < 2:
         raise ValidationError("symmetric group needs n >= 2")
-    g = PermutationGroup(_symmetric_gens(n), n, f"S{n}", **kw)
+    g = PermutationGroup(_symmetric_gens(n), n, f"S{n}", order=factorial(n), **kw)
     g.sym_normalizer_gens = _symmetric_gens(n)
     return g
 

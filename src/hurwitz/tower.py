@@ -48,6 +48,7 @@ from .groups import (
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
+    class_power,
     dihedral,
 )
 from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
@@ -485,15 +486,8 @@ def bcl(group: FiniteGroup, cv: ClassVector) -> BCLResult:
     """Q_{G,C} = exponents rescuing the class multiset, and rationality."""
     n_c = lcm(*(group.element_order(rep) for rep in cv.reps()))
     units = [m for m in range(1, n_c + 1) if gcd(m, n_c) == 1]
-    base = sorted(cv.indices)
-    q = []
-    for m in units:
-        powered = sorted(
-            group.class_index_of(group.power(rep, m)) for rep in cv.reps()
-        )
-        if powered == base:
-            q.append(m)
-    return BCLResult(n_c=n_c, q=tuple(q), rational_union=len(q) == len(units))
+    q = tuple(m for m in units if class_power(cv, m) == cv)
+    return BCLResult(n_c=n_c, q=q, rational_union=len(q) == len(units))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ def test_tower_level_zero_over_the_table_cap_exits_3_before_the_classes(capsys,
     ["genus", "--group", "D1009", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
     ["tower", "--family", "dihedral", "--ell", "1009", "--classes", "[2a,2a,2a,2a]",
      "--k-max", "0"],
+    # S9 has a closed-form order, 9!, like every catalog group
+    ["genus", "--group", "S9", "--classes", "[3a,3a,3a,3a]"],
 ])
 def test_a_group_over_the_table_cap_is_never_listed(argv, capsys, monkeypatch):
     on_any_group = FiniteGroup.close
@@ -184,8 +186,8 @@ def test_a_group_over_the_table_cap_is_never_listed(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "close", close)
     assert run(argv) == 3
-    assert capsys.readouterr().err.startswith(
-        "budget exceeded: multiplication table of D1009")
+    name = "S9" if "S9" in argv else "D1009"
+    assert capsys.readouterr().err.startswith(f"budget exceeded: multiplication table of {name}")
 
 
 class _Declined(Exception):
@@ -426,6 +428,71 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run(["enumerate", "--config", str(cfg), "--classes", "[3a,3a,3a]"]) == 2
 
 
+GENUS_D5 = ["genus", "--group", "D5", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"]
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    """Keys of flags that ``genus`` lacks are type-checked, then ignored."""
+    members = tmp_path / "m.json"
+    config = {"members_file": str(members), "frattini": True, "k_max": 3, "cover": "spin4",
+              "suite": "braid-relations", "seed": 1, "family": "vector",
+              "action": [[0, -1], [1, -1]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(GENUS_D5) == 0
+    alone = out_of(capsys)
+    assert run([*GENUS_D5, "--config", str(path)]) == 0
+    assert capsys.readouterr() == (alone, "")
+    assert not members.exists()
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # another command's key, of the wrong type
+    (GENUS_D5, {"suite": 3}, "suite must be a string, got 3"),
+    (GENUS_D5, {"k_max": "x"}, "k-max must be an integer, got 'x'"),
+    (GENUS_D5, {"frattini": 1}, "frattini must be true or false, got 1"),
+    (GENUS_D5, {"action": [[0, "a"]]},
+     "action must be a string or a list of integer rows, got [[0, 'a']]"),
+    # a flag overrides the value, which is still checked
+    (GENUS_D5, {"mode": 5}, "mode must be a string, got 5"),
+    (["check", *A4_ARGS, "--seed", "2"], {"seed": "x"}, "seed must be an integer, got 'x'"),
+    # keys that name no flag
+    (GENUS_D5, {"command": "bcl"}, "unknown config key: 'command'"),
+    (GENUS_D5, {"config": "other.json"}, "unknown config key: 'config'"),
+])
+def test_config_rule_exits_2(argv, config, message):
+    assert run_with_config(argv, config) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config file: "),
+    ("{", "config file is not valid JSON: "),
+    ('["group", "A4"]', "config file must hold a JSON object"),
+])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(["enumerate", *A4_ARGS, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read cover file: "),
+    ("{", "cannot read cover file: "),
+    ('["SL2(3)", "A4"]', "cover file must hold a JSON object"),
+    ('{"source": "SL2(3)", "target": "A4"}', "cover file misses 'images'"),
+])
+def test_unreadable_cover_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cover.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(["lift", *A4_ARGS, "--cover", f"hom:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,key", [
     ("tower", "order_bound"), ("tower", "orbit_cap"), ("tower", "k_max"),
     ("tower", "t"), ("tower", "ell"), ("check", "seed"), ("check", "sample_size"),
@@ -451,6 +518,10 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key):
       "--action", '[[0,"a"],[1,1]]'], {}),
     (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
       "--action", "5"], {}),
+    # and two that no other test reached: --action that is not JSON, an unknown cover
+    (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+      "--action", "[[0,-1],[1,-1]"], {}),
+    (["lift", *A4_ARGS, "--cover", "spin6"], {}),
 ])
 def test_wrong_type_inputs_exit_2(argv, config):
     code, err = run_with_config(argv, config)

@@ -9,10 +9,11 @@ action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
 catalog generators.  Braid orbits in inner mode at r = 4, in absolute modes
 at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
-moves in every mode and the reduced search.  ``USAGE`` pins the argument parser's help, usage and
-error output, runs whose argv only the argument parser reads, and two
-refused sample sizes, at a fixed terminal width of 80 columns.  To regenerate the
-file after a deliberate change of output, run
+moves in every mode and the reduced search; a vector tower at r = 3 pins the
+cusp types and the missing genus off r = 4.  ``USAGE`` pins the argument
+parser's help, usage and error output, runs whose argv only the argument
+parser reads, and two refused sample sizes, at a fixed terminal width of 80
+columns.  To regenerate the file after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -78,6 +79,8 @@ COMMANDS = [
     ["orbits", "--group", "S4", "--classes", "[2b,2b,2b,2b,3a]", "--mode",
      "absolute-reduced"],
     ["orbits", "--group", "A5", "--classes", "[3a,3a,5a]", "--mode", "absolute"],
+    # r = 3: cusps typed by the arc split, and orbits with no genus
+    ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3a]", "--k-max", "1"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

@@ -71,6 +71,8 @@ def test_sl2_orders(m):
 # dihedral n up to 40 takes in every prime of the benchmark's genus sweep
 @pytest.mark.parametrize("desc", [
     *(f"D{n}" for n in range(3, 41)),
+    *(f"A{n}" for n in range(3, 8)),
+    *(f"S{n}" for n in range(2, 7)),
     *(f"SL2({m})" for m in range(2, 13)),
     *(f"Heis({m})" for m in range(2, 8)),
     "V(2,5):M=[[0,-1],[1,-1]]", "V(2,4):M=[[0,-1],[1,-1]]", "V(2,7):M=[[2,0],[0,2]]",
