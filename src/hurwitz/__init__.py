@@ -12,6 +12,7 @@ from .groups import (
     ClassVector,
     ConjugacyClass,
     FiniteGroup,
+    GroupHom,
     PermutationGroup,
     class_power,
     make_group,
@@ -31,7 +32,6 @@ from .braid import (
 from .geometry import GenusReport, ShIncidence, genus_of_component, moduli_flags, sh_incidence
 from .lift import (
     CentralExtension,
-    GroupHom,
     extend_action_to_heisenberg,
     heisenberg_cover,
     is_frattini_cover,

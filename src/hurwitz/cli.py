@@ -30,17 +30,11 @@ import sys
 
 from . import __version__
 from .errors import BudgetError, ValidationError
-from .groups import make_group, parse_class_vector
+from .groups import GroupHom, make_group, parse_class_vector
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
 from .geometry import genus_of_component, moduli_flags, sh_incidence
-from .lift import (
-    CentralExtension,
-    GroupHom,
-    heisenberg_cover,
-    lift_invariant,
-    spin_cover,
-)
+from .lift import CentralExtension, heisenberg_cover, lift_invariant, spin_cover
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
 # (flag, type, default, help) of every option in --help order, type bool for a

@@ -169,9 +169,13 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
         cusps.extend(o.cusps())
         spans.append((start, len(cusps), o))
 
-    sets = [frozenset(c.positions) for c in cusps]
-    images = [frozenset(sh[p] for p in s) for s in sets]
-    mat = tuple(tuple(len(a & b) for b in images) for a in sets)
+    # entry (i, j) counts the members p of cusp j with sh(p) in cusp i
+    cusp_of = {p: i for i, c in enumerate(cusps) for p in c.positions}
+    mat = [[0] * len(cusps) for _ in cusps]
+    for j, c in enumerate(cusps):
+        for p in c.positions:
+            mat[cusp_of[sh[p]]][j] += 1
+    mat = tuple(map(tuple, mat))
 
     blocks = tuple(
         ShIncidenceBlock(

@@ -451,22 +451,18 @@ class IndexedGroup(FiniteGroup):
         self._identity = e = index[data.identity]
         self._elements = tuple(range(n))
         self._index = {i: i for i in self._elements}
-        self._right = right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
-        self._tree = []
-        seen, queue = {e}, [e]
-        for x in queue:
-            for k, col in enumerate(right):
-                y = col[x]
-                if y not in seen:
-                    seen.add(y)
-                    self._tree.append((x, k, y))
-                    queue.append(y)
+        right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
         # column y is right multiplication by y, and y = x * gens[k] composes
-        # column x with right[k]; the rows are the transpose
+        # column x with right[k] along a spanning tree; the rows are the transpose
         cols = [None] * n
         cols[e] = self._elements
-        for x, k, y in self._tree:
-            cols[y] = operator.itemgetter(*cols[x])(right[k])
+        queue = [e]
+        for x in queue:
+            for col in right:
+                y = col[x]
+                if cols[y] is None:
+                    cols[y] = operator.itemgetter(*cols[x])(col)
+                    queue.append(y)
         self.table = tuple(zip(*cols))
         self.inverse = tuple(row.index(e) for row in self.table)
         classes = self.conjugacy_classes()
@@ -480,23 +476,6 @@ class IndexedGroup(FiniteGroup):
             )
             data._class_of = dict(zip(els, class_of))
         data._orders.update((els[i], d) for i, d in self._orders.items())
-
-    def hom_to(self, target: "IndexedGroup", images) -> tuple:
-        """The index map of the homomorphism to the view ``target`` sending
-        gens[k] to images[k], built along the spanning tree.  It is checked
-        as ``GroupHom`` is: f(x * gens[k]) == f(x) * images[k] at every x and
-        k, which by induction on word length makes f multiplicative."""
-        if len(images) != len(self.gens) or any(h not in target._index for h in images):
-            raise ValidationError(f"need {len(self.gens)} generator images in {target.name}")
-        right = [tuple(row[h] for row in target.table) for h in images]
-        out = [0] * len(self._elements)
-        out[self._identity] = target.identity
-        for x, k, y in self._tree:
-            out[y] = right[k][out[x]]
-        for col_g, col_h in zip(self._right, right):
-            if operator.itemgetter(*col_g)(out) != operator.itemgetter(*out)(col_h):
-                raise ValidationError("generator images do not define a homomorphism")
-        return tuple(out)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -534,6 +513,91 @@ class IndexedGroup(FiniteGroup):
         if g not in self.data:
             raise ValidationError(f"element {text!r} is not in {self.name}")
         return self.data._index[g]
+
+
+class GroupHom:
+    """A verified homomorphism between finite groups, stored as a full map.
+
+    ``images[i]`` is the image of ``source.gens[i]`` and must be an element
+    of the target.  One breadth-first search from the identity extends the
+    images over the source and checks map(x * g) == map(x) * map(g) at every
+    element x and generator g; by induction on word length that forces the
+    map to be multiplicative everywhere.  Source and target may be data
+    groups or indexed views.
+
+    >>> c2, v4 = make_group("gens:[(1,2)]"), make_group("gens:[(1,2)(3,4)]")
+    >>> GroupHom(c2, v4, [v4.parse("(1,3)")])
+    Traceback (most recent call last):
+    ...
+    hurwitz.errors.ValidationError: image of generator 1 is not an element of gens:[(1,2)(3,4)]
+    """
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
+        images = tuple(images)
+        if len(images) != len(source.gens):
+            raise ValidationError(
+                f"need {len(source.gens)} generator images, got {len(images)}"
+            )
+        for i, img in enumerate(images, 1):
+            if img not in target:
+                raise ValidationError(
+                    f"image of generator {i} is not an element of {target.name}"
+                )
+        pairs = tuple(zip(source.gens, images))
+        smul, tmul = source.mul, target.mul
+        mapping = {source.identity: target.identity}
+        queue = [source.identity]
+        for x in queue:  # breadth first: the queue grows while it is read
+            mx = mapping[x]
+            for g, img in pairs:
+                y = smul(x, g)
+                v = tmul(mx, img)
+                got = mapping.get(y)
+                if got is None:
+                    mapping[y] = v
+                    queue.append(y)
+                elif got != v:
+                    raise ValidationError(
+                        "generator images do not define a homomorphism"
+                    )
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+        self._kernel = None
+        self._least_preimage = None
+
+    def __call__(self, x):
+        return self.mapping[x]
+
+    @cached_property
+    def element_images(self) -> tuple:
+        """The image of each source element, in ``source.elements`` order:
+        between indexed views, the index map."""
+        return tuple(map(self.mapping.__getitem__, self.source.elements))
+
+    def kernel(self) -> tuple:
+        if self._kernel is None:
+            e = self.target.identity
+            self._kernel = tuple(
+                sorted(x for x, y in self.mapping.items() if y == e)
+            )
+        return self._kernel
+
+    @property
+    def is_surjective(self) -> bool:
+        return len(set(self.mapping.values())) == self.target.order
+
+    def preimage(self, y):
+        """The least preimage of y (deterministic section)."""
+        if self._least_preimage is None:
+            least: dict = {}
+            for x in sorted(self.mapping):  # so the first hit is least
+                least.setdefault(self.mapping[x], x)
+            self._least_preimage = least
+        try:
+            return self._least_preimage[y]
+        except KeyError:
+            raise ValidationError("element has no preimage") from None
 
 
 class PermutationGroup(FiniteGroup):

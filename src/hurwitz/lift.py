@@ -13,12 +13,17 @@ the small-Heisenberg extensions Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained
 by extending an order-3 matrix action to the Heisenberg group.  The spin
 and ``hom:`` covers are ``GroupHom``s given by generator images, which must
 lie in the target; each is checked on every element and generator as it is
-built.  A Heisenberg cover is instead a 2-cocycle on its base: an element
-is the base element plus a central coordinate, the base part of a product
-is computed by the base group's own ``mul`` and the central part adds the
-cocycle.  Dropping the central coordinate is then a homomorphism by
-construction, so its kernel and its section v -> (v, 0) are read off the
-formula, and the cover is never enumerated or walked.
+built.  ``GroupHom`` lives in the groups module, where tower level maps and
+conjugation automorphisms are built with it too.  A Heisenberg cover is
+instead a 2-cocycle on its base: an element is the base element plus a
+central coordinate, the base part of a product is computed by the base
+group's own ``mul`` and the central part adds the cocycle.  Dropping the
+central coordinate is then a homomorphism by construction, so its kernel
+and its section v -> (v, 0) are read off the formula, and the cover is
+never enumerated or walked.
+
+``is_frattini_cover`` takes any surjective ``GroupHom``, on data or, as for
+the tower steps G_k -> G_(k-1), between indexed views.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
     FiniteGroup,
+    GroupHom,
+    IndexedGroup,
     Sl2Group,
     VectorSemidirectGroup,
     _mat_mul,
@@ -48,84 +55,6 @@ FRATTINI_TUPLE_BUDGET = 200_000
 # the companion matrix of x^2 + x + 1: the default order-3 action of vector
 # towers and Heisenberg covers
 COMPANION = ((0, -1), (1, -1))
-
-
-class GroupHom:
-    """A verified homomorphism between finite groups, stored as a full map.
-
-    ``images[i]`` is the image of ``source.gens[i]`` and must be an element
-    of the target.  One breadth-first search from the identity extends the
-    images over the source and checks map(x * g) == map(x) * map(g) at every
-    element x and generator g; by induction on word length that forces the
-    map to be multiplicative everywhere.
-
-    >>> from hurwitz.groups import make_group
-    >>> c2, v4 = make_group("gens:[(1,2)]"), make_group("gens:[(1,2)(3,4)]")
-    >>> GroupHom(c2, v4, [v4.parse("(1,3)")])
-    Traceback (most recent call last):
-    ...
-    hurwitz.errors.ValidationError: image of generator 1 is not an element of gens:[(1,2)(3,4)]
-    """
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
-        images = tuple(images)
-        if len(images) != len(source.gens):
-            raise ValidationError(
-                f"need {len(source.gens)} generator images, got {len(images)}"
-            )
-        for i, img in enumerate(images, 1):
-            if img not in target:
-                raise ValidationError(
-                    f"image of generator {i} is not an element of {target.name}"
-                )
-        pairs = tuple(zip(source.gens, images))
-        mapping = {source.identity: target.identity}
-        queue = [source.identity]
-        for x in queue:  # breadth first: the queue grows while it is read
-            mx = mapping[x]
-            for g, img in pairs:
-                y = source.mul(x, g)
-                v = target.mul(mx, img)
-                got = mapping.get(y)
-                if got is None:
-                    mapping[y] = v
-                    queue.append(y)
-                elif got != v:
-                    raise ValidationError(
-                        "generator images do not define a homomorphism"
-                    )
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        self._kernel = None
-        self._least_preimage = None
-
-    def __call__(self, x):
-        return self.mapping[x]
-
-    def kernel(self) -> tuple:
-        if self._kernel is None:
-            e = self.target.identity
-            self._kernel = tuple(
-                sorted(x for x, y in self.mapping.items() if y == e)
-            )
-        return self._kernel
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping.values())) == self.target.order
-
-    def preimage(self, y):
-        """The least preimage of y (deterministic section)."""
-        if self._least_preimage is None:
-            least: dict = {}
-            for x in sorted(self.mapping):  # so the first hit is least
-                least.setdefault(self.mapping[x], x)
-            self._least_preimage = least
-        try:
-            return self._least_preimage[y]
-        except KeyError:
-            raise ValidationError("element has no preimage") from None
 
 
 class CentralExtension:
@@ -241,20 +170,20 @@ def is_obstructed(ext: CentralExtension, orbit_or_tuple) -> bool:
 def is_frattini_cover(hom: GroupHom) -> bool:
     """Whether every lift of a generating set of the target generates the source.
 
-    Exhaustive over kernel translates of one fixed lift tuple: any proper
-    subgroup surjecting onto the target contains some translate tuple, so
-    this is sound and complete.  The closures (``translates_generate``, which
-    tower steps run on their level views) run on the source's indexed view
-    when its table fits under ``TABLE_ENTRY_CAP``, else on data, as for
-    SL2(27).  Emits a cost warning (and keeps going) when the number of
+    Exhaustive over kernel translates of the least lifts of the target's
+    generators: any proper subgroup surjecting onto the target contains some
+    translate tuple, so this is sound and complete.  The closures run on the
+    source as given when it is an indexed view (as for tower steps), else on
+    its view when the table fits under ``TABLE_ENTRY_CAP``, else on data, as
+    for SL2(27).  Emits a cost warning (and keeps going) when the number of
     translate tuples exceeds ``FRATTINI_TUPLE_BUDGET``.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
         raise ValidationError("Frattini test needs a surjective homomorphism")
     kernel = hom.kernel()
-    gens = tgt.gens
-    n_tuples = len(kernel) ** len(gens)
+    lifts = [hom.preimage(g) for g in tgt.gens]
+    n_tuples = len(kernel) ** len(lifts)
     if n_tuples > FRATTINI_TUPLE_BUDGET:
         warnings.warn(
             f"Frattini check enumerates {n_tuples} kernel-translate tuples "
@@ -262,20 +191,14 @@ def is_frattini_cover(hom: GroupHom) -> bool:
             RuntimeWarning,
             stacklevel=2,
         )
-    lifts = [hom.preimage(g) for g in gens]
-    if src.order ** 2 <= TABLE_ENTRY_CAP:
+    if not isinstance(src, IndexedGroup) and src.order ** 2 <= TABLE_ENTRY_CAP:
         src = src.indexed()
         kernel, lifts = src.to_index(kernel), src.to_index(lifts)
-    return translates_generate(src, tgt.order, kernel, lifts)
-
-
-def translates_generate(src: FiniteGroup, target_order: int, kernel, lifts) -> bool:
-    """Whether every translate (h_1 k_1, ..., h_n k_n) of ``lifts`` by ``kernel`` generates."""
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
     # it must be everything.  A trivial kernel leaves no proper value
     # (threshold = |source|), and every translate generates.
-    threshold = target_order * (len(kernel) // _smallest_prime_factor(len(kernel)))
+    threshold = tgt.order * (len(kernel) // _smallest_prime_factor(len(kernel)))
     for ks in product(kernel, repeat=len(lifts)):
         seeds = [src.mul(h, k) for h, k in zip(lifts, ks)]
         if len(src.close(seeds, stop_above=threshold)) <= threshold < src.order:

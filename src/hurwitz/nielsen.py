@@ -59,6 +59,7 @@ from .groups import (
     ClassVector,
     FiniteGroup,
     Frozen,
+    GroupHom,
     IndexedGroup,
     _span,
     cycle_type,
@@ -252,9 +253,10 @@ def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
 def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> ConjAction:
     """Raw mode acts by the trivial group, inner mode by G's generators and
     absolute mode by the generators of the Sym(n)-normalizer, cut down to
-    the subgroup fixing C's class multiset.  One breadth-first search per
-    orbit, from its least element, gives ``orbit_min`` and the
-    transporters."""
+    the subgroup fixing C's class multiset; each acting generator becomes a
+    permutation of the view, read off a checked ``GroupHom``.  One
+    breadth-first search per orbit, from its least element, gives
+    ``orbit_min`` and the transporters."""
     ix = group.indexed()
     n = ix.order
     if kind == "absolute":
@@ -262,7 +264,8 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     else:
         acting = group.gens if kind == "inner" else ()
     index = group._index
-    perms = [ix.hom_to(ix, [index[group.conj(g, a)] for g in group.gens]) for a in acting]
+    perms = [GroupHom(ix, ix, [index[group.conj(g, a)] for g in group.gens]).element_images
+             for a in acting]
     if kind == "absolute":
         perms = _multiset_stabilizer(ix, perms, cv)
     identity = identity_perm(n)
@@ -362,9 +365,9 @@ SEARCH_NODE_CAP = 10**8
 class NielsenClassSet(Frozen):
     """Canonical forms stored once, as the sorted index tuples ``tuples`` of
     ``group.indexed()``; ``reps`` is their element data, built when read.
-    Reduced modes keep in ``klein`` the reduced form of each canonical form
-    met that starts with the one search start (each one met when r != 4).
-    ``klein_reduced``: the mode is reduced and r = 4, so the Klein group acts."""
+    ``klein_reduced``: the mode is reduced and r = 4, so the Klein group acts;
+    then ``klein`` maps each canonical form met that starts with the one
+    search start to its reduced form, and otherwise it is empty."""
 
     def __init__(self, group: FiniteGroup, cv: ClassVector, mode: Mode, tuples: tuple,
                  action: ConjAction, klein: dict | None = None):
@@ -525,7 +528,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                 if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):
                     good.add(m)
     return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action,
-                           least if mode.reduced else {})
+                           least if reduced and r == 4 else {})
 
 
 def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, seconds) -> list[tuple]:

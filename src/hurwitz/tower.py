@@ -3,10 +3,10 @@
 Two built-in families.  The vector family has level-k group
 (Z/l^(k+1))^t x| Z/q with a fixed integer action matrix reduced at every
 level; the dihedral family has level-k group D_(l^(k+1)).  Tower mechanics
-read only the level groups and the checked index maps between their indexed
-views (``TowerSpec.index_map``).  A level-0 class of order d prime to l
-lifts to the one level-k class of order-d elements over it, since the
-kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
+read only the level groups and the checked ``GroupHom`` between the indexed
+views of adjacent levels (``TowerSpec.level_map``).  A level-0 class of
+order d prime to l lifts to the one level-k class of order-d elements over
+it, since the kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
 ``lift_classes_to_level``).  So a level-0 class vector determines the whole
 tower.  Levels carry braid orbits, lift invariants (through the Heisenberg
 extension when the modulus is prime to 6), cusp classifications, and a
@@ -22,7 +22,8 @@ D_(l^(k+1)); and Phi(N) <= Phi(G) for N normal in G.  If a subgroup H maps
 onto G_0 then H K = G_k, and since Phi(G_k) consists of non-generators,
 H = G_k.  So level k tests generation on its images in level 0, through the
 composite of the level maps (``TowerSpec.quotient``);
-``eventually_frattini_report`` checks each step of the lemma on the views.
+``eventually_frattini_report`` checks each step of the lemma by running
+``is_frattini_cover`` on its level map.
 
 Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
 <g1, g4> and <g2, g3> are both l'-groups, otherwise o-l' when the middle
@@ -30,13 +31,15 @@ product g2*g3 has order prime to l, otherwise an l-cusp.  "l does not
 divide g2*g3" is read as a statement about the order of the middle product;
 reports repeat that reading.  An l' subgroup's order divides the l'-part of
 |G|, so the closure deciding "<g, h> is an l'-group" stops past that part.
+At other r a cusp is g-l' when some cyclic split of a tuple into at least
+two arcs gives l' subgroups, that is when every entry generates an l'
+subgroup, and is otherwise unclassified.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -45,6 +48,7 @@ from .groups import (
     ClassVector,
     FiniteGroup,
     Frozen,
+    GroupHom,
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
@@ -60,8 +64,8 @@ from .lift import (
     CentralExtension,
     LiftInvariant,
     extend_action_to_heisenberg,
+    is_frattini_cover,
     lift_invariant,
-    translates_generate,
 )
 
 O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
@@ -85,7 +89,7 @@ class TowerSpec(Frozen):
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: t = 2 and the order-3 companion matrix of
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
-    matrix and no rank, and sets t to 1.  Level groups and the index maps
+    matrix and no rank, and sets t to 1.  Level groups and the level maps
     between their views are built on first use and kept by the spec; two
     specs are equal when their family, ell, t and action are.
     """
@@ -122,7 +126,7 @@ class TowerSpec(Frozen):
             if action is not None:
                 raise ValidationError("dihedral towers take no action matrix")
         vars(self).update(family=family, ell=ell, t=t, action=action, _levels={},
-                          _index_maps={})
+                          _level_maps={})
 
     def _key(self) -> tuple:
         return self.family, self.ell, self.t, self.action
@@ -165,18 +169,16 @@ class TowerSpec(Frozen):
         )
         return f"V({self.t},{m}):M=[{rows}]"
 
-    def index_map(self, k: int) -> tuple:
-        """The level-k to level-(k-1) reduction on indexed views (k >= 1): for
-        each level-k index, the level-(k-1) index of its image.  It sends
-        generators to generators, the basis vectors and the complement or the
-        rotation and the reflection, checked by ``IndexedGroup.hom_to``."""
+    def level_map(self, k: int) -> GroupHom:
+        """The level-k to level-(k-1) reduction on indexed views (k >= 1), a
+        ``GroupHom`` sending generators to generators: the basis vectors and
+        the complement, or the rotation and the reflection."""
         if k < 1:
             raise ValidationError(f"a level map needs k >= 1, got {k}")
-        cache = self._index_maps
+        cache = self._level_maps
         if k not in cache:
-            source = self.level_group(k).indexed()
             target = self.level_group(k - 1).indexed()
-            cache[k] = source.hom_to(target, target.gens)
+            cache[k] = GroupHom(self.level_group(k).indexed(), target, target.gens)
         return cache[k]
 
     def quotient(self, k: int) -> tuple:
@@ -187,7 +189,7 @@ class TowerSpec(Frozen):
         view = self.level_group(0).indexed()
         down = range(view.order)
         for j in range(1, k + 1):
-            down = tuple(map(down.__getitem__, self.index_map(j)))
+            down = tuple(map(down.__getitem__, self.level_map(j).element_images))
         return view, down
 
     def to_dict(self) -> dict:
@@ -201,9 +203,9 @@ class TowerSpec(Frozen):
 
 def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
     """Entrywise reduction of a level-k tuple to level k-1 (k >= 1)."""
-    down, gk = spec.index_map(k), spec.level_group(k)
+    down, gk = spec.level_map(k), spec.level_group(k)
     try:
-        return tuple(spec.level_group(k - 1).elements[down[gk._index[g]]] for g in t)
+        return tuple(spec.level_group(k - 1).elements[down(gk._index[g])] for g in t)
     except (KeyError, TypeError):
         raise ValidationError(f"tuple entries must be elements of level {k}, {gk.name}") from None
 
@@ -303,18 +305,12 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     else:
         hm = any(tuple_is_hm(ix, tuples[p]) for p in c.positions)
         dbl = any(_has_adjacent_repeat(tuples[p]) for p in c.positions)
-        kind = "g-ell-prime" if _gl_prime_partition(ix, rep, ell) else "unclassified"
+        # some cyclic split into >= 2 arcs generates l' subgroups iff the
+        # split into single entries does: an arc's subgroup contains its
+        # entries' cyclic subgroups, whose orders divide its order
+        prime_to = all(_subgroup_order_prime_to(ix, (g,), ell) for g in rep)
+        kind = "g-ell-prime" if prime_to else "unclassified"
     return CuspClassification(type=kind, hm=hm, double_identity=dbl)
-
-
-def _gl_prime_partition(group, t: tuple, ell: int) -> bool:
-    """Is there a cyclic split into >= 2 consecutive arcs, all l' subgroups?"""
-    r = len(t)
-    return any(
-        all(_subgroup_order_prime_to(group, tuple(t[i % r] for i in range(a, b)), ell)
-            for a, b in zip(cuts, cuts[1:] + (cuts[0] + r,)))
-        for n_cuts in range(2, r + 1) for cuts in combinations(range(r), n_cuts)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +449,10 @@ def component_tree(spec: TowerSpec, c0: ClassVector, k_max: int,
     edges = []
     for child in levels[1:]:
         parent = levels[child.k - 1]
-        down, position = spec.index_map(child.k), parent.ni.position
+        down, position = spec.level_map(child.k), parent.ni.position
         owner = {p: o.label for o in parent.orbits for p in o.positions}
         for o in child.orbits:
-            image = parent.ni.canonical(tuple(down[g] for g in child.ni.tuples[o.positions[0]]))
+            image = parent.ni.canonical(tuple(map(down, child.ni.tuples[o.positions[0]])))
             if image not in position:
                 raise ValidationError(
                     "projected orbit representative missed every lower orbit"
@@ -559,24 +555,21 @@ class FrattiniStep(NamedTuple):
 def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniStep, ...]:
     """For each step G_k -> G_(k-1), is it a Frattini cover?
 
-    Each step is read off ``spec.index_map(k)`` on the level views: its
-    kernel, whether that is an l-group, and whether every kernel translate
-    of the least lifts of G_(k-1)'s generators generates G_k.  Steps whose
-    kernel-translate count exceeds ``FRATTINI_TUPLE_BUDGET`` are marked
-    "skipped" rather than attempted.  A level over the table cap raises
-    ``BudgetError`` before its elements are listed.
+    Each step is read off ``spec.level_map(k)``: its kernel K, whether K
+    is an l-group (|K| is a power of l, by Cauchy's theorem), and
+    ``is_frattini_cover``.  Steps whose kernel-translate count exceeds
+    ``FRATTINI_TUPLE_BUDGET`` are marked "skipped" rather than attempted.  A
+    level over the table cap raises ``BudgetError`` before its elements are
+    listed.
     """
     steps = []
     for k in range(1, k_max + 1):
-        down = spec.index_map(k)
-        source, target = spec.level_group(k).indexed(), spec.level_group(k - 1).indexed()
-        kernel = [x for x, y in enumerate(down) if y == target.identity]
-        is_ell = all(_ell_prime_part(source.element_order(x), spec.ell) == 1 for x in kernel)
+        hom = spec.level_map(k)
+        n = len(hom.kernel())
         verdict: object = "skipped"
-        if len(kernel) ** len(target.gens) <= FRATTINI_TUPLE_BUDGET:
-            lifts = [down.index(h) for h in target.gens]  # the least preimages
-            verdict = translates_generate(source, target.order, kernel, lifts)
-        steps.append(FrattiniStep(k, verdict, len(kernel), is_ell))
+        if n ** len(hom.target.gens) <= FRATTINI_TUPLE_BUDGET:
+            verdict = is_frattini_cover(hom)
+        steps.append(FrattiniStep(k, verdict, n, _ell_prime_part(n, spec.ell) == 1))
     return tuple(steps)
 
 

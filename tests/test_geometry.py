@@ -199,6 +199,25 @@ def test_off_block_entries_vanish(a4_orbits):
     assert not any(v for row in full[n0:] for v in row[:n0])
 
 
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("D125", "[2a,2a,2a,2a]", Mode.INNER_REDUCED),  # X_1(125): 180 cusps
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("A4", "[3a,3a,3b,3b]", Mode.ABSOLUTE_REDUCED),
+])
+def test_sh_incidence_matches_the_pairwise_rule(desc, classes, mode):
+    """Entry (i, j) is the number of members of cusp i in the sh-image of
+    cusp j, intersected pair by pair over every pair of cusps."""
+    g = make_group(desc)
+    ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
+    orbits = braid_orbits(ni)
+    sh = ni.moves()[2]
+    sets = [frozenset(c.positions) for o in orbits for c in o.cusps()]
+    images = [frozenset(sh[p] for p in s) for s in sets]
+    assert sh_incidence(orbits).matrix == tuple(
+        tuple(len(a & b) for b in images) for a in sets
+    )
+
+
 def test_sh_incidence_render(a4_orbits):
     text = sh_incidence(a4_orbits).render_text()
     assert "orbit O1: degree 6, genus 0" in text

@@ -8,7 +8,7 @@ import pytest
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     ClassVector,
-    IndexedGroup,
+    GroupHom,
     PermutationGroup,
     make_group,
     normalizer_in_sym,
@@ -170,7 +170,7 @@ def per_element_perms(group, acting):
     """Index automorphism of every acting element, keyed by the element."""
     ix = group.indexed()
     return {
-        a: ix.hom_to(ix, [group._index[group.conj(g, a)] for g in group.gens])
+        a: GroupHom(ix, ix, [group._index[group.conj(g, a)] for g in group.gens]).element_images
         for a in acting
     }
 
@@ -235,9 +235,9 @@ def test_absolute_action_fixes_the_class_multiset(a4, a4_cv):
 def test_absolute_action_converts_only_normalizer_generators(monkeypatch):
     g = make_group("gens:[(1,2,3),(4,5,6),(7,8,9)]")
     calls = []
-    hom_to = IndexedGroup.hom_to
-    monkeypatch.setattr(IndexedGroup, "hom_to", lambda self, target, images:
-                        calls.append(1) or hom_to(self, target, images))
+    init = GroupHom.__init__
+    monkeypatch.setattr(GroupHom, "__init__", lambda self, source, target, images:
+                        calls.append(1) or init(self, source, target, images))
     action = _build_action(g, "absolute", ClassVector(g, (1, 1, 1)))
     # the normalizer has order 1296, but only its generators are converted
     assert len(calls) == len(normalizer_in_sym(g).gens) < 10
@@ -444,3 +444,16 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
     ni = enumerate_nielsen(g, cv, mode)
     assert ni.count and all(u[0] == mu for u in ni.tuples)
     assert ni.klein and all(c[0] == mu for c in ni.klein)
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("S4", "[2b,2b,2b,2b,3a]", Mode.ABSOLUTE_REDUCED),
+    ("A4", "[2a,3a,3b]", Mode.INNER_REDUCED),
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER),
+])
+def test_klein_is_empty_unless_the_klein_group_acts(desc, classes, mode):
+    """Only a reduced mode at r = 4 keeps Klein maps."""
+    g = make_group(desc)
+    ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
+    assert ni.count and not ni.klein_reduced
+    assert ni.klein == {}

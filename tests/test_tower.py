@@ -1,6 +1,6 @@
 """Tower families: level groups, level maps, cusps, trees, field data."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
+    IndexedGroup,
     _mat_mul,
     make_group,
     parse_class_vector,
@@ -72,9 +73,10 @@ def test_each_spec_keeps_its_own_levels():
     a, b = TowerSpec("vector", 2), TowerSpec("vector", 2)
     assert a == b and hash(a) == hash(b)
     assert a.level_group(1) is a.level_group(1)
-    assert a.index_map(1) is a.index_map(1)
+    assert a.level_map(1) is a.level_map(1)
     assert a.level_group(1) is not b.level_group(1)
-    assert a.index_map(1) == b.index_map(1) and a.index_map(1) is not b.index_map(1)
+    assert a.level_map(1).element_images == b.level_map(1).element_images
+    assert a.level_map(1) is not b.level_map(1)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,7 @@ def test_level_groups_dihedral():
 
 def _walked_map(spec, k):
     """The level-k map as a ``GroupHom`` walked over the listed data, read on
-    indices: the independent reference for ``spec.index_map(k)``."""
+    indices: the independent reference for ``spec.level_map(k)``."""
     source, target = spec.level_group(k), spec.level_group(k - 1)
     hom = GroupHom(source, target, target.gens)
     return tuple(target._index[hom(x)] for x in source.elements)
@@ -126,7 +128,7 @@ def _walked_map(spec, k):
 
 def test_index_map_is_a_hom():
     spec = TowerSpec("vector", 2)
-    down = spec.index_map(1)
+    down = spec.level_map(1).element_images
     v1, v0 = spec.level_group(1).indexed(), spec.level_group(0).indexed()
     assert set(down) == set(range(v0.order))
     for a in range(v1.order):
@@ -155,7 +157,7 @@ def _reduce_dihedral(g, m):
 def test_index_map_is_reduction_mod_ell_k(family, ell, reduce):
     spec = TowerSpec(family, ell)
     for k in (1, 2):
-        down, below = spec.index_map(k), spec.level_group(k - 1).elements
+        down, below = spec.level_map(k).element_images, spec.level_group(k - 1).elements
         for i, g in enumerate(spec.level_group(k).elements):
             assert below[down[i]] == reduce(g, ell ** k)
 
@@ -166,25 +168,25 @@ def test_index_map_is_reduction_mod_ell_k(family, ell, reduce):
 def test_index_maps_match_the_walked_group_hom(family, ell, k_max):
     spec = TowerSpec(family, ell)
     for k in range(1, k_max + 1):
-        assert spec.index_map(k) == _walked_map(spec, k), k
+        assert spec.level_map(k).element_images == _walked_map(spec, k), k
 
 
 @pytest.mark.parametrize("family,ell,swap", [("dihedral", 5, (1, 0)), ("vector", 2, (1, 0, 2))])
 def test_wrong_generator_images_are_refused(family, ell, swap):
     """Swapped generator images (rotation and reflection; the two basis
     vectors, which the action matrix does not commute with) define no
-    homomorphism, and the view routine refuses them as ``GroupHom`` does."""
+    homomorphism, and ``GroupHom`` refuses them on the views as on data."""
     spec = TowerSpec(family, ell)
     g1, g0 = spec.level_group(1), spec.level_group(0)
     v1, v0 = g1.indexed(), g0.indexed()
     with pytest.raises(ValidationError, match="do not define a homomorphism"):
-        v1.hom_to(v0, [v0.gens[i] for i in swap])
+        GroupHom(v1, v0, [v0.gens[i] for i in swap])
     with pytest.raises(ValidationError, match="do not define a homomorphism"):
         GroupHom(g1, g0, [g0.gens[i] for i in swap])
-    with pytest.raises(ValidationError, match="generator images in"):
-        v1.hom_to(v0, v0.gens[:-1])
-    with pytest.raises(ValidationError, match="generator images in"):
-        v1.hom_to(v0, (*v0.gens[:-1], v0.order))
+    with pytest.raises(ValidationError, match="generator images, got"):
+        GroupHom(v1, v0, v0.gens[:-1])
+    with pytest.raises(ValidationError, match="not an element of"):
+        GroupHom(v1, v0, (*v0.gens[:-1], v0.order))
 
 
 def test_heisenberg_projection_forgets_the_center():
@@ -365,6 +367,13 @@ def _no_view(group):
     raise AssertionError(f"the data path built the indexed view of {group.name}")
 
 
+def test_frattini_check_uses_a_view_source_as_given(monkeypatch):
+    """A level map's source is already a view; no view of it is built."""
+    hom = TowerSpec("vector", 2).level_map(2)
+    monkeypatch.setattr(IndexedGroup, "indexed", _no_view)
+    assert is_frattini_cover(hom) is True
+
+
 def _shapes(group, tuples):
     """HM shape and a cyclically adjacent repeat, each on any of ``tuples``."""
     return (any(tuple_is_hm(group, u) for u in tuples),
@@ -407,6 +416,41 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                 assert got.hm == any(tuple_is_hm(lvl.group.indexed(), u) for u in stored)
                 assert got.double_identity == any(map(_has_adjacent_repeat, stored))
     assert len({hm for hm, _ in seen}) == 2 and len({dbl for _, dbl in seen}) == 2
+
+
+def _cyclic_split_search(group, t, ell):
+    """The rule ``cusp_type`` applied at r != 4 before it tested single
+    entries: some cyclic split of t into >= 2 consecutive arcs, each
+    generating an l' subgroup."""
+    r = len(t)
+    return any(
+        all(_subgroup_order_prime_to(group, tuple(t[i % r] for i in range(a, b)), ell)
+            for a, b in zip(cuts, cuts[1:] + (cuts[0] + r,)))
+        for n_cuts in range(2, r + 1) for cuts in combinations(range(r), n_cuts)
+    )
+
+
+@pytest.mark.parametrize("desc,classes", [
+    ("A5", "[2a,3a,5a]"), ("A5", "[5a,5a,5a,5a,5a]"),
+    ("S4", "[2b,3a,4a]"), ("S4", "[2b,2b,2b,2b,3a]"),
+    ("A4", "[2a,3a,3b]"), ("A4", "[3a,3a,3a,3a,3b]"),
+    ("D7", "[2a,2a,7a]"), ("D7", "[2a,2a,2a,2a,7a]"),
+])
+def test_cusp_type_at_other_r_matches_the_split_search(desc, classes):
+    """At r != 4 the single-entry test gives the type the search over every
+    cyclic split gives, on every member of every cusp."""
+    g = make_group(desc)
+    ni = enumerate_nielsen(g, parse_class_vector(g, classes), Mode.INNER_REDUCED)
+    ix, kinds = g.indexed(), set()
+    for o in braid_orbits(ni):
+        for c in o.cusps():
+            for ell in (2, 3, 5, 6, 7):
+                got = cusp_type(c, ell).type
+                for p in c.positions:
+                    split = _cyclic_split_search(ix, ni.tuples[p], ell)
+                    assert got == ("g-ell-prime" if split else "unclassified"), (ell, p)
+                    kinds.add(got)
+    assert kinds == {"g-ell-prime", "unclassified"}
 
 
 def test_cusp_orbit_needs_its_positions(a4_orbits):
@@ -574,6 +618,21 @@ def test_eventually_frattini_steps():
     assert steps[0].frattini is True
     assert steps[0].kernel_order == 4
     assert steps[0].kernel_is_ell_group is True
+
+
+@pytest.mark.parametrize("family,ell,k_max", [("vector", 2, 3), ("dihedral", 5, 2)])
+def test_kernel_is_ell_group_matches_the_element_order_rule(family, ell, k_max):
+    """The report reads an l-group off |K|; every kernel element's order is
+    then a power of l, and conversely (Cauchy)."""
+    spec = TowerSpec(family, ell)
+    steps = eventually_frattini_report(spec, k_max)
+    for step in steps:
+        hom = spec.level_map(step.k)
+        orders = {hom.source.element_order(x) for x in hom.kernel()}
+        assert step.kernel_is_ell_group == all(
+            hurwitz.tower._ell_prime_part(d, ell) == 1 for d in orders
+        ), step
+    assert all(step.kernel_is_ell_group for step in steps)
 
 
 def test_tower_level_to_dict():
