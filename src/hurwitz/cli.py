@@ -348,7 +348,7 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
 def _cmd_lift(cfg: dict):
     group, cv, mode = _group_and_classes(cfg)
     ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"), group)
-    same = ext.base.element_set == group.element_set and all(
+    same = ext.base.elements == group.elements and all(
         ext.base.mul(x, g) == group.mul(x, g) for x in group.elements for g in group.gens
     )
     if not same:

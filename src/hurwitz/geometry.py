@@ -9,7 +9,8 @@ Riemann-Hurwitz gives the genus:
     2(|O| + g - 1) = ind(gamma_0) + ind(gamma_1) + ind(gamma_inf),
 
 where ind = |O| minus the number of disjoint cycles.  Reports carry the full
-cycle types so the arithmetic can be redone by hand.
+cycle types so the arithmetic can be redone by hand.  The cusps are the
+cycles of gamma_inf, so the cusp widths are its cycle type.
 
 The sh-incidence matrix pairs cusp orbits: entry (i, j) counts members of
 cusp orbit i landing in cusp orbit j under sh.  It is block-diagonal with one
@@ -24,7 +25,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
 from .braid import BraidOrbit, CuspOrbit
-from .nielsen import Mode, _get_action, _reduction_orbit
+from .nielsen import Mode, _get_action
 
 
 def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
@@ -87,14 +88,13 @@ def genus_of_component(orbit: BraidOrbit) -> GenusReport:
     if genus < 0:
         raise ValidationError("negative genus signals an action bug")
     fixed = tuple(sum(1 for i, j in enumerate(p) if i == j) for p in perms[:2])
-    widths = tuple(c.width for c in orbit.cusps())
     return GenusReport(
         orbit_label=orbit.label,
         degree=n,
         indices=indices,
         genus=genus,
         fixed_points=fixed,
-        cusp_widths=widths,
+        cusp_widths=types[2],
         cycle_types=types,
     )
 
@@ -208,14 +208,14 @@ def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     action; no elliptic fixed points."""
     _require_reduced_four(orbit, "moduli_flags")
     inner = _get_action(group, Mode.INNER, None)
-    ix, tuples = inner.group, orbit.ni.tuples
+    tuples = orbit.ni.tuples
     b_fine = all(
-        len({inner.canonical_tuple(u) for u in _reduction_orbit(ix, tuples[p])}) == 4
+        len(set(map(inner.canonical_tuple, inner.klein_images(tuples[p])))) == 4
         for p in orbit.positions
     )
     no_elliptic = all(i != j for p in _gamma_maps(orbit)[:2] for i, j in enumerate(p))
     return ModuliFlags(
-        inner_fine=inner.order == ix.order,
+        inner_fine=inner.order == inner.group.order,
         b_fine_reduced=b_fine,
         fine_reduced=b_fine and no_elliptic,
     )

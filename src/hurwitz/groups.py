@@ -23,10 +23,11 @@ Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
 lookup in the Cayley table, with an inverse list and the class of every
 index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
-conjugation, conjugacy classes and element orders run on it unchanged; data
-products are spent only on the table, and the classes and orders found on
-indices fill the data group's caches.  Only groups that never get a view
-(covers, groups over the table cap, ``bcl``'s) compute classes on data.
+conjugation and conjugacy classes run on it unchanged; data products are
+spent only on the table, and the classes found on indices fill the data
+group's.  Only groups that never get a view (covers, groups over the table
+cap, ``bcl``'s) compute classes on data.  An element's order is read off its
+class once the classes are known, and found by powering before.
 The Nielsen search, canonical forms and braid orbits work on index tuples
 and convert to data only at their public boundary.  Index order equals
 data order, so the least index tuple of a set is the index form of its
@@ -43,7 +44,7 @@ import json
 import operator
 import re
 from functools import cached_property
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
@@ -234,7 +235,6 @@ class FiniteGroup:
         self._order = order  # a closed form, known before the group is listed
         self._elements: tuple | None = None
         self._index: dict | None = None
-        self._orders: dict = {}
         self._classes = None
         self._class_of = None
         self._indexed: IndexedGroup | None = None
@@ -264,11 +264,6 @@ class FiniteGroup:
             self._elements = tuple(sorted(closure))
             self._index = {g: i for i, g in enumerate(self._elements)}
         return self._elements
-
-    @property
-    def element_set(self) -> frozenset:
-        self.elements
-        return frozenset(self._index)
 
     @property
     def order(self) -> int:
@@ -328,15 +323,17 @@ class FiniteGroup:
         return out
 
     def element_order(self, g) -> int:
-        got = self._orders.get(g)
-        if got is None:
-            e = self.identity
-            k, x = 1, g
-            while x != e:
-                x = self.mul(x, g)
-                k += 1
-            self._orders[g] = got = k
-        return got
+        """Read off g's class once the classes are known, else by powering."""
+        if self._classes is not None:
+            return self._classes[self.class_index_of(g)].element_order
+        return len(self._powers(g))
+
+    def _powers(self, g) -> list:
+        """g, g^2, ..., g^d = identity, where d is the order of g."""
+        e, out = self.identity, [g]
+        while out[-1] != e:
+            out.append(self.mul(out[-1], g))
+        return out
 
     # -- conjugacy -----------------------------------------------------
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
@@ -345,6 +342,7 @@ class FiniteGroup:
             gens = self.gens
             seen = set()
             raw = []
+            orders: dict = {}  # g^k has order d / gcd(k, d) when g has order d
             for x in els:
                 if x in seen:
                     continue
@@ -356,31 +354,22 @@ class FiniteGroup:
                             orbit.add(z)
                             queue.append(z)
                 seen |= orbit
-                raw.append(orbit)
+                if x not in orders:  # x is the least of its class: els is sorted
+                    powers = self._powers(x)
+                    d = len(powers)
+                    orders.update((y, d // gcd(k, d)) for k, y in enumerate(powers, 1))
+                raw.append((orders[x], len(orbit), x, orbit))
             # ordering: (element order, class size, least representative)
-            raw.sort(key=lambda orb: (self.element_order(min(orb)), len(orb), min(orb)))
+            raw.sort(key=lambda c: c[:3])
             classes = []
             per_order: dict[int, int] = {}
-            for orb in raw:
-                rep = min(orb)
-                d = self.element_order(rep)
+            for d, size, rep, orbit in raw:
                 idx = per_order.get(d, 0)
                 per_order[d] = idx + 1
-                label = f"{d}{_letters(idx)}"
-                classes.append(
-                    ConjugacyClass(
-                        label=label,
-                        element_order=d,
-                        size=len(orb),
-                        rep=rep,
-                        members=frozenset(orb),
-                    )
-                )
+                classes.append(ConjugacyClass(f"{d}{_letters(idx)}", d, size, rep,
+                                              frozenset(orbit)))
+            self._class_of = {g: i for i, cl in enumerate(classes) for g in cl.members}
             self._classes = tuple(classes)
-            self._class_of = {}
-            for i, cl in enumerate(self._classes):
-                for g in cl.members:
-                    self._class_of[g] = i
         return self._classes
 
     def class_index_of(self, g) -> int:
@@ -435,7 +424,7 @@ class IndexedGroup(FiniteGroup):
     ``table[a][b]`` is the index of ``data.mul(elements[a], elements[b])``.
     Its columns are composed along a spanning tree of the generators, so the
     table takes n data products per generator and no other; inverses are
-    read off it, and classes and orders are computed on indices.
+    read off it, and the classes are computed on indices.
     """
 
     kind = "indexed"
@@ -467,7 +456,6 @@ class IndexedGroup(FiniteGroup):
         self.inverse = tuple(row.index(e) for row in self.table)
         classes = self.conjugacy_classes()
         class_of = self._class_of = [self._class_of[i] for i in self._elements]
-        self._orders = {i: cl.element_order for cl in classes for i in cl.members}
         if data._classes is None:
             data._classes = tuple(
                 ConjugacyClass(cl.label, cl.element_order, cl.size, els[cl.rep],
@@ -475,7 +463,6 @@ class IndexedGroup(FiniteGroup):
                 for cl in classes
             )
             data._class_of = dict(zip(els, class_of))
-        data._orders.update((els[i], d) for i, d in self._orders.items())
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -613,9 +600,6 @@ class PermutationGroup(FiniteGroup):
     @property
     def identity(self):
         return identity_perm(self.degree)
-
-    def element_order(self, g) -> int:
-        return self._orders.setdefault(g, lcm(*cycle_type(g)))
 
     def format(self, g):
         return format_perm(g)
@@ -898,10 +882,13 @@ def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
         item = item.strip()
         mult = 1
         m = re.fullmatch(r"(.*?)\s*x\s*(\d+)", item)
-        if m and not item.startswith("[["):
+        if m:
             item, mult = m.group(1).strip(), int(m.group(2))
         if item in by_label:
             idx = by_label[item]
+        elif re.fullmatch(r"\d+[a-z]+", item):
+            raise ValidationError(f"no class {item!r} in {group.name};"
+                                  f" its class labels are {', '.join(by_label)}")
         else:
             g = group.parse(item)
             idx = group.class_index_of(g)

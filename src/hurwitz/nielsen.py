@@ -128,15 +128,6 @@ def _qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return t[:j] + (b, group.mul(group.mul(group.inv(b), a), b)) + t[j + 2:]
 
 
-def _reduction_orbit(group: FiniteGroup, t: tuple) -> list[tuple]:
-    """The four images of t under the rank-4 reduction group {1, q1*q3^-1,
-    sh^2, both}; just [t] when r != 4."""
-    if len(t) != 4:
-        return [t]
-    a = _qi(group, _qi_inv(group, t, 3), 1)
-    return [t, a, t[2:] + t[:2], a[2:] + a[:2]]
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -206,6 +197,12 @@ class ConjAction:
         g1, g2, g3, g4 = t
         return table[table[g1][g2]][inverse[g1]], g1, g4, table[table[inverse[g4]][g3]][g4]
 
+    def klein_images(self, t: tuple) -> tuple:
+        """The four images of a 4-tuple under the reduction group {1,
+        q1*q3^-1, sh^2, both}."""
+        a = self._klein_image(t)
+        return t, a, t[2:] + t[:2], a[2:] + a[:2]
+
     def first_least_image(self, t: tuple) -> tuple:
         """The first of ``least_images(t)`` for a 4-tuple, built alone."""
         om = self.orbit_min
@@ -215,16 +212,14 @@ class ConjAction:
         return u[2:] + u[:2] if k > 1 else u
 
     def least_images(self, t: tuple) -> list:
-        """The images of t, in ``_reduction_orbit`` order, paired with an
+        """The images of t, in ``klein_images`` order, paired with an
         entry of least orbit minimum: under an action joining conjugates, only
         they can give its reduced form.  Just [t] when r != 4."""
         if len(t) != 4:
             return [t]
         om = self.orbit_min
         mins = (om[t[0]], om[t[1]], om[t[2]], om[t[3]])
-        least = min(mins)
-        a = self._klein_image(t) if least in mins[1::2] else t
-        return list(compress((t, a, t[2:] + t[:2], a[2:] + a[:2]), map(least.__eq__, mins)))
+        return list(compress(self.klein_images(t), map(min(mins).__eq__, mins)))
 
     def reduced_canonical_tuple(self, t: tuple) -> tuple:
         """The least canonical form over ``least_images(t)``."""

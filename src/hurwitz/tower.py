@@ -38,8 +38,10 @@ subgroup, and is otherwise unclassified.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -260,15 +262,12 @@ class CuspClassification(NamedTuple):
 
 def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:
     """Harbater-Mumford shape: consecutive pairs (g, g^-1)."""
-    r = len(t)
-    if r % 2:
-        return False
-    return all(t[i + 1] == group.inv(t[i]) for i in range(0, r, 2))
+    return len(t) % 2 == 0 and all(map(operator.eq, t[1::2], map(group.inv, t[::2])))
 
 
 def _has_adjacent_repeat(t: tuple) -> bool:
-    r = len(t)
-    return any(t[i] == t[(i + 1) % r] for i in range(r))
+    """Some entry equals the next one, cyclically."""
+    return any(map(operator.eq, t, t[1:] + t[:1]))
 
 
 def _subgroup_order_prime_to(group, gens, ell) -> bool:
@@ -279,19 +278,17 @@ def _subgroup_order_prime_to(group, gens, ell) -> bool:
 
 def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
-    ix, tuples = c.ni.group.indexed(), c.ni.tuples
-    rep = tuples[c.positions[0]]
-    r = len(rep)
+    ix = c.ni.group.indexed()
+    members = tuple(map(c.ni.tuples.__getitem__, c.positions))
+    rep = members[0]
 
     # Both shapes are entrywise, so kept by conjugation; at r = 4 also by sh^2
     # (a rotation) and by q1*q3^-1: its image (g1 g2 g1^-1, g1, g4, g3^g4) is HM
     # iff g2 = g1^-1 and g3 = g4^-1, and repeats iff g1 = g2, g1 = g4, g3 = g4
     # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class.
-    if r == 4:
-        inverse, hm, dbl = ix.inverse, False, False
-        for g1, g2, g3, g4 in map(tuples.__getitem__, c.positions):
-            hm = hm or (g2 == inverse[g1] and g4 == inverse[g3])
-            dbl = dbl or g1 == g2 or g2 == g3 or g3 == g4 or g4 == g1
+    hm = any(map(tuple_is_hm, repeat(ix), members))
+    dbl = any(map(_has_adjacent_repeat, members))
+    if len(rep) == 4:
         g1, g2, g3, g4 = rep
         if (
             _subgroup_order_prime_to(ix, (g1, g4), ell)
@@ -303,8 +300,6 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
         else:
             kind = "ell-cusp"
     else:
-        hm = any(tuple_is_hm(ix, tuples[p]) for p in c.positions)
-        dbl = any(_has_adjacent_repeat(tuples[p]) for p in c.positions)
         # some cyclic split into >= 2 arcs generates l' subgroups iff the
         # split into single entries does: an arc's subgroup contains its
         # entries' cyclic subgroups, whose orders divide its order

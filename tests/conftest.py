@@ -1,7 +1,7 @@
 import pytest
 
 from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.nielsen import Mode, _qi, _qi_inv, enumerate_nielsen
 from hurwitz.braid import braid_orbits
 from hurwitz.tower import TowerSpec, lift_classes_to_level
 
@@ -48,3 +48,17 @@ def group_and_classes():
         g = make_group(desc)
         return g, parse_class_vector(g, classes)
     return build
+
+
+@pytest.fixture(scope="session")
+def reduction_orbit():
+    """The four images of a tuple under the rank-4 reduction group {1,
+    q1*q3^-1, sh^2, both}, built from the generic braid twists; just [t]
+    when r != 4.  The reference for ``ConjAction.klein_images``, which reads
+    q1*q3^-1 off the Cayley table."""
+    def images(group, t):
+        if len(t) != 4:
+            return [t]
+        a = _qi(group, _qi_inv(group, t, 3), 1)
+        return [t, a, t[2:] + t[:2], a[2:] + a[:2]]
+    return images

@@ -561,6 +561,57 @@ def test_degenerate_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _enumerate(group, classes):
+    return ["enumerate", "--group", group, "--classes", classes]
+
+
+# the input checks of the group catalog and of the element and class-vector
+# parsers, each reached from the command line
+@pytest.mark.parametrize("argv,message", [
+    (_enumerate("A4", "[(1,2,5),3a,3b,3b]"), "symbol out of range 1..4"),
+    (_enumerate("A4", "[(1,1,2),3a,3b,3b]"), "repeated symbol in cycle"),
+    (_enumerate("A4", "[(1,2,3)(3,4),3a,3b,3b]"), "cycles are not disjoint"),
+    (_enumerate("A4", "[(1,2,3)z,3a,3b,3b]"), "unexpected text in permutation"),
+    (_enumerate("A4", "[(1,,2),3a,3b,3b]"), "bad cycle in permutation"),
+    (_enumerate("A4", "3a,3a,3b,3b"), "class vector must be bracketed"),
+    (_enumerate("A4", "[]"), "empty class vector"),
+    (_enumerate("A4", "[3a]"), "class vector needs at least 2 entries"),
+    (_enumerate("A2", "[1a,1a]"), "alternating group needs n >= 3"),
+    (_enumerate("S1", "[1a,1a]"), "symmetric group needs n >= 2"),
+    (_enumerate("D2", "[1a,1a]"), "dihedral group needs n >= 3"),
+    (_enumerate("SL2(1)", "[1a,1a]"), "SL2 modulus must be at least 2"),
+    (_enumerate("Heis(1)", "[1a,1a]"), "Heisenberg modulus must be at least 2"),
+    (_enumerate("V(2,5):M=[[1,0]]", "[1a,1a]"), "action matrix must be 2x2"),
+    (_enumerate("V(2,5):M=[[5,0],[0,1]]", "[1a,1a]"), "action matrix not invertible mod 5"),
+    (_enumerate("SL2(3)", "[[[1,1],[0]],3a]"), "bad SL2 element"),
+    (_enumerate("SL2(3)", "[[[1,1],[1,1]],3a]"), "has determinant != 1 mod 3"),
+    (_enumerate("Heis(3)", "[[1,0],3a]"), "bad Heisenberg element"),
+    (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1,0],3a]"), "bad semidirect element"),
+    (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1|0],3a]"), "vector part of '[1|0]' must"),
+    (["genus", "--group", "A4", "--classes", "[3c,3a,3b,3b]"],
+     "no class '3c' in A4; its class labels are 1a, 2a, 3a, 3b"),
+    (["tower", "--family", "vector", "--ell", "5", "--action", "[[2,0],[0,3]]",
+      "--classes", "[3a,3a,3b,3b]"], "no class '3a' in"),
+])
+def test_input_checks_exit_2_with_one_line(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("group", ["A7", "S7"])
+def test_bcl_answers_above_the_table_cap(group, capsys):
+    """``bcl`` computes the classes on data, so it answers for groups whose
+    Cayley table is over the cap; the other commands exit 3."""
+    argv = ["--group", group, "--classes", "[3a,3a,3a,3a]"]
+    assert run(["bcl", *argv]) == 0
+    assert out_of(capsys).splitlines()[2] == "N_C = 3; Q = [1, 2]; rational union: True"
+    assert run(["enumerate", *argv]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: multiplication table")
+
+
 VECTOR_TOWER = ["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]"]
 DIHEDRAL_TOWER = ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]"]
 

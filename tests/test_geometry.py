@@ -14,7 +14,7 @@ from hurwitz.braid import braid_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import make_group, parse_class_vector
-from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.nielsen import Mode, canonicalize, enumerate_nielsen
 from hurwitz.tower import inner_absolute_fibers
 
 
@@ -230,3 +230,47 @@ def test_a4_moduli_flags(a4, a4_orbits):
         assert flags.inner_fine is True
         assert flags.b_fine_reduced is False
         assert flags.fine_reduced is False
+
+
+MODULI_CASES = [
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("D5", "[2a,2a,2a,2a]", Mode.INNER_REDUCED),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("D37", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+]
+
+
+@pytest.fixture(scope="module")
+def moduli_cases():
+    out = []
+    for desc, classes, mode in MODULI_CASES:
+        g = make_group(desc)
+        cv = parse_class_vector(g, classes)
+        out.append((g, cv, braid_orbits(enumerate_nielsen(g, cv, mode))))
+    return out
+
+
+def test_b_fine_matches_the_reduction_orbit_reference(moduli_cases, reduction_orbit):
+    """A reduced class is b-fine when its four Klein images, read off the
+    Cayley table, are four inner classes; the reference builds the images
+    with the generic braid twists and canonicalizes them on data."""
+    seen = set()
+    for g, cv, orbits in moduli_cases:
+        for o in orbits:
+            reference = all(
+                len({canonicalize(g, u, Mode.INNER, cv) for u in reduction_orbit(g, t)}) == 4
+                for t in o.members
+            )
+            assert moduli_flags(g, o).b_fine_reduced == reference, (g.name, o.label)
+            seen.add(reference)
+    assert seen == {True, False}
+
+
+def test_cusp_widths_are_the_cycle_type_of_gamma_inf(moduli_cases):
+    """The widths are read off gamma_inf without building the cusp orbits;
+    they equal the widths of the q2 orbits, in the same order."""
+    for _g, _cv, orbits in moduli_cases:
+        for o in orbits:
+            widths = genus_of_component(o).cusp_widths
+            assert getattr(o, "_cusps", None) is None
+            assert widths == tuple(c.width for c in o.cusps())

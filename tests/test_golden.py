@@ -10,7 +10,8 @@ and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
 catalog generators.  Braid orbits in inner mode at r = 4, in absolute modes
 at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
 moves in every mode and the reduced search; a vector tower at r = 3 pins the
-cusp types and the missing genus off r = 4.  ``USAGE`` pins the argument
+cusp types and the missing genus off r = 4, and the ``spin5`` lift of the
+five 3-cycle tuples of A5 pins the one obstructed orbit.  ``USAGE`` pins the argument
 parser's help, usage and error output, runs whose argv only the argument
 parser reads, and two refused sample sizes, at a fixed terminal width of 80
 columns.  To regenerate the file after a deliberate change of output, run
@@ -81,6 +82,9 @@ COMMANDS = [
     ["orbits", "--group", "A5", "--classes", "[3a,3a,5a]", "--mode", "absolute"],
     # r = 3: cusps typed by the arc split, and orbits with no genus
     ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3a]", "--k-max", "1"],
+    # Fried's 3-cycle separation at n = r = 5: spin5 obstructs one orbit of two
+    ["lift", "--group", "A5", "--classes", "[3a,3a,3a,3a,3a]", "--mode", "inner",
+     "--cover", "spin5"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

@@ -3,13 +3,14 @@
 import itertools
 import random
 import time
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
+    FiniteGroup,
     PermutationGroup,
     Sl2Group,
     VectorSemidirectGroup,
@@ -27,6 +28,7 @@ from hurwitz.groups import (
 )
 from hurwitz.lift import extend_action_to_heisenberg
 from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.tower import TowerSpec
 
 
 def sl2_order(m):
@@ -112,6 +114,9 @@ def test_element_order(a4):
     three = a4.parse("(1,2,3)")
     assert a4.element_order(three) == 3
     assert a4.element_order(a4.identity) == 1
+    a4.conjugacy_classes()  # orders are read off the classes from now on
+    with pytest.raises(ValidationError, match=r"element \(1,2\) is not in A4"):
+        a4.element_order(a4.parse("(1,2)"))
 
 
 def test_generate_subgroup(a4):
@@ -132,6 +137,19 @@ def test_class_vector_parsing(a4, a4_cv):
 def test_class_vector_from_representatives(a4, a4_cv):
     cv = parse_class_vector(a4, "[(1,2,3),(1,2,3),(1,3,2),(1,3,2)]")
     assert cv == a4_cv or sorted(cv.labels()) == sorted(a4_cv.labels())
+
+
+@pytest.mark.parametrize("desc,short,full", [
+    # an SL2 element starts with "[[", and its suffix used to be refused
+    ("SL2(3)", "[[[1,1],[0,1]]x2,[[1,2],[0,1]]x2]",
+     "[[[1,1],[0,1]],[[1,1],[0,1]],[[1,2],[0,1]],[[1,2],[0,1]]]"),
+    ("A4", "[(1,2,3)x2,(1,3,2) x 2]", "[(1,2,3),(1,2,3),(1,3,2),(1,3,2)]"),
+    ("Heis(3)", "[[1,0,0]x3]", "[[1,0,0],[1,0,0],[1,0,0]]"),
+    ("V(2,5):M=[[0,-1],[1,-1]]", "[[0,0|1]x3]", "[[0,0|1],[0,0|1],[0,0|1]]"),
+])
+def test_repetition_suffix_on_element_strings(desc, short, full):
+    g = make_group(desc)
+    assert parse_class_vector(g, short) == parse_class_vector(g, full)
 
 
 def test_class_power(a4, a4_cv):
@@ -393,9 +411,51 @@ VIEW_GROUPS = ["A4", "S4", "A5", "D7", "D37", "SL2(3)", "SL2(5)", "Heis(3)",
                "gens:[(1,2,3,4,5),(1,2,3)]"]
 
 
+def _order_by_powering(g, x):
+    k, y = 1, x
+    while y != g.identity:
+        y, k = g.mul(y, x), k + 1
+    return k
+
+
+@pytest.mark.parametrize("desc", [*VIEW_GROUPS, "vector l=2 level 2"])
+def test_element_orders_are_read_off_the_classes(group_and_classes, desc):
+    """Once the classes are known an element's order is its class's; it
+    equals the order found by powering, and on permutations the lcm of the
+    cycle type, on every element and on the view as on data.  Before the
+    classes are known the order is found by powering, which computes none."""
+    if desc == "vector l=2 level 2":
+        g = group_and_classes(desc, "[3a,3a,3b,3b]")[0]
+        fresh = TowerSpec("vector", 2).level_group(2)
+    else:
+        g, fresh = make_group(desc), make_group(desc)
+    assert fresh.element_order(fresh.gens[0]) == _order_by_powering(fresh, fresh.gens[0])
+    assert fresh._classes is None
+    ix = g.indexed()
+    for i, x in enumerate(g.elements):
+        d = _order_by_powering(g, x)
+        assert g.element_order(x) == ix.element_order(i) == d == _order_by_powering(ix, i)
+        if g.kind == "permutation":
+            assert lcm(*cycle_type(x)) == d
+
+
+def test_class_orders_power_only_elements_not_met_as_powers(monkeypatch):
+    """g^k has order d / gcd(k, d) when g has order d, so the classes of D37
+    on data power three elements: the identity, a reflection and the
+    rotation x+1, whose powers are every rotation.  Without that, each of
+    the 18 rotation classes would be powered up to 37 times on 37 points."""
+    powered = []
+    powers = FiniteGroup._powers
+    monkeypatch.setattr(FiniteGroup, "_powers",
+                        lambda self, g: powered.append(g) or powers(self, g))
+    g = make_group("D37")
+    assert [c.element_order for c in g.conjugacy_classes()] == [1, 2, *[37] * 18]
+    assert [g.element_order(x) for x in powered] == [1, 2, 37]
+
+
 @pytest.mark.parametrize("desc", VIEW_GROUPS)
 def test_view_classes_orders_and_inverses_match_a_group_without_a_view(desc):
-    """The view computes them on indices and fills its data group's caches;
+    """The view computes the classes on indices and fills its data group's;
     a copy of the group that never gets a view computes them on data."""
     g, fresh = make_group(desc), make_group(desc)
     ix = g.indexed()

@@ -21,7 +21,6 @@ from hurwitz.nielsen import (
     _build_action,
     _complete,
     _get_action,
-    _reduction_orbit,
     canonicalize,
     enumerate_nielsen,
     is_nielsen_tuple,
@@ -126,7 +125,7 @@ def test_to_dict_shape(a4_ni):
     ("D7", "[2a,2a,2a,2a]"),
     ("V(2,5):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]"),
 ])
-def test_counting_identities(desc, classes):
+def test_counting_identities(reduction_orbit, desc, classes):
     g = make_group(desc)
     cv = parse_class_vector(g, classes)
     raw = enumerate_nielsen(g, cv, Mode.RAW).count
@@ -137,7 +136,7 @@ def test_counting_identities(desc, classes):
     assert raw == inner * (g.order // len(center))
     # each reduced class is the union of its reduction orbit's inner classes
     assert inner == sum(
-        len({canonicalize(g, u, Mode.INNER, cv) for u in _reduction_orbit(g, t)})
+        len({canonicalize(g, u, Mode.INNER, cv) for u in reduction_orbit(g, t)})
         for t in reduced.reps
     )
 
@@ -411,12 +410,13 @@ def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mod
     ("V(2,7):M=[[0,-1],[1,-1]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
     ("vector l=2 level 2", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
 ])
-def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes, desc,
+def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes,
+                                                               reduction_orbit, desc,
                                                                classes, mode):
     """The reduced form takes canonical forms of the least images only; the
     reference takes them of all four images under the reduction group, on
     random Nielsen tuples and on random tuples of group elements.  The least
-    images, read off the Cayley table, are the images of ``_reduction_orbit``
+    images, read off the Cayley table, are the images of ``reduction_orbit``
     whose first entry has the least orbit minimum, ties at several positions
     included, and a lookup's first least image is the first of them.  Every
     stored reduced form and every key of the Klein map starts with the
@@ -429,7 +429,8 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
     samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(60)]
     ties, first_at = Counter(), Counter()
     for t in samples:
-        images = _reduction_orbit(ix, t)
+        images = reduction_orbit(ix, t)
+        assert list(action.klein_images(t)) == images, t
         reference = min(map(action.canonical_tuple, images))
         assert action.reduced_canonical_tuple(t) == reference, t
         firsts = [action.orbit_min[u[0]] for u in images]

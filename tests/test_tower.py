@@ -24,7 +24,7 @@ from hurwitz.lift import (
     lift_invariant,
     spin_cover,
 )
-from hurwitz.nielsen import Mode, _reduction_orbit, enumerate_nielsen, tuple_cover_genus
+from hurwitz.nielsen import Mode, enumerate_nielsen, tuple_cover_genus
 from hurwitz.tower import (
     TowerSpec,
     _has_adjacent_repeat,
@@ -387,10 +387,10 @@ def _shapes(group, tuples):
     for mode in (Mode.INNER_REDUCED, Mode.INNER, Mode.ABSOLUTE_REDUCED)
     if family == "dihedral" or mode is not Mode.ABSOLUTE_REDUCED  # needs permutations
 ])
-def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
-    """``cusp_type`` reads the shape flags off each member's rep alone, at
-    r = 4 in one pass over the inverse table.  They equal ``tuple_is_hm``
-    and ``_has_adjacent_repeat`` over the members' stored forms, and the
+def test_class_shapes_match_the_four_image_reference(reduction_orbit, family, ell, k_max,
+                                                     mode):
+    """``cusp_type`` reads the shape flags off each member's rep alone,
+    through ``tuple_is_hm`` and ``_has_adjacent_repeat`` at every r.  The
     reference reads them on data off all four images of each member under
     the Klein reduction group, in every mode."""
     spec = TowerSpec(family, ell)
@@ -399,7 +399,7 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
     seen = set()
     for k in range(k_max + 1):
         lvl = build_level(spec, cv0, k, mode=mode)
-        reference = [_shapes(lvl.group, _reduction_orbit(lvl.group, t)) for t in lvl.ni.reps]
+        reference = [_shapes(lvl.group, reduction_orbit(lvl.group, t)) for t in lvl.ni.reps]
         assert [_shapes(lvl.group, [t]) for t in lvl.ni.reps] == reference
         seen.update(reference)
         for o in lvl.orbits:
@@ -416,6 +416,35 @@ def test_class_shapes_match_the_four_image_reference(family, ell, k_max, mode):
                 assert got.hm == any(tuple_is_hm(lvl.group.indexed(), u) for u in stored)
                 assert got.double_identity == any(map(_has_adjacent_repeat, stored))
     assert len({hm for hm, _ in seen}) == 2 and len({dbl for _, dbl in seen}) == 2
+
+
+def _inline_r4_shapes(ix, members):
+    """The r = 4 shape rule ``cusp_type`` once ran inline: one pass over
+    every member, reading inverses off the view's list."""
+    inverse, hm, dbl = ix.inverse, False, False
+    for g1, g2, g3, g4 in members:
+        hm = hm or (g2 == inverse[g1] and g4 == inverse[g3])
+        dbl = dbl or g1 == g2 or g2 == g3 or g3 == g4 or g4 == g1
+    return hm, dbl
+
+
+def test_cusp_shapes_match_the_inline_r4_rule():
+    """At r = 4 the shared ``tuple_is_hm`` / ``_has_adjacent_repeat`` rule
+    gives the flags of the inline rule it replaced, on every cusp of the
+    vector l=2 levels k <= 2."""
+    spec = TowerSpec("vector", 2)
+    cv0 = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
+    seen = set()
+    for k in range(3):
+        lvl = build_level(spec, cv0, k)
+        ix = lvl.group.indexed()
+        for o in lvl.orbits:
+            for c in o.cusps():
+                expected = _inline_r4_shapes(ix, [lvl.ni.tuples[p] for p in c.positions])
+                got = cusp_type(c, spec.ell)
+                assert (got.hm, got.double_identity) == expected, (k, c.label)
+                seen.add(expected)
+    assert len(seen) >= 3, seen
 
 
 def _cyclic_split_search(group, t, ell):
