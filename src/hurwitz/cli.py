@@ -41,7 +41,7 @@ from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 # switch; help output is generated from these rows, each dest and config key
 # is the flag's name, and each config value must have the flag's type.  The
 # per-command ``_FLAGS`` map is derived from them and the command rows below.
-_SHARED_FLAGS = (  # tower has its own --classes and no --group
+_SHARED_FLAGS = (  # tower has its own --classes, no --group and no budget flags
     ("--group", str, None, "group descriptor, e.g. A4, D5, SL2(3)"),
     ("--classes", str, None, "class vector, e.g. [3a,3a,3b,3b]"),
     ("--mode", str, "inner-reduced", "raw | inner | absolute | inner-reduced | absolute-reduced"),
@@ -339,7 +339,9 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
         source = make_group(data["source"], **kw)
         target = make_group(data["target"], **kw)
         hom = GroupHom(source, target, [target.parse(v) for v in images])
-        return CentralExtension(source, target, hom, name=f"hom:{path}")
+        if not hom.is_surjective:
+            raise ValidationError("central extension projection must be onto")
+        return CentralExtension(source, target, hom, hom.preimage, hom.kernel(), f"hom:{path}")
     raise ValidationError(
         f"unknown cover {sel!r}; use spin4, spin5, heis(<l>) or hom:<file>"
     )
@@ -488,9 +490,13 @@ _COMMANDS = {
     "check": ("property suites with witnesses",
               (*_BASE_KEYS, "suite", "seed", "sample_size"), _cmd_check),
 }
+# tower levels are gated by closed-form orders and the table cap, and only
+# the commands that build braid orbits take --orbit-cap
 _FLAGS = {c: {flag: (flag[2:].replace("-", "_"), kind, default, text)
               for flag, kind, default, text in
-              _SHARED_FLAGS[2 if c == "tower" else 0:] + _OWN_FLAGS.get(c, ())}
+              (_SHARED_FLAGS[2:6] if c == "tower" else
+               _SHARED_FLAGS[:8 if c in ("orbits", "shinc", "genus", "lift") else 7])
+              + _OWN_FLAGS.get(c, ())}
           for c in _COMMANDS}  # command -> {flag: (dest, type, default, help)}
 # config key -> the type of the flag it names; --config itself is no key
 _CONFIG_TYPES = {dest: kind for flags in _FLAGS.values()

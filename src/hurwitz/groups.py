@@ -503,14 +503,15 @@ class IndexedGroup(FiniteGroup):
 
 
 class GroupHom:
-    """A verified homomorphism between finite groups, stored as a full map.
+    """A verified homomorphism between finite groups, stored as its images.
 
     ``images[i]`` is the image of ``source.gens[i]`` and must be an element
     of the target.  One breadth-first search from the identity extends the
     images over the source and checks map(x * g) == map(x) * map(g) at every
     element x and generator g; by induction on word length that forces the
-    map to be multiplicative everywhere.  Source and target may be data
-    groups or indexed views.
+    map to be multiplicative everywhere.  The map is stored once, as
+    ``element_images`` in ``source.elements`` order (between indexed views,
+    the index map).  Source and target may be data groups or indexed views.
 
     >>> c2, v4 = make_group("gens:[(1,2)]"), make_group("gens:[(1,2)(3,4)]")
     >>> GroupHom(c2, v4, [v4.parse("(1,3)")])
@@ -532,16 +533,19 @@ class GroupHom:
                 )
         pairs = tuple(zip(source.gens, images))
         smul, tmul = source.mul, target.mul
-        mapping = {source.identity: target.identity}
+        mapped = [None] * len(source.elements)  # listing the source fills its index
+        index = source._index
+        mapped[index[source.identity]] = target.identity
         queue = [source.identity]
         for x in queue:  # breadth first: the queue grows while it is read
-            mx = mapping[x]
+            mx = mapped[index[x]]
             for g, img in pairs:
                 y = smul(x, g)
                 v = tmul(mx, img)
-                got = mapping.get(y)
+                i = index[y]
+                got = mapped[i]
                 if got is None:
-                    mapping[y] = v
+                    mapped[i] = v
                     queue.append(y)
                 elif got != v:
                     raise ValidationError(
@@ -549,41 +553,25 @@ class GroupHom:
                     )
         self.source = source
         self.target = target
-        self.mapping = mapping
-        self._kernel = None
-        self._least_preimage = None
+        self.element_images = tuple(mapped)
 
     def __call__(self, x):
-        return self.mapping[x]
-
-    @cached_property
-    def element_images(self) -> tuple:
-        """The image of each source element, in ``source.elements`` order:
-        between indexed views, the index map."""
-        return tuple(map(self.mapping.__getitem__, self.source.elements))
+        return self.element_images[self.source._index[x]]
 
     def kernel(self) -> tuple:
-        if self._kernel is None:
-            e = self.target.identity
-            self._kernel = tuple(
-                sorted(x for x, y in self.mapping.items() if y == e)
-            )
-        return self._kernel
+        """The kernel, sorted as ``source.elements`` is."""
+        e = self.target.identity
+        return tuple(x for x, y in zip(self.source.elements, self.element_images) if y == e)
 
     @property
     def is_surjective(self) -> bool:
-        return len(set(self.mapping.values())) == self.target.order
+        return len(set(self.element_images)) == self.target.order
 
     def preimage(self, y):
         """The least preimage of y (deterministic section)."""
-        if self._least_preimage is None:
-            least: dict = {}
-            for x in sorted(self.mapping):  # so the first hit is least
-                least.setdefault(self.mapping[x], x)
-            self._least_preimage = least
         try:
-            return self._least_preimage[y]
-        except KeyError:
+            return self.source.elements[self.element_images.index(y)]
+        except ValueError:
             raise ValidationError("element has no preimage") from None
 
 

@@ -7,20 +7,19 @@ a product-one tuple is the product of the same-order lifts of its entries;
 it lands in K and is constant on braid orbits, so a nontrivial value
 obstructs the tuple's orbit from lifting through psi.
 
-The built-in covers are the two binary double covers SL2(Z/3) -> A4 and
-SL2(Z/5) -> A5 (the n = 4, 5 spin covers of the alternating groups), and
-the small-Heisenberg extensions Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained
-by extending an order-3 matrix action to the Heisenberg group.  The spin
-and ``hom:`` covers are ``GroupHom``s given by generator images, which must
-lie in the target; each is checked on every element and generator as it is
-built.  ``GroupHom`` lives in the groups module, where tower level maps and
-conjugation automorphisms are built with it too.  A Heisenberg cover is
-instead a 2-cocycle on its base: an element is the base element plus a
-central coordinate, the base part of a product is computed by the base
-group's own ``mul`` and the central part adds the cocycle.  Dropping the
-central coordinate is then a homomorphism by construction, so its kernel
-and its section v -> (v, 0) are read off the formula, and the cover is
-never enumerated or walked.
+Every cover is a ``CentralExtension`` given by a projection, a section and
+its kernel.  The built-in covers are the two binary double covers
+SL2(Z/3) -> A4 and SL2(Z/5) -> A5 (the n = 4, 5 spin covers of the
+alternating groups), and the small-Heisenberg extensions
+Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained by extending an order-3 matrix
+action to the Heisenberg group.  The spin and ``hom:`` covers project by a
+``GroupHom`` given by generator images, checked on every element and
+generator as it is built; its least preimages and kernel are the section and
+kernel.  ``GroupHom`` lives in the groups module, where tower level maps and
+conjugation automorphisms are built with it too.  A Heisenberg cover is the
+semidirect product Heis(l) x| Z/3 by a formula, so dropping the central
+coordinate is a homomorphism by construction, its kernel and section
+v -> (v, 0) are read off the formula, and the cover is never enumerated.
 
 ``is_frattini_cover`` takes any surjective ``GroupHom``, on data or, as for
 the tower steps G_k -> G_(k-1), between indexed views.
@@ -40,9 +39,11 @@ from .groups import (
     ClassVector,
     FiniteGroup,
     GroupHom,
+    HeisenbergGroup,
     IndexedGroup,
     Sl2Group,
     VectorSemidirectGroup,
+    _det_mod,
     _mat_mul,
     _smallest_prime_factor,
     alternating,
@@ -60,29 +61,22 @@ COMPANION = ((0, -1), (1, -1))
 class CentralExtension:
     """A surjection psi: cover -> base whose kernel is central in the cover.
 
-    ``projection`` is a ``GroupHom``, whose kernel and least preimages are
-    read off its map; or a map that is a homomorphism by construction, given
-    with its ``section`` (one preimage of each base element) and ``kernel``.
-    Such a projection is onto when the section splits it on the base's
-    generators, since its image is a subgroup.  Either way each kernel
+    ``projection`` is a homomorphism (a ``GroupHom``, or a map that is one
+    by construction), given with its ``section`` (one preimage of each base
+    element) and ``kernel``.  It is onto when the section splits it on the
+    base's generators, since its image is a subgroup, and each kernel
     element must commute with the cover's generators.
     """
 
     def __init__(self, cover: FiniteGroup, base: FiniteGroup, projection,
-                 name: str = "", section=None, kernel=None):
-        if section is None:
-            if projection.source is not cover or projection.target is not base:
-                raise ValidationError("projection must map the cover onto the base")
-            if not projection.is_surjective:
-                raise ValidationError("central extension projection must be onto")
-            section, kernel = projection.preimage, projection.kernel()
-        elif any(projection(section(g)) != g for g in base.gens):
+                 section, kernel, name: str):
+        if any(projection(section(g)) != g for g in base.gens):
             raise ValidationError("central extension projection must be onto")
         self.cover = cover
         self.base = base
         self.projection = projection
         self.section = section
-        self.name = name or f"{cover.name}->{base.name}"
+        self.name = name
         self.kernel = tuple(kernel)
         for k in self.kernel:
             for g in cover.gens:
@@ -115,9 +109,6 @@ class LiftInvariant(NamedTuple):
         if self.trivial:
             return "1"
         return self.extension.cover.format(self.value)
-
-    def to_dict(self) -> dict:
-        return {"value": self.label, "trivial": self.trivial}
 
 
 def same_order_lift(ext: CentralExtension, g):
@@ -227,7 +218,7 @@ def spin_cover(n: int) -> CentralExtension:
     base = alternating(n)
     images = tuple(base.parse(s) for s in _SPIN_GEN_IMAGES[n])
     hom = GroupHom(cover, base, images)
-    ext = CentralExtension(cover, base, hom, name=f"spin{n}")
+    ext = CentralExtension(cover, base, hom, hom.preimage, hom.kernel(), f"spin{n}")
     if ext.kernel_order != 2:
         raise ValidationError("spin cover must have kernel of order 2")
     return ext
@@ -238,28 +229,25 @@ def _heisenberg_corrections(ell: int, m: tuple):
 
     An automorphism of Heis(ell) over the matrix action m must scale the
     center by lam = det(m) and add a cocycle q(v) = B(v, v)/2 + s*x + t*y,
-    where B is the symmetric defect form; (s, t) is valid iff the induced
-    map has order 3.  The order-3 condition is affine in (s, t), so invalid
-    candidates die on the first vector tested.
+    where B is the symmetric defect form.  Every (s, t) gives an
+    automorphism alpha, so (s, t) is valid iff alpha^3 fixes the generators
+    (1, 0, 0) and (0, 1, 0), a condition affine in (s, t).
     """
-    lam = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % ell
+    lam = _det_mod(m, ell)
 
     def act(v):
-        return (
-            (v[0] * m[0][0] + v[1] * m[1][0]) % ell,
-            (v[0] * m[0][1] + v[1] * m[1][1]) % ell,
-        )
+        return _mat_mul((v,), m, ell)[0]
 
     inv2 = pow(2, -1, ell)
 
     def q_base(v):
         w = act(v)
-        return ((w[0] * w[1] - lam * v[0] * v[1]) % ell * inv2) % ell
+        return (w[0] * w[1] - lam * v[0] * v[1]) * inv2 % ell
 
-    # alpha^3 shifts the center over each v by c + a*s + b*t, which must vanish
+    # alpha^3 shifts the center over generator v by c + a*s + b*t, which must vanish
     lam2 = lam * lam
     residuals = []
-    for v in ((x, y) for x in range(ell) for y in range(ell)):
+    for v in ((1, 0), (0, 1)):
         mv = act(v)
         mmv = act(mv)
         residuals.append((lam2 * q_base(v) + lam * q_base(mv) + q_base(mmv),
@@ -276,41 +264,39 @@ def _heisenberg_corrections(ell: int, m: tuple):
 
 
 class HeisenbergCover(FiniteGroup):
-    """Heis(m) x| Z/3 for the automorphism alpha(v, z) = (v*M, lam*z + q(v)),
-    built over its base (Z/m)^2 x| Z/3 (row vectors v, M the base's action).
+    """Heis(m) x| Z/3 for the order-3 automorphism
+    alpha(v, z) = (v*M, lam*z + q(v)) of Heis(m), over its base
+    (Z/m)^2 x| Z/3 (row vectors v, M the base's action).
 
-    Elements are ``((x, y, z), a)``.  The product of (v1, z1, a) and
-    (v2, z2, b) is alpha^b(v1, z1) * (v2, z2) in Heis(m), next to a + b:
-    its lattice part (v1*M^b + v2, a + b) is the base's own product, and
-    its central part is lam^b*z1 + Q_b(v1) + z2 + (v1*M^b)_x * y2, where
-    Q_0 = 0 and Q_{b+1}(v) = lam*Q_b(v) + q(v*M^b).  Dropping z is thus a
-    homomorphism onto the base, with kernel {((0, 0, z), 0)} and section
-    (v, a) -> ((v, 0), a).  The kernel is central exactly when lam = 1.
+    Elements are ``((x, y, z), a)``, and (h1, a)(h2, b) = (alpha^b(h1) h2,
+    a + b) with the product taken in ``HeisenbergGroup(m)``; alpha^0,
+    alpha^1 and alpha^2 are kept as maps.  The lattice part of a product is
+    the base's product, so dropping z is a homomorphism onto the base, with
+    kernel {((0, 0, z), 0)} and section (v, a) -> ((v, 0), a).  The kernel
+    is central exactly when lam = 1.
     """
 
     def __init__(self, base: VectorSemidirectGroup, lam: int, act, q, name: str):
         self.base = base
-        self.modulus = base.modulus
-        self._lam, self._act, self._q = lam, act, q
-        self.kernel = tuple(((0, 0, z), 0) for z in range(base.modulus))
+        self.heis = HeisenbergGroup(base.modulus)
+        m = base.modulus
+
+        def alpha(h):
+            v = h[:2]
+            return (*act(v), (lam * h[2] + q(v)) % m)
+
+        self._alpha = (lambda h: h, alpha, lambda h: alpha(alpha(h)))
+        self.kernel = tuple(((0, 0, z), 0) for z in range(m))
         # the two lattice generators, then the complement, as in the base
         super().__init__(map(self.section, base.gens), name)
 
     def mul(self, g, h):
-        (x1, y1, z1), a = g
-        (x2, y2, z2), b = h
-        (x, y), c = self.base.mul(((x1, y1), a), ((x2, y2), b))
-        v = (x1, y1)
-        for _ in range(b):  # alpha^b(v1, z1) = (v, z1) when it ends
-            z1 = self._lam * z1 + self._q(v)
-            v = self._act(v)
-        return ((x, y, (z1 + z2 + v[0] * y2) % self.modulus), c)
+        (h1, a), (h2, b) = g, h
+        return (self.heis.mul(self._alpha[b](h1), h2), (a + b) % 3)
 
     def inv(self, g):
-        (x, y), b = self.base.inv(self.project(g))
-        # the central part of a product is z2 plus terms free of z2
-        z = self.mul(g, ((x, y, 0), b))[0][2]
-        return ((x, y, -z % self.modulus), b)
+        h, a = g
+        return (self._alpha[-a % 3](self.heis.inv(h)), -a % 3)
 
     @property
     def identity(self):
@@ -356,8 +342,8 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
         s, t = st
         cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
                                 name=f"Heis({ell}):3")
-        return CentralExtension(cover, base, cover.project, f"heis({ell})[{s},{t}]",
-                                section=cover.section, kernel=cover.kernel)
+        return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
+                                f"heis({ell})[{s},{t}]")
 
     first = next(corrections, None)
     if first is None:

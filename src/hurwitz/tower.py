@@ -491,17 +491,6 @@ class FiberReport(NamedTuple):
     orbit_fibers: tuple[tuple[str, tuple[str, ...]], ...]
     class_fibers: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "absolute_count": self.absolute_count,
-            "inner_count": self.inner_count,
-            "orbit_fibers": [
-                {"absolute_orbit": a, "inner_orbits": list(i)}
-                for a, i in self.orbit_fibers
-            ],
-            "class_fibers": list(self.class_fibers),
-        }
-
 
 def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
                           reduced: bool = True) -> FiberReport:

@@ -446,6 +446,39 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
     assert not members.exists()
 
 
+TOWER_V2 = ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+            "--k-max", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # tower levels are gated by their closed-form orders and the table cap
+    [*TOWER_V2, "--order-bound", "5"],
+    [*TOWER_V2, "--orbit-cap", "1"],
+    # these commands build no orbit
+    ["enumerate", *A4_ARGS, "--orbit-cap", "1"],
+    ["bcl", *A4_ARGS, "--orbit-cap", "1"],
+    ["check", *A4_ARGS, "--orbit-cap", "1"],
+])
+def test_budget_flags_a_command_cannot_honour_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_budget_keys_in_a_tower_config_are_checked_then_ignored(tmp_path, capsys):
+    assert run(TOWER_V2) == 0
+    alone = out_of(capsys)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"order_bound": 5, "orbit_cap": 1}))
+    assert run([*TOWER_V2, "--config", str(path)]) == 0
+    assert capsys.readouterr() == (alone, "")
+    assert run_with_config(TOWER_V2, {"orbit_cap": "x"}) == (
+        2, "error: orbit-cap must be an integer, got 'x'\n")
+    assert run_with_config(TOWER_V2, {"order_bound": [5]}) == (
+        2, "error: order-bound must be an integer, got [5]\n")
+
+
 @pytest.mark.parametrize("argv,config,message", [
     # another command's key, of the wrong type
     (GENUS_D5, {"suite": 3}, "suite must be a string, got 3"),
@@ -740,6 +773,13 @@ def test_lift_hom_cover_with_bad_images_exits_2(tmp_path, capsys, source, group,
     assert run(["lift", "--group", group, "--classes", classes,
                 "--cover", f"hom:{hom}"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_lift_hom_cover_that_is_not_onto_exits_2(tmp_path, capsys):
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps({"source": "SL2(3)", "target": "A4", "images": ["()", "()"]}))
+    assert run(["lift", *A4_ARGS, "--cover", f"hom:{hom}"]) == 2
+    assert capsys.readouterr().err == "error: central extension projection must be onto\n"
 
 
 def test_tower_subcommand_json(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import hurwitz.lift
 from hurwitz.braid import braid_orbits
 from hurwitz.errors import ValidationError
 from hurwitz.groups import (
@@ -51,6 +52,38 @@ def test_group_hom_kernel_and_preimage(spin4):
     assert [x for x in spin4.cover.elements if hom(x) == e] == list(hom.kernel())
     for y in spin4.base.elements[:5]:
         assert hom(hom.preimage(y)) == y
+
+
+def test_group_hom_stores_only_its_element_images(spin4):
+    hom = spin4.projection
+    assert set(vars(hom)) == {"source", "target", "element_images"}
+    assert hom.element_images == tuple(map(hom, hom.source.elements))
+
+
+def _c3_in_s3():
+    c3, s3 = make_group("gens:[(1,2,3)]"), make_group("S3")
+    return GroupHom(c3, s3, [s3.parse("(1,2,3)")])
+
+
+def test_group_hom_preimage_off_the_image_is_refused():
+    hom = _c3_in_s3()
+    assert not hom.is_surjective
+    assert hom.preimage(hom.target.parse("(1,3,2)")) == hom.source.parse("(1,3,2)")
+    with pytest.raises(ValidationError, match="element has no preimage"):
+        hom.preimage(hom.target.parse("(1,2)"))
+
+
+def test_frattini_test_needs_a_surjection():
+    with pytest.raises(ValidationError, match="Frattini test needs a surjective homomorphism"):
+        is_frattini_cover(_c3_in_s3())
+
+
+def test_frattini_test_warns_above_its_tuple_budget(monkeypatch):
+    big = VectorSemidirectGroup(2, 4, ((0, -1), (1, -1)))
+    small = VectorSemidirectGroup(2, 2, ((0, -1), (1, -1)))
+    monkeypatch.setattr(hurwitz.lift, "FRATTINI_TUPLE_BUDGET", 63)
+    with pytest.warns(RuntimeWarning, match="enumerates 64 kernel-translate tuples"):
+        assert is_frattini_cover(GroupHom(big, small, small.gens)) is True
 
 
 def test_cover_genus_through_an_embedding(spin4):
@@ -209,6 +242,22 @@ def test_heisenberg_cocycle_is_the_semidirect_product(m):
     assert comm in ext.kernel and comm != cover.identity
 
 
+@pytest.mark.parametrize("m,message", [
+    (((0, -1, 0), (1, -1, 0), (0, 0, 1)), "needs a 2x2 matrix"),
+    (((1, 0), (0, 1)), "must have order exactly 3"),
+    (((0, 1), (1, 0)), "must have order exactly 3"),
+])
+def test_heisenberg_rejects_bad_matrices(m, message):
+    with pytest.raises(ValidationError, match=message):
+        extend_action_to_heisenberg(5, m)
+
+
+def test_lift_invariant_refuses_a_tuple_that_is_not_product_one(spin4):
+    c = spin4.base.parse("(1,2,3)")
+    with pytest.raises(ValidationError, match="lift product landed outside the kernel"):
+        lift_invariant(spin4, (c, c))
+
+
 def test_heisenberg_rejects_bad_modulus():
     with pytest.raises(ValidationError):
         extend_action_to_heisenberg(9, ((0, -1), (1, -1)))  # 9 not prime to 3
@@ -254,7 +303,8 @@ def test_central_extension_rejects_noncentral_kernel():
     c2 = make_group("gens:[(1,2)]")
     sign = GroupHom(s4, c2, [c2.identity if _is_even(g) else (1, 0) for g in s4.gens])
     with pytest.raises(ValidationError):
-        CentralExtension(s4, c2, sign)  # kernel A4 is not central in S4
+        # kernel A4 is not central in S4
+        CentralExtension(s4, c2, sign, sign.preimage, sign.kernel(), "sign")
 
 
 def _is_even(p):

@@ -60,6 +60,9 @@ def test_spec_validation():
     with pytest.raises(ValidationError, match="no lattice rank"):
         TowerSpec("dihedral", 5, t=1)
     assert (TowerSpec("vector", 5).t, TowerSpec("dihedral", 5).t) == (2, 1)
+    # M^3 = I mod 5 but not mod 25, so level 1 has a complement of order 15
+    with pytest.raises(ValidationError, match="action matrix changes order between levels"):
+        TowerSpec("vector", 5, action=((0, -1), (1, 4))).level_group(1)
 
 
 def test_level_groups_vector():
