@@ -19,7 +19,7 @@ from .groups import (
     normalizer_in_sym,
     parse_class_vector,
 )
-from .nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen, tuple_cover_genus
+from .nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen
 from .braid import (
     BraidOrbit,
     CuspOrbit,
@@ -48,7 +48,6 @@ from .tower import (
     component_tree,
     cusp_type,
     eventually_frattini_report,
-    inner_absolute_fibers,
     project_tuple,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "NielsenClassSet",
     "canonicalize",
     "enumerate_nielsen",
-    "tuple_cover_genus",
     "BraidOrbit",
     "CuspOrbit",
     "apply_qi",
@@ -98,7 +96,6 @@ __all__ = [
     "component_tree",
     "cusp_type",
     "eventually_frattini_report",
-    "inner_absolute_fibers",
     "project_tuple",
     "__version__",
 ]

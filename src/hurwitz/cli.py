@@ -193,8 +193,7 @@ def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
     """
     inputs = {k: cfg[k] for k in keys if cfg.get(k) is not None and cfg[k] is not False}
     if cfg["format"] == "json":
-        report = {"version": __version__, "inputs": inputs, **data}
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text({"version": __version__, "inputs": inputs, **data}) + "\n"
     elif cfg["format"] == "csv":
         import csv  # only CSV runs load the module
         buf = io.StringIO()
@@ -211,6 +210,49 @@ def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
         _write_file(cfg["out"], text, "report")
     else:
         sys.stdout.write(text)
+
+
+_escape = json.encoder.encode_basestring_ascii
+# the JSON text of a scalar of each of these exact types; json.dumps writes others
+_SCALARS = {str: _escape, int: int.__repr__, bool: {False: "false", True: "true"}.get,
+            type(None): {None: "null"}.get}
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.  With
+    ``indent`` set, ``json.dumps`` runs a pure-Python generator chain; this
+    puts the same chunks in one list and joins a list of same-type scalars in
+    one call, escaping strings as ``json.dumps`` does."""
+    out: list[str] = []
+
+    def put(o, indent: str) -> None:
+        text = _SCALARS.get(type(o))
+        if text is not None or not o or not isinstance(o, (dict, list, tuple)):
+            out.append(text(o) if text else json.dumps(o))  # also "{}" and "[]"
+            return
+        inner = indent + "  "
+        if isinstance(o, dict):
+            sep = "{"
+            for k in sorted(o):
+                out.append(sep + inner + _escape(k if isinstance(k, str) else json.dumps(k)) + ": ")
+                put(o[k], inner)
+                sep = ","
+            out.append(indent + "}")
+            return
+        kinds = set(map(type, o))
+        text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            out.append("[" + inner + ("," + inner).join(map(text, o)) + indent + "]")
+            return
+        sep = "["
+        for v in o:
+            out.append(sep + inner)
+            put(v, inner)
+            sep = ","
+        out.append(indent + "]")
+
+    put(obj, "\n")
+    return "".join(out)
 
 
 def _write_file(path: str, text: str, what: str) -> None:
@@ -251,8 +293,7 @@ def _cmd_orbits(cfg: dict):
     members_file = cfg.get("members_file")
     if members_file:
         blob = {o.label: [ni.formatted(p) for p in o.positions] for o in orbits}
-        _write_file(members_file, json.dumps(blob, sort_keys=True, indent=2) + "\n",
-                    "members file")
+        _write_file(members_file, _json_text(blob) + "\n", "members file")
         for d in dicts:
             d["members_file"] = members_file
     rows = [["orbit", "size", "cusp", "width", "rep"]]

@@ -52,10 +52,10 @@ from .errors import BudgetError, ValidationError
 DEFAULT_ORDER_BOUND = 10**6
 
 # Entries an indexed view's Cayley table (n^2 for a group of order n), the
-# transporters of a conjugation action (n^2) or the permutations of one of
-# its stabilizers (n per permutation) may hold: about 30 MB of references at
-# the cap.  It admits order 2000, enough for SL2(9) (720), the level-1
-# vector tower group at ell = 5 (1875) and D625 (1250).
+# transporters of a conjugation action (n per element read, built on first
+# read) or the permutations of one of its stabilizers (n per permutation) may
+# hold: about 30 MB of references at the cap.  It admits order 2000, enough for
+# SL2(9) (720), the level-1 vector tower group at ell = 5 (1875) and D625 (1250).
 TABLE_ENTRY_CAP = 4_000_000
 
 # largest degree whose Sym(n)-normalizer is searched when no catalog
@@ -238,8 +238,10 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._indexed: IndexedGroup | None = None
-        # canonical-form tables of the Nielsen layer, one per equivalence
+        # canonical-form tables of the Nielsen layer, one per equivalence, and
+        # the tower layer's ell' subgroup verdicts by (ell, sorted generators)
         self._conj_actions: dict = {}
+        self._ell_prime: dict = {}
 
     # subclasses override these three
     def mul(self, a, b):
@@ -260,10 +262,13 @@ class FiniteGroup:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            closure = self.close(self.gens)
-            self._elements = tuple(sorted(closure))
-            self._index = {g: i for i, g in enumerate(self._elements)}
+            self._list(self.close(self.gens))
         return self._elements
+
+    def _list(self, closure) -> None:
+        """Store the group's elements, sorted, and their index."""
+        self._elements = tuple(sorted(closure))
+        self._index = {g: i for i, g in enumerate(self._elements)}
 
     @property
     def order(self) -> int:
@@ -509,7 +514,8 @@ class GroupHom:
     of the target.  One breadth-first search from the identity extends the
     images over the source and checks map(x * g) == map(x) * map(g) at every
     element x and generator g; by induction on word length that forces the
-    map to be multiplicative everywhere.  The map is stored once, as
+    map to be multiplicative everywhere.  A source not yet listed is listed by
+    that search, under its order bound.  The map is stored once, as
     ``element_images`` in ``source.elements`` order (between indexed views,
     the index map).  Source and target may be data groups or indexed views.
 
@@ -533,27 +539,29 @@ class GroupHom:
                 )
         pairs = tuple(zip(source.gens, images))
         smul, tmul = source.mul, target.mul
-        mapped = [None] * len(source.elements)  # listing the source fills its index
-        index = source._index
-        mapped[index[source.identity]] = target.identity
+        unlisted = source._elements is None
+        mapped = {source.identity: target.identity}
         queue = [source.identity]
         for x in queue:  # breadth first: the queue grows while it is read
-            mx = mapped[index[x]]
+            mx = mapped[x]
             for g, img in pairs:
                 y = smul(x, g)
                 v = tmul(mx, img)
-                i = index[y]
-                got = mapped[i]
+                got = mapped.get(y)
                 if got is None:
-                    mapped[i] = v
+                    mapped[y] = v
                     queue.append(y)
                 elif got != v:
                     raise ValidationError(
                         "generator images do not define a homomorphism"
                     )
+            if unlisted and len(queue) > source.order_bound:
+                source.check_order_bound(len(queue))
+        if unlisted:
+            source._list(queue)
         self.source = source
         self.target = target
-        self.element_images = tuple(mapped)
+        self.element_images = tuple(map(mapped.__getitem__, source.elements))
 
     def __call__(self, x):
         return self.element_images[self.source._index[x]]

@@ -24,10 +24,11 @@ equivalence orbit, using the plain tuple order on element data.  Since
 conjugation acts entrywise, the least conjugate can be found by moving the
 first entry to the least element of its orbit and then minimising over the
 stabilizer of that element.  Each (group, equivalence) pair keeps, built
-from the acting generators alone, one transporter per element (a
-permutation moving it to its orbit's least element) and, closed on first
-use, the stabilizer of each orbit's least element (see ``ConjAction``); the
-acting group itself is never listed.
+from the acting generators alone, a Schreier vector of each orbit, from
+which an element's transporter (a permutation moving it to its orbit's least
+element) is composed on first read, and, closed on first use, the
+stabilizer of each orbit's least element (see ``ConjAction``); the acting
+group itself is never listed.
 
 A canonical form's second entry is least under the stabilizer of its first,
 so the search extends a first entry only by such entries (McKay's orderly
@@ -47,12 +48,12 @@ when first read.  The other public functions take and return element data.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress
-from typing import NamedTuple
+from itertools import combinations, compress, repeat
 
 from .errors import BudgetError, ValidationError
 from .groups import (
@@ -62,12 +63,10 @@ from .groups import (
     GroupHom,
     IndexedGroup,
     _span,
-    cycle_type,
     identity_perm,
     normalizer_in_sym,
     perm_inv,
     perm_mul,
-    riemann_hurwitz,
 )
 
 
@@ -128,6 +127,16 @@ def _qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return t[:j] + (b, group.mul(group.mul(group.inv(b), a), b)) + t[j + 2:]
 
 
+def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:
+    """Harbater-Mumford shape: consecutive pairs (g, g^-1)."""
+    return len(t) % 2 == 0 and all(map(operator.eq, t[1::2], map(group.inv, t[::2])))
+
+
+def _has_adjacent_repeat(t: tuple) -> bool:
+    """Some entry equals the next one, cyclically."""
+    return any(map(operator.eq, t, t[1:] + t[:1]))
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -150,35 +159,55 @@ class ConjAction:
 
     ``orbits`` maps the least element m of each A-orbit to the orbit; for y
     in it, ``orbit_min[y]`` is m and ``transporter[y]`` some permutation in A
-    moving y to m.  ``stabilizer[m]``, closed on first use from Schreier
-    generators, holds the non-identity permutations of A fixing m; those
-    after ``transporter[y]`` are all that move y to m, so the canonical form
-    does not depend on the transporter.  ``order`` is |A| once known (1 when
-    trivial, |G : Z(G)| when inner, else from the first stabilizer closed);
-    later closures stop at |A| / |orbit|.
+    moving y to m.  Transporters are composed on first read from the Schreier
+    vector: ``schreier[y]`` is (x, g^-1) for y's parent x = g^-1(y) in the
+    breadth-first tree of its orbit (None at m), and transporter[y] is g^-1
+    followed by transporter[x].  ``stabilizer[m]``, closed on first use from
+    Schreier generators, holds the non-identity permutations of A fixing m;
+    those after ``transporter[y]`` are all that move y to m, so the canonical
+    form does not depend on the transporter.  ``order`` is |A| once known (1
+    when trivial, |G : Z(G)| when inner, else from the first stabilizer
+    closed); later closures stop at |A| / |orbit|.
     """
 
     def __init__(self, group: IndexedGroup, kind: str, gens: tuple, orbits: dict,
-                 orbit_min: tuple, transporter: tuple, order: int | None = None):
+                 orbit_min: tuple, schreier: tuple, order: int | None = None):
         self.group, self.kind, self.gens, self.orbits = group, kind, gens, orbits
-        self.orbit_min, self.transporter, self.order = orbit_min, transporter, order
+        self.orbit_min, self.schreier, self.order = orbit_min, schreier, order
+        self.transporter = _ClosedOnUse(self._transport)
+        self.transporter.update(dict.fromkeys(orbits, identity_perm(len(orbit_min))))
         self.stabilizer = _ClosedOnUse(self._close_stabilizer)
 
+    def _transport(self, y: int) -> tuple:
+        """transporter[y], composed down from its nearest built ancestor in
+        the Schreier tree; the walk is a loop, as orbits run hundreds deep."""
+        tr, schreier, path = self.transporter, self.schreier, []
+        while y not in tr:
+            path.append(y)
+            y = schreier[y][0]
+        p = tr[y]
+        for y in reversed(path):
+            p = tr[y] = perm_mul(schreier[y][1], p)
+        return p
+
     def _close_stabilizer(self, m: int) -> tuple:
-        orbit, tr = self.orbits[m], self.transporter
+        orbit, tr, n = self.orbits[m], self.transporter, len(self.orbit_min)
         # t_y^-1 g t_g(y) fixes m, and these generate its stabilizer (Schreier's
         # lemma); t_y is inverted only when the closure gets that far
         schreier = (perm_mul(perm_mul(back, g), tr[g[y]])
                     for y, back in zip(orbit, map(perm_inv, map(tr.__getitem__, orbit)))
                     for g in self.gens)
         size = self.order // len(orbit) if self.order else None
-        span = _span(schreier, len(tr), f"{self.kind} stabilizers of {self.group.name}", size)[1]
+        span = _span(schreier, n, f"{self.kind} stabilizers of {self.group.name}", size)[1]
         self.order = self.order or len(span) * len(orbit)
         return tuple(sorted(span - {tr[m]}))
 
     def canonical_tuple(self, t: tuple) -> tuple:
-        p = self.transporter[t[0]]
-        best = base = tuple(map(p.__getitem__, t))
+        if self.orbit_min[t[0]] == t[0]:  # its own orbit minimum: nothing to move
+            best = base = t
+        else:
+            p = self.transporter[t[0]]
+            best = base = tuple(map(p.__getitem__, t))
         if len(base) < 2:
             return base
         for z in self.stabilizer[base[0]]:
@@ -251,7 +280,7 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     the subgroup fixing C's class multiset; each acting generator becomes a
     permutation of the view, read off a checked ``GroupHom``.  One
     breadth-first search per orbit, from its least element, gives
-    ``orbit_min`` and the transporters."""
+    ``orbit_min`` and the Schreier vector; no transporter is composed here."""
     ix = group.indexed()
     n = ix.order
     if kind == "absolute":
@@ -266,21 +295,20 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     identity = identity_perm(n)
     gens = sorted(set(perms) - {identity})
     inverses = [perm_inv(g) for g in gens]
-    orbit_min, transporter, orbits = [None] * n, [None] * n, {}
+    orbit_min, schreier, orbits = [None] * n, [None] * n, {}
     for m in range(n):
         if orbit_min[m] is None:
-            orbit_min[m], transporter[m], orbits[m] = m, identity, [m]
+            orbit_min[m], orbits[m] = m, [m]
             for x in orbits[m]:
                 for g, g_inv in zip(gens, inverses):
                     y = g[x]
                     if orbit_min[y] is None:
-                        orbit_min[y], transporter[y] = m, perm_mul(g_inv, transporter[x])
+                        orbit_min[y], schreier[y] = m, (x, g_inv)
                         orbits[m].append(y)
     # the kernel of the trivial or inner action is the union of its one-point
     # orbits (all of G, or Z(G))
     order = n // sum(len(o) == 1 for o in orbits.values()) if kind != "absolute" else None
-    return ConjAction(ix, kind, tuple(gens), orbits, tuple(orbit_min), tuple(transporter),
-                      order)
+    return ConjAction(ix, kind, tuple(gens), orbits, tuple(orbit_min), tuple(schreier), order)
 
 
 def _get_action(group: FiniteGroup, mode: Mode, cv: ClassVector | None) -> ConjAction:
@@ -379,6 +407,12 @@ class NielsenClassSet(Frozen):
         return tuple(map(self.group.indexed().to_data, self.tuples))
 
     @cached_property
+    def shapes(self) -> tuple[tuple, tuple]:
+        """``tuple_is_hm`` and ``_has_adjacent_repeat`` of every form, by position."""
+        return (tuple(map(tuple_is_hm, repeat(self.group.indexed()), self.tuples)),
+                tuple(map(_has_adjacent_repeat, self.tuples)))
+
+    @cached_property
     def position(self) -> dict:
         """Each index tuple's position in ``tuples``."""
         return {u: i for i, u in enumerate(self.tuples)}
@@ -387,15 +421,16 @@ class NielsenClassSet(Frozen):
         """The form at position p in the group's element notation."""
         return list(map(self.group.indexed().element_strings.__getitem__, self.tuples[p]))
 
-    def canonical(self, u: tuple) -> tuple:
+    def canonical(self, u: tuple, leads: bool = False) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``.  With the
         Klein group acting, it looks up the canonical form of u's first least
         image in ``klein``, which keys every member starting with mu, so that
-        image alone is built; a miss reduces u."""
+        image alone is built; ``leads`` says u starts with mu and so is that
+        image itself.  A miss reduces u."""
         action = self.action
         if not self.klein_reduced:
             return action.canonical_tuple(u)
-        c = action.canonical_tuple(action.first_least_image(u))
+        c = action.canonical_tuple(u if leads else action.first_least_image(u))
         return self.klein.get(c) or action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
@@ -403,15 +438,17 @@ class NielsenClassSet(Frozen):
         use: ``q2[i]`` is the position in ``tuples`` of the canonical form of
         q2 applied to ``tuples[i]``, likewise for sh, and q1(t) = sh(q2(sh^-1(t))).
         q2 images are read off the Cayley table, with the lookup bound once.
-        sh^2 is in the reduction group, so with the Klein group acting sh is
-        filled as an involution, one canonical form per 2-cycle."""
+        With the Klein group acting, a q2 image starts with mu, as every
+        stored form does, so its own canonical form keys ``klein``.  sh^2 is
+        in the reduction group, so then sh is filled as an involution, one
+        canonical form per 2-cycle."""
         if not hasattr(self, "_moves"):
             ix, canonical, involution = self.group.indexed(), self.canonical, self.klein_reduced
             table, inverse, tuples, position = ix.table, ix.inverse, self.tuples, self.position
             sh = [None] * self.count
             try:
                 q2 = tuple(position[canonical(u[:1] + (table[table[u[1]][u[2]]][inverse[u[1]]],
-                                                       u[1]) + u[3:])] for u in tuples)
+                                                       u[1]) + u[3:], True)] for u in tuples)
                 for i, u in enumerate(tuples):
                     if sh[i] is None:
                         sh[i] = j = position[canonical(u[1:] + u[:1])]
@@ -504,6 +541,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     # mode (r = 4) keys it by Klein orbit
     key, least_images, reduced = action.canonical_tuple, action.least_images, mode.reduced
     pairs: dict = {}
+    verdicts: dict = {}  # sorted image in the quotient -> whether it generates
     least: dict = {}  # canonical form -> least canonical form of its Klein orbit
     good = set()  # the generating least forms
     for g1 in starts:
@@ -520,7 +558,11 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
                 orbit = [c, *map(key, least_images(c)[1:])] if reduced else [c]
                 m = min(orbit)
                 least.update(dict.fromkeys(orbit, m))
-                if _generates_by_pairs(quotient, tuple(map(down.__getitem__, c)), pairs):
+                image = tuple(sorted(map(down.__getitem__, c)))
+                verdict = verdicts.get(image)
+                if verdict is None:
+                    verdict = verdicts[image] = _generates_by_pairs(quotient, image, pairs)
+                if verdict:
                     good.add(m)
     return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action,
                            least if reduced and r == 4 else {})
@@ -573,43 +615,3 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
         if _generates(ix, t):
             return ix.to_data(t)
     raise ValidationError(f"no Nielsen tuple found for {cv} after {RANDOM_TUPLE_TRIES} tries")
-
-
-# ---------------------------------------------------------------------------
-# Riemann-Hurwitz for a branch-cycle tuple
-
-
-class CoverGenus(NamedTuple):
-    degree: int
-    entry_indices: tuple[int, ...]
-    genus: int
-
-
-def tuple_cover_genus(group: FiniteGroup, t: tuple, embedding=None) -> CoverGenus:
-    """Genus of the cover with branch cycles t, via Riemann-Hurwitz:
-    2(n + g - 1) = sum of indices.  Entries must act transitively.
-
-    ``embedding`` is a ``GroupHom`` from ``group`` to a permutation group;
-    each entry is replaced by its image, which the homomorphism checked lies
-    in ``embedding.target`` when it was built.  Fixed points count as
-    length-1 cycles throughout.
-    """
-    if embedding is not None:
-        perms = tuple(embedding(g) for g in t)
-        n = embedding.target.degree
-    elif group.kind == "permutation":
-        perms = tuple(t)
-        n = group.degree
-    else:
-        raise ValidationError("tuple_cover_genus needs a permutation image; pass an embedding")
-    # transitivity
-    reached, queue = {0}, [0]
-    for x in queue:
-        for p in perms:
-            if p[x] not in reached:
-                reached.add(p[x])
-                queue.append(p[x])
-    if len(reached) != n:
-        raise ValidationError("branch cycles are not transitive; the cover is disconnected")
-    indices, genus = riemann_hurwitz([cycle_type(p) for p in perms], n)
-    return CoverGenus(degree=n, entry_indices=indices, genus=genus)

@@ -38,10 +38,7 @@ subgroup, and is otherwise unclassified.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
 from functools import cached_property
-from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -57,7 +54,7 @@ from .groups import (
     class_power,
     dihedral,
 )
-from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
+from .nielsen import Mode, NielsenClassSet, _has_adjacent_repeat, enumerate_nielsen, tuple_is_hm
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
@@ -260,34 +257,28 @@ class CuspClassification(NamedTuple):
         }
 
 
-def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:
-    """Harbater-Mumford shape: consecutive pairs (g, g^-1)."""
-    return len(t) % 2 == 0 and all(map(operator.eq, t[1::2], map(group.inv, t[::2])))
-
-
-def _has_adjacent_repeat(t: tuple) -> bool:
-    """Some entry equals the next one, cyclically."""
-    return any(map(operator.eq, t, t[1:] + t[:1]))
-
-
 def _subgroup_order_prime_to(group, gens, ell) -> bool:
-    part = _ell_prime_part(group.order, ell)
-    h = len(group.close(gens, stop_above=part))
-    return h <= part and h % ell != 0
+    key = (ell, tuple(sorted(gens)))
+    if key not in group._ell_prime:
+        part = _ell_prime_part(group.order, ell)
+        h = len(group.close(gens, stop_above=part))
+        group._ell_prime[key] = h <= part and h % ell != 0
+    return group._ell_prime[key]
 
 
 def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
     """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
-    ix = c.ni.group.indexed()
-    members = tuple(map(c.ni.tuples.__getitem__, c.positions))
-    rep = members[0]
+    ni = c.ni
+    ix, rep = ni.group.indexed(), ni.tuples[c.positions[0]]
 
     # Both shapes are entrywise, so kept by conjugation; at r = 4 also by sh^2
     # (a rotation) and by q1*q3^-1: its image (g1 g2 g1^-1, g1, g4, g3^g4) is HM
     # iff g2 = g1^-1 and g3 = g4^-1, and repeats iff g1 = g2, g1 = g4, g3 = g4
-    # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class.
-    hm = any(map(tuple_is_hm, repeat(ix), members))
-    dbl = any(map(_has_adjacent_repeat, members))
+    # or (as g1 g2 g3 g4 = 1) g2 = g3.  So each member's rep decides its class,
+    # and a cusp reads its members' flags off the set's columns.
+    hm_column, repeat_column = ni.shapes
+    hm = any(map(hm_column.__getitem__, c.positions))
+    dbl = any(map(repeat_column.__getitem__, c.positions))
     if len(rep) == 4:
         g1, g2, g3, g4 = rep
         if (
@@ -479,47 +470,6 @@ def bcl(group: FiniteGroup, cv: ClassVector) -> BCLResult:
     units = [m for m in range(1, n_c + 1) if gcd(m, n_c) == 1]
     q = tuple(m for m in units if class_power(cv, m) == cv)
     return BCLResult(n_c=n_c, q=q, rational_union=len(q) == len(units))
-
-
-# ---------------------------------------------------------------------------
-# inner/absolute fibers
-
-
-class FiberReport(NamedTuple):
-    absolute_count: int
-    inner_count: int
-    orbit_fibers: tuple[tuple[str, tuple[str, ...]], ...]
-    class_fibers: tuple[int, ...]
-
-
-def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
-                          reduced: bool = True) -> FiberReport:
-    """How inner classes and braid orbits sit over absolute ones."""
-    inner_mode = Mode.INNER_REDUCED if reduced else Mode.INNER
-    abs_mode = Mode.ABSOLUTE_REDUCED if reduced else Mode.ABSOLUTE
-    ni_in = enumerate_nielsen(group, cv, inner_mode)
-    ni_abs = enumerate_nielsen(group, cv, abs_mode)
-    # the position in ni_abs of each inner class's absolute class
-    up = [ni_abs.position[ni_abs.canonical(u)] for u in ni_in.tuples]
-
-    # class-level fibers: how many inner classes collapse to each absolute one
-    coarse = Counter(up)
-    class_fibers = tuple(coarse[p] for p in range(ni_abs.count))
-
-    in_orbits = braid_orbits(ni_in)
-    abs_orbits = braid_orbits(ni_abs)
-    owner = {p: o.label for o in abs_orbits for p in o.positions}
-    fibers: dict[str, list[str]] = {o.label: [] for o in abs_orbits}
-    for o in in_orbits:
-        fibers[owner[up[o.positions[0]]]].append(o.label)
-    return FiberReport(
-        absolute_count=ni_abs.count,
-        inner_count=ni_in.count,
-        orbit_fibers=tuple(
-            (o.label, tuple(fibers[o.label])) for o in abs_orbits
-        ),
-        class_fibers=class_fibers,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from hurwitz.tower import (
     build_level,
     component_tree,
     cusp_type,
-    inner_absolute_fibers,
     lift_classes_to_level,
     project_tuple,
 )
+from reference_routines import inner_absolute_fibers
 
 
 def build_a4():

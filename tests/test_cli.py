@@ -387,6 +387,27 @@ def test_json_output_is_stable(capsys):
     assert [o["size"] for o in data["orbits"]] == [6, 9]
 
 
+# keys and strings with non-ASCII text, quotes, backslashes and control characters
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\u00e9\u2603'), max_size=6)
+JSON_LEAVES = st.one_of(
+    JSON_TEXT, st.integers(), st.integers(min_value=2**63, max_value=2**80).map(lambda n: -n),
+    st.integers(min_value=2**63, max_value=2**80), st.booleans(), st.none(), st.just(0.1),
+)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(JSON_TEXT, inner, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+@example(value={"": [], "b": {}, "a": [[], {}, ()], "é\"\n": [1, -2**64, True, None, 0.1]})
+@example(value=[["x", "y"], [1, 2], [True, False], [None], [1, "x"], (3, 4)])
+def test_json_writer_matches_json_dumps(value):
+    """The report writer gives the bytes of json.dumps(sort_keys=True, indent=2)."""
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 def test_csv_is_rfc4180(capsys):
     assert run(["orbits", *A4_ARGS, "--format", "csv"]) == 0
     out = out_of(capsys)

@@ -15,7 +15,7 @@ from hurwitz.errors import ValidationError
 from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import make_group, parse_class_vector
 from hurwitz.nielsen import Mode, canonicalize, enumerate_nielsen
-from hurwitz.tower import inner_absolute_fibers
+from reference_routines import inner_absolute_fibers
 
 
 def legendre(a, p):

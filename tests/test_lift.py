@@ -6,7 +6,7 @@ import pytest
 
 import hurwitz.lift
 from hurwitz.braid import braid_orbits
-from hurwitz.errors import ValidationError
+from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     HeisenbergGroup,
     Sl2Group,
@@ -28,7 +28,8 @@ from hurwitz.lift import (
     spin_cover,
     _heisenberg_corrections,
 )
-from hurwitz.nielsen import Mode, enumerate_nielsen, tuple_cover_genus
+from hurwitz.nielsen import Mode, enumerate_nielsen
+from reference_routines import tuple_cover_genus
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,22 @@ def test_group_hom_stores_only_its_element_images(spin4):
     hom = spin4.projection
     assert set(vars(hom)) == {"source", "target", "element_images"}
     assert hom.element_images == tuple(map(hom, hom.source.elements))
+
+
+def test_group_hom_lists_an_unlisted_source_in_its_search(monkeypatch):
+    """A source not yet listed is listed by the map's own breadth-first
+    search, with no closure of its own, in the order ``elements`` gives; an
+    order bound below its order stops that search with the closure's error."""
+    listed = Sl2Group(9)
+    walked = Sl2Group(9)
+    monkeypatch.setattr(walked, "close", lambda *a, **k: pytest.fail("closed the source"))
+    hom = GroupHom(walked, Sl2Group(3), [tuple(x % 3 for x in g) for g in walked.gens])
+    monkeypatch.undo()
+    assert walked.elements == listed.elements
+    assert hom.element_images == tuple(tuple(x % 3 for x in g) for g in listed.elements)
+    small = Sl2Group(9, order_bound=100)
+    with pytest.raises(BudgetError, match="exceeded order bound 100"):
+        GroupHom(small, Sl2Group(3), [tuple(x % 3 for x in g) for g in small.gens])
 
 
 def _c3_in_s3():

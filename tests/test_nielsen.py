@@ -25,8 +25,8 @@ from hurwitz.nielsen import (
     enumerate_nielsen,
     is_nielsen_tuple,
     random_nielsen_tuple,
-    tuple_cover_genus,
 )
+from reference_routines import tuple_cover_genus
 
 
 def test_mode_parsing():
@@ -278,6 +278,36 @@ def test_canonical_tuple_is_least_over_every_permutation(desc, kind, classes):
         assert action.canonical_tuple(t) == min(tuple(p[x] for x in t) for p in perms)
 
 
+@pytest.mark.parametrize("kind", ["inner", "absolute"])
+def test_transporters_are_composed_on_first_read(kind):
+    """Building an action composes no transporter: only the orbit minima
+    hold one, the identity.  Reading the deepest element's transporter
+    composes the ones along its branch of the Schreier tree (99 steps for
+    D125 under its normalizer), and each moves its element to the orbit
+    minimum, as the transporter of its parent does after one generator."""
+    g = make_group("D125")
+    action = _build_action(g, kind, parse_class_vector(g, "[2a,2a,2a,2a]"))
+    identity = tuple(range(g.order))
+    assert set(action.transporter) == set(action.orbits)
+    assert set(action.transporter.values()) == {identity}
+
+    def branch(y):
+        out = [y]
+        while action.schreier[out[-1]] is not None:
+            out.append(action.schreier[out[-1]][0])
+        return out
+
+    deepest = max(range(g.order), key=lambda y: len(branch(y)))
+    path = branch(deepest)
+    assert len(path) - 1 == (99 if kind == "absolute" else 63)
+    action.transporter[deepest]
+    assert set(action.transporter) == set(action.orbits) | set(path)
+    for y in path[:-1]:
+        x, back = action.schreier[y]
+        assert back[y] == x and action.transporter[y][y] == action.orbit_min[y] == path[-1]
+        assert action.transporter[y] == perm_mul(back, action.transporter[x])
+
+
 @pytest.mark.parametrize("p", [7, 37, 127])
 def test_dihedral_enumeration_leaves_the_identity_stabilizer_unbuilt(p):
     """Only the reflections' stabilizer is closed; the identity's is all of
@@ -378,11 +408,12 @@ def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mod
     """Only q2 and sh images are canonicalized, q1 being derived from them;
     a reduced image takes one canonical form and a lookup in the
     enumeration's Klein map, never a reduction afresh.  In a reduced mode
-    with r = 4, sh is an involution and each of its cycles takes one."""
+    with r = 4, sh is an involution and each of its cycles takes one, and
+    only sh images build a first least image: a q2 image starts with mu."""
     g = make_group(desc)
     ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
     calls = Counter()
-    for name in ("canonical_tuple", "reduced_canonical_tuple"):
+    for name in ("canonical_tuple", "reduced_canonical_tuple", "first_least_image"):
         def counted(self, t, _name=name, _method=getattr(ConjAction, name)):
             calls[_name] += 1
             return _method(self, t)
@@ -390,9 +421,12 @@ def test_moves_take_one_canonical_form_per_image(monkeypatch, desc, classes, mod
     _, _, sh = ni.moves()
     if mode.reduced and ni.cv.r == 4:
         assert all(sh[sh[i]] == i for i in range(ni.count))
-        expected = ni.count + sum(sh[i] >= i for i in range(ni.count))
+        cycles = sum(sh[i] >= i for i in range(ni.count))
+        expected = ni.count + cycles
+        assert calls["first_least_image"] == cycles
     else:
         expected = 2 * ni.count
+        assert calls["first_least_image"] == 0
     assert calls["canonical_tuple"] == expected
     assert calls["reduced_canonical_tuple"] == 0
 

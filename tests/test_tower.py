@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 import hurwitz.lift
+import hurwitz.nielsen
 import hurwitz.tower
 from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits, verify_braid_relations
 from hurwitz.errors import BudgetError, ValidationError
@@ -24,7 +25,7 @@ from hurwitz.lift import (
     lift_invariant,
     spin_cover,
 )
-from hurwitz.nielsen import Mode, enumerate_nielsen, tuple_cover_genus
+from hurwitz.nielsen import Mode, enumerate_nielsen
 from hurwitz.tower import (
     TowerSpec,
     _has_adjacent_repeat,
@@ -34,12 +35,12 @@ from hurwitz.tower import (
     component_tree,
     cusp_type,
     eventually_frattini_report,
-    inner_absolute_fibers,
     lift_classes_to_level,
     lift_partition_is_choice_independent,
     project_tuple,
     tuple_is_hm,
 )
+from reference_routines import inner_absolute_fibers
 
 
 def test_spec_validation():
@@ -90,20 +91,20 @@ def records(a4, a4_cv, a4_ni, a4_orbits):
     report = verify_braid_relations(a4, a4_cv, sample_size=2)
     return {r.__class__.__name__: r for r in (
         a4.conjugacy_classes()[0], a4_cv, a4_ni, orbit, orbit.cusps()[0], report,
-        report.checks[0], tuple_cover_genus(a4, a4_ni.reps[0]), genus_of_component(orbit),
+        report.checks[0], genus_of_component(orbit),
         inc, inc.blocks[0], moduli_flags(a4, orbit), lift_invariant(spin_cover(4), orbit.rep),
         spec, cusp_type(orbit.cusps()[0], 2), tree, bcl(a4, a4_cv),
-        inner_absolute_fibers(a4, a4_cv), eventually_frattini_report(spec, 1)[0],
+        eventually_frattini_report(spec, 1)[0],
     )}
 
 
 @pytest.mark.parametrize("name, field", [
     ("ConjugacyClass", "label"), ("ClassVector", "indices"), ("NielsenClassSet", "tuples"),
     ("BraidOrbit", "positions"), ("CuspOrbit", "width"), ("PropertyReport", "checks"),
-    ("PropertyCheck", "passed"), ("CoverGenus", "genus"), ("GenusReport", "genus"),
+    ("PropertyCheck", "passed"), ("GenusReport", "genus"),
     ("ShIncidence", "matrix"), ("ShIncidenceBlock", "matrix"), ("ModuliFlags", "inner_fine"),
     ("LiftInvariant", "trivial"), ("TowerSpec", "ell"), ("CuspClassification", "type"),
-    ("ComponentTree", "edges"), ("BCLResult", "q"), ("FiberReport", "inner_count"),
+    ("ComponentTree", "edges"), ("BCLResult", "q"),
     ("FrattiniStep", "frattini"),
 ])
 def test_records_are_read_only(records, name, field):
@@ -366,6 +367,26 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
     assert [tuple(s) for s in eventually_frattini_report(spec, k_max)] == steps
 
 
+def test_generation_is_settled_once_per_quotient_image(monkeypatch):
+    """A level's search settles generation once per sorted image of a new
+    Klein orbit's entries in level 0: vector l=2 levels 0, 1 and 2 meet
+    13, 24 and 31 such images over 15, 120 and 1,920 classes."""
+    tests = []
+    settle = hurwitz.nielsen._generates_by_pairs
+    monkeypatch.setattr(hurwitz.nielsen, "_generates_by_pairs",
+                        lambda quotient, image, pairs: tests.append(image)
+                        or settle(quotient, image, pairs))
+    spec = TowerSpec("vector", 2)
+    cv0 = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
+    counts = []
+    for k in range(3):
+        tests.clear()
+        lvl = build_level(spec, cv0, k)
+        assert len(set(tests)) == len(tests) and all(list(t) == sorted(t) for t in tests)
+        counts.append((len(tests), lvl.ni.count))
+    assert counts == [(13, 15), (24, 120), (31, 1920)]
+
+
 def _no_view(group):
     raise AssertionError(f"the data path built the indexed view of {group.name}")
 
@@ -429,6 +450,51 @@ def _inline_r4_shapes(ix, members):
         hm = hm or (g2 == inverse[g1] and g4 == inverse[g3])
         dbl = dbl or g1 == g2 or g2 == g3 or g3 == g4 or g4 == g1
     return hm, dbl
+
+
+def _uncached_cusp_type(ix, rep, ell):
+    """The type ``cusp_type`` gives a cusp with first member rep, from full
+    closures made afresh for each subgroup."""
+    def prime_to(gens):
+        return len(ix.close(gens)) % ell != 0
+
+    if len(rep) != 4:
+        return "g-ell-prime" if all(prime_to((g,)) for g in rep) else "unclassified"
+    g1, g2, g3, g4 = rep
+    if prime_to((g1, g4)) and prime_to((g2, g3)):
+        return "g-ell-prime"
+    return "o-ell-prime" if ix.element_order(ix.mul(g2, g3)) % ell else "ell-cusp"
+
+
+@pytest.mark.parametrize("family,ell,classes,k_max,mode,kinds", [
+    ("vector", 2, "[3a,3a,3b,3b]", 2, Mode.INNER_REDUCED, 7),
+    ("dihedral", 5, "[2a,2a,2a,2a]", 1, Mode.ABSOLUTE_REDUCED, 3),
+    # r = 3 on a tower level: every cusp is g-ell-prime with neither shape
+    ("vector", 2, "[3a,3a,3a]", 1, Mode.INNER_REDUCED, 1),
+])
+def test_cusp_columns_match_per_member_scans(family, ell, classes, k_max, mode, kinds):
+    """Every cusp's flags, read off the per-set shape columns, are the
+    per-member scans of ``tuple_is_hm`` and ``_has_adjacent_repeat``, and
+    its type, read through the cached ell' verdicts, is the one computed
+    afresh; asking again gives the same classification.  ``kinds`` counts
+    the distinct classifications met."""
+    spec = TowerSpec(family, ell)
+    tree = component_tree(spec, parse_class_vector(spec.level_group(0), classes), k_max,
+                          mode=mode)
+    assert [lvl.k for lvl in tree.levels] == list(range(k_max + 1))
+    seen = set()
+    for lvl in tree.levels:
+        ix = lvl.group.indexed()
+        for o in lvl.orbits:
+            for c in o.cusps():
+                members = [lvl.ni.tuples[p] for p in c.positions]
+                got = cusp_type(c, ell)
+                assert got.hm == any(tuple_is_hm(ix, u) for u in members), c.label
+                assert got.double_identity == any(map(_has_adjacent_repeat, members)), c.label
+                assert got.type == _uncached_cusp_type(ix, members[0], ell), c.label
+                assert cusp_type(c, ell) == got
+                seen.add(got)
+    assert len(seen) == kinds, seen
 
 
 def test_cusp_shapes_match_the_inline_r4_rule():
