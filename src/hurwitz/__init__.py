@@ -33,10 +33,7 @@ from .geometry import GenusReport, ShIncidence, genus_of_component, moduli_flags
 from .lift import (
     CentralExtension,
     extend_action_to_heisenberg,
-    heisenberg_cover,
     is_frattini_cover,
-    is_obstructed,
-    lift_class_vector,
     lift_invariant,
     same_order_lift,
     spin_cover,
@@ -48,7 +45,6 @@ from .tower import (
     component_tree,
     cusp_type,
     eventually_frattini_report,
-    project_tuple,
 )
 
 __version__ = "0.1.0"
@@ -83,10 +79,7 @@ __all__ = [
     "CentralExtension",
     "GroupHom",
     "extend_action_to_heisenberg",
-    "heisenberg_cover",
     "is_frattini_cover",
-    "is_obstructed",
-    "lift_class_vector",
     "lift_invariant",
     "same_order_lift",
     "spin_cover",
@@ -96,6 +89,5 @@ __all__ = [
     "component_tree",
     "cusp_type",
     "eventually_frattini_report",
-    "project_tuple",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from .groups import GroupHom, make_group, parse_class_vector
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
 from .geometry import genus_of_component, moduli_flags, sh_incidence
-from .lift import CentralExtension, heisenberg_cover, lift_invariant, spin_cover
+from .lift import CentralExtension, extend_action_to_heisenberg, lift_invariant, spin_cover
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
 # (flag, type, default, help) of every option in --help order, type bool for a
@@ -355,9 +355,9 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
     m = _COVER_RE.fullmatch(sel)
     if m:
         ell = int(m.group(1))
-        same_lattice = (group.kind == "vector-semidirect" and group.dim == 2
-                        and group.modulus == ell)
-        return heisenberg_cover(ell, group.action if same_lattice else None)
+        if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
+            return extend_action_to_heisenberg(ell, group.action)
+        return extend_action_to_heisenberg(ell)  # the companion action
     if sel.startswith("hom:"):
         path = sel[4:]
         try:

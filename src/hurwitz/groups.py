@@ -224,6 +224,7 @@ class FiniteGroup:
     """
 
     kind = "abstract"
+    sym_normalizer_gens = None  # catalog generators of the Sym(n)-normalizer
 
     def __init__(self, gens, name: str, order_bound: int = DEFAULT_ORDER_BOUND,
                  order: int | None = None):
@@ -231,7 +232,6 @@ class FiniteGroup:
         self.name = name
         self.descriptor = name
         self.order_bound = order_bound
-        self.sym_normalizer_gens = None
         self._order = order  # a closed form, known before the group is listed
         self._elements: tuple | None = None
         self._index: dict | None = None
@@ -305,15 +305,9 @@ class FiniteGroup:
                         nxt.append(b)
                 if stop_above is not None and len(seen) > stop_above:
                     return seen
-            self.check_order_bound(len(seen))
+            check_order_bound(self.name, len(seen), self.order_bound)
             frontier = nxt
         return seen
-
-    def check_order_bound(self, n: int) -> None:
-        if n > self.order_bound:
-            raise BudgetError(
-                f"group closure for {self.name} exceeded order bound {self.order_bound}"
-            )
 
     def power(self, g, m: int):
         """g^m for any integer m, by repeated squaring."""
@@ -411,6 +405,11 @@ class ConjugacyClass(NamedTuple):
     size: int
     rep: tuple
     members: frozenset
+
+
+def check_order_bound(name: str, n: int, bound: int) -> None:
+    if n > bound:
+        raise BudgetError(f"group closure for {name} exceeded order bound {bound}")
 
 
 def check_table_budget(name: str, n: int) -> None:
@@ -556,7 +555,7 @@ class GroupHom:
                         "generator images do not define a homomorphism"
                     )
             if unlisted and len(queue) > source.order_bound:
-                source.check_order_bound(len(queue))
+                check_order_bound(source.name, len(queue), source.order_bound)
         if unlisted:
             source._list(queue)
         self.source = source
@@ -614,7 +613,10 @@ class Sl2Group(FiniteGroup):
             raise ValidationError("SL2 modulus must be at least 2")
         self.modulus = m
         gens = ((1, 1, 0, 1), (1, 0, 1, 1))  # they generate SL2(Z), which maps onto SL2(Z/m)
-        primes = [p for p in range(2, m + 1) if m % p == 0 and _smallest_prime_factor(p) == p]
+        primes, rest = set(), m  # by trial division up to sqrt(m)
+        while rest > 1:
+            primes.add(p := _smallest_prime_factor(rest))
+            rest //= p
         order = m**3 * prod(p * p - 1 for p in primes) // prod(p * p for p in primes)
         super().__init__(gens, name or f"SL2({m})", order=order, **kw)
 
@@ -785,15 +787,21 @@ class VectorSemidirectGroup(FiniteGroup):
 
 
 def _det_mod(mat, m):
-    """Determinant by cofactor expansion along the first row, reduced mod m."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0] % m
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det_mod(minor, m)
-    return total % m
+    """Determinant reduced mod m, by fraction-free (Bareiss) elimination over
+    Z: each division is exact, so any modulus, prime or not, is exact too."""
+    a = [[v % m for v in row] for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] % m
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -847,12 +855,6 @@ class ClassVector(Frozen):
     def reps(self) -> tuple:
         cls = self.group.conjugacy_classes()
         return tuple(cls[i].rep for i in self.indices)
-
-    def multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i in self.indices:
-            out[i] = out.get(i, 0) + 1
-        return out
 
     def __str__(self):
         return "[" + ",".join(self.labels()) + "]"
@@ -950,20 +952,27 @@ def _symmetric_gens(n: int):
     return [perm_from_cycles([(0, 1)], n), perm_from_cycles([tuple(range(n))], n)]
 
 
-def dihedral(n: int, **kw) -> PermutationGroup:
+def dihedral(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
     """Dihedral group of order 2n on n symbols: rotation x+1 and reflection -x.
-
-    The normalizer of this copy inside Sym(n) is the affine group x -> ax+b,
-    attached here as catalog generators so larger n avoids brute force.
-    """
+    Its order is checked against the bound before the n-point generators
+    are built."""
     if n < 3:
         raise ValidationError("dihedral group needs n >= 3")
+    check_order_bound(f"D{n}", 2 * n, order_bound)
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((-i) % n for i in range(n))
-    g = PermutationGroup([rot, refl], n, f"D{n}", order=2 * n, **kw)
-    g.sym_normalizer_gens = [rot] + [tuple((a * i) % n for i in range(n))
-                                     for a in _unit_generators(n)]
-    return g
+    return _Dihedral([rot, refl], n, f"D{n}", order=2 * n, order_bound=order_bound)
+
+
+class _Dihedral(PermutationGroup):
+    @cached_property
+    def sym_normalizer_gens(self) -> list:
+        """The normalizer of this copy inside Sym(n) is the affine group
+        x -> ax+b: catalog generators, so larger n avoids brute force, built
+        when ``normalizer_in_sym`` first asks."""
+        n = self.degree
+        return [self.gens[0], *(tuple((a * i) % n for i in range(n))
+                                for a in _unit_generators(n))]
 
 
 def _unit_generators(n: int) -> list[int]:
@@ -1030,7 +1039,8 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
         if m:
             g = build(m, kw)
             g.descriptor = desc
-            g.check_order_bound(g.order)  # lists g unless its order has a closed form
+            # lists g unless its order has a closed form
+            check_order_bound(g.name, g.order, g.order_bound)
             return g
     raise ValidationError(f"cannot parse group descriptor {descriptor!r}")
 

@@ -20,6 +20,7 @@ conjugation automorphisms are built with it too.  A Heisenberg cover is the
 semidirect product Heis(l) x| Z/3 by a formula, so dropping the central
 coordinate is a homomorphism by construction, its kernel and section
 v -> (v, 0) are read off the formula, and the cover is never enumerated.
+Each action gets one extension, for the least valid cocycle correction.
 
 ``is_frattini_cover`` takes any surjective ``GroupHom``, on data or, as for
 the tower steps G_k -> G_(k-1), between indexed views.
@@ -28,7 +29,6 @@ the tower steps G_k -> G_(k-1), between indexed views.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .groups import (
     TABLE_ENTRY_CAP,
-    ClassVector,
     FiniteGroup,
     GroupHom,
     HeisenbergGroup,
@@ -83,13 +82,6 @@ class CentralExtension:
                 if cover.mul(k, g) != cover.mul(g, k):
                     raise ValidationError("extension kernel is not central")
         self.kernel_exponent = lcm(*map(cover.element_order, self.kernel))
-        self._rest_of_search = ((), None)  # (remaining choices, builder)
-
-    @cached_property
-    def alternatives(self) -> tuple["CentralExtension", ...]:
-        """Other extensions found by the same search, built on first access."""
-        rest, build = self._rest_of_search
-        return tuple(map(build, rest))
 
     @property
     def kernel_order(self) -> int:
@@ -141,21 +133,6 @@ def lift_invariant(ext: CentralExtension, t: tuple) -> LiftInvariant:
             "lift product landed outside the kernel; tuple is not product-one"
         )
     return LiftInvariant(value=val, trivial=val == cover.identity, extension=ext)
-
-
-def lift_class_vector(ext: CentralExtension, cv: ClassVector) -> ClassVector:
-    """The class vector of same-order lifts of cv's representatives."""
-    cover = ext.cover
-    idx = tuple(
-        cover.class_index_of(same_order_lift(ext, rep)) for rep in cv.reps()
-    )
-    return ClassVector(cover, idx)
-
-
-def is_obstructed(ext: CentralExtension, orbit_or_tuple) -> bool:
-    """True iff the lift invariant of the orbit's representative is nontrivial."""
-    t = getattr(orbit_or_tuple, "rep", orbit_or_tuple)
-    return not lift_invariant(ext, t).trivial
 
 
 def is_frattini_cover(hom: GroupHom) -> bool:
@@ -315,16 +292,15 @@ class HeisenbergCover(FiniteGroup):
         return f"[{x},{y},{z}|{a}]"
 
 
-def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
+def extend_action_to_heisenberg(ell: int, m=COMPANION) -> CentralExtension:
     """Extend an order-3 matrix action on (Z/l)^2 to Heis(l), centrally.
 
     Searches the finite space of compatible automorphisms: the action on the
     center is forced to be multiplication by det(m), and the remaining
     freedom is a linear correction to the quadratic cocycle term.  Returns
-    the extension for the least valid correction; every other valid choice
-    appears on ``.alternatives`` (built on first access).  The modulus may
-    be any odd prime power not divisible by 3, so towers can ask for the
-    level-k cover over Z/ell^(k+1).
+    the extension for the least valid correction; ``_heisenberg_corrections``
+    yields every valid one.  The modulus may be any odd prime power not
+    divisible by 3, so towers can ask for the level-k cover over Z/ell^(k+1).
     """
     if ell < 2 or ell % 2 == 0 or ell % 3 == 0:
         raise ValidationError("Heisenberg extension needs an odd modulus prime to 3")
@@ -336,25 +312,14 @@ def extend_action_to_heisenberg(ell: int, m) -> CentralExtension:
         raise ValidationError("action matrix must have order exactly 3")
 
     lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
-    base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
-
-    def build(st):
-        s, t = st
-        cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
-                                name=f"Heis({ell}):3")
-        return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
-                                f"heis({ell})[{s},{t}]")
-
     first = next(corrections, None)
     if first is None:
         raise ValidationError(
             "no order-3 extension of the action to the Heisenberg group exists"
         )
-    primary = build(first)
-    primary._rest_of_search = (corrections, build)
-    return primary
-
-
-def heisenberg_cover(ell: int, m=None) -> CentralExtension:
-    """Heisenberg extension for ``m``, by default the companion matrix."""
-    return extend_action_to_heisenberg(ell, COMPANION if m is None else m)
+    s, t = first
+    base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
+    cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
+                            name=f"Heis({ell}):3")
+    return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
+                            f"heis({ell})[{s},{t}]")

@@ -53,7 +53,7 @@ import random
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 
 from .errors import BudgetError, ValidationError
 from .groups import (
@@ -125,16 +125,6 @@ def _qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
     j = i - 1
     a, b = t[j], t[j + 1]
     return t[:j] + (b, group.mul(group.mul(group.inv(b), a), b)) + t[j + 2:]
-
-
-def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:
-    """Harbater-Mumford shape: consecutive pairs (g, g^-1)."""
-    return len(t) % 2 == 0 and all(map(operator.eq, t[1::2], map(group.inv, t[::2])))
-
-
-def _has_adjacent_repeat(t: tuple) -> bool:
-    """Some entry equals the next one, cyclically."""
-    return any(map(operator.eq, t, t[1:] + t[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +398,17 @@ class NielsenClassSet(Frozen):
 
     @cached_property
     def shapes(self) -> tuple[tuple, tuple]:
-        """``tuple_is_hm`` and ``_has_adjacent_repeat`` of every form, by position."""
-        return (tuple(map(tuple_is_hm, repeat(self.group.indexed()), self.tuples)),
-                tuple(map(_has_adjacent_repeat, self.tuples)))
+        """Two flags of every form, by position: Harbater-Mumford shape
+        (consecutive pairs (g, g^-1)), and some entry equal to the next one,
+        cyclically.  Both compare whole entry columns at once."""
+        cols, inverse = tuple(zip(*self.tuples)), self.group.indexed().inverse
+        hm = (self.cv.r % 2 == 0,) * self.count
+        for a, b in zip(cols[::2], cols[1::2]):
+            hm = tuple(map(operator.and_, hm, map(operator.eq, b, map(inverse.__getitem__, a))))
+        repeats = (False,) * self.count
+        for a, b in zip(cols, cols[1:] + cols[:1]):
+            repeats = tuple(map(operator.or_, repeats, map(operator.eq, a, b)))
+        return hm, repeats
 
     @cached_property
     def position(self) -> dict:

@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     ClassVector,
     FiniteGroup,
     Frozen,
@@ -54,7 +55,7 @@ from .groups import (
     class_power,
     dihedral,
 )
-from .nielsen import Mode, NielsenClassSet, _has_adjacent_repeat, enumerate_nielsen, tuple_is_hm
+from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
@@ -90,15 +91,14 @@ class TowerSpec(Frozen):
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
     matrix and no rank, and sets t to 1.  Level groups and the level maps
     between their views are built on first use and kept by the spec; two
-    specs are equal when their family, ell, t and action are.
+    specs are equal when their family, ell, t and action are.  A level 0 of
+    order above ``DEFAULT_ORDER_BOUND`` raises ``BudgetError`` first.
     """
 
     def __init__(self, family: str, ell: int, t: int | None = None,
                  action: tuple | None = None):
         if family not in ("vector", "dihedral"):
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
-        if ell < 2 or _smallest_prime_factor(ell) != ell:
-            raise ValidationError(f"tower prime expected, got {ell}")
         if t is None:
             t = 2 if family == "vector" else 1
         elif family == "dihedral":
@@ -106,24 +106,32 @@ class TowerSpec(Frozen):
         if type(t) is not int or t < 1:
             raise ValidationError(f"tower lattice rank t must be at least 1, got {t!r}")
         if family == "vector":
-            if ell == 3:
-                raise ValidationError(
-                    "ell = 3 is excluded for the vector family (the complement"
-                    " order collides with the prime; no canonical class lift)"
-                )
             action = _int_matrix(action if action is not None else COMPANION, t)
-            if _det_mod([
-                [(1 if i == j else 0) - action[i][j] for j in range(t)] for i in range(t)
-            ], ell) == 0:
-                raise ValidationError(
-                    "level-0 group has a Z/ell quotient (action fixes a line);"
-                    " tower groups must be ell-perfect"
-                )
-        else:
+        elif action is not None:
+            raise ValidationError("dihedral towers take no action matrix")
+        # level 0 has order 2*ell, or at least ell^t: the bound comes before
+        # the trial division that tests ell and before any matrix work
+        order0 = 2 * ell if family == "dihedral" else ell ** t
+        if ell > 1 and order0 > DEFAULT_ORDER_BOUND:
+            raise BudgetError(f"level 0 of the {family} tower at ell = {ell} has order at"
+                              f" least {order0}, above the order bound {DEFAULT_ORDER_BOUND}")
+        if ell < 2 or _smallest_prime_factor(ell) != ell:
+            raise ValidationError(f"tower prime expected, got {ell}")
+        if family == "dihedral":
             if ell == 2:
                 raise ValidationError("dihedral towers need an odd prime")
-            if action is not None:
-                raise ValidationError("dihedral towers take no action matrix")
+        elif ell == 3:
+            raise ValidationError(
+                "ell = 3 is excluded for the vector family (the complement"
+                " order collides with the prime; no canonical class lift)"
+            )
+        elif _det_mod([
+            [(1 if i == j else 0) - action[i][j] for j in range(t)] for i in range(t)
+        ], ell) == 0:
+            raise ValidationError(
+                "level-0 group has a Z/ell quotient (action fixes a line);"
+                " tower groups must be ell-perfect"
+            )
         vars(self).update(family=family, ell=ell, t=t, action=action, _levels={},
                           _level_maps={})
 
@@ -198,15 +206,6 @@ class TowerSpec(Frozen):
             "t": self.t,
             "action": [list(r) for r in self.action] if self.action else None,
         }
-
-
-def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
-    """Entrywise reduction of a level-k tuple to level k-1 (k >= 1)."""
-    down, gk = spec.level_map(k), spec.level_group(k)
-    try:
-        return tuple(spec.level_group(k - 1).elements[down(gk._index[g])] for g in t)
-    except (KeyError, TypeError):
-        raise ValidationError(f"tuple entries must be elements of level {k}, {gk.name}") from None
 
 
 def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVector:
@@ -383,26 +382,6 @@ class ComponentTree(NamedTuple):
     edges: tuple[tuple[tuple[int, str], tuple[int, str]], ...]
     truncated_at: int | None = None
 
-    def parent(self, k: int, label: str) -> tuple[int, str] | None:
-        for child, par in self.edges:
-            if child == (k, label):
-                return par
-        return None
-
-    def chains(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Maximal root-ward chains from every deepest-level orbit."""
-        top = self.levels[-1]
-        out = []
-        for o in top.orbits:
-            chain = [(top.k, o.label)]
-            while True:
-                par = self.parent(*chain[-1])
-                if par is None:
-                    break
-                chain.append(par)
-            out.append(tuple(chain))
-        return tuple(out)
-
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
@@ -511,22 +490,3 @@ def _ell_prime_part(n: int, ell: int) -> int:
     while n % ell == 0:
         n //= ell
     return n
-
-
-def lift_partition_is_choice_independent(level: TowerLevel) -> bool | None:
-    """Do all Heisenberg extensions split the orbits the same way?
-
-    Returns None when the level carries no extension.
-    """
-    ext = level.extension
-    if ext is None:
-        return None
-
-    def partition(e):
-        groups: dict[str, list[str]] = {}
-        for o in level.orbits:
-            groups.setdefault(lift_invariant(e, o.rep).label, []).append(o.label)
-        return sorted(tuple(v) for v in groups.values())
-
-    base = partition(ext)
-    return all(partition(e) == base for e in ext.alternatives)

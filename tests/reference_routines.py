@@ -3,18 +3,41 @@
 ``tuple_cover_genus`` reads a cover's genus off one branch-cycle tuple by
 Riemann-Hurwitz, and ``inner_absolute_fibers`` counts how inner classes and
 braid orbits sit over absolute ones (the degree of X_1 -> X_0 for dihedral
-groups).  Both take and return the library's own objects.
+groups).  ``tuple_is_hm`` and ``_has_adjacent_repeat`` are the per-tuple
+shape tests that ``NielsenClassSet.shapes`` computes column by column,
+``det_by_cofactors`` is the cofactor-expansion determinant the elimination
+in ``_det_mod`` replaced, and ``project_tuple`` reduces a level-k tuple on
+data.  ``lift_class_vector`` gives the classes of same-order lifts, and
+``heisenberg_extensions`` builds one Heisenberg extension per valid cocycle
+correction, which ``lift_partition_is_choice_independent`` compares on a
+tower level.  All take and return the library's own objects.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import NamedTuple
 
 from hurwitz.braid import braid_orbits
 from hurwitz.errors import ValidationError
-from hurwitz.groups import ClassVector, FiniteGroup, cycle_type, riemann_hurwitz
+from hurwitz.groups import (
+    ClassVector,
+    FiniteGroup,
+    VectorSemidirectGroup,
+    cycle_type,
+    riemann_hurwitz,
+)
+from hurwitz.lift import (
+    COMPANION,
+    CentralExtension,
+    HeisenbergCover,
+    _heisenberg_corrections,
+    lift_invariant,
+    same_order_lift,
+)
 from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.tower import TowerLevel, TowerSpec
 
 
 # ---------------------------------------------------------------------------
@@ -96,3 +119,87 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
         ),
         class_fibers=class_fibers,
     )
+
+
+# ---------------------------------------------------------------------------
+# tuple shapes and determinants
+
+
+def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:
+    """Harbater-Mumford shape: consecutive pairs (g, g^-1)."""
+    return len(t) % 2 == 0 and all(map(operator.eq, t[1::2], map(group.inv, t[::2])))
+
+
+def _has_adjacent_repeat(t: tuple) -> bool:
+    """Some entry equals the next one, cyclically."""
+    return any(map(operator.eq, t, t[1:] + t[:1]))
+
+
+def det_by_cofactors(mat, m: int) -> int:
+    """Determinant by cofactor expansion along the first row, reduced mod m."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0] % m
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * det_by_cofactors(minor, m)
+    return total % m
+
+
+# ---------------------------------------------------------------------------
+# towers and lifts
+
+
+def project_tuple(spec: TowerSpec, k: int, t: tuple) -> tuple:
+    """Entrywise reduction of a level-k tuple to level k-1 (k >= 1)."""
+    down, gk = spec.level_map(k), spec.level_group(k)
+    try:
+        return tuple(spec.level_group(k - 1).elements[down(gk._index[g])] for g in t)
+    except (KeyError, TypeError):
+        raise ValidationError(f"tuple entries must be elements of level {k}, {gk.name}") from None
+
+
+def lift_class_vector(ext: CentralExtension, cv: ClassVector) -> ClassVector:
+    """The class vector of same-order lifts of cv's representatives."""
+    cover = ext.cover
+    idx = tuple(
+        cover.class_index_of(same_order_lift(ext, rep)) for rep in cv.reps()
+    )
+    return ClassVector(cover, idx)
+
+
+def heisenberg_extensions(ell: int, m=COMPANION) -> tuple[CentralExtension, ...]:
+    """One extension of the order-3 action m to Heis(ell) per valid cocycle
+    correction (s, t), least first, as ``extend_action_to_heisenberg`` builds
+    the first."""
+    lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
+    base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
+    out = []
+    for s, t in corrections:
+        cover = HeisenbergCover(base, lam, act,
+                                lambda v, s=s, t=t: q_base(v) + s * v[0] + t * v[1],
+                                name=f"Heis({ell}):3")
+        out.append(CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
+                                    f"heis({ell})[{s},{t}]"))
+    return tuple(out)
+
+
+def lift_partition_is_choice_independent(level: TowerLevel) -> bool | None:
+    """Do all Heisenberg extensions split the orbits the same way?
+
+    Returns None when the level carries no extension.
+    """
+    if level.extension is None:
+        return None
+
+    def partition(e):
+        groups: dict[str, list[str]] = {}
+        for o in level.orbits:
+            groups.setdefault(lift_invariant(e, o.rep).label, []).append(o.label)
+        return sorted(tuple(v) for v in groups.values())
+
+    base = partition(level.extension)
+    spec = level.spec
+    return all(partition(e) == base
+               for e in heisenberg_extensions(spec.modulus(level.k), spec.action))

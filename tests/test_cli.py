@@ -119,6 +119,42 @@ def test_table_budget_exits_3_before_the_work(capsys):
     assert time.monotonic() - start < 5.0
 
 
+# the 10 x 10 cyclic shift: an order-10 action whose determinant cofactor
+# expansion took seconds
+SHIFT10 = json.dumps([[int(j == (i + 1) % 10) for j in range(10)] for i in range(10)],
+                     separators=(",", ":"))
+
+
+@pytest.mark.parametrize("argv,never", [
+    (["bcl", "--group", "SL2(100000000)"], ["hurwitz.groups.FiniteGroup.close"]),
+    (["genus", "--group", "D100000"], ["hurwitz.groups._unit_generators"]),
+    (["genus", "--group", "D1000000"],
+     ["hurwitz.groups._unit_generators", "hurwitz.groups._Dihedral"]),
+    (["tower", "--family", "dihedral", "--ell", "1000000000039"],
+     ["hurwitz.tower.dihedral", "hurwitz.tower._smallest_prime_factor"]),
+    # ell = (10^9 + 7)(10^9 + 9): trial division would run to 10^9 + 7
+    (["tower", "--family", "vector", "--ell", str((10**9 + 7) * (10**9 + 9))],
+     ["hurwitz.tower._smallest_prime_factor"]),
+    (["enumerate", "--group", f"V(10,3):M={SHIFT10}"], ["hurwitz.groups.FiniteGroup.close"]),
+    (["tower", "--family", "vector", "--ell", "5", "--t", "10", "--action", SHIFT10],
+     ["hurwitz.tower._det_mod"]),
+])
+def test_oversized_catalog_input_exits_before_the_work(argv, never, capsys, monkeypatch):
+    """Each input ends in a one-line budget message, in well under the
+    seconds its work would take; the spied routines, whose cost grows with
+    the input, never run."""
+    for target in never:
+        def refused(*args, _target=target, **kw):
+            raise AssertionError(f"{_target} ran before the guard")
+
+        monkeypatch.setattr(target, refused)
+    start = time.monotonic()
+    assert run([*argv, "--classes", "[2a,2a,2a,2a]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert time.monotonic() - start < 5.0
+
+
 @pytest.mark.parametrize("command", [["enumerate"], ["orbits"], ["shinc"], ["genus"],
                                      ["check"], ["lift", "--cover", "spin4"]])
 def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from hurwitz.groups import (
     PermutationGroup,
     Sl2Group,
     VectorSemidirectGroup,
+    _det_mod,
     alternating,
     class_power,
     cycle_type,
@@ -29,6 +30,7 @@ from hurwitz.groups import (
 from hurwitz.lift import extend_action_to_heisenberg
 from hurwitz.nielsen import Mode, enumerate_nielsen
 from hurwitz.tower import TowerSpec
+from reference_routines import det_by_cofactors
 
 
 def sl2_order(m):
@@ -509,3 +511,39 @@ def test_indexed_view_refuses_tables_above_the_cap():
     assert s7.order ** 2 > TABLE_ENTRY_CAP
     with pytest.raises(BudgetError):
         s7.indexed()
+
+
+@pytest.mark.parametrize("m", [2, 5, 12, 25, 49])
+def test_det_mod_matches_cofactor_expansion(m):
+    """Fraction-free elimination against cofactor expansion on seeded random
+    integer matrices up to 6 x 6, negative entries and zero pivots included."""
+    rng = random.Random(m)
+    values = set()
+    for t in range(1, 7):
+        for _ in range(25):
+            mat = [[rng.randint(-3 * m, 3 * m) for _ in range(t)] for _ in range(t)]
+            want = det_by_cofactors(mat, m)
+            assert _det_mod(mat, m) == want, mat
+            values.add(want)
+    assert 0 in values and len(values) > 1
+
+
+def test_det_mod_12x12_from_a_triangular_factorization():
+    """det(P L U) = sign(P) * prod(diag U) for unit lower triangular L,
+    upper triangular U and a row permutation P; a 12 x 12 cofactor expansion
+    would take 12! products."""
+    rng = random.Random(12)
+    t, m = 12, 25
+    lower = [[1 if i == j else rng.randint(-9, 9) if j < i else 0 for j in range(t)]
+             for i in range(t)]
+    upper = [[rng.randint(1, 9) if i == j else rng.randint(-9, 9) if j > i else 0
+              for j in range(t)] for i in range(t)]
+    mat = [[sum(lower[i][k] * upper[k][j] for k in range(t)) for j in range(t)]
+           for i in range(t)]
+    order = rng.sample(range(t), t)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    want = (-1) ** inversions
+    for i in range(t):
+        want *= upper[i][i]
+    assert _det_mod([mat[i] for i in order], m) == want % m
+    assert _det_mod([[0] * t] + mat[1:], m) == 0

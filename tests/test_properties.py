@@ -12,7 +12,8 @@ from hurwitz.nielsen import (
     is_nielsen_tuple,
     random_nielsen_tuple,
 )
-from hurwitz.tower import TowerSpec, bcl, cusp_type, lift_classes_to_level, project_tuple
+from hurwitz.tower import TowerSpec, bcl, cusp_type, lift_classes_to_level
+from reference_routines import project_tuple
 
 SEED = 20260817
 
