@@ -17,7 +17,8 @@ are enumerated completely by breadth-first closure over the generators; no
 stabiliser chain is built.  Only the conjugation actions of the Nielsen
 layer, whose acting groups can be much larger, keep one level of one: orbit
 transversals and point stabilizers.  Dihedral, SL2, Heisenberg and vector
-groups know their order in closed form, so bound and cap precede listing.
+groups know their order in closed form, and A_n and S_n theirs up to the
+bound, so bound and cap precede building and listing.
 
 Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
@@ -53,9 +54,10 @@ DEFAULT_ORDER_BOUND = 10**6
 
 # Entries an indexed view's Cayley table (n^2 for a group of order n), the
 # transporters of a conjugation action (n per element read, built on first
-# read) or the permutations of one of its stabilizers (n per permutation) may
-# hold: about 30 MB of references at the cap.  It admits order 2000, enough for
-# SL2(9) (720), the level-1 vector tower group at ell = 5 (1875) and D625 (1250).
+# read), the permutations of one of its stabilizers (n per permutation) or a
+# class vector may hold: about 30 MB of references at the cap.  It admits
+# order 2000, enough for SL2(9) (720), the level-1 vector tower group at
+# ell = 5 (1875) and D625 (1250).
 TABLE_ENTRY_CAP = 4_000_000
 
 # largest degree whose Sym(n)-normalizer is searched when no catalog
@@ -412,16 +414,6 @@ def check_order_bound(name: str, n: int, bound: int) -> None:
         raise BudgetError(f"group closure for {name} exceeded order bound {bound}")
 
 
-def check_table_budget(name: str, n: int) -> None:
-    """Raise ``BudgetError`` when the Cayley table of an order-n group would
-    exceed ``TABLE_ENTRY_CAP`` entries."""
-    if n * n > TABLE_ENTRY_CAP:
-        raise BudgetError(
-            f"multiplication table of {name} needs {n * n} entries,"
-            f" above the cap {TABLE_ENTRY_CAP}"
-        )
-
-
 class IndexedGroup(FiniteGroup):
     """A group whose elements are the positions 0..n-1 of ``data.elements``.
 
@@ -434,7 +426,9 @@ class IndexedGroup(FiniteGroup):
     kind = "indexed"
 
     def __init__(self, data: FiniteGroup):
-        check_table_budget(data.name, data.order)
+        if data.order ** 2 > TABLE_ENTRY_CAP:  # before anything is listed
+            raise BudgetError(f"multiplication table of {data.name} needs {data.order ** 2}"
+                              f" entries, above the cap {TABLE_ENTRY_CAP}")
         els = data.elements
         n = len(els)
         index = data._index
@@ -646,8 +640,7 @@ class Sl2Group(FiniteGroup):
 
     def parse(self, text):
         try:
-            rows = json.loads(text)
-            (a, b), (c, d) = rows
+            (a, b), (c, d) = _int_rows(json.loads(text), 2, 2)
         except Exception:
             raise ValidationError(f"bad SL2 element: {text!r}") from None
         m = self.modulus
@@ -691,7 +684,7 @@ class HeisenbergGroup(FiniteGroup):
 
     def parse(self, text):
         try:
-            x, y, z = json.loads(text)
+            (x, y, z), = _int_rows([json.loads(text)], 1, 3)
         except Exception:
             raise ValidationError(f"bad Heisenberg element: {text!r}") from None
         m = self.modulus
@@ -710,15 +703,38 @@ def _mat_identity(t):
     return tuple(tuple(1 if i == j else 0 for j in range(t)) for i in range(t))
 
 
-def _mat_order(mat, m, cap=10_000):
-    ident = _mat_identity(len(mat))
+def _mat_order(mat, m, name: str, order_bound: int) -> int:
+    """The order q of an invertible matrix mod m, up to the order bound on m^t * q."""
+    ident, lattice = _mat_identity(len(mat)), m ** len(mat)
     x, k = mat, 1
     while x != ident:
         x = _mat_mul(x, mat, m)
         k += 1
-        if k > cap:
-            raise ValidationError("action matrix has no finite order mod modulus (not invertible?)")
+        check_order_bound(name, lattice * k, order_bound)
     return k
+
+
+def _int_rows(rows, t: int, n: int) -> tuple | None:
+    """``rows`` as t rows of n ints each, else None; a bool or a float is no int here."""
+    try:
+        out = tuple(map(tuple, rows))
+    except TypeError:
+        return None
+    ok = len(out) == t and all(len(r) == n and all(type(v) is int for v in r) for r in out)
+    return out if ok else None
+
+
+def check_lattice(t, m, action) -> tuple:
+    """The one check of a lattice action: an integer rank t >= 1, a modulus
+    m >= 2 and a t x t matrix of ints, returned as tuples."""
+    if type(t) is not int or t < 1:
+        raise ValidationError(f"lattice rank t must be at least 1, got {t!r}")
+    if type(m) is not int or m < 2:
+        raise ValidationError(f"lattice modulus must be at least 2, got {m!r}")
+    mat = _int_rows(action, t, t)
+    if mat is None:
+        raise ValidationError(f"action matrix must be {t}x{t} with integer entries")
+    return mat
 
 
 class VectorSemidirectGroup(FiniteGroup):
@@ -726,34 +742,29 @@ class VectorSemidirectGroup(FiniteGroup):
 
     Elements are ``(v, a)`` with ``v`` a length-t residue tuple and ``a`` the
     complement exponent; ``(v1, a)(v2, b) = (v1*M^b + v2, a + b)`` (row
-    vectors, so the product is again "apply first factor first").
+    vectors, so the product is again "apply first factor first").  The
+    lattice order m^t is checked against the order bound before any matrix
+    work, and the complement order q is found under that bound.
     """
 
     kind = "vector-semidirect"
 
-    def __init__(self, t: int, m: int, action, name: str | None = None, **kw):
-        self.modulus = m
-        self.dim = t
-        mat = tuple(tuple(x % m for x in row) for row in action)
-        if len(mat) != t or any(len(r) != t for r in mat):
-            raise ValidationError(f"action matrix must be {t}x{t}")
+    def __init__(self, t: int, m: int, action, order_bound: int = DEFAULT_ORDER_BOUND):
+        mat = tuple(tuple(x % m for x in row) for row in check_lattice(t, m, action))
+        name = f"V({t},{m})"
+        check_order_bound(name, m**t, order_bound)
         det = _det_mod(mat, m)
         if gcd(det, m) != 1:
             raise ValidationError(f"action matrix not invertible mod {m} (det={det})")
-        self.action = mat
-        q = _mat_order(mat, m)
-        self.complement_order = q
+        self.modulus, self.dim, self.action = m, t, mat
+        q = self.complement_order = _mat_order(mat, m, name, order_bound)
         powers = [_mat_identity(t)]
         for _ in range(q - 1):
             powers.append(_mat_mul(powers[-1], mat, m))
         # entry j of v * M^b is the dot product of v with column j of M^b
         self._columns = [tuple(zip(*p)) for p in powers]
-        zero = tuple(0 for _ in range(t))
-        basis = tuple(
-            (tuple(1 if i == j else 0 for i in range(t)), 0) for j in range(t)
-        )
-        gens = basis + ((zero, 1 % q),)
-        super().__init__(gens, name or f"V({t},{m})", order=m**t * q, **kw)
+        gens = (*((e, 0) for e in powers[0]), ((0,) * t, 1 % q))  # basis, complement
+        super().__init__(gens, name, order_bound, order=m**t * q)
 
     def mul(self, a, b):
         m = self.modulus
@@ -777,7 +788,7 @@ class VectorSemidirectGroup(FiniteGroup):
         return "[" + ",".join(str(x) for x in v) + "|" + str(a) + "]"
 
     def parse(self, text):
-        m = re.fullmatch(r"\[\s*([0-9,\s-]*)\|\s*(-?\d+)\s*\]", text.strip())
+        m = re.fullmatch(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\|\s*(-?\d+)\s*\]", text.strip())
         if not m:
             raise ValidationError(f"bad semidirect element: {text!r}")
         v = tuple(int(x) % self.modulus for x in m.group(1).split(","))
@@ -882,6 +893,8 @@ def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
         m = re.fullmatch(r"(.*?)\s*x\s*(\d+)", item)
         if m:
             item, mult = m.group(1).strip(), int(m.group(2))
+        if len(indices) + mult > TABLE_ENTRY_CAP:
+            raise BudgetError(f"class vector has more than {TABLE_ENTRY_CAP} entries")
         if item in by_label:
             idx = by_label[item]
         elif re.fullmatch(r"\d+[a-z]+", item):
@@ -929,21 +942,25 @@ def class_power(cv: ClassVector, m: int) -> ClassVector:
 # catalog
 
 
-def alternating(n: int, **kw) -> PermutationGroup:
+def alternating(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
+    """A_n by the 3-cycles (i, i+1, i+2), built after its order n!/2 is
+    checked against the bound.  As k! >= 2^(k-1), the factorial need not run
+    past the bound's bit length: n!/2, or else a value above the bound."""
     if n < 3:
         raise ValidationError("alternating group needs n >= 3")
+    order = factorial(min(n, order_bound.bit_length() + 2)) // 2
+    check_order_bound(f"A{n}", order, order_bound)
     gens = [perm_from_cycles([(i, i + 1, i + 2)], n) for i in range(n - 2)]
-    g = PermutationGroup(gens, n, f"A{n}", order=factorial(n) // 2, **kw)
-    g.sym_normalizer_gens = _symmetric_gens(n)
-    return g
+    return PermutationGroup(gens, n, f"A{n}", order=order, order_bound=order_bound)
 
 
-def symmetric(n: int, **kw) -> PermutationGroup:
+def symmetric(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup:
     if n < 2:
         raise ValidationError("symmetric group needs n >= 2")
-    g = PermutationGroup(_symmetric_gens(n), n, f"S{n}", order=factorial(n), **kw)
-    g.sym_normalizer_gens = _symmetric_gens(n)
-    return g
+    order = factorial(min(n, order_bound.bit_length() + 2))  # as for A_n
+    check_order_bound(f"S{n}", order, order_bound)
+    return PermutationGroup(_symmetric_gens(n), n, f"S{n}", order=order,
+                            order_bound=order_bound)
 
 
 def _symmetric_gens(n: int):
@@ -997,12 +1014,25 @@ def _unit_generators(n: int) -> list[int]:
     return gens
 
 
+def vector_descriptor(m: int, action) -> str:
+    """The descriptor of (Z/m)^t x| Z/q acting by ``action`` reduced mod m."""
+    rows = ",".join("[" + ",".join(str(v % m) for v in row) + "]" for row in action)
+    return f"V({len(action)},{m}):M=[{rows}]"
+
+
 def _vector_group(m, kw) -> VectorSemidirectGroup:
     try:
         mat = json.loads(m.group(3))
     except json.JSONDecodeError:
         raise ValidationError(f"bad action matrix in {m.group(0)!r}") from None
     return VectorSemidirectGroup(int(m.group(1)), int(m.group(2)), mat, **kw)
+
+
+def _sl2_group(m, kw) -> Sl2Group:
+    # |SL2(Z/m)| > m^3/2, as 1 - p^-2 over all primes multiplies to 6/pi^2
+    n = int(m.group(1))
+    check_order_bound(f"SL2({n})", n**3 // 2, kw["order_bound"])
+    return Sl2Group(n, **kw)
 
 
 def _generated_group(m, kw) -> PermutationGroup:
@@ -1018,7 +1048,7 @@ _DESCRIPTOR_RES = [
     (re.compile(r"A(\d+)$"), lambda m, kw: alternating(int(m.group(1)), **kw)),
     (re.compile(r"S(\d+)$"), lambda m, kw: symmetric(int(m.group(1)), **kw)),
     (re.compile(r"D(\d+)$"), lambda m, kw: dihedral(int(m.group(1)), **kw)),
-    (re.compile(r"SL2\((\d+)\)$"), lambda m, kw: Sl2Group(int(m.group(1)), **kw)),
+    (re.compile(r"SL2\((\d+)\)$"), _sl2_group),
     (re.compile(r"Heis\((\d+)\)$"), lambda m, kw: HeisenbergGroup(int(m.group(1)), **kw)),
     (re.compile(r"V\((\d+),(\d+)\):M=(\[.*\])$"), _vector_group),
     (re.compile(r"gens:(\[.*\])$"), _generated_group),
@@ -1051,17 +1081,22 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
 
 def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
     """The normalizer of ``group`` in Sym(n), given by generators and listed
-    only on demand: the catalog-attached generators, each checked; Sym(n)'s
-    two generators when ``group`` has index at most 2 (A_n or S_n, both
-    normal); or else generators picked by ``_span`` from a search over Sym(n)
-    (``_sym_normalizer_search``) for n <= ``SYM_SEARCH_DEGREE_LIMIT``.  The
-    Nielsen layer cuts it down to the subgroup fixing a class multiset.
+    only on demand: the catalog generators a dihedral group attaches, each
+    checked; Sym(n)'s two generators when ``group`` has index at most 2 (A_n
+    or S_n, both normal); or else generators picked by ``_span`` from a
+    search over Sym(n) (``_sym_normalizer_search``) for n <=
+    ``SYM_SEARCH_DEGREE_LIMIT``.  The Nielsen layer cuts it down to the
+    subgroup fixing a class multiset.
     """
     if group.kind != "permutation":
         raise ValidationError("normalizer_in_sym needs a permutation group")
     n, name = group.degree, f"N_Sym({group.name})"
     if group.sym_normalizer_gens is not None:
-        gens = catalog_normalizer_gens(group)
+        gens = group.sym_normalizer_gens
+        for s in gens:
+            if any(group.conj(g, s) not in group for g in group.gens):
+                raise ValidationError(f"catalog generator {format_perm(s)} does not"
+                                      f" normalize {group.name}")
     elif 2 * group.order >= factorial(n):
         gens = _symmetric_gens(n)
     elif n <= SYM_SEARCH_DEGREE_LIMIT:
@@ -1117,16 +1152,3 @@ def _sym_normalizer_search(group: PermutationGroup) -> list:
                 yield from extend(t, nxt)
 
     return list(extend([], [group.elements] * len(gens)))
-
-
-def catalog_normalizer_gens(group: PermutationGroup) -> list:
-    """The catalog generators of the Sym(n)-normalizer, each checked once."""
-    for s in group.sym_normalizer_gens:
-        if not _normalizes(group, s):
-            raise ValidationError(f"catalog generator {format_perm(s)} does not"
-                                  f" normalize {group.name}")
-    return group.sym_normalizer_gens
-
-
-def _normalizes(group: PermutationGroup, s) -> bool:
-    return all(group.conj(g, s) in group for g in group.gens)

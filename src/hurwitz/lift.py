@@ -40,12 +40,12 @@ from .groups import (
     GroupHom,
     HeisenbergGroup,
     IndexedGroup,
-    Sl2Group,
     VectorSemidirectGroup,
     _det_mod,
     _mat_mul,
     _smallest_prime_factor,
-    alternating,
+    make_group,
+    vector_descriptor,
 )
 
 # kernel-translate tuples a Frattini check enumerates without a warning;
@@ -191,8 +191,7 @@ def spin_cover(n: int) -> CentralExtension:
     """
     if n not in _SPIN_GEN_IMAGES:
         raise ValidationError("spin covers are built in for n = 4 and n = 5 only")
-    cover = Sl2Group(3 if n == 4 else 5)
-    base = alternating(n)
+    cover, base = make_group(f"SL2({3 if n == 4 else 5})"), make_group(f"A{n}")
     images = tuple(base.parse(s) for s in _SPIN_GEN_IMAGES[n])
     hom = GroupHom(cover, base, images)
     ext = CentralExtension(cover, base, hom, hom.preimage, hom.kernel(), f"spin{n}")
@@ -318,7 +317,7 @@ def extend_action_to_heisenberg(ell: int, m=COMPANION) -> CentralExtension:
             "no order-3 extension of the action to the Heisenberg group exists"
         )
     s, t = first
-    base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
+    base = make_group(vector_descriptor(ell, m))
     cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
                             name=f"Heis({ell}):3")
     return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,

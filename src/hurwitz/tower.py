@@ -49,11 +49,12 @@ from .groups import (
     FiniteGroup,
     Frozen,
     GroupHom,
-    VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
+    check_lattice,
     class_power,
-    dihedral,
+    make_group,
+    vector_descriptor,
 )
 from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
@@ -71,28 +72,17 @@ from .lift import (
 O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
 
 
-def _int_matrix(action, t: int) -> tuple:
-    try:
-        rows = tuple(tuple(row) for row in action)
-    except TypeError:
-        rows = ()
-    if len(rows) != t or any(
-        len(r) != t or any(type(v) is not int for v in r) for r in rows
-    ):
-        raise ValidationError(f"tower action must be a {t}x{t} integer matrix")
-    return rows
-
-
 class TowerSpec(Frozen):
     """A tower family: which groups sit at each level.
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
     ``action`` matrix (default: t = 2 and the order-3 companion matrix of
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
-    matrix and no rank, and sets t to 1.  Level groups and the level maps
-    between their views are built on first use and kept by the spec; two
-    specs are equal when their family, ell, t and action are.  A level 0 of
-    order above ``DEFAULT_ORDER_BOUND`` raises ``BudgetError`` first.
+    matrix and no rank, and sets t to 1.  Level groups, ``make_group`` of
+    their descriptors, and the level maps between their views are built on
+    first use and kept by the spec; two specs are equal when their family,
+    ell, t and action are.  A level 0 of order above ``DEFAULT_ORDER_BOUND``
+    raises ``BudgetError`` before ell is factored.
     """
 
     def __init__(self, family: str, ell: int, t: int | None = None,
@@ -103,19 +93,19 @@ class TowerSpec(Frozen):
             t = 2 if family == "vector" else 1
         elif family == "dihedral":
             raise ValidationError("dihedral towers take no lattice rank t")
-        if type(t) is not int or t < 1:
-            raise ValidationError(f"tower lattice rank t must be at least 1, got {t!r}")
+        if ell < 2:
+            raise ValidationError(f"tower prime expected, got {ell}")
         if family == "vector":
-            action = _int_matrix(action if action is not None else COMPANION, t)
+            action = check_lattice(t, ell, COMPANION if action is None else action)
         elif action is not None:
             raise ValidationError("dihedral towers take no action matrix")
         # level 0 has order 2*ell, or at least ell^t: the bound comes before
         # the trial division that tests ell and before any matrix work
         order0 = 2 * ell if family == "dihedral" else ell ** t
-        if ell > 1 and order0 > DEFAULT_ORDER_BOUND:
+        if order0 > DEFAULT_ORDER_BOUND:
             raise BudgetError(f"level 0 of the {family} tower at ell = {ell} has order at"
                               f" least {order0}, above the order bound {DEFAULT_ORDER_BOUND}")
-        if ell < 2 or _smallest_prime_factor(ell) != ell:
+        if _smallest_prime_factor(ell) != ell:
             raise ValidationError(f"tower prime expected, got {ell}")
         if family == "dihedral":
             if ell == 2:
@@ -148,33 +138,21 @@ class TowerSpec(Frozen):
         return self.ell ** (k + 1)
 
     def level_group(self, k: int) -> FiniteGroup:
+        """``make_group`` of the level's descriptor, keeping level 0's complement order."""
         cache = self._levels
         if k not in cache:
-            m = self.modulus(k)
-            if self.family == "vector":
-                g = VectorSemidirectGroup(self.t, m, self.action)
-                g.name = f"(Z/{m})^{self.t}:Z/{g.complement_order}"
-                if k > 0:
-                    q0 = self.level_group(0).complement_order
-                    if g.complement_order != q0:
-                        raise ValidationError(
-                            "action matrix changes order between levels; the"
-                            f" tower needs M^{q0} = I mod {m}"
-                        )
-            else:
-                g = dihedral(m)
-            g.descriptor = self.descriptor(k)
+            g = make_group(self.descriptor(k))
+            if k > 0 and self.family == "vector":
+                q0 = self.level_group(0).complement_order
+                if g.complement_order != q0:
+                    raise ValidationError("action matrix changes order between levels;"
+                                          f" the tower needs M^{q0} = I mod {g.modulus}")
             cache[k] = g
         return cache[k]
 
     def descriptor(self, k: int) -> str:
         m = self.modulus(k)
-        if self.family == "dihedral":
-            return f"D{m}"
-        rows = ",".join(
-            "[" + ",".join(str(v % m) for v in row) + "]" for row in self.action
-        )
-        return f"V({self.t},{m}):M=[{rows}]"
+        return f"D{m}" if self.family == "dihedral" else vector_descriptor(m, self.action)
 
     def level_map(self, k: int) -> GroupHom:
         """The level-k to level-(k-1) reduction on indexed views (k >= 1), a

@@ -24,9 +24,10 @@ from hurwitz.errors import ValidationError
 from hurwitz.groups import (
     ClassVector,
     FiniteGroup,
-    VectorSemidirectGroup,
     cycle_type,
+    make_group,
     riemann_hurwitz,
+    vector_descriptor,
 )
 from hurwitz.lift import (
     COMPANION,
@@ -174,7 +175,7 @@ def heisenberg_extensions(ell: int, m=COMPANION) -> tuple[CentralExtension, ...]
     correction (s, t), least first, as ``extend_action_to_heisenberg`` builds
     the first."""
     lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
-    base = VectorSemidirectGroup(2, ell, m, name=f"(Z/{ell})^2:3")
+    base = make_group(vector_descriptor(ell, m))
     out = []
     for s, t in corrections:
         cover = HeisenbergCover(base, lam, act,

@@ -123,6 +123,11 @@ def test_table_budget_exits_3_before_the_work(capsys):
 # expansion took seconds
 SHIFT10 = json.dumps([[int(j == (i + 1) % 10) for j in range(10)] for i in range(10)],
                      separators=(",", ":"))
+# the companion matrix of x^20 + x^3 + 1 over Z/2, of determinant 1: 2^20 is
+# above the order bound, and the determinant and the order of the action
+# took 7.8 s before that was checked
+COMPANION20 = json.dumps([[int(j == i + 1) for j in range(20)] for i in range(19)]
+                         + [[int(j in (0, 3)) for j in range(20)]], separators=(",", ":"))
 
 
 @pytest.mark.parametrize("argv,never", [
@@ -131,13 +136,19 @@ SHIFT10 = json.dumps([[int(j == (i + 1) % 10) for j in range(10)] for i in range
     (["genus", "--group", "D1000000"],
      ["hurwitz.groups._unit_generators", "hurwitz.groups._Dihedral"]),
     (["tower", "--family", "dihedral", "--ell", "1000000000039"],
-     ["hurwitz.tower.dihedral", "hurwitz.tower._smallest_prime_factor"]),
+     ["hurwitz.groups.dihedral", "hurwitz.tower._smallest_prime_factor"]),
     # ell = (10^9 + 7)(10^9 + 9): trial division would run to 10^9 + 7
     (["tower", "--family", "vector", "--ell", str((10**9 + 7) * (10**9 + 9))],
      ["hurwitz.tower._smallest_prime_factor"]),
     (["enumerate", "--group", f"V(10,3):M={SHIFT10}"], ["hurwitz.groups.FiniteGroup.close"]),
     (["tower", "--family", "vector", "--ell", "5", "--t", "10", "--action", SHIFT10],
      ["hurwitz.tower._det_mod"]),
+    (["bcl", "--group", f"V(20,2):M={COMPANION20}"],
+     ["hurwitz.groups._det_mod", "hurwitz.groups._mat_order"]),
+    (["bcl", "--group", "A100000"], ["hurwitz.groups.perm_from_cycles"]),
+    (["bcl", "--group", "SL2(100000000000031)"], ["hurwitz.groups._smallest_prime_factor"]),
+    # a repetition suffix past TABLE_ENTRY_CAP entries used to build the list first
+    (["bcl", "--group", "A4", "--classes", "[3ax99999999999]"], ["hurwitz.groups.ClassVector"]),
 ])
 def test_oversized_catalog_input_exits_before_the_work(argv, never, capsys, monkeypatch):
     """Each input ends in a one-line budget message, in well under the
@@ -149,7 +160,8 @@ def test_oversized_catalog_input_exits_before_the_work(argv, never, capsys, monk
 
         monkeypatch.setattr(target, refused)
     start = time.monotonic()
-    assert run([*argv, "--classes", "[2a,2a,2a,2a]"]) == 3
+    classes = [] if "--classes" in argv else ["--classes", "[2a,2a,2a,2a]"]
+    assert run([*argv, *classes]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
     assert time.monotonic() - start < 5.0
@@ -678,6 +690,16 @@ def _enumerate(group, classes):
     (_enumerate("Heis(3)", "[[1,0],3a]"), "bad Heisenberg element"),
     (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1,0],3a]"), "bad semidirect element"),
     (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1|0],3a]"), "vector part of '[1|0]' must"),
+    (_enumerate("V(0,5):M=[]", "[1a,1a]"), "lattice rank t must be at least 1, got 0"),
+    (_enumerate("V(2,0):M=[[0,-1],[1,-1]]", "[1a,1a]"), "lattice modulus must be at least 2"),
+    (_enumerate("V(2,1):M=[[0,-1],[1,-1]]", "[1a,1a]"), "lattice modulus must be at least 2"),
+    (_enumerate('V(2,5):M=[["a",1],[0,1]]', "[1a,1a]"), "action matrix must be 2x2 with integer"),
+    (_enumerate("V(2,5):M=[1,2]", "[1a,1a]"), "action matrix must be 2x2 with integer"),
+    (_enumerate("V(2,5):M=[[0.5,1],[0,1]]", "[1a,1a]"), "action matrix must be 2x2 with integer"),
+    (_enumerate("SL2(5)", '[[["a",2],[3,4]],3a]'), "bad SL2 element"),
+    (_enumerate("Heis(5)", '[["a",1,1],3a]'), "bad Heisenberg element"),
+    (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1,,2|0],3a]"), "bad semidirect element"),
+    (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[-|0],3a]"), "bad semidirect element"),
     (["genus", "--group", "A4", "--classes", "[3c,3a,3b,3b]"],
      "no class '3c' in A4; its class labels are 1a, 2a, 3a, 3b"),
     (["tower", "--family", "vector", "--ell", "5", "--action", "[[2,0],[0,3]]",

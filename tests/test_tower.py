@@ -69,6 +69,24 @@ def test_spec_validation():
         TowerSpec("vector", 5, action=((0, -1), (1, 4))).level_group(1)
 
 
+@pytest.mark.parametrize("family", ["vector", "dihedral"])
+def test_level_groups_are_made_from_their_descriptors(family, monkeypatch):
+    """Each level group is what ``make_group`` returns for the level's
+    descriptor, for both families."""
+    made = {}
+
+    def recorded(descriptor, *args, **kw):
+        made[descriptor] = make_group(descriptor, *args, **kw)
+        return made[descriptor]
+
+    monkeypatch.setattr("hurwitz.tower.make_group", recorded)
+    spec = TowerSpec(family, 5)
+    levels = [spec.level_group(k) for k in (0, 1)]
+    assert list(made) == [spec.descriptor(0), spec.descriptor(1)]
+    assert all(made[spec.descriptor(k)] is g for k, g in enumerate(levels))
+    assert [g.descriptor for g in levels] == list(made)
+
+
 def test_level_groups_vector():
     spec = TowerSpec("vector", 2)
     assert spec.level_group(0).order == 12
