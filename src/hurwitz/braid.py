@@ -43,12 +43,6 @@ def apply_qi(group: FiniteGroup, t: tuple, i: int) -> tuple:
     return _qi(group, t, i)
 
 
-def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
-    if not 1 <= i <= len(t) - 1:
-        raise ValidationError(f"twist index {i} out of range 1..{len(t) - 1}")
-    return _qi_inv(group, t, i)
-
-
 def apply_sh(group: FiniteGroup, t: tuple) -> tuple:
     """Left rotation (g_2, ..., g_r, g_1)."""
     return t[1:] + t[:1]

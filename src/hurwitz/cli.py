@@ -30,7 +30,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetError, ValidationError
-from .groups import GroupHom, make_group, parse_class_vector
+from .groups import GroupHom, make_group, parse_class_vector, read_int
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
 from .geometry import genus_of_component, moduli_flags, sh_incidence
@@ -118,7 +118,7 @@ def _load_config(path: str | None) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a JSON object")
@@ -354,7 +354,7 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
         return spin_cover(5)
     m = _COVER_RE.fullmatch(sel)
     if m:
-        ell = int(m.group(1))
+        ell = read_int(m.group(1))
         if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
             return extend_action_to_heisenberg(ell, group.action)
         return extend_action_to_heisenberg(ell)  # the companion action
@@ -363,7 +363,7 @@ def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read cover file: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("cover file must hold a JSON object")
@@ -435,7 +435,7 @@ def _tower_spec(cfg: dict) -> TowerSpec:
     if isinstance(action, str):
         try:
             action = json.loads(action)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"--action is not valid JSON: {exc}") from exc
     return TowerSpec(family, ell, t=cfg["t"], action=action)
 

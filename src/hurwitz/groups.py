@@ -166,6 +166,14 @@ def riemann_hurwitz(types, n: int) -> tuple[tuple[int, ...], int]:
 _CYCLE_RE = re.compile(r"\(\s*([0-9,\s]*)\)")
 
 
+def read_int(text: str) -> int:
+    """A decimal integer from input; one too long for ``int`` is invalid input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"integer of {len(text)} digits is too long to read") from None
+
+
 def parse_perm(text: str, n: int) -> tuple[int, ...]:
     """Parse 1-based cycle notation like ``"(1,2,3)(4,5)"``.
 
@@ -493,12 +501,6 @@ class IndexedGroup(FiniteGroup):
     def format(self, g):
         return self.element_strings[g]
 
-    def parse(self, text):
-        g = self.data.parse(text)
-        if g not in self.data:
-            raise ValidationError(f"element {text!r} is not in {self.name}")
-        return self.data._index[g]
-
 
 class GroupHom:
     """A verified homomorphism between finite groups, stored as its images.
@@ -602,7 +604,7 @@ class Sl2Group(FiniteGroup):
 
     kind = "sl2"
 
-    def __init__(self, m: int, name: str | None = None, **kw):
+    def __init__(self, m: int, **kw):
         if m < 2:
             raise ValidationError("SL2 modulus must be at least 2")
         self.modulus = m
@@ -612,7 +614,7 @@ class Sl2Group(FiniteGroup):
             primes.add(p := _smallest_prime_factor(rest))
             rest //= p
         order = m**3 * prod(p * p - 1 for p in primes) // prod(p * p for p in primes)
-        super().__init__(gens, name or f"SL2({m})", order=order, **kw)
+        super().__init__(gens, f"SL2({m})", order=order, **kw)
 
     def mul(self, x, y):
         m = self.modulus
@@ -657,12 +659,12 @@ class HeisenbergGroup(FiniteGroup):
 
     kind = "heisenberg"
 
-    def __init__(self, m: int, name: str | None = None, **kw):
+    def __init__(self, m: int, **kw):
         if m < 2:
             raise ValidationError("Heisenberg modulus must be at least 2")
         self.modulus = m
         gens = ((1, 0, 0), (0, 1, 0))
-        super().__init__(gens, name or f"Heis({m})", order=m**3, **kw)
+        super().__init__(gens, f"Heis({m})", order=m**3, **kw)
 
     def mul(self, a, b):
         m = self.modulus
@@ -791,10 +793,10 @@ class VectorSemidirectGroup(FiniteGroup):
         m = re.fullmatch(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\|\s*(-?\d+)\s*\]", text.strip())
         if not m:
             raise ValidationError(f"bad semidirect element: {text!r}")
-        v = tuple(int(x) % self.modulus for x in m.group(1).split(","))
+        v = tuple(read_int(x) % self.modulus for x in m.group(1).split(","))
         if len(v) != self.dim:
             raise ValidationError(f"vector part of {text!r} must have length {self.dim}")
-        return (v, int(m.group(2)) % self.complement_order)
+        return (v, read_int(m.group(2)) % self.complement_order)
 
 
 def _det_mod(mat, m):
@@ -892,7 +894,7 @@ def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
         mult = 1
         m = re.fullmatch(r"(.*?)\s*x\s*(\d+)", item)
         if m:
-            item, mult = m.group(1).strip(), int(m.group(2))
+            item, mult = m.group(1).strip(), read_int(m.group(2))
         if len(indices) + mult > TABLE_ENTRY_CAP:
             raise BudgetError(f"class vector has more than {TABLE_ENTRY_CAP} entries")
         if item in by_label:
@@ -1023,21 +1025,21 @@ def vector_descriptor(m: int, action) -> str:
 def _vector_group(m, kw) -> VectorSemidirectGroup:
     try:
         mat = json.loads(m.group(3))
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"bad action matrix in {m.group(0)!r}") from None
-    return VectorSemidirectGroup(int(m.group(1)), int(m.group(2)), mat, **kw)
+    return VectorSemidirectGroup(read_int(m.group(1)), read_int(m.group(2)), mat, **kw)
 
 
 def _sl2_group(m, kw) -> Sl2Group:
     # |SL2(Z/m)| > m^3/2, as 1 - p^-2 over all primes multiplies to 6/pi^2
-    n = int(m.group(1))
+    n = read_int(m.group(1))
     check_order_bound(f"SL2({n})", n**3 // 2, kw["order_bound"])
     return Sl2Group(n, **kw)
 
 
 def _generated_group(m, kw) -> PermutationGroup:
     parts = _split_top_level(m.group(1)[1:-1])
-    syms = [int(s) for p in parts for s in re.findall(r"\d+", p)]
+    syms = [read_int(s) for p in parts for s in re.findall(r"\d+", p)]
     if not syms:
         raise ValidationError(f"no symbols in generator list {m.group(0)!r}")
     n = max(syms)
@@ -1045,11 +1047,11 @@ def _generated_group(m, kw) -> PermutationGroup:
 
 
 _DESCRIPTOR_RES = [
-    (re.compile(r"A(\d+)$"), lambda m, kw: alternating(int(m.group(1)), **kw)),
-    (re.compile(r"S(\d+)$"), lambda m, kw: symmetric(int(m.group(1)), **kw)),
-    (re.compile(r"D(\d+)$"), lambda m, kw: dihedral(int(m.group(1)), **kw)),
+    (re.compile(r"A(\d+)$"), lambda m, kw: alternating(read_int(m.group(1)), **kw)),
+    (re.compile(r"S(\d+)$"), lambda m, kw: symmetric(read_int(m.group(1)), **kw)),
+    (re.compile(r"D(\d+)$"), lambda m, kw: dihedral(read_int(m.group(1)), **kw)),
     (re.compile(r"SL2\((\d+)\)$"), _sl2_group),
-    (re.compile(r"Heis\((\d+)\)$"), lambda m, kw: HeisenbergGroup(int(m.group(1)), **kw)),
+    (re.compile(r"Heis\((\d+)\)$"), lambda m, kw: HeisenbergGroup(read_int(m.group(1)), **kw)),
     (re.compile(r"V\((\d+),(\d+)\):M=(\[.*\])$"), _vector_group),
     (re.compile(r"gens:(\[.*\])$"), _generated_group),
 ]

@@ -22,34 +22,34 @@ coordinate is a homomorphism by construction, its kernel and section
 v -> (v, 0) are read off the formula, and the cover is never enumerated.
 Each action gets one extension, for the least valid cocycle correction.
 
-``is_frattini_cover`` takes any surjective ``GroupHom``, on data or, as for
-the tower steps G_k -> G_(k-1), between indexed views.
+``is_frattini_cover`` takes any surjective ``GroupHom`` and runs on its
+source as given: on data for SL2(27) -> SL2(9), between indexed views for the
+tower steps G_k -> G_(k-1).  Above ``FRATTINI_TUPLE_BUDGET`` it raises
+``BudgetError`` before any closure.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .groups import (
-    TABLE_ENTRY_CAP,
     FiniteGroup,
     GroupHom,
     HeisenbergGroup,
-    IndexedGroup,
     VectorSemidirectGroup,
     _det_mod,
     _mat_mul,
     _smallest_prime_factor,
+    check_lattice,
     make_group,
     vector_descriptor,
 )
 
-# kernel-translate tuples a Frattini check enumerates without a warning;
-# tower reports mark a step above it "skipped"
+# kernel-translate tuples a Frattini check may enumerate; above it the check
+# raises BudgetError, which tower reports print as a "skipped" step
 FRATTINI_TUPLE_BUDGET = 200_000
 
 # the companion matrix of x^2 + x + 1: the default order-3 action of vector
@@ -141,10 +141,8 @@ def is_frattini_cover(hom: GroupHom) -> bool:
     Exhaustive over kernel translates of the least lifts of the target's
     generators: any proper subgroup surjecting onto the target contains some
     translate tuple, so this is sound and complete.  The closures run on the
-    source as given when it is an indexed view (as for tower steps), else on
-    its view when the table fits under ``TABLE_ENTRY_CAP``, else on data, as
-    for SL2(27).  Emits a cost warning (and keeps going) when the number of
-    translate tuples exceeds ``FRATTINI_TUPLE_BUDGET``.
+    source as given.  Raises ``BudgetError`` before the first closure when the
+    number of translate tuples exceeds ``FRATTINI_TUPLE_BUDGET``.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
@@ -153,15 +151,8 @@ def is_frattini_cover(hom: GroupHom) -> bool:
     lifts = [hom.preimage(g) for g in tgt.gens]
     n_tuples = len(kernel) ** len(lifts)
     if n_tuples > FRATTINI_TUPLE_BUDGET:
-        warnings.warn(
-            f"Frattini check enumerates {n_tuples} kernel-translate tuples "
-            f"(budget {FRATTINI_TUPLE_BUDGET}); this may take a while",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not isinstance(src, IndexedGroup) and src.order ** 2 <= TABLE_ENTRY_CAP:
-        src = src.indexed()
-        kernel, lifts = src.to_index(kernel), src.to_index(lifts)
+        raise BudgetError(f"Frattini check needs {n_tuples} kernel-translate tuples,"
+                          f" above the budget {FRATTINI_TUPLE_BUDGET}")
     # A translate subgroup S surjects onto the target, so |S| is |target|
     # times a divisor of |kernel|; once it exceeds the largest proper value
     # it must be everything.  A trivial kernel leaves no proper value
@@ -303,9 +294,7 @@ def extend_action_to_heisenberg(ell: int, m=COMPANION) -> CentralExtension:
     """
     if ell < 2 or ell % 2 == 0 or ell % 3 == 0:
         raise ValidationError("Heisenberg extension needs an odd modulus prime to 3")
-    m = tuple(tuple(int(v) % ell for v in row) for row in m)
-    if len(m) != 2 or any(len(r) != 2 for r in m):
-        raise ValidationError("Heisenberg extension needs a 2x2 matrix")
+    m = tuple(tuple(v % ell for v in row) for row in check_lattice(2, ell, m))
     ident = ((1, 0), (0, 1))
     if m == ident or _mat_mul(_mat_mul(m, m, ell), m, ell) != ident:
         raise ValidationError("action matrix must have order exactly 3")

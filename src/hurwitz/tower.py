@@ -61,7 +61,6 @@ from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
     COMPANION,
-    FRATTINI_TUPLE_BUDGET,
     CentralExtension,
     LiftInvariant,
     extend_action_to_heisenberg,
@@ -80,9 +79,8 @@ class TowerSpec(Frozen):
     x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
     matrix and no rank, and sets t to 1.  Level groups, ``make_group`` of
     their descriptors, and the level maps between their views are built on
-    first use and kept by the spec; two specs are equal when their family,
-    ell, t and action are.  A level 0 of order above ``DEFAULT_ORDER_BOUND``
-    raises ``BudgetError`` before ell is factored.
+    first use and kept by the spec.  A level 0 of order above
+    ``DEFAULT_ORDER_BOUND`` raises ``BudgetError`` before ell is factored.
     """
 
     def __init__(self, family: str, ell: int, t: int | None = None,
@@ -124,15 +122,6 @@ class TowerSpec(Frozen):
             )
         vars(self).update(family=family, ell=ell, t=t, action=action, _levels={},
                           _level_maps={})
-
-    def _key(self) -> tuple:
-        return self.family, self.ell, self.t, self.action
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is TowerSpec else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def modulus(self, k: int) -> int:
         return self.ell ** (k + 1)
@@ -448,18 +437,18 @@ def eventually_frattini_report(spec: TowerSpec, k_max: int) -> tuple[FrattiniSte
 
     Each step is read off ``spec.level_map(k)``: its kernel K, whether K
     is an l-group (|K| is a power of l, by Cauchy's theorem), and
-    ``is_frattini_cover``.  Steps whose kernel-translate count exceeds
-    ``FRATTINI_TUPLE_BUDGET`` are marked "skipped" rather than attempted.  A
-    level over the table cap raises ``BudgetError`` before its elements are
-    listed.
+    ``is_frattini_cover``.  A step whose check raises ``BudgetError`` before
+    its walk is marked "skipped".  A level over the table cap raises
+    ``BudgetError`` before its elements are listed.
     """
     steps = []
     for k in range(1, k_max + 1):
         hom = spec.level_map(k)
         n = len(hom.kernel())
-        verdict: object = "skipped"
-        if n ** len(hom.target.gens) <= FRATTINI_TUPLE_BUDGET:
-            verdict = is_frattini_cover(hom)
+        try:
+            verdict: object = is_frattini_cover(hom)
+        except BudgetError:
+            verdict = "skipped"
         steps.append(FrattiniStep(k, verdict, n, _ell_prime_part(n, spec.ell) == 1))
     return tuple(steps)
 

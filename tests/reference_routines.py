@@ -10,7 +10,8 @@ in ``_det_mod`` replaced, and ``project_tuple`` reduces a level-k tuple on
 data.  ``lift_class_vector`` gives the classes of same-order lifts, and
 ``heisenberg_extensions`` builds one Heisenberg extension per valid cocycle
 correction, which ``lift_partition_is_choice_independent`` compares on a
-tower level.  All take and return the library's own objects.
+tower level.  ``apply_qi_inv`` is the inverse twist, checked against
+``apply_qi``.  All take and return the library's own objects.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from hurwitz.lift import (
     lift_invariant,
     same_order_lift,
 )
-from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.nielsen import Mode, _qi_inv, enumerate_nielsen
 from hurwitz.tower import TowerLevel, TowerSpec
 
 
@@ -123,7 +124,14 @@ def inner_absolute_fibers(group: FiniteGroup, cv: ClassVector,
 
 
 # ---------------------------------------------------------------------------
-# tuple shapes and determinants
+# tuple moves, shapes and determinants
+
+
+def apply_qi_inv(group: FiniteGroup, t: tuple, i: int) -> tuple:
+    """The inverse of twist q_i, 1-based, with ``apply_qi``'s range check."""
+    if not 1 <= i <= len(t) - 1:
+        raise ValidationError(f"twist index {i} out of range 1..{len(t) - 1}")
+    return _qi_inv(group, t, i)
 
 
 def tuple_is_hm(group: FiniteGroup, t: tuple) -> bool:

@@ -8,7 +8,6 @@ oracles (classical modular-curve data, lift-invariant laws) for the rest.
 import itertools
 import json
 import time
-import warnings
 
 import pytest
 
@@ -186,15 +185,6 @@ def test_frattini_fast_cases():
     small = VectorSemidirectGroup(2, 2, ((0, -1), (1, -1)))
     step = GroupHom(big, small, small.gens)  # reduction mod 2
     assert is_frattini_cover(step) is True
-
-
-@pytest.mark.slow
-def test_frattini_modular_step():
-    big = Sl2Group(27, order_bound=20000)
-    hom = GroupHom(big, Sl2Group(9), [tuple(x % 9 for x in g) for g in big.gens])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert is_frattini_cover(hom) is True
 
 
 def test_frattini_steps_stop_at_the_deepest_built_level(capsys):

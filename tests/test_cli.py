@@ -21,6 +21,7 @@ from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
 
 A4_ARGS = ["--group", "A4", "--classes", "[3a,3a,3b,3b]"]
+BIG = "9" * 5000  # more digits than int() converts by default
 
 
 def out_of(capsys):
@@ -371,12 +372,13 @@ FUZZ_TOWER_CONFIGS = st.fixed_dictionaries({}, optional={
 
 
 def run_with_config(argv, config):
-    """Exit code and stderr of ``run(argv)`` with ``config`` as a config file."""
+    """Exit code and stderr of ``run(argv)`` with ``config`` as a config
+    file, written as JSON unless it is already text."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
+            fh.write(config if isinstance(config, str) else json.dumps(config))
         with redirect_stdout(out), redirect_stderr(err):
             code = run([*argv, "--config", path])
     return code, err.getvalue()
@@ -570,6 +572,8 @@ def test_config_rule_exits_2(argv, config, message):
     (None, "cannot read config file: "),
     ("{", "config file is not valid JSON: "),
     ('["group", "A4"]', "config file must hold a JSON object"),
+    pytest.param('{"seed": %s}' % BIG, "config file is not valid JSON: Exceeds the limit",
+                 id="long-integer"),
 ])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -585,6 +589,8 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     ("{", "cannot read cover file: "),
     ('["SL2(3)", "A4"]', "cover file must hold a JSON object"),
     ('{"source": "SL2(3)", "target": "A4"}', "cover file misses 'images'"),
+    pytest.param('{"images": %s}' % BIG, "cannot read cover file: Exceeds the limit",
+                 id="long-integer"),
 ])
 def test_unreadable_cover_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cover.json"
@@ -624,6 +630,8 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key):
     (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
       "--action", "[[0,-1],[1,-1]"], {}),
     (["lift", *A4_ARGS, "--cover", "spin6"], {}),
+    # an integer too long for int(), in the config file
+    pytest.param(["check", *A4_ARGS], '{"seed": %s}' % BIG, id="long-integer"),
 ])
 def test_wrong_type_inputs_exit_2(argv, config):
     code, err = run_with_config(argv, config)
@@ -704,6 +712,16 @@ def _enumerate(group, classes):
      "no class '3c' in A4; its class labels are 1a, 2a, 3a, 3b"),
     (["tower", "--family", "vector", "--ell", "5", "--action", "[[2,0],[0,3]]",
       "--classes", "[3a,3a,3b,3b]"], "no class '3a' in"),
+    # integers too long for int(), each once a ValueError traceback
+    *((["bcl", "--group", group, "--classes", "[2a,2a]"], "integer of 5000 digits")
+      for group in (f"A{BIG}", f"D{BIG}", f"SL2({BIG})", f"V(2,{BIG}):M=[[0,-1],[1,-1]]",
+                    f"gens:[(1,{BIG})]")),
+    (["bcl", "--group", "A4", "--classes", f"[3ax{BIG}]"], "integer of 5000 digits"),
+    (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", f"[[{BIG},0|0],3a,3b,3b]"), "integer of 5000"),
+    (_enumerate(f"V(2,5):M=[[{BIG},-1],[1,-1]]", "[1a,1a]"), "bad action matrix in"),
+    (["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
+      "--action", f"[[{BIG},0],[0,1]]"], "--action is not valid JSON: Exceeds the limit"),
+    (["lift", *A4_ARGS, "--cover", f"heis({BIG})"], "integer of 5000 digits"),
 ])
 def test_input_checks_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == 2

@@ -1,5 +1,4 @@
 import random
-import warnings
 from itertools import product
 
 import pytest
@@ -8,6 +7,7 @@ import hurwitz.lift
 from hurwitz.braid import braid_orbits
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
+    FiniteGroup,
     HeisenbergGroup,
     Sl2Group,
     VectorSemidirectGroup,
@@ -92,12 +92,20 @@ def test_frattini_test_needs_a_surjection():
         is_frattini_cover(_c3_in_s3())
 
 
-def test_frattini_test_warns_above_its_tuple_budget(monkeypatch):
+def test_frattini_test_refuses_above_its_tuple_budget_before_any_closure(monkeypatch):
     big = VectorSemidirectGroup(2, 4, ((0, -1), (1, -1)))
     small = VectorSemidirectGroup(2, 2, ((0, -1), (1, -1)))
+    hom = GroupHom(big, small, small.gens)
+    closures = []
+    close = FiniteGroup.close
+    monkeypatch.setattr(FiniteGroup, "close",
+                        lambda self, *a, **kw: closures.append(self) or close(self, *a, **kw))
     monkeypatch.setattr(hurwitz.lift, "FRATTINI_TUPLE_BUDGET", 63)
-    with pytest.warns(RuntimeWarning, match="enumerates 64 kernel-translate tuples"):
-        assert is_frattini_cover(GroupHom(big, small, small.gens)) is True
+    with pytest.raises(BudgetError, match="needs 64 kernel-translate tuples, above the budget 63"):
+        is_frattini_cover(hom)
+    assert closures == []
+    monkeypatch.setattr(hurwitz.lift, "FRATTINI_TUPLE_BUDGET", 64)
+    assert is_frattini_cover(hom) is True and closures
 
 
 def test_cover_genus_through_an_embedding(spin4):
@@ -257,7 +265,10 @@ def test_heisenberg_cocycle_is_the_semidirect_product(m):
 
 
 @pytest.mark.parametrize("m,message", [
-    (((0, -1, 0), (1, -1, 0), (0, 0, 1)), "needs a 2x2 matrix"),
+    (((0, -1, 0), (1, -1, 0), (0, 0, 1)), "action matrix must be 2x2 with integer entries"),
+    ([[0.9, -1], [1, -1]], "action matrix must be 2x2 with integer entries"),
+    ([[0, -1], [True, -1]], "action matrix must be 2x2 with integer entries"),
+    ([[0, "a"], [1, -1]], "action matrix must be 2x2 with integer entries"),
     (((1, 0), (0, 1)), "must have order exactly 3"),
     (((0, 1), (1, 0)), "must have order exactly 3"),
 ])
@@ -297,9 +308,7 @@ def test_frattini_sl2_27_to_9_passes():
     big = Sl2Group(27, order_bound=20000)
     small = Sl2Group(9)
     hom = GroupHom(big, small, [tuple(x % 9 for x in g) for g in big.gens])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert is_frattini_cover(hom) is True
+    assert is_frattini_cover(hom) is True
 
 
 @pytest.mark.long
@@ -307,9 +316,7 @@ def test_frattini_sl2_25_to_5_passes():
     big = Sl2Group(25, order_bound=20000)
     small = Sl2Group(5)
     hom = GroupHom(big, small, [tuple(x % 5 for x in g) for g in big.gens])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert is_frattini_cover(hom) is True
+    assert is_frattini_cover(hom) is True
 
 
 def test_central_extension_rejects_noncentral_kernel():

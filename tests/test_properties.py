@@ -2,7 +2,7 @@
 
 import random
 
-from hurwitz.braid import apply_qi, apply_qi_inv, apply_sh, braid_orbits
+from hurwitz.braid import apply_qi, apply_sh, braid_orbits
 from hurwitz.groups import class_power, make_group, parse_class_vector
 from hurwitz.lift import lift_invariant, spin_cover
 from hurwitz.nielsen import (
@@ -13,7 +13,7 @@ from hurwitz.nielsen import (
     random_nielsen_tuple,
 )
 from hurwitz.tower import TowerSpec, bcl, cusp_type, lift_classes_to_level
-from reference_routines import project_tuple
+from reference_routines import apply_qi_inv, project_tuple
 
 SEED = 20260817
 

@@ -1,5 +1,6 @@
 """Tower families: level groups, level maps, cusps, trees, field data."""
 
+import json
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -8,6 +9,7 @@ import hurwitz.lift
 import hurwitz.nielsen
 import hurwitz.tower
 from hurwitz.braid import CuspOrbit, apply_qi, braid_orbits, cusp_orbits, verify_braid_relations
+from hurwitz.cli import run
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import (
@@ -96,7 +98,6 @@ def test_level_groups_vector():
 
 def test_each_spec_keeps_its_own_levels():
     a, b = TowerSpec("vector", 2), TowerSpec("vector", 2)
-    assert a == b and hash(a) == hash(b)
     assert a.level_group(1) is a.level_group(1)
     assert a.level_map(1) is a.level_map(1)
     assert a.level_group(1) is not b.level_group(1)
@@ -357,13 +358,12 @@ def test_bounded_ell_prime_test_matches_full_closures(family, ell, k):
     ("dihedral", 5, 2, (Mode.ABSOLUTE_REDUCED, Mode.INNER_REDUCED)),
     ("dihedral", 7, 1, (Mode.ABSOLUTE_REDUCED, Mode.INNER_REDUCED)),
 ])
-def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes,
-                                                       monkeypatch):
+def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes):
     """The Frattini lemma behind ``build_level``: testing generation on
     level-0 images finds the classes that closing in G_k finds, and each
     step G_k -> G_(k-1) is a Frattini cover, checked through a ``GroupHom``
-    on the indexed view and on data, with the verdicts and kernels that
-    ``eventually_frattini_report`` reads off the level maps."""
+    on data, with the verdicts and kernels that ``eventually_frattini_report``
+    reads off the level maps between the indexed views."""
     spec = TowerSpec(family, ell)
     c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
     cv0 = parse_class_vector(spec.level_group(0), c0)
@@ -378,10 +378,6 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
         below = spec.level_group(k - 1)
         hom = GroupHom(group, below, below.gens)
         assert is_frattini_cover(hom) is True
-        with monkeypatch.context() as m:
-            m.setattr(hurwitz.lift, "TABLE_ENTRY_CAP", group.order ** 2 - 1)
-            m.setattr(type(group), "indexed", _no_view)
-            assert is_frattini_cover(hom) is True
         kernel = hom.kernel()
         is_ell = {group.element_order(x) for x in kernel} <= {ell ** i for i in range(k + 2)}
         steps.append((k, True, len(kernel), is_ell))
@@ -742,6 +738,19 @@ def test_eventually_frattini_steps():
     assert steps[0].frattini is True
     assert steps[0].kernel_order == 4
     assert steps[0].kernel_is_ell_group is True
+
+
+@pytest.mark.parametrize("budget,verdict", [(63, "skipped"), (64, True)])
+def test_frattini_steps_over_the_tuple_budget_read_skipped(budget, verdict, capsys,
+                                                          monkeypatch):
+    """Each vector l=2 step has a kernel of order 4 over 3 generators, so its
+    check walks 4^3 = 64 translate tuples; one budget in ``lift`` decides."""
+    monkeypatch.setattr(hurwitz.lift, "FRATTINI_TUPLE_BUDGET", budget)
+    assert run(["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]",
+                "--k-max", "2", "--frattini", "--format", "json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["frattini_steps"]
+    assert steps == [{"k": k, "frattini": verdict, "kernel_order": 4, "kernel_is_ell_group": True}
+                     for k in (1, 2)]
 
 
 @pytest.mark.parametrize("family,ell,k_max", [("vector", 2, 3), ("dihedral", 5, 2)])
