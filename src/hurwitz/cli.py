@@ -1,10 +1,14 @@
 """Command-line frontend: enumeration, orbits, geometry, lifts, towers.
 
-Each flag's type, default and help, and each command's help, echoed inputs
-and runner, are declared once, in one row.  Configuration precedence is flags
-over config-file values over defaults.  The config file is a JSON object whose
-keys are flag names (dashes or underscores).  Each key must name a flag of
-some command other than ``--config``, so ``command`` and ``config`` are
+Each flag's type, default and help, and each command's help, flags, echoed
+inputs and runner, are declared once, in one row.  A command takes only the
+flags it reads (only the commands that enumerate Nielsen classes take
+``--mode``; a tower's lattice rank is its action matrix's size), and a bad
+mode or cover selector, or ``genus`` or ``shinc`` off a reduced mode or
+r = 4, exits 2 before any group is built.  Configuration precedence is flags
+over config-file values over defaults.  The config file is a JSON object
+whose keys are flag names (dashes or underscores).  Each key must name a flag
+of some command other than ``--config``, so ``command`` and ``config`` are
 refused; each non-null value must have that flag's type (``action`` may also
 be a list of integer rows); a value for a flag the running command lacks is
 ignored, so one config file can serve every command.
@@ -29,43 +33,36 @@ import re
 import sys
 
 from . import __version__
-from .errors import BudgetError, ValidationError
-from .groups import GroupHom, make_group, parse_class_vector, read_int
+from .errors import BudgetError, ValidationError, shown
+from .groups import GroupHom, class_vector_items, make_group, parse_class_vector, read_int
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
-from .geometry import genus_of_component, moduli_flags, sh_incidence
+from .geometry import _require_reduced_four, genus_of_component, moduli_flags, sh_incidence
 from .lift import CentralExtension, extend_action_to_heisenberg, lift_invariant, spin_cover
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
-# (flag, type, default, help) of every option in --help order, type bool for a
-# switch; help output is generated from these rows, each dest and config key
-# is the flag's name, and each config value must have the flag's type.  The
-# per-command ``_FLAGS`` map is derived from them and the command rows below.
-_SHARED_FLAGS = (  # tower has its own --classes, no --group and no budget flags
-    ("--group", str, None, "group descriptor, e.g. A4, D5, SL2(3)"),
-    ("--classes", str, None, "class vector, e.g. [3a,3a,3b,3b]"),
-    ("--mode", str, "inner-reduced", "raw | inner | absolute | inner-reduced | absolute-reduced"),
-    ("--format", str, "text", "text | json | csv"),
-    ("--out", str, None, "output path (default: stdout)"),
-    ("--config", str, None, "JSON config file; flags override it"),
-    ("--order-bound", int, None, None),
-    ("--orbit-cap", int, None, None),
-)
-_OWN_FLAGS = {
-    "orbits": (("--members-file", str, None,
-                "also write full orbit membership to this JSON file"),),
-    "lift": (("--cover", str, None, "spin4 | spin5 | heis(<l>) | hom:<file>"),),
-    "tower": (
-        ("--classes", str, None, "level-0 class vector, e.g. [3a,3a,3b,3b]"),
-        ("--family", str, None, "vector | dihedral"),
-        ("--ell", int, None, "the tower prime"),
-        ("--t", int, None, "lattice rank (vector family)"),
-        ("--action", str, None, "integer action matrix as JSON, e.g. [[0,-1],[1,-1]]"),
-        ("--k-max", int, 1, "deepest level to build"),
-        ("--frattini", bool, False, "include per-step Frattini-cover results"),
-    ),
-    "check": (("--suite", str, "braid-relations", "braid-relations"),
-              ("--sample-size", int, 25, None), ("--seed", int, 0, None)),
+# flag -> (type, default, help), type bool for a switch; help output is
+# generated from these rows, each dest and config key is the flag's name, and
+# each config value must have the flag's type.  The command rows below name
+# the flags each command takes, and ``_FLAGS`` is derived from both.
+_FLAG_ROWS = {
+    "--group": (str, None, "group descriptor, e.g. A4, D5, SL2(3)"),
+    "--classes": (str, None, "class vector, e.g. [3a,3a,3b,3b]"),
+    "--mode": (str, "inner-reduced", "raw | inner | absolute | inner-reduced | absolute-reduced"),
+    "--format": (str, "text", "text | json | csv"),
+    "--out": (str, None, "output path (default: stdout)"),
+    "--config": (str, None, "JSON config file; flags override it"),
+    "--order-bound": (int, None, None),
+    "--orbit-cap": (int, None, None),
+    "--members-file": (str, None, "also write full orbit membership to this JSON file"),
+    "--cover": (str, None, "spin4 | spin5 | heis(<l>) | hom:<file>"),
+    "--family": (str, None, "vector | dihedral"),
+    "--ell": (int, None, "the tower prime"),
+    "--action": (str, None, "integer action matrix as JSON, e.g. [[0,-1],[1,-1]]"),
+    "--k-max": (int, 1, "deepest level to build"),
+    "--frattini": (bool, False, "include per-step Frattini-cover results"),
+    "--sample-size": (int, 25, None),
+    "--seed": (int, 0, None),
 }
 
 
@@ -115,10 +112,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=read_int)  # an over-long integer is refused
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a JSON object")
@@ -134,14 +131,14 @@ def _resolve(args: dict) -> dict:
     config = _load_config(args["config"])
     for key, value in config.items():
         if key not in _CONFIG_TYPES:
-            raise ValidationError(f"unknown config key: {key!r}")
+            raise ValidationError(f"unknown config key: {shown(key)}")
         kind = _CONFIG_TYPES[key]
         if key == "action" and isinstance(value, list) and all(
                 isinstance(row, list) and all(type(v) is int for v in row) for row in value):
             continue
         if value is not None and type(value) is not kind:
             word = _TYPE_WORDS[kind] + (" or a list of integer rows" if key == "action" else "")
-            raise ValidationError(f"{key.replace('_', '-')} must be {word}, got {value!r}")
+            raise ValidationError(f"{key.replace('_', '-')} must be {word}, got {shown(value)}")
     out = {"command": args["command"]}
     for dest, _kind, default, _text in _FLAGS[args["command"]].values():
         if args[dest] is not None and args[dest] is not False:
@@ -151,7 +148,9 @@ def _resolve(args: dict) -> dict:
         else:
             out[dest] = default
     if out["format"] not in ("text", "json", "csv"):
-        raise ValidationError(f"unknown format: {out['format']!r}")
+        raise ValidationError(f"unknown format: {shown(out['format'])}")
+    if "mode" in out:
+        Mode.parse(out["mode"])  # a bad mode is refused before any group is built
     for key in ("order_bound", "orbit_cap", "sample_size"):
         if out.get(key) is not None and out[key] <= 0:
             raise ValidationError(f"{key.replace('_', '-')} must be positive")
@@ -164,19 +163,15 @@ def _need(cfg: dict, key: str, hint: str):
     return cfg[key]
 
 
-def _group_and_classes(cfg: dict, nielsen: bool = True):
-    """The group, class vector and mode of a command.  For the commands that
-    compute Nielsen classes (``nielsen``), the group's indexed view is built
-    first, so a table above the cap exits before the classes are computed."""
-    group_kw = {}
-    if cfg.get("order_bound"):
-        group_kw["order_bound"] = cfg["order_bound"]
-    group = make_group(_need(cfg, "group", "group descriptor"), **group_kw)
-    if nielsen:
+def _group_and_classes(cfg: dict, view: bool = True):
+    """The group and class vector of a command.  For the commands that
+    compute on the group's indexed view (``view``), the view is built first,
+    so a table above the cap exits before the classes are computed."""
+    kw = {"order_bound": cfg["order_bound"]} if cfg.get("order_bound") else {}
+    group = make_group(_need(cfg, "group", "group descriptor"), **kw)
+    if view:
         group.indexed()
-    cv = parse_class_vector(group, _need(cfg, "classes", "class vector"))
-    mode = Mode.parse(cfg["mode"])
-    return group, cv, mode
+    return group, parse_class_vector(group, _need(cfg, "classes", "class vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +265,27 @@ _BASE_KEYS = ("command", "group", "classes", "mode")
 
 
 def _cmd_enumerate(cfg: dict):
-    group, cv, mode = _group_and_classes(cfg)
-    ni = enumerate_nielsen(group, cv, mode)
+    group, cv = _group_and_classes(cfg)
+    ni = enumerate_nielsen(group, cv, cfg["mode"])
     data = ni.to_dict()
     rows = [["index", *(f"g{i+1}" for i in range(cv.r))]]
     rows += [[i, *t] for i, t in enumerate(data["reps"])]
-    lines = [f"Ni({group.name}, {cv}) {mode.value}: {ni.count} classes"]
+    lines = [f"Ni({group.name}, {cv}) {ni.mode.value}: {ni.count} classes"]
     lines += ["  " + " ".join(t) for t in data["reps"]]
     return data, rows, lines
 
 
-def _orbit_payload(cfg: dict):
-    group, cv, mode = _group_and_classes(cfg)
+def _orbit_payload(cfg: dict, report: str | None = None):
+    """The group, Nielsen classes and braid orbits of a command.  For genus
+    and shinc, ``report`` names their geometry routine, whose reduced mode
+    and r = 4 are checked on the class vector's text before any group is built."""
+    mode = Mode.parse(cfg["mode"])
+    if report:
+        items = class_vector_items(_need(cfg, "classes", "class vector"))
+        _require_reduced_four(mode, sum(mult for _item, mult in items), report)
+    group, cv = _group_and_classes(cfg)
     ni = enumerate_nielsen(group, cv, mode)
-    orbits = braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
-    return group, ni, orbits
+    return group, ni, braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
 
 
 def _cmd_orbits(cfg: dict):
@@ -308,12 +309,12 @@ def _cmd_orbits(cfg: dict):
 
 
 def _cmd_shinc(cfg: dict):
-    table = sh_incidence(_orbit_payload(cfg)[2])
+    table = sh_incidence(_orbit_payload(cfg, "sh_incidence")[2])
     return table.to_dict(), table.to_rows(), table.render_text().splitlines()
 
 
 def _cmd_genus(cfg: dict):
-    group, _ni, orbits = _orbit_payload(cfg)
+    group, _ni, orbits = _orbit_payload(cfg, "genus_of_component")
     payload = [
         {**genus_of_component(o).to_dict(), "moduli": moduli_flags(group, o).to_dict()}
         for o in orbits
@@ -344,53 +345,51 @@ def _cmd_genus(cfg: dict):
     return {"orbits": payload}, rows, lines
 
 
-_COVER_RE = re.compile(r"heis\((\d+)\)")
+# the forms of a cover selector: spin4 | spin5 | heis(<l>) | hom:<file>
+_COVER_RE = re.compile(r"spin([45])|heis\((\d+)\)|hom:(.*)", re.S)
 
 
-def _make_cover(sel: str, order_bound: int | None, group) -> CentralExtension:
-    if sel == "spin4":
-        return spin_cover(4)
-    if sel == "spin5":
-        return spin_cover(5)
-    m = _COVER_RE.fullmatch(sel)
-    if m:
-        ell = read_int(m.group(1))
+def _make_cover(form: re.Match, order_bound: int | None, group) -> CentralExtension:
+    spin, ell, path = form.groups()
+    if spin:
+        return spin_cover(int(spin))
+    if ell:
+        ell = read_int(ell)
         if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
             return extend_action_to_heisenberg(ell, group.action)
         return extend_action_to_heisenberg(ell)  # the companion action
-    if sel.startswith("hom:"):
-        path = sel[4:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read cover file: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError("cover file must hold a JSON object")
-        for key in ("source", "target", "images"):
-            if key not in data:
-                raise ValidationError(f"cover file misses {key!r}")
-        images = data["images"]
-        if not isinstance(images, list) or not all(
-            isinstance(v, str) for v in (data["source"], data["target"], *images)
-        ):
-            raise ValidationError("cover file needs strings for 'source', 'target'"
-                                  " and a list of strings for 'images'")
-        kw = {"order_bound": order_bound} if order_bound else {}
-        source = make_group(data["source"], **kw)
-        target = make_group(data["target"], **kw)
-        hom = GroupHom(source, target, [target.parse(v) for v in images])
-        if not hom.is_surjective:
-            raise ValidationError("central extension projection must be onto")
-        return CentralExtension(source, target, hom, hom.preimage, hom.kernel(), f"hom:{path}")
-    raise ValidationError(
-        f"unknown cover {sel!r}; use spin4, spin5, heis(<l>) or hom:<file>"
-    )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_int=read_int)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read cover file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("cover file must hold a JSON object")
+    for key in ("source", "target", "images"):
+        if key not in data:
+            raise ValidationError(f"cover file misses {key!r}")
+    images = data["images"]
+    if not isinstance(images, list) or not all(
+        isinstance(v, str) for v in (data["source"], data["target"], *images)
+    ):
+        raise ValidationError("cover file needs strings for 'source', 'target'"
+                              " and a list of strings for 'images'")
+    kw = {"order_bound": order_bound} if order_bound else {}
+    source = make_group(data["source"], **kw)
+    target = make_group(data["target"], **kw)
+    hom = GroupHom(source, target, [target.parse(v) for v in images])
+    if not hom.is_surjective:
+        raise ValidationError("central extension projection must be onto")
+    return CentralExtension(source, target, hom, hom.preimage, hom.kernel(), f"hom:{path}")
 
 
 def _cmd_lift(cfg: dict):
-    group, cv, mode = _group_and_classes(cfg)
-    ext = _make_cover(_need(cfg, "cover", "cover selector"), cfg.get("order_bound"), group)
+    form = _COVER_RE.fullmatch(_need(cfg, "cover", "cover selector"))
+    if not form:  # refused before any group is built
+        raise ValidationError(f"unknown cover {shown(cfg['cover'])};"
+                              " use spin4, spin5, heis(<l>) or hom:<file>")
+    group, cv = _group_and_classes(cfg)
+    ext = _make_cover(form, cfg.get("order_bound"), group)
     same = ext.base.elements == group.elements and all(
         ext.base.mul(x, g) == group.mul(x, g) for x in group.elements for g in group.gens
     )
@@ -399,7 +398,7 @@ def _cmd_lift(cfg: dict):
             "cover base group does not match --group "
             f"({ext.base.name} vs {group.name})"
         )
-    orbits = braid_orbits(enumerate_nielsen(group, cv, mode), orbit_cap=cfg["orbit_cap"])
+    orbits = braid_orbits(enumerate_nielsen(group, cv, cfg["mode"]), orbit_cap=cfg["orbit_cap"])
     entries = []
     for o in orbits:
         inv = lift_invariant(ext, o.rep)
@@ -434,10 +433,10 @@ def _tower_spec(cfg: dict) -> TowerSpec:
     action = cfg.get("action")
     if isinstance(action, str):
         try:
-            action = json.loads(action)
-        except ValueError as exc:
+            action = json.loads(action, parse_int=read_int)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"--action is not valid JSON: {exc}") from exc
-    return TowerSpec(family, ell, t=cfg["t"], action=action)
+    return TowerSpec(family, ell, action=action)
 
 
 def _cmd_tower(cfg: dict):
@@ -446,8 +445,7 @@ def _cmd_tower(cfg: dict):
     g0 = spec.level_group(0)
     g0.indexed()  # the table cap fires here, and the classes are computed on the view
     cv = parse_class_vector(g0, _need(cfg, "classes", "level-0 class vector"))
-    mode = Mode.parse(cfg["mode"])
-    tree = component_tree(spec, cv, cfg["k_max"], mode=mode)
+    tree = component_tree(spec, cv, cfg["k_max"], mode=Mode.parse(cfg["mode"]))
     data = tree.to_dict()
     if cfg.get("frattini"):
         data["frattini_steps"] = [
@@ -490,7 +488,7 @@ def _cmd_tower(cfg: dict):
 
 
 def _cmd_bcl(cfg: dict):
-    data = bcl(*_group_and_classes(cfg, nielsen=False)[:2]).to_dict()
+    data = bcl(*_group_and_classes(cfg, view=False)).to_dict()
     rows = [["N_C", "Q", "rational_union"],
             [data["N_C"], " ".join(str(m) for m in data["Q"]), data["rational_union"]]]
     lines = [f"N_C = {data['N_C']}; Q = {data['Q']}; "
@@ -499,10 +497,7 @@ def _cmd_bcl(cfg: dict):
 
 
 def _cmd_check(cfg: dict):
-    suite = cfg["suite"]
-    group, cv, _mode = _group_and_classes(cfg)
-    if suite != "braid-relations":
-        raise ValidationError(f"unknown suite {suite!r}; use braid-relations")
+    group, cv = _group_and_classes(cfg)
     data = verify_braid_relations(
         group, cv, sample_size=cfg["sample_size"], seed=cfg["seed"]
     ).to_dict()
@@ -516,29 +511,35 @@ def _cmd_check(cfg: dict):
     return data, rows, lines
 
 
-# command -> (help, the inputs its report echoes, runner), in --help order
+_IO = ("--format", "--out", "--config")
+_NIELSEN = ("--group", "--classes", "--mode", *_IO, "--order-bound")
+# command -> (help, its flags in --help order, the inputs its report echoes,
+# runner), in --help order.  Only the commands that build braid orbits take
+# --orbit-cap; tower levels are gated by closed-form orders and the table cap.
 _COMMANDS = {
-    "enumerate": ("list Nielsen-class representatives", _BASE_KEYS, _cmd_enumerate),
-    "orbits": ("braid orbits and their cusps", _BASE_KEYS, _cmd_orbits),
-    "shinc": ("sh-incidence matrix with genus data", _BASE_KEYS, _cmd_shinc),
-    "genus": ("genus reports and moduli flags per orbit", _BASE_KEYS, _cmd_genus),
-    "lift": ("lift invariants of braid orbits under a cover", (*_BASE_KEYS, "cover"),
-             _cmd_lift),
+    "enumerate": ("list Nielsen-class representatives", _NIELSEN, _BASE_KEYS, _cmd_enumerate),
+    "orbits": ("braid orbits and their cusps", (*_NIELSEN, "--orbit-cap", "--members-file"),
+               _BASE_KEYS, _cmd_orbits),
+    "shinc": ("sh-incidence matrix with genus data", (*_NIELSEN, "--orbit-cap"), _BASE_KEYS,
+              _cmd_shinc),
+    "genus": ("genus reports and moduli flags per orbit", (*_NIELSEN, "--orbit-cap"),
+              _BASE_KEYS, _cmd_genus),
+    "lift": ("lift invariants of braid orbits under a cover",
+             (*_NIELSEN, "--orbit-cap", "--cover"), (*_BASE_KEYS, "cover"), _cmd_lift),
     "tower": ("component tree of a modular-tower family",
-              ("command", "family", "ell", "t", "action", "k_max", "classes", "mode"),
-              _cmd_tower),
-    "bcl": ("Branch-Cycle-Lemma field data", _BASE_KEYS, _cmd_bcl),
+              ("--mode", *_IO, ("--classes", str, None, "level-0 class vector, e.g. [3a,3a,3b,3b]"),
+               "--family", "--ell", "--action", "--k-max", "--frattini"),
+              ("command", "family", "ell", "t", "action", "k_max", "classes", "mode"), _cmd_tower),
+    "bcl": ("Branch-Cycle-Lemma field data", ("--group", "--classes", *_IO, "--order-bound"),
+            _BASE_KEYS[:3], _cmd_bcl),
     "check": ("property suites with witnesses",
-              (*_BASE_KEYS, "suite", "seed", "sample_size"), _cmd_check),
+              ("--group", "--classes", *_IO, "--order-bound", "--sample-size", "--seed"),
+              (*_BASE_KEYS[:3], "seed", "sample_size"), _cmd_check),
 }
-# tower levels are gated by closed-form orders and the table cap, and only
-# the commands that build braid orbits take --orbit-cap
-_FLAGS = {c: {flag: (flag[2:].replace("-", "_"), kind, default, text)
-              for flag, kind, default, text in
-              (_SHARED_FLAGS[2:6] if c == "tower" else
-               _SHARED_FLAGS[:8 if c in ("orbits", "shinc", "genus", "lift") else 7])
-              + _OWN_FLAGS.get(c, ())}
-          for c in _COMMANDS}  # command -> {flag: (dest, type, default, help)}
+# command -> {flag: (dest, type, default, help)}; a full row gives its own help
+_FLAGS = {c: {row[0]: (row[0][2:].replace("-", "_"), *row[1:])
+              for row in (f if isinstance(f, tuple) else (f, *_FLAG_ROWS[f]) for f in flags)}
+          for c, (_help, flags, _keys, _runner) in _COMMANDS.items()}
 # config key -> the type of the flag it names; --config itself is no key
 _CONFIG_TYPES = {dest: kind for flags in _FLAGS.values()
                  for dest, kind, _default, _text in flags.values() if dest != "config"}
@@ -547,7 +548,7 @@ _CONFIG_TYPES = {dest: kind for flags in _FLAGS.values()
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
-    _help, keys, runner = _COMMANDS[args["command"]]
+    _help, _flags, keys, runner = _COMMANDS[args["command"]]
     try:
         cfg = _resolve(args)
         data, rows, lines = runner(cfg)

@@ -7,6 +7,8 @@ resource limits being hit: order bounds, orbit caps, search caps (exit 3).
 
 from __future__ import annotations
 
+from reprlib import repr as shown  # echoes input in a message, cut to about 30 characters
+
 
 class ValidationError(ValueError):
     pass

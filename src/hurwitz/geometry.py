@@ -28,11 +28,12 @@ from .braid import BraidOrbit, CuspOrbit
 from .nielsen import Mode, _get_action
 
 
-def _require_reduced_four(orbit: BraidOrbit, what: str) -> None:
-    if not orbit.ni.mode.reduced:
+def _require_reduced_four(mode: Mode, r: int, what: str) -> None:
+    """``what`` needs a reduced mode and r = 4; the CLI checks this before any group."""
+    if not mode.reduced:
         raise ValidationError(f"{what} needs a reduced-mode orbit")
-    if orbit.ni.cv.r != 4:
-        raise ValidationError(f"{what} needs r = 4, got r = {orbit.ni.cv.r}")
+    if r != 4:
+        raise ValidationError(f"{what} needs r = 4, got r = {r}")
 
 
 def _gamma_maps(orbit: BraidOrbit):
@@ -80,7 +81,7 @@ class GenusReport(NamedTuple):
 
 def genus_of_component(orbit: BraidOrbit) -> GenusReport:
     """Genus of the braid orbit's component as a cover of the j-line."""
-    _require_reduced_four(orbit, "genus_of_component")
+    _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "genus_of_component")
     n = orbit.size
     perms = _gamma_maps(orbit)
     types = tuple(cycle_type(p) for p in perms)
@@ -159,7 +160,7 @@ def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShInciden
     if not orbits:
         raise ValidationError("sh_incidence needs at least one braid orbit")
     for o in orbits:
-        _require_reduced_four(o, "sh_incidence")
+        _require_reduced_four(o.ni.mode, o.ni.cv.r, "sh_incidence")
     _, _, sh = orbits[0].ni.moves()
 
     cusps: list[CuspOrbit] = []
@@ -206,7 +207,7 @@ class ModuliFlags(NamedTuple):
 def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     """Fine-moduli tests: centerless G (the inner action is faithful); Klein-4
     action; no elliptic fixed points."""
-    _require_reduced_four(orbit, "moduli_flags")
+    _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "moduli_flags")
     inner = _get_action(group, Mode.INNER, None)
     tuples = orbit.ni.tuples
     b_fine = all(

@@ -48,7 +48,7 @@ from functools import cached_property
 from math import factorial, gcd, prod
 from typing import NamedTuple
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 
 DEFAULT_ORDER_BOUND = 10**6
 
@@ -189,25 +189,25 @@ def parse_perm(text: str, n: int) -> tuple[int, ...]:
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         if text[pos:m.start()].strip():
-            raise ValidationError(f"unexpected text in permutation: {text!r}")
+            raise ValidationError(f"unexpected text in permutation: {shown(text)}")
         pos = m.end()
         body = m.group(1).strip()
         if not body:
             continue
-        try:
-            syms = [int(s) for s in body.split(",")]
-        except ValueError:
-            raise ValidationError(f"bad cycle in permutation: {text!r}") from None
+        items = body.split(",")
+        if not all(s.strip().isdigit() for s in items):
+            raise ValidationError(f"bad cycle in permutation: {shown(text)}")
+        syms = [read_int(s) for s in items]
         if any(s < 1 or s > n for s in syms):
-            raise ValidationError(f"symbol out of range 1..{n} in {text!r}")
+            raise ValidationError(f"symbol out of range 1..{n} in {shown(text)}")
         if len(set(syms)) != len(syms):
-            raise ValidationError(f"repeated symbol in cycle: {text!r}")
+            raise ValidationError(f"repeated symbol in cycle: {shown(text)}")
         cycles.append(tuple(s - 1 for s in syms))
     if pos != len(text) and text[pos:].strip():
-        raise ValidationError(f"unexpected text in permutation: {text!r}")
+        raise ValidationError(f"unexpected text in permutation: {shown(text)}")
     flat = [s for c in cycles for s in c]
     if len(set(flat)) != len(flat):
-        raise ValidationError(f"cycles are not disjoint: {text!r}")
+        raise ValidationError(f"cycles are not disjoint: {shown(text)}")
     return perm_from_cycles(cycles, n)
 
 
@@ -644,11 +644,11 @@ class Sl2Group(FiniteGroup):
         try:
             (a, b), (c, d) = _int_rows(json.loads(text), 2, 2)
         except Exception:
-            raise ValidationError(f"bad SL2 element: {text!r}") from None
+            raise ValidationError(f"bad SL2 element: {shown(text)}") from None
         m = self.modulus
         g = (a % m, b % m, c % m, d % m)
         if (g[0] * g[3] - g[1] * g[2]) % m != 1:
-            raise ValidationError(f"matrix {text!r} has determinant != 1 mod {m}")
+            raise ValidationError(f"matrix {shown(text)} has determinant != 1 mod {m}")
         return g
 
 
@@ -688,7 +688,7 @@ class HeisenbergGroup(FiniteGroup):
         try:
             (x, y, z), = _int_rows([json.loads(text)], 1, 3)
         except Exception:
-            raise ValidationError(f"bad Heisenberg element: {text!r}") from None
+            raise ValidationError(f"bad Heisenberg element: {shown(text)}") from None
         m = self.modulus
         return (x % m, y % m, z % m)
 
@@ -792,10 +792,10 @@ class VectorSemidirectGroup(FiniteGroup):
     def parse(self, text):
         m = re.fullmatch(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\|\s*(-?\d+)\s*\]", text.strip())
         if not m:
-            raise ValidationError(f"bad semidirect element: {text!r}")
+            raise ValidationError(f"bad semidirect element: {shown(text)}")
         v = tuple(read_int(x) % self.modulus for x in m.group(1).split(","))
         if len(v) != self.dim:
-            raise ValidationError(f"vector part of {text!r} must have length {self.dim}")
+            raise ValidationError(f"vector part of {shown(text)} must have length {self.dim}")
         return (v, read_int(m.group(2)) % self.complement_order)
 
 
@@ -873,41 +873,47 @@ class ClassVector(Frozen):
         return "[" + ",".join(self.labels()) + "]"
 
 
+def class_vector_items(text: str) -> list[tuple[str, int]]:
+    """A class vector's items and their repetition counts: its length and
+    size are known and checked before any group is built."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValidationError(f"class vector must be bracketed: {shown(text)}")
+    body = text[1:-1].strip()
+    if not body:
+        raise ValidationError("empty class vector")
+    items, r = [], 0
+    for item in _split_top_level(body):
+        m = re.fullmatch(r"(.*?)\s*x\s*(\d+)", item)
+        item, mult = (m.group(1).strip(), read_int(m.group(2))) if m else (item, 1)
+        r += mult
+        if r > TABLE_ENTRY_CAP:
+            raise BudgetError(f"class vector has more than {TABLE_ENTRY_CAP} entries")
+        items.append((item, mult))
+    if r < 2:
+        raise ValidationError("class vector needs at least 2 entries")
+    return items
+
+
 def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
     """Parse ``[3a,3a,3b,3b]`` or explicit representatives ``[(1,2,3)x2,...]``.
 
     Items are class labels or element strings in the group's own notation,
     optionally with an ``xN`` repetition suffix.
     """
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValidationError(f"class vector must be bracketed: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        raise ValidationError("empty class vector")
-    items = _split_top_level(body)
+    items = class_vector_items(text)
     classes = group.conjugacy_classes()
     by_label = {cl.label: i for i, cl in enumerate(classes)}
     indices: list[int] = []
-    for item in items:
-        item = item.strip()
-        mult = 1
-        m = re.fullmatch(r"(.*?)\s*x\s*(\d+)", item)
-        if m:
-            item, mult = m.group(1).strip(), read_int(m.group(2))
-        if len(indices) + mult > TABLE_ENTRY_CAP:
-            raise BudgetError(f"class vector has more than {TABLE_ENTRY_CAP} entries")
+    for item, mult in items:
         if item in by_label:
             idx = by_label[item]
         elif re.fullmatch(r"\d+[a-z]+", item):
-            raise ValidationError(f"no class {item!r} in {group.name};"
+            raise ValidationError(f"no class {shown(item)} in {group.name};"
                                   f" its class labels are {', '.join(by_label)}")
         else:
-            g = group.parse(item)
-            idx = group.class_index_of(g)
+            idx = group.class_index_of(group.parse(item))
         indices.extend([idx] * mult)
-    if len(indices) < 2:
-        raise ValidationError("class vector needs at least 2 entries")
     return ClassVector(group, tuple(indices))
 
 
@@ -1024,9 +1030,9 @@ def vector_descriptor(m: int, action) -> str:
 
 def _vector_group(m, kw) -> VectorSemidirectGroup:
     try:
-        mat = json.loads(m.group(3))
-    except ValueError:  # JSONDecodeError, or an integer too long to convert
-        raise ValidationError(f"bad action matrix in {m.group(0)!r}") from None
+        mat = json.loads(m.group(3), parse_int=read_int)
+    except (json.JSONDecodeError, RecursionError):  # or nested too deep
+        raise ValidationError(f"bad action matrix in {shown(m.group(0))}") from None
     return VectorSemidirectGroup(read_int(m.group(1)), read_int(m.group(2)), mat, **kw)
 
 
@@ -1041,7 +1047,7 @@ def _generated_group(m, kw) -> PermutationGroup:
     parts = _split_top_level(m.group(1)[1:-1])
     syms = [read_int(s) for p in parts for s in re.findall(r"\d+", p)]
     if not syms:
-        raise ValidationError(f"no symbols in generator list {m.group(0)!r}")
+        raise ValidationError(f"no symbols in generator list {shown(m.group(0))}")
     n = max(syms)
     return PermutationGroup([parse_perm(p, n) for p in parts], n, m.group(0), **kw)
 
@@ -1074,7 +1080,7 @@ def make_group(descriptor: str, order_bound: int = DEFAULT_ORDER_BOUND) -> Finit
             # lists g unless its order has a closed form
             check_order_bound(g.name, g.order, g.order_bound)
             return g
-    raise ValidationError(f"cannot parse group descriptor {descriptor!r}")
+    raise ValidationError(f"cannot parse group descriptor {shown(descriptor)}")
 
 
 # ---------------------------------------------------------------------------

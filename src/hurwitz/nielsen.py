@@ -55,7 +55,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .groups import (
     ClassVector,
     FiniteGroup,
@@ -91,21 +91,11 @@ class Mode(Enum):
 
     @classmethod
     def parse(cls, value) -> "Mode":
-        if isinstance(value, Mode):
-            return value
-        text = str(value).strip().lower().replace("_", "-")
-        # accept CamelCase spellings like InnerReduced
-        camel = {
-            "innerreduced": "inner-reduced",
-            "absolutereduced": "absolute-reduced",
-            "abs-reduced": "absolute-reduced",
-            "absreduced": "absolute-reduced",
-        }
-        text = camel.get(text, text)
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValidationError(f"unknown equivalence mode {value!r}")
+        """A mode, or its value; ``abs-reduced`` also names ABSOLUTE_REDUCED."""
+        try:
+            return cls("absolute-reduced" if value == "abs-reduced" else value)
+        except ValueError:
+            raise ValidationError(f"unknown equivalence mode {shown(value)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -75,26 +75,26 @@ class TowerSpec(Frozen):
     """A tower family: which groups sit at each level.
 
     ``family`` is "vector" for (Z/l^(k+1))^t x| Z/q with the given integer
-    ``action`` matrix (default: t = 2 and the order-3 companion matrix of
-    x^2 + x + 1), or "dihedral" for D_(l^(k+1)), which takes no action
-    matrix and no rank, and sets t to 1.  Level groups, ``make_group`` of
-    their descriptors, and the level maps between their views are built on
-    first use and kept by the spec.  A level 0 of order above
-    ``DEFAULT_ORDER_BOUND`` raises ``BudgetError`` before ell is factored.
+    ``action`` matrix, whose size is the rank t (default: the order-3 companion
+    matrix of x^2 + x + 1, so t = 2), or "dihedral" for D_(l^(k+1)), with no
+    action matrix and t = 1.  Level groups, ``make_group`` of their
+    descriptors, and the level maps between their views are built on first use
+    and kept by the spec.  A level 0 of order above ``DEFAULT_ORDER_BOUND``
+    raises ``BudgetError`` before ell is factored.
     """
 
-    def __init__(self, family: str, ell: int, t: int | None = None,
-                 action: tuple | None = None):
+    def __init__(self, family: str, ell: int, action: tuple | None = None):
         if family not in ("vector", "dihedral"):
             raise ValidationError("tower family must be 'vector' or 'dihedral'")
-        if t is None:
-            t = 2 if family == "vector" else 1
-        elif family == "dihedral":
-            raise ValidationError("dihedral towers take no lattice rank t")
         if ell < 2:
             raise ValidationError(f"tower prime expected, got {ell}")
+        t = 1
         if family == "vector":
-            action = check_lattice(t, ell, COMPANION if action is None else action)
+            action = COMPANION if action is None else action
+            if not isinstance(action, (list, tuple)):
+                raise ValidationError("action matrix must be a list of integer rows")
+            t = len(action)
+            action = check_lattice(t, ell, action)
         elif action is not None:
             raise ValidationError("dihedral towers take no action matrix")
         # level 0 has order 2*ell, or at least ell^t: the bound comes before

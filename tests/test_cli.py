@@ -22,6 +22,7 @@ from hurwitz.nielsen import Mode
 
 A4_ARGS = ["--group", "A4", "--classes", "[3a,3a,3b,3b]"]
 BIG = "9" * 5000  # more digits than int() converts by default
+DEEP = "[" * 20000 + "]" * 20000  # nested past the recursion limit
 
 
 def out_of(capsys):
@@ -46,8 +47,7 @@ def test_genus_modular_curve_example(capsys):
 
 
 def test_check_braid_relations_exit_zero(capsys):
-    assert run(["check", "--suite", "braid-relations", "--group", "A5",
-                "--classes", "[3a,3a,3a,3a]"]) == 0
+    assert run(["check", "--group", "A5", "--classes", "[3a,3a,3a,3a]"]) == 0
     assert "all passed" in out_of(capsys)
 
 
@@ -142,7 +142,7 @@ COMPANION20 = json.dumps([[int(j == i + 1) for j in range(20)] for i in range(19
     (["tower", "--family", "vector", "--ell", str((10**9 + 7) * (10**9 + 9))],
      ["hurwitz.tower._smallest_prime_factor"]),
     (["enumerate", "--group", f"V(10,3):M={SHIFT10}"], ["hurwitz.groups.FiniteGroup.close"]),
-    (["tower", "--family", "vector", "--ell", "5", "--t", "10", "--action", SHIFT10],
+    (["tower", "--family", "vector", "--ell", "5", "--action", SHIFT10],
      ["hurwitz.tower._det_mod"]),
     (["bcl", "--group", f"V(20,2):M={COMPANION20}"],
      ["hurwitz.groups._det_mod", "hurwitz.groups._mat_order"]),
@@ -168,15 +168,18 @@ def test_oversized_catalog_input_exits_before_the_work(argv, never, capsys, monk
     assert time.monotonic() - start < 5.0
 
 
-@pytest.mark.parametrize("command", [["enumerate"], ["orbits"], ["shinc"], ["genus"],
-                                     ["check"], ["lift", "--cover", "spin4"]])
+ABS_REDUCED = ["--mode", "abs-reduced"]
+
+
+@pytest.mark.parametrize("command", [["enumerate", *ABS_REDUCED], ["orbits", *ABS_REDUCED],
+                                     ["shinc", *ABS_REDUCED], ["genus", *ABS_REDUCED],
+                                     ["check"], ["lift", "--cover", "spin4", *ABS_REDUCED]])
 def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):
     def no_classes(self):
         raise AssertionError("conjugacy classes computed before the table cap")
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", no_classes)
-    assert run([*command, "--group", "D1009", "--classes", "[2a,2a,2a,2a]",
-                "--mode", "abs-reduced"]) == 3
+    assert run([*command, "--group", "D1009", "--classes", "[2a,2a,2a,2a]"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: multiplication table of D1009")
     assert err.count("\n") == 1
@@ -285,7 +288,7 @@ def command_lines(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(argv=command_lines())
-@example(argv=["tower", "--ell", "3", "--frattini", "--t", "x", "--frattini"])
+@example(argv=["tower", "--ell", "3", "--frattini", "--k-max", "x", "--frattini"])
 @example(argv=["genus", "--mode", "A4", "--mode", "", "--orbit-cap", "3"])
 @example(argv=["check"])
 def test_the_scan_reads_argv_as_argparse_does(argv):
@@ -401,8 +404,9 @@ def run_with_config(argv, config):
 def test_fuzzed_commands_exit_0_2_or_3_with_one_line(command, group_classes, mode, fmt,
                                                      config):
     group, classes = group_classes
+    mode_flag = ["--mode", mode] if "--mode" in cli._FLAGS[command] else []
     code, err = run_with_config([command, "--group", group, "--classes", classes,
-                                 "--mode", mode, "--format", fmt], config)
+                                 *mode_flag, "--format", fmt], config)
     assert code in (0, 2, 3)
     assert err.count("\n") == (code != 0)
 
@@ -506,8 +510,7 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
     """Keys of flags that ``genus`` lacks are type-checked, then ignored."""
     members = tmp_path / "m.json"
     config = {"members_file": str(members), "frattini": True, "k_max": 3, "cover": "spin4",
-              "suite": "braid-relations", "seed": 1, "family": "vector",
-              "action": [[0, -1], [1, -1]]}
+              "seed": 1, "family": "vector", "action": [[0, -1], [1, -1]]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert run(GENUS_D5) == 0
@@ -529,8 +532,15 @@ TOWER_V2 = ["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b
     ["enumerate", *A4_ARGS, "--orbit-cap", "1"],
     ["bcl", *A4_ARGS, "--orbit-cap", "1"],
     ["check", *A4_ARGS, "--orbit-cap", "1"],
+    # bcl and check read no mode, check has one suite, and a tower's rank is
+    # its action matrix's size
+    ["bcl", *A4_ARGS, "--mode", "inner"],
+    ["check", *A4_ARGS, "--mode", "inner"],
+    ["check", *A4_ARGS, "--suite", "braid-relations"],
+    [*TOWER_V2, "--t", "2"],
+    ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]", "--t", "1"],
 ])
-def test_budget_flags_a_command_cannot_honour_exit_2(argv, capsys):
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -552,7 +562,7 @@ def test_budget_keys_in_a_tower_config_are_checked_then_ignored(tmp_path, capsys
 
 @pytest.mark.parametrize("argv,config,message", [
     # another command's key, of the wrong type
-    (GENUS_D5, {"suite": 3}, "suite must be a string, got 3"),
+    (GENUS_D5, {"cover": 3}, "cover must be a string, got 3"),
     (GENUS_D5, {"k_max": "x"}, "k-max must be an integer, got 'x'"),
     (GENUS_D5, {"frattini": 1}, "frattini must be true or false, got 1"),
     (GENUS_D5, {"action": [[0, "a"]]},
@@ -563,6 +573,12 @@ def test_budget_keys_in_a_tower_config_are_checked_then_ignored(tmp_path, capsys
     # keys that name no flag
     (GENUS_D5, {"command": "bcl"}, "unknown config key: 'command'"),
     (GENUS_D5, {"config": "other.json"}, "unknown config key: 'config'"),
+    # keys of removed flags: the tower's rank is its action matrix's size,
+    # and check runs its one suite
+    (["tower", "--family", "vector", "--ell", "2", "--classes", "[3a,3a,3b,3b]"], {"t": 2},
+     "unknown config key: 't'"),
+    (["check", *A4_ARGS], {"suite": "braid-relations"}, "unknown config key: 'suite'"),
+    (GENUS_D5, {"x" * 5000: 1}, "unknown config key: '" + "x" * 12 + "..." + "x" * 13 + "'"),
 ])
 def test_config_rule_exits_2(argv, config, message):
     assert run_with_config(argv, config) == (2, f"error: {message}\n")
@@ -572,8 +588,10 @@ def test_config_rule_exits_2(argv, config, message):
     (None, "cannot read config file: "),
     ("{", "config file is not valid JSON: "),
     ('["group", "A4"]', "config file must hold a JSON object"),
-    pytest.param('{"seed": %s}' % BIG, "config file is not valid JSON: Exceeds the limit",
+    pytest.param('{"seed": %s}' % BIG, "integer of 5000 digits is too long to read",
                  id="long-integer"),
+    pytest.param('{"seed": %s}' % DEEP, "config file is not valid JSON: maximum recursion",
+                 id="deep-nesting"),
 ])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -589,8 +607,11 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     ("{", "cannot read cover file: "),
     ('["SL2(3)", "A4"]', "cover file must hold a JSON object"),
     ('{"source": "SL2(3)", "target": "A4"}', "cover file misses 'images'"),
-    pytest.param('{"images": %s}' % BIG, "cannot read cover file: Exceeds the limit",
+    pytest.param('{"images": %s}' % BIG,
+                 "cannot read cover file: integer of 5000 digits is too long to read",
                  id="long-integer"),
+    pytest.param('{"images": %s}' % DEEP, "cannot read cover file: maximum recursion",
+                 id="deep-nesting"),
 ])
 def test_unreadable_cover_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cover.json"
@@ -603,7 +624,7 @@ def test_unreadable_cover_file_exits_2(tmp_path, capsys, text, message):
 
 @pytest.mark.parametrize("command,key", [
     ("tower", "order_bound"), ("tower", "orbit_cap"), ("tower", "k_max"),
-    ("tower", "t"), ("tower", "ell"), ("check", "seed"), ("check", "sample_size"),
+    ("tower", "ell"), ("check", "seed"), ("check", "sample_size"),
 ])
 def test_non_integer_config_value_exits_2(tmp_path, capsys, command, key):
     base = {"family": "vector", "ell": 2} if command == "tower" else {"group": "A4"}
@@ -718,17 +739,35 @@ def _enumerate(group, classes):
                     f"gens:[(1,{BIG})]")),
     (["bcl", "--group", "A4", "--classes", f"[3ax{BIG}]"], "integer of 5000 digits"),
     (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", f"[[{BIG},0|0],3a,3b,3b]"), "integer of 5000"),
-    (_enumerate(f"V(2,5):M=[[{BIG},-1],[1,-1]]", "[1a,1a]"), "bad action matrix in"),
+    (_enumerate(f"V(2,5):M=[[{BIG},-1],[1,-1]]", "[1a,1a]"), "integer of 5000 digits"),
     (["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
-      "--action", f"[[{BIG},0],[0,1]]"], "--action is not valid JSON: Exceeds the limit"),
+      "--action", f"[[{BIG},0],[0,1]]"], "integer of 5000 digits"),
     (["lift", *A4_ARGS, "--cover", f"heis({BIG})"], "integer of 5000 digits"),
+    (_enumerate("A4", f"[(1,{BIG}),3a,3b,3b]"), "integer of 5000 digits"),
+    # long input text is echoed cut short
+    (_enumerate("A4", "[(1,2,3)" + "(3,4)" * 1000 + ",3a,3b,3b]"),
+     "cycles are not disjoint: '(1,2,3)(3,4)"),
+    (_enumerate("Q" * 5000, "[1a,1a]"), "cannot parse group descriptor 'QQQ"),
+    (_enumerate("A4", f"[{BIG}a,3a,3b,3b]"), "no class '999"),
+    (_enumerate("A4", "3" * 5000), "class vector must be bracketed: '333"),
+    (_enumerate("SL2(3)", f"[[[{BIG},0],[0,1]],3a]"), "bad SL2 element: '[[999"),
+    (["enumerate", *A4_ARGS, "--mode", "x" * 5000], "unknown equivalence mode 'xxx"),
+    (["enumerate", *A4_ARGS, "--format", "x" * 5000], "unknown format: 'xxx"),
+    (["lift", *A4_ARGS, "--cover", "x" * 5000], "unknown cover 'xxx"),
+    # JSON nested past the recursion limit used to end in a traceback
+    (_enumerate("V(2,5):M=" + DEEP, "[1a,1a]"), "bad action matrix in 'V(2,5):M=[[["),
+    (["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
+      "--action", DEEP], "--action is not valid JSON: maximum recursion"),
+    (_enumerate("SL2(3)", f"[{DEEP},3a]"), "bad SL2 element: '[[[["),
 ])
 def test_input_checks_exit_2_with_one_line(argv, message, capsys):
+    """Each message is one line and echoes at most about 30 characters of input."""
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err and "Traceback" not in captured.err
+    assert len(captured.err) < 140
 
 
 @pytest.mark.parametrize("group", ["A7", "S7"])
@@ -746,15 +785,14 @@ VECTOR_TOWER = ["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3
 DIHEDRAL_TOWER = ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]"]
 
 
-# --t 0 used to build the rank-2 tower, and a dihedral tower used to echo an
-# action and a rank it never used
+# the rank is the action matrix's size, and a dihedral tower used to echo an
+# action it never used
 @pytest.mark.parametrize("argv,message", [
-    ([*VECTOR_TOWER, "--t", "0"], "rank t must be at least 1, got 0"),
-    ([*VECTOR_TOWER, "--t", "-1"], "rank t must be at least 1, got -1"),
+    ([*VECTOR_TOWER, "--action", "[]"], "rank t must be at least 1, got 0"),
+    ([*VECTOR_TOWER, "--action", "5"], "action matrix must be a list of integer rows"),
+    ([*VECTOR_TOWER, "--action", "[[0,-1],[1,-1],[0,0]]"], "action matrix must be 3x3"),
     ([*DIHEDRAL_TOWER, "--action", '[[0,"a"]]'], "no action matrix"),
     ([*DIHEDRAL_TOWER, "--action", "[[0,-1],[1,-1]]"], "no action matrix"),
-    ([*DIHEDRAL_TOWER, "--t", "5"], "no lattice rank"),
-    ([*DIHEDRAL_TOWER, "--t", "1"], "no lattice rank"),
 ])
 def test_tower_rejects_rank_below_one_and_a_dihedral_action(argv, message, capsys):
     assert run([*argv, "--k-max", "0"]) == 2
@@ -900,8 +938,44 @@ def test_members_file(tmp_path, capsys):
     assert {k: len(v) for k, v in blob.items()} == {"O1": 6, "O2": 9}
 
 
-def test_unknown_suite_exits_2():
-    assert run(["check", "--suite", "everything", *A4_ARGS]) == 2
+NO_WORK = ["hurwitz.cli.make_group", "hurwitz.tower.make_group", "hurwitz.cli.enumerate_nielsen",
+           "hurwitz.tower.enumerate_nielsen"]
+A7_ARGS = ["--group", "A7", "--classes", "[3a,3a,3a,3a]"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["genus", *A7_ARGS, "--mode", "bogus"], "unknown equivalence mode 'bogus'"),
+    (["enumerate", *A7_ARGS, "--mode", "bogus"], "unknown equivalence mode 'bogus'"),
+    ([*DIHEDRAL_TOWER, "--mode", "bogus"], "unknown equivalence mode 'bogus'"),
+    (["lift", *A7_ARGS, "--cover", "bogus"], "unknown cover 'bogus'"),
+    (["lift", "--group", "D625", "--classes", "[2a,2a,2a,2a]", "--cover", "bogus"],
+     "unknown cover 'bogus'"),
+    (["genus", *A7_ARGS, "--mode", "inner"], "genus_of_component needs a reduced-mode orbit"),
+    (["genus", "--group", "D625", "--classes", "[2a,2a,2a,2a]", "--mode", "inner"],
+     "genus_of_component needs a reduced-mode orbit"),
+    (["shinc", *A7_ARGS, "--mode", "absolute"], "sh_incidence needs a reduced-mode orbit"),
+    (["genus", "--group", "A7", "--classes", "[3a,3a,3a]"], "needs r = 4, got r = 3"),
+    # D5 [2a,2a,2a] used to exit 0 with no orbits
+    (["genus", "--group", "D5", "--classes", "[2a,2a,2a]", "--mode", "inner"],
+     "genus_of_component needs a reduced-mode orbit"),
+    (["genus", "--group", "D5", "--classes", "[2a,2a,2a]"], "needs r = 4, got r = 3"),
+    (["shinc", "--group", "D625", "--classes", "[2ax3]"], "sh_incidence needs r = 4, got r = 3"),
+    (["shinc", *A7_ARGS[:3], "[3a,3ax4]"], "sh_incidence needs r = 4, got r = 5"),
+])
+def test_bad_inputs_exit_2_before_any_group(argv, message, capsys, monkeypatch):
+    """A bad mode or cover selector, and a genus or shinc run off a reduced
+    mode or r = 4, exit 2 before any group is built: on A7, whose table is
+    over the cap, too."""
+    for target in NO_WORK:
+        def refused(*args, _target=target, **kw):
+            raise AssertionError(f"{_target} ran before the input check")
+
+        monkeypatch.setattr(target, refused)
+    start = time.monotonic()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert time.monotonic() - start < 0.1
 
 
 def test_unknown_format_exits_2():

@@ -6,8 +6,9 @@ with the companion action, vector towers with Frattini steps, one of them
 truncated at the table cap, one invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
-and an absolute mode on a ``gens:`` group, whose Sym(n)-normalizer has no
-catalog generators.  Braid orbits in inner mode at r = 4, in absolute modes
+and absolute modes on two ``gens:`` groups, which have no catalog normalizer
+generators: A5, whose Sym(5)-normalizer is Sym(5) as it has index 2, and D4
+of index 3 in Sym(4), whose normalizer comes from the search over Sym(4).  Braid orbits in inner mode at r = 4, in absolute modes
 at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
 moves in every mode and the reduced search; a vector tower at r = 3 pins the
 cusp types and the missing genus off r = 4, and the ``spin5`` lift of the
@@ -42,8 +43,7 @@ COMMANDS = [
     ["tower", "--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]",
      "--mode", "abs-reduced", "--k-max", "1"],
     ["bcl", *A4],
-    ["check", "--suite", "braid-relations", "--group", "A5", "--classes",
-     "[3a,3a,3a,3a]"],
+    ["check", "--group", "A5", "--classes", "[3a,3a,3a,3a]"],
     ["enumerate", *A4, "--mode", "inner-reduced"],
     ["orbits", *A4],
     ["orbits", *V25],
@@ -85,6 +85,10 @@ COMMANDS = [
     # Fried's 3-cycle separation at n = r = 5: spin5 obstructs one orbit of two
     ["lift", "--group", "A5", "--classes", "[3a,3a,3a,3a,3a]", "--mode", "inner",
      "--cover", "spin5"],
+    # a gens: group of index 3 in Sym(4), D4: its normalizer comes from the
+    # search over Sym(4)
+    ["orbits", "--group", "gens:[(1,2,3,4),(1,3)]", "--classes", "[2b,2b,2c,2c]",
+     "--mode", "absolute"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

@@ -38,6 +38,13 @@ def test_mode_parsing():
         Mode.parse("projective")
 
 
+@pytest.mark.parametrize("text", ["Inner", "INNER-REDUCED", "inner_reduced", "innerreduced",
+                                  "absreduced", "absolutereduced", "InnerReduced", " inner"])
+def test_mode_parse_takes_only_the_mode_values_and_abs_reduced(text):
+    with pytest.raises(ValidationError, match="unknown equivalence mode"):
+        Mode.parse(text)
+
+
 def test_is_nielsen_tuple(a4, a4_cv):
     x = a4.parse("(1,2,3)")
     y = a4.parse("(1,3,2)")

@@ -59,13 +59,17 @@ def test_spec_validation():
         TowerSpec("cyclic", 5)
     with pytest.raises(ValidationError):
         TowerSpec("vector", 5, action=((1, 0), (0, 1)))  # has a Z/5 quotient
-    with pytest.raises(ValidationError, match="rank"):
-        TowerSpec("vector", 5, t=0)
+    # the rank is the size of the action matrix
+    with pytest.raises(ValidationError, match="rank t must be at least 1, got 0"):
+        TowerSpec("vector", 5, action=())
+    with pytest.raises(ValidationError, match="action matrix must be a list of integer rows"):
+        TowerSpec("vector", 5, action=5)
+    with pytest.raises(ValidationError, match="action matrix must be 2x2"):
+        TowerSpec("vector", 5, action=((0, -1), (1,)))
     with pytest.raises(ValidationError, match="no action matrix"):
         TowerSpec("dihedral", 5, action=((0, -1), (1, -1)))
-    with pytest.raises(ValidationError, match="no lattice rank"):
-        TowerSpec("dihedral", 5, t=1)
     assert (TowerSpec("vector", 5).t, TowerSpec("dihedral", 5).t) == (2, 1)
+    assert TowerSpec("vector", 2, action=((0, 1, 0), (0, 0, 1), (1, 1, 0))).t == 3
     # M^3 = I mod 5 but not mod 25, so level 1 has a complement of order 15
     with pytest.raises(ValidationError, match="action matrix changes order between levels"):
         TowerSpec("vector", 5, action=((0, -1), (1, 4))).level_group(1)
