@@ -71,6 +71,12 @@ def _build_parser(argv: list):
     argv (the top level has no options that take values)."""
     import argparse
 
+    def integer(value: str) -> int:  # int, a refused value echoed cut as in every message
+        try:
+            return int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {shown(value)}") from None
+
     parser = argparse.ArgumentParser(
         prog="hurwitz",
         description="Nielsen classes, braid orbits, and Modular Tower levels",
@@ -79,7 +85,7 @@ def _build_parser(argv: list):
     shells = {name: sub.add_parser(name, help=row[0]) for name, row in _COMMANDS.items()}
     command = next((a for a in argv if a in shells), None)
     for flag, (_dest, kind, _default, text) in _FLAGS.get(command, {}).items():
-        kw = {"action": "store_true"} if kind is bool else {"type": kind}
+        kw = {"action": "store_true"} if kind is bool else {"type": {int: integer}.get(kind, kind)}
         shells[command].add_argument(flag, help=text, **kw)
     return parser
 

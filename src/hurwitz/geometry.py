@@ -56,26 +56,15 @@ class GenusReport(NamedTuple):
     cycle_types: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def to_dict(self) -> dict:
-        g0, g1, ginf = self.cycle_types
+        names = ("gamma0", "gamma1", "gammainf")  # fixed points: the first two
         return {
             "orbit": self.orbit_label,
             "degree": self.degree,
-            "indices": {
-                "gamma0": self.indices[0],
-                "gamma1": self.indices[1],
-                "gammainf": self.indices[2],
-            },
+            "indices": dict(zip(names, self.indices)),
             "genus": self.genus,
-            "fixed_points": {
-                "gamma0": self.fixed_points[0],
-                "gamma1": self.fixed_points[1],
-            },
+            "fixed_points": dict(zip(names, self.fixed_points)),
             "cusp_widths": list(self.cusp_widths),
-            "cycle_types": {
-                "gamma0": list(g0),
-                "gamma1": list(g1),
-                "gammainf": list(ginf),
-            },
+            "cycle_types": dict(zip(names, map(list, self.cycle_types))),
         }
 
 
@@ -206,14 +195,14 @@ class ModuliFlags(NamedTuple):
 
 def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     """Fine-moduli tests: centerless G (the inner action is faithful); Klein-4
-    action; no elliptic fixed points."""
+    action; no elliptic fixed points.  The Klein group Q'' is normal in the
+    braid group H_4 and its action commutes with conjugation, so its orbits
+    on inner classes have one size along a braid orbit: one member's four
+    Klein images settle b-fineness."""
     _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "moduli_flags")
     inner = _get_action(group, Mode.INNER, None)
-    tuples = orbit.ni.tuples
-    b_fine = all(
-        len(set(map(inner.canonical_tuple, inner.klein_images(tuples[p])))) == 4
-        for p in orbit.positions
-    )
+    images = inner.klein_images(orbit.ni.tuples[orbit.positions[0]])
+    b_fine = len(set(map(inner.canonical_tuple, images))) == 4
     no_elliptic = all(i != j for p in _gamma_maps(orbit)[:2] for i, j in enumerate(p))
     return ModuliFlags(
         inner_fine=inner.order == inner.group.order,

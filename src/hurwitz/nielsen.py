@@ -35,9 +35,11 @@ so the search extends a first entry only by such entries (McKay's orderly
 search).  A reduced form is the least canonical form in its Klein orbit.
 The Klein images of a 4-tuple start with conjugates of its four entries, so
 only those paired with an entry of least orbit minimum mu can give it, and
-a reduced search at r = 4 starts from mu alone.  One helper reads the
-twisted image q1*q3^-1 off the Cayley table.  A lookup builds only the first
-least image, since the Klein map keys every member starting with mu.
+a reduced search at r = 4 starts from mu alone.  One kernel,
+``ConjAction.least_forms``, builds just those images, q1*q3^-1 read off the
+Cayley table at most once, and yields their canonical forms: the search's
+Klein step, the reduced form and a lookup read it, the lookup its first
+form alone, since the Klein map keys every member starting with mu.
 
 The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order.  A
@@ -53,7 +55,7 @@ import random
 from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 
 from .errors import BudgetError, ValidationError, shown
 from .groups import (
@@ -183,19 +185,19 @@ class ConjAction:
         return tuple(sorted(span - {tr[m]}))
 
     def canonical_tuple(self, t: tuple) -> tuple:
+        """t moved by its first entry's transporter, then least under that
+        entry's stabilizer; ``itemgetter`` reads an image in one call, but a bare
+        entry for one index, so a tuple shorter than 2 takes its orbit minima."""
+        if len(t) < 2:
+            return tuple(map(self.orbit_min.__getitem__, t))
         if self.orbit_min[t[0]] == t[0]:  # its own orbit minimum: nothing to move
             best = base = t
         else:
-            p = self.transporter[t[0]]
-            best = base = tuple(map(p.__getitem__, t))
-        if len(base) < 2:
-            return base
+            best = base = operator.itemgetter(*t)(self.transporter[t[0]])
+        image = operator.itemgetter(*base)
         for z in self.stabilizer[base[0]]:
             # z fixes base[0], so a larger second entry cannot win
-            if z[base[1]] > best[1]:
-                continue
-            cand = tuple(map(z.__getitem__, base))
-            if cand < best:
+            if z[base[1]] <= best[1] and (cand := image(z)) < best:
                 best = cand
         return best
 
@@ -212,27 +214,32 @@ class ConjAction:
         a = self._klein_image(t)
         return t, a, t[2:] + t[:2], a[2:] + a[:2]
 
-    def first_least_image(self, t: tuple) -> tuple:
-        """The first of ``least_images(t)`` for a 4-tuple, built alone."""
-        om = self.orbit_min
-        mins = (om[t[0]], om[t[1]], om[t[2]], om[t[3]])
-        k = mins.index(min(mins))
-        u = self._klein_image(t) if k % 2 else t
-        return u[2:] + u[:2] if k > 1 else u
+    def least_forms(self, t: tuple, own: tuple | None = None):
+        """Canonical forms of the Klein images of a 4-tuple whose first entry
+        has the least orbit minimum mu, in ``klein_images`` order: only they can
+        give its reduced form.  Each is built when reached, q1*q3^-1 at most
+        once; ``own`` is t's canonical form when known (t then starts with mu)."""
+        om, key = self.orbit_min, self.canonical_tuple
+        m0, m1, m2, m3 = om[t[0]], om[t[1]], om[t[2]], om[t[3]]
+        mu = min(m0, m1, m2, m3)
+        if m0 == mu:
+            yield own or key(t)
+        if m1 == mu or m3 == mu:
+            a = self._klein_image(t)
+            if m1 == mu:
+                yield key(a)
+        if m2 == mu:
+            yield key(t[2:] + t[:2])
+        if m3 == mu:
+            yield key(a[2:] + a[:2])
 
-    def least_images(self, t: tuple) -> list:
-        """The images of t, in ``klein_images`` order, paired with an
-        entry of least orbit minimum: under an action joining conjugates, only
-        they can give its reduced form.  Just [t] when r != 4."""
-        if len(t) != 4:
-            return [t]
-        om = self.orbit_min
-        mins = (om[t[0]], om[t[1]], om[t[2]], om[t[3]])
-        return list(compress(self.klein_images(t), map(min(mins).__eq__, mins)))
+    def first_least_image(self, t: tuple) -> tuple:
+        """The first of ``least_forms(t)`` for a 4-tuple, its image alone built."""
+        return next(self.least_forms(t))
 
     def reduced_canonical_tuple(self, t: tuple) -> tuple:
-        """The least canonical form over ``least_images(t)``."""
-        return min(map(self.canonical_tuple, self.least_images(t)))
+        """The least of ``least_forms(t)``; just t's canonical form when r != 4."""
+        return min(self.least_forms(t)) if len(t) == 4 else self.canonical_tuple(t)
 
 
 def _multiset_stabilizer(ix: IndexedGroup, perms, cv: ClassVector) -> set:
@@ -263,12 +270,9 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
     ``orbit_min`` and the Schreier vector; no transporter is composed here."""
     ix = group.indexed()
     n = ix.order
-    if kind == "absolute":
-        acting = normalizer_in_sym(group).gens
-    else:
-        acting = group.gens if kind == "inner" else ()
-    index = group._index
-    perms = [GroupHom(ix, ix, [index[group.conj(g, a)] for g in group.gens]).element_images
+    acting = normalizer_in_sym(group).gens if kind == "absolute" else (
+        group.gens if kind == "inner" else ())
+    perms = [GroupHom(ix, ix, [group._index[group.conj(g, a)] for g in group.gens]).element_images
              for a in acting]
     if kind == "absolute":
         perms = _multiset_stabilizer(ix, perms, cv)
@@ -411,14 +415,13 @@ class NielsenClassSet(Frozen):
 
     def canonical(self, u: tuple, leads: bool = False) -> tuple:
         """Canonical form of an index tuple of ``group.indexed()``.  With the
-        Klein group acting, it looks up the canonical form of u's first least
-        image in ``klein``, which keys every member starting with mu, so that
-        image alone is built; ``leads`` says u starts with mu and so is that
-        image itself.  A miss reduces u."""
+        Klein group acting, it looks up u's first least form in ``klein``,
+        which keys every member starting with mu; ``leads`` says u starts
+        with mu, its own form then being that one.  A miss reduces u."""
         action = self.action
         if not self.klein_reduced:
             return action.canonical_tuple(u)
-        c = action.canonical_tuple(u if leads else action.first_least_image(u))
+        c = action.canonical_tuple(u) if leads else action.first_least_image(u)
         return self.klein.get(c) or action.reduced_canonical_tuple(u)
 
     def moves(self) -> tuple[tuple, tuple, tuple]:
@@ -502,7 +505,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     members = {i: sorted(classes[i].members) for i in support}
     if not _generates(quotient, {down[g] for i in support for g in members[i]}):
         raise ValidationError(
-            f"classes {cv} do not generate {group.name}; the Nielsen class is undefined"
+            f"classes {shown(str(cv))} do not generate {group.name}; the Nielsen class is undefined"
         )
     action = _get_action(group, mode, cv)
     starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
@@ -513,7 +516,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     width = sum(len(m) for m in members.values())
     if len(starts) * width ** (r - 2) > SEARCH_NODE_CAP:
         raise BudgetError(
-            f"Nielsen search for {cv} in {group.name} ({len(starts)} starts,"
+            f"Nielsen search for {shown(str(cv))} in {group.name} ({len(starts)} starts,"
             f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
         )
     if mode is Mode.RAW:
@@ -527,7 +530,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
 
     # conjugation and the reduction group preserve generation: a reduced
     # mode (r = 4) keys it by Klein orbit
-    key, least_images, reduced = action.canonical_tuple, action.least_images, mode.reduced
+    key, least_forms, klein = action.canonical_tuple, action.least_forms, mode.reduced and r == 4
     pairs: dict = {}
     verdicts: dict = {}  # sorted image in the quotient -> whether it generates
     least: dict = {}  # canonical form -> least canonical form of its Klein orbit
@@ -542,42 +545,44 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             c = t if t[1] in free else key(t)
             m = least.get(c)
             if m is None:
-                # c, canonical, is its own first least image
-                orbit = [c, *map(key, least_images(c)[1:])] if reduced else [c]
+                orbit = list(least_forms(c, c)) if klein else [c]  # c, canonical, starts with mu
                 m = min(orbit)
-                least.update(dict.fromkeys(orbit, m))
-                image = tuple(sorted(map(down.__getitem__, c)))
+                for f in orbit:
+                    least[f] = m
+                image = tuple(sorted(operator.itemgetter(*c)(down)))
                 verdict = verdicts.get(image)
                 if verdict is None:
                     verdict = verdicts[image] = _generates_by_pairs(quotient, image, pairs)
                 if verdict:
                     good.add(m)
-    return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action,
-                           least if reduced and r == 4 else {})
+    return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action, least if klein else {})
 
 
 def _complete(ix: IndexedGroup, r: int, members, remaining: dict, g1: int, seconds) -> list[tuple]:
     """Product-one tuples (g1, ..., g_r) whose later entries use up the class
     multiset ``remaining``, by depth-first search on an explicit stack, the
-    second entry drawn from ``seconds`` (a sub-dict of ``members``)."""
+    second entry drawn from ``seconds`` (a sub-dict of ``members``).  A node's
+    classes still to place, r - 1 at the root, are a sorted tuple whose steps
+    are listed once; the next-to-last entry's loop solves for the last."""
     table, inverse, class_of = ix.table, ix.inverse, ix._class_of
+    steps = _ClosedOnUse(lambda s: [(i, s[:k] + s[k + 1:]) for k, i in enumerate(s)
+                                    if i not in s[:k]])
     out: list[tuple] = []
-    stack = [((g1,), g1, remaining)]
+    stack = [((g1,), g1, tuple(sorted(i for i, n in remaining.items() for _ in range(n))))]
     while stack:
-        prefix, prod, left = stack.pop()
-        if len(prefix) == r - 1:
-            last = inverse[prod]
-            if left.get(class_of[last]) == 1:
-                out.append(prefix + (last,))
-            continue
+        prefix, prod, rest = stack.pop()
         row = table[prod]
         pool = seconds if len(prefix) == 1 else members
-        for i in sorted(left, reverse=True):
-            if left[i]:
-                rest = dict(left)
-                rest[i] -= 1
-                for g in reversed(pool[i]):
-                    stack.append((prefix + (g,), row[g], rest))
+        if len(rest) == 2:
+            for i, (j,) in steps[rest]:
+                for g in pool[i]:
+                    last = inverse[row[g]]
+                    if class_of[last] == j:
+                        out.append(prefix + (g, last))
+            continue
+        for i, after in reversed(steps[rest]):
+            for g in reversed(pool[i]):
+                stack.append((prefix + (g,), row[g], after))
     return out
 
 
@@ -602,4 +607,4 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
         t.append(last)
         if _generates(ix, t):
             return ix.to_data(t)
-    raise ValidationError(f"no Nielsen tuple found for {cv} after {RANDOM_TUPLE_TRIES} tries")
+    raise ValidationError(f"no Nielsen tuple for {shown(str(cv))} in {RANDOM_TUPLE_TRIES} tries")

@@ -42,7 +42,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .groups import (
     DEFAULT_ORDER_BOUND,
     ClassVector,
@@ -97,12 +97,12 @@ class TowerSpec(Frozen):
             action = check_lattice(t, ell, action)
         elif action is not None:
             raise ValidationError("dihedral towers take no action matrix")
-        # level 0 has order 2*ell, or at least ell^t: the bound comes before
-        # the trial division that tests ell and before any matrix work
-        order0 = 2 * ell if family == "dihedral" else ell ** t
+        # level 0 has order 2*ell, or at least ell^t, named by formula: the bound
+        # comes before the trial division that tests ell and any matrix work
+        order0, formula = (2 * ell, "2*ell") if family == "dihedral" else (ell ** t, f"ell^{t}")
         if order0 > DEFAULT_ORDER_BOUND:
-            raise BudgetError(f"level 0 of the {family} tower at ell = {ell} has order at"
-                              f" least {order0}, above the order bound {DEFAULT_ORDER_BOUND}")
+            raise BudgetError(f"level 0 of the {family} tower at ell = {shown(ell)} has order"
+                              f" at least {formula}, above the order bound {DEFAULT_ORDER_BOUND}")
         if _smallest_prime_factor(ell) != ell:
             raise ValidationError(f"tower prime expected, got {ell}")
         if family == "dihedral":

@@ -70,9 +70,35 @@ def test_order_bound_exits_3():
 
 
 def test_search_budget_exits_3(capsys):
+    """The message echoes the 2,000 classes cut short."""
     assert run(["enumerate", "--group", "A4", "--classes", "[3ax2000]"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert err.startswith("budget exceeded: Nielsen search for '[3a,3a,") and err.count("\n") == 1
+    assert len(err) < 160
+
+
+@pytest.mark.parametrize("digits", [4000, 4300])
+def test_level_zero_order_bound_exits_3_with_one_short_line(digits, capsys):
+    """ell is echoed cut short and the order named by formula; 2*ell at 4,301
+    digits has more than ``str`` converts, once a traceback."""
+    ell = "9" * digits
+    assert run(["tower", "--family", "dihedral", "--ell", ell, "--classes",
+                "[2a,2a,2a,2a]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: level 0 of the dihedral tower at ell = 999")
+    assert "order at least 2*ell" in err and err.count("\n") == 1 and len(err) < 160
+
+
+def test_an_int_flag_too_long_for_int_exits_2_with_a_short_echo(capsys):
+    """argparse reports the flag; its value is echoed cut as in every message."""
+    with pytest.raises(SystemExit) as exit_:
+        run(["tower", "--family", "vector", "--ell", BIG, "--classes", "[3a,3a,3b,3b]"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last == ("hurwitz tower: error: argument --ell:"
+                    " invalid int value: '999999999999...9999999999999'")
+    assert len(err) < 400
 
 
 def test_raw_search_budget_exits_3_before_the_inner_classes(capsys, monkeypatch):
@@ -754,6 +780,7 @@ def _enumerate(group, classes):
     (["enumerate", *A4_ARGS, "--mode", "x" * 5000], "unknown equivalence mode 'xxx"),
     (["enumerate", *A4_ARGS, "--format", "x" * 5000], "unknown format: 'xxx"),
     (["lift", *A4_ARGS, "--cover", "x" * 5000], "unknown cover 'xxx"),
+    (_enumerate("A4", "[2ax2000]"), "classes '[2a,2a,2a,2a...,2a,2a,2a,2a]' do not generate"),
     # JSON nested past the recursion limit used to end in a traceback
     (_enumerate("V(2,5):M=" + DEEP, "[1a,1a]"), "bad action matrix in 'V(2,5):M=[[["),
     (["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",

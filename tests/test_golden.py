@@ -2,7 +2,8 @@
 runs in text, JSON and CSV, against ``golden_reports.json``.
 
 The set is the README tour, the ``V(2,5)`` lattice jobs of the benchmark
-with the companion action, vector towers with Frattini steps, one of them
+with the companion action and, at the benchmark's seed-7 action, its
+tower-levels job and its genus job, vector towers with Frattini steps, one of them
 truncated at the table cap, one invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
@@ -89,6 +90,13 @@ COMMANDS = [
     # search over Sym(4)
     ["orbits", "--group", "gens:[(1,2,3,4),(1,3)]", "--classes", "[2b,2b,2c,2c]",
      "--mode", "absolute"],
+    # the benchmark's own inputs at its seed 7, whose action matrix is a
+    # conjugate of the companion matrix: the tower-levels job and the genus
+    # job of lattice-level0
+    ["tower", "--family", "vector", "--ell", "2", "--action", "[[1,-3],[1,-2]]",
+     "--classes", "[3a,3a,3b,3b]", "--k-max", "2", "--frattini"],
+    ["genus", "--group", "V(2,5):M=[[1,-3],[1,-2]]", "--classes", "[3a,3a,3b,3b]",
+     "--mode", "inner-reduced"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

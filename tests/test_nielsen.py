@@ -274,14 +274,15 @@ def test_inner_action_matches_conjugation_by_every_element(desc):
 ])
 def test_canonical_tuple_is_least_over_every_permutation(desc, kind, classes):
     """Transporter and stabilizer give the least image under every permutation
-    of the action, and |A| = |orbit| * |stabilizer| on every orbit."""
+    of the action, at every tuple length from 1 to 5, and |A| = |orbit| *
+    |stabilizer| on every orbit."""
     g = make_group(desc)
     action = _build_action(g, kind, classes and parse_class_vector(g, classes))
     perms = action_perms(action)
     assert len(perms) == action.order
     rng = random.Random(desc)
-    for _ in range(60):
-        t = tuple(rng.randrange(g.order) for _ in range(4))
+    for n in range(60):
+        t = tuple(rng.randrange(g.order) for _ in range(1 + n % 5))
         assert action.canonical_tuple(t) == min(tuple(p[x] for x in t) for p in perms)
 
 
@@ -456,12 +457,13 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
                                                                classes, mode):
     """The reduced form takes canonical forms of the least images only; the
     reference takes them of all four images under the reduction group, on
-    random Nielsen tuples and on random tuples of group elements.  The least
-    images, read off the Cayley table, are the images of ``reduction_orbit``
-    whose first entry has the least orbit minimum, ties at several positions
-    included, and a lookup's first least image is the first of them.  Every
-    stored reduced form and every key of the Klein map starts with the
-    least orbit minimum over the classes of C, the one search start."""
+    random Nielsen tuples and on random tuples of group elements.  The forms
+    of ``least_forms``, whose images are read off the Cayley table, are those
+    of the images of ``reduction_orbit`` whose first entry has the least orbit
+    minimum, ties at several positions included, and a lookup's first least
+    image gives the first of them.  Every stored reduced form and every key
+    of the Klein map starts with the least orbit minimum over the classes of
+    C, the one search start."""
     g, cv = group_and_classes(desc, classes)
     ix = g.indexed()
     action = _get_action(g, mode, cv)
@@ -476,8 +478,9 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
         assert action.reduced_canonical_tuple(t) == reference, t
         firsts = [action.orbit_min[u[0]] for u in images]
         least = [u for u, m in zip(images, firsts) if m == min(firsts)]
-        assert action.least_images(t) == least, t
-        assert action.first_least_image(t) == least[0], t
+        forms = list(map(action.canonical_tuple, least))
+        assert list(action.least_forms(t)) == forms, t
+        assert action.first_least_image(t) == forms[0], t
         ties[len(least)] += 1
         first_at[firsts.index(min(firsts))] += 1
     assert max(ties) >= 2 and len(first_at) >= 2, (ties, first_at)
@@ -486,6 +489,53 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
     ni = enumerate_nielsen(g, cv, mode)
     assert ni.count and all(u[0] == mu for u in ni.tuples)
     assert ni.klein and all(c[0] == mu for c in ni.klein)
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("S4", "[2b,2b,3a,3a]", Mode.ABSOLUTE_REDUCED),
+    ("D13", "[2a,2a,2a,2a]", Mode.ABSOLUTE_REDUCED),
+    ("vector l=2 level 2", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    # a seeded conjugate of the companion action, as the benchmark sends
+    ("V(2,5):M=[[1,-3],[1,-2]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+    ("V(2,7):M=[[1,-3],[1,-2]]", "[3a,3a,3b,3b]", Mode.INNER_REDUCED),
+])
+def test_least_forms_build_only_the_least_images(monkeypatch, group_and_classes,
+                                                 reduction_orbit, desc, classes, mode):
+    """On random tuples, ``least_forms`` gives the canonical forms of the
+    ``reduction_orbit`` images whose first entry has the least orbit minimum,
+    in that order, and reads q1*q3^-1 off the table once exactly when one of
+    them needs it; a known canonical form of t, passed as ``own``, stands in
+    for its own."""
+    g, cv = group_and_classes(desc, classes)
+    ix = g.indexed()
+    action = _get_action(g, mode, cv)
+    built = Counter()
+    image = ConjAction._klein_image
+
+    def counted(self, t):
+        built[t] += 1
+        return image(self, t)
+
+    monkeypatch.setattr(ConjAction, "_klein_image", counted)
+    rng = random.Random(5)
+    samples = [ix.to_index(random_nielsen_tuple(g, cv, rng)) for _ in range(30)]
+    samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(150)]
+    needed, ties = Counter(), Counter()
+    for t in samples:
+        images = reduction_orbit(ix, t)
+        firsts = [action.orbit_min[u[0]] for u in images]
+        at = [k for k, m in enumerate(firsts) if m == min(firsts)]
+        built.clear()
+        forms = list(action.least_forms(t))
+        assert forms == [action.canonical_tuple(images[k]) for k in at], t
+        assert built[t] == any(k % 2 for k in at) and len(built) <= 1, t
+        needed[built[t]] += 1
+        ties[len(at)] += 1
+        if at[0] == 0:
+            c = action.canonical_tuple(t)
+            assert list(action.least_forms(c, c)) == list(action.least_forms(c)), t
+    assert set(needed) == {0, 1} and max(ties) >= 2, (needed, ties)
 
 
 @pytest.mark.parametrize("desc,classes,mode", [
