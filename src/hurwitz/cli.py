@@ -356,14 +356,18 @@ _COVER_RE = re.compile(r"spin([45])|heis\((\d+)\)|hom:(.*)", re.S)
 
 
 def _make_cover(form: re.Match, order_bound: int | None, group) -> CentralExtension:
+    """The selected cover, built over ``group``, the base of every cover."""
+    def mismatch(name: str) -> ValidationError:
+        return ValidationError("cover base group does not match --group"
+                               f" ({shown(name)} vs {shown(group.name)})")
+
     spin, ell, path = form.groups()
     if spin:
-        return spin_cover(int(spin))
+        return spin_cover(int(spin), group)
     if ell:
-        ell = read_int(ell)
-        if group.kind == "vector-semidirect" and group.dim == 2 and group.modulus == ell:
-            return extend_action_to_heisenberg(ell, group.action)
-        return extend_action_to_heisenberg(ell)  # the companion action
+        if group.name != (name := f"V(2,{read_int(ell)})"):
+            raise mismatch(name)
+        return extend_action_to_heisenberg(group)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=read_int)
@@ -383,10 +387,13 @@ def _make_cover(form: re.Match, order_bound: int | None, group) -> CentralExtens
     kw = {"order_bound": order_bound} if order_bound else {}
     source = make_group(data["source"], **kw)
     target = make_group(data["target"], **kw)
-    hom = GroupHom(source, target, [target.parse(v) for v in images])
+    if target.elements != group.elements or any(
+            target.mul(x, g) != group.mul(x, g) for x in group.elements for g in group.gens):
+        raise mismatch(target.name)
+    hom = GroupHom(source, group, [group.parse(v) for v in images])
     if not hom.is_surjective:
         raise ValidationError("central extension projection must be onto")
-    return CentralExtension(source, target, hom, hom.preimage, hom.kernel(), f"hom:{path}")
+    return CentralExtension(source, group, hom, hom.preimage, hom.kernel(), f"hom:{path}")
 
 
 def _cmd_lift(cfg: dict):
@@ -396,14 +403,6 @@ def _cmd_lift(cfg: dict):
                               " use spin4, spin5, heis(<l>) or hom:<file>")
     group, cv = _group_and_classes(cfg)
     ext = _make_cover(form, cfg.get("order_bound"), group)
-    same = ext.base.elements == group.elements and all(
-        ext.base.mul(x, g) == group.mul(x, g) for x in group.elements for g in group.gens
-    )
-    if not same:
-        raise ValidationError(
-            "cover base group does not match --group "
-            f"({ext.base.name} vs {group.name})"
-        )
     orbits = braid_orbits(enumerate_nielsen(group, cv, cfg["mode"]), orbit_cap=cfg["orbit_cap"])
     entries = []
     for o in orbits:

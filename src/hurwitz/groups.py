@@ -419,7 +419,7 @@ class ConjugacyClass(NamedTuple):
 
 def check_order_bound(name: str, n: int, bound: int) -> None:
     if n > bound:
-        raise BudgetError(f"group closure for {name} exceeded order bound {bound}")
+        raise BudgetError(f"group closure for {shown(name)} exceeded order bound {bound}")
 
 
 class IndexedGroup(FiniteGroup):

@@ -8,19 +8,22 @@ it lands in K and is constant on braid orbits, so a nontrivial value
 obstructs the tuple's orbit from lifting through psi.
 
 Every cover is a ``CentralExtension`` given by a projection, a section and
-its kernel.  The built-in covers are the two binary double covers
+its kernel, and is built over the group object the caller holds, which is
+its ``base``.  The built-in covers are the two binary double covers
 SL2(Z/3) -> A4 and SL2(Z/5) -> A5 (the n = 4, 5 spin covers of the
 alternating groups), and the small-Heisenberg extensions
 Heis(l) x| Z/3 -> (Z/l)^2 x| Z/3 obtained by extending an order-3 matrix
-action to the Heisenberg group.  The spin and ``hom:`` covers project by a
+action to the Heisenberg group; ``heisenberg_obstruction`` is the one rule
+for when such an extension exists.  The spin and ``hom:`` covers project by a
 ``GroupHom`` given by generator images, checked on every element and
 generator as it is built; its least preimages and kernel are the section and
 kernel.  ``GroupHom`` lives in the groups module, where tower level maps and
 conjugation automorphisms are built with it too.  A Heisenberg cover is the
 semidirect product Heis(l) x| Z/3 by a formula, so dropping the central
 coordinate is a homomorphism by construction, its kernel and section
-v -> (v, 0) are read off the formula, and the cover is never enumerated.
-Each action gets one extension, for the least valid cocycle correction.
+v -> (v, 0) are read off the formula, and the cover is never enumerated;
+its automorphism multiplies with the base's own action columns.  Each
+action gets one extension, for the least valid cocycle correction.
 
 ``is_frattini_cover`` takes any surjective ``GroupHom`` and runs on its
 source as given: on data for SL2(27) -> SL2(9), between indexed views for the
@@ -31,30 +34,23 @@ tower steps G_k -> G_(k-1).  Above ``FRATTINI_TUPLE_BUDGET`` it raises
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .groups import (
     FiniteGroup,
     GroupHom,
     HeisenbergGroup,
     VectorSemidirectGroup,
     _det_mod,
-    _mat_mul,
     _smallest_prime_factor,
-    check_lattice,
     make_group,
-    vector_descriptor,
 )
 
 # kernel-translate tuples a Frattini check may enumerate; above it the check
 # raises BudgetError, which tower reports print as a "skipped" step
 FRATTINI_TUPLE_BUDGET = 200_000
-
-# the companion matrix of x^2 + x + 1: the default order-3 action of vector
-# towers and Heisenberg covers
-COMPANION = ((0, -1), (1, -1))
 
 
 class CentralExtension:
@@ -128,7 +124,7 @@ def lift_invariant(ext: CentralExtension, t: tuple) -> LiftInvariant:
     val = cover.identity
     for g in t:
         val = cover.mul(val, same_order_lift(ext, g))
-    if val not in set(ext.kernel):
+    if val not in ext.kernel:
         raise ValidationError(
             "lift product landed outside the kernel; tuple is not product-one"
         )
@@ -166,7 +162,7 @@ def is_frattini_cover(hom: GroupHom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# catalog covers
+# catalog covers, each built over the group object it covers
 
 _SPIN_GEN_IMAGES = {
     4: ("(2,3,4)", "(1,2,3)"),
@@ -174,15 +170,18 @@ _SPIN_GEN_IMAGES = {
 }
 
 
-def spin_cover(n: int) -> CentralExtension:
-    """The double cover of A_n by SL2(Z/3) (n = 4) or SL2(Z/5) (n = 5).
+def spin_cover(n: int, base: FiniteGroup) -> CentralExtension:
+    """The double cover of A_n by SL2(Z/3) (n = 4) or SL2(Z/5) (n = 5) over
+    ``base``, which must be A_n on n points: of degree n and order n!/2.
 
-    Generator images are catalog data; the homomorphism is re-verified on
-    every construction.
+    Generator images are catalog data; the homomorphism into ``base`` is
+    re-verified on every construction.
     """
     if n not in _SPIN_GEN_IMAGES:
         raise ValidationError("spin covers are built in for n = 4 and n = 5 only")
-    cover, base = make_group(f"SL2({3 if n == 4 else 5})"), make_group(f"A{n}")
+    if base.kind != "permutation" or base.degree != n or 2 * base.order != factorial(n):
+        raise ValidationError(f"spin{n} covers A{n} on {n} points, not {shown(base.name)}")
+    cover = make_group(f"SL2({3 if n == 4 else 5})")
     images = tuple(base.parse(s) for s in _SPIN_GEN_IMAGES[n])
     hom = GroupHom(cover, base, images)
     ext = CentralExtension(cover, base, hom, hom.preimage, hom.kernel(), f"spin{n}")
@@ -191,71 +190,83 @@ def spin_cover(n: int) -> CentralExtension:
     return ext
 
 
-def _heisenberg_corrections(ell: int, m: tuple):
-    """Valid linear corrections (s, t) to the cocycle term, plus helpers.
+def heisenberg_obstruction(base: FiniteGroup) -> str | None:
+    """Why ``base`` carries no Heisenberg cover, or None when it carries one.
 
-    An automorphism of Heis(ell) over the matrix action m must scale the
-    center by lam = det(m) and add a cocycle q(v) = B(v, v)/2 + s*x + t*y,
+    The one rule: ``base`` is a rank-2 vector group (Z/m)^2 x| Z/3 with m
+    prime to 6, its action M has order 3, and det M = 1 mod m.  An
+    automorphism of Heis(m) over M scales the center by det M, so with
+    det M != 1 the kernel of the cover would not be central.
+    """
+    if base.kind != "vector-semidirect" or base.dim != 2:
+        return "Heisenberg covers need a rank-2 vector group"
+    if gcd(base.modulus, 6) != 1:
+        return "Heisenberg extension needs an odd modulus prime to 3"
+    if base.complement_order != 3:
+        return "action matrix must have order exactly 3"
+    if _det_mod(base.action, base.modulus) != 1:
+        return "extension kernel is not central"
+    return None
+
+
+def _heisenberg_corrections(base: VectorSemidirectGroup):
+    """The valid linear corrections (s, t) to the cocycle term, least first.
+
+    An automorphism of Heis(m) over the base's action M (det M = 1 by the
+    rule) fixes the center and adds a cocycle q(v) = B(v, v)/2 + s*x + t*y,
     where B is the symmetric defect form.  Every (s, t) gives an
     automorphism alpha, so (s, t) is valid iff alpha^3 fixes the generators
-    (1, 0, 0) and (0, 1, 0), a condition affine in (s, t).
+    (1, 0, 0) and (0, 1, 0), a condition affine in (s, t).  v*M is read off
+    the base's own product.
     """
-    lam = _det_mod(m, ell)
+    m, complement = base.modulus, base.gens[2]
+    inv2 = pow(2, -1, m)
 
     def act(v):
-        return _mat_mul((v,), m, ell)[0]
+        return base.mul((v, 0), complement)[0]
 
-    inv2 = pow(2, -1, ell)
-
-    def q_base(v):
+    def half_defect(v):
         w = act(v)
-        return (w[0] * w[1] - lam * v[0] * v[1]) * inv2 % ell
+        return (w[0] * w[1] - v[0] * v[1]) * inv2
 
     # alpha^3 shifts the center over generator v by c + a*s + b*t, which must vanish
-    lam2 = lam * lam
     residuals = []
-    for v in ((1, 0), (0, 1)):
-        mv = act(v)
-        mmv = act(mv)
-        residuals.append((lam2 * q_base(v) + lam * q_base(mv) + q_base(mmv),
-                          lam2 * v[0] + lam * mv[0] + mmv[0],
-                          lam2 * v[1] + lam * mv[1] + mmv[1]))
-
-    def valid(s, t):
-        return all((c + a * s + b * t) % ell == 0 for c, a, b in residuals)
-
-    corrections = (
-        (s, t) for s in range(ell) for t in range(ell) if valid(s, t)
-    )
-    return lam, act, q_base, corrections
+    for v, _ in base.gens[:2]:
+        mv, mmv = act(v), act(act(v))
+        residuals.append((half_defect(v) + half_defect(mv) + half_defect(mmv),
+                          v[0] + mv[0] + mmv[0], v[1] + mv[1] + mmv[1]))
+    return ((s, t) for s in range(m) for t in range(m)
+            if all((c + a * s + b * t) % m == 0 for c, a, b in residuals))
 
 
 class HeisenbergCover(FiniteGroup):
-    """Heis(m) x| Z/3 for the order-3 automorphism
-    alpha(v, z) = (v*M, lam*z + q(v)) of Heis(m), over its base
-    (Z/m)^2 x| Z/3 (row vectors v, M the base's action).
+    """Heis(m) x| Z/3 over its base (Z/m)^2 x| Z/3, for the order-3
+    automorphism alpha(v, z) = (v*M, z + B(v, v)/2 + s*x + t*y) of Heis(m)
+    (row vectors v = (x, y), M the base's action, read off the base's
+    ``_columns[1]`` once per call).
 
     Elements are ``((x, y, z), a)``, and (h1, a)(h2, b) = (alpha^b(h1) h2,
     a + b) with the product taken in ``HeisenbergGroup(m)``; alpha^0,
     alpha^1 and alpha^2 are kept as maps.  The lattice part of a product is
     the base's product, so dropping z is a homomorphism onto the base, with
-    kernel {((0, 0, z), 0)} and section (v, a) -> ((v, 0), a).  The kernel
-    is central exactly when lam = 1.
+    kernel {((0, 0, z), 0)} and section (v, a) -> ((v, 0), a).
     """
 
-    def __init__(self, base: VectorSemidirectGroup, lam: int, act, q, name: str):
-        self.base = base
-        self.heis = HeisenbergGroup(base.modulus)
+    def __init__(self, base: VectorSemidirectGroup, s: int, t: int):
         m = base.modulus
+        self.heis = HeisenbergGroup(m)
+        inv2 = pow(2, -1, m)
+        (a, b), (c, d) = base._columns[1]  # (x, y)*M = (a*x + b*y, c*x + d*y)
 
         def alpha(h):
-            v = h[:2]
-            return (*act(v), (lam * h[2] + q(v)) % m)
+            x, y, z = h
+            u, w = (a * x + b * y) % m, (c * x + d * y) % m
+            return (u, w, (z + (u * w - x * y) * inv2 + s * x + t * y) % m)
 
         self._alpha = (lambda h: h, alpha, lambda h: alpha(alpha(h)))
         self.kernel = tuple(((0, 0, z), 0) for z in range(m))
         # the two lattice generators, then the complement, as in the base
-        super().__init__(map(self.section, base.gens), name)
+        super().__init__(map(self.section, base.gens), f"Heis({m}):3")
 
     def mul(self, g, h):
         (h1, a), (h2, b) = g, h
@@ -282,32 +293,16 @@ class HeisenbergCover(FiniteGroup):
         return f"[{x},{y},{z}|{a}]"
 
 
-def extend_action_to_heisenberg(ell: int, m=COMPANION) -> CentralExtension:
-    """Extend an order-3 matrix action on (Z/l)^2 to Heis(l), centrally.
-
-    Searches the finite space of compatible automorphisms: the action on the
-    center is forced to be multiplication by det(m), and the remaining
-    freedom is a linear correction to the quadratic cocycle term.  Returns
-    the extension for the least valid correction; ``_heisenberg_corrections``
-    yields every valid one.  The modulus may be any odd prime power not
-    divisible by 3, so towers can ask for the level-k cover over Z/ell^(k+1).
-    """
-    if ell < 2 or ell % 2 == 0 or ell % 3 == 0:
-        raise ValidationError("Heisenberg extension needs an odd modulus prime to 3")
-    m = tuple(tuple(v % ell for v in row) for row in check_lattice(2, ell, m))
-    ident = ((1, 0), (0, 1))
-    if m == ident or _mat_mul(_mat_mul(m, m, ell), m, ell) != ident:
-        raise ValidationError("action matrix must have order exactly 3")
-
-    lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
-    first = next(corrections, None)
-    if first is None:
-        raise ValidationError(
-            "no order-3 extension of the action to the Heisenberg group exists"
-        )
-    s, t = first
-    base = make_group(vector_descriptor(ell, m))
-    cover = HeisenbergCover(base, lam, act, lambda v: q_base(v) + s * v[0] + t * v[1],
-                            name=f"Heis({ell}):3")
+def extend_action_to_heisenberg(base: FiniteGroup) -> CentralExtension:
+    """The Heisenberg central extension over ``base``, for the least valid
+    cocycle correction; ``heisenberg_obstruction``'s reason is raised when
+    none exists.  Any modulus prime to 6 will do, so a tower level over
+    Z/ell^(k+1) gets its cover."""
+    reason = heisenberg_obstruction(base)
+    if reason:
+        raise ValidationError(reason)
+    # (0, 0) is always valid here: as M^3 = I, the residual c telescopes to 0
+    s, t = next(_heisenberg_corrections(base))
+    cover = HeisenbergCover(base, s, t)
     return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
-                            f"heis({ell})[{s},{t}]")
+                            f"heis({base.modulus})[{s},{t}]")

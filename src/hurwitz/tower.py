@@ -9,9 +9,9 @@ order d prime to l lifts to the one level-k class of order-d elements over
 it, since the kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
 ``lift_classes_to_level``).  So a level-0 class vector determines the whole
 tower.  Levels carry braid orbits, lift invariants (through the Heisenberg
-extension when the modulus is prime to 6), cusp classifications, and a
-component tree whose edges record which level-k orbit each level-(k+1) orbit
-projects onto.
+extension built over the level group, where ``heisenberg_obstruction``
+admits one), cusp classifications, and a component tree whose edges record
+which level-k orbit each level-(k+1) orbit projects onto.
 
 Frattini lemma: the kernel K of G_k -> G_0 lies in the Frattini subgroup
 Phi(G_k), so a level-k tuple generates G_k if and only if its image
@@ -60,13 +60,16 @@ from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
 from .geometry import GenusReport, genus_of_component
 from .lift import (
-    COMPANION,
     CentralExtension,
     LiftInvariant,
     extend_action_to_heisenberg,
+    heisenberg_obstruction,
     is_frattini_cover,
     lift_invariant,
 )
+
+# the companion matrix of x^2 + x + 1: the default order-3 action of vector towers
+COMPANION = ((0, -1), (1, -1))
 
 O_ELL_PRIME_READING = "o-ell-prime tests the order of the middle product g2*g3"
 
@@ -283,16 +286,10 @@ class TowerLevel:
 
     @cached_property
     def extension(self) -> CentralExtension | None:
-        """Heisenberg central extension carrying this level's lift invariant.
-
-        It exists for the vector family with t = 2, ell >= 5, complement
-        order 3 and det M = 1 mod the level's modulus; otherwise the level
-        has none (with det M != 1 the Heisenberg kernel is not central)."""
-        spec, m = self.spec, self.spec.modulus(self.k)
-        if (spec.family != "vector" or spec.t != 2 or spec.ell < 5
-                or self.group.complement_order != 3 or _det_mod(spec.action, m) != 1):
-            return None
-        return extend_action_to_heisenberg(m, spec.action)
+        """Heisenberg central extension over this level's group, carrying its
+        lift invariant, or None where ``heisenberg_obstruction`` finds none."""
+        group = self.group
+        return None if heisenberg_obstruction(group) else extend_action_to_heisenberg(group)
 
     def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
         ext = self.extension

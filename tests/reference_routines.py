@@ -26,12 +26,9 @@ from hurwitz.groups import (
     ClassVector,
     FiniteGroup,
     cycle_type,
-    make_group,
     riemann_hurwitz,
-    vector_descriptor,
 )
 from hurwitz.lift import (
-    COMPANION,
     CentralExtension,
     HeisenbergCover,
     _heisenberg_corrections,
@@ -178,19 +175,15 @@ def lift_class_vector(ext: CentralExtension, cv: ClassVector) -> ClassVector:
     return ClassVector(cover, idx)
 
 
-def heisenberg_extensions(ell: int, m=COMPANION) -> tuple[CentralExtension, ...]:
-    """One extension of the order-3 action m to Heis(ell) per valid cocycle
-    correction (s, t), least first, as ``extend_action_to_heisenberg`` builds
-    the first."""
-    lam, act, q_base, corrections = _heisenberg_corrections(ell, m)
-    base = make_group(vector_descriptor(ell, m))
+def heisenberg_extensions(base) -> tuple[CentralExtension, ...]:
+    """One Heisenberg extension over the vector group ``base`` per valid
+    cocycle correction (s, t), least first, as ``extend_action_to_heisenberg``
+    builds the first."""
     out = []
-    for s, t in corrections:
-        cover = HeisenbergCover(base, lam, act,
-                                lambda v, s=s, t=t: q_base(v) + s * v[0] + t * v[1],
-                                name=f"Heis({ell}):3")
+    for s, t in _heisenberg_corrections(base):
+        cover = HeisenbergCover(base, s, t)
         out.append(CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
-                                    f"heis({ell})[{s},{t}]"))
+                                    f"heis({base.modulus})[{s},{t}]"))
     return tuple(out)
 
 
@@ -209,6 +202,4 @@ def lift_partition_is_choice_independent(level: TowerLevel) -> bool | None:
         return sorted(tuple(v) for v in groups.values())
 
     base = partition(level.extension)
-    spec = level.spec
-    return all(partition(e) == base
-               for e in heisenberg_extensions(spec.modulus(level.k), spec.action))
+    return all(partition(e) == base for e in heisenberg_extensions(level.group))

@@ -95,7 +95,7 @@ def test_a4_component_genus():
 def test_double_cover_separates_a4_components():
     start = time.monotonic()
     a4, a4_cv, _, orbits = build_a4()
-    spin4 = spin_cover(4)
+    spin4 = spin_cover(4, a4)
     invs = {o.size: lift_invariant(spin4, o.rep) for o in orbits}
     assert invs[9].trivial and not invs[6].trivial
     assert invs[9].value != invs[6].value
@@ -118,7 +118,7 @@ def test_alternating_lift_invariant_law():
     start = time.monotonic()
     # three 3-cycles on four letters: obstructed (sign -1)
     a4 = make_group("A4")
-    spin4 = spin_cover(4)
+    spin4 = spin_cover(4, a4)
     cv3 = parse_class_vector(a4, "[3a,3a,3a]")
     ni3 = enumerate_nielsen(a4, cv3, Mode.INNER_REDUCED)
     assert ni3.count == 1
@@ -127,7 +127,7 @@ def test_alternating_lift_invariant_law():
         spin4.cover, lift_class_vector(spin4, cv3), Mode.INNER_REDUCED
     ).count == 0
     # four 3-cycles on five letters: one braid orbit, unobstructed (sign +1)
-    spin5 = spin_cover(5)
+    spin5 = spin_cover(5, make_group("A5"))
     a5 = spin5.base
     cv4 = parse_class_vector(a5, "[3a,3a,3a,3a]")
     ni4 = enumerate_nielsen(a5, cv4, Mode.INNER)
@@ -221,7 +221,7 @@ def test_property_suites_zero_violations():
         assert report.passed, (desc, bad)
     # lift invariants are braid-orbit constants (exhaustive on both orbits)
     a4, _, _, orbits = build_a4()
-    spin4 = spin_cover(4)
+    spin4 = spin_cover(4, a4)
     for o in orbits:
         assert len({lift_invariant(spin4, t).value for t in o.members}) == 1
     # projection commutes with every braid move, member by member

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hurwitz.lift
 import hurwitz.nielsen
+import hurwitz.tower
 from hurwitz import cli
 from hurwitz.cli import run
 from hurwitz.groups import FiniteGroup, make_group
@@ -87,6 +89,25 @@ def test_level_zero_order_bound_exits_3_with_one_short_line(digits, capsys):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: level 0 of the dihedral tower at ell = 999")
     assert "order at least 2*ell" in err and err.count("\n") == 1 and len(err) < 160
+
+
+LONG = "7" * 4000  # fewer digits than int() converts, but a name of 4,000 characters
+
+
+@pytest.mark.parametrize("argv,code,start", [
+    (["enumerate", "--group", f"D{LONG}", "--classes", "[2a,2a,2a,2a]"], 3,
+     "budget exceeded: group closure for 'D777"),
+    (["bcl", "--group", f"SL2({LONG})", "--classes", "[2a,2a]"], 3,
+     "budget exceeded: group closure for 'SL2(777"),
+    (["genus", "--group", f"V(2,{LONG}):M=[[0,-1],[1,-1]]", "--classes", "[3a,3a,3b,3b]",
+      "--mode", "inner-reduced"], 3, "budget exceeded: group closure for 'V(2,777"),
+    (["lift", *A4_ARGS, "--cover", f"heis({LONG})"], 2,
+     "error: cover base group does not match --group ('V(2,777"),
+])
+def test_long_group_names_are_echoed_cut_short(argv, code, start, capsys):
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1 and len(err) < 160
 
 
 def test_an_int_flag_too_long_for_int_exits_2_with_a_short_echo(capsys):
@@ -845,12 +866,71 @@ def test_lift_subcommand(capsys):
     assert "O2 (size 9)" in out and "unobstructed" in out
 
 
-def test_lift_base_mismatch_exits_2():
-    assert run(["lift", "--group", "A5", "--classes", "[3a,3a,3a,3a]",
-                "--cover", "spin4"]) == 2
-
-
 NON_COMPANION = "V(2,5):M=[[4,-7],[3,-5]]"
+
+
+@pytest.mark.parametrize("group,classes,cover,message", [
+    ("A5", "[3a,3a,3a,3a]", "spin4", "spin4 covers A4 on 4 points, not 'A5'"),
+    ("A4", "[3a,3a,3b,3b]", "spin5", "spin5 covers A5 on 5 points, not 'A4'"),
+    ("A4", "[3a,3a,3b,3b]", "heis(5)",
+     "cover base group does not match --group ('V(2,5)' vs 'A4')"),
+    (NON_COMPANION, "[3a,3a,3b,3b]", "heis(7)",
+     "cover base group does not match --group ('V(2,7)' vs 'V(2,5)')"),
+    ("A4", "[3a,3a,3b,3b]", "hom:", "cover base group does not match --group ('A5' vs 'A4')"),
+])
+def test_lift_base_mismatch_exits_2(tmp_path, capsys, group, classes, cover, message):
+    """Every cover is built over --group, so a cover of another group exits 2
+    with one line; a ``hom:`` file here names SL2(5) over A5."""
+    if cover == "hom:":
+        cover = _hom_file(tmp_path, "SL2(5)", "A5", ["(1,2,3,4,5)", "(1,2,4,5,3)"])
+    assert run(["lift", "--group", group, "--classes", classes, "--cover", cover]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _hom_file(tmp_path, source: str, target: str, images: list) -> str:
+    hom = tmp_path / "cover.json"
+    hom.write_text(json.dumps({"source": source, "target": target, "images": images}))
+    return f"hom:{hom}"
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["lift", *A4_ARGS, "--cover", "spin4"], ["A4", "SL2(3)"]),
+    (["lift", "--group", "A5", "--classes", "[3a,3a,3a,3a,3a]", "--mode", "inner",
+      "--cover", "spin5"], ["A5", "SL2(5)"]),
+    (["lift", "--group", NON_COMPANION, "--classes", "[3a,3a,3b,3b]", "--cover", "heis(5)"],
+     [NON_COMPANION]),
+    # a hom: file (SL2(3) over A4) names its source and its target, which is
+    # compared with --group
+    (["lift", *A4_ARGS, "--cover", "hom:"], ["A4", "SL2(3)", "A4"]),
+    (["tower", "--family", "vector", "--ell", "5", "--classes", "[3a,3a,3b,3b]",
+      "--k-max", "0"], ["V(2,5):M=[[0,4],[1,4]]"]),
+    (["tower", "--family", "vector", "--ell", "7", "--action", "[[1,-3],[1,-2]]",
+      "--classes", "[3a,3a,3b,3b]", "--k-max", "0"], ["V(2,7):M=[[1,4],[1,5]]"]),
+])
+def test_every_cover_is_built_over_the_command_group(argv, built, tmp_path, monkeypatch,
+                                                     capsys):
+    """One ``make_group`` call per group a run names, and every invariant is
+    taken in a cover whose base is the command's or the level's group object."""
+    hom = _hom_file(tmp_path, "SL2(3)", "A4", ["(2,3,4)", "(1,2,3)"])
+    argv = [hom if a == "hom:" else a for a in argv]
+    made, covers = [], []
+    make, lift = make_group, hurwitz.lift.lift_invariant
+
+    def recorded_make(descriptor, *args, **kw):
+        made.append((descriptor, make(descriptor, *args, **kw)))
+        return made[-1][1]
+
+    def recorded_lift(ext, t):
+        covers.append(ext)
+        return lift(ext, t)
+
+    for module in (hurwitz.cli, hurwitz.lift, hurwitz.tower):
+        monkeypatch.setattr(module, "make_group", recorded_make)
+    monkeypatch.setattr(hurwitz.cli, "lift_invariant", recorded_lift)
+    monkeypatch.setattr(hurwitz.tower, "lift_invariant", recorded_lift)
+    assert run(argv) == 0
+    assert [d for d, _g in made] == built
+    assert covers and all(ext.base is made[0][1] for ext in covers)
 
 
 def test_lift_heis_follows_the_group_action(capsys):

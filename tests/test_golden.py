@@ -3,8 +3,9 @@ runs in text, JSON and CSV, against ``golden_reports.json``.
 
 The set is the README tour, the ``V(2,5)`` lattice jobs of the benchmark
 with the companion action and, at the benchmark's seed-7 action, its
-tower-levels job and its genus job, vector towers with Frattini steps, one of them
-truncated at the table cap, one invalid and one over-budget input, and the Heisenberg lift invariants of
+tower-levels job, its genus job and its two Heisenberg tower jobs, vector
+towers with Frattini steps, one of them truncated at the table cap, one
+invalid and one over-budget input, and the Heisenberg lift invariants of
 level-0 vector towers and ``lift --cover heis(l)`` runs, among them an
 action of determinant 4 mod 7 whose cover is refused, a raw-mode enumeration
 and absolute modes on two ``gens:`` groups, which have no catalog normalizer
@@ -97,6 +98,10 @@ COMMANDS = [
      "--classes", "[3a,3a,3b,3b]", "--k-max", "2", "--frattini"],
     ["genus", "--group", "V(2,5):M=[[1,-3],[1,-2]]", "--classes", "[3a,3a,3b,3b]",
      "--mode", "inner-reduced"],
+    # the Heisenberg jobs of lattice-level0 at the seed-7 action: invariant
+    # labels of level-0 vector towers off the companion matrix
+    *(["tower", "--family", "vector", "--ell", ell, "--action", "[[1,-3],[1,-2]]",
+       "--classes", "[3a,3a,3b,3b]", "--k-max", "0"] for ell in ("5", "7")),
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

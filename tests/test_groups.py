@@ -380,7 +380,7 @@ def test_power_matches_repeated_multiplication(desc):
 
 def _table_group(desc):
     if desc == "Heis(5):3":
-        return extend_action_to_heisenberg(5, ((0, -1), (1, -1))).cover
+        return extend_action_to_heisenberg(make_group("V(2,5):M=[[0,-1],[1,-1]]")).cover
     return make_group(desc)
 
 

@@ -15,23 +15,23 @@ from hurwitz.groups import (
     parse_class_vector,
 )
 from hurwitz.lift import (
-    COMPANION,
     CentralExtension,
     GroupHom,
     extend_action_to_heisenberg,
+    heisenberg_obstruction,
     is_frattini_cover,
     lift_invariant,
     same_order_lift,
     spin_cover,
-    _heisenberg_corrections,
 )
 from hurwitz.nielsen import Mode, enumerate_nielsen
+from hurwitz.tower import COMPANION
 from reference_routines import heisenberg_extensions, lift_class_vector, tuple_cover_genus
 
 
 @pytest.fixture(scope="module")
-def spin4():
-    return spin_cover(4)
+def spin4(a4):
+    return spin_cover(4, a4)
 
 
 def test_group_hom_verifies_multiplicativity():
@@ -186,7 +186,7 @@ def test_obstructed_class_lifts_to_empty(spin4, a4):
 
 
 def test_spin5_single_orbit_unobstructed():
-    spin5 = spin_cover(5)
+    spin5 = spin_cover(5, make_group("A5"))
     a5 = spin5.base
     cv = parse_class_vector(a5, "[3a,3a,3a,3a]")
     ni = enumerate_nielsen(a5, cv, Mode.INNER)
@@ -196,12 +196,34 @@ def test_spin5_single_orbit_unobstructed():
 
 
 def test_spin_cover_rejects_other_degrees():
-    with pytest.raises(ValidationError):
-        spin_cover(6)
+    with pytest.raises(ValidationError, match="built in for n = 4 and n = 5 only"):
+        spin_cover(6, make_group("A6"))
+
+
+@pytest.mark.parametrize("n,desc", [
+    (4, "A5"), (4, "S4"), (5, "A4"), (4, "SL2(3)"), (4, "gens:[(1,2,3,4),(1,3)]"),
+    (4, "V(2,5):M=[[0,-1],[1,-1]]"),
+])
+def test_spin_cover_refuses_a_base_that_is_not_a_n_on_n_points(n, desc):
+    base = make_group(desc)
+    with pytest.raises(ValidationError, match=f"^spin{n} covers A{n} on {n} points, not '"):
+        spin_cover(n, base)
+
+
+@pytest.mark.parametrize("n,desc", [
+    (4, "A4"), (4, "gens:[(2,3,4),(1,2)(3,4)]"), (5, "A5"), (5, "gens:[(1,2,3,4,5),(1,2,3)]"),
+])
+def test_spin_cover_is_built_over_the_group_it_is_given(n, desc):
+    base = make_group(desc)
+    ext = spin_cover(n, base)
+    assert ext.base is base and ext.projection.target is base
+    assert ext.kernel_order == 2 and ext.cover.order == 2 * base.order
 
 
 def test_heisenberg_cover_shape():
-    ext = extend_action_to_heisenberg(5)
+    base = make_group("V(2,5):M=[[0,-1],[1,-1]]")
+    ext = extend_action_to_heisenberg(base)
+    assert ext.base is base
     assert ext.base.order == 75
     assert ext.cover.order == 375
     assert ext.kernel_order == 5
@@ -212,34 +234,51 @@ def test_heisenberg_cover_shape():
 
 
 def test_heisenberg_alternative_corrections():
-    ext, *alts = heisenberg_extensions(5)
-    assert ext.name == extend_action_to_heisenberg(5).name
+    base = make_group("V(2,5):M=[[0,-1],[1,-1]]")
+    ext, *alts = heisenberg_extensions(base)
+    assert ext.name == extend_action_to_heisenberg(base).name
     assert len(alts) == 24  # all 25 linear corrections work for this action
     assert all(a.kernel_order == 5 for a in alts[:3])
 
 
-def _alpha_from_formula(m):
-    """alpha(v, z) = (v*M, z + q(v)) for the companion M and the least valid
-    correction (s, t), as an automorphism of Heis(m) checked on every element
-    by ``GroupHom``."""
-    _, act, q_base, corrections = _heisenberg_corrections(m, COMPANION)
-    s, t = next(corrections)
+def _alpha_from_formula(mat, m):
+    """alpha(x, y, z) = ((x, y)*M, z + ((x, y)*M)_1 ((x, y)*M)_2 / 2 - x*y/2
+    + s*x + t*y) for the integer matrix M and the least (s, t) whose alpha
+    has alpha^3 fixing both generators, as an automorphism of Heis(m)
+    checked on every element by ``GroupHom``."""
+    (a, b), (c, d) = mat
+    half = pow(2, -1, m)
+
+    def alpha(h, s, t):
+        x, y, z = h
+        u, w = (a * x + c * y) % m, (b * x + d * y) % m
+        return (u, w, (z + (u * w - x * y) * half + s * x + t * y) % m)
+
+    def cubed_fixes(h, s, t):
+        return alpha(alpha(alpha(h, s, t), s, t), s, t) == h
+
+    gens = ((1, 0, 0), (0, 1, 0))
+    s, t = next((s, t) for s in range(m) for t in range(m)
+                if all(cubed_fixes(h, s, t) for h in gens))
     heis = HeisenbergGroup(m)
-    images = [(*act(v), (q_base(v) + s * v[0] + t * v[1]) % m)
-              for v in ((1, 0), (0, 1))]
-    return heis, GroupHom(heis, heis, images), (s, t)
+    return heis, GroupHom(heis, heis, [alpha(h, s, t) for h in gens]), (s, t)
 
 
-@pytest.mark.parametrize("m", [5, 7, 11, 25])
-def test_heisenberg_cocycle_is_the_semidirect_product(m):
-    heis, alpha, (s, t) = _alpha_from_formula(m)
+@pytest.mark.parametrize("mat,m", [
+    *((COMPANION, m) for m in (5, 7, 11, 25)),
+    # the benchmark's seed-7 action and another conjugate of the companion
+    # matrix, both of determinant 1
+    *((mat, m) for mat in (((1, -3), (1, -2)), ((4, -7), (3, -5))) for m in (5, 7, 25)),
+])
+def test_heisenberg_cocycle_is_the_semidirect_product(mat, m):
+    heis, alpha, (s, t) = _alpha_from_formula(mat, m)
     assert alpha.is_surjective  # so alpha is an automorphism
     pows = [{h: h for h in heis.elements}]
     for _ in range(3):
         pows.append({h: alpha(pows[-1][h]) for h in heis.elements})
     assert pows[3] == pows[0]
 
-    ext = extend_action_to_heisenberg(m, COMPANION)
+    ext = extend_action_to_heisenberg(VectorSemidirectGroup(2, m, mat))
     assert ext.name == f"heis({m})[{s},{t}]"
     cover = ext.cover
     elements = [(h, a) for h in heis.elements for a in range(3)]
@@ -265,7 +304,7 @@ def test_heisenberg_cocycle_is_the_semidirect_product(m):
 
 
 @pytest.mark.parametrize("m,message", [
-    (((0, -1, 0), (1, -1, 0), (0, 0, 1)), "action matrix must be 2x2 with integer entries"),
+    (((0, -1, 0), (1, -1, 0), (0, 0, 1)), "Heisenberg covers need a rank-2 vector group"),
     ([[0.9, -1], [1, -1]], "action matrix must be 2x2 with integer entries"),
     ([[0, -1], [True, -1]], "action matrix must be 2x2 with integer entries"),
     ([[0, "a"], [1, -1]], "action matrix must be 2x2 with integer entries"),
@@ -273,8 +312,17 @@ def test_heisenberg_cocycle_is_the_semidirect_product(m):
     (((0, 1), (1, 0)), "must have order exactly 3"),
 ])
 def test_heisenberg_rejects_bad_matrices(m, message):
+    """The base group checks its own matrix; the rule checks the rank and order."""
     with pytest.raises(ValidationError, match=message):
-        extend_action_to_heisenberg(5, m)
+        extend_action_to_heisenberg(VectorSemidirectGroup(len(m), 5, m))
+
+
+@pytest.mark.parametrize("desc", ["A4", "Heis(5)", "SL2(5)", "D5", "V(1,7):M=[[2]]"])
+def test_heisenberg_rule_refuses_groups_that_are_not_rank_2_vector_groups(desc):
+    base = make_group(desc)
+    assert heisenberg_obstruction(base) == "Heisenberg covers need a rank-2 vector group"
+    with pytest.raises(ValidationError, match="need a rank-2 vector group"):
+        extend_action_to_heisenberg(base)
 
 
 def test_lift_invariant_refuses_a_tuple_that_is_not_product_one(spin4):
@@ -283,11 +331,10 @@ def test_lift_invariant_refuses_a_tuple_that_is_not_product_one(spin4):
         lift_invariant(spin4, (c, c))
 
 
-def test_heisenberg_rejects_bad_modulus():
-    with pytest.raises(ValidationError):
-        extend_action_to_heisenberg(9, ((0, -1), (1, -1)))  # 9 not prime to 3
-    with pytest.raises(ValidationError):
-        extend_action_to_heisenberg(4, ((0, -1), (1, -1)))
+@pytest.mark.parametrize("m", [9, 4, 2, 6])  # 9 not prime to 3, 4 even
+def test_heisenberg_rejects_bad_modulus(m):
+    with pytest.raises(ValidationError, match="needs an odd modulus prime to 3"):
+        extend_action_to_heisenberg(VectorSemidirectGroup(2, m, COMPANION))
 
 
 def test_frattini_small_tower_step():

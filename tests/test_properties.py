@@ -83,7 +83,7 @@ def test_shift_conjugates_twists():
 
 def test_lift_invariant_constant_along_walks():
     rng = random.Random(SEED + 4)
-    spin4 = spin_cover(4)
+    spin4 = spin_cover(4, make_group("A4"))
     g = spin4.base
     cv = parse_class_vector(g, "[3a,3a,3b,3b]")
     for _ in range(12):

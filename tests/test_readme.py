@@ -1,9 +1,12 @@
-"""The README's library example runs as written and shows what it claims."""
+"""The README's library example runs as written and shows what it claims,
+and its golden counts are those of ``tests/golden_reports.json``."""
 
+import json
 import pathlib
 import re
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = README.parent / "tests" / "golden_reports.json"
 
 
 def _library_example() -> str:
@@ -21,3 +24,11 @@ def test_readme_library_example(capsys):
     assert capsys.readouterr().out.startswith("orbit O1: degree 6")
     assert [ns["lift_invariant"](ns["spin4"], o.rep).trivial for o in orbits] == [False, True]
     assert [o.size for o in ns["tree"].levels[1].orbits] == [24, 24, 36, 36]
+
+
+def test_readme_golden_counts_match_the_golden_file():
+    text = " ".join(README.read_text().split())
+    commands, runs, cases = map(int, re.search(
+        r"of (\d+) commands in text, JSON and CSV, and of (\d+) runs that go to argparse"
+        r".*?, (\d+) cases in all", text).groups())
+    assert 3 * commands + runs == cases == len(json.loads(GOLDEN.read_text(encoding="utf-8")))

@@ -16,6 +16,7 @@ from hurwitz.groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
     IndexedGroup,
+    VectorSemidirectGroup,
     _mat_mul,
     make_group,
     parse_class_vector,
@@ -23,6 +24,7 @@ from hurwitz.groups import (
 from hurwitz.lift import (
     GroupHom,
     extend_action_to_heisenberg,
+    heisenberg_obstruction,
     is_frattini_cover,
     lift_invariant,
     spin_cover,
@@ -118,7 +120,7 @@ def records(a4, a4_cv, a4_ni, a4_orbits):
     return {r.__class__.__name__: r for r in (
         a4.conjugacy_classes()[0], a4_cv, a4_ni, orbit, orbit.cusps()[0], report,
         report.checks[0], genus_of_component(orbit),
-        inc, inc.blocks[0], moduli_flags(a4, orbit), lift_invariant(spin_cover(4), orbit.rep),
+        inc, inc.blocks[0], moduli_flags(a4, orbit), lift_invariant(spin_cover(4, a4), orbit.rep),
         spec, cusp_type(orbit.cusps()[0], 2), tree, bcl(a4, a4_cv),
         eventually_frattini_report(spec, 1)[0],
     )}
@@ -220,7 +222,7 @@ def test_wrong_generator_images_are_refused(family, ell, swap):
 
 
 def test_heisenberg_projection_forgets_the_center():
-    ext = extend_action_to_heisenberg(5)
+    ext = extend_action_to_heisenberg(TowerSpec("vector", 5).level_group(0))
     assert all(ext.projection(e) == ((e[0][0], e[0][1]), e[1])
                for e in ext.cover.elements)
 
@@ -661,7 +663,8 @@ def test_heisenberg_invariants_are_braid_invariant(ell):
     lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), 0)
     ext = lvl.extension
     # every valid correction at ell = 5, the least one at ell = 7
-    exts = heisenberg_extensions(ell, spec.action) if ell == 5 else [ext]
+    assert ext.base is lvl.group is spec.level_group(0)
+    exts = heisenberg_extensions(lvl.group) if ell == 5 else [ext]
     assert len(exts) == (25 if ell == 5 else 1)
     assert exts[0].name == ext.name
     for e in exts:
@@ -679,8 +682,8 @@ def test_tower_level_never_enumerates_the_heisenberg_cover():
 
 @pytest.mark.parametrize("ell", [5, 7])
 def test_order_3_actions_extend_exactly_when_det_is_1(ell):
-    """The rule ``TowerLevel.extension`` applies: an order-3 action extends
-    to Heis(ell) when det M = 1 mod ell, and otherwise the build finds the
+    """The rule ``TowerLevel.extension`` reads: an order-3 action extends
+    to Heis(ell) when det M = 1 mod ell, and otherwise the rule finds the
     kernel not central."""
     ident = ((1, 0), (0, 1))
     seen = set()
@@ -690,11 +693,14 @@ def test_order_3_actions_extend_exactly_when_det_is_1(ell):
             continue
         det = (a * d - b * c) % ell
         seen.add(det)
+        base = VectorSemidirectGroup(2, ell, m)
         if det == 1:
-            assert extend_action_to_heisenberg(ell, m).kernel_order == ell
+            assert heisenberg_obstruction(base) is None
+            assert extend_action_to_heisenberg(base).kernel_order == ell
         else:
+            assert heisenberg_obstruction(base) == "extension kernel is not central"
             with pytest.raises(ValidationError, match="extension kernel is not central"):
-                extend_action_to_heisenberg(ell, m)
+                extend_action_to_heisenberg(base)
     # det^3 = 1: only 1 mod 5, while 2 and 4 occur mod 7
     assert seen == ({1} if ell == 5 else {1, 2, 4})
 
