@@ -13,22 +13,22 @@ Permutations are stored in one-line word notation over symbols ``0..n-1``:
 notation, e.g. ``"(1,2,3)(4,5)"``.
 
 Groups at this scale (a few thousand elements, bounded by ``order_bound``)
-are enumerated completely by breadth-first closure over the generators; no
-stabiliser chain is built.  Only the conjugation actions of the Nielsen
-layer, whose acting groups can be much larger, keep one level of one: orbit
-transversals and point stabilizers.  Dihedral, SL2, Heisenberg and vector
-groups know their order in closed form, and A_n and S_n theirs up to the
-bound, so bound and cap precede building and listing.
+are listed completely by one breadth-first walk under the generators; no
+stabiliser chain is built.  Only the Nielsen layer's conjugation actions,
+whose acting groups can be much larger, keep one level of one: orbit
+transversals and point stabilizers, of known sizes.  Dihedral, SL2,
+Heisenberg and vector groups know their order in closed form, and A_n and
+S_n theirs up to the bound, so bound and cap precede building and listing.
 
 Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
 lookup in the Cayley table, with an inverse list and the class of every
 index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
 conjugation and conjugacy classes run on it unchanged; data products are
-spent only on the table, and the classes found on indices fill the data
-group's.  Only groups that never get a view (covers, groups over the table
-cap, ``bcl``'s) compute classes on data.  An element's order is read off its
-class once the classes are known, and found by powering before.
+spent only on the listing walk, which the table reuses, and the classes
+found on indices fill the data group's.  Only groups that never get a view
+(covers, groups over the table cap, ``bcl``'s) compute classes on data.  An
+element's order is read off its class once known, else found by powering.
 The Nielsen search, canonical forms and braid orbits work on index tuples
 and convert to data only at their public boundary.  Index order equals
 data order, so the least index tuple of a set is the index form of its
@@ -45,7 +45,7 @@ import json
 import operator
 import re
 from functools import cached_property
-from math import factorial, gcd, prod
+from math import factorial, gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError, shown
@@ -245,6 +245,7 @@ class FiniteGroup:
         self._order = order  # a closed form, known before the group is listed
         self._elements: tuple | None = None
         self._index: dict | None = None
+        self._left: tuple | None = None  # the listing walk's products, see ``_walk``
         self._classes = None
         self._class_of = None
         self._indexed: IndexedGroup | None = None
@@ -272,13 +273,32 @@ class FiniteGroup:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._list(self.close(self.gens))
+            self._walk()
         return self._elements
 
-    def _list(self, closure) -> None:
-        """Store the group's elements, sorted, and their index."""
-        self._elements = tuple(sorted(closure))
-        self._index = {g: i for i, g in enumerate(self._elements)}
+    def _walk(self) -> None:
+        """List and index the group by a breadth-first walk under left
+        multiplication by the generators, which stops past the order bound;
+        within the table cap it keeps its products, ``_left[k][i]`` the index
+        of ``gens[k] * elements[i]``."""
+        mul, gens, keep = self.mul, self.gens, min(isqrt(TABLE_ENTRY_CAP), self.order_bound)
+        queue, rows, seen = [self.identity], [], {self.identity}
+        for x in queue:  # breadth first: the queue grows while it is read
+            ys = [mul(g, x) for g in gens]
+            for y in ys:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+            if len(queue) <= keep:
+                rows.append(ys)
+            else:
+                rows = None
+                check_order_bound(self.name, len(queue), self.order_bound)
+        at = sorted(range(len(queue)), key=queue.__getitem__)
+        els = self._elements = tuple(map(queue.__getitem__, at))
+        index = self._index = {g: i for i, g in enumerate(els)}
+        if rows is not None:
+            self._left = tuple(zip(*(map(index.__getitem__, rows[p]) for p in at)))
 
     @property
     def order(self) -> int:
@@ -386,7 +406,8 @@ class FiniteGroup:
         try:
             return self._class_of[g]
         except KeyError:
-            raise ValidationError(f"element {self.format(g)} is not in {self.name}") from None
+            raise ValidationError(f"element {self.format(g)} is not in"
+                                  f" {shown(self.name)}") from None
 
     # -- formatting ----------------------------------------------------
     def format(self, g) -> str:
@@ -426,9 +447,9 @@ class IndexedGroup(FiniteGroup):
     """A group whose elements are the positions 0..n-1 of ``data.elements``.
 
     ``table[a][b]`` is the index of ``data.mul(elements[a], elements[b])``.
-    Its columns are composed along a spanning tree of the generators, so the
-    table takes n data products per generator and no other; inverses are
-    read off it, and the classes are computed on indices.
+    Its rows are composed along the listing walk's tree from its products, so
+    the table takes no data product of its own; inverses are read off it,
+    and the classes are computed on indices.
     """
 
     kind = "indexed"
@@ -446,19 +467,17 @@ class IndexedGroup(FiniteGroup):
         self._identity = e = index[data.identity]
         self._elements = tuple(range(n))
         self._index = {i: i for i in self._elements}
-        right = [tuple(index[data.mul(x, g)] for x in els) for g in data.gens]
-        # column y is right multiplication by y, and y = x * gens[k] composes
-        # column x with right[k] along a spanning tree; the rows are the transpose
-        cols = [None] * n
-        cols[e] = self._elements
+        # y = gens[k] * x has y * b = gens[k] * (x * b)
+        rows = [None] * n
+        rows[e] = self._elements
         queue = [e]
         for x in queue:
-            for col in right:
-                y = col[x]
-                if cols[y] is None:
-                    cols[y] = operator.itemgetter(*cols[x])(col)
+            for left in data._left:
+                y = left[x]
+                if rows[y] is None:
+                    rows[y] = operator.itemgetter(*rows[x])(left)
                     queue.append(y)
-        self.table = tuple(zip(*cols))
+        self.table = tuple(rows)
         self.inverse = tuple(row.index(e) for row in self.table)
         classes = self.conjugacy_classes()
         class_of = self._class_of = [self._class_of[i] for i in self._elements]
@@ -509,8 +528,8 @@ class GroupHom:
     of the target.  One breadth-first search from the identity extends the
     images over the source and checks map(x * g) == map(x) * map(g) at every
     element x and generator g; by induction on word length that forces the
-    map to be multiplicative everywhere.  A source not yet listed is listed by
-    that search, under its order bound.  The map is stored once, as
+    map to be multiplicative everywhere.  The source is listed first, under
+    its order bound, by ``source.elements``.  The map is stored once, as
     ``element_images`` in ``source.elements`` order (between indexed views,
     the index map).  Source and target may be data groups or indexed views.
 
@@ -518,7 +537,7 @@ class GroupHom:
     >>> GroupHom(c2, v4, [v4.parse("(1,3)")])
     Traceback (most recent call last):
     ...
-    hurwitz.errors.ValidationError: image of generator 1 is not an element of gens:[(1,2)(3,4)]
+    hurwitz.errors.ValidationError: image of generator 1 is not an element of 'gens:[(1,2)(3,4)]'
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
@@ -530,11 +549,11 @@ class GroupHom:
         for i, img in enumerate(images, 1):
             if img not in target:
                 raise ValidationError(
-                    f"image of generator {i} is not an element of {target.name}"
+                    f"image of generator {i} is not an element of {shown(target.name)}"
                 )
+        els = source.elements
         pairs = tuple(zip(source.gens, images))
         smul, tmul = source.mul, target.mul
-        unlisted = source._elements is None
         mapped = {source.identity: target.identity}
         queue = [source.identity]
         for x in queue:  # breadth first: the queue grows while it is read
@@ -550,13 +569,9 @@ class GroupHom:
                     raise ValidationError(
                         "generator images do not define a homomorphism"
                     )
-            if unlisted and len(queue) > source.order_bound:
-                check_order_bound(source.name, len(queue), source.order_bound)
-        if unlisted:
-            source._list(queue)
         self.source = source
         self.target = target
-        self.element_images = tuple(map(mapped.__getitem__, source.elements))
+        self.element_images = tuple(map(mapped.__getitem__, els))
 
     def __call__(self, x):
         return self.element_images[self.source._index[x]]
@@ -909,7 +924,7 @@ def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
         if item in by_label:
             idx = by_label[item]
         elif re.fullmatch(r"\d+[a-z]+", item):
-            raise ValidationError(f"no class {shown(item)} in {group.name};"
+            raise ValidationError(f"no class {shown(item)} in {shown(group.name)};"
                                   f" its class labels are {', '.join(by_label)}")
         else:
             idx = group.class_index_of(group.parse(item))
@@ -1098,13 +1113,13 @@ def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
     """
     if group.kind != "permutation":
         raise ValidationError("normalizer_in_sym needs a permutation group")
-    n, name = group.degree, f"N_Sym({group.name})"
+    n, name = group.degree, f"N_Sym({shown(group.name)})"
     if group.sym_normalizer_gens is not None:
         gens = group.sym_normalizer_gens
         for s in gens:
             if any(group.conj(g, s) not in group for g in group.gens):
                 raise ValidationError(f"catalog generator {format_perm(s)} does not"
-                                      f" normalize {group.name}")
+                                      f" normalize {shown(group.name)}")
     elif 2 * group.order >= factorial(n):
         gens = _symmetric_gens(n)
     elif n <= SYM_SEARCH_DEGREE_LIMIT:
@@ -1112,19 +1127,19 @@ def normalizer_in_sym(group: PermutationGroup) -> PermutationGroup:
         gens = _span(found, n, name, len(found))[0]
     else:
         raise BudgetError(
-            f"no catalog normalizer for {group.name} and degree {n} exceeds "
+            f"no catalog normalizer for {shown(group.name)} and degree {n} exceeds "
             f"brute-force limit {SYM_SEARCH_DEGREE_LIMIT}"
         )
     return PermutationGroup(gens, n, name)
 
 
-def _span(perms, n: int, name: str, size: int | None = None) -> tuple[list, set]:
-    """Generators picked from ``perms`` (of n points) and the group they
-    generate: each one outside the group so far is added and the group
-    closed again, until it holds ``size`` elements.  More than
-    ``TABLE_ENTRY_CAP // n`` elements raise ``BudgetError``."""
+def _span(perms, n: int, name: str, size: int) -> tuple[list, set]:
+    """Generators picked from ``perms`` (of n points) and the group of order
+    ``size`` they generate: each one outside the group so far is added and
+    the group closed again, until it holds ``size`` elements.  A size above
+    ``TABLE_ENTRY_CAP // n`` raises ``BudgetError`` before any closure."""
     cap = TABLE_ENTRY_CAP // n
-    if (size or 0) > cap:
+    if size > cap:
         raise BudgetError(f"{name} need {size} permutations, above the cap of {cap}")
     sym = PermutationGroup((), n, name)
     gens, span = [], {identity_perm(n)}
@@ -1133,9 +1148,7 @@ def _span(perms, n: int, name: str, size: int | None = None) -> tuple[list, set]
             break
         if p not in span:
             gens.append(p)
-            span = sym.close(gens, stop_above=cap if size is None else size - 1)
-            if len(span) > cap:
-                raise BudgetError(f"{name} need more than the cap of {cap} permutations")
+            span = sym.close(gens, stop_above=size - 1)
     return gens, span
 
 

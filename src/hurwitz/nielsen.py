@@ -26,9 +26,9 @@ first entry to the least element of its orbit and then minimising over the
 stabilizer of that element.  Each (group, equivalence) pair keeps, built
 from the acting generators alone, a Schreier vector of each orbit, from
 which an element's transporter (a permutation moving it to its orbit's least
-element) is composed on first read, and, closed on first use, the
-stabilizer of each orbit's least element (see ``ConjAction``); the acting
-group itself is never listed.
+element) is composed on first read, the acting group's order, and the
+stabilizer of each orbit's least element, closed on first use up to the size
+that order gives (see ``ConjAction``); the acting group is never listed.
 
 A canonical form's second entry is least under the stabilizer of its first,
 so the search extends a first entry only by such entries (McKay's orderly
@@ -147,13 +147,14 @@ class ConjAction:
     followed by transporter[x].  ``stabilizer[m]``, closed on first use from
     Schreier generators, holds the non-identity permutations of A fixing m;
     those after ``transporter[y]`` are all that move y to m, so the canonical
-    form does not depend on the transporter.  ``order`` is |A| once known (1
-    when trivial, |G : Z(G)| when inner, else from the first stabilizer
-    closed); later closures stop at |A| / |orbit|.
+    form does not depend on the transporter.  ``order`` is |A|, known when
+    built: 1 when trivial, |G : Z(G)| when inner, and when absolute |Inn(G)|
+    times the inner classes in the A-orbit of G's generators, which A moves
+    freely; so each closure stops at |A| / |orbit|.
     """
 
     def __init__(self, group: IndexedGroup, kind: str, gens: tuple, orbits: dict,
-                 orbit_min: tuple, schreier: tuple, order: int | None = None):
+                 orbit_min: tuple, schreier: tuple, order: int):
         self.group, self.kind, self.gens, self.orbits = group, kind, gens, orbits
         self.orbit_min, self.schreier, self.order = orbit_min, schreier, order
         self.transporter = _ClosedOnUse(self._transport)
@@ -179,9 +180,8 @@ class ConjAction:
         schreier = (perm_mul(perm_mul(back, g), tr[g[y]])
                     for y, back in zip(orbit, map(perm_inv, map(tr.__getitem__, orbit)))
                     for g in self.gens)
-        size = self.order // len(orbit) if self.order else None
-        span = _span(schreier, n, f"{self.kind} stabilizers of {self.group.name}", size)[1]
-        self.order = self.order or len(span) * len(orbit)
+        name = f"{self.kind} stabilizers of {shown(self.group.name)}"
+        span = _span(schreier, n, name, self.order // len(orbit))[1]
         return tuple(sorted(span - {tr[m]}))
 
     def canonical_tuple(self, t: tuple) -> tuple:
@@ -289,9 +289,17 @@ def _build_action(group: FiniteGroup, kind: str, cv: ClassVector | None) -> Conj
                     if orbit_min[y] is None:
                         orbit_min[y], schreier[y] = m, (x, g_inv)
                         orbits[m].append(y)
-    # the kernel of the trivial or inner action is the union of its one-point
-    # orbits (all of G, or Z(G))
-    order = n // sum(len(o) == 1 for o in orbits.values()) if kind != "absolute" else None
+    if kind == "absolute":  # breadth first on inner forms, largest inner orbit first
+        inner = _get_action(group, Mode.INNER, None)
+        first = sorted(ix.gens, key=lambda g: -len(inner.orbits[inner.orbit_min[g]]))
+        forms, new = set(), {inner.canonical_tuple(tuple(first))}
+        while new:
+            forms |= new
+            new = {inner.canonical_tuple(tuple(map(g.__getitem__, u))) for u in new for g in gens}
+            new -= forms
+        order = inner.order * len(forms)
+    else:  # the kernel is the union of the one-point orbits (all of G, or Z(G))
+        order = n // sum(len(o) == 1 for o in orbits.values())
     return ConjAction(ix, kind, tuple(gens), orbits, tuple(orbit_min), tuple(schreier), order)
 
 
@@ -504,9 +512,8 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     support = sorted(set(cv.indices))
     members = {i: sorted(classes[i].members) for i in support}
     if not _generates(quotient, {down[g] for i in support for g in members[i]}):
-        raise ValidationError(
-            f"classes {shown(str(cv))} do not generate {group.name}; the Nielsen class is undefined"
-        )
+        raise ValidationError(f"classes {shown(str(cv))} do not generate {shown(group.name)};"
+                              " the Nielsen class is undefined")
     action = _get_action(group, mode, cv)
     starts = sorted({action.orbit_min[g] for i in support for g in members[i]})
     if mode.reduced and r == 4:
@@ -516,7 +523,7 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     width = sum(len(m) for m in members.values())
     if len(starts) * width ** (r - 2) > SEARCH_NODE_CAP:
         raise BudgetError(
-            f"Nielsen search for {shown(str(cv))} in {group.name} ({len(starts)} starts,"
+            f"Nielsen search for {shown(str(cv))} in {shown(group.name)} ({len(starts)} starts,"
             f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
         )
     if mode is Mode.RAW:

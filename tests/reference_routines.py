@@ -11,7 +11,9 @@ data.  ``lift_class_vector`` gives the classes of same-order lifts, and
 ``heisenberg_extensions`` builds one Heisenberg extension per valid cocycle
 correction, which ``lift_partition_is_choice_independent`` compares on a
 tower level.  ``apply_qi_inv`` is the inverse twist, checked against
-``apply_qi``.  All take and return the library's own objects.
+``apply_qi``.  ``list_action_group`` lists the group a conjugation action's
+generators generate, which the action itself never lists.  All take and
+return the library's own objects.
 """
 
 from __future__ import annotations
@@ -37,6 +39,27 @@ from hurwitz.lift import (
 )
 from hurwitz.nielsen import Mode, _qi_inv, enumerate_nielsen
 from hurwitz.tower import TowerLevel, TowerSpec
+
+
+# ---------------------------------------------------------------------------
+# the acting group of a conjugation action, listed
+
+
+def list_action_group(action) -> set:
+    """Every permutation in the group generated by ``action.gens``, by closing
+    them under composition from the identity."""
+    identity = tuple(range(len(action.orbit_min)))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in action.gens:
+                q = tuple(g[i] for i in p)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
 
 
 # ---------------------------------------------------------------------------

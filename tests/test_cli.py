@@ -777,7 +777,7 @@ def _enumerate(group, classes):
     (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[1,,2|0],3a]"), "bad semidirect element"),
     (_enumerate("V(2,5):M=[[0,-1],[1,-1]]", "[[-|0],3a]"), "bad semidirect element"),
     (["genus", "--group", "A4", "--classes", "[3c,3a,3b,3b]"],
-     "no class '3c' in A4; its class labels are 1a, 2a, 3a, 3b"),
+     "no class '3c' in 'A4'; its class labels are 1a, 2a, 3a, 3b"),
     (["tower", "--family", "vector", "--ell", "5", "--action", "[[2,0],[0,3]]",
       "--classes", "[3a,3a,3b,3b]"], "no class '3a' in"),
     # integers too long for int(), each once a ValueError traceback
@@ -1004,7 +1004,7 @@ def test_lift_hom_cover(tmp_path, capsys):
 
 @pytest.mark.parametrize("source,group,classes,images,message", [
     ("gens:[(1,2)]", "gens:[(1,2)(3,4)]", "[2a,2a,2a,2a]", ["(1,3)"],
-     "image of generator 1 is not an element of gens:[(1,2)(3,4)]"),
+     "image of generator 1 is not an element of 'gens:[(1,2)(3,4)]'"),
     ("gens:[(1,2,3),(1,2,3)]", "gens:[(1,2,3),(1,2,3)]", "[3a,3a,3b]",
      ["(1,2,3)", "(1,3,2)"], "generator images do not define a homomorphism"),
 ])

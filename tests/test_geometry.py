@@ -81,10 +81,9 @@ def dihedral_component(ell):
 
 
 # D_N abs-reduced against X_0(N) for every prime N up to 251 and some prime
-# powers; D625 takes about 2.5 s and is marked long
+# powers; D625 takes about 1 s
 @pytest.mark.parametrize("ell", [
-    *(p for p in range(5, 252) if is_prime(p)), 25, 27, 49, 125, 343,
-    pytest.param(625, marks=pytest.mark.long),
+    *(p for p in range(5, 252) if is_prime(p)), 25, 27, 49, 125, 343, 625,
 ])
 def test_dihedral_matches_gamma0(ell):
     index, genus, nu2, nu3, widths = x0_oracle(ell)

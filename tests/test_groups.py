@@ -1,6 +1,8 @@
 """Group catalog, conjugacy data, and class-vector parsing."""
 
 import itertools
+import json
+import pathlib
 import random
 import time
 from math import factorial, gcd, lcm
@@ -118,7 +120,7 @@ def test_element_order(a4):
     assert a4.element_order(three) == 3
     assert a4.element_order(a4.identity) == 1
     a4.conjugacy_classes()  # orders are read off the classes from now on
-    with pytest.raises(ValidationError, match=r"element \(1,2\) is not in A4"):
+    with pytest.raises(ValidationError, match=r"element \(1,2\) is not in 'A4'"):
         a4.element_order(a4.parse("(1,2)"))
 
 
@@ -302,9 +304,9 @@ def test_catalog_generator_outside_the_normalizer_is_an_error():
     d5 = make_group("D5")
     d5.sym_normalizer_gens = d5.sym_normalizer_gens + [parse_perm("(1,2)", 5)]
     cv = parse_class_vector(d5, "[2a,2a,2a,2a]")
-    with pytest.raises(ValidationError, match="does not normalize D5"):
+    with pytest.raises(ValidationError, match="does not normalize 'D5'"):
         normalizer_in_sym(d5)
-    with pytest.raises(ValidationError, match="does not normalize D5"):
+    with pytest.raises(ValidationError, match="does not normalize 'D5'"):
         enumerate_nielsen(d5, cv, Mode.ABSOLUTE_REDUCED)
 
 
@@ -379,15 +381,30 @@ def test_power_matches_repeated_multiplication(desc):
 
 
 def _table_group(desc):
+    """A fresh group for a descriptor, a Heisenberg cover or a vector tower level."""
     if desc == "Heis(5):3":
         return extend_action_to_heisenberg(make_group("V(2,5):M=[[0,-1],[1,-1]]")).cover
+    if desc.startswith("vector l=2 level "):
+        return TowerSpec("vector", 2).level_group(int(desc[-1]))
     return make_group(desc)
 
 
-@pytest.mark.parametrize(
-    "desc", ["A4", "D7", "SL2(3)", "Heis(3)", "V(2,5):M=[[0,-1],[1,-1]]", "Heis(5):3"]
-)
+def _golden_groups() -> list:
+    """Every ``--group`` value of the golden runs."""
+    keys = json.loads(pathlib.Path(__file__).with_name("golden_reports.json").read_text())
+    argvs = [key.split() for key in keys]
+    return sorted({argv[argv.index("--group") + 1] for argv in argvs if "--group" in argv[:-1]})
+
+
+TABLE_GROUPS = [*_golden_groups(), "D7", "D125", "SL2(3)", "Heis(3)", "Heis(5):3",
+                *(f"vector l=2 level {k}" for k in range(3))]
+
+
+@pytest.mark.parametrize("desc", TABLE_GROUPS)
 def test_indexed_view_matches_data_arithmetic(desc):
+    """The table composed from the listing walk's products against one built
+    from data products, and the view's classes against those of a copy of
+    the group that never gets a view."""
     g = _table_group(desc)
     ix = g.indexed()
     els = g.elements
@@ -395,18 +412,30 @@ def test_indexed_view_matches_data_arithmetic(desc):
     assert ix.elements == tuple(range(g.order))
     assert ix.identity == index[g.identity]
     assert ix.gens == tuple(index[x] for x in g.gens)
+    assert ix.table == tuple(tuple(index[g.mul(a, b)] for b in els) for a in els)
+    assert ix.inverse == tuple(index[g.inv(a)] for a in els)
     for i, a in enumerate(els):
-        assert ix.table[i] == tuple(index[g.mul(a, b)] for b in els)
-        assert ix.inverse[i] == index[g.inv(a)]
         assert ix.class_index_of(i) == g.class_index_of(a)
     assert [(c.label, c.size, els[c.rep]) for c in ix.conjugacy_classes()] == [
         (c.label, c.size, c.rep) for c in g.conjugacy_classes()
-    ]
+    ] == [(c.label, c.size, c.rep) for c in _table_group(desc).conjugacy_classes()]
     assert g.indexed() is ix
     last = g.order - 1
     assert ix.format(last) == g.format(els[last])
     if desc != "Heis(5):3":  # the semidirect kind has no parser
         assert index[g.parse(g.format(els[last]))] == last
+
+
+@pytest.mark.parametrize("desc", ["A5", "D125", "SL2(5)", "vector l=2 level 2"])
+def test_listing_and_view_take_one_data_product_per_element_and_generator(desc):
+    """The view composes its table from the products the listing walk kept,
+    so listing plus view cost n * |gens| data products, no more."""
+    g = _table_group(desc)
+    products = []
+    mul = g.mul
+    g.mul = lambda a, b: products.append(1) or mul(a, b)
+    g.indexed()
+    assert len(products) == g.order * len(g.gens)
 
 
 VIEW_GROUPS = ["A4", "S4", "A5", "D7", "D37", "SL2(3)", "SL2(5)", "Heis(3)",

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from hurwitz import nielsen
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.groups import (
     ClassVector,
@@ -26,7 +27,12 @@ from hurwitz.nielsen import (
     is_nielsen_tuple,
     random_nielsen_tuple,
 )
-from reference_routines import _has_adjacent_repeat, tuple_cover_genus, tuple_is_hm
+from reference_routines import (
+    _has_adjacent_repeat,
+    list_action_group,
+    tuple_cover_genus,
+    tuple_is_hm,
+)
 
 
 def test_mode_parsing():
@@ -181,6 +187,15 @@ def per_element_perms(group, acting):
     }
 
 
+def assert_order_is_the_listed_group(action):
+    """``order``, known when the action is built, is the size of the acting
+    group listed by closing its permutations, and |A| = |orbit| * |stabilizer|
+    on every orbit."""
+    assert action.order == len(list_action_group(action))
+    for m, orbit in action.orbits.items():
+        assert action.order == len(orbit) * (len(action.stabilizer[m]) + 1)
+
+
 def preserves_class_multiset(group, cv, s):
     """Whether conjugation by s maps C's class multiset to itself, on data."""
     mult = Counter(cv.indices)
@@ -208,7 +223,9 @@ def test_dihedral_absolute_action_matches_the_affine_group(n):
     sq_class = g.class_index_of(perm_mul(rot, rot))
     for indices in [(refl_class,) * 4, (rot_class, rot_class, sq_class)]:
         cv = ClassVector(g, indices)
-        assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+        action = _build_action(g, "absolute", cv)
+        assert action_perms(action) == preserving(g, perms, cv)
+        assert_order_is_the_listed_group(action)
 
 
 @pytest.mark.parametrize("desc", [
@@ -227,19 +244,24 @@ def test_absolute_action_matches_brute_force_normalizer(desc):
     ]
     perms = per_element_perms(g, normalizer)
     cv = ClassVector(g, (len(g.conjugacy_classes()) - 1,) * 3)
-    assert action_perms(_build_action(g, "absolute", cv)) == preserving(g, perms, cv)
+    action = _build_action(g, "absolute", cv)
+    assert action_perms(action) == preserving(g, perms, cv)
+    assert_order_is_the_listed_group(action)
 
 
 def test_absolute_action_fixes_the_class_multiset(a4, a4_cv):
     # swapping the two 3-cycle classes preserves the multiset {3a,3a,3b,3b},
     # so all of S4 acts; the single-class vector pins the classes down
-    assert len(action_perms(_build_action(a4, "absolute", a4_cv))) == 24
     single = parse_class_vector(a4, "[3a,3a,3a,3a]")
-    assert len(action_perms(_build_action(a4, "absolute", single))) == 12
+    for cv, order in [(a4_cv, 24), (single, 12)]:
+        action = _build_action(a4, "absolute", cv)
+        assert len(action_perms(action)) == action.order == order
+        assert_order_is_the_listed_group(action)
 
 
 def test_absolute_action_converts_only_normalizer_generators(monkeypatch):
     g = make_group("gens:[(1,2,3),(4,5,6),(7,8,9)]")
+    _get_action(g, Mode.INNER, None)  # the absolute action reads |Inn(G)| off it
     calls = []
     init = GroupHom.__init__
     monkeypatch.setattr(GroupHom, "__init__", lambda self, source, target, images:
@@ -248,6 +270,7 @@ def test_absolute_action_converts_only_normalizer_generators(monkeypatch):
     # the normalizer has order 1296, but only its generators are converted
     assert len(calls) == len(normalizer_in_sym(g).gens) < 10
     assert len(action_perms(action)) > 1
+    assert_order_is_the_listed_group(action)
 
 
 @pytest.mark.parametrize("desc", ["A4", "A5", "S4", "D7", "D8", "SL2(3)", "Heis(3)",
@@ -280,6 +303,7 @@ def test_canonical_tuple_is_least_over_every_permutation(desc, kind, classes):
     action = _build_action(g, kind, classes and parse_class_vector(g, classes))
     perms = action_perms(action)
     assert len(perms) == action.order
+    assert_order_is_the_listed_group(action)
     rng = random.Random(desc)
     for n in range(60):
         t = tuple(rng.randrange(g.order) for _ in range(1 + n % 5))
@@ -333,6 +357,23 @@ def test_dihedral_enumeration_leaves_the_identity_stabilizer_unbuilt(p):
     if p == 127:
         with pytest.raises(BudgetError):
             action.stabilizer[identity]
+
+
+def test_stabilizer_closure_stops_at_its_known_size(monkeypatch):
+    """|A| is known when the action is built, so closing the stabilizer of
+    the search start of D37 (a reflection, orbit 37, |A| = 37 * 36) stops
+    once it holds 36 elements, after a few of its 74 Schreier generators."""
+    g = make_group("D37")
+    cv = parse_class_vector(g, "[2a,2a,2a,2a]")
+    action = _get_action(g, Mode.ABSOLUTE_REDUCED, cv)
+    reflections = g.indexed().conjugacy_classes()[cv.indices[0]].members
+    start = min(action.orbit_min[x] for x in reflections)
+    drawn = []
+    span = nielsen._span
+    monkeypatch.setattr(nielsen, "_span", lambda perms, *rest: span(
+        (drawn.append(p) or p for p in perms), *rest))
+    assert len(action.stabilizer[start]) + 1 == action.order // len(action.orbits[start]) == 36
+    assert len(drawn) <= 4
 
 
 # ---------------------------------------------------------------------------
