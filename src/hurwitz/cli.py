@@ -23,10 +23,15 @@ codes: 0 success, 2 invalid input (an unwritable output file included),
 
 A command followed by its exact flags is read by a scan of the flag table;
 other argv goes to argparse, which reads it or writes help, usage or errors.
+
+``run`` pauses the cyclic garbage collector and restores its state on every
+way out: reference counting frees a run's tables of ints, and the collector's
+passes over them, a twentieth of a tower job's time, find nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
@@ -552,9 +557,11 @@ _CONFIG_TYPES = {dest: kind for flags in _FLAGS.values()
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_args(argv)
-    _help, _flags, keys, runner = _COMMANDS[args["command"]]
+    collecting = gc.isenabled()
+    gc.disable()  # for this run only; see the module docstring
     try:
+        args = _parse_args(argv)
+        _help, _flags, keys, runner = _COMMANDS[args["command"]]
         cfg = _resolve(args)
         data, rows, lines = runner(cfg)
         emit_report(cfg, keys, data, rows, lines)
@@ -566,6 +573,9 @@ def run(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -456,7 +456,7 @@ class IndexedGroup(FiniteGroup):
 
     def __init__(self, data: FiniteGroup):
         if data.order ** 2 > TABLE_ENTRY_CAP:  # before anything is listed
-            raise BudgetError(f"multiplication table of {data.name} needs {data.order ** 2}"
+            raise BudgetError(f"multiplication table of {shown(data.name)} needs {data.order ** 2}"
                               f" entries, above the cap {TABLE_ENTRY_CAP}")
         els = data.elements
         n = len(els)
@@ -924,8 +924,10 @@ def parse_class_vector(group: FiniteGroup, text: str) -> ClassVector:
         if item in by_label:
             idx = by_label[item]
         elif re.fullmatch(r"\d+[a-z]+", item):
+            labels = list(by_label)  # the first six, and the count when there are more
+            more = f", ... ({len(labels)} in all)" if len(labels) > 6 else ""
             raise ValidationError(f"no class {shown(item)} in {shown(group.name)};"
-                                  f" its class labels are {', '.join(by_label)}")
+                                  f" its class labels are {', '.join(labels[:6])}{more}")
         else:
             idx = group.class_index_of(group.parse(item))
         indices.extend([idx] * mult)

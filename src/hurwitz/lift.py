@@ -136,9 +136,11 @@ def is_frattini_cover(hom: GroupHom) -> bool:
 
     Exhaustive over kernel translates of the least lifts of the target's
     generators: any proper subgroup surjecting onto the target contains some
-    translate tuple, so this is sound and complete.  The closures run on the
-    source as given.  Raises ``BudgetError`` before the first closure when the
-    number of translate tuples exceeds ``FRATTINI_TUPLE_BUDGET``.
+    translate tuple, so this is sound and complete.  K is normal, so its
+    conjugates of a translate tuple are translate tuples generating subgroups
+    of the same order: one per K-conjugacy orbit is closed, on the source as
+    given.  Raises ``BudgetError`` before the first closure when the number of
+    translate tuples, every one counted, exceeds ``FRATTINI_TUPLE_BUDGET``.
     """
     src, tgt = hom.source, hom.target
     if not hom.is_surjective:
@@ -154,8 +156,12 @@ def is_frattini_cover(hom: GroupHom) -> bool:
     # it must be everything.  A trivial kernel leaves no proper value
     # (threshold = |source|), and every translate generates.
     threshold = tgt.order * (len(kernel) // _smallest_prime_factor(len(kernel)))
+    met = set()  # the K-conjugates of every tuple closed so far
     for ks in product(kernel, repeat=len(lifts)):
-        seeds = [src.mul(h, k) for h, k in zip(lifts, ks)]
+        seeds = tuple(src.mul(h, k) for h, k in zip(lifts, ks))
+        if seeds in met:
+            continue
+        met.update(tuple(src.conj(s, c) for s in seeds) for c in kernel)
         if len(src.close(seeds, stop_above=threshold)) <= threshold < src.order:
             return False
     return True

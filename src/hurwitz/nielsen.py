@@ -37,9 +37,9 @@ The Klein images of a 4-tuple start with conjugates of its four entries, so
 only those paired with an entry of least orbit minimum mu can give it, and
 a reduced search at r = 4 starts from mu alone.  One kernel,
 ``ConjAction.least_forms``, builds just those images, q1*q3^-1 read off the
-Cayley table at most once, and yields their canonical forms: the search's
-Klein step, the reduced form and a lookup read it, the lookup its first
-form alone, since the Klein map keys every member starting with mu.
+Cayley table at most once, and returns their canonical forms: the search's
+Klein step and the reduced form read it.  A lookup, since the Klein map keys
+every member starting with mu, reads ``first_least_image``, the first alone.
 
 The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order.  A
@@ -214,28 +214,36 @@ class ConjAction:
         a = self._klein_image(t)
         return t, a, t[2:] + t[:2], a[2:] + a[:2]
 
-    def least_forms(self, t: tuple, own: tuple | None = None):
+    def least_forms(self, t: tuple, own: tuple | None = None) -> list:
         """Canonical forms of the Klein images of a 4-tuple whose first entry
         has the least orbit minimum mu, in ``klein_images`` order: only they can
-        give its reduced form.  Each is built when reached, q1*q3^-1 at most
+        give its reduced form.  Only those images are built, q1*q3^-1 at most
         once; ``own`` is t's canonical form when known (t then starts with mu)."""
         om, key = self.orbit_min, self.canonical_tuple
         m0, m1, m2, m3 = om[t[0]], om[t[1]], om[t[2]], om[t[3]]
         mu = min(m0, m1, m2, m3)
-        if m0 == mu:
-            yield own or key(t)
+        forms = [own or key(t)] if m0 == mu else []
         if m1 == mu or m3 == mu:
             a = self._klein_image(t)
             if m1 == mu:
-                yield key(a)
+                forms.append(key(a))
         if m2 == mu:
-            yield key(t[2:] + t[:2])
+            forms.append(key(t[2:] + t[:2]))
         if m3 == mu:
-            yield key(a[2:] + a[:2])
+            forms.append(key(a[2:] + a[:2]))
+        return forms
 
     def first_least_image(self, t: tuple) -> tuple:
         """The first of ``least_forms(t)`` for a 4-tuple, its image alone built."""
-        return next(self.least_forms(t))
+        om = self.orbit_min
+        m0, m1, m2, m3 = om[t[0]], om[t[1]], om[t[2]], om[t[3]]
+        mu = min(m0, m1, m2, m3)
+        if m0 == mu:
+            return self.canonical_tuple(t)
+        if m2 == mu and m1 != mu:
+            return self.canonical_tuple(t[2:] + t[:2])
+        a = self._klein_image(t)
+        return self.canonical_tuple(a if m1 == mu else a[2:] + a[:2])
 
     def reduced_canonical_tuple(self, t: tuple) -> tuple:
         """The least of ``least_forms(t)``; just t's canonical form when r != 4."""
@@ -332,14 +340,9 @@ def _generates(group: FiniteGroup, elems) -> bool:
 
 
 def _generates_by_pairs(ix: IndexedGroup, t: tuple, pairs: dict) -> bool:
-    """Whether t generates: <t_i, t_j> <= <t>, so a generating pair (verdicts
-    cached in ``pairs``) settles it without a closure of all of t."""
-    for pair in combinations(sorted(t), 2):
-        if pair not in pairs:
-            pairs[pair] = _generates(ix, pair)
-        if pairs[pair]:
-            return True
-    return _generates(ix, t)
+    """Whether t generates: <t_i, t_j> <= <t>, so a generating pair (``pairs``
+    gives the verdict of each sorted pair) settles it without a closure of t."""
+    return any(pairs[pair] for pair in combinations(sorted(t), 2)) or _generates(ix, t)
 
 
 def _product(ix: IndexedGroup, t) -> int:
@@ -484,8 +487,10 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     no other element of that stabilizer fixes it, the tuple is its own
     canonical form.  Generation is settled once per canonical form, or per
     Klein orbit of them in a reduced mode with r = 4, whose least member is
-    the reduced form and which ``klein`` maps to it; any generating pair of
-    entries settles it.  Before the search, ``len(starts) * w**(r-2)``, with
+    the reduced form and which ``klein`` maps to it: by its first two
+    entries, the search start and the second, when they generate, and else
+    once per sorted image of all its entries, which any generating pair of
+    entries settles.  Before the search, ``len(starts) * w**(r-2)``, with
     w the number of elements in the classes of C, bounds the tuples it will
     reach (one start when reduced with r = 4); above ``SEARCH_NODE_CAP`` it
     raises ``BudgetError``.
@@ -538,8 +543,9 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     # conjugation and the reduction group preserve generation: a reduced
     # mode (r = 4) keys it by Klein orbit
     key, least_forms, klein = action.canonical_tuple, action.least_forms, mode.reduced and r == 4
-    pairs: dict = {}
-    verdicts: dict = {}  # sorted image in the quotient -> whether it generates
+    # whether a sorted pair, or a sorted image, in the quotient generates
+    pairs = _ClosedOnUse(lambda pair: _generates(quotient, pair))
+    verdicts = _ClosedOnUse(lambda image: _generates_by_pairs(quotient, image, pairs))
     least: dict = {}  # canonical form -> least canonical form of its Klein orbit
     good = set()  # the generating least forms
     for g1 in starts:
@@ -552,15 +558,13 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             c = t if t[1] in free else key(t)
             m = least.get(c)
             if m is None:
-                orbit = list(least_forms(c, c)) if klein else [c]  # c, canonical, starts with mu
+                orbit = least_forms(c, c) if klein else [c]  # c, canonical, starts with g1
                 m = min(orbit)
                 for f in orbit:
                     least[f] = m
-                image = tuple(sorted(operator.itemgetter(*c)(down)))
-                verdict = verdicts.get(image)
-                if verdict is None:
-                    verdict = verdicts[image] = _generates_by_pairs(quotient, image, pairs)
-                if verdict:
+                a, b = down[g1], down[c[1]]
+                if pairs[(a, b) if a <= b else (b, a)] or verdicts[
+                        tuple(sorted(operator.itemgetter(*c)(down)))]:
                     good.add(m)
     return NielsenClassSet(group, cv, mode, tuple(sorted(good)), action, least if klein else {})
 

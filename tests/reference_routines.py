@@ -12,7 +12,9 @@ data.  ``lift_class_vector`` gives the classes of same-order lifts, and
 correction, which ``lift_partition_is_choice_independent`` compares on a
 tower level.  ``apply_qi_inv`` is the inverse twist, checked against
 ``apply_qi``.  ``list_action_group`` lists the group a conjugation action's
-generators generate, which the action itself never lists.  All take and
+generators generate, which the action itself never lists.
+``frattini_by_every_translate`` closes every kernel-translate tuple in full,
+where ``is_frattini_cover`` closes one per K-conjugacy orbit.  All take and
 return the library's own objects.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from itertools import product
 from typing import NamedTuple
 
 from hurwitz.braid import braid_orbits
@@ -27,6 +30,7 @@ from hurwitz.errors import ValidationError
 from hurwitz.groups import (
     ClassVector,
     FiniteGroup,
+    GroupHom,
     cycle_type,
     riemann_hurwitz,
 )
@@ -60,6 +64,19 @@ def list_action_group(action) -> set:
                     nxt.append(q)
         frontier = nxt
     return group
+
+
+# ---------------------------------------------------------------------------
+# the Frattini test, one closure per kernel-translate tuple
+
+
+def frattini_by_every_translate(hom: GroupHom) -> bool:
+    """Whether every kernel translate of the least lifts of the target's
+    generators generates the source, each tuple closed in full."""
+    src, kernel = hom.source, hom.kernel()
+    lifts = [hom.preimage(g) for g in hom.target.gens]
+    return all(len(src.close([src.mul(h, k) for h, k in zip(lifts, ks)])) == src.order
+               for ks in product(kernel, repeat=len(lifts)))
 
 
 # ---------------------------------------------------------------------------

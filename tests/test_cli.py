@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import argparse
@@ -62,6 +63,34 @@ def test_genus_without_reduced_mode_exits_2(capsys):
     assert "reduced" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,code", [
+    (["enumerate", *A4_ARGS], 0),
+    (["genus", *A4_ARGS, "--mode", "inner"], 2),
+    (["enumerate", "--group", "D1009", "--classes", "[2a,2a,2a,2a]"], 3),
+    (["enumerate", *A4_ARGS, "--bogus"], SystemExit),  # argparse's usage error
+])
+def test_run_leaves_the_collector_as_it_found_it(argv, code, enabled, capsys, monkeypatch):
+    """The cyclic collector is off during a run and, on every way out, back in
+    the state the run found it in."""
+    during = []
+    enumerate_nielsen = cli.enumerate_nielsen
+    monkeypatch.setattr(cli, "enumerate_nielsen", lambda *a, **kw:
+                        during.append(gc.isenabled()) or enumerate_nielsen(*a, **kw))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                run(argv)
+        else:
+            assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([False] if code == 0 else [])
+
+
 def test_orbit_cap_exits_3():
     assert run(["orbits", *A4_ARGS, "--orbit-cap", "2"]) == 3
 
@@ -94,6 +123,11 @@ def test_level_zero_order_bound_exits_3_with_one_short_line(digits, capsys):
 LONG = "7" * 4000  # fewer digits than int() converts, but a name of 4,000 characters
 
 
+def _cycle(n: int) -> str:
+    """A cyclic group of order n named by its whole n-cycle."""
+    return f"gens:[({','.join(map(str, range(1, n + 1)))})]"
+
+
 @pytest.mark.parametrize("argv,code,start", [
     (["enumerate", "--group", f"D{LONG}", "--classes", "[2a,2a,2a,2a]"], 3,
      "budget exceeded: group closure for 'D777"),
@@ -103,6 +137,11 @@ LONG = "7" * 4000  # fewer digits than int() converts, but a name of 4,000 chara
       "--mode", "inner-reduced"], 3, "budget exceeded: group closure for 'V(2,777"),
     (["lift", *A4_ARGS, "--cover", f"heis({LONG})"], 2,
      "error: cover base group does not match --group ('V(2,777"),
+    (["genus", "--group", _cycle(2001), "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+     3, "budget exceeded: multiplication table of 'gens:[(1,2,3"),
+    # 300 class labels, of which the first few are listed
+    (["enumerate", "--group", _cycle(300), "--classes", "[7z,7z]"], 2,
+     "error: no class '7z' in 'gens:[(1,2,3"),
 ])
 def test_long_group_names_are_echoed_cut_short(argv, code, start, capsys):
     assert run(argv) == code
@@ -228,7 +267,7 @@ def test_table_cap_fires_before_the_classes(command, capsys, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", no_classes)
     assert run([*command, "--group", "D1009", "--classes", "[2a,2a,2a,2a]"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("budget exceeded: multiplication table of D1009")
+    assert err.startswith("budget exceeded: multiplication table of 'D1009'")
     assert err.count("\n") == 1
 
 
@@ -262,7 +301,7 @@ def test_tower_level_zero_over_the_table_cap_exits_3_before_the_classes(capsys,
     assert run(["tower", "--family", "dihedral", "--ell", "1009", "--classes",
                 "[2a,2a,2a,2a]", "--k-max", "0"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("budget exceeded: multiplication table of D1009")
+    assert err.startswith("budget exceeded: multiplication table of 'D1009'")
     assert "above the cap" in err and err.count("\n") == 1
     assert set(classes_computed) <= {"IndexedGroup"}
 
@@ -286,7 +325,7 @@ def test_a_group_over_the_table_cap_is_never_listed(argv, capsys, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "close", close)
     assert run(argv) == 3
     name = "S9" if "S9" in argv else "D1009"
-    assert capsys.readouterr().err.startswith(f"budget exceeded: multiplication table of {name}")
+    assert capsys.readouterr().err.startswith(f"budget exceeded: multiplication table of '{name}'")
 
 
 class _Declined(Exception):

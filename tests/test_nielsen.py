@@ -27,6 +27,7 @@ from hurwitz.nielsen import (
     is_nielsen_tuple,
     random_nielsen_tuple,
 )
+from hurwitz.tower import TowerSpec, lift_classes_to_level
 from reference_routines import (
     _has_adjacent_repeat,
     list_action_group,
@@ -443,6 +444,28 @@ def test_enumeration_matches_the_reference(desc, classes, modes, rejects, weak_p
         # generating ones need the closure because their first pair does not
         assert rejected > 0 or not rejects, mode
         assert weak > 0 or not weak_pairs, mode
+
+
+@pytest.mark.parametrize("desc,k", [
+    ("vector", 0), ("vector", 1), ("vector", 2),
+    # a seeded conjugate of the companion action, as the benchmark sends
+    ("V(2,5):M=[[1,-3],[1,-2]]", 0), ("V(2,7):M=[[1,-3],[1,-2]]", 0),
+])
+def test_start_pair_verdicts_match_the_reference(desc, k):
+    """Generation read off the start pair first, through level 0 on the
+    vector l=2 tower levels, keeps the classes that closing every canonical
+    form in full keeps."""
+    if desc == "vector":
+        spec = TowerSpec("vector", 2)
+        cv0 = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
+        g, quotient = spec.level_group(k), spec.quotient(k)
+        cv = lift_classes_to_level(spec, cv0, k)
+    else:
+        g, quotient = make_group(desc), None
+        cv = parse_class_vector(g, "[3a,3a,3b,3b]")
+    for mode in LATTICE_MODES:
+        reps = reference_enumeration(g, cv, mode)[0]
+        assert reps and enumerate_nielsen(g, cv, mode, quotient).reps == reps, mode
 
 
 @pytest.mark.parametrize("desc,classes,mode", [

@@ -15,6 +15,7 @@ from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import (
     TABLE_ENTRY_CAP,
     ClassVector,
+    FiniteGroup,
     IndexedGroup,
     VectorSemidirectGroup,
     _mat_mul,
@@ -42,6 +43,7 @@ from hurwitz.tower import (
 )
 from reference_routines import (
     _has_adjacent_repeat,
+    frattini_by_every_translate,
     heisenberg_extensions,
     inner_absolute_fibers,
     lift_partition_is_choice_independent,
@@ -390,24 +392,67 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
     assert [tuple(s) for s in eventually_frattini_report(spec, k_max)] == steps
 
 
-def test_generation_is_settled_once_per_quotient_image(monkeypatch):
-    """A level's search settles generation once per sorted image of a new
-    Klein orbit's entries in level 0: vector l=2 levels 0, 1 and 2 meet
-    13, 24 and 31 such images over 15, 120 and 1,920 classes."""
-    tests = []
-    settle = hurwitz.nielsen._generates_by_pairs
-    monkeypatch.setattr(hurwitz.nielsen, "_generates_by_pairs",
-                        lambda quotient, image, pairs: tests.append(image)
-                        or settle(quotient, image, pairs))
+def test_generation_is_read_off_the_start_pair_first(monkeypatch):
+    """A level's search closes the level-0 images (down(c0), down(c1)) of a
+    new Klein orbit's first two entries, c0 the search start, once per pair.
+    Only where that pair does not generate level 0 does it settle the sorted
+    image of all four entries with ``_generates_by_pairs``, once per image, so
+    each image there holds a pair that does not generate.  Vector l=2 levels
+    0, 1 and 2 close 5, 9 and 9 distinct pairs in all and send 4, 7 and 7
+    images down that path over 15, 120 and 1,920 classes."""
+    closures, images = [], []
+    generates, by_pairs = hurwitz.nielsen._generates, hurwitz.nielsen._generates_by_pairs
+    monkeypatch.setattr(hurwitz.nielsen, "_generates", lambda quotient, elems:
+                        closures.append(elems) or generates(quotient, elems))
+    monkeypatch.setattr(hurwitz.nielsen, "_generates_by_pairs", lambda quotient, image, pairs:
+                        images.append(image) or by_pairs(quotient, image, pairs))
     spec = TowerSpec("vector", 2)
+    level0 = spec.level_group(0).indexed()
     cv0 = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
     counts = []
     for k in range(3):
-        tests.clear()
+        closures.clear()
+        images.clear()
         lvl = build_level(spec, cv0, k)
-        assert len(set(tests)) == len(tests) and all(list(t) == sorted(t) for t in tests)
-        counts.append((len(tests), lvl.ni.count))
-    assert counts == [(13, 15), (24, 120), (31, 1920)]
+        pairs = [t for t in closures if isinstance(t, tuple) and len(t) == 2]
+        assert len(set(pairs)) == len(pairs) and len(set(images)) == len(images)
+        assert all(list(t) == sorted(t) for t in pairs + images)
+        assert all(any(len(level0.close(pair)) < level0.order for pair in combinations(t, 2))
+                   for t in images)
+        counts.append((len(pairs), len(images), lvl.ni.count))
+    assert counts == [(5, 4, 15), (9, 7, 120), (9, 7, 1920)]
+
+
+@pytest.mark.parametrize("family,ell,k_max,per_step", [
+    ("vector", 2, 3, 16),  # of 64 translate tuples, 4 to a K-conjugacy orbit
+    ("dihedral", 5, 2, 5),  # of 25
+])
+def test_frattini_steps_agree_with_every_translate(monkeypatch, family, ell, k_max, per_step):
+    """Each tower step is a Frattini cover by the walk over every translate
+    tuple, and ``is_frattini_cover`` says so closing one tuple per
+    K-conjugacy orbit."""
+    spec = TowerSpec(family, ell)
+    closures = []
+    close = FiniteGroup.close
+    monkeypatch.setattr(FiniteGroup, "close", lambda self, *a, **kw:
+                        closures.append(self) or close(self, *a, **kw))
+    for k in range(1, k_max + 1):
+        hom = spec.level_map(k)
+        closures.clear()
+        assert is_frattini_cover(hom) is True
+        assert len(closures) == per_step, k
+        assert frattini_by_every_translate(hom) is True
+
+
+def test_non_frattini_covers_agree_with_every_translate():
+    """SL2(Z/9) -> SL2(Z/3) and Z/6 -> Z/3 (kernel of order 2) are not
+    Frattini covers, by either walk."""
+    sl9, c3 = make_group("SL2(9)"), make_group("gens:[(1,2,3)]")
+    c6 = make_group("gens:[(1,2,3,4,5,6)]")
+    for hom in (GroupHom(sl9, make_group("SL2(3)"), [tuple(x % 3 for x in g) for g in sl9.gens]),
+                GroupHom(c6, c3, c3.gens)):
+        assert is_frattini_cover(hom) is False
+        assert frattini_by_every_translate(hom) is False
 
 
 def _no_view(group):
@@ -613,7 +658,7 @@ def test_a_level_over_the_table_cap_is_never_listed():
     tree = component_tree(spec, cv0, 4, mode=Mode.ABSOLUTE_REDUCED)
     assert tree.truncated_at == 4 and len(tree.levels) == 4
     assert [s.k for s in eventually_frattini_report(spec, 3)] == [1, 2, 3]
-    with pytest.raises(BudgetError, match="multiplication table of D3125"):
+    with pytest.raises(BudgetError, match="multiplication table of 'D3125'"):
         eventually_frattini_report(spec, 4)
     assert spec.level_group(4)._elements is None
 
@@ -621,7 +666,7 @@ def test_a_level_over_the_table_cap_is_never_listed():
 def test_a_level_zero_over_the_table_cap_raises_the_cap():
     spec = TowerSpec("dihedral", 1009)
     cv0 = ClassVector(spec.level_group(0), (1, 1, 1, 1))
-    with pytest.raises(BudgetError, match="multiplication table of D1009 .* above the cap"):
+    with pytest.raises(BudgetError, match="multiplication table of 'D1009' .* above the cap"):
         component_tree(spec, cv0, 0, mode=Mode.ABSOLUTE_REDUCED)
 
 
