@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .errors import BudgetError, ValidationError
-from .groups import ClassVector, FiniteGroup, Frozen
+from .errors import BudgetError, ValidationError, shown
+from .groups import TABLE_ENTRY_CAP, ClassVector, FiniteGroup, Frozen
 from .nielsen import (
     Mode,
     NielsenClassSet,
@@ -196,10 +196,15 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
     sh q_i sh^-1 = q_{i+1}; q_i q_i^-1 = id; sh^r = id; invariance of
     product-one/classes/generation; R_H acting by conjugation (so trivially
     on inner classes); and for r = 4 the reduced relations γ0³ = 1 and
-    γ0 γ1 γ∞ = 1 on reduced canonical forms.
+    γ0 γ1 γ∞ = 1 on reduced canonical forms.  Each sample is conjugated by
+    every element, so above ``TABLE_ENTRY_CAP`` samples times |G| this raises
+    ``BudgetError`` before the first draw.
     """
     if sample_size <= 0:
         raise ValidationError(f"sample_size must be positive, got {sample_size}")
+    if sample_size * group.order > TABLE_ENTRY_CAP:
+        raise BudgetError(f"check conjugates {shown(sample_size)} samples by each of"
+                          f" {group.order} elements, above the cap {TABLE_ENTRY_CAP}")
     r = cv.r
     rng = random.Random(seed)
     sample = [random_nielsen_tuple(group, cv, rng) for _ in range(sample_size)]

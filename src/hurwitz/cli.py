@@ -14,8 +14,8 @@ be a list of integer rows); a value for a flag the running command lacks is
 ignored, so one config file can serve every command.
 
 Each command computes its results once and returns its report as a JSON
-body, CSV rows and text lines; ``emit_report`` alone writes it, in the chosen
-format, to ``--out`` or stdout.  Reports are deterministic for fixed inputs
+body, CSV rows and text lines (``shinc`` builds only the one it prints);
+``emit_report`` alone writes it, in the chosen format, to ``--out`` or stdout.  Reports are deterministic for fixed inputs
 and version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
 every report embeds the input description and the package version.  Exit
 codes: 0 success, 2 invalid input (an unwritable output file included),
@@ -321,7 +321,10 @@ def _cmd_orbits(cfg: dict):
 
 def _cmd_shinc(cfg: dict):
     table = sh_incidence(_orbit_payload(cfg, "sh_incidence")[2])
-    return table.to_dict(), table.to_rows(), table.render_text().splitlines()
+    fmt = cfg["format"]  # on 1,100 cusps the rows and text take 0.5 s
+    return (table.to_dict() if fmt == "json" else {},
+            table.to_rows() if fmt == "csv" else [],
+            table.render_text().splitlines() if fmt == "text" else [])
 
 
 def _cmd_genus(cfg: dict):

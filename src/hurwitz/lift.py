@@ -22,8 +22,8 @@ conjugation automorphisms are built with it too.  A Heisenberg cover is the
 semidirect product Heis(l) x| Z/3 by a formula, so dropping the central
 coordinate is a homomorphism by construction, its kernel and section
 v -> (v, 0) are read off the formula, and the cover is never enumerated;
-its automorphism multiplies with the base's own action columns.  Each
-action gets one extension, for the least valid cocycle correction.
+it is the base plus one central coordinate and multiplies with the base's
+own action columns.
 
 ``is_frattini_cover`` takes any surjective ``GroupHom`` and runs on its
 source as given: on data for SL2(27) -> SL2(9), between indexed views for the
@@ -41,7 +41,6 @@ from .errors import BudgetError, ValidationError, shown
 from .groups import (
     FiniteGroup,
     GroupHom,
-    HeisenbergGroup,
     VectorSemidirectGroup,
     _det_mod,
     _smallest_prime_factor,
@@ -215,72 +214,38 @@ def heisenberg_obstruction(base: FiniteGroup) -> str | None:
     return None
 
 
-def _heisenberg_corrections(base: VectorSemidirectGroup):
-    """The valid linear corrections (s, t) to the cocycle term, least first.
-
-    An automorphism of Heis(m) over the base's action M (det M = 1 by the
-    rule) fixes the center and adds a cocycle q(v) = B(v, v)/2 + s*x + t*y,
-    where B is the symmetric defect form.  Every (s, t) gives an
-    automorphism alpha, so (s, t) is valid iff alpha^3 fixes the generators
-    (1, 0, 0) and (0, 1, 0), a condition affine in (s, t).  v*M is read off
-    the base's own product.
-    """
-    m, complement = base.modulus, base.gens[2]
-    inv2 = pow(2, -1, m)
-
-    def act(v):
-        return base.mul((v, 0), complement)[0]
-
-    def half_defect(v):
-        w = act(v)
-        return (w[0] * w[1] - v[0] * v[1]) * inv2
-
-    # alpha^3 shifts the center over generator v by c + a*s + b*t, which must vanish
-    residuals = []
-    for v, _ in base.gens[:2]:
-        mv, mmv = act(v), act(act(v))
-        residuals.append((half_defect(v) + half_defect(mv) + half_defect(mmv),
-                          v[0] + mv[0] + mmv[0], v[1] + mv[1] + mmv[1]))
-    return ((s, t) for s in range(m) for t in range(m)
-            if all((c + a * s + b * t) % m == 0 for c, a, b in residuals))
-
-
 class HeisenbergCover(FiniteGroup):
-    """Heis(m) x| Z/3 over its base (Z/m)^2 x| Z/3, for the order-3
-    automorphism alpha(v, z) = (v*M, z + B(v, v)/2 + s*x + t*y) of Heis(m)
-    (row vectors v = (x, y), M the base's action, read off the base's
-    ``_columns[1]`` once per call).
-
-    Elements are ``((x, y, z), a)``, and (h1, a)(h2, b) = (alpha^b(h1) h2,
-    a + b) with the product taken in ``HeisenbergGroup(m)``; alpha^0,
-    alpha^1 and alpha^2 are kept as maps.  The lattice part of a product is
-    the base's product, so dropping z is a homomorphism onto the base, with
+    """Heis(m) x| Z/3 over its base (Z/m)^2 x| Z/3: each base element (v, a),
+    v = (x, y) a row vector, with one central coordinate z, in the symmetric
+    gauge of Heis(m) (z = z_upper - x*y/2), where a product adds w(v1, v2)/2,
+    w(u, v) = u_x*v_y - u_y*v_x, to the center.  The base's action M has
+    det M = 1 (``heisenberg_obstruction``), so M preserves w and
+    (v, z) -> (v*M, z) is an automorphism: ((v1, z1), a)((v2, z2), b) =
+    ((v1*M^b + v2, z1 + z2 + w(v1*M^b, v2)/2), a + b), v1*M^b read off the
+    base's ``_columns[b]``; ((v, z), a) has the base's inverse of (v, a) and
+    central part -z.  Dropping z is the base's product, a homomorphism with
     kernel {((0, 0, z), 0)} and section (v, a) -> ((v, 0), a).
     """
 
-    def __init__(self, base: VectorSemidirectGroup, s: int, t: int):
-        m = base.modulus
-        self.heis = HeisenbergGroup(m)
-        inv2 = pow(2, -1, m)
-        (a, b), (c, d) = base._columns[1]  # (x, y)*M = (a*x + b*y, c*x + d*y)
-
-        def alpha(h):
-            x, y, z = h
-            u, w = (a * x + b * y) % m, (c * x + d * y) % m
-            return (u, w, (z + (u * w - x * y) * inv2 + s * x + t * y) % m)
-
-        self._alpha = (lambda h: h, alpha, lambda h: alpha(alpha(h)))
+    def __init__(self, base: VectorSemidirectGroup):
+        m = self.modulus = base.modulus
+        self._columns, self._base_inv = base._columns, base.inv
+        self._half = pow(2, -1, m)
         self.kernel = tuple(((0, 0, z), 0) for z in range(m))
         # the two lattice generators, then the complement, as in the base
         super().__init__(map(self.section, base.gens), f"Heis({m}):3")
 
     def mul(self, g, h):
-        (h1, a), (h2, b) = g, h
-        return (self.heis.mul(self._alpha[b](h1), h2), (a + b) % 3)
+        ((x1, y1, z1), a), ((x2, y2, z2), b) = g, h
+        (p, q), (r, s) = self._columns[b]  # (x, y)*M^b = (p*x + q*y, r*x + s*y)
+        u, w, m = p * x1 + q * y1, r * x1 + s * y1, self.modulus
+        return (((u + x2) % m, (w + y2) % m, (z1 + z2 + (u * y2 - w * x2) * self._half) % m),
+                (a + b) % 3)
 
     def inv(self, g):
-        h, a = g
-        return (self._alpha[-a % 3](self.heis.inv(h)), -a % 3)
+        (x, y, z), a = g
+        (u, w), b = self._base_inv(((x, y), a))
+        return ((u, w, -z % self.modulus), b)
 
     @property
     def identity(self):
@@ -300,15 +265,15 @@ class HeisenbergCover(FiniteGroup):
 
 
 def extend_action_to_heisenberg(base: FiniteGroup) -> CentralExtension:
-    """The Heisenberg central extension over ``base``, for the least valid
-    cocycle correction; ``heisenberg_obstruction``'s reason is raised when
-    none exists.  Any modulus prime to 6 will do, so a tower level over
-    Z/ell^(k+1) gets its cover."""
+    """The Heisenberg central extension over ``base``, or
+    ``heisenberg_obstruction``'s reason raised; any modulus prime to 6 will
+    do, so a tower level over Z/ell^(k+1) gets its cover.  The name keeps
+    [0,0], which reports print: the cover is the upper-gauge model (v, z) ->
+    (v*M, z + ((vM)_x (vM)_y - x*y)/2 + s*x + t*y) at (s, t) = (0, 0), in
+    coordinates that fix the kernel, so invariants and labels are the same."""
     reason = heisenberg_obstruction(base)
     if reason:
         raise ValidationError(reason)
-    # (0, 0) is always valid here: as M^3 = I, the residual c telescopes to 0
-    s, t = next(_heisenberg_corrections(base))
-    cover = HeisenbergCover(base, s, t)
+    cover = HeisenbergCover(base)
     return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
-                            f"heis({base.modulus})[{s},{t}]")
+                            f"heis({base.modulus})[0,0]")

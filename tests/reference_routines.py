@@ -7,10 +7,11 @@ groups).  ``tuple_is_hm`` and ``_has_adjacent_repeat`` are the per-tuple
 shape tests that ``NielsenClassSet.shapes`` computes column by column,
 ``det_by_cofactors`` is the cofactor-expansion determinant the elimination
 in ``_det_mod`` replaced, and ``project_tuple`` reduces a level-k tuple on
-data.  ``lift_class_vector`` gives the classes of same-order lifts, and
-``heisenberg_extensions`` builds one Heisenberg extension per valid cocycle
-correction, which ``lift_partition_is_choice_independent`` compares on a
-tower level.  ``apply_qi_inv`` is the inverse twist, checked against
+data.  ``lift_class_vector`` gives the classes of same-order lifts.
+``heisenberg_corrections`` searches the cocycle corrections (s, t) of the
+upper-gauge Heisenberg cover ``AlphaHeisenbergCover``, and
+``heisenberg_extensions`` builds one extension per valid correction, which
+``lift_partition_is_choice_independent`` compares on a tower level.  ``apply_qi_inv`` is the inverse twist, checked against
 ``apply_qi``.  ``list_action_group`` lists the group a conjugation action's
 generators generate, which the action itself never lists.
 ``frattini_by_every_translate`` closes every kernel-translate tuple in full,
@@ -31,13 +32,13 @@ from hurwitz.groups import (
     ClassVector,
     FiniteGroup,
     GroupHom,
+    HeisenbergGroup,
+    VectorSemidirectGroup,
     cycle_type,
     riemann_hurwitz,
 )
 from hurwitz.lift import (
     CentralExtension,
-    HeisenbergCover,
-    _heisenberg_corrections,
     lift_invariant,
     same_order_lift,
 )
@@ -215,16 +216,99 @@ def lift_class_vector(ext: CentralExtension, cv: ClassVector) -> ClassVector:
     return ClassVector(cover, idx)
 
 
+def heisenberg_corrections(base: VectorSemidirectGroup):
+    """The valid linear corrections (s, t) to the cocycle term, least first.
+
+    An automorphism of Heis(m) over the base's action M (det M = 1 by the
+    rule) fixes the center and adds a cocycle q(v) = B(v, v)/2 + s*x + t*y,
+    where B is the symmetric defect form.  Every (s, t) gives an
+    automorphism alpha, so (s, t) is valid iff alpha^3 fixes the generators
+    (1, 0, 0) and (0, 1, 0), a condition affine in (s, t).  v*M is read off
+    the base's own product.
+    """
+    m, complement = base.modulus, base.gens[2]
+    inv2 = pow(2, -1, m)
+
+    def act(v):
+        return base.mul((v, 0), complement)[0]
+
+    def half_defect(v):
+        w = act(v)
+        return (w[0] * w[1] - v[0] * v[1]) * inv2
+
+    # alpha^3 shifts the center over generator v by c + a*s + b*t, which must vanish
+    residuals = []
+    for v, _ in base.gens[:2]:
+        mv, mmv = act(v), act(act(v))
+        residuals.append((half_defect(v) + half_defect(mv) + half_defect(mmv),
+                          v[0] + mv[0] + mmv[0], v[1] + mv[1] + mmv[1]))
+    return ((s, t) for s in range(m) for t in range(m)
+            if all((c + a * s + b * t) % m == 0 for c, a, b in residuals))
+
+
+class AlphaHeisenbergCover(FiniteGroup):
+    """Heis(m) x| Z/3 over its base (Z/m)^2 x| Z/3 in the upper gauge, for the
+    automorphism alpha(v, z) = (v*M, z + B(v, v)/2 + s*x + t*y) of Heis(m)
+    (row vectors v = (x, y), M the base's action).
+
+    Elements are ``((x, y, z), a)``, and (h1, a)(h2, b) = (alpha^b(h1) h2,
+    a + b) with the product taken in ``HeisenbergGroup(m)``.  Dropping z is
+    a homomorphism onto the base, with kernel {((0, 0, z), 0)} and section
+    (v, a) -> ((v, 0), a).
+    """
+
+    def __init__(self, base: VectorSemidirectGroup, s: int, t: int):
+        m = base.modulus
+        self.heis = HeisenbergGroup(m)
+        inv2 = pow(2, -1, m)
+        (a, b), (c, d) = base._columns[1]  # (x, y)*M = (a*x + b*y, c*x + d*y)
+
+        def alpha(h):
+            x, y, z = h
+            u, w = (a * x + b * y) % m, (c * x + d * y) % m
+            return (u, w, (z + (u * w - x * y) * inv2 + s * x + t * y) % m)
+
+        self._alpha = (lambda h: h, alpha, lambda h: alpha(alpha(h)))
+        self.kernel = tuple(((0, 0, z), 0) for z in range(m))
+        super().__init__(map(self.section, base.gens), f"Heis({m}):3")
+
+    def mul(self, g, h):
+        (h1, a), (h2, b) = g, h
+        return (self.heis.mul(self._alpha[b](h1), h2), (a + b) % 3)
+
+    def inv(self, g):
+        h, a = g
+        return (self._alpha[-a % 3](self.heis.inv(h)), -a % 3)
+
+    @property
+    def identity(self):
+        return ((0, 0, 0), 0)
+
+    @staticmethod
+    def project(g):
+        return (g[0][:2], g[1])
+
+    @staticmethod
+    def section(g):
+        return ((*g[0], 0), g[1])
+
+    def format(self, g):
+        (x, y, z), a = g
+        return f"[{x},{y},{z}|{a}]"
+
+
+def alpha_extension(base, s: int, t: int) -> CentralExtension:
+    """The upper-gauge Heisenberg extension over ``base`` for the correction (s, t)."""
+    cover = AlphaHeisenbergCover(base, s, t)
+    return CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
+                            f"heis({base.modulus})[{s},{t}]")
+
+
 def heisenberg_extensions(base) -> tuple[CentralExtension, ...]:
-    """One Heisenberg extension over the vector group ``base`` per valid
-    cocycle correction (s, t), least first, as ``extend_action_to_heisenberg``
-    builds the first."""
-    out = []
-    for s, t in _heisenberg_corrections(base):
-        cover = HeisenbergCover(base, s, t)
-        out.append(CentralExtension(cover, base, cover.project, cover.section, cover.kernel,
-                                    f"heis({base.modulus})[{s},{t}]"))
-    return tuple(out)
+    """One upper-gauge Heisenberg extension over the vector group ``base`` per
+    valid cocycle correction (s, t), least first; the first is the model that
+    ``extend_action_to_heisenberg`` builds in the symmetric gauge."""
+    return tuple(alpha_extension(base, s, t) for s, t in heisenberg_corrections(base))
 
 
 def lift_partition_is_choice_independent(level: TowerLevel) -> bool | None:

@@ -1,5 +1,6 @@
 import pytest
 
+import hurwitz.braid
 from hurwitz.braid import (
     apply_qi,
     apply_sh,
@@ -8,7 +9,7 @@ from hurwitz.braid import (
     verify_braid_relations,
 )
 from hurwitz.errors import BudgetError, ValidationError
-from hurwitz.groups import make_group, parse_class_vector
+from hurwitz.groups import TABLE_ENTRY_CAP, make_group, parse_class_vector
 from hurwitz.nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen
 from reference_routines import apply_qi_inv
 
@@ -87,6 +88,17 @@ def test_braid_relations(desc, classes):
     report = verify_braid_relations(g, cv, sample_size=20, seed=11)
     failing = [c.name for c in report.checks if not c.passed]
     assert report.passed, failing
+
+
+def test_braid_relations_bound_their_work_before_the_first_draw(a4, a4_cv, monkeypatch):
+    """Each sample is conjugated by every element: above the table cap on
+    samples times |G| the check raises before any tuple is drawn."""
+    def fail(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(hurwitz.braid, "random_nielsen_tuple", fail)
+    with pytest.raises(BudgetError, match="above the cap"):
+        verify_braid_relations(a4, a4_cv, sample_size=TABLE_ENTRY_CAP // a4.order + 1)
 
 
 @pytest.mark.parametrize("sample_size", [0, -1])

@@ -20,6 +20,7 @@ import hurwitz.nielsen
 import hurwitz.tower
 from hurwitz import cli
 from hurwitz.cli import run
+from hurwitz.geometry import ShIncidence
 from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
 
@@ -47,6 +48,31 @@ def test_genus_modular_curve_example(capsys):
                 "--mode", "abs-reduced"]) == 0
     out = out_of(capsys)
     assert "degree 6, genus 0" in out
+
+
+@pytest.mark.parametrize("fmt,unprinted", [
+    ("json", ("to_rows", "render_text")), ("csv", ("render_text",)), ("text", ("to_rows",)),
+])
+def test_shinc_builds_only_the_body_it_prints(fmt, unprinted, monkeypatch, capsys):
+    def fail(self):
+        raise AssertionError("shinc built a body it does not print")
+
+    for name in unprinted:
+        monkeypatch.setattr(ShIncidence, name, fail)
+    assert run(["shinc", *A4_ARGS, "--format", fmt]) == 0
+    assert "O_{1,1}" in out_of(capsys)
+
+
+def test_check_refuses_an_oversized_sample_before_any_draw(capsys):
+    """100,000 samples, each conjugated by the 60 elements of A5, are above
+    the table cap: about 70 s of work, refused at once."""
+    start = time.monotonic()
+    assert run(["check", "--group", "A5", "--classes", "[3a,3a,3a,3a]",
+                "--sample-size", "100000"]) == 3
+    assert time.monotonic() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: check conjugates 100000 samples by each of 60")
+    assert err.count("\n") == 1 and len(err) < 160
 
 
 def test_check_braid_relations_exit_zero(capsys):

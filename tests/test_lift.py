@@ -25,8 +25,14 @@ from hurwitz.lift import (
     spin_cover,
 )
 from hurwitz.nielsen import Mode, enumerate_nielsen
-from hurwitz.tower import COMPANION
-from reference_routines import heisenberg_extensions, lift_class_vector, tuple_cover_genus
+from hurwitz.tower import COMPANION, TowerSpec, build_level
+from reference_routines import (
+    alpha_extension,
+    heisenberg_corrections,
+    heisenberg_extensions,
+    lift_class_vector,
+    tuple_cover_genus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -264,36 +270,54 @@ def _alpha_from_formula(mat, m):
     return heis, GroupHom(heis, heis, [alpha(h, s, t) for h in gens]), (s, t)
 
 
+def _to_upper_gauge(g, m):
+    """phi((x, y, z), a) = ((x, y, z + x*y/2), a): symmetric to upper gauge."""
+    (x, y, z), a = g
+    return ((x, y, (z + x * y * pow(2, -1, m)) % m), a)
+
+
 @pytest.mark.parametrize("mat,m", [
     *((COMPANION, m) for m in (5, 7, 11, 25)),
     # the benchmark's seed-7 action and another conjugate of the companion
     # matrix, both of determinant 1
     *((mat, m) for mat in (((1, -3), (1, -2)), ((4, -7), (3, -5))) for m in (5, 7, 25)),
 ])
-def test_heisenberg_cocycle_is_the_semidirect_product(mat, m):
+def test_symmetric_gauge_cover_is_the_alpha_model_at_0_0(mat, m):
+    """phi is a bijective homomorphism from the cover onto the upper-gauge
+    semidirect product Heis(m) x| Z/3 for the least valid alpha, which is
+    the one at (s, t) = (0, 0)."""
     heis, alpha, (s, t) = _alpha_from_formula(mat, m)
+    assert (s, t) == (0, 0)
     assert alpha.is_surjective  # so alpha is an automorphism
     pows = [{h: h for h in heis.elements}]
     for _ in range(3):
         pows.append({h: alpha(pows[-1][h]) for h in heis.elements})
     assert pows[3] == pows[0]
 
-    ext = extend_action_to_heisenberg(VectorSemidirectGroup(2, m, mat))
-    assert ext.name == f"heis({m})[{s},{t}]"
+    base = VectorSemidirectGroup(2, m, mat)
+    assert next(heisenberg_corrections(base)) == (0, 0)
+    model = alpha_extension(base, 0, 0).cover
+    ext = extend_action_to_heisenberg(base)
+    assert ext.name == f"heis({m})[0,0]"
     cover = ext.cover
     elements = [(h, a) for h in heis.elements for a in range(3)]
+    phi = {g: _to_upper_gauge(g, m) for g in elements}
+    assert set(phi.values()) == set(elements)  # a bijection
     if m == 5:
         pairs = list(product(elements, repeat=2))
     else:
         rng = random.Random(m)
         pairs = [(x, g) for x in elements for g in cover.gens]
         pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
-    for (h1, a), (h2, b) in pairs:
+    for g, h in pairs:
+        (h1, a), (h2, b) = phi[g], phi[h]
         want = (heis.mul(pows[b][h1], h2), (a + b) % 3)
-        assert cover.mul((h1, a), (h2, b)) == want
+        assert phi[cover.mul(g, h)] == model.mul(phi[g], phi[h]) == want
+    assert all(phi[cover.inv(x)] == model.inv(phi[x]) for x in elements)
     assert all(cover.mul(x, cover.inv(x)) == cover.identity for x in elements)
 
     assert ext.kernel == tuple(((0, 0, z), 0) for z in range(m))
+    assert all(phi[k] == k for k in ext.kernel)
     assert ext.kernel_order == ext.kernel_exponent == m
     assert all(cover.mul(k, g) == cover.mul(g, k)
                for k in ext.kernel for g in cover.gens)
@@ -301,6 +325,24 @@ def test_heisenberg_cocycle_is_the_semidirect_product(mat, m):
     l1, l2 = (ext.section(g) for g in ext.base.gens[:2])
     comm = cover.mul(cover.mul(cover.inv(l1), cover.inv(l2)), cover.mul(l1, l2))
     assert comm in ext.kernel and comm != cover.identity
+
+
+@pytest.mark.parametrize("ell,k,action", [
+    *((ell, 0, action) for ell in (5, 7) for action in (COMPANION, ((1, -3), (1, -2)))),
+    # with the ell = 5 companion case, the groups of the golden heis(5) lift runs
+    (5, 0, ((4, -7), (3, -5))),
+    *(pytest.param(5, 1, action, marks=pytest.mark.long)  # 195,000 classes each
+      for action in (COMPANION, ((1, -3), (1, -2)))),
+])
+def test_lift_invariants_agree_with_the_alpha_model(ell, k, action):
+    """Every orbit's lift invariant is the same label through the cover and
+    through the upper-gauge model at (0, 0)."""
+    spec = TowerSpec("vector", ell, action=action)
+    lvl = build_level(spec, parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]"), k)
+    model = alpha_extension(lvl.group, 0, 0)
+    labels = [lift_invariant(lvl.extension, o.rep).label for o in lvl.orbits]
+    assert labels == [lift_invariant(model, o.rep).label for o in lvl.orbits]
+    assert labels.count("1") < len(labels)
 
 
 @pytest.mark.parametrize("m,message", [
