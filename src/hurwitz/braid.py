@@ -8,7 +8,8 @@ each representative once, from the Cayley table, looks up their canonical
 forms (in the Klein map when reduced with r = 4) and derives q1 =
 sh(q2(sh^-1)); orbits, cusps and the geometry module then follow those
 permutations of positions.  An orbit or a cusp stores only the positions
-of its members in ``NielsenClassSet.tuples``.
+of its members in ``NielsenClassSet.tuples``; an orbit builds its cusps and
+its gamma maps (see the geometry module) on first read and keeps them.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
@@ -20,6 +21,7 @@ the width.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError, shown
@@ -88,6 +90,16 @@ class BraidOrbit(_Members):
             got = cusp_orbits(self)
             object.__setattr__(self, "_cusps", got)
         return got
+
+    @cached_property
+    def gamma_maps(self) -> tuple[tuple, tuple, tuple]:
+        """gamma_0 = q1 q2, gamma_1 = q1 q2 q1 and gamma_inf = q2 on the
+        members, as index arrays into ``positions``."""
+        q1, q2, _ = self.ni.moves()
+        local = {p: i for i, p in enumerate(self.positions)}
+        return (tuple(local[q2[q1[p]]] for p in self.positions),
+                tuple(local[q1[q2[q1[p]]]] for p in self.positions),
+                tuple(local[q2[p]] for p in self.positions))
 
     def to_dict(self) -> dict:
         return {

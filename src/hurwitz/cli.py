@@ -13,13 +13,16 @@ refused; each non-null value must have that flag's type (``action`` may also
 be a list of integer rows); a value for a flag the running command lacks is
 ignored, so one config file can serve every command.
 
-Each command computes its results once and returns its report as a JSON
-body, CSV rows and text lines (``shinc`` builds only the one it prints);
-``emit_report`` alone writes it, in the chosen format, to ``--out`` or stdout.  Reports are deterministic for fixed inputs
-and version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
+Each command computes its results once and returns its JSON body with its
+CSV and text views, functions that read the body and what the command
+computed.  Every report layout is here.  ``emit_report`` alone reads the
+format: it calls only the view of the format printed and writes the report
+to ``--out`` or stdout.  Reports are deterministic for fixed inputs and
+version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
 every report embeds the input description and the package version.  Exit
 codes: 0 success, 2 invalid input (an unwritable output file included),
-3 budget exceeded.
+3 budget exceeded.  A file that cannot be read or written is named in the
+message cut short, as every echoed input is.
 
 A command followed by its exact flags is read by a scan of the flag table;
 other argv goes to argparse, which reads it or writes help, usage or errors.
@@ -125,7 +128,7 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_int=read_int)  # an over-long integer is refused
     except OSError as exc:
-        raise ValidationError(f"cannot read config file: {exc}") from exc
+        raise ValidationError(f"cannot read config file: {exc.strerror}: {shown(path)}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -189,13 +192,14 @@ def _group_and_classes(cfg: dict, view: bool = True):
 # the one report writer
 
 
-def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
+def emit_report(cfg: dict, keys, data: dict, rows, lines) -> None:
     """Write one report in ``cfg["format"]`` to ``--out`` or stdout.
 
-    ``data`` is the JSON body, ``rows`` the CSV body and ``lines`` the text
-    body; each form gets the package version and the inputs named by ``keys``
-    in front.  CSV spells booleans as JSON does and None as an empty cell.
-    Identical inputs give identical bytes.
+    ``data`` is the JSON body; ``rows`` and ``lines`` are the CSV and text
+    views, called only for the format printed, and return the CSV rows and
+    the text lines.  Each form gets the package version and the inputs named
+    by ``keys`` in front.  CSV spells booleans as JSON does and None as an
+    empty cell.  Identical inputs give identical bytes.
     """
     inputs = {k: cfg[k] for k in keys if cfg.get(k) is not None and cfg[k] is not False}
     if cfg["format"] == "json":
@@ -203,15 +207,13 @@ def emit_report(cfg: dict, keys, data: dict, rows: list, lines: list) -> None:
     elif cfg["format"] == "csv":
         import csv  # only CSV runs load the module
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerows([
-            ["version", __version__],
-            ["inputs", json.dumps(inputs, sort_keys=True)],
-            *([json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows),
-        ])
+        out = csv.writer(buf, lineterminator="\r\n")
+        out.writerows([["version", __version__], ["inputs", json.dumps(inputs, sort_keys=True)]])
+        out.writerows([json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows())
         text = buf.getvalue()
     else:
         header = " ".join(f"{k}={v}" for k, v in inputs.items())
-        text = "\n".join([f"# hurwitz {__version__}", f"# {header}", *lines]) + "\n"
+        text = "\n".join([f"# hurwitz {__version__}", f"# {header}", *lines()]) + "\n"
     if cfg.get("out"):
         _write_file(cfg["out"], text, "report")
     else:
@@ -266,11 +268,12 @@ def _write_file(path: str, text: str, what: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {what}: {exc}") from exc
+        raise ValidationError(f"cannot write {what}: {exc.strerror}: {shown(path)}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (JSON body, CSV rows, text lines)
+# subcommands: each returns its JSON body and its CSV and text views, which
+# read what the command computed and are called only for the format printed
 
 _BASE_KEYS = ("command", "group", "classes", "mode")
 
@@ -279,10 +282,15 @@ def _cmd_enumerate(cfg: dict):
     group, cv = _group_and_classes(cfg)
     ni = enumerate_nielsen(group, cv, cfg["mode"])
     data = ni.to_dict()
-    rows = [["index", *(f"g{i+1}" for i in range(cv.r))]]
-    rows += [[i, *t] for i, t in enumerate(data["reps"])]
-    lines = [f"Ni({group.name}, {cv}) {ni.mode.value}: {ni.count} classes"]
-    lines += ["  " + " ".join(t) for t in data["reps"]]
+
+    def rows():
+        yield ["index", *(f"g{i+1}" for i in range(cv.r))]
+        yield from ([i, *t] for i, t in enumerate(data["reps"]))
+
+    def lines():
+        yield f"Ni({group.name}, {cv}) {ni.mode.value}: {ni.count} classes"
+        yield from ("  " + " ".join(t) for t in data["reps"])
+
     return data, rows, lines
 
 
@@ -308,54 +316,78 @@ def _cmd_orbits(cfg: dict):
         _write_file(members_file, _json_text(blob) + "\n", "members file")
         for d in dicts:
             d["members_file"] = members_file
-    rows = [["orbit", "size", "cusp", "width", "rep"]]
-    lines = [f"{len(orbits)} braid orbit(s) on {ni.count} classes"]
-    for d in dicts:
-        lines.append(f"{d['orbit_label']}: size {d['size']}")
-        for c in d["cusps"]:
-            rep = " ".join(c["rep"])
-            rows.append([d["orbit_label"], d["size"], c["label"], c["width"], rep])
-            lines.append(f"  {c['label']} width {c['width']}  rep {rep}")
+
+    def rows():
+        yield ["orbit", "size", "cusp", "width", "rep"]
+        for d in dicts:
+            yield from ([d["orbit_label"], d["size"], c["label"], c["width"], " ".join(c["rep"])]
+                        for c in d["cusps"])
+
+    def lines():
+        yield f"{len(orbits)} braid orbit(s) on {ni.count} classes"
+        for d in dicts:
+            yield f"{d['orbit_label']}: size {d['size']}"
+            yield from (f"  {c['label']} width {c['width']}  rep {' '.join(c['rep'])}"
+                        for c in d["cusps"])
+
     return {"orbits": dicts}, rows, lines
 
 
 def _cmd_shinc(cfg: dict):
-    table = sh_incidence(_orbit_payload(cfg, "sh_incidence")[2])
-    fmt = cfg["format"]  # on 1,100 cusps the rows and text take 0.5 s
-    return (table.to_dict() if fmt == "json" else {},
-            table.to_rows() if fmt == "csv" else [],
-            table.render_text().splitlines() if fmt == "text" else [])
+    data = sh_incidence(_orbit_payload(cfg, "sh_incidence")[2]).to_dict()
+    blocks = data["blocks"]
+
+    def rows():
+        """One square matrix over every cusp: sh maps each braid orbit into
+        itself, so the entries off the blocks are 0."""
+        labels = [lab for b in blocks for lab in b["cusps"]]
+        yield ["cusp", *labels]
+        before = 0
+        for b in blocks:
+            after = len(labels) - before - len(b["cusps"])
+            for lab, row in zip(b["cusps"], b["matrix"]):
+                yield [lab, *[0] * before, *row, *[0] * after]
+            before += len(b["cusps"])
+
+    def lines():
+        for n, b in enumerate(blocks):
+            rep, labels, mat = b["genus_report"], b["cusps"], b["matrix"]
+            if n:
+                yield ""
+            yield (f"orbit {b['orbit']}: degree {rep['degree']}, genus {rep['genus']}, "
+                   f"ind = {tuple(rep['indices'].values())}")
+            width = max(map(len, labels))
+            cells = [max(len(lab), *(len(str(v)) for v in col))
+                     for lab, col in zip(labels, zip(*mat))]
+            yield " " * width + "  " + "  ".join(map(str.rjust, labels, cells))
+            for lab, row in zip(labels, mat):
+                yield lab.ljust(width) + "  " + "  ".join(map(str.rjust, map(str, row), cells))
+
+    return data, rows, lines
 
 
 def _cmd_genus(cfg: dict):
     group, _ni, orbits = _orbit_payload(cfg, "genus_of_component")
-    payload = [
-        {**genus_of_component(o).to_dict(), "moduli": moduli_flags(group, o).to_dict()}
-        for o in orbits
-    ]
-    rows = [[
-        "orbit", "degree", "genus", "ind_gamma0", "ind_gamma1",
-        "ind_gammainf", "fixed_gamma0", "fixed_gamma1", "cusp_widths",
-    ]]
-    lines = []
-    for e in payload:
-        ind, fixed, flags = e["indices"], e["fixed_points"], e["moduli"]
-        rows.append([
-            e["orbit"], e["degree"], e["genus"],
-            ind["gamma0"], ind["gamma1"], ind["gammainf"],
-            fixed["gamma0"], fixed["gamma1"],
-            " ".join(str(w) for w in e["cusp_widths"]),
-        ])
-        lines.append(
-            f"{e['orbit']}: degree {e['degree']}, genus {e['genus']}, "
-            f"ind(gamma0,1,inf) = ({ind['gamma0']},{ind['gamma1']},"
-            f"{ind['gammainf']}), cusp widths {e['cusp_widths']}"
-        )
-        lines.append(
-            f"  moduli: inner_fine={flags['inner_fine']} "
-            f"b_fine_reduced={flags['b_fine_reduced']} "
-            f"fine_reduced={flags['fine_reduced']}"
-        )
+    payload = [{**genus_of_component(o).to_dict(), "moduli": moduli_flags(group, o).to_dict()}
+               for o in orbits]
+
+    def rows():
+        yield ["orbit", "degree", "genus", "ind_gamma0", "ind_gamma1",
+               "ind_gammainf", "fixed_gamma0", "fixed_gamma1", "cusp_widths"]
+        for e in payload:
+            yield [e["orbit"], e["degree"], e["genus"], *e["indices"].values(),
+                   *e["fixed_points"].values(), " ".join(map(str, e["cusp_widths"]))]
+
+    def lines():
+        for e in payload:
+            ind, flags = e["indices"], e["moduli"]
+            yield (f"{e['orbit']}: degree {e['degree']}, genus {e['genus']}, "
+                   f"ind(gamma0,1,inf) = ({ind['gamma0']},{ind['gamma1']},"
+                   f"{ind['gammainf']}), cusp widths {e['cusp_widths']}")
+            yield (f"  moduli: inner_fine={flags['inner_fine']} "
+                   f"b_fine_reduced={flags['b_fine_reduced']} "
+                   f"fine_reduced={flags['fine_reduced']}")
+
     return {"orbits": payload}, rows, lines
 
 
@@ -379,7 +411,9 @@ def _make_cover(form: re.Match, order_bound: int | None, group) -> CentralExtens
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=read_int)
-    except (OSError, ValueError, RecursionError) as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read cover file: {exc.strerror}: {shown(path)}") from exc
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read cover file: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("cover file must hold a JSON object")
@@ -412,31 +446,21 @@ def _cmd_lift(cfg: dict):
     group, cv = _group_and_classes(cfg)
     ext = _make_cover(form, cfg.get("order_bound"), group)
     orbits = braid_orbits(enumerate_nielsen(group, cv, cfg["mode"]), orbit_cap=cfg["orbit_cap"])
-    entries = []
-    for o in orbits:
-        inv = lift_invariant(ext, o.rep)
-        entries.append({
-            "orbit": o.label,
-            "size": o.size,
-            "invariant": inv.label,
-            "trivial": inv.trivial,
-            "obstructed": not inv.trivial,
-        })
-    data = {
-        "cover": ext.name,
-        "kernel_order": ext.kernel_order,
-        "kernel_exponent": ext.kernel_exponent,
-        "orbit_invariants": entries,
-    }
-    rows = [["orbit", "size", "invariant", "trivial", "obstructed"]]
-    rows += [[e[k] for k in rows[0]] for e in entries]
-    lines = [f"cover {ext.name}: kernel order {ext.kernel_order}, "
-             f"exponent {ext.kernel_exponent}"]
-    lines += [
-        f"{e['orbit']} (size {e['size']}): invariant {e['invariant']} -> "
-        f"{'obstructed' if e['obstructed'] else 'unobstructed'}"
-        for e in entries
-    ]
+    entries = [{"orbit": o.label, "size": o.size, "invariant": inv.label,
+                "trivial": inv.trivial, "obstructed": not inv.trivial}
+               for o in orbits for inv in [lift_invariant(ext, o.rep)]]
+    data = {"cover": ext.name, "kernel_order": ext.kernel_order,
+            "kernel_exponent": ext.kernel_exponent, "orbit_invariants": entries}
+
+    def rows():
+        yield (head := ["orbit", "size", "invariant", "trivial", "obstructed"])
+        yield from ([e[k] for k in head] for e in entries)
+
+    def lines():
+        yield f"cover {ext.name}: kernel order {ext.kernel_order}, exponent {ext.kernel_exponent}"
+        yield from (f"{e['orbit']} (size {e['size']}): invariant {e['invariant']} -> "
+                    f"{'obstructed' if e['obstructed'] else 'unobstructed'}" for e in entries)
+
     return data, rows, lines
 
 
@@ -461,66 +485,68 @@ def _cmd_tower(cfg: dict):
     tree = component_tree(spec, cv, cfg["k_max"], mode=Mode.parse(cfg["mode"]))
     data = tree.to_dict()
     if cfg.get("frattini"):
-        data["frattini_steps"] = [
-            s.to_dict() for s in eventually_frattini_report(spec, tree.levels[-1].k)
-        ]
-    rows = [["level", "orbit", "size", "genus", "lift_invariant", "parent"]]
-    lines = []
-    parents = {tuple(edge[0]): edge[1] for edge in data["edges"]}
-    for lvl in data["levels"]:
-        lines.append(
-            f"level {lvl['k']}: group order {lvl['group_order']}, "
-            f"{lvl['ni_count']} classes, {len(lvl['orbits'])} orbit(s)"
-        )
-        for o in lvl["orbits"]:
-            par = parents.get((lvl["k"], o["label"]))
-            rows.append([lvl["k"], o["label"], o["size"], o["genus"], o["lift_invariant"],
-                         None if par is None else f"{par[0]}:{par[1]}"])
-            genus = "-" if o["genus"] is None else o["genus"]
-            lines.append(
-                f"  {o['label']}: size {o['size']}, genus {genus}, "
-                f"invariant {o['lift_invariant'] or '-'}"
-            )
-            for c in o["cusps"]:
-                f = c["flags"]
-                lines.append(
-                    f"    {c['label']} width {c['width']} {c['type']}"
-                    f" hm={f['hm']} double_identity={f['double_identity']}"
-                )
-    for child, par in data["edges"]:
-        lines.append(f"edge: level {child[0]} {child[1]} -> level {par[0]} {par[1]}")
-    if data["truncated_at"] is not None:
-        lines.append(f"truncated at level {data['truncated_at']}")
-    for s in data.get("frattini_steps", ()):
-        lines.append(
-            f"frattini step {s['k']}: {s['frattini']} "
-            f"(kernel {s['kernel_order']}, "
-            f"ell-group={s['kernel_is_ell_group']})"
-        )
+        data["frattini_steps"] = [s.to_dict() for s in
+                                  eventually_frattini_report(spec, tree.levels[-1].k)]
+
+    def rows():
+        yield ["level", "orbit", "size", "genus", "lift_invariant", "parent"]
+        parents = {tuple(edge[0]): edge[1] for edge in data["edges"]}
+        for lvl in data["levels"]:
+            for o in lvl["orbits"]:
+                par = parents.get((lvl["k"], o["label"]))
+                yield [lvl["k"], o["label"], o["size"], o["genus"], o["lift_invariant"],
+                       None if par is None else f"{par[0]}:{par[1]}"]
+
+    def lines():
+        for lvl in data["levels"]:
+            yield (f"level {lvl['k']}: group order {lvl['group_order']}, "
+                   f"{lvl['ni_count']} classes, {len(lvl['orbits'])} orbit(s)")
+            for o in lvl["orbits"]:
+                genus = "-" if o["genus"] is None else o["genus"]
+                yield (f"  {o['label']}: size {o['size']}, genus {genus}, "
+                       f"invariant {o['lift_invariant'] or '-'}")
+                for c in o["cusps"]:
+                    f = c["flags"]
+                    yield (f"    {c['label']} width {c['width']} {c['type']}"
+                           f" hm={f['hm']} double_identity={f['double_identity']}")
+        for child, par in data["edges"]:
+            yield f"edge: level {child[0]} {child[1]} -> level {par[0]} {par[1]}"
+        if data["truncated_at"] is not None:
+            yield f"truncated at level {data['truncated_at']}"
+        for s in data.get("frattini_steps", ()):
+            yield (f"frattini step {s['k']}: {s['frattini']} (kernel {s['kernel_order']}, "
+                   f"ell-group={s['kernel_is_ell_group']})")
+
     return data, rows, lines
 
 
 def _cmd_bcl(cfg: dict):
     data = bcl(*_group_and_classes(cfg, view=False)).to_dict()
-    rows = [["N_C", "Q", "rational_union"],
-            [data["N_C"], " ".join(str(m) for m in data["Q"]), data["rational_union"]]]
-    lines = [f"N_C = {data['N_C']}; Q = {data['Q']}; "
-             f"rational union: {data['rational_union']}"]
+
+    def rows():
+        yield ["N_C", "Q", "rational_union"]
+        yield [data["N_C"], " ".join(map(str, data["Q"])), data["rational_union"]]
+
+    def lines():
+        yield f"N_C = {data['N_C']}; Q = {data['Q']}; rational union: {data['rational_union']}"
+
     return data, rows, lines
 
 
 def _cmd_check(cfg: dict):
     group, cv = _group_and_classes(cfg)
-    data = verify_braid_relations(
-        group, cv, sample_size=cfg["sample_size"], seed=cfg["seed"]
-    ).to_dict()
-    rows = [["check", "passed", "details"]]
-    lines = []
-    for c in data["checks"]:
-        rows.append([c["name"], c["passed"], c["details"]])
-        status = "ok" if c["passed"] else f"FAIL {c['details']}"
-        lines.append(f"{c['name']}: {status}")
-    lines.append("all passed" if data["passed"] else "violations found")
+    data = verify_braid_relations(group, cv, sample_size=cfg["sample_size"],
+                                  seed=cfg["seed"]).to_dict()
+
+    def rows():
+        yield ["check", "passed", "details"]
+        yield from ([c["name"], c["passed"], c["details"]] for c in data["checks"])
+
+    def lines():
+        for c in data["checks"]:
+            yield f"{c['name']}: {'ok' if c['passed'] else 'FAIL ' + c['details']}"
+        yield "all passed" if data["passed"] else "violations found"
+
     return data, rows, lines
 
 

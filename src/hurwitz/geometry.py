@@ -8,14 +8,17 @@ Riemann-Hurwitz gives the genus:
 
     2(|O| + g - 1) = ind(gamma_0) + ind(gamma_1) + ind(gamma_inf),
 
-where ind = |O| minus the number of disjoint cycles.  Reports carry the full
-cycle types so the arithmetic can be redone by hand.  The cusps are the
-cycles of gamma_inf, so the cusp widths are its cycle type.
+where ind = |O| minus the number of disjoint cycles.  The orbit builds the
+three maps once (``BraidOrbit.gamma_maps``); the genus report and the moduli
+flags both read them.  Reports carry the full cycle types so the arithmetic
+can be redone by hand.  The cusps are the cycles of gamma_inf, so the cusp
+widths are its cycle type.
 
 The sh-incidence matrix pairs cusp orbits: entry (i, j) counts members of
-cusp orbit i landing in cusp orbit j under sh.  It is block-diagonal with one
-block per braid orbit, and symmetric since sh is an involution on reduced
-classes.
+cusp orbit i landing in cusp orbit j under sh.  sh maps each braid orbit
+into itself, so the matrix is block-diagonal with one block per braid orbit,
+and only the blocks are built; each is symmetric since sh is an involution
+on reduced classes.  The command line renders every report.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
-from .braid import BraidOrbit, CuspOrbit
+from .braid import BraidOrbit
 from .nielsen import Mode, _get_action
 
 
@@ -34,16 +37,6 @@ def _require_reduced_four(mode: Mode, r: int, what: str) -> None:
         raise ValidationError(f"{what} needs a reduced-mode orbit")
     if r != 4:
         raise ValidationError(f"{what} needs r = 4, got r = {r}")
-
-
-def _gamma_maps(orbit: BraidOrbit):
-    """The three induced maps on the orbit's members, as index arrays."""
-    q1, q2, _ = orbit.ni.moves()
-    pos = orbit.positions
-    local = {p: i for i, p in enumerate(pos)}
-    gamma0 = tuple(local[q2[q1[p]]] for p in pos)
-    gamma1 = tuple(local[q1[q2[q1[p]]]] for p in pos)
-    return gamma0, gamma1, tuple(local[q2[p]] for p in pos)
 
 
 class GenusReport(NamedTuple):
@@ -72,7 +65,7 @@ def genus_of_component(orbit: BraidOrbit) -> GenusReport:
     """Genus of the braid orbit's component as a cover of the j-line."""
     _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "genus_of_component")
     n = orbit.size
-    perms = _gamma_maps(orbit)
+    perms = orbit.gamma_maps
     types = tuple(cycle_type(p) for p in perms)
     indices, genus = riemann_hurwitz(types, n)
     if genus < 0:
@@ -105,79 +98,40 @@ class ShIncidenceBlock(NamedTuple):
 
 
 class ShIncidence(NamedTuple):
-    cusp_labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
     blocks: tuple[ShIncidenceBlock, ...]
 
     def to_dict(self) -> dict:
         return {"blocks": [b.to_dict() for b in self.blocks]}
 
-    def render_text(self) -> str:
-        lines = []
-        for block in self.blocks:
-            rep = block.genus_report
-            lines.append(
-                f"orbit {block.orbit_label}: degree {rep.degree}, genus {rep.genus}, "
-                f"ind = {rep.indices}"
-            )
-            labels = block.cusp_labels
-            width = max(len(s) for s in labels)
-            cells = [max(len(str(v)) for v in col) for col in zip(*block.matrix)]
-            cells = [max(w, len(labels[j])) for j, w in enumerate(cells)]
-            head = " " * width + "  " + "  ".join(
-                labels[j].rjust(cells[j]) for j in range(len(labels))
-            )
-            lines.append(head)
-            for i, lab in enumerate(labels):
-                row = "  ".join(
-                    str(block.matrix[i][j]).rjust(cells[j]) for j in range(len(labels))
-                )
-                lines.append(lab.ljust(width) + "  " + row)
-            lines.append("")
-        return "\n".join(lines).rstrip() + "\n"
 
-    def to_rows(self) -> list[list]:
-        rows = [["cusp", *self.cusp_labels]]
-        for i, lab in enumerate(self.cusp_labels):
-            rows.append([lab, *self.matrix[i]])
-        return rows
+def _block(orbit: BraidOrbit, cusp_of: list) -> ShIncidenceBlock:
+    """The orbit's sh-incidence block, after its genus report, so that the
+    report's gamma maps are built while no matrix is held.  ``cusp_of`` has
+    a slot for every position of the Nielsen set."""
+    report = genus_of_component(orbit)
+    sh, cusps = orbit.ni.moves()[2], orbit.cusps()
+    for i, c in enumerate(cusps):
+        for p in c.positions:
+            cusp_of[p] = i
+    # entry (i, j) counts the members p of cusp j with sh(p) in cusp i
+    mat = [[0] * len(cusps) for _ in cusps]
+    for j, c in enumerate(cusps):
+        for p in c.positions:
+            mat[cusp_of[sh[p]]][j] += 1
+    for i, row in enumerate(mat):  # frees each row's list once its tuple is made
+        mat[i] = tuple(row)
+    return ShIncidenceBlock(orbit.label, tuple(c.label for c in cusps), tuple(mat), report)
 
 
 def sh_incidence(orbits: list[BraidOrbit] | tuple[BraidOrbit, ...]) -> ShIncidence:
-    """Full sh-incidence matrix over the cusp orbits of the given braid orbits."""
+    """The blocks of the sh-incidence matrix, one per braid orbit."""
     orbits = tuple(orbits)
     if not orbits:
         raise ValidationError("sh_incidence needs at least one braid orbit")
     for o in orbits:
         _require_reduced_four(o.ni.mode, o.ni.cv.r, "sh_incidence")
-    _, _, sh = orbits[0].ni.moves()
-
-    cusps: list[CuspOrbit] = []
-    spans: list[tuple[int, int, BraidOrbit]] = []
-    for o in orbits:
-        start = len(cusps)
-        cusps.extend(o.cusps())
-        spans.append((start, len(cusps), o))
-
-    # entry (i, j) counts the members p of cusp j with sh(p) in cusp i
-    cusp_of = {p: i for i, c in enumerate(cusps) for p in c.positions}
-    mat = [[0] * len(cusps) for _ in cusps]
-    for j, c in enumerate(cusps):
-        for p in c.positions:
-            mat[cusp_of[sh[p]]][j] += 1
-    mat = tuple(map(tuple, mat))
-
-    blocks = tuple(
-        ShIncidenceBlock(
-            orbit_label=o.label,
-            cusp_labels=tuple(c.label for c in cusps[a:b]),
-            matrix=tuple(row[a:b] for row in mat[a:b]),
-            genus_report=genus_of_component(o),
-        )
-        for a, b, o in spans
-    )
-    labels = tuple(c.label for c in cusps)
-    return ShIncidence(cusp_labels=labels, matrix=mat, blocks=blocks)
+    cusp_of = [0] * orbits[0].ni.count
+    return ShIncidence(tuple(_block(o, cusp_of) for o in orbits))
 
 
 class ModuliFlags(NamedTuple):
@@ -203,7 +157,7 @@ def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
     inner = _get_action(group, Mode.INNER, None)
     images = inner.klein_images(orbit.ni.tuples[orbit.positions[0]])
     b_fine = len(set(map(inner.canonical_tuple, images))) == 4
-    no_elliptic = all(i != j for p in _gamma_maps(orbit)[:2] for i, j in enumerate(p))
+    no_elliptic = all(i != j for p in orbit.gamma_maps[:2] for i, j in enumerate(p))
     return ModuliFlags(
         inner_fine=inner.order == inner.group.order,
         b_fine_reduced=b_fine,

@@ -13,7 +13,7 @@ import pytest
 
 from hurwitz.braid import apply_qi, braid_orbits, verify_braid_relations
 from hurwitz.cli import run
-from hurwitz.geometry import _gamma_maps, genus_of_component, sh_incidence
+from hurwitz.geometry import genus_of_component, sh_incidence
 from hurwitz.groups import Sl2Group, VectorSemidirectGroup, make_group, parse_class_vector
 from hurwitz.lift import (
     GroupHom,
@@ -80,7 +80,7 @@ def test_a4_component_genus():
     assert 2 * (9 + reports[9].genus - 1) == sum(reports[9].indices) == 16
     # gamma1 fixes exactly one member, lying in the width-4 cusp; gamma0 none
     for o in orbits:
-        gamma0, gamma1, _ = _gamma_maps(o)
+        gamma0, gamma1, _ = o.gamma_maps
         assert all(i != j for i, j in enumerate(gamma0))
         fixed = [o.members[i] for i, j in enumerate(gamma1) if i == j]
         if o.size == 9:

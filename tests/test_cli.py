@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import argparse
+import collections
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import hurwitz.nielsen
 import hurwitz.tower
 from hurwitz import cli
 from hurwitz.cli import run
-from hurwitz.geometry import ShIncidence
+from hurwitz.braid import BraidOrbit
 from hurwitz.groups import FiniteGroup, make_group
 from hurwitz.nielsen import Mode
 
@@ -50,17 +51,58 @@ def test_genus_modular_curve_example(capsys):
     assert "degree 6, genus 0" in out
 
 
-@pytest.mark.parametrize("fmt,unprinted", [
-    ("json", ("to_rows", "render_text")), ("csv", ("render_text",)), ("text", ("to_rows",)),
-])
-def test_shinc_builds_only_the_body_it_prints(fmt, unprinted, monkeypatch, capsys):
-    def fail(self):
-        raise AssertionError("shinc built a body it does not print")
+# one run of each command, small enough to repeat in every format
+VIEW_RUNS = {
+    "enumerate": A4_ARGS,
+    "orbits": A4_ARGS,
+    "shinc": A4_ARGS,
+    "genus": ["--group", "D5", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"],
+    "lift": [*A4_ARGS, "--cover", "spin4"],
+    "tower": ["--family", "dihedral", "--ell", "5", "--classes", "[2a,2a,2a,2a]"],
+    "bcl": A4_ARGS,
+    "check": [*A4_ARGS, "--sample-size", "2"],
+}
 
-    for name in unprinted:
-        monkeypatch.setattr(ShIncidence, name, fail)
-    assert run(["shinc", *A4_ARGS, "--format", fmt]) == 0
-    assert "O_{1,1}" in out_of(capsys)
+
+def test_view_runs_name_every_command():
+    assert VIEW_RUNS.keys() == cli._COMMANDS.keys()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", VIEW_RUNS)
+def test_every_command_calls_only_the_view_it_prints(command, fmt, monkeypatch, capsys):
+    help_text, flags, keys, runner = cli._COMMANDS[command]
+    called = []
+
+    def spied(name, view):
+        def call():
+            called.append(name)
+            return view()
+        return call
+
+    def spying_runner(cfg):
+        data, rows, lines = runner(cfg)
+        return data, spied("csv", rows), spied("text", lines)
+
+    monkeypatch.setitem(cli._COMMANDS, command, (help_text, flags, keys, spying_runner))
+    assert run([command, *VIEW_RUNS[command], "--format", fmt]) == 0
+    assert called == ([] if fmt == "json" else [fmt])
+    assert out_of(capsys).count("\n") > 2
+
+
+def test_genus_builds_each_orbit_gamma_maps_once(monkeypatch, capsys):
+    """genus_of_component and moduli_flags both read an orbit's gamma maps."""
+    maps = BraidOrbit.__dict__["gamma_maps"]
+    build, built = maps.func, collections.Counter()
+
+    def counted(orbit):
+        built[orbit.label] += 1
+        return build(orbit)
+
+    monkeypatch.setattr(maps, "func", counted)
+    assert run(["genus", *A4_ARGS, "--format", "json"]) == 0
+    labels = [o["orbit"] for o in json.loads(out_of(capsys))["orbits"]]
+    assert labels == ["O1", "O2"] and built == collections.Counter(labels)
 
 
 def test_check_refuses_an_oversized_sample_before_any_draw(capsys):
@@ -792,6 +834,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bcl", *A4_ARGS, "--out"],
+    ["orbits", *A4_ARGS, "--members-file"],
+    ["enumerate", *A4_ARGS, "--config"],
+    ["lift", *A4_ARGS, "--cover", "hom:"],
+])
+def test_long_missing_file_path_is_cut_in_the_message(tmp_path, capsys, argv):
+    """A 3,000-character path is echoed cut short, after the OS error."""
+    path = str(tmp_path) + ("/" + "d" * 99) * 30
+    *head, last = argv
+    assert run([*head, last + path] if last == "hom:" else [*argv, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "No such file or directory: '" in captured.err and len(captured.err) < 160
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,11 +6,13 @@ point counts, and genus.  Inner-reduced, they are X_1(N), checked against
 the degree, cusp count and genus of Gamma_1(N).
 """
 
+from itertools import permutations
 from math import gcd, prod
 
 import pytest
 
 from hurwitz.braid import braid_orbits
+from hurwitz.cli import run
 from hurwitz.errors import ValidationError
 from hurwitz.geometry import genus_of_component, moduli_flags, sh_incidence
 from hurwitz.groups import make_group, parse_class_vector
@@ -189,13 +191,17 @@ def test_sh_incidence_rows_sum_to_widths(a4_orbits, d5_orbits):
             assert block.matrix == tuple(zip(*block.matrix))  # symmetric
 
 
-def test_off_block_entries_vanish(a4_orbits):
-    table = sh_incidence(a4_orbits)
-    full = table.matrix
-    assert sum(map(sum, full)) == sum(o.size for o in a4_orbits)
-    n0 = len(a4_orbits[0].cusps())
-    assert not any(v for row in full[:n0] for v in row[n0:])
-    assert not any(v for row in full[n0:] for v in row[:n0])
+def test_off_block_entries_vanish(a4_orbits, d5_orbits):
+    """sh maps each braid orbit into itself: the sh-image of a cusp meets no
+    cusp of another orbit, so the blocks count every member."""
+    for orbits in (a4_orbits, d5_orbits):
+        sh = orbits[0].ni.moves()[2]
+        for o, other in permutations(orbits, 2):
+            for c in o.cusps():
+                image = {sh[p] for p in c.positions}
+                assert all(image.isdisjoint(d.positions) for d in other.cusps())
+        blocks = sh_incidence(orbits).blocks
+        assert sum(sum(map(sum, b.matrix)) for b in blocks) == sum(o.size for o in orbits)
 
 
 @pytest.mark.parametrize("desc,classes,mode", [
@@ -204,22 +210,28 @@ def test_off_block_entries_vanish(a4_orbits):
     ("A4", "[3a,3a,3b,3b]", Mode.ABSOLUTE_REDUCED),
 ])
 def test_sh_incidence_matches_the_pairwise_rule(desc, classes, mode):
-    """Entry (i, j) is the number of members of cusp i in the sh-image of
-    cusp j, intersected pair by pair over every pair of cusps."""
+    """In each orbit's block, entry (i, j) is the number of members of cusp i
+    in the sh-image of cusp j, intersected pair by pair; cusps of different
+    orbits have empty sh-intersections."""
     g = make_group(desc)
     ni = enumerate_nielsen(g, parse_class_vector(g, classes), mode)
     orbits = braid_orbits(ni)
     sh = ni.moves()[2]
-    sets = [frozenset(c.positions) for o in orbits for c in o.cusps()]
-    images = [frozenset(sh[p] for p in s) for s in sets]
-    assert sh_incidence(orbits).matrix == tuple(
-        tuple(len(a & b) for b in images) for a in sets
-    )
+    sets = [[frozenset(c.positions) for c in o.cusps()] for o in orbits]
+    images = [[frozenset(sh[p] for p in s) for s in cusps] for cusps in sets]
+    assert [b.matrix for b in sh_incidence(orbits).blocks] == [
+        tuple(tuple(len(a & b) for b in imgs) for a in cusps)
+        for cusps, imgs in zip(sets, images)
+    ]
+    for i, j in permutations(range(len(orbits)), 2):
+        assert not any(a & b for a in sets[i] for b in images[j])
 
 
-def test_sh_incidence_render(a4_orbits):
-    text = sh_incidence(a4_orbits).render_text()
-    assert "orbit O1: degree 6, genus 0" in text
+def test_sh_incidence_render(capsys):
+    assert run(["shinc", "--group", "A4", "--classes", "[3a,3a,3b,3b]"]) == 0
+    text = capsys.readouterr().out
+    assert "orbit O1: degree 6, genus 0, ind = (4, 3, 3)" in text
+    assert "orbit O2: degree 9, genus 0, ind = (6, 4, 6)" in text
     assert "O_{2,1}^4" in text
 
 

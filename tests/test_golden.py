@@ -19,8 +19,14 @@ parser's help, usage and error output, runs whose argv only the argument
 parser reads, and two refused sample sizes, at a fixed terminal width of 80
 columns.  To regenerate the file after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
+
+Each golden JSON report is also audited against its own numbers, apart from
+the code that made it: class counts, cusp widths against orbit sizes,
+Riemann-Hurwitz from the cycle types, symmetric sh-incidence blocks whose
+rows sum to the cusp widths, and tower edges with one parent per orbit.
 """
 
+import collections
 import json
 import os
 import pathlib
@@ -155,6 +161,96 @@ def golden():
 @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_report_bytes_match_the_golden_file(golden, argv):
     assert capture(argv) == golden[" ".join(argv)]
+
+
+# ---------------------------------------------------------------------------
+# the audit: each golden JSON report checked against its own numbers only
+
+
+def _widths(labels) -> list[int]:
+    """The widths w of cusp labels O_{i,j}^w."""
+    return [int(label.rsplit("^", 1)[1]) for label in labels]
+
+
+def _audit_genus(rep: dict) -> None:
+    """Riemann-Hurwitz from the cycle types; the cusps are the cycles of
+    gamma_inf, and the fixed points the 1-cycles of gamma_0 and gamma_1."""
+    n, types, ind = rep["degree"], rep["cycle_types"], rep["indices"]
+    for name, cycles in types.items():
+        assert sum(cycles) == n and ind[name] == n - len(cycles)
+    assert 2 * (n + rep["genus"] - 1) == sum(ind.values()) and rep["genus"] >= 0
+    assert types["gammainf"] == rep["cusp_widths"]
+    assert set(types["gamma0"]) <= {1, 3} and set(types["gamma1"]) <= {1, 2}
+    assert rep["fixed_points"] == {g: types[g].count(1) for g in ("gamma0", "gamma1")}
+
+
+def _audit_enumerate(d: dict) -> None:
+    assert d["count"] == len(d["reps"])
+    assert all(len(t) == len(d["classes"]) for t in d["reps"])
+
+
+def _audit_orbits(d: dict) -> None:
+    for o in d["orbits"]:
+        widths = [c["width"] for c in o["cusps"]]
+        assert sum(widths) == o["size"] and _widths(c["label"] for c in o["cusps"]) == widths
+
+
+def _audit_genus_report(d: dict) -> None:
+    for o in d["orbits"]:
+        _audit_genus(o)
+        assert o["moduli"]["b_fine_reduced"] or not o["moduli"]["fine_reduced"]
+
+
+def _audit_shinc(d: dict) -> None:
+    for b in d["blocks"]:
+        rep, mat, widths = b["genus_report"], b["matrix"], _widths(b["cusps"])
+        _audit_genus(rep)
+        assert rep["orbit"] == b["orbit"] and widths == rep["cusp_widths"]
+        assert mat == [list(col) for col in zip(*mat)]  # symmetric
+        assert [sum(row) for row in mat] == widths
+
+
+def _audit_lift(d: dict) -> None:
+    assert all(e["trivial"] == (not e["obstructed"]) for e in d["orbit_invariants"])
+
+
+def _audit_tower(d: dict) -> None:
+    orbits = {(lvl["k"], o["label"]) for lvl in d["levels"] for o in lvl["orbits"]}
+    for lvl in d["levels"]:
+        assert sum(o["size"] for o in lvl["orbits"]) == lvl["ni_count"]
+        for o in lvl["orbits"]:
+            widths = [c["width"] for c in o["cusps"]]
+            assert sum(widths) == o["size"] and _widths(c["label"] for c in o["cusps"]) == widths
+    parents = collections.Counter()
+    for (k, child), (k0, parent) in d["edges"]:
+        assert (k, child) in orbits and (k0, parent) in orbits and k0 == k - 1
+        parents[k, child] += 1
+    assert parents == collections.Counter({key: 1 for key in orbits if key[0] > 0})
+
+
+def _audit_check(d: dict) -> None:
+    assert d["passed"] == all(c["passed"] for c in d["checks"])
+
+
+AUDITS = {"enumerate": _audit_enumerate, "orbits": _audit_orbits, "shinc": _audit_shinc,
+          "genus": _audit_genus_report, "lift": _audit_lift, "tower": _audit_tower,
+          "bcl": lambda d: None, "check": _audit_check}
+
+
+def test_audits_name_every_command():
+    from hurwitz.cli import _COMMANDS
+
+    assert AUDITS.keys() == _COMMANDS.keys()
+
+
+@pytest.mark.parametrize("case", [" ".join([*argv, "--format", "json"]) for argv in COMMANDS])
+def test_json_report_agrees_with_its_own_numbers(golden, case):
+    """A run that fails prints no report; a report passes its command's audit."""
+    run_ = golden[case]
+    if run_["code"]:
+        assert run_["stdout"] == ""
+        return
+    AUDITS[case.split()[0]](json.loads(run_["stdout"]))
 
 
 if __name__ == "__main__":

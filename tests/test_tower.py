@@ -132,7 +132,7 @@ def records(a4, a4_cv, a4_ni, a4_orbits):
     ("ConjugacyClass", "label"), ("ClassVector", "indices"), ("NielsenClassSet", "tuples"),
     ("BraidOrbit", "positions"), ("CuspOrbit", "width"), ("PropertyReport", "checks"),
     ("PropertyCheck", "passed"), ("GenusReport", "genus"),
-    ("ShIncidence", "matrix"), ("ShIncidenceBlock", "matrix"), ("ModuliFlags", "inner_fine"),
+    ("ShIncidence", "blocks"), ("ShIncidenceBlock", "matrix"), ("ModuliFlags", "inner_fine"),
     ("LiftInvariant", "trivial"), ("TowerSpec", "ell"), ("CuspClassification", "type"),
     ("ComponentTree", "edges"), ("BCLResult", "q"),
     ("FrattiniStep", "frattini"),
