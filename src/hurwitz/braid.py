@@ -8,8 +8,9 @@ each representative once, from the Cayley table, looks up their canonical
 forms (in the Klein map when reduced with r = 4) and derives q1 =
 sh(q2(sh^-1)); orbits, cusps and the geometry module then follow those
 permutations of positions.  An orbit or a cusp stores only the positions
-of its members in ``NielsenClassSet.tuples``; an orbit builds its cusps and
-its gamma maps (see the geometry module) on first read and keeps them.
+of its members in ``NielsenClassSet.tuples``.  ``BraidOrbit`` is the one
+per-orbit record every command reads: it builds its cusps, its gamma maps
+and its genus report (see the geometry module) on first read and keeps them.
 
 Cusps are the orbits of gamma_infinity = q2 on a braid orbit; their lengths
 are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
@@ -25,6 +26,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BudgetError, ValidationError, shown
+from .geometry import GenusReport, genus_of_component
 from .groups import TABLE_ENTRY_CAP, ClassVector, FiniteGroup, Frozen
 from .nielsen import (
     Mode,
@@ -101,19 +103,11 @@ class BraidOrbit(_Members):
                 tuple(local[q1[q2[q1[p]]]] for p in self.positions),
                 tuple(local[q2[p]] for p in self.positions))
 
-    def to_dict(self) -> dict:
-        return {
-            "orbit_label": self.label,
-            "size": self.size,
-            "cusps": [
-                {
-                    "label": c.label,
-                    "width": c.width,
-                    "rep": self.ni.formatted(c.positions[0]),
-                }
-                for c in self.cusps()
-            ],
-        }
+    @cached_property
+    def genus_report(self) -> GenusReport | None:
+        """The component's genus over the j-line where the Klein group acts
+        (a reduced mode and r = 4), otherwise None."""
+        return genus_of_component(self) if self.ni.klein_reduced else None
 
 
 def braid_orbits(ni: NielsenClassSet,

@@ -45,7 +45,9 @@ from .errors import BudgetError, ValidationError, shown
 from .groups import GroupHom, class_vector_items, make_group, parse_class_vector, read_int
 from .nielsen import Mode, enumerate_nielsen
 from .braid import braid_orbits, verify_braid_relations
-from .geometry import _require_reduced_four, genus_of_component, moduli_flags, sh_incidence
+from .geometry import _require_reduced_four, moduli_flags, sh_incidence
+# unused here; perfbench/tests/test_perfbench.py asserts that this module binds it
+from .geometry import genus_of_component  # noqa: F401
 from .lift import CentralExtension, extend_action_to_heisenberg, lift_invariant, spin_cover
 from .tower import TowerSpec, bcl, component_tree, eventually_frattini_report
 
@@ -295,7 +297,7 @@ def _cmd_enumerate(cfg: dict):
 
 
 def _orbit_payload(cfg: dict, report: str | None = None):
-    """The group, Nielsen classes and braid orbits of a command.  For genus
+    """The Nielsen classes and braid orbits of a command.  For genus
     and shinc, ``report`` names their geometry routine, whose reduced mode
     and r = 4 are checked on the class vector's text before any group is built."""
     mode = Mode.parse(cfg["mode"])
@@ -304,18 +306,20 @@ def _orbit_payload(cfg: dict, report: str | None = None):
         _require_reduced_four(mode, sum(mult for _item, mult in items), report)
     group, cv = _group_and_classes(cfg)
     ni = enumerate_nielsen(group, cv, mode)
-    return group, ni, braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
+    return ni, braid_orbits(ni, orbit_cap=cfg["orbit_cap"])
 
 
 def _cmd_orbits(cfg: dict):
-    _group, ni, orbits = _orbit_payload(cfg)
-    dicts = [o.to_dict() for o in orbits]
+    ni, orbits = _orbit_payload(cfg)
     members_file = cfg.get("members_file")
     if members_file:
         blob = {o.label: [ni.formatted(p) for p in o.positions] for o in orbits}
         _write_file(members_file, _json_text(blob) + "\n", "members file")
-        for d in dicts:
-            d["members_file"] = members_file
+    named = {"members_file": members_file} if members_file else {}
+    dicts = [{"orbit_label": o.label, "size": o.size, **named,
+              "cusps": [{"label": c.label, "width": c.width, "rep": ni.formatted(c.positions[0])}
+                        for c in o.cusps()]}
+             for o in orbits]
 
     def rows():
         yield ["orbit", "size", "cusp", "width", "rep"]
@@ -334,7 +338,7 @@ def _cmd_orbits(cfg: dict):
 
 
 def _cmd_shinc(cfg: dict):
-    data = sh_incidence(_orbit_payload(cfg, "sh_incidence")[2]).to_dict()
+    data = sh_incidence(_orbit_payload(cfg, "sh_incidence")[1]).to_dict()
     blocks = data["blocks"]
 
     def rows():
@@ -367,8 +371,8 @@ def _cmd_shinc(cfg: dict):
 
 
 def _cmd_genus(cfg: dict):
-    group, _ni, orbits = _orbit_payload(cfg, "genus_of_component")
-    payload = [{**genus_of_component(o).to_dict(), "moduli": moduli_flags(group, o).to_dict()}
+    orbits = _orbit_payload(cfg, "genus_of_component")[1]
+    payload = [{**o.genus_report.to_dict(), "moduli": moduli_flags(o)._asdict()}
                for o in orbits]
 
     def rows():

@@ -10,9 +10,10 @@ Riemann-Hurwitz gives the genus:
 
 where ind = |O| minus the number of disjoint cycles.  The orbit builds the
 three maps once (``BraidOrbit.gamma_maps``); the genus report and the moduli
-flags both read them.  Reports carry the full cycle types so the arithmetic
-can be redone by hand.  The cusps are the cycles of gamma_inf, so the cusp
-widths are its cycle type.
+flags both read them.  The orbit keeps its genus report too
+(``BraidOrbit.genus_report``), and every command reads it there.  Reports
+carry the full cycle types so the arithmetic can be redone by hand.  The
+cusps are the cycles of gamma_inf, so the cusp widths are its cycle type.
 
 The sh-incidence matrix pairs cusp orbits: entry (i, j) counts members of
 cusp orbit i landing in cusp orbit j under sh.  sh maps each braid orbit
@@ -23,12 +24,14 @@ on reduced classes.  The command line renders every report.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .groups import cycle_type, riemann_hurwitz
-from .braid import BraidOrbit
 from .nielsen import Mode, _get_action
+
+if TYPE_CHECKING:  # annotations only: the braid module imports this one
+    from .braid import BraidOrbit
 
 
 def _require_reduced_four(mode: Mode, r: int, what: str) -> None:
@@ -108,7 +111,7 @@ def _block(orbit: BraidOrbit, cusp_of: list) -> ShIncidenceBlock:
     """The orbit's sh-incidence block, after its genus report, so that the
     report's gamma maps are built while no matrix is held.  ``cusp_of`` has
     a slot for every position of the Nielsen set."""
-    report = genus_of_component(orbit)
+    report = orbit.genus_report
     sh, cusps = orbit.ni.moves()[2], orbit.cusps()
     for i, c in enumerate(cusps):
         for p in c.positions:
@@ -139,22 +142,15 @@ class ModuliFlags(NamedTuple):
     b_fine_reduced: bool
     fine_reduced: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "inner_fine": self.inner_fine,
-            "b_fine_reduced": self.b_fine_reduced,
-            "fine_reduced": self.fine_reduced,
-        }
 
-
-def moduli_flags(group, orbit: BraidOrbit) -> ModuliFlags:
+def moduli_flags(orbit: BraidOrbit) -> ModuliFlags:
     """Fine-moduli tests: centerless G (the inner action is faithful); Klein-4
     action; no elliptic fixed points.  The Klein group Q'' is normal in the
     braid group H_4 and its action commutes with conjugation, so its orbits
     on inner classes have one size along a braid orbit: one member's four
     Klein images settle b-fineness."""
     _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "moduli_flags")
-    inner = _get_action(group, Mode.INNER, None)
+    inner = _get_action(orbit.ni.group, Mode.INNER, None)
     images = inner.klein_images(orbit.ni.tuples[orbit.positions[0]])
     b_fine = len(set(map(inner.canonical_tuple, images))) == 4
     no_elliptic = all(i != j for p in orbit.gamma_maps[:2] for i, j in enumerate(p))

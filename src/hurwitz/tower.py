@@ -8,10 +8,12 @@ views of adjacent levels (``TowerSpec.level_map``).  A level-0 class of
 order d prime to l lifts to the one level-k class of order-d elements over
 it, since the kernel of G_k -> G_0 is an l-group (Schur-Zassenhaus; see
 ``lift_classes_to_level``).  So a level-0 class vector determines the whole
-tower.  Levels carry braid orbits, lift invariants (through the Heisenberg
-extension built over the level group, where ``heisenberg_obstruction``
-admits one), cusp classifications, and a component tree whose edges record
-which level-k orbit each level-(k+1) orbit projects onto.
+tower.  A level (``TowerLevel``, read-only) holds its Nielsen set and braid
+orbits; its report reads each orbit's genus report off the orbit record, and
+adds lift invariants (through the Heisenberg extension built over the level
+group, where ``heisenberg_obstruction`` admits one) and cusp
+classifications.  A component tree's edges record which level-k orbit each
+level-(k+1) orbit projects onto.
 
 Frattini lemma: the kernel K of G_k -> G_0 lies in the Frattini subgroup
 Phi(G_k), so a level-k tuple generates G_k if and only if its image
@@ -58,10 +60,10 @@ from .groups import (
 )
 from .nielsen import Mode, NielsenClassSet, enumerate_nielsen
 from .braid import BraidOrbit, CuspOrbit, braid_orbits
-from .geometry import GenusReport, genus_of_component
+# unused here; perfbench/tests/test_perfbench.py asserts that this module binds it
+from .geometry import genus_of_component  # noqa: F401
 from .lift import (
     CentralExtension,
-    LiftInvariant,
     extend_action_to_heisenberg,
     heisenberg_obstruction,
     is_frattini_cover,
@@ -272,17 +274,12 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
 # levels and the component tree
 
 
-class TowerLevel:
-    """One tower level: group, lifted classes, Nielsen set, braid orbits."""
+class TowerLevel(Frozen):
+    """One tower level: group, Nielsen set of the lifted classes, braid orbits."""
 
-    def __init__(self, spec: TowerSpec, k: int, cv: ClassVector,
-                 ni: NielsenClassSet, orbits: tuple[BraidOrbit, ...]):
-        self.spec = spec
-        self.k = k
-        self.group = ni.group
-        self.cv = cv
-        self.ni = ni
-        self.orbits = orbits
+    def __init__(self, spec: TowerSpec, k: int, ni: NielsenClassSet,
+                 orbits: tuple[BraidOrbit, ...]):
+        vars(self).update(spec=spec, k=k, group=ni.group, ni=ni, orbits=orbits)
 
     @cached_property
     def extension(self) -> CentralExtension | None:
@@ -291,27 +288,15 @@ class TowerLevel:
         group = self.group
         return None if heisenberg_obstruction(group) else extend_action_to_heisenberg(group)
 
-    def orbit_invariant(self, orbit: BraidOrbit) -> LiftInvariant | None:
-        ext = self.extension
-        if ext is None:
-            return None
-        return lift_invariant(ext, orbit.rep)
-
-    def genus_report(self, orbit: BraidOrbit) -> GenusReport | None:
-        if self.cv.r == 4 and self.ni.mode.reduced:
-            return genus_of_component(orbit)
-        return None
-
     def to_dict(self) -> dict:
         orbits = []
         for o in self.orbits:
-            rep = self.genus_report(o)
-            inv = self.orbit_invariant(o)
+            rep, ext = o.genus_report, self.extension
             orbits.append({
                 "label": o.label,
                 "size": o.size,
                 "genus": None if rep is None else rep.genus,
-                "lift_invariant": None if inv is None else inv.label,
+                "lift_invariant": None if ext is None else lift_invariant(ext, o.rep).label,
                 "cusps": [
                     {
                         "label": c.label,
@@ -333,11 +318,9 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
                 mode: Mode = Mode.INNER_REDUCED) -> TowerLevel:
     """Construct level k: group, lifted classes, Nielsen set, braid orbits;
     generation is tested on level-0 images (see the module docstring)."""
-    group = spec.level_group(k)
     cv = lift_classes_to_level(spec, c0, k)
-    ni = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
-    orbits = braid_orbits(ni)
-    return TowerLevel(spec, k, cv, ni, orbits)
+    ni = enumerate_nielsen(spec.level_group(k), cv, mode, quotient=spec.quotient(k))
+    return TowerLevel(spec, k, ni, braid_orbits(ni))
 
 
 class ComponentTree(NamedTuple):

@@ -143,7 +143,7 @@ def test_vector_level0_components(ell):
     spec = TowerSpec("vector", ell)
     cv = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
     lvl = build_level(spec, cv, 0)
-    invs = {o.label: lvl.orbit_invariant(o) for o in lvl.orbits}
+    invs = {o.label: lift_invariant(lvl.extension, o.rep) for o in lvl.orbits}
     trivial = [o for o in lvl.orbits if invs[o.label].trivial]
     assert len(trivial) == 1  # K_ell = 1
     trivial_types = [cusp_type(c, ell) for c in trivial[0].cusps()]

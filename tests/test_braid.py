@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 import hurwitz.braid
+from hurwitz import cli
 from hurwitz.braid import (
     apply_qi,
     apply_sh,
@@ -9,6 +12,7 @@ from hurwitz.braid import (
     verify_braid_relations,
 )
 from hurwitz.errors import BudgetError, ValidationError
+from hurwitz.geometry import genus_of_component
 from hurwitz.groups import TABLE_ENTRY_CAP, make_group, parse_class_vector
 from hurwitz.nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen
 from reference_routines import apply_qi_inv
@@ -108,11 +112,41 @@ def test_braid_relations_refuse_an_empty_sample(a4, a4_cv, sample_size):
         verify_braid_relations(a4, a4_cv, sample_size=sample_size)
 
 
-def test_orbit_to_dict(a4_orbits):
-    d = a4_orbits[0].to_dict()
+def test_orbits_report_lists_each_orbit_and_its_cusps(capsys):
+    assert cli.run(["orbits", "--group", "A4", "--classes", "[3a,3a,3b,3b]",
+                    "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)["orbits"][0]
     assert d["orbit_label"] == "O1"
     assert d["size"] == 6
     assert [c["width"] for c in d["cusps"]] == [4, 1, 1]
+
+
+def test_genus_report_is_built_once_per_orbit(a4, a4_cv, monkeypatch):
+    """The orbit record keeps its genus report: two reads, one call."""
+    calls = []
+
+    def spy(orbit):
+        calls.append(orbit.label)
+        return genus_of_component(orbit)
+
+    monkeypatch.setattr(hurwitz.braid, "genus_of_component", spy)
+    orbits = braid_orbits(enumerate_nielsen(a4, a4_cv, Mode.INNER_REDUCED))
+    for o in orbits:
+        assert o.genus_report is o.genus_report
+        assert o.genus_report == genus_of_component(o)
+    assert calls == [o.label for o in orbits]
+
+
+@pytest.mark.parametrize("desc,classes,mode", [
+    ("A4", "[3a,3a,3b,3b]", Mode.INNER),
+    ("S4", "[2b,2b,2b,2b,3a]", Mode.ABSOLUTE_REDUCED),
+])
+def test_genus_report_is_none_without_the_klein_action(group_and_classes, desc, classes,
+                                                      mode):
+    """Off a reduced mode, or at r != 4, an orbit has no genus report."""
+    g, cv = group_and_classes(desc, classes)
+    orbits = braid_orbits(enumerate_nielsen(g, cv, mode))
+    assert orbits and all(o.genus_report is None for o in orbits)
 
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -156,14 +190,20 @@ def test_moves_are_direct_moves_then_canonical_forms(group_and_classes, desc, cl
 
 
 @pytest.mark.parametrize("mode", [Mode.RAW, Mode.INNER, Mode.ABSOLUTE_REDUCED])
-def test_reports_never_build_the_data_view(a4, a4_cv, mode):
+def test_reports_never_build_the_data_view(monkeypatch, capsys, mode):
     """Reports format the stored index tuples; the data view ``reps`` is
     built only when a caller reads it."""
-    ni = enumerate_nielsen(a4, a4_cv, mode)
-    ni.to_dict()
-    for o in braid_orbits(ni):
-        o.to_dict()
-    assert "reps" not in ni.__dict__
+    built = []
+
+    def kept(*args, **kwargs):
+        built.append(enumerate_nielsen(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "enumerate_nielsen", kept)
+    for command in ("enumerate", "orbits"):
+        assert cli.run([command, "--group", "A4", "--classes", "[3a,3a,3b,3b]",
+                        "--mode", mode.value, "--format", "json"]) == 0
+    assert len(built) == 2 and all("reps" not in ni.__dict__ for ni in built)
 
 
 def test_members_are_the_data_at_their_positions(a4, a4_cv):

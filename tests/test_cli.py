@@ -90,6 +90,38 @@ def test_every_command_calls_only_the_view_it_prints(command, fmt, monkeypatch, 
     assert out_of(capsys).count("\n") > 2
 
 
+def _json_run(capsys, *argv):
+    assert run([*argv, "--format", "json"]) == 0
+    return json.loads(out_of(capsys))
+
+
+@pytest.mark.parametrize("family,same,k_max,groups", [
+    (["--family", "dihedral", "--ell", "5"],
+     ["--classes", "[2a,2a,2a,2a]", "--mode", "absolute-reduced"], 1, ["D5", "D25"]),
+    (["--family", "vector", "--ell", "2"], ["--classes", "[3a,3a,3b,3b]"], 0,
+     ["V(2,2):M=[[0,-1],[1,-1]]"]),
+])
+def test_tower_levels_agree_with_orbits_genus_and_shinc(capsys, family, same, k_max, groups):
+    """Each tower level reports the orbits that ``orbits``, ``genus`` and
+    ``shinc`` report on the level's group with the same classes and mode."""
+    data = _json_run(capsys, "tower", *family, *same, "--k-max", str(k_max))
+    assert [lvl["k"] for lvl in data["levels"]] == list(range(len(groups)))
+    for lvl, group in zip(data["levels"], groups):
+        args = ["--group", group, *same]
+        want = [(o["label"], o["size"], o["genus"], [(c["label"], c["width"]) for c in o["cusps"]])
+                for o in lvl["orbits"]]
+        orbits = _json_run(capsys, "orbits", *args)["orbits"]
+        genus = _json_run(capsys, "genus", *args)["orbits"]
+        blocks = _json_run(capsys, "shinc", *args)["blocks"]
+        assert want == [(o["orbit_label"], o["size"], g["genus"],
+                         [(c["label"], c["width"]) for c in o["cusps"]])
+                        for o, g in zip(orbits, genus)]
+        assert want == [(g["orbit"], g["degree"], b["genus_report"]["genus"],
+                         [(lab, w) for lab, w in zip(b["cusps"], g["cusp_widths"])])
+                        for g, b in zip(genus, blocks)]
+        assert [b["orbit"] for b in blocks] == [o[0] for o in want]
+
+
 def test_genus_builds_each_orbit_gamma_maps_once(monkeypatch, capsys):
     """genus_of_component and moduli_flags both read an orbit's gamma maps."""
     maps = BraidOrbit.__dict__["gamma_maps"]

@@ -6,6 +6,7 @@ point counts, and genus.  Inner-reduced, they are X_1(N), checked against
 the degree, cusp count and genus of Gamma_1(N).
 """
 
+import inspect
 from itertools import permutations
 from math import gcd, prod
 
@@ -235,12 +236,20 @@ def test_sh_incidence_render(capsys):
     assert "O_{2,1}^4" in text
 
 
-def test_a4_moduli_flags(a4, a4_orbits):
+def test_a4_moduli_flags(a4_orbits):
     for o in a4_orbits:
-        flags = moduli_flags(a4, o)
+        flags = moduli_flags(o)
         assert flags.inner_fine is True
         assert flags.b_fine_reduced is False
         assert flags.fine_reduced is False
+
+
+def test_moduli_flags_take_only_the_orbit(a4_orbits):
+    """The group is the orbit's own: a second group, which could disagree
+    with it (S4 for A4's orbits), is refused."""
+    assert list(inspect.signature(moduli_flags).parameters) == ["orbit"]
+    with pytest.raises(TypeError):
+        moduli_flags(make_group("S4"), a4_orbits[0])
 
 
 MODULI_CASES = [
@@ -272,7 +281,7 @@ def test_b_fine_matches_the_reduction_orbit_reference(moduli_cases, reduction_or
                 len({canonicalize(g, u, Mode.INNER, cv) for u in reduction_orbit(g, t)}) == 4
                 for t in o.members
             )
-            assert moduli_flags(g, o).b_fine_reduced == reference, (g.name, o.label)
+            assert moduli_flags(o).b_fine_reduced == reference, (g.name, o.label)
             seen.add(reference)
     assert seen == {True, False}
 

@@ -392,7 +392,6 @@ def test_frattini_sl2_9_to_3_fails():
     assert is_frattini_cover(hom) is False
 
 
-@pytest.mark.slow
 def test_frattini_sl2_27_to_9_passes():
     big = Sl2Group(27, order_bound=20000)
     small = Sl2Group(9)
@@ -400,7 +399,6 @@ def test_frattini_sl2_27_to_9_passes():
     assert is_frattini_cover(hom) is True
 
 
-@pytest.mark.long
 def test_frattini_sl2_25_to_5_passes():
     big = Sl2Group(25, order_bound=20000)
     small = Sl2Group(5)

@@ -23,6 +23,8 @@ def test_readme_library_example(capsys):
     assert [o.size for o in orbits] == [6, 9]
     assert capsys.readouterr().out.splitlines() == [
         "O1 0 ((2, 1, 1), (1, 0, 0), (1, 0, 0))", "O2 0 ((1, 2, 1), (2, 0, 1), (1, 1, 0))"]
+    assert [o.genus_report.genus for o in orbits] == [0, 0]
+    assert [ns["moduli_flags"](o).b_fine_reduced for o in orbits] == [False, False]
     assert [ns["lift_invariant"](ns["spin4"], o.rep).trivial for o in orbits] == [False, True]
     assert [o.size for o in ns["tree"].levels[1].orbits] == [24, 24, 36, 36]
 

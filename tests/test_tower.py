@@ -122,8 +122,8 @@ def records(a4, a4_cv, a4_ni, a4_orbits):
     return {r.__class__.__name__: r for r in (
         a4.conjugacy_classes()[0], a4_cv, a4_ni, orbit, orbit.cusps()[0], report,
         report.checks[0], genus_of_component(orbit),
-        inc, inc.blocks[0], moduli_flags(a4, orbit), lift_invariant(spin_cover(4, a4), orbit.rep),
-        spec, cusp_type(orbit.cusps()[0], 2), tree, bcl(a4, a4_cv),
+        inc, inc.blocks[0], moduli_flags(orbit), lift_invariant(spin_cover(4, a4), orbit.rep),
+        spec, cusp_type(orbit.cusps()[0], 2), tree, tree.levels[0], bcl(a4, a4_cv),
         eventually_frattini_report(spec, 1)[0],
     )}
 
@@ -134,7 +134,7 @@ def records(a4, a4_cv, a4_ni, a4_orbits):
     ("PropertyCheck", "passed"), ("GenusReport", "genus"),
     ("ShIncidence", "blocks"), ("ShIncidenceBlock", "matrix"), ("ModuliFlags", "inner_fine"),
     ("LiftInvariant", "trivial"), ("TowerSpec", "ell"), ("CuspClassification", "type"),
-    ("ComponentTree", "edges"), ("BCLResult", "q"),
+    ("ComponentTree", "edges"), ("TowerLevel", "orbits"), ("BCLResult", "q"),
     ("FrattiniStep", "frattini"),
 ])
 def test_records_are_read_only(records, name, field):
@@ -695,7 +695,7 @@ def test_level0_heisenberg_invariants_ell5(ell5_level0):
     lvl = ell5_level0
     assert lvl.ni.count == 312
     assert sorted(o.size for o in lvl.orbits) == [60, 60, 60, 60, 72]
-    invs = [lvl.orbit_invariant(o) for o in lvl.orbits]
+    invs = [lift_invariant(lvl.extension, o.rep) for o in lvl.orbits]
     trivial = [o for o, i in zip(lvl.orbits, invs) if i.trivial]
     assert len(trivial) == 1 and trivial[0].size == 72
     assert len({i.label for i in invs}) == 5  # all of (Z/5)* plus the identity
@@ -763,7 +763,7 @@ def test_level_without_extension_never_builds_one(monkeypatch):
 
 def test_genus_at_level0_ell5(ell5_level0):
     lvl = ell5_level0
-    assert {lvl.genus_report(o).genus for o in lvl.orbits} == {1}
+    assert {o.genus_report.genus for o in lvl.orbits} == {1}
 
 
 def test_bcl_examples(a4, a4_cv):
@@ -845,7 +845,7 @@ def test_vector_tower_ell5_level1():
     top = tree.levels[1]
     assert top.ni.count == 195000
     assert len(top.orbits) == 29
-    genera = sorted(top.genus_report(o).genus for o in top.orbits)
+    genera = sorted(o.genus_report.genus for o in top.orbits)
     assert genera == [73] * 5 + [361] * 20 + [401] * 4
     assert len(tree.edges) == 29
 
@@ -855,7 +855,7 @@ def test_vector_tower_ell5_level1_heisenberg_invariants():
     spec = TowerSpec("vector", 5)
     cv = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
     top = component_tree(spec, cv, 1).levels[1]
-    labels = [top.orbit_invariant(o).label for o in top.orbits]
+    labels = [lift_invariant(top.extension, o.rep).label for o in top.orbits]
     # O1-O5 (genus 73) lift; O6-O25 (genus 361) carry a unit of Z/25 and
     # O26-O29 (genus 401) a nonzero multiple of 5
     zs = [17, 18, 3, 22, 12, 8, 13, 2, 7, 23, 1, 19, 21, 6, 16, 11, 4, 9, 14, 24,
@@ -878,6 +878,6 @@ def test_dihedral_tower_levels_are_modular_curves(ell, genera):
     assert len(tree.edges) == len(genera) - 1
     for k, lvl in enumerate(tree.levels):
         (orbit,) = lvl.orbits
-        report = lvl.genus_report(orbit)
+        report = orbit.genus_report
         assert report.degree == ell**k * (ell + 1)
         assert report.genus == genera[k]
