@@ -17,6 +17,9 @@ are the cusp widths.  Labels follow the scheme O_{i,j}^w with i the braid
 orbit's 1-based position (orbits sorted by size then least member), j the
 cusp's position (cusps sorted by descending width then least member) and w
 the width.
+
+``verify_braid_relations`` checks the relations on sampled index tuples,
+twisting them directly, apart from ``moves()`` and the search's Klein map.
 """
 
 from __future__ import annotations
@@ -202,9 +205,10 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
     sh q_i sh^-1 = q_{i+1}; q_i q_i^-1 = id; sh^r = id; invariance of
     product-one/classes/generation; R_H acting by conjugation (so trivially
     on inner classes); and for r = 4 the reduced relations γ0³ = 1 and
-    γ0 γ1 γ∞ = 1 on reduced canonical forms.  Each sample is conjugated by
-    every element, so above ``TABLE_ENTRY_CAP`` samples times |G| this raises
-    ``BudgetError`` before the first draw.
+    γ0 γ1 γ∞ = 1 on reduced canonical forms, all on index tuples of the view;
+    a failed check names up to three witnesses, as element data.  Each sample
+    is conjugated by every element, so above ``TABLE_ENTRY_CAP`` samples
+    times |G| this raises ``BudgetError`` before the first draw.
     """
     if sample_size <= 0:
         raise ValidationError(f"sample_size must be positive, got {sample_size}")
@@ -212,6 +216,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
         raise BudgetError(f"check conjugates {shown(sample_size)} samples by each of"
                           f" {group.order} elements, above the cap {TABLE_ENTRY_CAP}")
     r = cv.r
+    ix = group.indexed()
     rng = random.Random(seed)
     sample = [random_nielsen_tuple(group, cv, rng) for _ in range(sample_size)]
     checks: list[PropertyCheck] = []
@@ -222,41 +227,36 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
 
     def q(t, *word):
         for i in word:
-            t = _qi(group, t, i)
+            t = _qi(ix, t, i)
         return t
 
-    def sh_conj(t, i):  # sh q_i sh^-1, with sh^-1 the right rotation
-        v = q(apply_sh(group, t), i)
-        return v[-1:] + v[:-1]
-
     def inverse_failures(t):
-        yield from (f"q{i} inverse failed on {t}" for i in range(1, r)
-                    if _qi_inv(group, q(t, i), i) != t)
+        yield from (f"q{i} inverse failed on {ix.to_data(t)}" for i in range(1, r)
+                    if _qi_inv(ix, q(t, i), i) != t)
         u = t
         for _ in range(r):
-            u = apply_sh(group, u)
+            u = apply_sh(ix, u)
         if u != t:
-            yield f"sh^{r} != id on {t}"
+            yield f"sh^{r} != id on {ix.to_data(t)}"
 
     record("moves preserve product-one, classes, generation", (
-        f"{move} broke invariants on {t}" for t in sample
-        for move, u in [*((f"q{i}", q(t, i)) for i in range(1, r)), ("sh", apply_sh(group, t))]
+        f"{move} broke invariants on {ix.to_data(t)}" for t in sample
+        for move, u in [*((f"q{i}", q(t, i)) for i in range(1, r)), ("sh", apply_sh(ix, t))]
         if not is_nielsen_tuple(group, cv, u)))
     record("q_i q_{i+1} q_i = q_{i+1} q_i q_{i+1}", (
-        f"braid relation failed at i={i} on {t}" for t in sample for i in range(1, r - 1)
-        if q(t, i, i + 1, i) != q(t, i + 1, i, i + 1)))
-    record("sh q_i sh^-1 = q_{i+1}", (
-        f"sh-conjugation failed at i={i} on {t}" for t in sample for i in range(1, r - 1)
-        if sh_conj(t, i) != q(t, i + 1)))
+        f"braid relation failed at i={i} on {ix.to_data(t)}" for t in sample
+        for i in range(1, r - 1) if q(t, i, i + 1, i) != q(t, i + 1, i, i + 1)))
+    record("sh q_i sh^-1 = q_{i+1}", (  # as q_i(sh(t)) = sh(q_{i+1}(t))
+        f"sh-conjugation failed at i={i} on {ix.to_data(t)}" for t in sample
+        for i in range(1, r - 1) if q(apply_sh(ix, t), i) != apply_sh(ix, q(t, i + 1))))
     record("q_i q_i^-1 = id and sh^r = id", (f for t in sample for f in inverse_failures(t)))
 
     # R_H = q_1..q_{r-1} q_{r-1}..q_1 applied to each sample tuple
     r_h = [q(t, *range(1, r), *range(r - 1, 0, -1)) for t in sample]
     record("R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation", (
-        f"R_H is not a conjugation on {t}" for t, u in zip(sample, r_h)
-        if not any(tuple(group.conj(g, a) for g in t) == u for a in group.elements)))
+        f"R_H is not a conjugation on {ix.to_data(t)}" for t, u in zip(sample, r_h)
+        if not any(tuple(ix.conj(g, a) for g in t) == u for a in range(ix.order))))
 
-    ix = group.indexed()
     if r == 4:
         ni = enumerate_nielsen(group, cv, Mode.INNER_REDUCED)
         rc = ni.action.reduced_canonical_tuple
@@ -264,9 +264,7 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
         def words(u, *ws):
             """Each word of twists in turn, canonicalizing after each."""
             for w in ws:
-                for i in w:
-                    u = _qi(ix, u, i)
-                u = rc(u)
+                u = rc(q(u, *w))
             return u
 
         for name, fail, move in (
@@ -275,13 +273,13 @@ def verify_braid_relations(group: FiniteGroup, cv: ClassVector,
             ("gamma0 gamma1 gammainf = 1 on reduced classes", "gamma0 gamma1 gammainf != id at",
              lambda u: words(u, (1, 2), (1, 2, 1), (2,))),
             ("sh^2 fixes reduced classes", "sh^2 moved reduced class",
-             lambda u: rc(apply_sh(ix, apply_sh(ix, u)))),
+             lambda u: rc(u[2:] + u[:2])),
         ):
             record(name, (f"{fail} {ix.to_data(u)}" for u in ni.tuples if move(u) != u))
 
     inner = _get_action(group, Mode.INNER, cv).canonical_tuple
     record("R_H fixes inner classes", (
-        f"R_H moved the inner class of {t}" for t, u in zip(sample, r_h)
-        if inner(ix.to_index(u)) != inner(ix.to_index(t))))
+        f"R_H moved the inner class of {ix.to_data(t)}" for t, u in zip(sample, r_h)
+        if inner(u) != inner(t)))
 
     return PropertyReport(tuple(checks))

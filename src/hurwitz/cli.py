@@ -13,16 +13,18 @@ refused; each non-null value must have that flag's type (``action`` may also
 be a list of integer rows); a value for a flag the running command lacks is
 ignored, so one config file can serve every command.
 
-Each command computes its results once and returns its JSON body with its
-CSV and text views, functions that read the body and what the command
-computed.  Every report layout is here.  ``emit_report`` alone reads the
-format: it calls only the view of the format printed and writes the report
-to ``--out`` or stdout.  Reports are deterministic for fixed inputs and
-version: JSON is emitted with sorted keys, CSV with RFC-4180 quoting, and
-every report embeds the input description and the package version.  Exit
-codes: 0 success, 2 invalid input (an unwritable output file included),
-3 budget exceeded.  A file that cannot be read or written is named in the
-message cut short, as every echoed input is.
+Each command computes its results once and returns its JSON body with its CSV
+and text views, functions that read the body and what the command computed.
+Records' ``to_dict`` give the JSON bodies of ``enumerate``, ``shinc``,
+``genus``, ``tower``, ``bcl`` and ``check``; the rest is built here.
+``emit_report`` alone reads the format: it calls only the view of the format
+printed and writes the report to ``--out`` or stdout.  Reports are
+deterministic for fixed inputs and version: JSON is emitted with sorted keys,
+CSV with RFC-4180 quoting, and every report embeds the input description and
+the package version.  Exit codes: 0 success, 2 invalid input (an unwritable
+output file included), 3 budget exceeded or out of memory.  A file that cannot
+be read or written is named in the message cut short, as every echoed input
+is.
 
 A command followed by its exact flags is read by a scan of the flag table;
 other argv goes to argparse, which reads it or writes help, usage or errors.
@@ -603,8 +605,8 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:  # a MemoryError carries no message
+        print(f"budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     finally:
         if collecting:

@@ -145,17 +145,17 @@ class ModuliFlags(NamedTuple):
 
 def moduli_flags(orbit: BraidOrbit) -> ModuliFlags:
     """Fine-moduli tests: centerless G (the inner action is faithful); Klein-4
-    action; no elliptic fixed points.  The Klein group Q'' is normal in the
-    braid group H_4 and its action commutes with conjugation, so its orbits
-    on inner classes have one size along a braid orbit: one member's four
-    Klein images settle b-fineness."""
+    action; no elliptic fixed points (the genus report's fixed points of
+    gamma_0 and gamma_1).  The Klein group Q'' is normal in the braid group
+    H_4 and its action commutes with conjugation, so its orbits on inner
+    classes have one size along a braid orbit: one member's four Klein
+    images settle b-fineness."""
     _require_reduced_four(orbit.ni.mode, orbit.ni.cv.r, "moduli_flags")
     inner = _get_action(orbit.ni.group, Mode.INNER, None)
     images = inner.klein_images(orbit.ni.tuples[orbit.positions[0]])
     b_fine = len(set(map(inner.canonical_tuple, images))) == 4
-    no_elliptic = all(i != j for p in orbit.gamma_maps[:2] for i, j in enumerate(p))
     return ModuliFlags(
         inner_fine=inner.order == inner.group.order,
         b_fine_reduced=b_fine,
-        fine_reduced=b_fine and no_elliptic,
+        fine_reduced=b_fine and orbit.genus_report.fixed_points == (0, 0),
     )

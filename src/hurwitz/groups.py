@@ -22,21 +22,25 @@ S_n theirs up to the bound, so bound and cap precede building and listing.
 
 Indexed view.  ``group.indexed()`` numbers the sorted elements 0..n-1 and
 returns an ``IndexedGroup`` whose elements are those indices: ``mul`` is a
-lookup in the Cayley table, with an inverse list and the class of every
-index beside it.  It is itself a ``FiniteGroup``, so closure, powers,
-conjugation and conjugacy classes run on it unchanged; data products are
-spent only on the listing walk, which the table reuses, and the classes
-found on indices fill the data group's.  Only groups that never get a view
-(covers, groups over the table cap, ``bcl``'s) compute classes on data.  An
-element's order is read off its class once known, else found by powering.
-The Nielsen search, canonical forms and braid orbits work on index tuples
-and convert to data only at their public boundary.  Index order equals
-data order, so the least index tuple of a set is the index form of its
-least data tuple, and every sorted list and label comes out as it would on
-data.  The view is built on first use: by the commands that compute Nielsen
-classes and by every tower level, before their classes are read.  A view
-whose table would exceed ``TABLE_ENTRY_CAP`` entries raises
-``BudgetError`` before anything is allocated.
+lookup in the Cayley table, with an inverse list and the class of every index
+beside it.  It is itself a ``FiniteGroup``, so closure, powers, conjugation
+and conjugacy classes run on it unchanged; data products are spent only on
+the listing walk, which the table reuses, and the classes found on indices
+fill the data group's.  Only groups that never get a view (covers, groups
+over the table cap, ``bcl``'s) compute classes on data.  An element's order
+is read off its class once known, else found by powering.  The Nielsen
+search, canonical forms, braid orbits, cusps, genus, tower levels and
+``check`` work on index tuples, converting at their public boundary; data
+stays where inherent: parsing and formatting, class-vector membership in
+``lift_classes_to_level``, cover arithmetic in ``lift`` (covers are never
+listed), the normalizer's conjugation in absolute mode (its elements lie
+outside G), and ``bcl``.  Index order equals data order, so the least index
+tuple of a set is the index form of its least data tuple, and every sorted
+list and label comes out as it would on data.  The view is built on first
+use: by the commands that compute Nielsen classes and by every tower level,
+before their classes are read.  A view whose table would exceed
+``TABLE_ENTRY_CAP`` entries raises ``BudgetError`` before anything is
+allocated.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ The search and the canonical forms run on index tuples of the group's
 indexed view (see the groups module), whose order is the data order.  A
 ``NielsenClassSet`` stores only those index tuples, which orbits, cusps and
 tower edges read by position; its ``reps`` is a view as element data, built
-when first read.  The other public functions take and return element data.
+when first read.  ``random_nielsen_tuple`` and ``is_nielsen_tuple`` work on
+index tuples too; the other public functions take and return element data.
 """
 
 from __future__ import annotations
@@ -354,19 +355,12 @@ def _product(ix: IndexedGroup, t) -> int:
 
 
 def is_nielsen_tuple(group: FiniteGroup, cv: ClassVector, t: tuple) -> bool:
-    """Product-one, class multiset equals C, and the entries generate."""
-    if len(t) != cv.r:
-        return False
+    """Whether the index tuple t of ``group.indexed()`` is product-one, has
+    class multiset C and generates."""
     ix = group.indexed()
-    try:
-        u = ix.to_index(t)
-    except KeyError:
-        return False
-    if _product(ix, u) != ix.identity:
-        return False
-    if Counter(ix._class_of[g] for g in u) != Counter(cv.indices):
-        return False
-    return _generates(ix, u)
+    return (len(t) == cv.r and _product(ix, t) == ix.identity
+            and Counter(ix._class_of[g] for g in t) == Counter(cv.indices)
+            and _generates(ix, t))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +597,9 @@ RANDOM_TUPLE_TRIES = 20000
 
 def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random) -> tuple:
     """A uniform-ish random member of the raw Nielsen class, for property
-    checks.  Draws the first r-1 entries from a shuffled class assignment and
-    keeps the draw when the forced last entry fits and the tuple generates."""
+    checks, as an index tuple of ``group.indexed()``.  Draws the first r-1
+    entries from a shuffled class assignment and keeps the draw when the
+    forced last entry fits and the tuple generates."""
     ix = group.indexed()
     classes = ix.conjugacy_classes()
     members = {i: sorted(classes[i].members) for i in set(cv.indices)}
@@ -617,5 +612,5 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
             continue
         t.append(last)
         if _generates(ix, t):
-            return ix.to_data(t)
+            return tuple(t)
     raise ValidationError(f"no Nielsen tuple for {shown(str(cv))} in {RANDOM_TUPLE_TRIES} tries")

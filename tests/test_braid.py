@@ -1,3 +1,4 @@
+import ast
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from hurwitz.braid import (
 )
 from hurwitz.errors import BudgetError, ValidationError
 from hurwitz.geometry import genus_of_component
-from hurwitz.groups import TABLE_ENTRY_CAP, make_group, parse_class_vector
+from hurwitz.groups import TABLE_ENTRY_CAP, IndexedGroup, make_group, parse_class_vector
 from hurwitz.nielsen import Mode, NielsenClassSet, canonicalize, enumerate_nielsen
 from reference_routines import apply_qi_inv
 
@@ -231,3 +232,53 @@ def test_sh_that_is_not_an_involution_is_an_error(a4, a4_cv, a4_ni):
     broken = NielsenClassSet(a4, a4_cv, a4_ni.mode, a4_ni.tuples, a4_ni.action, collapsed)
     with pytest.raises(ValidationError, match="sh is not an involution"):
         broken.moves()
+
+
+def _qi_conjugating_the_wrong_way(group, t, i):
+    """(a, b) -> (a^-1 b a, a): unlike a plain swap, this breaks the
+    relations other than the braid relation, sh-conjugation and sh^r."""
+    j = i - 1
+    a, b = t[j], t[j + 1]
+    return t[:j] + (group.conj(b, a), a) + t[j + 2:]
+
+
+def test_a_broken_twist_fails_the_checks_it_breaks_with_data_witnesses(capsys, monkeypatch):
+    monkeypatch.setattr(hurwitz.braid, "_qi", _qi_conjugating_the_wrong_way)
+    g = make_group("A5")
+    report = verify_braid_relations(g, parse_class_vector(g, "[3a,3a,3a,3a]"), sample_size=5)
+    failing = {c.name for c in report.checks if not c.passed}
+    assert failing == {
+        "moves preserve product-one, classes, generation",
+        "q_i q_i^-1 = id and sh^r = id",
+        "R_H = q_1..q_{r-1} q_{r-1}..q_1 acts by conjugation",
+        "R_H fixes inner classes",
+        "gamma0^3 = 1 on reduced classes",
+        "gamma0 gamma1 gammainf = 1 on reduced classes",
+    }
+    elements = set(g.elements)
+    for c in report.checks:
+        if c.passed:
+            assert c.details == ""
+            continue
+        witnesses = c.details.split("; ")
+        assert 1 <= len(witnesses) <= 3
+        for w in witnesses:  # each names its tuple as element data
+            t = ast.literal_eval(w[w.index("("):])
+            assert w.endswith(repr(t)) and len(t) == 4 and set(t) <= elements
+
+    assert cli.run(["check", "--group", "A5", "--classes", "[3a,3a,3a,3a]",
+                    "--sample-size", "5"]) == 2
+    assert capsys.readouterr().err == "error: property suite reported violations\n"
+
+
+def test_a_passing_check_converts_no_tuple(monkeypatch, capsys):
+    """The suite computes on the indexed view from the first draw to the
+    last comparison; element data is read only for a failure's witness."""
+    calls = []
+    for name in ("to_data", "to_index"):
+        method = getattr(IndexedGroup, name)
+        monkeypatch.setattr(IndexedGroup, name,
+                            lambda self, t, name=name, method=method:
+                            calls.append(name) or method(self, t))
+    assert cli.run(["check", "--group", "D5", "--classes", "[2a,2a,2a,2a]"]) == 0
+    assert calls == []

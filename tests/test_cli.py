@@ -296,6 +296,19 @@ def test_d127_abs_reduced_is_x0_127(capsys):
     assert (orbit["degree"], orbit["genus"], orbit["cusp_widths"]) == (128, 10, [127, 1])
 
 
+def test_out_of_memory_exits_3_with_one_short_line(capsys, monkeypatch):
+    """A run that runs out of memory, as an oversized report can, ends in
+    exit 3 and one line, not a traceback."""
+    def runner(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", (*cli._COMMANDS["enumerate"][:3], runner))
+    assert run(["enumerate", *A4_ARGS]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: out of memory") and err.count("\n") == 1
+    assert len(err) < 160
+
+
 def test_table_budget_exits_3_before_the_work(capsys):
     start = time.monotonic()
     assert run(["genus", "--group", "D1009", "--classes", "[2a,2a,2a,2a]",

@@ -14,7 +14,9 @@ of index 3 in Sym(4), whose normalizer comes from the search over Sym(4).  Braid
 at r = 3 and r = 5, the D37 genus and two more vector towers pin the braid
 moves in every mode and the reduced search; a vector tower at r = 3 pins the
 cusp types and the missing genus off r = 4, and the ``spin5`` lift of the
-five 3-cycle tuples of A5 pins the one obstructed orbit.  ``USAGE`` pins the argument
+five 3-cycle tuples of A5 pins the one obstructed orbit.  ``check`` at r = 4
+on A5, D5 and a ``V(2,5)`` group pins the property suite's report on three
+group kinds.  ``USAGE`` pins the argument
 parser's help, usage and error output, runs whose argv only the argument
 parser reads, and two refused sample sizes, at a fixed terminal width of 80
 columns.  To regenerate the file after a deliberate change of output, run
@@ -108,6 +110,9 @@ COMMANDS = [
     # labels of level-0 vector towers off the companion matrix
     *(["tower", "--family", "vector", "--ell", ell, "--action", "[[1,-3],[1,-2]]",
        "--classes", "[3a,3a,3b,3b]", "--k-max", "0"] for ell in ("5", "7")),
+    # the property suite at r = 4 on a non-permutation kind and on a dihedral group
+    ["check", "--group", "V(2,5):M=[[0,-1],[1,-1]]", "--classes", "[3a,3a,3b,3b]"],
+    ["check", "--group", "D5", "--classes", "[2a,2a,2a,2a]"],
 ]
 # help, usage and argument errors, written by argparse before any command runs
 USAGE = [

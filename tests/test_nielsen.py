@@ -55,14 +55,13 @@ def test_mode_parse_takes_only_the_mode_values_and_abs_reduced(text):
 def test_is_nielsen_tuple(a4, a4_cv):
     x = a4.parse("(1,2,3)")
     y = a4.parse("(1,3,2)")
+    ix = a4.indexed()
     # product-one, generating, class multiset {3a,3a,3b,3b}
     t = (x, x, a4.inv(a4.mul(x, x)), a4.identity)
-    assert not is_nielsen_tuple(a4, a4_cv, t)  # identity entry, wrong classes
-    good = None
+    assert not is_nielsen_tuple(a4, a4_cv, ix.to_index(t))  # identity entry, wrong classes
     ni = enumerate_nielsen(a4, a4_cv, Mode.INNER_REDUCED)
-    good = ni.reps[0]
-    assert is_nielsen_tuple(a4, a4_cv, good)
-    assert not is_nielsen_tuple(a4, a4_cv, (x, y, x, y)[:3])
+    assert is_nielsen_tuple(a4, a4_cv, ix.to_index(ni.reps[0]))
+    assert not is_nielsen_tuple(a4, a4_cv, ix.to_index((x, y, x)))
 
 
 def test_a4_counts(a4, a4_cv):
@@ -82,7 +81,7 @@ def test_d5_counts_match_modular_curve_indices():
 def test_canonicalize_is_idempotent_and_constant_on_classes(a4, a4_cv):
     rng = random.Random(7)
     for _ in range(20):
-        t = random_nielsen_tuple(a4, a4_cv, rng)
+        t = a4.indexed().to_data(random_nielsen_tuple(a4, a4_cv, rng))
         c = canonicalize(a4, t, Mode.INNER_REDUCED, a4_cv)
         assert canonicalize(a4, c, Mode.INNER_REDUCED, a4_cv) == c
         # conjugating the whole tuple lands in the same inner class
@@ -532,7 +531,7 @@ def test_pruned_reduced_form_is_the_least_over_all_four_images(group_and_classes
     ix = g.indexed()
     action = _get_action(g, mode, cv)
     rng = random.Random(11)
-    samples = [ix.to_index(random_nielsen_tuple(g, cv, rng)) for _ in range(40)]
+    samples = [random_nielsen_tuple(g, cv, rng) for _ in range(40)]
     samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(60)]
     ties, first_at = Counter(), Counter()
     for t in samples:
@@ -583,7 +582,7 @@ def test_least_forms_build_only_the_least_images(monkeypatch, group_and_classes,
 
     monkeypatch.setattr(ConjAction, "_klein_image", counted)
     rng = random.Random(5)
-    samples = [ix.to_index(random_nielsen_tuple(g, cv, rng)) for _ in range(30)]
+    samples = [random_nielsen_tuple(g, cv, rng) for _ in range(30)]
     samples += [tuple(rng.randrange(ix.order) for _ in range(4)) for _ in range(150)]
     needed, ties = Counter(), Counter()
     for t in samples:

@@ -35,8 +35,8 @@ def test_braid_moves_preserve_nielsen_membership():
         g = make_group(desc)
         cv = parse_class_vector(g, classes)
         for _ in range(15):
-            t = random_nielsen_tuple(g, cv, rng)
-            assert is_nielsen_tuple(g, cv, random_walk(g, t, rng))
+            t = random_nielsen_tuple(g, cv, rng)  # an index tuple: walk on the view
+            assert is_nielsen_tuple(g, cv, random_walk(g.indexed(), t, rng))
 
 
 def test_moves_descend_to_classes():
@@ -45,7 +45,7 @@ def test_moves_descend_to_classes():
     g = make_group("A4")
     cv = parse_class_vector(g, "[3a,3a,3b,3b]")
     for _ in range(15):
-        t = random_nielsen_tuple(g, cv, rng)
+        t = g.indexed().to_data(random_nielsen_tuple(g, cv, rng))
         a = g.elements[rng.randrange(g.order)]
         s = tuple(g.mul(g.mul(g.inv(a), x), a) for x in t)
         for i in (1, 2, 3):
@@ -59,7 +59,7 @@ def test_qi_inverse_and_shift_order():
     g = make_group("D5")
     cv = parse_class_vector(g, "[2a,2a,2a,2a]")
     for _ in range(10):
-        t = random_nielsen_tuple(g, cv, rng)
+        t = g.indexed().to_data(random_nielsen_tuple(g, cv, rng))
         for i in (1, 2, 3):
             assert apply_qi_inv(g, apply_qi(g, t, i), i) == t
         s = t
@@ -73,7 +73,7 @@ def test_shift_conjugates_twists():
     g = make_group("A5")
     cv = parse_class_vector(g, "[3a,3a,3a,3a]")
     for _ in range(10):
-        t = random_nielsen_tuple(g, cv, rng)
+        t = g.indexed().to_data(random_nielsen_tuple(g, cv, rng))
         for i in (1, 2):
             # sh q_i = q_{i+1} sh, words applied left factor first
             via_sh = apply_qi(g, apply_sh(g, t), i)
@@ -87,7 +87,7 @@ def test_lift_invariant_constant_along_walks():
     g = spin4.base
     cv = parse_class_vector(g, "[3a,3a,3b,3b]")
     for _ in range(12):
-        t = random_nielsen_tuple(g, cv, rng)
+        t = g.indexed().to_data(random_nielsen_tuple(g, cv, rng))
         before = lift_invariant(spin4, t).value
         after = lift_invariant(spin4, random_walk(g, t, rng)).value
         assert before == after
@@ -101,7 +101,7 @@ def test_projection_commutes_with_moves_on_vector_tower():
     cv0 = parse_class_vector(g0, "[3a,3a,3b,3b]")
     cv1 = lift_classes_to_level(spec, cv0, 1)
     for _ in range(12):
-        t = random_nielsen_tuple(g1, cv1, rng)
+        t = g1.indexed().to_data(random_nielsen_tuple(g1, cv1, rng))
         for i in (1, 2, 3):
             assert project_tuple(spec, 1, apply_qi(g1, t, i)) == apply_qi(
                 g0, project_tuple(spec, 1, t), i
@@ -148,6 +148,6 @@ def test_canonical_forms_are_idempotent_across_modes():
     for mode in (Mode.INNER, Mode.ABSOLUTE, Mode.INNER_REDUCED,
                  Mode.ABSOLUTE_REDUCED):
         for _ in range(8):
-            t = random_nielsen_tuple(g, cv, rng)
+            t = g.indexed().to_data(random_nielsen_tuple(g, cv, rng))
             c = canonicalize(g, t, mode, cv)
             assert canonicalize(g, c, mode, cv) == c
