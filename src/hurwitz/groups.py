@@ -41,6 +41,10 @@ use: by the commands that compute Nielsen classes and by every tower level,
 before their classes are read.  A view whose table would exceed
 ``TABLE_ENTRY_CAP`` entries raises ``BudgetError`` before anything is
 allocated.
+
+The Nielsen layer tests generation in ``generation_quotient``: the view of a
+catalog image with kernel in the Frattini subgroup where a rule names one
+(D_n -> D_(rad n), V(t,m):M -> V(t, rad m):M), else the group's own view.
 """
 
 from __future__ import annotations
@@ -239,6 +243,7 @@ class FiniteGroup:
 
     kind = "abstract"
     sym_normalizer_gens = None  # catalog generators of the Sym(n)-normalizer
+    frattini_image = None  # descriptor of a catalog image whose kernel lies in Phi(G)
 
     def __init__(self, gens, name: str, order_bound: int = DEFAULT_ORDER_BOUND,
                  order: int | None = None):
@@ -317,6 +322,20 @@ class FiniteGroup:
         if self._indexed is None:
             self._indexed = IndexedGroup(self)
         return self._indexed
+
+    @cached_property
+    def generation_quotient(self) -> tuple:
+        """(Q, down): the view Q of ``make_group(frattini_image)`` and the image
+        in Q of each index of this view, generators to generators; else this
+        view and the identity.  Frattini lemma: each rule's kernel K is Phi(N),
+        N normal in G, so K <= Phi(G); if H maps onto Q then H K = G, so H = G
+        as Phi(G) is the non-generators (M. Fried, "Introduction to Modular
+        Towers", 1995).  Proved, not checked: ``is_frattini_cover`` costs more."""
+        ix = self.indexed()
+        if self.frattini_image is None:
+            return ix, range(ix.order)
+        q = make_group(self.frattini_image, self.order_bound).indexed()
+        return q, GroupHom(ix, q, q.gens).element_images
 
     def close(self, seed, stop_above: int | None = None) -> set:
         """Closure of ``seed`` (plus the identity) under multiplication.
@@ -628,10 +647,7 @@ class Sl2Group(FiniteGroup):
             raise ValidationError("SL2 modulus must be at least 2")
         self.modulus = m
         gens = ((1, 1, 0, 1), (1, 0, 1, 1))  # they generate SL2(Z), which maps onto SL2(Z/m)
-        primes, rest = set(), m  # by trial division up to sqrt(m)
-        while rest > 1:
-            primes.add(p := _smallest_prime_factor(rest))
-            rest //= p
+        primes = _prime_factors(m)
         order = m**3 * prod(p * p - 1 for p in primes) // prod(p * p for p in primes)
         super().__init__(gens, f"SL2({m})", order=order, **kw)
 
@@ -720,19 +736,15 @@ def _mat_mul(a, b, m):
     )
 
 
-def _mat_identity(t):
-    return tuple(tuple(1 if i == j else 0 for j in range(t)) for i in range(t))
-
-
-def _mat_order(mat, m, name: str, order_bound: int) -> int:
-    """The order q of an invertible matrix mod m, up to the order bound on m^t * q."""
-    ident, lattice = _mat_identity(len(mat)), m ** len(mat)
-    x, k = mat, 1
-    while x != ident:
-        x = _mat_mul(x, mat, m)
-        k += 1
-        check_order_bound(name, lattice * k, order_bound)
-    return k
+def _mat_powers(mat, m, name: str, order_bound: int) -> list:
+    """I, M, ..., M^(q-1) for an invertible matrix M reduced mod m, of order
+    q mod m, found up to the order bound on m^t * q."""
+    t = len(mat)
+    powers = [tuple(tuple(int(i == j) for j in range(t)) for i in range(t))]
+    while (x := _mat_mul(powers[-1], mat, m)) != powers[0]:
+        powers.append(x)
+        check_order_bound(name, m**t * len(powers), order_bound)
+    return powers
 
 
 def _int_rows(rows, t: int, n: int) -> tuple | None:
@@ -778,14 +790,21 @@ class VectorSemidirectGroup(FiniteGroup):
         if gcd(det, m) != 1:
             raise ValidationError(f"action matrix not invertible mod {m} (det={det})")
         self.modulus, self.dim, self.action = m, t, mat
-        q = self.complement_order = _mat_order(mat, m, name, order_bound)
-        powers = [_mat_identity(t)]
-        for _ in range(q - 1):
-            powers.append(_mat_mul(powers[-1], mat, m))
+        powers = _mat_powers(mat, m, name, order_bound)
+        q = self.complement_order = len(powers)
         # entry j of v * M^b is the dot product of v with column j of M^b
         self._columns = [tuple(zip(*p)) for p in powers]
         gens = (*((e, 0) for e in powers[0]), ((0,) * t, 1 % q))  # basis, complement
         super().__init__(gens, name, order_bound, order=m**t * q)
+
+    @cached_property
+    def frattini_image(self) -> str | None:
+        """V(t, rad m):M when rad m < m and M keeps its order q mod rad m: the
+        kernel rad(m) L is Phi(L) for the normal lattice L = (Z/m)^t."""
+        rad, q = prod(_prime_factors(self.modulus)), self.complement_order
+        low = tuple(tuple(x % rad for x in row) for row in self.action)
+        keep = rad < self.modulus and len(_mat_powers(low, rad, self.name, self.order_bound)) == q
+        return vector_descriptor(rad, low) if keep else None
 
     def mul(self, a, b):
         m = self.modulus
@@ -843,6 +862,11 @@ def _smallest_prime_factor(n: int) -> int:
             return p
         p += 1
     return n
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n, by trial division up to sqrt(n)."""
+    return {(p := _smallest_prime_factor(n)), *_prime_factors(n // p)} if n > 1 else set()
 
 
 # ---------------------------------------------------------------------------
@@ -1011,6 +1035,12 @@ def dihedral(n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> PermutationGroup
 
 
 class _Dihedral(PermutationGroup):
+    @cached_property
+    def frattini_image(self) -> str | None:
+        """D_(rad n) when 3 <= rad n < n: the kernel is Phi of the rotations."""
+        rad = prod(_prime_factors(self.degree))
+        return f"D{rad}" if 3 <= rad < self.degree else None
+
     @cached_property
     def sym_normalizer_gens(self) -> list:
         """The normalizer of this copy inside Sym(n) is the affine group

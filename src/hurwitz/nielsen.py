@@ -7,9 +7,7 @@ here are always stored as canonical representatives under one of five
 equivalences:
 
 * raw            -- no identification at all: the action of the trivial
-                    group.  The raw class is the union of the inner
-                    classes, so its reps are the conjugates of the inner
-                    reps by every element of G;
+                    group, under which every tuple is its own form;
 * inner          -- simultaneous conjugation by G;
 * absolute       -- simultaneous conjugation by the Sym(n)-normalizer of
                     (G, C), permutation groups only;
@@ -42,7 +40,8 @@ Klein step and the reduced form read it.  A lookup, since the Klein map keys
 every member starting with mu, reads ``first_least_image``, the first alone.
 
 The search and the canonical forms run on index tuples of the group's
-indexed view (see the groups module), whose order is the data order.  A
+indexed view (see the groups module), whose order is the data order, and
+every generation test runs on images in ``group.generation_quotient``.  A
 ``NielsenClassSet`` stores only those index tuples, which orbits, cusps and
 tower edges read by position; its ``reps`` is a view as element data, built
 when first read.  ``random_nielsen_tuple`` and ``is_nielsen_tuple`` work on
@@ -357,10 +356,10 @@ def _product(ix: IndexedGroup, t) -> int:
 def is_nielsen_tuple(group: FiniteGroup, cv: ClassVector, t: tuple) -> bool:
     """Whether the index tuple t of ``group.indexed()`` is product-one, has
     class multiset C and generates."""
-    ix = group.indexed()
+    ix, (quotient, down) = group.indexed(), group.generation_quotient
     return (len(t) == cv.r and _product(ix, t) == ix.identity
             and Counter(ix._class_of[g] for g in t) == Counter(cv.indices)
-            and _generates(ix, t))
+            and _generates(quotient, map(down.__getitem__, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +469,8 @@ class NielsenClassSet(Frozen):
         }
 
 
-def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUCED,
-                      quotient: tuple | None = None) -> NielsenClassSet:
+def enumerate_nielsen(group: FiniteGroup, cv: ClassVector,
+                      mode=Mode.INNER_REDUCED) -> NielsenClassSet:
     """All Nielsen tuples for (group, C) up to the requested equivalence.
 
     The search fixes the first entry to each orbit minimum (the least one
@@ -489,24 +488,16 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
     reach (one start when reduced with r = 4); above ``SEARCH_NODE_CAP`` it
     raises ``BudgetError``.
 
-    Raw mode acts by the trivial group, so every class member is a start of
-    that bound; its reps are the inner reps conjugated by every element of G.
-
-    ``quotient`` is a pair (Q, down): an indexed view Q and a tuple sending
-    each index of ``group.indexed()`` to its image in Q under a surjection
-    G -> Q whose kernel K lies in the Frattini subgroup of G.  Then a subset
-    generates G if and only if its image generates Q: if it generates H
-    with H K = G, then H = G, since the elements of the Frattini subgroup
-    are non-generators.  Generation is then tested on images in Q, with the
-    pair verdicts keyed on Q's indices.  The default is G itself under the
-    identity map.
+    Raw mode acts by the trivial group: every class member is a start and
+    every tuple its own canonical form.  Generation is tested on images in
+    ``group.generation_quotient`` (see the groups module), the pair verdicts
+    keyed on its indices.
     """
     mode = Mode.parse(mode)
     r = cv.r
     if r < 3:
         raise ValidationError("Nielsen classes need at least 3 branch points")
-    ix = group.indexed()
-    quotient, down = quotient or (ix, range(ix.order))
+    ix, (quotient, down) = group.indexed(), group.generation_quotient
     classes = ix.conjugacy_classes()
     support = sorted(set(cv.indices))
     members = {i: sorted(classes[i].members) for i in support}
@@ -525,15 +516,6 @@ def enumerate_nielsen(group: FiniteGroup, cv: ClassVector, mode=Mode.INNER_REDUC
             f"Nielsen search for {shown(str(cv))} in {shown(group.name)} ({len(starts)} starts,"
             f" {width} class elements, r = {r}) may exceed {SEARCH_NODE_CAP} nodes"
         )
-    if mode is Mode.RAW:
-        # conjugation by each element of G, as index permutations: each is
-        # one element of G/Z(G), whose action is free on generating tuples
-        table, inverse, n = ix.table, ix.inverse, ix.order
-        perms = {tuple(table[table[inverse[a]][x]][a] for x in range(n)) for a in range(n)}
-        inner = enumerate_nielsen(group, cv, Mode.INNER, (quotient, down)).tuples
-        tuples = tuple(sorted(tuple(map(p.__getitem__, u)) for u in inner for p in perms))
-        return NielsenClassSet(group, cv, mode, tuples, action)
-
     # conjugation and the reduction group preserve generation: a reduced
     # mode (r = 4) keys it by Klein orbit
     key, least_forms, klein = action.canonical_tuple, action.least_forms, mode.reduced and r == 4
@@ -600,7 +582,7 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
     checks, as an index tuple of ``group.indexed()``.  Draws the first r-1
     entries from a shuffled class assignment and keeps the draw when the
     forced last entry fits and the tuple generates."""
-    ix = group.indexed()
+    ix, (quotient, down) = group.indexed(), group.generation_quotient
     classes = ix.conjugacy_classes()
     members = {i: sorted(classes[i].members) for i in set(cv.indices)}
     idx = list(cv.indices)
@@ -611,6 +593,6 @@ def random_nielsen_tuple(group: FiniteGroup, cv: ClassVector, rng: random.Random
         if ix._class_of[last] != idx[-1]:
             continue
         t.append(last)
-        if _generates(ix, t):
+        if _generates(quotient, map(down.__getitem__, t)):
             return tuple(t)
     raise ValidationError(f"no Nielsen tuple for {shown(str(cv))} in {RANDOM_TUPLE_TRIES} tries")

@@ -15,16 +15,9 @@ group, where ``heisenberg_obstruction`` admits one) and cusp
 classifications.  A component tree's edges record which level-k orbit each
 level-(k+1) orbit projects onto.
 
-Frattini lemma: the kernel K of G_k -> G_0 lies in the Frattini subgroup
-Phi(G_k), so a level-k tuple generates G_k if and only if its image
-generates G_0 (M. Fried, "Introduction to Modular Towers", 1995).  Proof:
-K is Phi(N) for a normal subgroup N, namely l*L = Phi(L) for the lattice L
-of the vector family and <r^l> = Phi(<r>) for the rotations of
-D_(l^(k+1)); and Phi(N) <= Phi(G) for N normal in G.  If a subgroup H maps
-onto G_0 then H K = G_k, and since Phi(G_k) consists of non-generators,
-H = G_k.  So level k tests generation on its images in level 0, through the
-composite of the level maps (``TowerSpec.quotient``);
-``eventually_frattini_report`` checks each step of the lemma by running
+The kernel of G_k -> G_0 lies in Phi(G_k), so level k tests generation in
+level 0, its ``generation_quotient`` as a catalog group (see the groups
+module); ``eventually_frattini_report`` checks each step by running
 ``is_frattini_cover`` on its level map.
 
 Cusp types at r = 4 follow the subgroup trichotomy: a cusp is g-l' when
@@ -34,8 +27,8 @@ divide g2*g3" is read as a statement about the order of the middle product;
 reports repeat that reading.  An l' subgroup's order divides the l'-part of
 |G|, so the closure deciding "<g, h> is an l'-group" stops past that part.
 At other r a cusp is g-l' when some cyclic split of a tuple into at least
-two arcs gives l' subgroups, that is when every entry generates an l'
-subgroup, and is otherwise unclassified.
+two arcs gives l' subgroups, that is when every entry's order is prime to
+l, and is otherwise unclassified.  l must be a prime.
 """
 
 from __future__ import annotations
@@ -160,17 +153,6 @@ class TowerSpec(Frozen):
             cache[k] = GroupHom(self.level_group(k).indexed(), target, target.gens)
         return cache[k]
 
-    def quotient(self, k: int) -> tuple:
-        """Level 0 as the Frattini quotient of level k, in the form
-        ``enumerate_nielsen`` takes: the level-0 indexed view and, for each
-        level-k index, the index of its image under the composite of the
-        level maps; at level 0 the identity map."""
-        view = self.level_group(0).indexed()
-        down = range(view.order)
-        for j in range(1, k + 1):
-            down = tuple(map(down.__getitem__, self.level_map(j).element_images))
-        return view, down
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -184,15 +166,18 @@ def lift_classes_to_level(spec: TowerSpec, c0: ClassVector, k: int) -> ClassVect
     """The canonical lift of a level-0 class vector to level k.
 
     A level-0 class of order d prime to l lifts to the one level-k class of
-    order-d elements that ``spec.quotient(k)`` maps into it.  The kernel K of
-    G_k -> G_0 is an l-group.  For order-d preimages y, y' of one element,
+    order-d elements that G_k's ``generation_quotient``, level 0, maps into
+    it; another quotient is refused.  The kernel K of G_k -> G_0 is an
+    l-group.  For order-d preimages y, y' of one element,
     <y> and <y'> complement K in K<y>, so by Schur-Zassenhaus <y>^c = <y'>
     for some c in K, and y^c = y' as both lie over one element; a power of
     any preimage has order d.  The rule checks that the class is unique, and
-    finds the reps of ``c0`` in G_0 by their data.
+    finds the reps of ``c0`` in the quotient's data group by their data.
     """
-    g0, gk = spec.level_group(0), spec.level_group(k)
-    view, down = spec.quotient(k)
+    gk = spec.level_group(k)
+    view, down = gk.generation_quotient
+    if (g0 := view.data).descriptor != spec.descriptor(0):
+        raise ValidationError(f"level {k} tests generation in {shown(g0.descriptor)}, not level 0")
     over: dict = {}
     for j, cl in enumerate(gk.indexed().conjugacy_classes()):
         over.setdefault((view.class_index_of(down[cl.rep]), cl.element_order), []).append(j)
@@ -238,7 +223,9 @@ def _subgroup_order_prime_to(group, gens, ell) -> bool:
 
 
 def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
-    """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags."""
+    """Classify one cusp orbit: l-cusp / g-l' / o-l', plus shape flags, for a prime l."""
+    if ell < 2 or _smallest_prime_factor(ell) != ell:
+        raise ValidationError(f"cusp types need a prime ell, got {ell}")
     ni = c.ni
     ix, rep = ni.group.indexed(), ni.tuples[c.positions[0]]
 
@@ -265,7 +252,7 @@ def cusp_type(c: CuspOrbit, ell: int) -> CuspClassification:
         # some cyclic split into >= 2 arcs generates l' subgroups iff the
         # split into single entries does: an arc's subgroup contains its
         # entries' cyclic subgroups, whose orders divide its order
-        prime_to = all(_subgroup_order_prime_to(ix, (g,), ell) for g in rep)
+        prime_to = all(ix.element_order(g) % ell != 0 for g in rep)
         kind = "g-ell-prime" if prime_to else "unclassified"
     return CuspClassification(type=kind, hm=hm, double_identity=dbl)
 
@@ -319,7 +306,7 @@ def build_level(spec: TowerSpec, c0: ClassVector, k: int,
     """Construct level k: group, lifted classes, Nielsen set, braid orbits;
     generation is tested on level-0 images (see the module docstring)."""
     cv = lift_classes_to_level(spec, c0, k)
-    ni = enumerate_nielsen(spec.level_group(k), cv, mode, quotient=spec.quotient(k))
+    ni = enumerate_nielsen(spec.level_group(k), cv, mode)
     return TowerLevel(spec, k, ni, braid_orbits(ni))
 
 

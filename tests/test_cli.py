@@ -344,7 +344,7 @@ COMPANION20 = json.dumps([[int(j == i + 1) for j in range(20)] for i in range(19
     (["tower", "--family", "vector", "--ell", "5", "--action", SHIFT10],
      ["hurwitz.tower._det_mod"]),
     (["bcl", "--group", f"V(20,2):M={COMPANION20}"],
-     ["hurwitz.groups._det_mod", "hurwitz.groups._mat_order"]),
+     ["hurwitz.groups._det_mod", "hurwitz.groups._mat_powers"]),
     (["bcl", "--group", "A100000"], ["hurwitz.groups.perm_from_cycles"]),
     (["bcl", "--group", "SL2(100000000000031)"], ["hurwitz.groups._smallest_prime_factor"]),
     # a repetition suffix past TABLE_ENTRY_CAP entries used to build the list first

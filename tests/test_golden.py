@@ -29,6 +29,7 @@ rows sum to the cusp widths, and tower edges with one parent per orbit.
 """
 
 import collections
+import hashlib
 import json
 import os
 import pathlib
@@ -156,6 +157,28 @@ def capture(argv) -> dict:
         except SystemExit as exc:
             code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+# deep-ladder runs whose reports (up to 2 MB) are too large for the golden
+# file: the sha256 of each one's stdout
+LADDER = {
+    "genus --group D625 --classes [2a,2a,2a,2a] --mode inner-reduced --format json":
+        "bbf83d09aaded194d77a03a011e770797fc9d1635951b0ea8fec3a9bf63d4dbe",
+    "tower --family dihedral --ell 5 --classes [2a,2a,2a,2a] --mode inner-reduced"
+    " --k-max 3 --format json":
+        "8e1db21b453ce6c908b81f5d19e4bbe4a7649025a7f571eef2dfa2d3bc6f53c7",
+    "genus --group D625 --classes [2a,2a,2a,2a] --mode abs-reduced --format json":
+        "97edcf294bdf41490c7ce6e6ec507bccdc978733bfeae2e7833dc0bdd93d86e6",
+}
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("case", LADDER)
+def test_deep_ladder_stdout_sha256(case):
+    """X_1(625) flat and as level 3 of its tower, and X_0(625) flat."""
+    result = capture(case.split())
+    assert (result["code"], result["stderr"]) == (0, "")
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == LADDER[case]
 
 
 @pytest.fixture(scope="module")

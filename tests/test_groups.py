@@ -30,7 +30,7 @@ from hurwitz.groups import (
     perm_mul,
     symmetric,
 )
-from hurwitz.lift import extend_action_to_heisenberg
+from hurwitz.lift import GroupHom, extend_action_to_heisenberg, is_frattini_cover
 from hurwitz.nielsen import Mode, enumerate_nielsen
 from hurwitz.tower import TowerSpec
 from reference_routines import det_by_cofactors
@@ -577,3 +577,70 @@ def test_det_mod_12x12_from_a_triangular_factorization():
         want *= upper[i][i]
     assert _det_mod([mat[i] for i in order], m) == want % m
     assert _det_mod([[0] * t] + mat[1:], m) == 0
+
+
+@pytest.mark.parametrize("desc,image", [
+    ("D9", "D3"), ("D12", "D6"), ("D25", "D5"), ("D36", "D6"), ("D45", "D15"),
+    ("D49", "D7"), ("D125", "D5"), ("D343", "D7"), ("D625", "D5"),
+    ("V(2,4):M=[[0,-1],[1,-1]]", "V(2,2):M=[[0,1],[1,1]]"),
+    ("V(2,8):M=[[0,-1],[1,-1]]", "V(2,2):M=[[0,1],[1,1]]"),
+    ("V(2,4):M=[[1,-3],[1,-2]]", "V(2,2):M=[[1,1],[1,0]]"),
+    ("V(2,8):M=[[1,-3],[1,-2]]", "V(2,2):M=[[1,1],[1,0]]"),
+    ("V(2,25):M=[[0,-1],[1,-1]]", "V(2,5):M=[[0,4],[1,4]]"),
+    ("V(1,25):M=[[7]]", "V(1,5):M=[[2]]"),
+])
+def test_each_named_image_is_a_frattini_cover(desc, image):
+    """The catalog rules are proved, not checked when a group is built; here
+    ``is_frattini_cover`` checks each image they name for the golden,
+    benchmark and ladder groups, on the map ``generation_quotient`` reads."""
+    g = make_group(desc)
+    assert g.frattini_image == image
+    q, down = g.generation_quotient
+    assert q.data.descriptor == image and q.order < g.order
+    hom = GroupHom(g.indexed(), q, q.gens)
+    assert hom.element_images == tuple(down) and hom.is_surjective
+    assert is_frattini_cover(hom) is True
+
+
+def test_an_image_over_the_check_budget_is_a_chain_of_frattini_steps():
+    """V(2,16) -> V(2,2) has 64^3 kernel-translate tuples, over the check's
+    budget.  Its map is the composite of the vector l=2 level maps, each a
+    Frattini cover, and a composite of Frattini covers is one."""
+    spec = TowerSpec("vector", 2)
+    g = spec.level_group(3)
+    q, down = g.generation_quotient
+    assert q.data.descriptor == spec.descriptor(0)
+    with pytest.raises(BudgetError, match="kernel-translate tuples"):
+        is_frattini_cover(GroupHom(g.indexed(), q, q.gens))
+    composite = range(q.order)
+    for k in (1, 2, 3):
+        assert is_frattini_cover(spec.level_map(k)) is True
+        composite = tuple(map(composite.__getitem__, spec.level_map(k).element_images))
+    assert tuple(down) == composite
+
+
+@pytest.mark.parametrize("desc", [
+    "D4", "D6", "D8", "D5", "V(2,4):M=[[1,1],[0,1]]", "V(1,9):M=[[2]]",
+    "V(2,5):M=[[0,-1],[1,-1]]", "SL2(4)", "SL2(9)", "Heis(25)", "A5", "S4",
+    "gens:[(1,2,3,4,5,6,7,8,9)]", "gens:[(1,2,3,4),(1,2)]",
+])
+def test_no_image_where_no_rule_applies(desc):
+    """D_n with rad n = 2 or rad n = n; V(t,m):M whose action changes order
+    mod rad m ([[1,1],[0,1]] has order 4 mod 4 and 2 mod 2; 2 has order 6 mod
+    9 and 2 mod 3) or with m prime; SL2, Heis, A_n, S_n and ``gens:`` groups.
+    Each tests generation in its own view, where it has one (Heis(25) is
+    over the table cap)."""
+    g = make_group(desc)
+    assert g.frattini_image is None
+    if g.order ** 2 <= TABLE_ENTRY_CAP:
+        q, down = g.generation_quotient
+        assert q is g.indexed() and tuple(down) == tuple(range(g.order))
+
+
+def test_sl2_reductions_are_not_frattini_covers():
+    """Why SL2 names no image: SL2(4) -> SL2(2) and SL2(9) -> SL2(3) are
+    onto, but a proper subgroup maps onto the target."""
+    for m, p in ((4, 2), (9, 3)):
+        g, low = make_group(f"SL2({m})"), make_group(f"SL2({p})")
+        hom = GroupHom(g, low, [tuple(x % p for x in h) for h in g.gens])
+        assert hom.is_surjective and is_frattini_cover(hom) is False

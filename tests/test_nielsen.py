@@ -457,14 +457,13 @@ def test_start_pair_verdicts_match_the_reference(desc, k):
     if desc == "vector":
         spec = TowerSpec("vector", 2)
         cv0 = parse_class_vector(spec.level_group(0), "[3a,3a,3b,3b]")
-        g, quotient = spec.level_group(k), spec.quotient(k)
-        cv = lift_classes_to_level(spec, cv0, k)
+        g, cv = spec.level_group(k), lift_classes_to_level(spec, cv0, k)
     else:
-        g, quotient = make_group(desc), None
+        g = make_group(desc)
         cv = parse_class_vector(g, "[3a,3a,3b,3b]")
     for mode in LATTICE_MODES:
         reps = reference_enumeration(g, cv, mode)[0]
-        assert reps and enumerate_nielsen(g, cv, mode, quotient).reps == reps, mode
+        assert reps and enumerate_nielsen(g, cv, mode).reps == reps, mode
 
 
 @pytest.mark.parametrize("desc,classes,mode", [

@@ -168,9 +168,13 @@ def test_index_map_is_a_hom():
     for a in range(v1.order):
         for b in range(v1.order):
             assert down[v1.mul(a, b)] == v0.mul(down[a], down[b])
-    view, identity = spec.quotient(0)
+    view, identity = spec.level_group(0).generation_quotient
     assert view is v0 and tuple(identity) == tuple(range(v0.order))
-    assert spec.quotient(1) == (v0, down)
+    for k in (1, 2):  # each level's own quotient is level 0 under the composed level maps
+        view, through = spec.level_group(k).generation_quotient
+        assert view.data.descriptor == spec.descriptor(0) and view.data is not spec.level_group(0)
+        assert through == down
+        down = tuple(map(down.__getitem__, spec.level_map(k + 1).element_images))
 
 
 def _reduce_vector(g, m):
@@ -371,16 +375,21 @@ def test_generation_through_level_zero_matches_level_k(family, ell, k_max, modes
     level-0 images finds the classes that closing in G_k finds, and each
     step G_k -> G_(k-1) is a Frattini cover, checked through a ``GroupHom``
     on data, with the verdicts and kernels that ``eventually_frattini_report``
-    reads off the level maps between the indexed views."""
+    reads off the level maps between the indexed views.  The direct search
+    closes in G_k itself, under an identity generation quotient."""
     spec = TowerSpec(family, ell)
     c0 = "[3a,3a,3b,3b]" if family == "vector" else "[2a,2a,2a,2a]"
     cv0 = parse_class_vector(spec.level_group(0), c0)
     steps = []
     for k in range(1, k_max + 1):
         group, cv = spec.level_group(k), lift_classes_to_level(spec, cv0, k)
+        assert group.generation_quotient[0].order < group.order
         for mode in modes:
-            direct = enumerate_nielsen(group, cv, mode)
-            through = enumerate_nielsen(group, cv, mode, quotient=spec.quotient(k))
+            through = enumerate_nielsen(group, cv, mode)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(FiniteGroup, "generation_quotient",
+                           property(lambda g: (g.indexed(), range(g.order))))
+                direct = enumerate_nielsen(group, cv, mode)
             assert through.reps == direct.reps
             assert through.klein == direct.klein
         below = spec.level_group(k - 1)
@@ -421,6 +430,47 @@ def test_generation_is_read_off_the_start_pair_first(monkeypatch):
                    for t in images)
         counts.append((len(pairs), len(images), lvl.ni.count))
     assert counts == [(5, 4, 15), (9, 7, 120), (9, 7, 1920)]
+
+
+def test_a_flat_composite_dihedral_group_closes_only_in_its_image(monkeypatch, capsys):
+    """``genus --group D25`` tests generation in D5, as level 1 of the
+    dihedral l=5 tower does: every closure ``_generates`` runs is on D5's
+    view, none on D25."""
+    groups = []
+    generates = hurwitz.nielsen._generates
+    monkeypatch.setattr(hurwitz.nielsen, "_generates", lambda group, elems:
+                        groups.append(group) or generates(group, elems))
+    assert run(["genus", "--group", "D25", "--classes", "[2a,2a,2a,2a]",
+                "--mode", "inner-reduced"]) == 0
+    assert "genus" in capsys.readouterr().out
+    assert groups and {(g.kind, g.data.descriptor) for g in groups} == {("indexed", "D5")}
+
+
+@pytest.mark.parametrize("k", [2, pytest.param(3, marks=pytest.mark.long)])  # 3: about 5 s
+def test_flat_dihedral_group_matches_its_tower_level(k):
+    """Flat D_(5^(k+1)) and level k of the X_1(5^(k+1)) tower, both in
+    inner-reduced mode, have the same classes, orbit sizes and genera."""
+    spec = TowerSpec("dihedral", 5)
+    cv0 = parse_class_vector(spec.level_group(0), "[2a,2a,2a,2a]")
+    level = build_level(spec, cv0, k)
+    g = make_group(f"D{5 ** (k + 1)}")
+    ni = enumerate_nielsen(g, parse_class_vector(g, "[2a,2a,2a,2a]"), Mode.INNER_REDUCED)
+    assert ni.count == level.ni.count and ni.tuples == level.ni.tuples
+    flat = [(o.size, o.genus_report.genus) for o in braid_orbits(ni)]
+    assert flat == [(o.size, o.genus_report.genus) for o in level.orbits]
+
+
+def test_lift_refuses_a_level_whose_quotient_is_not_level_zero(monkeypatch):
+    """``lift_classes_to_level`` reads level 0 off the level group's own
+    generation quotient; a level whose quotient is another group is refused."""
+    spec = TowerSpec("dihedral", 5)
+    cv0 = parse_class_vector(spec.level_group(0), "[2a,2a,2a,2a]")
+    gk = spec.level_group(1)
+    monkeypatch.setattr(FiniteGroup, "generation_quotient",
+                        property(lambda g: (g.indexed(), range(g.order))))
+    with pytest.raises(ValidationError, match="^level 1 tests generation in 'D25', not level 0$"):
+        lift_classes_to_level(spec, cv0, 1)
+    assert gk.generation_quotient[0] is gk.indexed()
 
 
 @pytest.mark.parametrize("family,ell,k_max,per_step", [
@@ -610,13 +660,22 @@ def test_cusp_type_at_other_r_matches_the_split_search(desc, classes):
     ix, kinds = g.indexed(), set()
     for o in braid_orbits(ni):
         for c in o.cusps():
-            for ell in (2, 3, 5, 6, 7):
+            for ell in (2, 3, 5, 7):
                 got = cusp_type(c, ell).type
                 for p in c.positions:
                     split = _cyclic_split_search(ix, ni.tuples[p], ell)
                     assert got == ("g-ell-prime" if split else "unclassified"), (ell, p)
                     kinds.add(got)
     assert kinds == {"g-ell-prime", "unclassified"}
+
+
+@pytest.mark.parametrize("ell", [1, 4, 6])
+def test_cusp_type_refuses_an_ell_that_is_not_prime(a4_orbits, ell):
+    """Cusp types read l' as "order prime to l", the paper's notion only for
+    a prime l; 1 and composite l are refused in one line, as ``TowerSpec``
+    refuses them."""
+    with pytest.raises(ValidationError, match=f"^cusp types need a prime ell, got {ell}$"):
+        cusp_type(a4_orbits[0].cusps()[0], ell)
 
 
 def test_cusp_orbit_needs_its_positions(a4_orbits):

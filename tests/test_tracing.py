@@ -35,7 +35,7 @@ def test_tower_spans_name_the_level_maps_and_frattini_steps(monkeypatch):
     def parents(name):
         return [spans[parent][0] for span, parent, _, _ in spans if span == name]
 
-    # one level map per step, built with the level it maps from
+    # each level above 0 builds its generation quotient, one GroupHom onto level 0
     assert {"tower.build_level.k1", "tower.build_level.k2"} <= set(parents("lift.GroupHom"))
     assert parents("lift.is_frattini_cover") == ["tower.eventually_frattini_report"] * 2
 
