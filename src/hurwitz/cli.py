@@ -18,13 +18,12 @@ and text views, functions that read the body and what the command computed.
 Records' ``to_dict`` give the JSON bodies of ``enumerate``, ``shinc``,
 ``genus``, ``tower``, ``bcl`` and ``check``; the rest is built here.
 ``emit_report`` alone reads the format: it calls only the view of the format
-printed and writes the report to ``--out`` or stdout.  Reports are
-deterministic for fixed inputs and version: JSON is emitted with sorted keys,
-CSV with RFC-4180 quoting, and every report embeds the input description and
-the package version.  Exit codes: 0 success, 2 invalid input (an unwritable
-output file included), 3 budget exceeded or out of memory.  A file that cannot
-be read or written is named in the message cut short, as every echoed input
-is.
+printed, and one guarded writer streams that into ``--out`` or stdout, so no
+report is held in memory.  Reports are deterministic for fixed inputs and
+version: JSON has sorted keys, CSV RFC-4180 quoting, and every report embeds
+its inputs and the package version.  Exit codes: 0 success, 2 invalid input
+(an unwritable output file or stdout included), 3 budget exceeded or out of
+memory.  A file that cannot be read or written is named, cut short.
 
 A command followed by its exact flags is read by a scan of the flag table;
 other argv goes to argparse, which reads it or writes help, usage or errors.
@@ -37,10 +36,11 @@ passes over them, a twentieth of a tower job's time, find nothing to free.
 from __future__ import annotations
 
 import gc
-import io
 import json
+import os
 import re
 import sys
+from contextlib import nullcontext, suppress
 
 from . import __version__
 from .errors import BudgetError, ValidationError, shown
@@ -159,12 +159,9 @@ def _resolve(args: dict) -> dict:
             raise ValidationError(f"{key.replace('_', '-')} must be {word}, got {shown(value)}")
     out = {"command": args["command"]}
     for dest, _kind, default, _text in _FLAGS[args["command"]].values():
-        if args[dest] is not None and args[dest] is not False:
-            out[dest] = args[dest]
-        elif config.get(dest) is not None:  # a null value counts as unset
-            out[dest] = config[dest]
-        else:
-            out[dest] = default
+        # flag, else config value, else default; an off switch and a null value count as unset
+        flag = None if args[dest] is False else args[dest]
+        out[dest] = next((v for v in (flag, config.get(dest)) if v is not None), default)
     if out["format"] not in ("text", "json", "csv"):
         raise ValidationError(f"unknown format: {shown(out['format'])}")
     if "mode" in out:
@@ -197,31 +194,44 @@ def _group_and_classes(cfg: dict, view: bool = True):
 
 
 def emit_report(cfg: dict, keys, data: dict, rows, lines) -> None:
-    """Write one report in ``cfg["format"]`` to ``--out`` or stdout.
+    """Write one report in ``cfg["format"]`` to ``--out`` or stdout, as rendered.
 
-    ``data`` is the JSON body; ``rows`` and ``lines`` are the CSV and text
-    views, called only for the format printed, and return the CSV rows and
-    the text lines.  Each form gets the package version and the inputs named
-    by ``keys`` in front.  CSV spells booleans as JSON does and None as an
-    empty cell.  Identical inputs give identical bytes.
+    ``data`` is the JSON body; the CSV and text views ``rows`` and ``lines``,
+    called only for the format printed, return the CSV rows and the text lines.
+    Each form gets the package version and the inputs named by ``keys`` in
+    front.  CSV spells booleans as JSON does and None as an empty cell.
+    Identical inputs give identical bytes.
     """
-    inputs = {k: cfg[k] for k in keys if cfg.get(k) is not None and cfg[k] is not False}
-    if cfg["format"] == "json":
-        text = _json_text({"version": __version__, "inputs": inputs, **data}) + "\n"
-    elif cfg["format"] == "csv":
+    def write(out) -> None:
+        inputs = {k: cfg[k] for k in keys if cfg.get(k) is not None and cfg[k] is not False}
+        if cfg["format"] == "json":
+            return _write_json(out, {"version": __version__, "inputs": inputs, **data})
+        if cfg["format"] == "text":
+            header = " ".join(f"{k}={v}" for k, v in inputs.items())
+            out.write(f"# hurwitz {__version__}\n# {header}\n")
+            return out.writelines(line + "\n" for line in lines())
         import csv  # only CSV runs load the module
-        buf = io.StringIO()
-        out = csv.writer(buf, lineterminator="\r\n")
-        out.writerows([["version", __version__], ["inputs", json.dumps(inputs, sort_keys=True)]])
-        out.writerows([json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows())
-        text = buf.getvalue()
-    else:
-        header = " ".join(f"{k}={v}" for k, v in inputs.items())
-        text = "\n".join([f"# hurwitz {__version__}", f"# {header}", *lines()]) + "\n"
-    if cfg.get("out"):
-        _write_file(cfg["out"], text, "report")
-    else:
-        sys.stdout.write(text)
+        table = csv.writer(out, lineterminator="\r\n")
+        table.writerows([["version", __version__], ["inputs", json.dumps(inputs, sort_keys=True)]])
+        table.writerows([json.dumps(v) if isinstance(v, bool) else v for v in r] for r in rows())
+
+    _write(cfg.get("out"), "report", write)
+
+
+def _write(path: str | None, what: str, write) -> None:
+    """``write(out)`` into the file at ``path``, or stdout if None; OSError exits 2."""
+    try:
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else nullcontext(sys.stdout)) as out:
+            write(out)
+            out.flush()
+    except OSError as exc:
+        if not path:  # stdout to devnull, so its flush at exit drops what it still buffers
+            with suppress(OSError, ValueError):  # unless it has no file descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        name = shown(path) if path else "stdout"
+        raise ValidationError(f"cannot write {what}: {exc.strerror}: {name}") from exc
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -230,49 +240,39 @@ _SCALARS = {str: _escape, int: int.__repr__, bool: {False: "false", True: "true"
             type(None): {None: "null"}.get}
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.  With
-    ``indent`` set, ``json.dumps`` runs a pure-Python generator chain; this
-    puts the same chunks in one list and joins a list of same-type scalars in
-    one call, escaping strings as ``json.dumps`` does."""
-    out: list[str] = []
+def _write_json(out, obj) -> None:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline into ``out``, byte for
+    byte, its chunks joined ~512 a write: each write to a ``python -u`` stdout is a syscall."""
+    write = (chunks := []).append
 
     def put(o, indent: str) -> None:
+        if len(chunks) > 512:  # checked at every value, so no list outgrows it
+            out.write("".join(chunks))
+            chunks.clear()
         text = _SCALARS.get(type(o))
         if text is not None or not o or not isinstance(o, (dict, list, tuple)):
-            out.append(text(o) if text else json.dumps(o))  # also "{}" and "[]"
+            write(text(o) if text else json.dumps(o))  # also "{}" and "[]"
             return
         inner = indent + "  "
-        if isinstance(o, dict):
-            sep = "{"
-            for k in sorted(o):
-                out.append(sep + inner + _escape(k if isinstance(k, str) else json.dumps(k)) + ": ")
-                put(o[k], inner)
-                sep = ","
-            out.append(indent + "}")
-            return
-        kinds = set(map(type, o))
-        text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        if text is not None:
-            out.append("[" + inner + ("," + inner).join(map(text, o)) + indent + "]")
-            return
-        sep = "["
-        for v in o:
-            out.append(sep + inner)
+        if isinstance(o, dict):  # (key text, value) pairs, then the brackets
+            items, brackets = ((_escape(k if isinstance(k, str) else json.dumps(k)) + ": ", o[k])
+                               for k in sorted(o)), "{}"
+        else:
+            kinds = set(map(type, o))
+            text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if text is not None:
+                write("[" + inner + ("," + inner).join(map(text, o)) + indent + "]")
+                return
+            items, brackets = (("", v) for v in o), "[]"
+        sep = brackets[0]
+        for key, v in items:
+            write(sep + inner + key)
             put(v, inner)
             sep = ","
-        out.append(indent + "]")
+        write(indent + brackets[1])
 
     put(obj, "\n")
-    return "".join(out)
-
-
-def _write_file(path: str, text: str, what: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {what}: {exc.strerror}: {shown(path)}") from exc
+    out.write("".join(chunks) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +313,9 @@ def _orbit_payload(cfg: dict, report: str | None = None):
 
 def _cmd_orbits(cfg: dict):
     ni, orbits = _orbit_payload(cfg)
-    members_file = cfg.get("members_file")
-    if members_file:
+    if members_file := cfg.get("members_file"):
         blob = {o.label: [ni.formatted(p) for p in o.positions] for o in orbits}
-        _write_file(members_file, _json_text(blob) + "\n", "members file")
+        _write(members_file, "members file", lambda out: _write_json(out, blob))
     named = {"members_file": members_file} if members_file else {}
     dicts = [{"orbit_label": o.label, "size": o.size, **named,
               "cusps": [{"label": c.label, "width": c.width, "rep": ni.formatted(c.positions[0])}

@@ -4,6 +4,7 @@ import io
 import json
 import argparse
 import collections
+import errno
 import os
 import subprocess
 import sys
@@ -657,8 +658,11 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
 @example(value={"": [], "b": {}, "a": [[], {}, ()], "é\"\n": [1, -2**64, True, None, 0.1]})
 @example(value=[["x", "y"], [1, 2], [True, False], [None], [1, "x"], (3, 4)])
 def test_json_writer_matches_json_dumps(value):
-    """The report writer gives the bytes of json.dumps(sort_keys=True, indent=2)."""
-    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    """The report writer writes the bytes of json.dumps(sort_keys=True, indent=2)
+    and a newline."""
+    out = io.StringIO()
+    cli._write_json(out, value)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_csv_is_rfc4180(capsys):
@@ -879,6 +883,86 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
+D5_GENUS = ["genus", "--group", "D5", "--classes", "[2a,2a,2a,2a]", "--mode", "abs-reduced"]
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_unwritable_stdout_exits_2_with_one_line(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert run([*D5_GENUS, "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write report: No space left on device: stdout\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_full_stdout_exits_2_with_one_line_in_a_child(unbuffered):
+    """Buffered, stdout still holds the report when the run ends, and the
+    interpreter's last flush must not fail again."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
+    env = {k: v for k, v in env.items() if v is not None}
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "hurwitz.cli", *D5_GENUS], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr == "error: cannot write report: No space left on device: stdout\n"
+
+
+# runs the CLI on argv in a fresh interpreter, then prints its exit code and
+# its peak resident memory in kB: VmHWM is the child's own, where ru_maxrss
+# would be inherited from the process that started it
+PEAK = """import sys
+from hurwitz.cli import run
+code = run(sys.argv[1:])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(code, status["VmHWM"].split()[0])
+"""
+
+
+def peak_run(argv, limit=None) -> tuple[int, float]:
+    """The exit code and the peak memory in MiB of a child run of argv, its
+    address space capped at ``limit`` bytes when one is given."""
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = subprocess.run([sys.executable, "-c", PEAK, *argv], capture_output=True, text=True,
+                         preexec_fn=cap if limit else None,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    code, kb = out.stdout.split()
+    return int(code), int(kb) / 1024
+
+
+D125_JSON = ["enumerate", "--group", "D125", "--classes", "[2a,2a,2a,2a]",
+             "--mode", "inner-reduced", "--format", "json"]
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+
+
+@needs_proc
+def test_a_large_report_is_not_held_in_memory(tmp_path):
+    """15,625 classes, 13.9 MB of JSON: about 19 MiB at the peak, where the
+    report held as one string peaked at 58.5 MiB."""
+    code, mib = peak_run([*D125_JSON, "--out", str(tmp_path / "report.json")])
+    assert code == 0 and mib < 32
+
+
+@needs_proc
+@pytest.mark.long
+def test_a_two_gigabyte_report_streams_under_a_3_gb_address_space():
+    """187,500 classes of D625 (level 3 of the X_1(625) tower), 1.9 GB of JSON:
+    held as one string it ran out of memory at 2,059 MiB."""
+    argv = [*D125_JSON[:2], "D625", *D125_JSON[3:], "--out", os.devnull]
+    code, mib = peak_run(argv, limit=3 * 2**30)
+    assert code == 0 and mib < 150
 
 
 @pytest.mark.parametrize("argv", [

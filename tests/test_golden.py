@@ -181,6 +181,26 @@ def test_deep_ladder_stdout_sha256(case):
     assert hashlib.sha256(result["stdout"].encode()).hexdigest() == LADDER[case]
 
 
+# a 13.9 MB JSON report of 15,625 classes (and its CSV and text forms): many
+# more chunks than any golden report, each form's sha256 on stdout and --out
+D125 = "enumerate --group D125 --classes [2a,2a,2a,2a] --mode inner-reduced --format"
+LARGE = {
+    "json": "56e09b7cd043168dfd1ec0c961e1ae347ad7f7d3682d2d58efd9054b3cbd5454",
+    "csv": "6f0ffab983f16772f719b8e2d8a30d260ea04b220272c9e7a40b868745a98f95",
+    "text": "2767fb664f64ce248ced6d005b3218db2b17cc94eb6805f66b04f84a4936e281",
+}
+
+
+@pytest.mark.parametrize("fmt", LARGE)
+def test_large_report_sha256_on_stdout_and_out(fmt, tmp_path):
+    result = capture([*D125.split(), fmt])
+    assert (result["code"], result["stderr"]) == (0, "")
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == LARGE[fmt]
+    target = tmp_path / f"report.{fmt}"
+    assert capture([*D125.split(), fmt, "--out", str(target)])["code"] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == LARGE[fmt]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
